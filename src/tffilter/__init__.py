@@ -7,6 +7,26 @@ experiments care about: target-mode efficiency, mode discriminativity,
 filtered-noise statistics, and entanglement-based key rates.
 """
 
+import os as _os
+
+
+def _cap_threads() -> bool:
+    """Copy TF_FILTER_THREADS into unset BLAS/OpenMP pool sizes; False if it is invalid.
+
+    The pools size themselves when numpy loads, so this runs before any numeric import.
+    """
+    cap = _os.environ.get("TF_FILTER_THREADS")
+    if cap is None:
+        return True
+    if not cap.isdigit() or int(cap) < 1:
+        return False
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(var, cap)
+    return True
+
+
+_cap_threads()
+
 from .core import (
     ConvergenceError,
     Domain,
@@ -57,6 +77,7 @@ from .noisesim import (
     filtered_noise_correlation,
     run_ensemble,
     sample_white_noise,
+    snr_setup,
     trial_generator,
 )
 from .qkd import (
@@ -172,6 +193,7 @@ __all__ = [
     "trial_generator",
     "sample_white_noise",
     "run_ensemble",
+    "snr_setup",
     "CorrelationSurface",
     "filtered_noise_correlation",
     # qkd

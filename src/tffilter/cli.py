@@ -15,9 +15,10 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
+
+from . import _cap_threads
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -32,21 +33,6 @@ class UsageError(Exception):
 
 class NumericError(Exception):
     pass
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("TF_FILTER_THREADS")
-    if cap is None:
-        return
-    if not cap.isdigit() or int(cap) < 1:
-        raise UsageError("TF_FILTER_THREADS must be a positive integer")
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, cap)
 
 
 def parse_bt(text: str) -> float:
@@ -275,47 +261,10 @@ def cmd_modes(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gaussian_snr_setup(bt: float):
-    import numpy as np
-
-    from .core import Domain, SampledAxis
-    from .gaussian import gaussian_sif, gaussian_tradeoff, hermite_gaussian_mode_set
-
-    spec = gaussian_sif(bt, 1.0)
-    dt = min(1.0 / (12.0 * bt), 1.0 / 12.0)
-    gate_reach = spec.temporal.temporal_support(1e-12)
-    mode_reach = 6.0 / min(spec.alpha, spec.beta)
-    half = max(gate_reach, mode_reach) + 1.0
-    count = 1 << max(10, int(np.ceil(np.log2(2.0 * half / dt))))
-    axis = SampledAxis(-dt * (count // 2), dt, count, Domain.TIME)
-    mode = hermite_gaussian_mode_set(spec, axis, 1, "input")[0]
-    _, xi = gaussian_tradeoff(bt)
-    return spec, axis, mode, xi
-
-
-def _slepian_snr_setup(bt: float):
-    import numpy as np
-
-    from .core import Domain, SampledAxis, StageOrder
-    from .slepian import rectangular_filter_modes, rectangular_sif, slepian_tradeoff
-
-    spec = rectangular_sif(bt, 1.0, order=StageOrder.TIME_FIRST)
-    # brick-wall edges quantize plain Riemann sums; put the gate edge and the
-    # band edge exactly mid-cell so the discrete T and B sums are exact
-    j = max(60, int(np.ceil(5.0 * bt)))
-    dt = 1.0 / (2 * j + 1)
-    band_cells = max(5, 2 * int(np.ceil(2.0 * bt)) + 1)
-    count = int(round(band_cells * (2 * j + 1) / bt))
-    axis = SampledAxis(-dt * (count // 2), dt, count, Domain.TIME)
-    mode = rectangular_filter_modes(spec, axis, 1, "input")[0]
-    _, xi = slepian_tradeoff(bt)
-    return spec, axis, mode, xi
-
-
 def cmd_snr(args: argparse.Namespace) -> int:
     from .core import ResolutionError, SampledSignal
     from .metrics import analytic_snr
-    from .noisesim import NoiseEnsembleConfig, run_ensemble
+    from .noisesim import NoiseEnsembleConfig, run_ensemble, snr_setup
 
     bt = parse_bt(args.bt)
     if bt <= 0:
@@ -324,15 +273,11 @@ def cmd_snr(args: argparse.Namespace) -> int:
         raise UsageError("--trials must be >= 1")
     if args.signal_energy < 0 or args.noise_psd < 0:
         raise UsageError("energies must be nonnegative")
-    if args.filter == "gaussian":
-        spec, axis, mode, xi = _gaussian_snr_setup(bt)
-    else:
-        spec, axis, mode, xi = _slepian_snr_setup(bt)
-    unit_mode = mode.normalized()
+    spec, axis, mode, xi = snr_setup(args.filter, bt)
     cfg = NoiseEnsembleConfig(
         noise_psd=args.noise_psd,
         signal_energy=args.signal_energy,
-        signal_mode=unit_mode,
+        signal_mode=mode,
         trials=args.trials,
         seed=args.seed,
     )
@@ -555,10 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        _cap_threads()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if not _cap_threads():
+        print("error: TF_FILTER_THREADS must be a positive integer", file=sys.stderr)
         return 2
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -9,6 +9,12 @@ Every frequency-axis integral carries the measure dw/(2 pi), so signal energy,
 inner products, and bandwidths agree between domains without stray 2 pi
 factors (Parseval holds to machine precision on matched grids).
 
+The transforms live only in this module.  They act along the last axis of
+``(..., n)`` sample arrays, so ``filter_samples`` pushes a whole batch of
+signals (e.g. Monte Carlo noise rows) through a filter in one call, and
+``fourier_forward``, ``fourier_inverse`` and ``apply_filter`` are its
+single-signal wrappers.
+
 A filter is one of four specifications:
 
 * ``SpectralWindow``    -- pointwise multiplication by R~(w) in frequency,
@@ -58,6 +64,7 @@ __all__ = [
     "fourier_forward",
     "fourier_inverse",
     "apply_filter",
+    "filter_samples",
     "build_operator",
     "gram_kernel",
     "compose_order_swap",
@@ -221,18 +228,43 @@ def inner_product(f: SampledSignal, g: SampledSignal) -> complex:
 # Fourier transforms
 
 
+def _to_frequency(values: np.ndarray, time_axis: SampledAxis) -> tuple[SampledAxis, np.ndarray]:
+    """Forward transform of samples on ``time_axis`` along the last axis of ``values``."""
+    n = time_axis.count
+    freq = frequency_axis_for(time_axis)
+    k = np.arange(n)
+    spec = np.fft.ifft(values * np.exp(1j * freq.start * time_axis.step * k), axis=-1)
+    spec *= n
+    spec *= time_axis.step * np.exp(1j * freq.points * time_axis.start)
+    return freq, spec
+
+
+def _reciprocal_time_axis(freq_axis: SampledAxis, time_axis: SampledAxis | None) -> SampledAxis:
+    """``time_axis``, checked for reciprocity with ``freq_axis``; the centered grid if None."""
+    n = freq_axis.count
+    dt = TWO_PI / (n * freq_axis.step)
+    if time_axis is None:
+        return SampledAxis(-dt * (n // 2), dt, n, Domain.TIME)
+    if time_axis.domain is not Domain.TIME or time_axis.count != n:
+        raise DomainMismatchError("target time axis incompatible with spectrum")
+    if abs(time_axis.step - dt) > 1e-9 * dt:
+        raise ResolutionError("target time axis violates dw*dt = 2 pi / count")
+    return time_axis
+
+
+def _to_time(values: np.ndarray, freq_axis: SampledAxis, time_axis: SampledAxis) -> np.ndarray:
+    """Inverse transform along the last axis of ``values`` onto a reciprocal ``time_axis``."""
+    m = np.arange(freq_axis.count)
+    out = np.fft.fft(values * np.exp(-1j * m * freq_axis.step * time_axis.start), axis=-1)
+    out *= np.exp(-1j * freq_axis.start * time_axis.points) / (freq_axis.count * time_axis.step)
+    return out
+
+
 def fourier_forward(signal: SampledSignal) -> SampledSignal:
     """f~(w_m) = dt * sum_k exp(+i w_m t_k) f(t_k) on the reciprocal frequency axis."""
-    ax = signal.axis
-    if ax.domain is not Domain.TIME:
+    if signal.axis.domain is not Domain.TIME:
         raise DomainMismatchError("fourier_forward expects a time-domain signal")
-    n = ax.count
-    freq = frequency_axis_for(ax)
-    k = np.arange(n)
-    pre = signal.values * np.exp(1j * freq.start * ax.step * k)
-    spec = n * np.fft.ifft(pre)
-    spec *= ax.step * np.exp(1j * freq.points * ax.start)
-    return SampledSignal(freq, spec)
+    return SampledSignal(*_to_frequency(signal.values, signal.axis))
 
 
 def fourier_inverse(signal: SampledSignal, time_axis: SampledAxis | None = None) -> SampledSignal:
@@ -243,23 +275,10 @@ def fourier_inverse(signal: SampledSignal, time_axis: SampledAxis | None = None)
     same reciprocity relation (it fixes the sample positions, e.g. to undo a
     forward transform taken from a non-centered grid).
     """
-    ax = signal.axis
-    if ax.domain is not Domain.ANGULAR_FREQUENCY:
+    if signal.axis.domain is not Domain.ANGULAR_FREQUENCY:
         raise DomainMismatchError("fourier_inverse expects a frequency-domain signal")
-    n = ax.count
-    dt = TWO_PI / (n * ax.step)
-    if time_axis is None:
-        time_axis = SampledAxis(-dt * (n // 2), dt, n, Domain.TIME)
-    else:
-        if time_axis.domain is not Domain.TIME or time_axis.count != n:
-            raise DomainMismatchError("target time axis incompatible with spectrum")
-        if abs(time_axis.step - dt) > 1e-9 * dt:
-            raise ResolutionError("target time axis violates dw*dt = 2 pi / count")
-    m = np.arange(n)
-    pre = signal.values * np.exp(-1j * m * ax.step * time_axis.start)
-    vals = np.fft.fft(pre)
-    vals *= np.exp(-1j * ax.start * time_axis.points) / (n * time_axis.step)
-    return SampledSignal(time_axis, vals)
+    time_axis = _reciprocal_time_axis(signal.axis, time_axis)
+    return SampledSignal(time_axis, _to_time(signal.values, signal.axis, time_axis))
 
 
 # ---------------------------------------------------------------------------
@@ -402,29 +421,28 @@ def compose_order_swap(spec: Sif) -> Sif:
 # applying filters to signals
 
 
-def _sif_bandwidth(spec: FilterSpec) -> float | None:
+def _stages(spec: FilterSpec) -> tuple[SpectralWindowProfile | None, TemporalGateProfile | None]:
+    """(spectral window, temporal gate) of ``spec``; None for a stage it lacks."""
     if isinstance(spec, Sif):
-        return spec.spectral.bandwidth_hz
+        return spec.spectral, spec.temporal
     if isinstance(spec, SpectralWindow):
-        return spec.profile.bandwidth_hz
-    return None
+        return spec.profile, None
+    if isinstance(spec, TemporalGate):
+        return None, spec.profile
+    return None, None
 
 
 def _check_grid(spec: FilterSpec, signal: SampledSignal) -> None:
     """Resolution guard: dt <= 1/(10 B) and span covering the filter support."""
     ax = signal.axis
-    b_est = _sif_bandwidth(spec)
+    window, gate = _stages(spec)
     if ax.domain is Domain.TIME:
-        if b_est is not None and ax.step > 1.0 / (10.0 * b_est):
+        if window is not None and ax.step > 1.0 / (10.0 * window.bandwidth_hz):
+            b_est = window.bandwidth_hz
             raise ResolutionError(
                 f"time step {ax.step:g} too coarse for filter bandwidth {b_est:g} Hz "
                 f"(need dt <= {1.0 / (10.0 * b_est):g})"
             )
-        gate = None
-        if isinstance(spec, Sif):
-            gate = spec.temporal
-        elif isinstance(spec, TemporalGate):
-            gate = spec.profile
         if gate is not None:
             if isinstance(spec, TemporalGate) and ax.step > gate.duration_s / 20.0:
                 raise ResolutionError("time step too coarse to resolve the gate shape")
@@ -433,55 +451,81 @@ def _check_grid(spec: FilterSpec, signal: SampledSignal) -> None:
                 raise ResolutionError(
                     f"time span [{ax.start:g}, {ax.stop:g}] does not cover the gate support +-{r:g}"
                 )
-    else:
-        window = None
-        if isinstance(spec, Sif):
-            window = spec.spectral
-        elif isinstance(spec, SpectralWindow):
-            window = spec.profile
-        if window is not None:
-            r = window.spectral_support(1e-12)
-            if ax.start > -r or ax.stop < r:
-                raise ResolutionError(
-                    f"frequency span [{ax.start:g}, {ax.stop:g}] does not cover the window support +-{r:g}"
-                )
-        if b_est is not None and ax.span < 20.0 * np.pi * b_est:
+    elif window is not None:
+        r = window.spectral_support(1e-12)
+        if ax.start > -r or ax.stop < r:
+            raise ResolutionError(
+                f"frequency span [{ax.start:g}, {ax.stop:g}] does not cover the window support +-{r:g}"
+            )
+        if ax.span < 20.0 * np.pi * window.bandwidth_hz:
             raise ResolutionError("frequency span too narrow for the filter bandwidth")
 
 
-def _apply_spectral(profile: SpectralWindowProfile, signal: SampledSignal) -> SampledSignal:
-    if signal.axis.domain is Domain.ANGULAR_FREQUENCY:
-        return SampledSignal(signal.axis, signal.values * profile.window(signal.axis.points))
-    spec = fourier_forward(signal)
-    filtered = SampledSignal(spec.axis, spec.values * profile.window(spec.axis.points))
-    return fourier_inverse(filtered, time_axis=signal.axis)
+def _apply_spectral(profile: SpectralWindowProfile, axis: SampledAxis, values: np.ndarray) -> np.ndarray:
+    if axis.domain is Domain.ANGULAR_FREQUENCY:
+        return values * profile.window(axis.points)
+    freq, spec = _to_frequency(values, axis)
+    spec *= profile.window(freq.points)
+    return _to_time(spec, freq, axis)
 
 
-def _apply_temporal(profile: TemporalGateProfile, signal: SampledSignal) -> SampledSignal:
-    if signal.axis.domain is Domain.TIME:
-        return SampledSignal(signal.axis, signal.values * profile.gate(signal.axis.points))
-    trace = fourier_inverse(signal)
-    gated = SampledSignal(trace.axis, trace.values * profile.gate(trace.axis.points))
-    out = fourier_forward(gated)
-    if not out.axis.close_to(signal.axis):
+def _apply_temporal(profile: TemporalGateProfile, axis: SampledAxis, values: np.ndarray) -> np.ndarray:
+    if axis.domain is Domain.TIME:
+        return values * profile.gate(axis.points)
+    time_axis = _reciprocal_time_axis(axis, None)
+    if not frequency_axis_for(time_axis).close_to(axis):
         raise DomainMismatchError(
             "time gating of a spectrum requires a centered frequency axis "
             "(start = -step * (count // 2))"
         )
+    trace = _to_time(values, axis, time_axis)
+    trace *= profile.gate(time_axis.points)
+    return _to_frequency(trace, time_axis)[1]
+
+
+def _match_axis(values: np.ndarray, axis: SampledAxis, target: SampledAxis) -> np.ndarray:
+    """Samples on ``axis`` re-expressed on ``target``: as they are, or Fourier transformed."""
+    if axis.close_to(target):
+        return values
+    if axis.domain is target.domain:
+        raise DomainMismatchError("signal grid does not match the mode grid")
+    if axis.domain is Domain.TIME:
+        out_axis, out = _to_frequency(values, axis)
+    else:
+        out_axis = _reciprocal_time_axis(axis, target)
+        out = _to_time(values, axis, out_axis)
+    if not out_axis.close_to(target):
+        raise DomainMismatchError("signal grid is not reciprocal to the mode grid")
     return out
 
 
-def _match_axis(signal: SampledSignal, target: SampledAxis) -> SampledSignal:
-    if signal.axis.close_to(target):
-        return signal
-    if signal.axis.domain is target.domain:
-        raise DomainMismatchError("signal grid does not match the mode grid")
-    if signal.axis.domain is Domain.TIME:
-        out = fourier_forward(signal)
+def filter_samples(spec: FilterSpec, axis: SampledAxis, values: np.ndarray) -> np.ndarray:
+    """Pass samples on ``axis`` through ``spec`` along the last axis of ``values``.
+
+    ``values`` has shape ``(..., axis.count)``; every leading index is filtered
+    as its own signal and the result stays on ``axis``.  This is the numerics
+    behind :func:`apply_filter`, without its resolution guard, for callers
+    that push batches of rows through one filter on a grid they have checked.
+    ``values`` is never written to.
+    """
+    if isinstance(spec, SpectralWindow):
+        out = _apply_spectral(spec.profile, axis, values)
+    elif isinstance(spec, TemporalGate):
+        out = _apply_temporal(spec.profile, axis, values)
+    elif isinstance(spec, Sif):
+        if spec.order is StageOrder.FREQUENCY_FIRST:
+            out = _apply_temporal(spec.temporal, axis, _apply_spectral(spec.spectral, axis, values))
+        else:
+            out = _apply_spectral(spec.spectral, axis, _apply_temporal(spec.temporal, axis, values))
+    elif isinstance(spec, SeparableCoherent):
+        phi = spec.input_mode
+        matched = _match_axis(values, axis, phi.axis)
+        coeff = spec.weight * ((matched @ np.conj(phi.values)) * phi.axis.measure)
+        out = _match_axis(coeff[..., None] * spec.output_mode.values, spec.output_mode.axis, axis)
     else:
-        out = fourier_inverse(signal, time_axis=target)
-    if not out.axis.close_to(target):
-        raise DomainMismatchError("signal grid is not reciprocal to the mode grid")
+        raise TypeError(f"unknown filter specification {type(spec).__name__}")
+    # every branch returns a fresh array, so scaling in place never touches ``values``
+    out *= spec.insertion_loss
     return out
 
 
@@ -493,23 +537,7 @@ def apply_filter(spec: FilterSpec, signal: SampledSignal) -> SampledSignal:
     insertion_loss^2 (all profiles are peak-normalized).
     """
     _check_grid(spec, signal)
-    if isinstance(spec, SpectralWindow):
-        out = _apply_spectral(spec.profile, signal)
-    elif isinstance(spec, TemporalGate):
-        out = _apply_temporal(spec.profile, signal)
-    elif isinstance(spec, Sif):
-        if spec.order is StageOrder.FREQUENCY_FIRST:
-            out = _apply_temporal(spec.temporal, _apply_spectral(spec.spectral, signal))
-        else:
-            out = _apply_spectral(spec.spectral, _apply_temporal(spec.temporal, signal))
-    elif isinstance(spec, SeparableCoherent):
-        matched = _match_axis(signal, spec.input_mode.axis)
-        coeff = spec.weight * inner_product(spec.input_mode, matched)
-        out = SampledSignal(spec.output_mode.axis, coeff * spec.output_mode.values)
-        out = _match_axis(out, signal.axis)
-    else:
-        raise TypeError(f"unknown filter specification {type(spec).__name__}")
-    return SampledSignal(out.axis, out.values * spec.insertion_loss)
+    return SampledSignal(signal.axis, filter_samples(spec, signal.axis, signal.values))
 
 
 # ---------------------------------------------------------------------------
@@ -544,25 +572,21 @@ class OperatorMatrix:
         return float(np.sum(np.abs(self.entries) ** 2))
 
 
-def _mode_on_axis(mode: SampledSignal, axis: SampledAxis) -> np.ndarray:
-    return _match_axis(mode, axis).values
-
-
-def _kernel_sif(spec: Sif, rows: SampledAxis, cols: SampledAxis) -> np.ndarray:
-    rp, cp = rows.points, cols.points
+def _kernel_sif(spec: Sif, rp: np.ndarray, rdom: Domain, cp: np.ndarray, cdom: Domain) -> np.ndarray:
+    """Sif kernel between row points in domain ``rdom`` and column points in ``cdom``."""
     freq_first = spec.order is StageOrder.FREQUENCY_FIRST
     t_dom, f_dom = Domain.TIME, Domain.ANGULAR_FREQUENCY
-    if rows.domain is t_dom and cols.domain is t_dom:
+    if rdom is t_dom and cdom is t_dom:
         resp = spec.spectral.response(rp[:, None] - cp[None, :])
         if freq_first:
             return spec.temporal.gate(rp)[:, None] * resp
         return resp * spec.temporal.gate(cp)[None, :]
-    if rows.domain is f_dom and cols.domain is f_dom:
+    if rdom is f_dom and cdom is f_dom:
         xfer = spec.temporal.transfer(rp[:, None] - cp[None, :])
         if freq_first:
             return xfer * spec.spectral.window(cp)[None, :]
         return spec.spectral.window(rp)[:, None] * xfer
-    if rows.domain is t_dom and cols.domain is f_dom:
+    if rdom is t_dom and cdom is f_dom:
         if not freq_first:
             raise DomainMismatchError(
                 "time-rows x frequency-cols kernel is separable only for FREQUENCY_FIRST"
@@ -578,25 +602,23 @@ def _kernel_sif(spec: Sif, rows: SampledAxis, cols: SampledAxis) -> np.ndarray:
 
 
 def _kernel_spectral(spec: SpectralWindow, rows: SampledAxis, cols: SampledAxis) -> np.ndarray:
+    """Window kernel on every pairing but frequency x frequency (a diagonal)."""
     rp, cp = rows.points, cols.points
     if rows.domain is Domain.TIME and cols.domain is Domain.TIME:
         return spec.profile.response(rp[:, None] - cp[None, :])
     if rows.domain is Domain.TIME:
         return np.exp(-1j * np.outer(rp, cp)) * spec.profile.window(cp)[None, :]
-    if cols.domain is Domain.TIME:
-        return spec.profile.window(rp)[:, None] * np.exp(1j * np.outer(rp, cp))
-    return None  # diagonal case handled by caller
+    return spec.profile.window(rp)[:, None] * np.exp(1j * np.outer(rp, cp))
 
 
 def _kernel_temporal(spec: TemporalGate, rows: SampledAxis, cols: SampledAxis) -> np.ndarray:
+    """Gate kernel on every pairing but time x time (a diagonal)."""
     rp, cp = rows.points, cols.points
     if rows.domain is Domain.ANGULAR_FREQUENCY and cols.domain is Domain.ANGULAR_FREQUENCY:
         return spec.profile.transfer(rp[:, None] - cp[None, :])
     if rows.domain is Domain.ANGULAR_FREQUENCY:
         return np.exp(1j * np.outer(rp, cp)) * spec.profile.gate(cp)[None, :]
-    if cols.domain is Domain.ANGULAR_FREQUENCY:
-        return spec.profile.gate(rp)[:, None] * np.exp(-1j * np.outer(rp, cp))
-    return None  # diagonal case handled by caller
+    return spec.profile.gate(rp)[:, None] * np.exp(-1j * np.outer(rp, cp))
 
 
 def _edge_ring_check(kernel_eval, rows: SampledAxis, cols: SampledAxis, kmax: float) -> None:
@@ -634,56 +656,33 @@ def build_operator(spec: FilterSpec, rows: SampledAxis, cols: SampledAxis) -> Op
     where both supports can be rendered exactly.  Pointwise stages on their
     own domain become diagonal matrices.
     """
-    sw = np.sqrt(rows.trapezoid_weights())
-    sc = np.sqrt(cols.trapezoid_weights())
-    if isinstance(spec, SeparableCoherent):
-        psi = _mode_on_axis(spec.output_mode, rows)
-        phi = _mode_on_axis(spec.input_mode, cols)
-        kernel = spec.weight * np.outer(psi, np.conj(phi))
-        entries = sw[:, None] * kernel * sc[None, :]
-    elif isinstance(spec, (SpectralWindow, TemporalGate)):
-        if isinstance(spec, SpectralWindow):
-            kernel = _kernel_spectral(spec, rows, cols)
-            diag_vals = None
-            if kernel is None:
-                diag_vals = spec.profile.window(rows.points)
-        else:
-            kernel = _kernel_temporal(spec, rows, cols)
-            diag_vals = None
-            if kernel is None:
-                diag_vals = spec.profile.gate(rows.points)
-        if kernel is None:
+    if isinstance(spec, (SpectralWindow, TemporalGate)):
+        spectral = isinstance(spec, SpectralWindow)
+        own = Domain.ANGULAR_FREQUENCY if spectral else Domain.TIME
+        if rows.domain is own and cols.domain is own:
             # pointwise multiplication: the delta kernel collapses to a diagonal
             if not rows.close_to(cols):
                 raise DomainMismatchError("diagonal representation requires rows == cols axis")
-            entries = np.diag(diag_vals.astype(complex))
-        else:
-            entries = sw[:, None] * kernel * sc[None, :]
+            pointwise = spec.profile.window if spectral else spec.profile.gate
+            entries = np.diag(pointwise(rows.points).astype(complex))
+            return OperatorMatrix(rows, cols, entries * spec.insertion_loss)
+        kernel = (_kernel_spectral if spectral else _kernel_temporal)(spec, rows, cols)
+    elif isinstance(spec, SeparableCoherent):
+        psi = _match_axis(spec.output_mode.values, spec.output_mode.axis, rows)
+        phi = _match_axis(spec.input_mode.values, spec.input_mode.axis, cols)
+        kernel = spec.weight * np.outer(psi, np.conj(phi))
     elif isinstance(spec, Sif):
-        kernel = _kernel_sif(spec, rows, cols)
+        kernel = _kernel_sif(spec, rows.points, rows.domain, cols.points, cols.domain)
 
         def _eval(rp: np.ndarray, cp: np.ndarray) -> np.ndarray:
-            return _sif_points(spec, rp, rows.domain, cp, cols.domain)
+            return _kernel_sif(spec, rp, rows.domain, cp, cols.domain)
 
         _edge_ring_check(_eval, rows, cols, float(np.max(np.abs(kernel))))
-        entries = sw[:, None] * kernel * sc[None, :]
     else:
         raise TypeError(f"unknown filter specification {type(spec).__name__}")
-    return OperatorMatrix(rows, cols, entries * spec.insertion_loss)
-
-
-class _PointSet:
-    """Duck-typed stand-in for SampledAxis: bare points plus a domain tag."""
-
-    def __init__(self, points: np.ndarray, domain: Domain) -> None:
-        self.points = np.asarray(points, dtype=float)
-        self.domain = domain
-
-
-def _sif_points(
-    spec: Sif, rp: np.ndarray, rdom: Domain, cp: np.ndarray, cdom: Domain
-) -> np.ndarray:
-    return _kernel_sif(spec, _PointSet(rp, rdom), _PointSet(cp, cdom))  # type: ignore[arg-type]
+    sw = np.sqrt(rows.trapezoid_weights())
+    sc = np.sqrt(cols.trapezoid_weights())
+    return OperatorMatrix(rows, cols, sw[:, None] * kernel * sc[None, :] * spec.insertion_loss)
 
 
 def gram_kernel(op: OperatorMatrix) -> OperatorMatrix:

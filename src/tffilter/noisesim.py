@@ -11,6 +11,9 @@ ensemble statistics after filtering are known in closed form,
 and this module estimates both empirically so the closed forms can be
 certified at Monte Carlo precision.
 
+Noise rows are filtered in blocks through ``core.filter_samples``, the same
+Fourier transport that ``apply_filter`` uses for single signals.
+
 Reproducibility: trial t draws from Philox keyed by
 SeedSequence(entropy=seed, spawn_key=(t,)), so any trial can be replayed in
 isolation and results are independent of batching.
@@ -18,6 +21,7 @@ isolation and results are independent of batching.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +36,11 @@ from .core import (
     StageOrder,
     apply_filter,
     centered_axis,
+    filter_samples,
     indicator_axis,
 )
+from .gaussian import gaussian_sif, gaussian_tradeoff, hermite_gaussian_mode_set
+from .slepian import rectangular_filter_modes, rectangular_sif, slepian_tradeoff
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -42,13 +49,14 @@ __all__ = [
     "trial_generator",
     "sample_white_noise",
     "run_ensemble",
+    "snr_setup",
     "CorrelationSurface",
     "filtered_noise_correlation",
 ]
 
 RNG_ALGORITHM = "philox4x64"
 
-_BATCH = 256  # trials per vectorized FFT block
+_BATCH = 256  # trials per filter_samples block
 
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
@@ -71,9 +79,26 @@ def sample_white_noise(
         raise DomainMismatchError("white noise is sampled on a time axis")
     if noise_psd < 0:
         raise ValueError("noise power spectral density must be nonnegative")
+    return SampledSignal(axis, _white_rows(axis, noise_psd, [rng])[0])
+
+
+def _white_rows(axis: SampledAxis, noise_psd: float, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One row of white noise per generator, as :func:`sample_white_noise` draws it."""
     scale = np.sqrt(noise_psd / (2.0 * axis.step))
-    draws = rng.standard_normal((2, axis.count))
-    return SampledSignal(axis, scale * (draws[0] + 1j * draws[1]))
+    rows = np.empty((len(rngs), axis.count), dtype=complex)
+    for row, rng in zip(rows, rngs):
+        draws = rng.standard_normal((2, axis.count))
+        row[:] = scale * (draws[0] + 1j * draws[1])
+    return rows
+
+
+def _filtered_noise_blocks(
+    spec: FilterSpec, axis: SampledAxis, noise_psd: float, seed: int, trials: int
+) -> Iterator[np.ndarray]:
+    """Filtered white noise of trials 0 .. trials-1, yielded in blocks of _BATCH rows."""
+    for first in range(0, trials, _BATCH):
+        rngs = [trial_generator(seed, t) for t in range(first, min(first + _BATCH, trials))]
+        yield filter_samples(spec, axis, _white_rows(axis, noise_psd, rngs))
 
 
 @dataclass(frozen=True)
@@ -130,38 +155,6 @@ class EnergyReport:
         }
 
 
-def _sif_time_transport(spec: Sif, axis: SampledAxis) -> tuple[np.ndarray, ...]:
-    """Precomputed factors to push batches of time-domain rows through a Sif.
-
-    Mirrors fourier_forward / fourier_inverse from core exactly, so a row of
-    the batch equals apply_filter on the same samples to machine precision.
-    """
-    n = axis.count
-    dw = 2.0 * np.pi / (n * axis.step)
-    w0 = -dw * (n // 2)
-    w = w0 + dw * np.arange(n)
-    k = np.arange(n)
-    pre_fwd = np.exp(1j * w0 * axis.step * k)
-    post_fwd = axis.step * np.exp(1j * w * axis.start)
-    pre_inv = np.exp(-1j * np.arange(n) * dw * axis.start)
-    post_inv = np.exp(-1j * w0 * axis.points) / (n * axis.step)
-    window = spec.spectral.window(w)
-    gate = spec.temporal.gate(axis.points)
-    return pre_fwd, post_fwd, pre_inv, post_inv, window, gate
-
-
-def _push_block(spec: Sif, factors: tuple[np.ndarray, ...], block: np.ndarray) -> np.ndarray:
-    pre_fwd, post_fwd, pre_inv, post_inv, window, gate = factors
-    if spec.order is StageOrder.TIME_FIRST:
-        block = block * gate
-    spec_vals = block.shape[-1] * np.fft.ifft(block * pre_fwd, axis=-1) * post_fwd
-    spec_vals *= window
-    out = np.fft.fft(spec_vals * pre_inv, axis=-1) * post_inv
-    if spec.order is StageOrder.FREQUENCY_FIRST:
-        out = out * gate
-    return out * spec.insertion_loss
-
-
 def run_ensemble(cfg: NoiseEnsembleConfig, spec: FilterSpec) -> EnergyReport:
     """Push signal + noise through the filter for cfg.trials independent trials.
 
@@ -175,37 +168,18 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: FilterSpec) -> EnergyReport:
     y_sig = apply_filter(spec, sig_in)
     w_signal = y_sig.energy()
 
-    factors = _sif_time_transport(spec, axis) if isinstance(spec, Sif) else None
-    measure = axis.measure
-    w_noise = np.empty(cfg.trials)
-    w_total = np.empty(cfg.trials)
-    done = 0
-    while done < cfg.trials:
-        b = min(_BATCH, cfg.trials - done)
-        rows = np.empty((b, axis.count), dtype=complex)
-        scale = np.sqrt(cfg.noise_psd / (2.0 * axis.step))
-        for j in range(b):
-            rng = trial_generator(cfg.seed, done + j)
-            draws = rng.standard_normal((2, axis.count))
-            rows[j] = scale * (draws[0] + 1j * draws[1])
-        if factors is not None:
-            y_noise = _push_block(spec, factors, rows)
-        else:
-            y_noise = np.empty_like(rows)
-            for j in range(b):
-                y_noise[j] = apply_filter(spec, SampledSignal(axis, rows[j])).values
-        w_n = np.sum(np.abs(y_noise) ** 2, axis=-1) * measure
-        tot = y_noise + y_sig.values[None, :]
-        w_t = np.sum(np.abs(tot) ** 2, axis=-1) * measure
-        w_noise[done : done + b] = w_n
-        w_total[done : done + b] = w_t
-        done += b
+    w_noise, w_total = [], []
+    for y_noise in _filtered_noise_blocks(spec, axis, cfg.noise_psd, cfg.seed, cfg.trials):
+        w_noise.append(np.sum(np.abs(y_noise) ** 2, axis=-1) * axis.measure)
+        y_noise += y_sig.values
+        w_total.append(np.sum(np.abs(y_noise) ** 2, axis=-1) * axis.measure)
+    w_noise = np.concatenate(w_noise)
 
     w_noise_mean = float(np.mean(w_noise))
     stderr = float(np.std(w_noise, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
     snr = w_signal / w_noise_mean if w_noise_mean > 0 else float("inf")
     return EnergyReport(
-        w_total_mean=float(np.mean(w_total)),
+        w_total_mean=float(np.mean(np.concatenate(w_total))),
         w_signal=float(w_signal),
         w_noise_mean=w_noise_mean,
         w_noise_stderr=stderr,
@@ -213,6 +187,38 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: FilterSpec) -> EnergyReport:
         trials=cfg.trials,
         seed=cfg.seed,
     )
+
+
+def snr_setup(family: str, bt: float) -> tuple[Sif, SampledAxis, SampledSignal, float]:
+    """(filter, time grid, unit input ground mode, analytic xi) for an SNR ensemble.
+
+    ``family`` is "gaussian" (window then gate) or "slepian" (brick-wall gate
+    then window), at time-bandwidth product ``bt`` with a unit gate duration.
+    The grid is a centered power-of-two time axis for the Gaussian family; for
+    the brick-wall family it puts the gate and band edges mid-cell.
+    """
+    if family == "gaussian":
+        spec = gaussian_sif(bt, 1.0)
+        dt = min(1.0 / (12.0 * bt), 1.0 / 12.0)
+        gate_reach = spec.temporal.temporal_support(1e-12)
+        mode_reach = 6.0 / min(spec.alpha, spec.beta)
+        half = max(gate_reach, mode_reach) + 1.0
+        count = 1 << max(10, int(np.ceil(np.log2(2.0 * half / dt))))
+        mode_set, tradeoff = hermite_gaussian_mode_set, gaussian_tradeoff
+    elif family == "slepian":
+        spec = rectangular_sif(bt, 1.0, order=StageOrder.TIME_FIRST)
+        # brick-wall edges quantize plain Riemann sums; put the gate edge and the
+        # band edge exactly mid-cell so the discrete T and B sums are exact
+        j = max(60, int(np.ceil(5.0 * bt)))
+        dt = 1.0 / (2 * j + 1)
+        band_cells = max(5, 2 * int(np.ceil(2.0 * bt)) + 1)
+        count = int(round(band_cells * (2 * j + 1) / bt))
+        mode_set, tradeoff = rectangular_filter_modes, slepian_tradeoff
+    else:
+        raise ValueError(f"unknown filter family {family!r}")
+    axis = centered_axis(dt, count, Domain.TIME)
+    mode = mode_set(spec, axis, 1, "input")[0].normalized()
+    return spec, axis, mode, tradeoff(bt)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +245,13 @@ class CorrelationSurface:
 def _window_power_moments(spec: Sif, resolution: int = 8193) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and weights for integrals against |R~(w)|^2."""
     win = spec.spectral
+    half = win.spectral_support(1e-13)
     if win.compact_spectral:
-        axis = indicator_axis(win.spectral_support(1e-13), resolution, Domain.ANGULAR_FREQUENCY)
-        pts = axis.points
-        wts = axis.trapezoid_weights() * 2.0 * np.pi  # undo the 1/2pi folded into measure
+        axis = indicator_axis(half, resolution, Domain.ANGULAR_FREQUENCY)
     else:
-        half = win.spectral_support(1e-13)
-        pts = np.linspace(-half, half, resolution)
-        wts = np.full(resolution, pts[1] - pts[0])
-        wts[0] *= 0.5
-        wts[-1] *= 0.5
+        axis = SampledAxis(-half, 2.0 * half / (resolution - 1), resolution, Domain.ANGULAR_FREQUENCY)
+    pts = axis.points
+    wts = axis.trapezoid_weights() * 2.0 * np.pi  # undo the 1/2pi folded into measure
     return pts, wts * np.abs(win.window(pts)) ** 2
 
 
@@ -321,23 +324,12 @@ def filtered_noise_correlation(
     times_g = axis.start + axis.step * t_idx
     lags_g = axis.step * l_idx
 
-    factors = _sif_time_transport(spec, axis)
-    scale = np.sqrt(noise_psd / (2.0 * axis.step))
     s1 = np.zeros((len(times_g), len(lags_g)), dtype=complex)
     s2 = np.zeros((len(times_g), len(lags_g)))
-    done = 0
-    while done < trials:
-        b = min(_BATCH, trials - done)
-        rows = np.empty((b, axis.count), dtype=complex)
-        for j in range(b):
-            rng = trial_generator(seed, done + j)
-            draws = rng.standard_normal((2, axis.count))
-            rows[j] = scale * (draws[0] + 1j * draws[1])
-        y = _push_block(spec, factors, rows)
+    for y in _filtered_noise_blocks(spec, axis, noise_psd, seed, trials):
         z = y[:, pair] * np.conj(y[:, t_idx])[:, :, None]
         s1 += np.sum(z, axis=0)
         s2 += np.sum(np.abs(z) ** 2, axis=0)
-        done += b
 
     emp = s1 / trials
     var_c = s2 / trials - np.abs(emp) ** 2

@@ -3,11 +3,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tffilter
 from tffilter.cli import main, parse_bt
+from tffilter.slepian import slepian_tradeoff
 
 
 def run(*argv) -> int:
@@ -224,6 +230,22 @@ class TestSnr:
         # 200 trials keeps this loose; the tight 3-sigma check runs in acceptance
         assert emp["snr_empirical"] == pytest.approx(payload["snr_analytic"], rel=0.2)
 
+    def test_slepian_report_fields(self, tmp_path):
+        out = tmp_path / "r.json"
+        rc = run(
+            "snr", "--filter", "slepian", "--bt", "2", "--trials", "3000",
+            "--seed", "7", "--out", str(out),
+        )
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["xi_analytic"] == pytest.approx(slepian_tradeoff(2.0)[1], rel=1e-12)
+        assert payload["snr_analytic"] == pytest.approx(10.0 * payload["xi_analytic"], rel=1e-12)
+        emp = payload["empirical"]
+        assert emp["trials"] == 3000 and emp["seed"] == 7
+        # <W_noise> = N_y * BT holds for the brick-wall pair as well
+        assert abs(emp["w_noise_mean"] - 0.1 * 2.0) < 3.0 * emp["w_noise_stderr"]
+        assert emp["snr_empirical"] == pytest.approx(payload["snr_analytic"], rel=0.05)
+
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = (
@@ -345,3 +367,32 @@ class TestManifest:
         assert manifest["command"] == "decompose"
         assert manifest["parameters"]["bt"] == "0.5"
         assert manifest["seed"] is None  # deterministic command
+
+
+class TestThreadCap:
+    def test_cap_applies_before_numpy_loads(self):
+        # the pools size themselves when numpy loads, so importing the CLI
+        # module (which imports the package) must already honor the cap
+        script = (
+            "import os, tffilter.cli, numpy as np; "
+            "np.linalg.svd(np.random.default_rng(0).standard_normal((300, 300))); "
+            "print(len(os.listdir('/proc/self/task')))"
+        )
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        src = str(Path(tffilter.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env["TF_FILTER_THREADS"] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == 1
+
+    @pytest.mark.parametrize("value", ["0", "two", ""])
+    def test_invalid_cap_returns_2(self, monkeypatch, value):
+        monkeypatch.setenv("TF_FILTER_THREADS", value)
+        assert run("decompose", "--filter", "gaussian", "--bt", "0.5") == 2

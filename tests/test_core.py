@@ -1,19 +1,27 @@
 """Axes, transforms, and operator assembly."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tffilter
 from tffilter.core import (
     Domain,
     DomainMismatchError,
     ResolutionError,
     SampledAxis,
     SampledSignal,
+    SeparableCoherent,
+    SpectralWindow,
     StageOrder,
+    TemporalGate,
     apply_filter,
     build_operator,
     centered_axis,
     compose_order_swap,
+    filter_samples,
     fourier_forward,
     fourier_inverse,
     frequency_axis_for,
@@ -185,6 +193,50 @@ class TestApplyFilter:
         ax = centered_axis(16.0 / 1024, 1024, Domain.TIME)
         sig = gaussian_pulse(ax).normalized()
         assert apply_filter(spec, sig).energy() <= 1.0 + 1e-12
+
+
+    @pytest.mark.parametrize("domain", [Domain.TIME, Domain.ANGULAR_FREQUENCY])
+    @pytest.mark.parametrize(
+        "kind", ["sif_frequency_first", "sif_time_first", "window", "gate", "coherent"]
+    )
+    def test_filter_samples_rows_match_apply_filter(self, kind, domain):
+        # a (rows, n) block filters row by row like apply_filter, and the
+        # caller's block is left untouched
+        ax = centered_axis(16.0 / 1024, 1024, Domain.TIME)
+        g = gaussian_sif(0.5, 1.0)
+        pulse = gaussian_pulse(ax).normalized()
+        spec = {
+            "sif_frequency_first": g,
+            "sif_time_first": compose_order_swap(g),
+            "window": SpectralWindow(g.spectral, 0.9),
+            "gate": TemporalGate(g.temporal, 0.8),
+            "coherent": SeparableCoherent(pulse, pulse, 0.7, 0.9),
+        }[kind]
+        rng = np.random.default_rng(5)
+        rows = [
+            SampledSignal(ax, rng.standard_normal(ax.count) + 1j * rng.standard_normal(ax.count))
+            for _ in range(3)
+        ]
+        if domain is Domain.ANGULAR_FREQUENCY:
+            rows = [fourier_forward(r) for r in rows]
+        block = np.stack([r.values for r in rows])
+        before = block.copy()
+        out = filter_samples(spec, rows[0].axis, block)
+        assert np.array_equal(block, before)
+        assert out.shape == block.shape
+        for row, sig in zip(out, rows):
+            ref = apply_filter(spec, sig).values
+            assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestFourierOwnership:
+    def test_fft_calls_live_only_in_core(self):
+        # one Fourier convention, implemented once: every other module
+        # transforms through core
+        pkg = Path(tffilter.__file__).parent
+        fft_use = re.compile(r"\b(np|numpy|scipy)\.fft\b")
+        users = sorted(p.name for p in pkg.glob("*.py") if fft_use.search(p.read_text("utf-8")))
+        assert users == ["core.py"]
 
 
 class TestOperator:

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from tffilter.core import Domain, SampledAxis, SampledSignal, apply_filter, centered_axis
+from tffilter.core import (
+    Domain,
+    SampledAxis,
+    SampledSignal,
+    SpectralWindow,
+    StageOrder,
+    TemporalGate,
+    apply_filter,
+    centered_axis,
+)
 from tffilter.gaussian import gaussian_sif, gaussian_tradeoff
 from tffilter.metrics import analytic_snr
 from tffilter.noisesim import (
@@ -14,6 +23,7 @@ from tffilter.noisesim import (
     sample_white_noise,
     trial_generator,
 )
+from tffilter.slepian import rectangular_sif
 
 
 def unit_gaussian_mode(axis: SampledAxis) -> SampledSignal:
@@ -166,30 +176,41 @@ class TestEnsembleStatistics:
             )
 
 
-class TestFastPathConsistency:
-    def test_batched_fft_equals_apply_filter(self, time_axis):
-        # one realization pushed through the batched path must match the
-        # reference single-signal path sample for sample
-        spec = gaussian_sif(0.5, 1.0)
-        noise = sample_white_noise(time_axis, 0.3, trial_generator(21, 4))
-        direct = apply_filter(spec, noise)
+# (filter, trials) pairs pushed through run_ensemble's batched path; 300
+# trials cross the 256-trial block boundary
+FAST_PATH_CASES = {
+    "gaussian_frequency_first": (lambda: gaussian_sif(0.5, 1.0), 5),
+    "rectangular_time_first": (lambda: rectangular_sif(2.0, 1.0, StageOrder.TIME_FIRST), 5),
+    "lone_spectral_window": (lambda: SpectralWindow(gaussian_sif(0.5, 1.0).spectral, 0.9), 5),
+    "lone_temporal_gate": (lambda: TemporalGate(gaussian_sif(0.5, 1.0).temporal, 0.8), 5),
+    "second_block": (lambda: gaussian_sif(0.5, 1.0), 300),
+}
 
+
+class TestFastPathConsistency:
+    @pytest.mark.parametrize("case", list(FAST_PATH_CASES))
+    def test_batched_fft_equals_apply_filter(self, time_axis, case):
+        # the batched ensemble must agree with the reference single-signal
+        # path replayed trial by trial from the same (seed, trial) streams
+        make_spec, trials = FAST_PATH_CASES[case]
+        spec = make_spec()
+        mode = unit_gaussian_mode(time_axis)
         cfg = NoiseEnsembleConfig(
-            noise_psd=0.3,
-            signal_energy=0.0,
-            signal_mode=unit_gaussian_mode(time_axis),
-            trials=5,
-            seed=21,
+            noise_psd=0.3, signal_energy=1.0, signal_mode=mode, trials=trials, seed=21
         )
         rep = run_ensemble(cfg, spec)
-        # trial 4's filtered energy contributes to the mean; recompute the
-        # 5-trial mean by the reference path and compare exactly
-        ref = []
-        for k in range(5):
+        y_sig = apply_filter(spec, mode).values
+        w_noise, w_total = [], []
+        for k in range(trials):
             nz = sample_white_noise(time_axis, 0.3, trial_generator(21, k))
-            ref.append(apply_filter(spec, nz).energy())
-        assert rep.w_noise_mean == pytest.approx(np.mean(ref), rel=1e-10)
-        assert direct.energy() == pytest.approx(ref[4], rel=1e-12)
+            y = apply_filter(spec, nz).values
+            w_noise.append(np.sum(np.abs(y) ** 2) * time_axis.measure)
+            w_total.append(np.sum(np.abs(y + y_sig) ** 2) * time_axis.measure)
+        assert rep.trials == trials
+        assert rep.w_noise_mean == pytest.approx(np.mean(w_noise), rel=1e-12)
+        assert rep.w_total_mean == pytest.approx(np.mean(w_total), rel=1e-12)
+        stderr = np.std(w_noise, ddof=1) / np.sqrt(trials)
+        assert rep.w_noise_stderr == pytest.approx(stderr, rel=1e-12)
 
 
 class TestCorrelation:
