@@ -26,6 +26,11 @@ A filter is one of four specifications:
 ``build_operator`` renders any of them as a dense Nystrom matrix with
 trapezoid quadrature weights folded in symmetrically (sqrt(w) K sqrt(w)), so
 that matrix singular values approximate the operator's Schmidt coefficients.
+The matrix keeps the data type its kernel is assembled in: ``float64`` where
+every factor is real (a Gaussian Sif in the square frequency or time
+representation, a real pointwise stage), ``complex128`` where a factor is
+complex (the Fourier phase of a mixed time x frequency kernel, the modes of a
+``SeparableCoherent`` filter).
 """
 
 from __future__ import annotations
@@ -432,9 +437,8 @@ def _stages(spec: FilterSpec) -> tuple[SpectralWindowProfile | None, TemporalGat
     return None, None
 
 
-def _check_grid(spec: FilterSpec, signal: SampledSignal) -> None:
-    """Resolution guard: dt <= 1/(10 B) and span covering the filter support."""
-    ax = signal.axis
+def _check_grid(spec: FilterSpec, ax: SampledAxis) -> None:
+    """Resolution guard on ``ax``: dt <= 1/(10 B) and span covering the filter support."""
     window, gate = _stages(spec)
     if ax.domain is Domain.TIME:
         if window is not None and ax.step > 1.0 / (10.0 * window.bandwidth_hz):
@@ -536,7 +540,7 @@ def apply_filter(spec: FilterSpec, signal: SampledSignal) -> SampledSignal:
     Fourier convention.  Output energy never exceeds input energy times
     insertion_loss^2 (all profiles are peak-normalized).
     """
-    _check_grid(spec, signal)
+    _check_grid(spec, signal.axis)
     return SampledSignal(signal.axis, filter_samples(spec, signal.axis, signal.values))
 
 
@@ -551,6 +555,9 @@ class OperatorMatrix:
     ``entries[i, j] = sqrt(w_i) K(x_i, y_j) sqrt(w_j)`` where w are trapezoid
     weights under the axis measures, so ``svd(entries)`` approximates the
     continuum Schmidt data and ``frobenius_sq`` approximates sum lambda_n^2.
+    ``entries`` is a read-only ``float64`` copy when the kernel arrives real and
+    a ``complex128`` copy otherwise; the data type, not the values, decides, so
+    a complex kernel with zero imaginary parts stays complex.
     """
 
     rows_axis: SampledAxis
@@ -559,12 +566,12 @@ class OperatorMatrix:
     weights_applied: bool = True
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=complex)
+        arr = np.asarray(self.entries)
+        arr = np.array(arr, dtype=complex if np.iscomplexobj(arr) else float)
         if arr.shape != (self.rows_axis.count, self.cols_axis.count):
             raise ValueError("entries shape must match (rows, cols) axis counts")
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("operator entries must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -664,7 +671,7 @@ def build_operator(spec: FilterSpec, rows: SampledAxis, cols: SampledAxis) -> Op
             if not rows.close_to(cols):
                 raise DomainMismatchError("diagonal representation requires rows == cols axis")
             pointwise = spec.profile.window if spectral else spec.profile.gate
-            entries = np.diag(pointwise(rows.points).astype(complex))
+            entries = np.diag(pointwise(rows.points))
             return OperatorMatrix(rows, cols, entries * spec.insertion_loss)
         kernel = (_kernel_spectral if spectral else _kernel_temporal)(spec, rows, cols)
     elif isinstance(spec, SeparableCoherent):

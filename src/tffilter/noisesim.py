@@ -34,6 +34,7 @@ from .core import (
     SampledSignal,
     Sif,
     StageOrder,
+    _check_grid,
     apply_filter,
     centered_axis,
     filter_samples,
@@ -294,7 +295,9 @@ def filtered_noise_correlation(
     transform of |R~|^2.  Probe times default to five points across the gate
     duration; times and lags are snapped to the simulation grid so empirical
     samples need no interpolation.  At least 1000 trials are required for the
-    stderr estimate to be meaningful.
+    stderr estimate to be meaningful.  The grid, default or ``axis``, must pass
+    the same resolution guard as :func:`tffilter.core.apply_filter`, else
+    :class:`tffilter.core.ResolutionError` is raised.
     """
     if not isinstance(spec, Sif) or spec.order is not StageOrder.FREQUENCY_FIRST:
         raise ValueError("correlation analysis covers the window-then-gate composition")
@@ -312,6 +315,7 @@ def filtered_noise_correlation(
         axis = _auto_correlation_axis(spec, reach)
     if axis.domain is not Domain.TIME:
         raise DomainMismatchError("correlation runs on a time grid")
+    _check_grid(spec, axis)
 
     # snap probes and lags onto the grid
     t_idx = np.rint((times - axis.start) / axis.step).astype(int)

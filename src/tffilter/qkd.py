@@ -25,7 +25,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-import scipy.optimize
 
 from .slepian import slepian_tradeoff
 
@@ -55,10 +54,18 @@ def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
 
 
 def _entropy_bracket_root() -> float:
-    # 1 - 2 H(q) = 0 on (0, 1/2); single root since H is increasing there
-    return float(
-        scipy.optimize.brentq(lambda q: 1.0 - 2.0 * binary_entropy(q), 1e-9, 0.5 - 1e-12)
-    )
+    # 1 - 2 H(q) = 0 on (0, 1/2); single root since H is increasing there.
+    # Bisection until the midpoint stops moving, so importing the package does
+    # not load scipy.optimize.
+    lo, hi = 1e-9, 0.5 - 1e-12
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if 1.0 - 2.0 * binary_entropy(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 QBER_THRESHOLD = _entropy_bracket_root()  # ~ 0.110028

@@ -1,10 +1,13 @@
 """Schmidt (singular-value) decomposition of discretized filter operators.
 
 The weighted matrix sqrt(w_r) K sqrt(w_c) from :func:`tffilter.core.build_operator`
-is sent through LAPACK SVD; un-weighting the singular vectors by 1/sqrt(w)
-recovers continuum mode functions normalized under the axis measure.  A
-doubling refinement loop (:func:`decompose_filter`) raises the grid resolution
-until the leading singular value stabilizes.
+is sent through LAPACK SVD as it is: a real (``float64``) matrix, such as a
+Gaussian Sif in the square frequency representation, is factored in real
+arithmetic, and a complex one in complex arithmetic.  Un-weighting the
+singular vectors by 1/sqrt(w) recovers continuum mode functions normalized
+under the axis measure; they are stored complex either way.  A doubling
+refinement loop (:func:`decompose_filter`) raises the grid resolution until
+every kept singular value stabilizes.
 """
 
 from __future__ import annotations
@@ -36,7 +39,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridReport:
-    """Provenance of a converged decomposition: grids tried and the final drift."""
+    """Provenance of a converged decomposition: grids tried and the final drift.
+
+    ``leading_rel_change`` is |s_0 - s_0^prev| / s_0 between the last two
+    grids and ``ladder_rel_change`` is max_n |s_n - s_n^prev| / s_0 over the
+    values kept on the last grid (a value the coarser grid lacks counts as 0).
+    """
 
     resolutions: tuple[int, ...]
     leading_rel_change: float
@@ -44,6 +52,7 @@ class GridReport:
     tolerance: float
     final_rows: SampledAxis | None = None
     final_cols: SampledAxis | None = None
+    ladder_rel_change: float = 0.0
 
     @property
     def refinements(self) -> int:
@@ -57,7 +66,11 @@ class SchmidtResult:
     ``singular_values[n]`` pairs ``output_modes[n]`` (left) with
     ``input_modes[n]`` (right): K(x, y) = sum_n s_n psi_n(x) conj(phi_n(y)).
     Modes are unit-norm under their axis measure.  The phase convention fixes
-    each input mode's largest-magnitude sample to be real positive.
+    each input mode's pivot sample to be real positive: the first sample whose
+    magnitude is within a relative 1e-9 of the mode's largest.  Taking the
+    first of the near-largest samples, not the exact argmax, keeps an odd mode
+    (equal-magnitude mirror samples) from flipping sign with rounding, so real
+    and complex factorizations of one kernel return the same modes.
     """
 
     singular_values: np.ndarray
@@ -118,26 +131,31 @@ def _resolve_keep(sv: np.ndarray, keep: int | float | None) -> int:
     raise TypeError("keep must be an int count, float threshold, or None")
 
 
-def _fix_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each pair so the input mode's largest-|.| sample is real positive.
+_PIVOT_RTOL = 1e-9
 
+
+def _fix_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each pair so the input mode's pivot sample is real positive.
+
+    The pivot is the first sample with |v| >= (1 - 1e-9) max |v|.  Mirror
+    samples of a mode with definite parity have equal magnitude up to
+    rounding, so the exact argmax would let rounding pick the pivot and flip
+    an odd mode's sign; the first near-largest sample does not depend on it.
     The left member of the pair absorbs the conjugate rotation, keeping
-    K = U diag(s) Vh unchanged.  Degenerate singular values leave the basis
-    within their block arbitrary up to mixing; the convention is still applied
-    per vector so results are deterministic for a fixed LAPACK build.
+    K = U diag(s) Vh unchanged.  Real factors get a real rotation (+-1) and
+    stay real.  Degenerate singular values leave the basis within their block
+    arbitrary up to mixing; the convention is still applied per vector so
+    results are deterministic for a fixed LAPACK build.
     """
-    u = u.copy()
-    vh = vh.copy()
-    for n in range(vh.shape[0]):
-        row = vh[n]
-        idx = int(np.argmax(np.abs(row)))
-        mag = abs(row[idx])
-        if mag == 0.0:
-            continue
-        rot = row[idx].conj() / mag
-        vh[n] *= rot
-        u[:, n] *= rot.conj()
-    return u, vh
+    mags = np.abs(vh)
+    peak = mags.max(axis=1, keepdims=True)
+    n = np.arange(vh.shape[0])
+    idx = np.argmax(mags >= (1.0 - _PIVOT_RTOL) * peak, axis=1)
+    pivot, size = vh[n, idx], mags[n, idx]
+    rot = np.ones_like(pivot)
+    nz = size > 0
+    rot[nz] = pivot[nz].conj() / size[nz]
+    return u * rot.conj(), vh * rot[:, None]
 
 
 def schmidt_decompose(
@@ -175,29 +193,34 @@ def decompose_filter(
 ) -> SchmidtResult:
     """Decompose a sequential filter with automatic grid refinement.
 
-    Grids from :func:`tffilter.core.recommended_axes` are doubled until the
-    leading singular value moves by less than ``tol`` (relative), then the
-    final decomposition is returned with a :class:`GridReport`.
+    Grids from :func:`tffilter.core.recommended_axes` are doubled until every
+    singular value that ``keep`` retains moves by less than ``tol`` times s_0,
+    then the final decomposition is returned with a :class:`GridReport`.
     """
     from .core import build_operator  # local import keeps module load order simple
 
     resolutions: list[int] = []
-    prev_s0: float | None = None
+    prev: np.ndarray | None = None
     res = resolution
     while res <= max_resolution:
         rows, cols = recommended_axes(spec, res)
         op = build_operator(spec, rows, cols)
-        s0 = float(scipy.linalg.svdvals(op.entries)[0])
+        sv = scipy.linalg.svdvals(op.entries)
         resolutions.append(res)
-        if prev_s0 is not None:
-            rel = abs(s0 - prev_s0) / max(s0, np.finfo(float).tiny)
-            if rel < tol:
-                report = GridReport(tuple(resolutions), rel, True, tol, rows, cols)
+        if prev is not None:
+            scale = max(sv[0], np.finfo(float).tiny)
+            kept = sv[: _resolve_keep(sv, keep)]
+            before = np.zeros_like(kept)
+            before[: len(prev)] = prev[: len(kept)]
+            ladder = float(np.max(np.abs(kept - before)) / scale)
+            if ladder < tol:
+                leading = float(abs(sv[0] - prev[0]) / scale)
+                report = GridReport(tuple(resolutions), leading, True, tol, rows, cols, ladder)
                 return schmidt_decompose(op, keep, report)
-        prev_s0 = s0
+        prev = sv
         res *= 2
     raise ConvergenceError(
-        f"leading singular value did not stabilize to {tol:g} below resolution {max_resolution}"
+        f"kept singular values did not stabilize to {tol:g} below resolution {max_resolution}"
     )
 
 

@@ -256,6 +256,44 @@ class TestOperator:
         assert op.weights_applied
         assert op.entries.shape == (rows.count, cols.count)
 
+    @pytest.mark.parametrize("order", list(StageOrder))
+    def test_gaussian_sif_entries_stay_real(self, order):
+        # every factor of a Gaussian Sif kernel is real in the square
+        # representations, so the matrix is factored in real arithmetic
+        spec = gaussian_sif(0.5, 1.0, order)
+        rows, cols = recommended_axes(spec, resolution=128)
+        assert build_operator(spec, rows, cols).entries.dtype == np.float64
+        t_ax = centered_axis(24.0 / 128, 128, Domain.TIME)
+        assert build_operator(spec, t_ax, t_ax).entries.dtype == np.float64
+
+    def test_pointwise_diagonal_keeps_profile_dtype(self):
+        ax = centered_axis(0.05, 64, Domain.TIME)
+        op = build_operator(TemporalGate(gaussian_sif(0.5, 1.0).temporal), ax, ax)
+        assert op.entries.dtype == np.float64
+        assert np.array_equal(np.diag(op.entries), gaussian_sif(0.5, 1.0).temporal.gate(ax.points))
+
+    def test_mixed_and_coherent_entries_stay_complex(self):
+        # the Fourier phase of the mixed brick-wall kernel and the complex
+        # modes of a coherent filter keep the matrix complex
+        ff = rectangular_sif(0.8, 1.0)
+        rows, cols = recommended_axes(ff, resolution=64)
+        assert build_operator(ff, rows, cols).entries.dtype == np.complex128
+        ax = centered_axis(0.05, 128, Domain.TIME)
+        mode = gaussian_pulse(ax).normalized()
+        coherent = SeparableCoherent(mode, mode, 0.9)
+        assert build_operator(coherent, ax, ax).entries.dtype == np.complex128
+
+    def test_entries_are_a_read_only_copy(self):
+        spec = gaussian_sif(0.5, 1.0)
+        rows, cols = recommended_axes(spec, resolution=64)
+        raw = np.ones((rows.count, cols.count))
+        op = tffilter.OperatorMatrix(rows, cols, raw)
+        raw[0, 0] = 2.0
+        assert op.entries[0, 0] == 1.0
+        assert not op.entries.flags.writeable
+        with pytest.raises(ValueError):
+            tffilter.OperatorMatrix(rows, cols, np.full((rows.count, cols.count), np.nan))
+
     def test_recommended_axes_compact_mixed_domains(self):
         # FREQUENCY_FIRST: window limits the input spectrum, gate the output trace
         ff = rectangular_sif(0.8, 1.0)

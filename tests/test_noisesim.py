@@ -5,6 +5,7 @@ import pytest
 
 from tffilter.core import (
     Domain,
+    ResolutionError,
     SampledAxis,
     SampledSignal,
     SpectralWindow,
@@ -239,6 +240,16 @@ class TestCorrelation:
         spec = gaussian_sif(0.3, 1.0)
         with pytest.raises(ValueError):
             filtered_noise_correlation(spec, 0.0, 2000, np.array([0.0]), seed=1)
+
+    def test_coarse_caller_axis_refused(self):
+        # B = 4 Hz needs dt <= 0.025; a caller's coarser grid is refused just
+        # as apply_filter refuses it
+        spec = gaussian_sif(4.0, 1.0)
+        coarse = centered_axis(0.2, 512, Domain.TIME)
+        with pytest.raises(ResolutionError):
+            apply_filter(spec, SampledSignal(coarse, np.zeros(512)))
+        with pytest.raises(ResolutionError):
+            filtered_noise_correlation(spec, 0.25, 1000, np.array([0.0]), seed=3, axis=coarse)
 
     def test_surface_shapes(self):
         spec = gaussian_sif(0.3, 1.0)

@@ -1,8 +1,14 @@
 """Entanglement-distribution key rates behind a filtered noisy channel."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tffilter
 from tffilter.qkd import (
     QBER_THRESHOLD,
     CharacteristicKind,
@@ -86,6 +92,22 @@ class TestKeyRate:
         n_star = xi * (1.0 / np.sqrt(weight) - 1.0)
         assert normalized_key_rate(0.9, xi, n_star * 1.0001) == 0.0
         assert normalized_key_rate(0.9, xi, n_star * 0.9999) > 0.0
+
+    def test_threshold_is_entropy_root(self):
+        assert abs(1.0 - 2.0 * binary_entropy(QBER_THRESHOLD)) < 1e-14
+        assert 1.0 - 2.0 * binary_entropy(np.nextafter(QBER_THRESHOLD, 0.0)) > 0.0
+        assert 1.0 - 2.0 * binary_entropy(np.nextafter(QBER_THRESHOLD, 1.0)) <= 0.0
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        script = "import sys, tffilter; print('scipy.optimize' in sys.modules)"
+        src = str(Path(tffilter.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_rate_nonincreasing_in_noise(self):
         nys = np.geomspace(1e-4, 1.0, 60)

@@ -5,6 +5,8 @@ import pytest
 
 from tffilter.core import (
     ConvergenceError,
+    OperatorMatrix,
+    StageOrder,
     build_operator,
     recommended_axes,
 )
@@ -57,7 +59,17 @@ class TestSchmidtDecompose:
     def test_grid_report_converged(self, gaussian_result):
         rep = gaussian_result.grid_report
         assert rep.converged
-        assert rep.leading_rel_change <= rep.tolerance
+        assert rep.leading_rel_change <= rep.ladder_rel_change < rep.tolerance
+
+    def test_refines_until_every_kept_value_settles(self):
+        # from N=64, s_0 of the BT=0.5 ladder has settled to 3e-13 at N=128
+        # while s_9 still drifts by 4e-7 s_0; the loop must go on to N=256
+        res = decompose_filter(gaussian_sif(0.5, 1.0), keep=10, resolution=64)
+        rep = res.grid_report
+        assert rep.resolutions == (64, 128, 256)
+        assert rep.ladder_rel_change < rep.tolerance
+        sv = gaussian_singular_values(0.5, 10)
+        assert np.max(np.abs(res.singular_values - sv)) < 1e-12
 
     def test_keep_threshold_is_relative(self):
         # float keep retains modes with s_n >= keep * s_0; the BT=0.5 ladder
@@ -121,3 +133,51 @@ class TestKernelAlgebra:
             out = apply_filter(spec, res.input_modes[n])
             lam = res.singular_values[n]
             assert out.energy() == pytest.approx(lam**2, rel=1e-6)
+
+
+class TestRealFactorization:
+    """A real kernel is factored in real arithmetic, with the same Schmidt data."""
+
+    # grids on which the exact argmax of an odd mode falls on different
+    # mirror samples in real and complex arithmetic
+    CASES = [(bt, res, order) for bt, res in ((2.0, 512), (5.0, 256)) for order in StageOrder]
+
+    @pytest.fixture(
+        scope="class", params=CASES, ids=lambda c: f"bt{c[0]:g}-n{c[1]}-{c[2].name.lower()}"
+    )
+    def pair(self, request):
+        bt, res, order = request.param
+        spec = gaussian_sif(bt, 1.0, order)
+        rows, cols = recommended_axes(spec, resolution=res)
+        op = build_operator(spec, rows, cols)
+        cplx = OperatorMatrix(rows, cols, op.entries.astype(complex))
+        return op, schmidt_decompose(op, keep=10), schmidt_decompose(cplx, keep=10)
+
+    def test_operator_is_real(self, pair):
+        op, _, _ = pair
+        assert op.entries.dtype == np.float64
+
+    def test_singular_values_match_complex_path(self, pair):
+        _, real, cplx = pair
+        assert np.max(np.abs(real.singular_values - cplx.singular_values)) < 1e-13
+
+    def test_modes_match_complex_path_odd_included(self, pair):
+        # odd modes have mirror samples of equal magnitude; the pivot rule
+        # must not let rounding pick a different sign on either path
+        _, real, cplx = pair
+        for n in range(real.kept):
+            for a, b in ((real.input_modes[n], cplx.input_modes[n]),
+                         (real.output_modes[n], cplx.output_modes[n])):
+                assert np.max(np.abs(a.values - b.values)) < 1e-12, n
+
+    def test_total_power_is_frobenius_sq(self, pair):
+        op, real, _ = pair
+        assert real.total_power == pytest.approx(op.frobenius_sq(), rel=1e-13)
+
+    def test_pivot_sample_real_positive(self, pair):
+        _, real, _ = pair
+        for mode in real.input_modes:
+            mags = np.abs(mode.values)
+            first = np.argmax(mags >= (1.0 - 1e-9) * mags.max())
+            assert mode.values[first].real > 0
+            assert mode.values[first].imag == 0.0
