@@ -1,33 +1,36 @@
 """Prolate spheroidal wave functions, solved two independent ways.
 
 The Schmidt modes of the brick-wall filter are the classical band-limited,
-time-concentrated functions. Two solvers that share no code path: a Legendre
-operator diagonalization (spectrally accurate) and a Nystrom discretization
-of the sinc kernel with Richardson extrapolation. Agreement between them is
-the correctness argument.
+time-concentrated functions. Two computations that share no code path: a
+Legendre-basis diagonalization of the commuting prolate differential operator
+(spectrally accurate), and the package's generic decomposition of the
+brick-wall filter kernel itself, a Gauss-Legendre Nystrom matrix on the gate
+and band supports. Agreement between them is the correctness argument.
 """
 
 import numpy as np
 
 from tffilter import (
+    decompose_filter,
     full_line_gram,
     interval_gram,
     pswf_solve_legendre,
-    pswf_solve_nystrom,
+    rectangular_sif,
 )
 
 c = 3.0
 lg = pswf_solve_legendre(c, 8)
-ny = pswf_solve_nystrom(c, 8)
+res = decompose_filter(rectangular_sif(c / (0.5 * np.pi), 1.0), keep=9)
+ny = res.singular_values**2
 
 print(f"prolate parameter c = {c}")
-print("  n   legendre beta_n      nystrom beta_n       |difference|")
+print("  n   legendre beta_n      kernel SVD s_n^2     |difference|")
 for n in range(9):
-    d = abs(lg.eigenvalues[n] - ny.eigenvalues[n])
-    print(f"  {n}   {lg.eigenvalues[n]:.12f}     {ny.eigenvalues[n]:.12f}     {d:.1e}")
-dev = np.max(np.abs(lg.eigenvalues - ny.eigenvalues))
-assert dev < 1e-6
-print(f"cross-method agreement: {dev:.2e}")
+    d = abs(lg.eigenvalues[n] - ny[n])
+    print(f"  {n}   {lg.eigenvalues[n]:.12f}     {ny[n]:.12f}     {d:.1e}")
+dev = np.max(np.abs(lg.eigenvalues - ny))
+assert dev < 1e-12
+print(f"cross-method agreement: {dev:.2e} (grids {res.grid_report.resolutions})")
 
 # the plunge: eigenvalues near 1 up to n ~ 2c/pi, then a fast fall
 print(f"\nsum of all concentrations = {np.sum(lg.eigenvalues):.12f}")

@@ -33,6 +33,7 @@ from .core import (
     DomainMismatchError,
     FilterSpec,
     OperatorMatrix,
+    QuadratureAxis,
     ResolutionError,
     SampledAxis,
     SampledSignal,
@@ -107,7 +108,6 @@ from .slepian import (
     full_line_gram,
     interval_gram,
     pswf_solve_legendre,
-    pswf_solve_nystrom,
     rectangular_filter_modes,
     rectangular_profiles,
     rectangular_sif,
@@ -124,6 +124,7 @@ __all__ = [
     "Domain",
     "StageOrder",
     "SampledAxis",
+    "QuadratureAxis",
     "SampledSignal",
     "SpectralWindowProfile",
     "TemporalGateProfile",
@@ -174,7 +175,6 @@ __all__ = [
     "rectangular_sif",
     "PswfSolution",
     "pswf_solve_legendre",
-    "pswf_solve_nystrom",
     "interval_gram",
     "full_line_gram",
     "slepian_singular_values",

@@ -23,9 +23,11 @@ A filter is one of four specifications:
                            (a sequential incoherent filter),
 * ``SeparableCoherent`` -- a rank-one projector onto a single mode pair.
 
-``build_operator`` renders any of them as a dense Nystrom matrix with
-trapezoid quadrature weights folded in symmetrically (sqrt(w) K sqrt(w)), so
-that matrix singular values approximate the operator's Schmidt coefficients.
+``build_operator`` renders any of them as a dense Nystrom matrix with the
+axes' quadrature weights folded in symmetrically (sqrt(w) K sqrt(w)), so that
+matrix singular values approximate the operator's Schmidt coefficients.  The
+FFT-based paths need a uniform ``SampledAxis``; ``recommended_axes`` gives compact
+pairs a ``QuadratureAxis`` of Gauss-Legendre nodes inside the supports instead.
 The matrix keeps the data type its kernel is assembled in: ``float64`` where
 every factor is real (a Gaussian Sif in the square frequency or time
 representation, a real pointwise stage), ``complex128`` where a factor is
@@ -38,6 +40,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -47,6 +50,7 @@ TWO_PI = 2.0 * np.pi
 __all__ = [
     "Domain",
     "SampledAxis",
+    "QuadratureAxis",
     "SampledSignal",
     "SpectralWindowProfile",
     "TemporalGateProfile",
@@ -148,13 +152,20 @@ class SampledAxis:
             return self.step
         return self.step / TWO_PI
 
-    def trapezoid_weights(self) -> np.ndarray:
+    def quadrature_weights(self) -> np.ndarray:
+        """Trapezoid weights under the axis measure."""
         w = np.full(self.count, self.measure)
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
 
-    def close_to(self, other: "SampledAxis", rtol: float = 1e-9) -> bool:
+    def integrate(self, values: np.ndarray) -> np.ndarray:
+        """Riemann sum along the last axis of ``values``: sum v dt, or sum v dw/2pi."""
+        return np.sum(values, axis=-1) * self.measure
+
+    def close_to(self, other: "Axis", rtol: float = 1e-9) -> bool:
+        if not isinstance(other, SampledAxis):
+            return False
         scale = max(abs(self.start), abs(self.stop), self.step)
         return (
             self.domain is other.domain
@@ -164,6 +175,62 @@ class SampledAxis:
         )
 
 
+@lru_cache(maxsize=8)
+def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on (-1, 1); callers must not write to them."""
+    from scipy.special import roots_legendre  # loaded on first use, not by ``import tffilter``
+
+    return roots_legendre(count)
+
+
+@dataclass(frozen=True)
+class QuadratureAxis:
+    """``count`` Gauss-Legendre nodes strictly inside (-a, a), so a jump at +-a is never sampled.
+
+    The weights carry the axis measure: they sum to 2a on time axes, 2a / 2pi on frequency axes.
+    """
+
+    half_width: float
+    count: int
+    domain: Domain
+
+    def __post_init__(self) -> None:
+        if not (self.half_width > 0 and np.isfinite(self.half_width)):
+            raise ValueError("half_width must be positive and finite")
+        if self.count < 2:
+            raise ValueError("axis needs at least two samples")
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.half_width * _legendre_rule(self.count)[0]
+
+    def quadrature_weights(self) -> np.ndarray:
+        scale = self.half_width if self.domain is Domain.TIME else self.half_width / TWO_PI
+        return scale * _legendre_rule(self.count)[1]
+
+    def integrate(self, values: np.ndarray) -> np.ndarray:
+        """Gauss-Legendre quadrature along the last axis of ``values``."""
+        return values @ self.quadrature_weights()
+
+    def close_to(self, other: "Axis", rtol: float = 1e-9) -> bool:
+        return (
+            isinstance(other, QuadratureAxis)
+            and self.domain is other.domain
+            and self.count == other.count
+            and abs(self.half_width - other.half_width) <= rtol * self.half_width
+        )
+
+
+Axis = Union[SampledAxis, QuadratureAxis]
+
+
+def _uniform(axis: Axis) -> SampledAxis:
+    """``axis`` if it is a uniform grid, which every FFT-based path needs."""
+    if not isinstance(axis, SampledAxis):
+        raise DomainMismatchError(f"needs a uniform SampledAxis, not a {type(axis).__name__}")
+    return axis
+
+
 def centered_axis(step: float, count: int, domain: Domain) -> SampledAxis:
     """Symmetric axis containing 0, laid out FFT-style: start = -step*(count//2)."""
     return SampledAxis(-step * (count // 2), step, count, domain)
@@ -171,7 +238,7 @@ def centered_axis(step: float, count: int, domain: Domain) -> SampledAxis:
 
 def frequency_axis_for(time_axis: SampledAxis) -> SampledAxis:
     """Reciprocal angular-frequency axis with dw = 2 pi / (count * dt)."""
-    if time_axis.domain is not Domain.TIME:
+    if _uniform(time_axis).domain is not Domain.TIME:
         raise DomainMismatchError("expected a time axis")
     n = time_axis.count
     dw = TWO_PI / (n * time_axis.step)
@@ -195,9 +262,9 @@ def indicator_axis(half_width: float, count: int, domain: Domain, pad: int = 1) 
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Complex samples on a :class:`SampledAxis`."""
+    """Complex samples on a :class:`SampledAxis` or :class:`QuadratureAxis`."""
 
-    axis: SampledAxis
+    axis: Axis
     values: np.ndarray
 
     def __post_init__(self) -> None:
@@ -209,8 +276,8 @@ class SampledSignal:
         object.__setattr__(self, "values", vals)
 
     def energy(self) -> float:
-        """Riemann-sum energy: sum |v|^2 dt, or sum |v|^2 dw/2pi."""
-        return float(np.sum(np.abs(self.values) ** 2) * self.axis.measure)
+        """Energy integral |v|^2 dt, or |v|^2 dw/2pi, by the axis quadrature."""
+        return float(self.axis.integrate(np.abs(self.values) ** 2))
 
     def norm(self) -> float:
         return float(np.sqrt(self.energy()))
@@ -223,10 +290,10 @@ class SampledSignal:
 
 
 def inner_product(f: SampledSignal, g: SampledSignal) -> complex:
-    """<f, g> = sum conj(f) g under the axis measure (f conjugated)."""
+    """<f, g> = integral conj(f) g under the axis quadrature (f conjugated)."""
     if not f.axis.close_to(g.axis):
         raise DomainMismatchError("inner product requires matching axes")
-    return complex(np.vdot(f.values, g.values) * f.axis.measure)
+    return complex(f.axis.integrate(np.conj(f.values) * g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +313,11 @@ def _to_frequency(values: np.ndarray, time_axis: SampledAxis) -> tuple[SampledAx
 
 def _reciprocal_time_axis(freq_axis: SampledAxis, time_axis: SampledAxis | None) -> SampledAxis:
     """``time_axis``, checked for reciprocity with ``freq_axis``; the centered grid if None."""
-    n = freq_axis.count
+    n = _uniform(freq_axis).count
     dt = TWO_PI / (n * freq_axis.step)
     if time_axis is None:
         return SampledAxis(-dt * (n // 2), dt, n, Domain.TIME)
-    if time_axis.domain is not Domain.TIME or time_axis.count != n:
+    if _uniform(time_axis).domain is not Domain.TIME or time_axis.count != n:
         raise DomainMismatchError("target time axis incompatible with spectrum")
     if abs(time_axis.step - dt) > 1e-9 * dt:
         raise ResolutionError("target time axis violates dw*dt = 2 pi / count")
@@ -440,7 +507,7 @@ def _stages(spec: FilterSpec) -> tuple[SpectralWindowProfile | None, TemporalGat
 def _check_grid(spec: FilterSpec, ax: SampledAxis) -> None:
     """Resolution guard on ``ax``: dt <= 1/(10 B) and span covering the filter support."""
     window, gate = _stages(spec)
-    if ax.domain is Domain.TIME:
+    if _uniform(ax).domain is Domain.TIME:
         if window is not None and ax.step > 1.0 / (10.0 * window.bandwidth_hz):
             b_est = window.bandwidth_hz
             raise ResolutionError(
@@ -512,6 +579,7 @@ def filter_samples(spec: FilterSpec, axis: SampledAxis, values: np.ndarray) -> n
     that push batches of rows through one filter on a grid they have checked.
     ``values`` is never written to.
     """
+    _uniform(axis)
     if isinstance(spec, SpectralWindow):
         out = _apply_spectral(spec.profile, axis, values)
     elif isinstance(spec, TemporalGate):
@@ -552,16 +620,16 @@ def apply_filter(spec: FilterSpec, signal: SampledSignal) -> SampledSignal:
 class OperatorMatrix:
     """Dense discretization of a filter kernel with quadrature weights folded in.
 
-    ``entries[i, j] = sqrt(w_i) K(x_i, y_j) sqrt(w_j)`` where w are trapezoid
-    weights under the axis measures, so ``svd(entries)`` approximates the
+    ``entries[i, j] = sqrt(w_i) K(x_i, y_j) sqrt(w_j)`` where w are the axes'
+    ``quadrature_weights()`` under their measures, so ``svd(entries)`` approximates the
     continuum Schmidt data and ``frobenius_sq`` approximates sum lambda_n^2.
     ``entries`` is a read-only ``float64`` copy when the kernel arrives real and
     a ``complex128`` copy otherwise; the data type, not the values, decides, so
     a complex kernel with zero imaginary parts stays complex.
     """
 
-    rows_axis: SampledAxis
-    cols_axis: SampledAxis
+    rows_axis: Axis
+    cols_axis: Axis
     entries: np.ndarray
     weights_applied: bool = True
 
@@ -608,7 +676,7 @@ def _kernel_sif(spec: Sif, rp: np.ndarray, rdom: Domain, cp: np.ndarray, cdom: D
     return spec.spectral.window(rp)[:, None] * phase * spec.temporal.gate(cp)[None, :]
 
 
-def _kernel_spectral(spec: SpectralWindow, rows: SampledAxis, cols: SampledAxis) -> np.ndarray:
+def _kernel_spectral(spec: SpectralWindow, rows: Axis, cols: Axis) -> np.ndarray:
     """Window kernel on every pairing but frequency x frequency (a diagonal)."""
     rp, cp = rows.points, cols.points
     if rows.domain is Domain.TIME and cols.domain is Domain.TIME:
@@ -618,7 +686,7 @@ def _kernel_spectral(spec: SpectralWindow, rows: SampledAxis, cols: SampledAxis)
     return spec.profile.window(rp)[:, None] * np.exp(1j * np.outer(rp, cp))
 
 
-def _kernel_temporal(spec: TemporalGate, rows: SampledAxis, cols: SampledAxis) -> np.ndarray:
+def _kernel_temporal(spec: TemporalGate, rows: Axis, cols: Axis) -> np.ndarray:
     """Gate kernel on every pairing but time x time (a diagonal)."""
     rp, cp = rows.points, cols.points
     if rows.domain is Domain.ANGULAR_FREQUENCY and cols.domain is Domain.ANGULAR_FREQUENCY:
@@ -628,8 +696,8 @@ def _kernel_temporal(spec: TemporalGate, rows: SampledAxis, cols: SampledAxis) -
     return spec.profile.gate(rp)[:, None] * np.exp(-1j * np.outer(rp, cp))
 
 
-def _edge_ring_check(kernel_eval, rows: SampledAxis, cols: SampledAxis, kmax: float) -> None:
-    """Sample the kernel one step outside each grid edge; complain about tails.
+def _edge_ring_check(kernel_eval, rows: Axis, cols: Axis, kmax: float) -> None:
+    """Sample the kernel one edge spacing outside each grid edge; complain about tails.
 
     The ratio of the largest ring sample to the kernel maximum is a proxy for
     the truncated tail mass: above 1e-6 the discretization is refused, above
@@ -637,11 +705,12 @@ def _edge_ring_check(kernel_eval, rows: SampledAxis, cols: SampledAxis, kmax: fl
     """
     if kmax == 0:
         return
-    ring_rows = np.array([rows.start - rows.step, rows.stop + rows.step])
-    ring_cols = np.array([cols.start - cols.step, cols.stop + cols.step])
+    rp, cp = rows.points, cols.points
+    ring_rows = np.array([2.0 * rp[0] - rp[1], 2.0 * rp[-1] - rp[-2]])
+    ring_cols = np.array([2.0 * cp[0] - cp[1], 2.0 * cp[-1] - cp[-2]])
     probe = max(
-        np.max(np.abs(kernel_eval(ring_rows, cols.points))),
-        np.max(np.abs(kernel_eval(rows.points, ring_cols))),
+        np.max(np.abs(kernel_eval(ring_rows, cp))),
+        np.max(np.abs(kernel_eval(rp, ring_cols))),
     )
     ratio = probe / kmax
     if ratio > 1e-6:
@@ -654,7 +723,7 @@ def _edge_ring_check(kernel_eval, rows: SampledAxis, cols: SampledAxis, kmax: fl
         )
 
 
-def build_operator(spec: FilterSpec, rows: SampledAxis, cols: SampledAxis) -> OperatorMatrix:
+def build_operator(spec: FilterSpec, rows: Axis, cols: Axis) -> OperatorMatrix:
     """Dense Nystrom discretization of the filter kernel on (rows x cols).
 
     Supported domain pairings: both square representations for single stages
@@ -687,8 +756,8 @@ def build_operator(spec: FilterSpec, rows: SampledAxis, cols: SampledAxis) -> Op
         _edge_ring_check(_eval, rows, cols, float(np.max(np.abs(kernel))))
     else:
         raise TypeError(f"unknown filter specification {type(spec).__name__}")
-    sw = np.sqrt(rows.trapezoid_weights())
-    sc = np.sqrt(cols.trapezoid_weights())
+    sw = np.sqrt(rows.quadrature_weights())
+    sc = np.sqrt(cols.quadrature_weights())
     return OperatorMatrix(rows, cols, sw[:, None] * kernel * sc[None, :] * spec.insertion_loss)
 
 
@@ -703,34 +772,19 @@ def gram_kernel(op: OperatorMatrix) -> OperatorMatrix:
 # default discretization axes
 
 
-def support_axis(half_width: float, count: int, domain: Domain) -> SampledAxis:
-    """Grid for a function vanishing outside (-a, a): support edges mid-cell.
-
-    ``count`` sample cells tile (-a, a) with nodes at the cell centers, plus
-    one zero-valued pad node outside each edge so trapezoid end-weights never
-    touch the support.  Sums of on-support samples then integrate indicator
-    profiles exactly and smooth ones at second order, and no node ever sits
-    on the jump itself.
-    """
-    if half_width <= 0:
-        raise ValueError("half_width must be positive")
-    if count < 3:
-        raise ValueError("need at least three cells across the support")
-    step = 2.0 * half_width / count
-    return SampledAxis(-half_width - 0.5 * step, step, count + 2, domain)
-
-
-def recommended_axes(spec: Sif, resolution: int = 1024) -> tuple[SampledAxis, SampledAxis]:
+def recommended_axes(spec: Sif, resolution: int = 1024) -> tuple[Axis, Axis]:
     """(rows, cols) axes suited to the Sif's profile tails.
 
-    Profiles compact in their own domain get exact-support mid-cell grids in
-    the mixed representation; smooth profiles get a square frequency
-    representation spanning the combined support radii at tolerance 1e-13.
+    A window and a gate both compact in their own domain get ``resolution``
+    Gauss-Legendre nodes on the gate's temporal and the window's spectral
+    support, in the mixed representation; otherwise the profiles get a square
+    uniform frequency representation spanning the combined support radii at
+    tolerance 1e-13.
     """
     window, gate = spec.spectral, spec.temporal
     if window.compact_spectral and gate.compact_temporal:
-        t_ax = support_axis(gate.temporal_support(), resolution, Domain.TIME)
-        f_ax = support_axis(window.spectral_support(), resolution, Domain.ANGULAR_FREQUENCY)
+        t_ax = QuadratureAxis(gate.temporal_support(), resolution, Domain.TIME)
+        f_ax = QuadratureAxis(window.spectral_support(), resolution, Domain.ANGULAR_FREQUENCY)
         if spec.order is StageOrder.FREQUENCY_FIRST:
             return t_ax, f_ax
         return f_ax, t_ax

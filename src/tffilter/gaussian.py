@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    Axis,
     Domain,
     SampledAxis,
     SampledSignal,
@@ -194,7 +195,7 @@ def _hermite_rows(x: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def hermite_gaussian_mode_set(
-    spec: GaussianSif, axis: SampledAxis, count: int, side: str
+    spec: GaussianSif, axis: Axis, count: int, side: str
 ) -> tuple[SampledSignal, ...]:
     """Closed-form Schmidt modes 0..count-1 of one side, sampled on ``axis``.
 
@@ -222,7 +223,7 @@ def hermite_gaussian_mode_set(
         rows = _hermite_rows(pts * scale_w, count - 1)
         rows = rows * np.sqrt(scale_w)
         phases = (-1j) ** np.arange(count)
-    if axis.start > -half_span_needed or axis.stop < half_span_needed:
+    if pts[0] > -half_span_needed or pts[-1] < half_span_needed:
         raise ValueError(
             f"axis must span at least +-{half_span_needed:g} to hold these modes"
         )

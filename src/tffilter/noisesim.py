@@ -35,6 +35,7 @@ from .core import (
     Sif,
     StageOrder,
     _check_grid,
+    _uniform,
     apply_filter,
     centered_axis,
     filter_samples,
@@ -85,7 +86,7 @@ def sample_white_noise(
 
 def _white_rows(axis: SampledAxis, noise_psd: float, rngs: list[np.random.Generator]) -> np.ndarray:
     """One row of white noise per generator, as :func:`sample_white_noise` draws it."""
-    scale = np.sqrt(noise_psd / (2.0 * axis.step))
+    scale = np.sqrt(noise_psd / (2.0 * _uniform(axis).step))
     rows = np.empty((len(rngs), axis.count), dtype=complex)
     for row, rng in zip(rows, rngs):
         draws = rng.standard_normal((2, axis.count))
@@ -171,9 +172,9 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: FilterSpec) -> EnergyReport:
 
     w_noise, w_total = [], []
     for y_noise in _filtered_noise_blocks(spec, axis, cfg.noise_psd, cfg.seed, cfg.trials):
-        w_noise.append(np.sum(np.abs(y_noise) ** 2, axis=-1) * axis.measure)
+        w_noise.append(axis.integrate(np.abs(y_noise) ** 2))
         y_noise += y_sig.values
-        w_total.append(np.sum(np.abs(y_noise) ** 2, axis=-1) * axis.measure)
+        w_total.append(axis.integrate(np.abs(y_noise) ** 2))
     w_noise = np.concatenate(w_noise)
 
     w_noise_mean = float(np.mean(w_noise))
@@ -252,7 +253,7 @@ def _window_power_moments(spec: Sif, resolution: int = 8193) -> tuple[np.ndarray
     else:
         axis = SampledAxis(-half, 2.0 * half / (resolution - 1), resolution, Domain.ANGULAR_FREQUENCY)
     pts = axis.points
-    wts = axis.trapezoid_weights() * 2.0 * np.pi  # undo the 1/2pi folded into measure
+    wts = axis.quadrature_weights() * 2.0 * np.pi  # undo the 1/2pi folded into measure
     return pts, wts * np.abs(win.window(pts)) ** 2
 
 

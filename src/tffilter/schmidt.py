@@ -4,10 +4,11 @@ The weighted matrix sqrt(w_r) K sqrt(w_c) from :func:`tffilter.core.build_operat
 is sent through LAPACK SVD as it is: a real (``float64``) matrix, such as a
 Gaussian Sif in the square frequency representation, is factored in real
 arithmetic, and a complex one in complex arithmetic.  Un-weighting the
-singular vectors by 1/sqrt(w) recovers continuum mode functions normalized
-under the axis measure; they are stored complex either way.  A doubling
-refinement loop (:func:`decompose_filter`) raises the grid resolution until
-every kept singular value stabilizes.
+singular vectors by 1/sqrt(w), w the axes' ``quadrature_weights()``, recovers
+continuum mode functions normalized under the axis measure; they are stored
+complex either way.  A doubling refinement loop (:func:`decompose_filter`)
+factors each grid once and raises the resolution until every kept singular
+value stabilizes, for both filter families.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import scipy.linalg
 
 from .core import (
     ConvergenceError,
+    Axis,
     OperatorMatrix,
-    SampledAxis,
     SampledSignal,
     Sif,
     inner_product,
@@ -44,14 +45,15 @@ class GridReport:
     ``leading_rel_change`` is |s_0 - s_0^prev| / s_0 between the last two
     grids and ``ladder_rel_change`` is max_n |s_n - s_n^prev| / s_0 over the
     values kept on the last grid (a value the coarser grid lacks counts as 0).
+    ``final_rows``/``final_cols`` are the returned modes' axes (Gauss-Legendre for brick walls).
     """
 
     resolutions: tuple[int, ...]
     leading_rel_change: float
     converged: bool
     tolerance: float
-    final_rows: SampledAxis | None = None
-    final_cols: SampledAxis | None = None
+    final_rows: Axis | None = None
+    final_cols: Axis | None = None
     ladder_rel_change: float = 0.0
 
     @property
@@ -169,12 +171,23 @@ def schmidt_decompose(
     float in (0, 1) keeps modes with s_n >= keep * s_0, and None applies the
     default relative threshold 1e-6.
     """
-    u, sv, vh = scipy.linalg.svd(op.entries, full_matrices=False, lapack_driver="gesdd")
+    return _result(op, _svd(op), keep, grid_report)
+
+
+def _svd(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return scipy.linalg.svd(op.entries, full_matrices=False, lapack_driver="gesdd")
+
+
+def _result(
+    op: OperatorMatrix, factors: tuple, keep: int | float | None, grid_report: GridReport | None
+) -> SchmidtResult:
+    """Kept, phase-fixed and un-weighted Schmidt pairs from the SVD ``factors`` of ``op``."""
+    u, sv, vh = factors
     total = float(np.sum(sv**2))
     n_keep = _resolve_keep(sv, keep)
     u, vh = _fix_phases(u[:, :n_keep], vh[:n_keep])
-    sr = np.sqrt(op.rows_axis.trapezoid_weights())
-    sc = np.sqrt(op.cols_axis.trapezoid_weights())
+    sr = np.sqrt(op.rows_axis.quadrature_weights())
+    sc = np.sqrt(op.cols_axis.quadrature_weights())
     outs = tuple(
         SampledSignal(op.rows_axis, u[:, n] / sr) for n in range(n_keep)
     )
@@ -194,8 +207,8 @@ def decompose_filter(
     """Decompose a sequential filter with automatic grid refinement.
 
     Grids from :func:`tffilter.core.recommended_axes` are doubled until every
-    singular value that ``keep`` retains moves by less than ``tol`` times s_0,
-    then the final decomposition is returned with a :class:`GridReport`.
+    singular value that ``keep`` retains moves by less than ``tol`` times s_0
+    against the previous grid, then that grid's SVD is returned with a :class:`GridReport`.
     """
     from .core import build_operator  # local import keeps module load order simple
 
@@ -205,7 +218,8 @@ def decompose_filter(
     while res <= max_resolution:
         rows, cols = recommended_axes(spec, res)
         op = build_operator(spec, rows, cols)
-        sv = scipy.linalg.svdvals(op.entries)
+        factors = _svd(op)
+        sv = factors[1]
         resolutions.append(res)
         if prev is not None:
             scale = max(sv[0], np.finfo(float).tiny)
@@ -216,7 +230,7 @@ def decompose_filter(
             if ladder < tol:
                 leading = float(abs(sv[0] - prev[0]) / scale)
                 report = GridReport(tuple(resolutions), leading, True, tol, rows, cols, ladder)
-                return schmidt_decompose(op, keep, report)
+                return _result(op, factors, keep, report)
         prev = sv
         res *= 2
     raise ConvergenceError(
@@ -237,8 +251,8 @@ def reconstruct_kernel(result: SchmidtResult) -> OperatorMatrix:
     """
     rows_axis = result.output_modes[0].axis
     cols_axis = result.input_modes[0].axis
-    sr = np.sqrt(rows_axis.trapezoid_weights())
-    sc = np.sqrt(cols_axis.trapezoid_weights())
+    sr = np.sqrt(rows_axis.quadrature_weights())
+    sc = np.sqrt(cols_axis.quadrature_weights())
     k = np.zeros((rows_axis.count, cols_axis.count), dtype=complex)
     for s, psi, phi in zip(
         result.singular_values, result.output_modes, result.input_modes

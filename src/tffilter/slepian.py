@@ -13,10 +13,10 @@ modes are the band-limited extensions of the gate-side ones, and the two sets
 are doubly orthogonal: orthogonal over the gate interval and over the full
 line simultaneously.
 
-Two independent solvers are provided: a Nystrom discretization of the sinc
-kernel (one Richardson step kills the trapezoid h^2 eigenvalue error) and a
-Legendre-basis diagonalization of the commuting prolate differential operator
-(spectrally accurate; the default).
+The solver diagonalizes the commuting prolate differential operator in a
+Legendre basis (spectrally accurate).  Its independent cross-check shares no
+code with it: ``decompose_filter`` on a ``rectangular_sif`` factors the
+Gauss-Legendre Nystrom matrix of the filter kernel itself.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "rectangular_sif",
     "PswfSolution",
     "pswf_solve_legendre",
-    "pswf_solve_nystrom",
     "interval_gram",
     "full_line_gram",
     "slepian_singular_values",
@@ -167,11 +166,6 @@ def rectangular_sif(
 # prolate spheroidal solvers (normalized coordinates: gate interval [-1, 1])
 
 
-def _default_n_max(c: float) -> int:
-    # covers the plunge region where all nontrivial concentrations live
-    return int(np.ceil(2.0 * c / np.pi)) + 10
-
-
 class PswfSolution:
     """Prolate modes of the sinc kernel at parameter ``c``, interval [-1, 1].
 
@@ -192,15 +186,13 @@ class PswfSolution:
         self,
         c: float,
         eigenvalues: np.ndarray,
-        method: str,
         quad_x: np.ndarray,
         quad_w: np.ndarray,
         quad_samples: np.ndarray,
-        legendre_coeffs: np.ndarray | None = None,
+        legendre_coeffs: np.ndarray,
     ) -> None:
         self.c = float(c)
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self.method = method
         self._qx = quad_x          # quadrature nodes on [-1, 1]
         self._qw = quad_w          # matching weights
         self._qs = quad_samples    # mode samples at the nodes, shape (n_modes, M)
@@ -215,16 +207,13 @@ class PswfSolution:
         """Interval-normalized mode n at arbitrary real points."""
         pts = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty(pts.shape)
-        if self._coeffs is not None:
-            inside = np.abs(pts) <= 1.0
-            if np.any(inside):
-                coeff = self._coeffs[n]
-                vand = np.polynomial.legendre.legvander(pts[inside], len(coeff) - 1)
-                scale = np.sqrt(np.arange(len(coeff)) + 0.5)
-                out[inside] = vand @ (coeff * scale)
-            todo = ~inside
-        else:
-            todo = np.ones(pts.shape, dtype=bool)
+        inside = np.abs(pts) <= 1.0
+        if np.any(inside):
+            coeff = self._coeffs[n]
+            vand = np.polynomial.legendre.legvander(pts[inside], len(coeff) - 1)
+            scale = np.sqrt(np.arange(len(coeff)) + 0.5)
+            out[inside] = vand @ (coeff * scale)
+        todo = ~inside
         if np.any(todo):
             if self.eigenvalues[n] < BETA_FLOOR:
                 raise ValueError(
@@ -296,8 +285,8 @@ def pswf_solve_legendre(
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    if n_max is None:
-        n_max = _default_n_max(c)
+    if n_max is None:  # covers the plunge region where all nontrivial concentrations live
+        n_max = int(np.ceil(2.0 * c / np.pi)) + 10
     if not (0 <= n_max <= 60):
         raise ValueError("n_max must lie in [0, 60]")
     size = basis_size or int(2 * c) + 2 * n_max + 60
@@ -336,67 +325,14 @@ def pswf_solve_legendre(
     scale = np.sqrt(np.arange(size) + 0.5)
     samples = coeffs @ (vand * scale).T  # (n_modes, M)
     betas = np.clip(_rayleigh_betas(samples, qx, qw, c), 0.0, 1.0)
-    sol = PswfSolution(c, betas, "legendre", qx, qw, samples, coeffs)
-    _warn_if_truncated(sol, n_max)
-    return sol
-
-
-def pswf_solve_nystrom(
-    c: float, n_max: int | None = None, grid: int = 701
-) -> PswfSolution:
-    """Prolate modes by direct diagonalization of the discretized sinc kernel.
-
-    Uniform trapezoid discretization with ``grid`` points and with the halved
-    step (2*grid - 1 points); one Richardson step across the pair removes the
-    leading h^2 quadrature error from the eigenvalues.  Mode samples come from
-    the fine grid.
-    """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    if n_max is None:
-        n_max = _default_n_max(c)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    min_grid = max(256, int(np.ceil(32 * c)))
-    if grid < min_grid:
-        raise ValueError(f"grid must have at least {min_grid} points for c = {c:g}")
-    if n_max + 1 > grid:
-        raise ValueError("too many modes for the grid")
-
-    def _eigs(n_pts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        x = np.linspace(-1.0, 1.0, n_pts)
-        w = np.full(n_pts, x[1] - x[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        sw = np.sqrt(w)
-        a = sw[:, None] * _sinc_kernel(x, x, c) * sw[None, :]
-        vals, vecs = scipy.linalg.eigh(a)
-        idx = np.argsort(vals)[::-1][: n_max + 1]
-        return x, w, vals[idx], vecs[:, idx] / sw[:, None]
-
-    _, _, b_coarse, _ = _eigs(grid)
-    x, w, b_fine, modes = _eigs(2 * grid - 1)
-    betas = np.clip((4.0 * b_fine - b_coarse) / 3.0, 0.0, 1.0)
-    samples = modes.T.copy()  # unit trapezoid norm (eigenvectors were unit l2)
-    # sign convention matching the Legendre solver
-    vand = np.polynomial.legendre.legvander(x, n_max)
-    scale = np.sqrt(np.arange(n_max + 1) + 0.5)
-    for n in range(n_max + 1):
-        lead = np.sum(w * samples[n] * vand[:, n] * scale[n])
-        if lead < 0:
-            samples[n] *= -1.0
-    sol = PswfSolution(c, betas, "nystrom", x, w, samples, None)
-    _warn_if_truncated(sol, n_max)
-    return sol
-
-
-def _warn_if_truncated(sol: PswfSolution, n_max: int) -> None:
+    sol = PswfSolution(c, betas, qx, qw, samples, coeffs)
     if sol.resolvable_count <= n_max:
         warnings.warn(
             f"concentrations beyond index {sol.resolvable_count - 1} are below "
             f"{BETA_FLOOR:g} and numerically unresolvable",
-            stacklevel=3,
+            stacklevel=2,
         )
+    return sol
 
 
 def interval_gram(sol: PswfSolution, count: int | None = None) -> np.ndarray:
@@ -433,18 +369,10 @@ def full_line_gram(sol: PswfSolution, count: int | None = None) -> np.ndarray:
         return gram * scale[:, None] * scale[None, :]
 
 
-def slepian_singular_values(
-    spec_or_c: RectangularSif | float, count: int, method: str = "legendre"
-) -> np.ndarray:
+def slepian_singular_values(spec_or_c: RectangularSif | float, count: int) -> np.ndarray:
     """sqrt(beta_n) for n = 0 .. count-1."""
     c = spec_or_c.c if isinstance(spec_or_c, RectangularSif) else float(spec_or_c)
-    if method == "legendre":
-        sol = pswf_solve_legendre(c, count - 1)
-    elif method == "nystrom":
-        sol = pswf_solve_nystrom(c, count - 1)
-    else:
-        raise ValueError("method must be 'legendre' or 'nystrom'")
-    return np.sqrt(sol.eigenvalues[:count])
+    return np.sqrt(pswf_solve_legendre(c, count - 1).eigenvalues[:count])
 
 
 def slepian_filter_modes(

@@ -10,6 +10,7 @@ import tffilter
 from tffilter.core import (
     Domain,
     DomainMismatchError,
+    QuadratureAxis,
     ResolutionError,
     SampledAxis,
     SampledSignal,
@@ -28,9 +29,9 @@ from tffilter.core import (
     indicator_axis,
     inner_product,
     recommended_axes,
-    support_axis,
 )
-from tffilter.gaussian import gaussian_sif
+from tffilter.gaussian import gaussian_sif, hermite_gaussian_mode_set
+from tffilter.noisesim import sample_white_noise
 from tffilter.slepian import rectangular_sif
 
 
@@ -57,7 +58,7 @@ class TestSampledAxis:
 
     def test_trapezoid_weights_sum_to_span_measure(self):
         ax = SampledAxis(-1.0, 0.1, 21, Domain.TIME)
-        w = ax.trapezoid_weights()
+        w = ax.quadrature_weights()
         assert w[0] == pytest.approx(0.05)
         assert w.sum() == pytest.approx(2.0)
 
@@ -72,28 +73,78 @@ class TestSampledAxis:
         assert np.min(np.abs(ax.points)) == pytest.approx(0.0, abs=1e-15)
 
 
-class TestSupportAxis:
-    def test_pads_lie_outside_support(self):
-        ax = support_axis(1.0, 10, Domain.TIME)
-        inside = np.abs(ax.points) < 1.0
-        assert inside.sum() == 10
-        assert not inside[0] and not inside[-1]
+class TestQuadratureAxis:
+    def test_nodes_lie_strictly_inside_support(self):
+        ax = QuadratureAxis(1.5, 64, Domain.TIME)
+        assert ax.points.shape == (64,)
+        assert np.all(np.diff(ax.points) > 0)
+        assert -1.5 < ax.points[0] and ax.points[-1] < 1.5
 
-    def test_edges_fall_mid_cell(self):
-        # no node may coincide with the support edge
-        ax = support_axis(2.0, 16, Domain.TIME)
-        assert np.min(np.abs(np.abs(ax.points) - 2.0)) > 0.4 * ax.step
+    def test_brick_wall_profiles_sampled_only_where_one(self):
+        # no node sits on a jump, so the indicators read exactly 1 at every node
+        spec = rectangular_sif(0.8, 1.0)
+        t_ax, f_ax = recommended_axes(spec, resolution=256)
+        assert np.all(spec.temporal.gate(t_ax.points) == 1.0)
+        assert np.all(spec.spectral.window(f_ax.points) == 1.0)
 
     def test_indicator_quadrature_exact(self):
-        ax = support_axis(1.5, 48, Domain.TIME)
-        vals = (np.abs(ax.points) < 1.5).astype(float)
-        assert np.sum(vals * ax.trapezoid_weights()) == pytest.approx(3.0, rel=1e-14)
+        # the weights carry the axis measure: 2a on time, 2a / 2pi on frequency
+        t_ax = QuadratureAxis(1.5, 48, Domain.TIME)
+        assert t_ax.integrate(np.ones(48)) == pytest.approx(3.0, rel=1e-14)
+        f_ax = QuadratureAxis(1.5, 48, Domain.ANGULAR_FREQUENCY)
+        assert np.sum(f_ax.quadrature_weights()) == pytest.approx(3.0 / (2.0 * np.pi), rel=1e-14)
+
+    def test_smooth_modes_orthonormal_under_gauss_legendre(self):
+        # Hermite-Gauss modes on a Gauss-Legendre frequency axis: energy and
+        # inner products integrate through the axis quadrature
+        spec = gaussian_sif(0.5, 1.0)
+        ax = QuadratureAxis(12.0 * spec.alpha, 128, Domain.ANGULAR_FREQUENCY)
+        modes = hermite_gaussian_mode_set(spec, ax, 4, "input")
+        gram = np.array([[inner_product(a, b) for b in modes] for a in modes])
+        assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+
+    def test_close_to_needs_same_kind(self):
+        ax = QuadratureAxis(1.0, 32, Domain.TIME)
+        assert ax.close_to(QuadratureAxis(1.0 + 1e-12, 32, Domain.TIME))
+        assert not ax.close_to(QuadratureAxis(1.0, 33, Domain.TIME))
+        assert not ax.close_to(QuadratureAxis(1.0, 32, Domain.ANGULAR_FREQUENCY))
+        assert not ax.close_to(centered_axis(1.0 / 16, 32, Domain.TIME))
+        assert not centered_axis(1.0 / 16, 32, Domain.TIME).close_to(ax)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            support_axis(0.0, 8, Domain.TIME)
+            QuadratureAxis(0.0, 8, Domain.TIME)
         with pytest.raises(ValueError):
-            support_axis(1.0, 2, Domain.TIME)
+            QuadratureAxis(1.0, 1, Domain.TIME)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["fourier_forward", "fourier_inverse", "frequency_axis_for", "apply_filter",
+         "filter_samples", "coherent_operator", "sample_white_noise"],
+    )
+    def test_uniform_grid_entry_points_refuse_quadrature_axes(self, entry):
+        # FFT-based paths need a uniform grid; a Gauss-Legendre axis is a typed
+        # domain error, not an AttributeError from a missing step
+        t_ax = QuadratureAxis(1.0, 64, Domain.TIME)
+        f_ax = QuadratureAxis(10.0, 64, Domain.ANGULAR_FREQUENCY)
+        ones = np.ones(64, dtype=complex)
+        uniform = centered_axis(1.0 / 32, 64, Domain.TIME)
+        pulse = gaussian_pulse(uniform, 0.3).normalized()
+        call = {
+            "fourier_forward": lambda: fourier_forward(SampledSignal(t_ax, ones)),
+            "fourier_inverse": lambda: fourier_inverse(SampledSignal(f_ax, ones)),
+            "frequency_axis_for": lambda: frequency_axis_for(t_ax),
+            "apply_filter": lambda: apply_filter(gaussian_sif(0.5, 1.0), SampledSignal(t_ax, ones)),
+            "filter_samples": lambda: filter_samples(
+                TemporalGate(gaussian_sif(0.5, 1.0).temporal), t_ax, ones
+            ),
+            "coherent_operator": lambda: build_operator(
+                SeparableCoherent(pulse, pulse, 0.5), f_ax, f_ax
+            ),
+            "sample_white_noise": lambda: sample_white_noise(t_ax, 0.1, np.random.default_rng(0)),
+        }[entry]
+        with pytest.raises(DomainMismatchError):
+            call()
 
 
 class TestFourierPair:
@@ -169,7 +220,7 @@ class TestApplyFilter:
         sig = gaussian_pulse(ax).normalized()
         direct = apply_filter(spec, sig)
         op = build_operator(spec, ax, ax)
-        sw = np.sqrt(ax.trapezoid_weights())
+        sw = np.sqrt(ax.quadrature_weights())
         acted = (op.entries @ (sw * sig.values)) / sw
         assert np.max(np.abs(direct.values - acted)) < 1e-8
 

@@ -1,5 +1,7 @@
 """Schmidt decomposition of discretized filter kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from tffilter.schmidt import (
     reconstruct_kernel,
     schmidt_decompose,
 )
-from tffilter.slepian import rectangular_sif
+from tffilter.slepian import pswf_solve_legendre, rectangular_filter_modes, rectangular_sif
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +89,10 @@ class TestFixedGrid:
         res = schmidt_decompose(build_operator(ff, rows, cols), keep=16)
         assert res.total_power == pytest.approx(0.8, rel=1e-12)
 
-    def test_rectangular_self_convergence_unreachable(self):
-        # brick-wall kernels converge at trapezoid rate, far from the 1e-8
-        # stabilization demanded of the adaptive path; it must say so
+    def test_single_grid_cannot_converge(self):
+        # convergence needs two grids to compare; one level must say so
         with pytest.raises(ConvergenceError):
-            decompose_filter(rectangular_sif(0.8, 1.0), keep=8, max_resolution=1024)
+            decompose_filter(rectangular_sif(0.8, 1.0), keep=8, max_resolution=256)
 
     def test_mode_axes_follow_operator(self):
         ff = rectangular_sif(0.8, 1.0)
@@ -101,6 +102,43 @@ class TestFixedGrid:
             assert m.axis.close_to(cols)
         for m in res.output_modes:
             assert m.axis.close_to(rows)
+
+
+def _prolate(spec, count):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # concentrations below the floor are cut by the caller
+        return pswf_solve_legendre(spec.c, count - 1)
+
+
+@pytest.mark.parametrize("order", list(StageOrder), ids=lambda o: o.name.lower())
+class TestRectangularLadder:
+    """Gauss-Legendre axes make the brick-wall pair converge like the smooth family."""
+
+    @pytest.mark.parametrize("bt", [0.1, 0.8, 2.0, 4.0, 10.0])
+    def test_rectangular_converges_to_prolate_ladder(self, bt, order):
+        spec = rectangular_sif(bt, 1.0, order)
+        res = decompose_filter(spec, keep=None)
+        assert res.grid_report.converged
+        sol = _prolate(spec, res.kept)
+        k = min(res.kept, sol.resolvable_count)
+        assert np.max(np.abs(res.singular_values[:k] ** 2 - sol.eigenvalues[:k])) <= 1e-12
+        assert abs(res.total_power - bt) / bt <= 1e-13
+
+    @pytest.mark.parametrize("bt", [0.8, 2.0, 4.0])
+    def test_modes_match_closed_form(self, bt, order):
+        # the closed-form prolate modes sampled on the decomposition's own
+        # axes; the two phase conventions differ by i^n, so compare magnitudes
+        spec = rectangular_sif(bt, 1.0, order)
+        res = decompose_filter(spec, keep=None)
+        rep = res.grid_report
+        sv = res.singular_values
+        count = int(np.sum(sv >= 1e-3 * sv[0]))
+        sol = _prolate(spec, count)
+        outs = rectangular_filter_modes(spec, rep.final_rows, count, "output", sol)
+        ins = rectangular_filter_modes(spec, rep.final_cols, count, "input", sol)
+        for n in range(count):
+            assert abs(abs(inner_product(outs[n], res.output_modes[n])) - 1.0) < 1e-11, n
+            assert abs(abs(inner_product(ins[n], res.input_modes[n])) - 1.0) < 1e-11, n
 
 
 class TestKernelAlgebra:

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from tffilter.core import Domain, SampledAxis, StageOrder, inner_product
+from tffilter.schmidt import decompose_filter
 from tffilter.slepian import (
     BETA_FLOOR,
     full_line_gram,
     interval_gram,
     pswf_solve_legendre,
-    pswf_solve_nystrom,
     rectangular_filter_modes,
     rectangular_profiles,
     rectangular_sif,
@@ -109,17 +109,15 @@ class TestLegendreSolver:
 class TestCrossMethod:
     @pytest.mark.parametrize("c", [0.5, 1.25, 3.0, 5.0])
     def test_eigenvalue_agreement(self, c):
+        # the differential-operator solver against the generic Gauss-Legendre
+        # Nystrom decomposition of the brick-wall filter kernel
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             lg = pswf_solve_legendre(c, 8)
-            ny = pswf_solve_nystrom(c, 8)
-        dev = np.max(np.abs(lg.eigenvalues - ny.eigenvalues))
-        assert dev < 1e-6
-
-    def test_nystrom_grid_refinement_stays_consistent(self):
-        a = pswf_solve_nystrom(3.0, 6, grid=501)
-        b = pswf_solve_nystrom(3.0, 6, grid=901)
-        assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) < 1e-9
+        res = decompose_filter(rectangular_sif(c / (0.5 * np.pi), 1.0), keep=9)
+        k = lg.resolvable_count
+        dev = np.max(np.abs(res.singular_values[:k] ** 2 - lg.eigenvalues[:k]))
+        assert dev < 1e-12
 
 
 class TestDoubleOrthogonality:
@@ -154,11 +152,6 @@ class TestSingularValues:
             a = slepian_singular_values(spec, 5)
             b = slepian_singular_values(spec.c, 5)
         assert np.array_equal(a, b)
-
-    def test_nystrom_method_option(self):
-        a = slepian_singular_values(3.0, 6, method="legendre")
-        b = slepian_singular_values(3.0, 6, method="nystrom")
-        assert np.max(np.abs(a - b)) < 1e-6
 
 
 class TestFilterModes:
