@@ -14,16 +14,21 @@ are doubly orthogonal: orthogonal over the gate interval and over the full
 line simultaneously.
 
 The solver diagonalizes the commuting prolate differential operator in a
-Legendre basis (spectrally accurate).  Its independent cross-check shares no
-code with it: ``decompose_filter`` on a ``rectangular_sif`` factors the
-Gauss-Legendre Nystrom matrix of the filter kernel itself.
+Legendre basis (spectrally accurate) and reads each concentration off the
+Legendre coefficients of its mode, through the finite-Fourier eigenvalue
+relation (Xiao, Rokhlin & Yarvin 2001), so a concentration costs no
+quadrature.  Gauss-Legendre quadrature is built only when a mode is extended
+off the interval, transformed, or checked for double orthogonality.  The
+independent cross-check shares no code with the solver: ``decompose_filter``
+on a ``rectangular_sif`` factors the Gauss-Legendre Nystrom matrix of the
+filter kernel itself.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +41,7 @@ from .core import (
     SpectralWindowProfile,
     StageOrder,
     TemporalGateProfile,
+    _legendre_rule,
 )
 
 __all__ = [
@@ -166,6 +172,11 @@ def rectangular_sif(
 # prolate spheroidal solvers (normalized coordinates: gate interval [-1, 1])
 
 
+def _normalized_legendre(x: np.ndarray, size: int) -> np.ndarray:
+    """sqrt(k + 1/2) P_k(x) for k < size, one row per point: the unit-norm basis on [-1, 1]."""
+    return np.polynomial.legendre.legvander(x, size - 1) * np.sqrt(np.arange(size) + 0.5)
+
+
 class PswfSolution:
     """Prolate modes of the sinc kernel at parameter ``c``, interval [-1, 1].
 
@@ -177,6 +188,11 @@ class PswfSolution:
     holds its samples across [-4, 4].  Signs make the coefficient of the
     degree-n normalized Legendre polynomial in mode n positive.
 
+    The ``quad_points``-node Gauss-Legendre rule and the mode samples on it
+    are built on first use, by the off-interval extension, the finite
+    transform and the two Gram checks; eigenvalues and on-interval values
+    never need them.
+
     ``resolvable_count`` reports how many leading eigenvalues sit above the
     1e-14 floor where the eigensolver output is meaningful; entries beyond it
     are kept for shape but are numerical noise.
@@ -186,18 +202,20 @@ class PswfSolution:
         self,
         c: float,
         eigenvalues: np.ndarray,
-        quad_x: np.ndarray,
-        quad_w: np.ndarray,
-        quad_samples: np.ndarray,
         legendre_coeffs: np.ndarray,
+        quad_points: int,
     ) -> None:
         self.c = float(c)
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self._qx = quad_x          # quadrature nodes on [-1, 1]
-        self._qw = quad_w          # matching weights
-        self._qs = quad_samples    # mode samples at the nodes, shape (n_modes, M)
-        self._coeffs = legendre_coeffs
+        self._coeffs = legendre_coeffs  # shape (n_modes, basis size)
+        self.quad_points = int(quad_points)
         self.resolvable_count = int(np.sum(self.eigenvalues >= BETA_FLOOR))
+
+    @cached_property
+    def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes on [-1, 1], weights, and mode samples at the nodes (n_modes, M)."""
+        qx, qw = _legendre_rule(self.quad_points)
+        return qx, qw, self._coeffs @ _normalized_legendre(qx, self._coeffs.shape[1]).T
 
     @property
     def n_modes(self) -> int:
@@ -210,24 +228,24 @@ class PswfSolution:
         inside = np.abs(pts) <= 1.0
         if np.any(inside):
             coeff = self._coeffs[n]
-            vand = np.polynomial.legendre.legvander(pts[inside], len(coeff) - 1)
-            scale = np.sqrt(np.arange(len(coeff)) + 0.5)
-            out[inside] = vand @ (coeff * scale)
+            out[inside] = _normalized_legendre(pts[inside], len(coeff)) @ coeff
         todo = ~inside
         if np.any(todo):
             if self.eigenvalues[n] < BETA_FLOOR:
                 raise ValueError(
                     f"mode {n} concentration below {BETA_FLOOR:g}; extension undefined"
                 )
-            kern = _sinc_kernel(pts[todo], self._qx, self.c)
-            out[todo] = (kern @ (self._qw * self._qs[n])) / self.eigenvalues[n]
+            qx, qw, qs = self._quadrature
+            kern = _sinc_kernel(pts[todo], qx, self.c)
+            out[todo] = (kern @ (qw * qs[n])) / self.eigenvalues[n]
         return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
     def finite_transform(self, n: int, xi: np.ndarray) -> np.ndarray:
         """g_n(xi) = integral_{-1}^{1} exp(i c xi x) phi_n(x) dx."""
         pts = np.atleast_1d(np.asarray(xi, dtype=float))
-        kern = np.exp(1j * self.c * np.outer(pts, self._qx))
-        vals = kern @ (self._qw * self._qs[n])
+        qx, qw, qs = self._quadrature
+        kern = np.exp(1j * self.c * np.outer(pts, qx))
+        vals = kern @ (qw * qs[n])
         return vals.reshape(np.shape(xi)) if np.ndim(xi) else complex(vals[0])
 
     @property
@@ -258,13 +276,27 @@ def _legendre_blocks(c: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
-def _rayleigh_betas(
-    samples: np.ndarray, qx: np.ndarray, qw: np.ndarray, c: float
-) -> np.ndarray:
-    """beta_n = <phi_n, K_c phi_n> for interval-normalized quadrature samples."""
-    kern = _sinc_kernel(qx, qx, c)
-    sw = samples * qw[None, :]
-    return np.einsum("im,mn,in->i", sw, kern, sw)
+def _concentrations(c: float, coeffs: np.ndarray) -> np.ndarray:
+    """beta_n from the normalized Legendre coefficients of mode n, no quadrature.
+
+    F_c phi_n = mu_n phi_n with F_c phi(x) = integral_{-1}^{1} exp(i c x t) phi(t) dt,
+    and beta_n = c |mu_n|^2 / (2 pi).  At x = 0 only the k = 0 term of an even mode
+    survives the integral, and the derivative at 0 keeps only k = 1 of an odd one:
+    beta_n = c d_n0^2 / (pi phi_n(0)^2) or c^3 d_n1^2 / (3 pi phi_n'(0)^2).
+    """
+    size = coeffs.shape[1]
+    k = np.arange(size, dtype=float)
+    step = k[: size - 2 : 2]
+    p_at0 = np.zeros(size)  # P_k(0), from P_{k+2}(0) = -(k+1)/(k+2) P_k(0)
+    p_at0[0::2] = np.cumprod(np.r_[1.0, -(step + 1) / (step + 2)])
+    dp_at0 = np.zeros(size)  # P_k'(0) = k P_{k-1}(0)
+    dp_at0[1:] = k[1:] * p_at0[:-1]
+    scale = np.sqrt(k + 0.5)
+    even = np.arange(len(coeffs)) % 2 == 0
+    at0 = np.where(even, coeffs @ (scale * p_at0), coeffs @ (scale * dp_at0))
+    lead = np.where(even, coeffs[:, 0], coeffs[:, 1])
+    factor = np.where(even, c / np.pi, c**3 / (3.0 * np.pi))
+    return factor * lead**2 / at0**2
 
 
 def pswf_solve_legendre(
@@ -277,9 +309,9 @@ def pswf_solve_legendre(
 
     The operator is tridiagonal within each parity block, so eigenvectors come
     from ``eigh_tridiagonal`` and are spectrally accurate.  Concentrations
-    beta_n are recovered as sinc-kernel Rayleigh quotients under
-    Gauss-Legendre quadrature, equivalent to integrating the squared
-    full-line-normalized mode over the interval but free of tail quadrature.
+    beta_n follow in closed form from the Legendre coefficients (see
+    ``_concentrations``); ``quad_points`` (default 240 + 12 c) sizes the
+    quadrature that the solution builds only when it is first needed.
     The basis grows automatically until the two trailing Legendre coefficients
     of every requested mode fall below 1e-12 of the head.
     """
@@ -319,13 +351,8 @@ def pswf_solve_legendre(
     for n in range(n_max + 1):
         if coeffs[n, n] < 0:
             coeffs[n] *= -1.0
-    m = quad_points or (240 + int(12 * c))
-    qx, qw = np.polynomial.legendre.leggauss(m)
-    vand = np.polynomial.legendre.legvander(qx, size - 1)
-    scale = np.sqrt(np.arange(size) + 0.5)
-    samples = coeffs @ (vand * scale).T  # (n_modes, M)
-    betas = np.clip(_rayleigh_betas(samples, qx, qw, c), 0.0, 1.0)
-    sol = PswfSolution(c, betas, qx, qw, samples, coeffs)
+    betas = np.clip(_concentrations(c, coeffs), 0.0, 1.0)
+    sol = PswfSolution(c, betas, coeffs, quad_points or (240 + int(12 * c)))
     if sol.resolvable_count <= n_max:
         warnings.warn(
             f"concentrations beyond index {sol.resolvable_count - 1} are below "
@@ -339,11 +366,13 @@ def interval_gram(sol: PswfSolution, count: int | None = None) -> np.ndarray:
     """<Phi_m, Phi_n> over the gate interval for full-line-normalized modes.
 
     Double orthogonality makes this diag(beta_n); computed with the native
-    quadrature of the solution.
+    quadrature of the solution, so its diagonal checks the quadrature-free
+    concentrations independently.
     """
     n = count or sol.n_modes
-    s = sol._qs[:n] * np.sqrt(sol.eigenvalues[:n, None])
-    return (s * sol._qw[None, :]) @ s.T
+    _, qw, qs = sol._quadrature
+    s = qs[:n] * np.sqrt(sol.eigenvalues[:n, None])
+    return (s * qw[None, :]) @ s.T
 
 
 def full_line_gram(sol: PswfSolution, count: int | None = None) -> np.ndarray:
@@ -356,9 +385,8 @@ def full_line_gram(sol: PswfSolution, count: int | None = None) -> np.ndarray:
     so the 1/x interval tails never need quadrature.
     """
     n = count or sol.n_modes
-    m = len(sol._qx) + 64
-    xi, wxi = np.polynomial.legendre.leggauss(m)
-    g = np.empty((n, m), dtype=complex)
+    xi, wxi = _legendre_rule(sol.quad_points + 64)
+    g = np.empty((n, len(xi)), dtype=complex)
     for k in range(n):
         g[k] = sol.finite_transform(k, xi)
     gram = (g.conj() * wxi[None, :]) @ g.T * (sol.c / (2.0 * np.pi))
@@ -463,11 +491,6 @@ def rectangular_filter_modes(
     return tuple(out)
 
 
-@lru_cache(maxsize=1024)
-def _beta0_cached(c: float) -> float:
-    return float(pswf_solve_legendre(c, 0).eigenvalues[0])
-
-
 def slepian_tradeoff(bt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(efficiency, discriminativity) for the brick-wall pair at the given BT.
 
@@ -478,7 +501,7 @@ def slepian_tradeoff(bt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(bts <= 0):
         raise ValueError("all BT values must be positive")
     flat = np.atleast_1d(bts)
-    beta0 = np.array([_beta0_cached(float(0.5 * np.pi * b)) for b in flat])
+    beta0 = np.array([pswf_solve_legendre(0.5 * np.pi * b, 0).eigenvalues[0] for b in flat])
     eta = beta0
     xi = beta0 / flat
     if np.ndim(bt) == 0:

@@ -50,6 +50,40 @@ class TestProfiles:
         assert spec.bt == pytest.approx(0.8)
 
 
+# Concentrations beta_n >= BETA_FLOOR of the sinc kernel on [-1, 1]: eigenvalues of its
+# 96-node Gauss-Legendre Nystrom matrix solved at 40 digits in mpmath (64 nodes agree to
+# 1e-29 relative), rounded to double.
+NYSTROM_40_DIGIT = {
+    0.5: (
+        0.30968956570927125, 0.008581073753444374, 3.9174534404483964e-05,
+        7.211390996119441e-08, 7.271422846782925e-11, 4.6377758103785286e-14,
+    ),
+    3.0: (
+        0.975828634809236, 0.7099632385447723, 0.20513867866257185,
+        0.018203799540436223, 0.0007081470984153113, 1.655124445543318e-05,
+        2.641016472767548e-07, 3.0737365334261373e-09, 2.7281307431914816e-11,
+        1.9085689371109243e-13,
+    ),
+    10.0: (
+        0.9999999559119194, 0.9999967707164678, 0.999892732990213,
+        0.9979012409618996, 0.9744577819993403, 0.8251463486942227,
+        0.4401501089708298, 0.11232481814937872, 0.014920174699645941,
+        0.0013145889703452343, 8.821342985827328e-05, 4.766445440920645e-06,
+        2.133962843471995e-07, 8.070716418893848e-09, 2.617018761944679e-10,
+        7.363490255848598e-12, 1.8159383400444048e-13,
+    ),
+    15.0: (
+        0.9999999999975078, 0.9999999997170188, 0.9999999848422486,
+        0.9999994927579691, 0.9999881764410643, 0.9997978663399693,
+        0.9974183368884346, 0.9759449188965188, 0.8537107711277411,
+        0.5189911764810909, 0.16922485489702532, 0.030214721042816688,
+        0.003636571208974147, 0.0003413059069842147, 2.6544165584290764e-05,
+        1.7585578350863343e-06, 1.0092888045508692e-07, 5.0802488819527005e-09,
+        2.2646215752731488e-10, 9.012493511226657e-12, 3.224072175470604e-13,
+    ),
+}
+
+
 class TestLegendreSolver:
     def test_eigenvalues_in_unit_interval_descending(self):
         sol = pswf_solve_legendre(3.0, 8)
@@ -65,10 +99,31 @@ class TestLegendreSolver:
             total = np.sum(sol.eigenvalues)
             assert total == pytest.approx(2.0 * c / np.pi, abs=1e-12)
 
-    def test_known_concentration_small_c(self):
-        # beta_0 at c = 0.5 from the classical tables
-        sol = pswf_solve_legendre(0.5, 2)
-        assert sol.eigenvalues[0] == pytest.approx(0.3097, abs=5e-5)
+    @pytest.mark.parametrize("c", sorted(NYSTROM_40_DIGIT))
+    def test_concentrations_match_pinned_oracle(self, c):
+        # c = 0.5 also holds the classical table value beta_0 = 0.3097
+        ref = np.array(NYSTROM_40_DIGIT[c])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sol = pswf_solve_legendre(c, 20)
+        assert sol.resolvable_count == len(ref)
+        err = np.abs(sol.eigenvalues[: len(ref)] - ref)
+        assert np.max(err) <= 1e-14
+        assert np.max(err / ref) <= 1e-12
+
+    def test_tradeoff_builds_no_quadrature(self, monkeypatch):
+        import tffilter.slepian as slepian
+
+        built = []
+        rule = slepian._legendre_rule
+        monkeypatch.setattr(slepian, "_legendre_rule", lambda m: built.append(m) or rule(m))
+        slepian_tradeoff(np.geomspace(1e-3, 17.0, 160) / (0.5 * np.pi))
+        assert built == []
+        # the rule is built once, when a mode is first extended off the interval
+        sol = pswf_solve_legendre(2.0, 2)
+        sol.evaluate(0, np.array([1.5]))
+        sol.finite_transform(0, np.array([0.5]))
+        assert built == [sol.quad_points]
 
     def test_evaluate_is_even_odd(self):
         sol = pswf_solve_legendre(2.0, 3)
@@ -121,12 +176,16 @@ class TestCrossMethod:
 
 
 class TestDoubleOrthogonality:
-    def test_interval_gram_diagonal_beta(self):
-        sol = pswf_solve_legendre(3.0, 8)
+    @pytest.mark.parametrize("c", [0.5, 3.0, 10.0])
+    def test_interval_gram_diagonal_beta(self, c):
+        # quadrature of the mode samples against the quadrature-free concentrations
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sol = pswf_solve_legendre(c, 8)
         g = interval_gram(sol)
         off = g - np.diag(np.diag(g))
-        assert np.max(np.abs(off)) < 1e-10
-        assert np.max(np.abs(np.diag(g) - sol.eigenvalues)) < 1e-10
+        assert np.max(np.abs(off)) < 1e-12
+        assert np.max(np.abs(np.diag(g) - sol.eigenvalues)) < 1e-12
 
     def test_full_line_gram_identity(self):
         # 1/sqrt(beta) blows up quadrature noise below ~1e-10, so check
