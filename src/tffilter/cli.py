@@ -345,6 +345,7 @@ def cmd_qkd(args: argparse.Namespace) -> int:
 
     from .qkd import (
         CharacteristicKind,
+        OptimizationResult,
         normalized_key_rate,
         optimize_over_efficiency,
     )
@@ -374,21 +375,21 @@ def cmd_qkd(args: argparse.Namespace) -> int:
                 "no_key (0 or 1)",
             ]
             for label, fc in families:
-                for ny in ny_values:
-                    if fc.kind is CharacteristicKind.FIXED_POINT:
-                        rate = normalized_key_rate(fc.eta_point, fc.xi_point, float(ny))
-                        eta_star, no_key = fc.eta_point, rate == 0.0
-                    else:
-                        res = optimize_over_efficiency(fc, float(ny))
-                        eta_star, rate, no_key = res.eta, res.rate, res.no_key
+                if fc.kind is CharacteristicKind.FIXED_POINT:
+                    eta, xi = fc.eta_point, fc.xi_point
+                    rates = [normalized_key_rate(eta, xi, float(n)) for n in ny_values]
+                    optima = [OptimizationResult(eta, r, r == 0.0) for r in rates]
+                else:
+                    optima = optimize_over_efficiency(fc, ny_values)
+                for ny, res in zip(ny_values, optima):
                     rows.append(
                         [
                             label,
                             _fmt(float(ny)),
-                            _fmt(eta_star),
-                            _fmt(rate),
-                            _fmt(float(np.log10(rate)) if rate > 0 else float("-inf")),
-                            "1" if no_key else "0",
+                            _fmt(res.eta),
+                            _fmt(res.rate),
+                            _fmt(float(np.log10(res.rate)) if res.rate > 0 else float("-inf")),
+                            "1" if res.no_key else "0",
                         ]
                     )
         else:

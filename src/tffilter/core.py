@@ -75,7 +75,6 @@ __all__ = [
     "apply_filter",
     "filter_samples",
     "build_operator",
-    "gram_kernel",
     "compose_order_swap",
     "recommended_axes",
 ]
@@ -245,10 +244,10 @@ def frequency_axis_for(time_axis: SampledAxis) -> SampledAxis:
     return SampledAxis(-dw * (n // 2), dw, n, Domain.ANGULAR_FREQUENCY)
 
 
-def indicator_axis(half_width: float, count: int, domain: Domain, pad: int = 1) -> SampledAxis:
+def indicator_axis(half_width: float, count: int, domain: Domain) -> SampledAxis:
     """Axis for an indicator of half-width ``a``: samples land exactly on +-a.
 
-    ``count`` interior samples cover [-a, a]; ``pad`` extra samples are added
+    ``count`` interior samples cover [-a, a]; one extra sample is added
     outside each edge so the jump sits strictly inside the grid and trapezoid
     quadrature of the indicator is exact.
     """
@@ -257,7 +256,7 @@ def indicator_axis(half_width: float, count: int, domain: Domain, pad: int = 1) 
     if count < 3:
         raise ValueError("need at least three samples across the support")
     step = 2.0 * half_width / (count - 1)
-    return SampledAxis(-half_width - pad * step, step, count + 2 * pad, domain)
+    return SampledAxis(-half_width - step, step, count + 2, domain)
 
 
 @dataclass(frozen=True)
@@ -631,7 +630,6 @@ class OperatorMatrix:
     rows_axis: Axis
     cols_axis: Axis
     entries: np.ndarray
-    weights_applied: bool = True
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.entries)
@@ -759,13 +757,6 @@ def build_operator(spec: FilterSpec, rows: Axis, cols: Axis) -> OperatorMatrix:
     sw = np.sqrt(rows.quadrature_weights())
     sc = np.sqrt(cols.quadrature_weights())
     return OperatorMatrix(rows, cols, sw[:, None] * kernel * sc[None, :] * spec.insertion_loss)
-
-
-def gram_kernel(op: OperatorMatrix) -> OperatorMatrix:
-    """Gram operator F^dagger F on the input side (columns) of ``op``."""
-    return OperatorMatrix(
-        op.cols_axis, op.cols_axis, op.entries.conj().T @ op.entries
-    )
 
 
 # ---------------------------------------------------------------------------

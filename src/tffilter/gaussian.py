@@ -115,11 +115,15 @@ def gaussian_profiles(
     return GaussianSpectralWindow(bandwidth_hz), GaussianTemporalGate(duration_s)
 
 
-def mehler_u(bt: float) -> float:
-    """u = 1/(sqrt(1 + m^2) + m), m = 1/(2 BT); stable for both tiny and huge BT."""
-    if bt <= 0:
+def mehler_u(bt: float | np.ndarray) -> float | np.ndarray:
+    """u = 1/(sqrt(1 + m^2) + m), m = 1/(2 BT); stable for both tiny and huge BT.
+
+    Scalar in, scalar out; array in, array out.
+    """
+    bts = np.asarray(bt, dtype=float)
+    if np.any(bts <= 0):
         raise ValueError("BT product must be positive")
-    m = 1.0 / (2.0 * bt)
+    m = 1.0 / (2.0 * bts)
     return 1.0 / (np.hypot(1.0, m) + m)
 
 
@@ -258,11 +262,7 @@ def gaussian_tradeoff(bt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     discriminativity = 1 - efficiency^2 and discriminativity * BT = efficiency
     hold exactly.
     """
-    bts = np.asarray(bt, dtype=float)
-    if np.any(bts <= 0):
-        raise ValueError("all BT values must be positive")
-    m = 1.0 / (2.0 * bts)
-    u = 1.0 / (np.hypot(1.0, m) + m)
+    u = mehler_u(bt)
     eta = u
     xi = 1.0 - u**2
     if np.ndim(bt) == 0:

@@ -117,14 +117,14 @@ def _profile_integral(
     return integral / (2.0 * np.pi) if spectral else integral
 
 
-def bt_from_profiles(spec: Sif, resolution: int = 8193) -> float:
+def bt_from_profiles(spec: Sif) -> float:
     """B T from the profiles alone: intensity bandwidth times integral duration.
 
     B = integral |R~(w)|^2 dw / 2pi and T = integral |Q(t)|^2 dt, both under
-    the unit-peak convention the profile classes enforce.
+    the unit-peak convention the profile classes enforce, on 8193 samples.
     """
-    b = _profile_integral(spec.spectral, spectral=True, resolution=resolution)
-    t = _profile_integral(spec.temporal, spectral=False, resolution=resolution)
+    b = _profile_integral(spec.spectral, spectral=True, resolution=8193)
+    t = _profile_integral(spec.temporal, spectral=False, resolution=8193)
     return b * t
 
 

@@ -244,14 +244,14 @@ class CorrelationSurface:
     trials: int
 
 
-def _window_power_moments(spec: Sif, resolution: int = 8193) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and weights for integrals against |R~(w)|^2."""
+def _window_power_moments(spec: Sif) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes and weights (8193 samples) for integrals against |R~(w)|^2."""
     win = spec.spectral
     half = win.spectral_support(1e-13)
     if win.compact_spectral:
-        axis = indicator_axis(half, resolution, Domain.ANGULAR_FREQUENCY)
+        axis = indicator_axis(half, 8193, Domain.ANGULAR_FREQUENCY)
     else:
-        axis = SampledAxis(-half, 2.0 * half / (resolution - 1), resolution, Domain.ANGULAR_FREQUENCY)
+        axis = SampledAxis(-half, 2.0 * half / 8192, 8193, Domain.ANGULAR_FREQUENCY)
     pts = axis.points
     wts = axis.quadrature_weights() * 2.0 * np.pi  # undo the 1/2pi folded into measure
     return pts, wts * np.abs(win.window(pts)) ** 2

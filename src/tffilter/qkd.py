@@ -14,19 +14,20 @@ it no key can be distilled and the rate clamps to zero.  The (1 + n_y/xi)^2
 prefactor is the coincidence-probability inflation from noise counts.
 
 A filter family enters only through its efficiency-vs-discriminativity
-characteristic xi(eta); optimizing the rate over eta along that curve gives
-the family's best operating point at each noise level.
+characteristic xi(eta); optimizing the rate along that curve gives the
+family's best operating point at each noise level.  The brick-wall curve is
+read exactly off the prolate solver: eta = beta_0(c), xi = pi beta_0 / (2 c)
+for 1e-3 <= c <= 17.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .slepian import slepian_tradeoff
+from .slepian import pswf_solve_legendre, slepian_tradeoff
 
 __all__ = [
     "QBER_THRESHOLD",
@@ -105,26 +106,39 @@ class CharacteristicKind(Enum):
     FIXED_POINT = "fixed_point"
 
 
-@lru_cache(maxsize=1)
-def _slepian_curve():
-    """Monotone interpolant of xi(eta) along the brick-wall tradeoff curve.
+# prolate-parameter range of the slepian curve: eta = beta_0(c), 1e-3 <= c <= 17
+_C_RANGE = (1e-3, 17.0)
 
-    Knots from a log-spaced prolate-parameter sweep; eta = beta_0 is strictly
-    increasing in c, so (eta, xi) is a function graph.  Knots closer than
-    1e-12 in eta (the saturated beta_0 -> 1 tail) collapse to the first hit.
-    """
-    import scipy.interpolate
 
-    c_knots = np.geomspace(1e-3, 17.0, 160)
-    bt = c_knots / (0.5 * np.pi)
-    eta, xi = slepian_tradeoff(bt)
-    keep = [0]
-    for i in range(1, len(eta)):
-        if eta[i] - eta[keep[-1]] > 1e-12:
-            keep.append(i)
-    eta = eta[keep]
-    xi = xi[keep]
-    return scipy.interpolate.PchipInterpolator(eta, xi), float(eta[0]), float(eta[-1])
+def _slepian_log_c(eta: np.ndarray) -> np.ndarray:
+    """ln c with beta_0(c) = eta: Newton steps in ln c on PswfSolution.log_slope,
+    clipped to +-1 and to the clamp, warm-started from below along ascending eta.
+    A point is done when beta_0 lands within 4 ulp of eta or the miss stops
+    shrinking: a vanishing step, a step stuck at the clamp, or, near eta = 1,
+    where beta_0 is flat to a few ulp and c ill-conditioned, rounding noise."""
+    t_lo, t_hi = np.log(_C_RANGE)
+    out = np.empty(len(eta))
+    order = np.argsort(eta, kind="stable")
+    t = float(np.clip(np.log(0.5 * np.pi * eta[order[0]]), t_lo, t_hi))
+    sol = None
+    for i in order:
+        best = (np.inf, t)
+        for _ in range(100):
+            if sol is None or sol.c != np.exp(t):  # a warm start reuses the last solve
+                sol = pswf_solve_legendre(np.exp(t), 0)
+            miss = eta[i] - sol.eigenvalues[0]
+            if abs(miss) >= best[0]:
+                t = best[1]
+                break
+            best = (abs(miss), t)
+            if abs(miss) <= 4.0 * np.spacing(eta[i]):
+                break
+            step = float(np.clip(miss / sol.log_slope(0), -1.0, 1.0))
+            t = min(max(t + step, t_lo), t_hi)
+        else:
+            raise RuntimeError(f"no prolate parameter found for eta = {eta[i]!r}")
+        out[i] = t
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,12 +164,13 @@ class FilterCharacteristic:
         return cls(CharacteristicKind.FIXED_POINT, eta, xi)
 
     def domain(self) -> tuple[float, float]:
-        """Efficiency range on which xi(eta) is defined."""
+        """Efficiency range on which xi(eta) is defined; for the slepian curve
+        (beta_0(1e-3), beta_0(17)) = (6.366e-4, 1 - 4.8e-14)."""
         if self.kind is CharacteristicKind.GAUSSIAN_SIF:
             return (0.0, 1.0)
         if self.kind is CharacteristicKind.SLEPIAN_SIF:
-            _, lo, hi = _slepian_curve()
-            return (lo, hi)
+            lo, hi = (pswf_solve_legendre(c, 0).eigenvalues[0] for c in _C_RANGE)
+            return (float(lo), float(hi))
         return (self.eta_point, self.eta_point)
 
     def xi_of(self, eta: float | np.ndarray) -> float | np.ndarray:
@@ -165,10 +180,12 @@ class FilterCharacteristic:
                 raise ValueError("gaussian characteristic needs eta in (0, 1)")
             out = 1.0 - e**2
         elif self.kind is CharacteristicKind.SLEPIAN_SIF:
-            curve, lo, hi = _slepian_curve()
-            if np.any(e < lo) or np.any(e > hi):
+            lo, hi = self.domain()
+            # beta_0 of a c just below 17 can read a few ulp above hi: the clamp
+            if np.any(e < lo) or np.any(e > hi + 16.0 * np.spacing(hi)):
                 raise ValueError(f"slepian characteristic covers eta in [{lo:.3g}, {hi:.3g}]")
-            out = np.clip(curve(e), 1e-15, 1.0)
+            # xi = beta_0 / BT = pi beta_0 / (2 c)
+            out = 0.5 * np.pi * e / np.exp(_slepian_log_c(e.ravel())).reshape(e.shape)
         else:
             if not np.all(np.abs(e - self.eta_point) <= 1e-12):
                 raise ValueError("fixed-point characteristic is defined at one eta only")
@@ -205,37 +222,67 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, flo
     return x, fn(x)
 
 
-def optimize_over_efficiency(fc: FilterCharacteristic, n_y: float) -> OptimizationResult:
-    """Best (eta, rate) along a family's tradeoff curve at noise level n_y.
-
-    Coarse scan of eta at 1e-3 spacing over the curve's domain, then
-    golden-section refinement of the best bracket to 1e-6.  All-zero scans
-    return (0, 0) with the no_key flag set; a fixed point has nothing to
-    optimize and is rejected.
-    """
-    if fc.kind is CharacteristicKind.FIXED_POINT:
-        raise ValueError("a fixed (eta, xi) point has no efficiency to optimize over")
-    if n_y < 0:
-        raise ValueError("n_y must be nonnegative")
-    lo_dom, hi_dom = fc.domain()
-    lo = max(1e-3, lo_dom)
-    hi = min(1.0 - 1e-9, hi_dom)
-    grid = np.arange(1e-3, 1.0, 1e-3)
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    rates = fc.rate(grid, n_y)
+def _optimize_along(point, grid, lo, hi, etas, xis, n_y: float) -> OptimizationResult:
+    """Best rate along one curve parameterized by t, from its scan (grid, etas, xis)."""
+    rates = normalized_key_rate(etas, xis, n_y)
     if np.all(rates <= 0.0):
         return OptimizationResult(0.0, 0.0, True)
+
+    def rate(t):
+        return normalized_key_rate(*point(float(t)), n_y)
+
     i = int(np.argmax(rates))
     bra = grid[i - 1] if i > 0 else lo
     ket = grid[i + 1] if i + 1 < len(grid) else hi
-    eta_star, rate_star = _golden_max(lambda e: fc.rate(float(e), n_y), bra, ket)
+    t_star, rate_star = _golden_max(rate, bra, ket)
     # the bracket endpoints may beat the interior point when the optimum
     # rides the domain edge (noiseless limit)
     for cand in (bra, ket):
-        r = fc.rate(cand, n_y)
+        r = rate(cand)
         if r > rate_star:
-            eta_star, rate_star = cand, r
-    return OptimizationResult(float(eta_star), float(rate_star), False)
+            t_star, rate_star = cand, r
+    return OptimizationResult(float(point(float(t_star))[0]), float(rate_star), False)
+
+
+def optimize_over_efficiency(
+    fc: FilterCharacteristic, n_y: float | np.ndarray
+) -> OptimizationResult | tuple[OptimizationResult, ...]:
+    """Best (eta, rate) along a family's tradeoff curve at noise level n_y.
+
+    The curve is scanned once in its own parameter t and the scan serves
+    every n_y: the gaussian curve in t = eta at 1e-3 spacing, the slepian one
+    in t = ln c at 200 points over the prolate clamp [1e-3, 17].
+    Golden-section refinement of the best bracket to 1e-6 in t follows for
+    each n_y.  All-zero scans return (0, 0) with the no_key flag set; a
+    fixed point has nothing to optimize and is rejected.  A scalar n_y gives
+    one result, a 1-D array a tuple of them.
+    """
+    if fc.kind is CharacteristicKind.FIXED_POINT:
+        raise ValueError("a fixed (eta, xi) point has no efficiency to optimize over")
+    nys = np.asarray(n_y, dtype=float)
+    if nys.ndim > 1:
+        raise ValueError("n_y must be a scalar or a 1-D array")
+    if np.any(nys < 0):
+        raise ValueError("n_y must be nonnegative")
+    if fc.kind is CharacteristicKind.GAUSSIAN_SIF:
+        lo, hi = np.clip(fc.domain(), 1e-3, 1.0 - 1e-9)
+        grid = np.arange(1e-3, 1.0, 1e-3)
+
+        def point(t):
+            return t, fc.xi_of(t)
+
+    else:
+        lo, hi = np.log(_C_RANGE)
+        grid = np.linspace(lo, hi, 200)
+
+        def point(t):  # t = ln c
+            return slepian_tradeoff(np.exp(t) / (0.5 * np.pi))
+
+    etas, xis = point(grid)
+    results = tuple(
+        _optimize_along(point, grid, lo, hi, etas, xis, float(ny)) for ny in np.atleast_1d(nys)
+    )
+    return results if nys.ndim else results[0]
 
 
 @dataclass(frozen=True)

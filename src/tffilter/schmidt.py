@@ -56,10 +56,6 @@ class GridReport:
     final_cols: Axis | None = None
     ladder_rel_change: float = 0.0
 
-    @property
-    def refinements(self) -> int:
-        return len(self.resolutions) - 1
-
 
 @dataclass(frozen=True)
 class SchmidtResult:
@@ -94,25 +90,6 @@ class SchmidtResult:
         """sqrt of the squared singular mass outside the kept modes."""
         tail = self.total_power - float(np.sum(self.singular_values**2))
         return float(np.sqrt(max(tail, 0.0)))
-
-    def degenerate_blocks(self, gap_tol: float = 1e-10) -> tuple[tuple[int, int], ...]:
-        """Index ranges [start, end) of singular values within gap_tol * s_0.
-
-        Within a block the individual vectors are defined only up to mixing;
-        comparisons should use subspace projectors.
-        """
-        sv = self.singular_values
-        if len(sv) == 0:
-            return ()
-        scale = sv[0] if sv[0] > 0 else 1.0
-        blocks: list[tuple[int, int]] = []
-        start = 0
-        for i in range(1, len(sv) + 1):
-            if i == len(sv) or sv[i - 1] - sv[i] > gap_tol * scale:
-                if i - start > 1:
-                    blocks.append((start, i))
-                start = i
-        return tuple(blocks)
 
 
 def _resolve_keep(sv: np.ndarray, keep: int | float | None) -> int:

@@ -184,31 +184,25 @@ class PswfSolution:
     returns the interval-normalized mode (unit norm on [-1, 1]) at arbitrary
     real x, extended beyond the interval by the band-limited eigenfunction
     identity phi(x) = (1/beta) integral K(x, y) phi(y) dy.  The full-line
-    normalized function is sqrt(beta_n) * evaluate(n, x); `slepian_functions`
-    holds its samples across [-4, 4].  Signs make the coefficient of the
+    normalized function is sqrt(beta_n) * evaluate(n, x); see
+    `slepian_filter_modes` for its samples.  Signs make the coefficient of the
     degree-n normalized Legendre polynomial in mode n positive.
 
-    The ``quad_points``-node Gauss-Legendre rule and the mode samples on it
-    are built on first use, by the off-interval extension, the finite
-    transform and the two Gram checks; eigenvalues and on-interval values
-    never need them.
+    The ``quad_points``-node (240 + 12 c) Gauss-Legendre rule and the mode
+    samples on it are built on first use, by the off-interval extension, the
+    finite transform and the two Gram checks; eigenvalues, on-interval values
+    and ``log_slope`` never need them.
 
     ``resolvable_count`` reports how many leading eigenvalues sit above the
     1e-14 floor where the eigensolver output is meaningful; entries beyond it
     are kept for shape but are numerical noise.
     """
 
-    def __init__(
-        self,
-        c: float,
-        eigenvalues: np.ndarray,
-        legendre_coeffs: np.ndarray,
-        quad_points: int,
-    ) -> None:
+    def __init__(self, c: float, eigenvalues: np.ndarray, legendre_coeffs: np.ndarray) -> None:
         self.c = float(c)
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self._coeffs = legendre_coeffs  # shape (n_modes, basis size)
-        self.quad_points = int(quad_points)
+        self.quad_points = 240 + int(12 * c)
         self.resolvable_count = int(np.sum(self.eigenvalues >= BETA_FLOOR))
 
     @cached_property
@@ -248,20 +242,15 @@ class PswfSolution:
         vals = kern @ (qw * qs[n])
         return vals.reshape(np.shape(xi)) if np.ndim(xi) else complex(vals[0])
 
-    @property
-    def slepian_functions(self) -> tuple[SampledSignal, ...]:
-        """Full-line-normalized modes sampled on a uniform axis over [-4, 4].
+    def log_slope(self, n: int) -> float:
+        """d beta_n / d ln c = 2 beta_n phi_n(1)^2 for the interval-normalized mode.
 
-        Norm on this finite window falls short of 1 by the (small) tail mass
-        beyond |x| = 4; the exact full-line norm is certified spectrally by
-        :func:`full_line_gram` instead.
+        P_k(1) = 1 puts phi_n(1) = sum_k d_nk sqrt(k + 1/2) in the Legendre
+        coefficients, so the slope needs neither quadrature nor evaluation.
         """
-        axis = SampledAxis(-4.0, 8.0 / 2048, 2049, Domain.TIME)
-        out = []
-        for n in range(self.resolvable_count):
-            vals = np.sqrt(self.eigenvalues[n]) * self.evaluate(n, axis.points)
-            out.append(SampledSignal(axis, vals.astype(complex)))
-        return tuple(out)
+        coeff = self._coeffs[n]
+        edge = coeff @ np.sqrt(np.arange(len(coeff)) + 0.5)
+        return float(2.0 * self.eigenvalues[n] * edge**2)
 
 
 def _legendre_blocks(c: float, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -299,19 +288,13 @@ def _concentrations(c: float, coeffs: np.ndarray) -> np.ndarray:
     return factor * lead**2 / at0**2
 
 
-def pswf_solve_legendre(
-    c: float,
-    n_max: int | None = None,
-    basis_size: int | None = None,
-    quad_points: int | None = None,
-) -> PswfSolution:
+def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
     """Prolate modes via the commuting differential operator in a Legendre basis.
 
     The operator is tridiagonal within each parity block, so eigenvectors come
     from ``eigh_tridiagonal`` and are spectrally accurate.  Concentrations
     beta_n follow in closed form from the Legendre coefficients (see
-    ``_concentrations``); ``quad_points`` (default 240 + 12 c) sizes the
-    quadrature that the solution builds only when it is first needed.
+    ``_concentrations``); the quadrature is built only when first needed.
     The basis grows automatically until the two trailing Legendre coefficients
     of every requested mode fall below 1e-12 of the head.
     """
@@ -321,7 +304,7 @@ def pswf_solve_legendre(
         n_max = int(np.ceil(2.0 * c / np.pi)) + 10
     if not (0 <= n_max <= 60):
         raise ValueError("n_max must lie in [0, 60]")
-    size = basis_size or int(2 * c) + 2 * n_max + 60
+    size = int(2 * c) + 2 * n_max + 60
     for _ in range(6):
         diag, off = _legendre_blocks(c, size)
         n_even = (n_max + 2) // 2
@@ -352,7 +335,7 @@ def pswf_solve_legendre(
         if coeffs[n, n] < 0:
             coeffs[n] *= -1.0
     betas = np.clip(_concentrations(c, coeffs), 0.0, 1.0)
-    sol = PswfSolution(c, betas, coeffs, quad_points or (240 + int(12 * c)))
+    sol = PswfSolution(c, betas, coeffs)
     if sol.resolvable_count <= n_max:
         warnings.warn(
             f"concentrations beyond index {sol.resolvable_count - 1} are below "
@@ -411,9 +394,9 @@ def slepian_filter_modes(
     In normalized units the input mode is the full-line-normalized band-limited
     prolate and the output mode is its interval restriction renormalized to
     unit norm on the gate window; the singular value is sqrt(beta_n).  Both
-    are sampled on ``axis`` (default: the [-4, 4] axis of
-    ``slepian_functions``); the output mode is zero outside the interval with
-    the 1/2 jump convention at the boundary.
+    are sampled on ``axis`` (default: 2049 uniform points over [-4, 4]); the
+    output mode is zero outside the interval with the 1/2 jump convention at
+    the boundary.
     """
     if not (0 <= n < sol.n_modes):
         raise ValueError("mode index out of range")

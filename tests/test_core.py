@@ -304,7 +304,8 @@ class TestOperator:
         spec = gaussian_sif(0.5, 1.0)
         rows, cols = recommended_axes(spec, resolution=128)
         op = build_operator(spec, rows, cols)
-        assert op.weights_applied
+        # quadrature weights folded in: the Frobenius mass is sum lambda_n^2 = BT
+        assert op.frobenius_sq() == pytest.approx(0.5, rel=1e-12)
         assert op.entries.shape == (rows.count, cols.count)
 
     @pytest.mark.parametrize("order", list(StageOrder))

@@ -48,6 +48,14 @@ class TestMehlerLadder:
         assert np.all(np.diff(us) > 0)
         assert np.all((us > 0) & (us < 1))
 
+    def test_u_accepts_arrays(self):
+        bts = np.geomspace(1e-6, 1e6, 40)
+        us = mehler_u(bts)
+        assert np.array_equal(us, [mehler_u(float(b)) for b in bts])
+        assert np.array_equal(gaussian_tradeoff(bts)[0], us)
+        with pytest.raises(ValueError):
+            mehler_u(np.array([0.5, 0.0]))
+
     def test_singular_values_geometric(self):
         lam = gaussian_singular_values(0.5, 8)
         u = mehler_u(0.5)

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tffilter
+from tffilter.cli import _ETA_GRID_POINTS, _ETA_GRID_START, _ETA_GRID_STOP
 from tffilter.qkd import (
     QBER_THRESHOLD,
     CharacteristicKind,
@@ -19,6 +22,36 @@ from tffilter.qkd import (
     optimize_over_efficiency,
     qber,
 )
+from tffilter.slepian import pswf_solve_legendre, slepian_tradeoff
+
+
+def _beta0(c: float) -> float:
+    return pswf_solve_legendre(c, 0).eigenvalues[0]
+
+
+def _bisect_c(eta: float) -> float:
+    """Reference inversion of beta_0(c) = eta: bisection over the prolate clamp
+    [1e-3, 17] until the midpoint stops moving."""
+    lo, hi = 1e-3, 17.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if _beta0(mid) < eta:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _run_python(script: str) -> str:
+    src = str(Path(tffilter.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 class TestBinaryEntropy:
@@ -104,14 +137,18 @@ class TestKeyRate:
             "import sys, tffilter; "
             "print(any(m in sys.modules for m in ('scipy.optimize', 'scipy.special')))"
         )
-        src = str(Path(tffilter.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        assert _run_python(script) == "False"
+
+    def test_slepian_curve_leaves_interpolate_and_optimize_unloaded(self):
+        script = (
+            "import sys, numpy as np; "
+            "from tffilter.qkd import FilterCharacteristic, optimize_over_efficiency; "
+            "fc = FilterCharacteristic.slepian(); "
+            "fc.xi_of(np.array([0.3, 0.9])); "
+            "optimize_over_efficiency(fc, np.array([1e-3, 0.05])); "
+            "print(any(m in sys.modules for m in ('scipy.interpolate', 'scipy.optimize')))"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert _run_python(script) == "False"
 
     def test_rate_nonincreasing_in_noise(self):
         nys = np.geomspace(1e-4, 1.0, 60)
@@ -164,6 +201,63 @@ class TestCharacteristics:
         )
 
 
+class TestSlepianCharacteristic:
+    def test_domain_is_the_prolate_clamp(self):
+        lo, hi = FilterCharacteristic.slepian().domain()
+        assert (lo, hi) == (_beta0(1e-3), _beta0(17.0))
+        assert lo == pytest.approx(6.366e-4, rel=1e-3)
+        assert 1.0 - hi == pytest.approx(4.8e-14, rel=0.05)
+        fc = FilterCharacteristic.slepian()
+        with pytest.raises(ValueError):
+            fc.xi_of(0.999 * lo)
+        with pytest.raises(ValueError):
+            fc.xi_of(1.0)
+        # beta_0 just below c = 17 can read a few ulp above hi; those map to the clamp
+        above = hi + 2.0 * np.spacing(hi)
+        assert fc.xi_of(above) == pytest.approx(0.5 * np.pi * above / 17.0, rel=1e-15)
+        with pytest.raises(ValueError):
+            fc.xi_of(hi + 17.0 * np.spacing(hi))
+
+    def test_xi_of_pins_bisection_inversion(self):
+        fc = FilterCharacteristic.slepian()
+        grid = np.linspace(_ETA_GRID_START, _ETA_GRID_STOP, _ETA_GRID_POINTS)
+        etas = np.r_[grid, 0.999, 0.9999, 0.99999]
+        ref = 0.5 * np.pi * etas / np.array([_bisect_c(e) for e in etas])
+        xis = fc.xi_of(etas)
+        assert np.max(np.abs(xis - ref) / ref) <= 1e-12
+        # the ends of the domain are beta_0 at the clamp, so their roots are
+        # the clamp values themselves (bisection never evaluates an endpoint)
+        lo, hi = fc.domain()
+        assert fc.xi_of(hi) == pytest.approx(0.5 * np.pi * hi / 17.0, rel=1e-12)
+        assert fc.xi_of(lo) == pytest.approx(0.5 * np.pi * lo / 1e-3, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.floats(min_value=1e-3, max_value=17.0))
+    def test_round_trip_through_beta0(self, c):
+        sol = pswf_solve_legendre(c, 0)
+        beta = sol.eigenvalues[0]
+        xi = FilterCharacteristic.slepian().xi_of(beta)
+        exact = 0.5 * np.pi * beta / c
+        # beta_0 is flat to a few ulp as it saturates, which fixes c only to
+        # spacing(beta) / (d beta_0 / d ln c); below c ~ 6 that is under 1e-13
+        cond = np.spacing(beta) / sol.log_slope(0)
+        assert abs(xi - exact) <= (1e-12 + 32.0 * cond) * exact
+        # backward error: the returned point lies on the curve to a few ulp
+        assert abs(_beta0(0.5 * np.pi * beta / xi) - beta) <= 16.0 * np.spacing(beta)
+
+    def test_optimizer_matches_dense_log_c_scan(self):
+        nys = np.array([1e-4, 1e-2, 0.07])
+        etas, xis = slepian_tradeoff(np.geomspace(1e-3, 17.0, 4000) / (0.5 * np.pi))
+        results = optimize_over_efficiency(FilterCharacteristic.slepian(), nys)
+        for res, ny in zip(results, nys):
+            scan = np.max(normalized_key_rate(etas, xis, ny))
+            assert scan > 0.0 and not res.no_key
+            assert res.rate >= scan - 1e-12
+            assert FilterCharacteristic.slepian().rate(res.eta, ny) == pytest.approx(
+                res.rate, rel=1e-9
+            )
+
+
 class TestOptimizer:
     def test_noiseless_gaussian_pushes_eta_to_one(self):
         res = optimize_over_efficiency(FilterCharacteristic.gaussian(), 0.0)
@@ -172,16 +266,34 @@ class TestOptimizer:
         assert not res.no_key
 
     def test_slepian_dominates_gaussian(self):
-        for ny in (1e-3, 1e-2, 0.05):
-            rs = optimize_over_efficiency(FilterCharacteristic.slepian(), ny)
-            rg = optimize_over_efficiency(FilterCharacteristic.gaussian(), ny)
+        nys = np.array([1e-3, 1e-2, 0.05])
+        slepian = optimize_over_efficiency(FilterCharacteristic.slepian(), nys)
+        gaussian = optimize_over_efficiency(FilterCharacteristic.gaussian(), nys)
+        for rs, rg in zip(slepian, gaussian):
             assert rs.rate >= rg.rate - 1e-12
 
     def test_optimal_eta_nonincreasing_in_noise(self):
         nys = np.geomspace(1e-4, 0.2, 12)
         for fc in (FilterCharacteristic.gaussian(), FilterCharacteristic.slepian()):
-            etas = [optimize_over_efficiency(fc, float(n)).eta for n in nys]
+            etas = [res.eta for res in optimize_over_efficiency(fc, nys)]
             assert all(b <= a + 1e-3 for a, b in zip(etas, etas[1:]))
+
+    def test_array_noise_matches_scalar_calls(self):
+        nys = np.array([0.0, 1e-3, 0.05, 1e3])
+        for fc in (FilterCharacteristic.gaussian(), FilterCharacteristic.slepian()):
+            batch = optimize_over_efficiency(fc, nys)
+            assert batch == tuple(optimize_over_efficiency(fc, float(n)) for n in nys)
+        with pytest.raises(ValueError):
+            optimize_over_efficiency(FilterCharacteristic.gaussian(), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            optimize_over_efficiency(FilterCharacteristic.gaussian(), np.array([0.1, -0.1]))
+
+    def test_noiseless_slepian_rides_the_clamp(self):
+        fc = FilterCharacteristic.slepian()
+        res = optimize_over_efficiency(fc, 0.0)
+        assert res.eta == fc.domain()[1]
+        assert res.rate == pytest.approx(1.0, abs=1e-12)
+        assert fc.xi_of(res.eta) > 0.0
 
     def test_hopeless_noise_returns_no_key(self):
         res = optimize_over_efficiency(FilterCharacteristic.gaussian(), 1e3)

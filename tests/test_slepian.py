@@ -125,6 +125,19 @@ class TestLegendreSolver:
         sol.finite_transform(0, np.array([0.5]))
         assert built == [sol.quad_points]
 
+    @pytest.mark.parametrize("c", [0.5, 3.0])
+    def test_log_slope_matches_central_difference(self, c):
+        sol = pswf_solve_legendre(c, 3)
+        h = 1e-5
+        lo = pswf_solve_legendre(c * np.exp(-h), 3).eigenvalues
+        hi = pswf_solve_legendre(c * np.exp(h), 3).eigenvalues
+        for n in range(4):
+            slope = sol.log_slope(n)
+            assert slope == pytest.approx((hi[n] - lo[n]) / (2.0 * h), rel=1e-8)
+            # phi_n(1) read off the coefficients agrees with the series at x = 1
+            edge = sol.evaluate(n, 1.0)
+            assert slope == pytest.approx(2.0 * sol.eigenvalues[n] * edge**2, rel=1e-12)
+
     def test_evaluate_is_even_odd(self):
         sol = pswf_solve_legendre(2.0, 3)
         x = np.linspace(-1.0, 1.0, 101)
