@@ -32,7 +32,11 @@ The matrix keeps the data type its kernel is assembled in: ``float64`` where
 every factor is real (a Gaussian Sif in the square frequency or time
 representation, a real pointwise stage), ``complex128`` where a factor is
 complex (the Fourier phase of a mixed time x frequency kernel, the modes of a
-``SeparableCoherent`` filter).
+``SeparableCoherent`` filter).  ``parity_blocks`` renders a Sif whose profiles
+are both ``even`` as two half-size blocks instead, the kernel's even and odd
+parts on the positive half-axes.  They are real for real profiles in either
+representation: the mixed kernel's Fourier phase splits into a cosine and a
+sine kernel, and the odd block's constant -+i is kept aside.
 """
 
 from __future__ import annotations
@@ -75,6 +79,8 @@ __all__ = [
     "apply_filter",
     "filter_samples",
     "build_operator",
+    "ParityBlocks",
+    "parity_blocks",
     "compose_order_swap",
     "recommended_axes",
 ]
@@ -362,11 +368,15 @@ class SpectralWindowProfile:
     Subclasses provide the window, its time-domain impulse response
     R(t) = inverse transform of R~, the intensity-integral bandwidth
     B = integral |R~(w)|^2 dw/2pi (in Hz), and support radii.  ``compact_spectral``
-    marks windows that vanish identically outside a finite band.
+    marks windows that vanish identically outside a finite band.  ``even``
+    marks windows with R~(-w) = R~(w); a Sif whose window and gate are both
+    even is decomposed by :func:`tffilter.schmidt.decompose_filter` as two
+    half-size parity blocks (see :func:`parity_blocks`).
     """
 
     bandwidth_hz: float
     compact_spectral: bool = False
+    even: bool = False
 
     def window(self, omega: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -389,11 +399,13 @@ class TemporalGateProfile:
     Subclasses provide the gate, its transfer function Q~(w) = forward
     transform of Q, the integral duration T = integral |Q(t)|^2 dt (in s), and
     support radii.  ``compact_temporal`` marks gates that vanish identically
-    outside a finite interval.
+    outside a finite interval.  ``even`` marks gates with Q(-t) = Q(t), as on
+    :class:`SpectralWindowProfile`.
     """
 
     duration_s: float
     compact_temporal: bool = False
+    even: bool = False
 
     def gate(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -625,11 +637,15 @@ class OperatorMatrix:
     ``entries`` is a read-only ``float64`` copy when the kernel arrives real and
     a ``complex128`` copy otherwise; the data type, not the values, decides, so
     a complex kernel with zero imaginary parts stays complex.
+    ``edge_ring_ratio`` is the kernel's largest magnitude one spacing outside
+    the grid relative to its peak, as :func:`build_operator` measures it for a
+    Sif; None when it was not measured.
     """
 
     rows_axis: Axis
     cols_axis: Axis
     entries: np.ndarray
+    edge_ring_ratio: float | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.entries)
@@ -659,19 +675,26 @@ def _kernel_sif(spec: Sif, rp: np.ndarray, rdom: Domain, cp: np.ndarray, cdom: D
         if freq_first:
             return xfer * spec.spectral.window(cp)[None, :]
         return spec.spectral.window(rp)[:, None] * xfer
-    if rdom is t_dom and cdom is f_dom:
+    amp, sign = _mixed_sif(spec, rp, rdom, cp, cdom)
+    return amp * np.exp(sign * 1j * np.outer(rp, cp))
+
+
+def _mixed_sif(
+    spec: Sif, rp: np.ndarray, rdom: Domain, cp: np.ndarray, cdom: Domain
+) -> tuple[np.ndarray, int]:
+    """(Q R amplitude, sign s) of a mixed Sif kernel: amplitude * exp(i s outer(rp, cp))."""
+    freq_first = spec.order is StageOrder.FREQUENCY_FIRST
+    if rdom is Domain.TIME:
         if not freq_first:
             raise DomainMismatchError(
                 "time-rows x frequency-cols kernel is separable only for FREQUENCY_FIRST"
             )
-        phase = np.exp(-1j * np.outer(rp, cp))
-        return spec.temporal.gate(rp)[:, None] * phase * spec.spectral.window(cp)[None, :]
+        return spec.temporal.gate(rp)[:, None] * spec.spectral.window(cp)[None, :], -1
     if freq_first:
         raise DomainMismatchError(
             "frequency-rows x time-cols kernel is separable only for TIME_FIRST"
         )
-    phase = np.exp(1j * np.outer(rp, cp))
-    return spec.spectral.window(rp)[:, None] * phase * spec.temporal.gate(cp)[None, :]
+    return spec.spectral.window(rp)[:, None] * spec.temporal.gate(cp)[None, :], 1
 
 
 def _kernel_spectral(spec: SpectralWindow, rows: Axis, cols: Axis) -> np.ndarray:
@@ -694,23 +717,23 @@ def _kernel_temporal(spec: TemporalGate, rows: Axis, cols: Axis) -> np.ndarray:
     return spec.profile.gate(rp)[:, None] * np.exp(-1j * np.outer(rp, cp))
 
 
-def _edge_ring_check(kernel_eval, rows: Axis, cols: Axis, kmax: float) -> None:
+def _edge_ring_check(spec: Sif, rows: Axis, cols: Axis, kmax: float) -> float:
     """Sample the kernel one edge spacing outside each grid edge; complain about tails.
 
-    The ratio of the largest ring sample to the kernel maximum is a proxy for
-    the truncated tail mass: above 1e-6 the discretization is refused, above
-    1e-12 a warning is emitted.
+    Returns the ratio of the largest ring sample to the kernel maximum ``kmax``
+    (0 for a zero kernel), a proxy for the truncated tail mass: above 1e-6 the
+    discretization is refused, above 1e-12 a warning is emitted.
     """
     if kmax == 0:
-        return
+        return 0.0
     rp, cp = rows.points, cols.points
     ring_rows = np.array([2.0 * rp[0] - rp[1], 2.0 * rp[-1] - rp[-2]])
     ring_cols = np.array([2.0 * cp[0] - cp[1], 2.0 * cp[-1] - cp[-2]])
     probe = max(
-        np.max(np.abs(kernel_eval(ring_rows, cp))),
-        np.max(np.abs(kernel_eval(rp, ring_cols))),
+        np.max(np.abs(_kernel_sif(spec, ring_rows, rows.domain, cp, cols.domain))),
+        np.max(np.abs(_kernel_sif(spec, rp, rows.domain, ring_cols, cols.domain))),
     )
-    ratio = probe / kmax
+    ratio = float(probe / kmax)
     if ratio > 1e-6:
         raise TruncationError(
             f"kernel magnitude {ratio:.2e} of peak at the grid edge; widen the axes"
@@ -719,6 +742,7 @@ def _edge_ring_check(kernel_eval, rows: Axis, cols: Axis, kmax: float) -> None:
         warnings.warn(
             f"kernel tail {ratio:.2e} of peak at the grid edge", TruncationWarning, stacklevel=3
         )
+    return ratio
 
 
 def build_operator(spec: FilterSpec, rows: Axis, cols: Axis) -> OperatorMatrix:
@@ -730,6 +754,7 @@ def build_operator(spec: FilterSpec, rows: Axis, cols: Axis) -> OperatorMatrix:
     where both supports can be rendered exactly.  Pointwise stages on their
     own domain become diagonal matrices.
     """
+    ratio = None
     if isinstance(spec, (SpectralWindow, TemporalGate)):
         spectral = isinstance(spec, SpectralWindow)
         own = Domain.ANGULAR_FREQUENCY if spectral else Domain.TIME
@@ -747,16 +772,85 @@ def build_operator(spec: FilterSpec, rows: Axis, cols: Axis) -> OperatorMatrix:
         kernel = spec.weight * np.outer(psi, np.conj(phi))
     elif isinstance(spec, Sif):
         kernel = _kernel_sif(spec, rows.points, rows.domain, cols.points, cols.domain)
-
-        def _eval(rp: np.ndarray, cp: np.ndarray) -> np.ndarray:
-            return _kernel_sif(spec, rp, rows.domain, cp, cols.domain)
-
-        _edge_ring_check(_eval, rows, cols, float(np.max(np.abs(kernel))))
+        ratio = _edge_ring_check(spec, rows, cols, float(np.max(np.abs(kernel))))
     else:
         raise TypeError(f"unknown filter specification {type(spec).__name__}")
     sw = np.sqrt(rows.quadrature_weights())
     sc = np.sqrt(cols.quadrature_weights())
-    return OperatorMatrix(rows, cols, sw[:, None] * kernel * sc[None, :] * spec.insertion_loss)
+    entries = sw[:, None] * kernel * sc[None, :] * spec.insertion_loss
+    return OperatorMatrix(rows, cols, entries, ratio)
+
+
+@dataclass(frozen=True)
+class ParityBlocks:
+    """Weighted even and odd blocks of a reflection-symmetric Sif kernel.
+
+    A Sif whose window and gate are both even has K(-x, -y) = K(x, y).  On
+    axes symmetric about 0 its weighted matrix then maps mirror-even vectors
+    to mirror-even ones and odd to odd, so in the basis (v(x) +- v(-x))/sqrt(2)
+    it is block diagonal: ``even`` is sqrt(w_x) (K(x, y) + K(x, -y)) sqrt(w_y)
+    and ``odd`` is sqrt(w_x) (K(x, y) - K(x, -y)) sqrt(w_y) / ``odd_phase``.
+    Row k of ``even`` is the sample ``count // 2 + k`` of the rows axis (on an
+    odd axis the centre first, with half its weight, then the positive
+    points ascending), row k of ``odd`` is the sample ``(count + 1) // 2 + k``;
+    columns likewise.  ``odd_phase`` is 1 in a square representation and -+i
+    in the mixed one, whose odd block is -+2i Q(t) R(w) sin(wt), so both blocks
+    of a real-profile Sif are real.  ``edge_ring_ratio`` is what
+    :func:`build_operator`'s edge-ring check measures on the full axes.
+    """
+
+    even: np.ndarray
+    odd: np.ndarray
+    odd_phase: complex
+    edge_ring_ratio: float
+
+
+def _even_half(axis: Axis) -> tuple[np.ndarray, np.ndarray]:
+    """Points x >= 0 of a symmetric ``axis`` and their weights.
+
+    An odd axis's centre sample comes first, at exactly 0 and with half its weight.
+    """
+    pts = axis.points
+    if np.max(np.abs(pts + pts[::-1])) > 1e-9 * np.max(np.abs(pts)):
+        raise ValueError("parity blocks need axes symmetric about 0")
+    start = axis.count // 2
+    x, w = pts[start:].copy(), axis.quadrature_weights()[start:]
+    if axis.count % 2:
+        x[0] = 0.0
+        w[0] *= 0.5
+    return x, w
+
+
+def parity_blocks(spec: Sif, rows: Axis, cols: Axis) -> ParityBlocks:
+    """Even and odd half-size blocks of a Sif with even profiles on symmetric axes.
+
+    The blocks are assembled from the positive half-points and their exact
+    negations, so half the kernel entries of :func:`build_operator` are
+    evaluated; their singular values together are those of the full matrix.
+    The edge-ring and finiteness checks of :func:`build_operator` apply.
+    """
+    if not (spec.spectral.even and spec.temporal.even):
+        raise ValueError("parity blocks need a Sif whose window and gate are both even")
+    xr, wr = _even_half(rows)
+    xc, wc = _even_half(cols)
+    if rows.domain is cols.domain:
+        plus = _kernel_sif(spec, xr, rows.domain, xc, cols.domain)
+        minus = _kernel_sif(spec, xr, rows.domain, -xc, cols.domain)
+        kmax = max(np.max(np.abs(plus)), np.max(np.abs(minus)))
+        even, odd, phase = plus + minus, plus - minus, 1.0
+    else:
+        amp, sign = _mixed_sif(spec, xr, rows.domain, xc, cols.domain)
+        arg = np.outer(xr, xc)
+        kmax = np.max(np.abs(amp))
+        even, odd, phase = 2.0 * amp * np.cos(arg), 2.0 * amp * np.sin(arg), sign * 1j
+    ratio = _edge_ring_check(spec, rows, cols, float(kmax))
+    sr, sc = np.sqrt(wr) * spec.insertion_loss, np.sqrt(wc)
+    r0, c0 = rows.count % 2, cols.count % 2  # the centre sample has no odd part
+    even = sr[:, None] * even * sc[None, :]
+    odd = sr[r0:, None] * odd[r0:, c0:] * sc[None, c0:]
+    if not (np.all(np.isfinite(even)) and np.all(np.isfinite(odd))):
+        raise ValueError("operator entries must be finite")
+    return ParityBlocks(even, odd, phase, ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ class GaussianSpectralWindow(SpectralWindowProfile):
     """R~(w) = exp(-w^2 / (8 pi B^2)); intensity-integral bandwidth exactly B."""
 
     compact_spectral = False
+    even = True
 
     def __init__(self, bandwidth_hz: float) -> None:
         if bandwidth_hz <= 0:
@@ -85,6 +86,7 @@ class GaussianTemporalGate(TemporalGateProfile):
     """Q(t) = exp(-pi t^2 / (2 T^2)); integral duration exactly T."""
 
     compact_temporal = False
+    even = True
 
     def __init__(self, duration_s: float) -> None:
         if duration_s <= 0:

@@ -1,19 +1,26 @@
-"""Schmidt (singular-value) decomposition of discretized filter operators.
+"""Schmidt (singular-value) decomposition of discretized filter kernels.
 
-The weighted matrix sqrt(w_r) K sqrt(w_c) from :func:`tffilter.core.build_operator`
-is sent through LAPACK SVD as it is: a real (``float64``) matrix, such as a
-Gaussian Sif in the square frequency representation, is factored in real
-arithmetic, and a complex one in complex arithmetic.  Un-weighting the
-singular vectors by 1/sqrt(w), w the axes' ``quadrature_weights()``, recovers
-continuum mode functions normalized under the axis measure; they are stored
-complex either way.  A doubling refinement loop (:func:`decompose_filter`)
-factors each grid once and raises the resolution until every kept singular
-value stabilizes, for both filter families.
+:func:`schmidt_decompose` sends the weighted matrix sqrt(w_r) K sqrt(w_c) of an
+:class:`~tffilter.core.OperatorMatrix` through LAPACK SVD as it is: a real
+(``float64``) matrix is factored in real arithmetic, a complex one in complex
+arithmetic.  Un-weighting the singular vectors by 1/sqrt(w), w the axes'
+``quadrature_weights()``, recovers continuum mode functions normalized under
+the axis measure; they are stored complex either way.
+
+:func:`decompose_filter` raises the resolution of a Sif's grids until every
+kept singular value stabilizes.  When the window and the gate are both even
+(every profile that ships), each grid is factored as the two half-size
+:func:`~tffilter.core.parity_blocks`, real for both the Gaussian and the
+brick-wall pair; the two value lists are merged, and full-axis vectors are
+rebuilt, with their parity, only for the pairs that are returned.  Any other
+Sif goes through one SVD of the whole :func:`~tffilter.core.build_operator`
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +32,7 @@ from .core import (
     SampledSignal,
     Sif,
     inner_product,
+    parity_blocks,
     recommended_axes,
 )
 
@@ -46,6 +54,8 @@ class GridReport:
     grids and ``ladder_rel_change`` is max_n |s_n - s_n^prev| / s_0 over the
     values kept on the last grid (a value the coarser grid lacks counts as 0).
     ``final_rows``/``final_cols`` are the returned modes' axes (Gauss-Legendre for brick walls).
+    ``edge_ring_ratio`` is the kernel's largest magnitude one spacing outside
+    the final grid relative to its peak, a proxy for the truncated tail.
     """
 
     resolutions: tuple[int, ...]
@@ -55,6 +65,7 @@ class GridReport:
     final_rows: Axis | None = None
     final_cols: Axis | None = None
     ladder_rel_change: float = 0.0
+    edge_ring_ratio: float | None = None
 
 
 @dataclass(frozen=True)
@@ -69,6 +80,8 @@ class SchmidtResult:
     first of the near-largest samples, not the exact argmax, keeps an odd mode
     (equal-magnitude mirror samples) from flipping sign with rounding, so real
     and complex factorizations of one kernel return the same modes.
+    ``parities[n]`` is +1 for a pair of even modes, -1 for odd ones, when the
+    decomposition was split by reflection parity; None when it was not.
     """
 
     singular_values: np.ndarray
@@ -76,6 +89,7 @@ class SchmidtResult:
     input_modes: tuple[SampledSignal, ...]
     total_power: float           # sum of ALL squared singular values, kept or not
     grid_report: GridReport | None = None
+    parities: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         sv = np.asarray(self.singular_values, dtype=float)
@@ -148,30 +162,89 @@ def schmidt_decompose(
     float in (0, 1) keeps modes with s_n >= keep * s_0, and None applies the
     default relative threshold 1e-6.
     """
-    return _result(op, _svd(op), keep, grid_report)
+    u, sv, vh = _svd(op.entries)
+    n_keep = _resolve_keep(sv, keep)
+    total = float(np.sum(sv**2))
+    return _result(
+        op.rows_axis, op.cols_axis, sv[:n_keep], u[:, :n_keep], vh[:n_keep], total, grid_report
+    )
 
 
-def _svd(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return scipy.linalg.svd(op.entries, full_matrices=False, lapack_driver="gesdd")
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesdd")
 
 
 def _result(
-    op: OperatorMatrix, factors: tuple, keep: int | float | None, grid_report: GridReport | None
+    rows: Axis,
+    cols: Axis,
+    sv: np.ndarray,
+    u: np.ndarray,
+    vh: np.ndarray,
+    total: float,
+    grid_report: GridReport | None,
+    parities: tuple[int, ...] | None = None,
 ) -> SchmidtResult:
-    """Kept, phase-fixed and un-weighted Schmidt pairs from the SVD ``factors`` of ``op``."""
-    u, sv, vh = factors
-    total = float(np.sum(sv**2))
-    n_keep = _resolve_keep(sv, keep)
-    u, vh = _fix_phases(u[:, :n_keep], vh[:n_keep])
-    sr = np.sqrt(op.rows_axis.quadrature_weights())
-    sc = np.sqrt(op.cols_axis.quadrature_weights())
-    outs = tuple(
-        SampledSignal(op.rows_axis, u[:, n] / sr) for n in range(n_keep)
-    )
-    ins = tuple(
-        SampledSignal(op.cols_axis, np.conj(vh[n]) / sc) for n in range(n_keep)
-    )
-    return SchmidtResult(sv[:n_keep], outs, ins, total, grid_report)
+    """Phase-fixed, un-weighted Schmidt pairs from the kept weighted singular vectors."""
+    u, vh = _fix_phases(u, vh)
+    sr = np.sqrt(rows.quadrature_weights())
+    sc = np.sqrt(cols.quadrature_weights())
+    outs = tuple(SampledSignal(rows, u[:, n] / sr) for n in range(len(sv)))
+    ins = tuple(SampledSignal(cols, np.conj(vh[n]) / sc) for n in range(len(sv)))
+    return SchmidtResult(sv, outs, ins, total, grid_report, parities)
+
+
+# A factored grid level: (all singular values, descending; edge-ring ratio;
+# n -> (u, vh, parities) of the n leading weighted pairs on the full axes).
+_Level = tuple[np.ndarray, float, Callable[[int], tuple]]
+
+
+def _factor_full(spec: Sif, rows: Axis, cols: Axis) -> _Level:
+    """One SVD of the whole weighted matrix."""
+    from .core import build_operator  # local import keeps module load order simple
+
+    op = build_operator(spec, rows, cols)
+    u, sv, vh = _svd(op.entries)
+    return sv, op.edge_ring_ratio, lambda n: (u[:, :n], vh[:n], None)
+
+
+def _unfold(half: np.ndarray, count: int, parity: int) -> np.ndarray:
+    """Full-axis weighted vectors (rows) from half-axis ones laid out as in ParityBlocks.
+
+    A vector v on the half axis becomes (parity * mirror(v), v) / sqrt(2); an
+    even vector keeps its centre sample (first on an odd axis) unscaled, since
+    that sample carried half its weight in the block.
+    """
+    full = np.zeros((half.shape[0], count), dtype=half.dtype)
+    m = count // 2
+    full[:, count - half.shape[1]:] = half
+    full[:, :m] = parity * half[:, ::-1][:, :m]
+    full *= np.sqrt(0.5)
+    if count % 2 and parity > 0:
+        full[:, m] = half[:, 0]
+    return full
+
+
+def _factor_split(spec: Sif, rows: Axis, cols: Axis) -> _Level:
+    """Two real half-size SVDs of the parity blocks; full vectors only for kept pairs."""
+    blocks = parity_blocks(spec, rows, cols)
+    ue, se, vhe = _svd(blocks.even)
+    uo, so, vho = _svd(blocks.odd)
+    sv = np.concatenate([se, so])
+    order = np.argsort(-sv, kind="stable")
+
+    def modes(n: int) -> tuple:
+        pick = order[:n]
+        odd = pick >= len(se)
+        ie, io = pick[~odd], pick[odd] - len(se)
+        u = np.empty((rows.count, n), dtype=np.result_type(ue, uo, blocks.odd_phase))
+        vh = np.empty((n, cols.count), dtype=np.result_type(vhe, vho))
+        u[:, ~odd] = _unfold(ue[:, ie].T, rows.count, 1).T
+        u[:, odd] = blocks.odd_phase * _unfold(uo[:, io].T, rows.count, -1).T
+        vh[~odd] = _unfold(vhe[ie], cols.count, 1)
+        vh[odd] = _unfold(vho[io], cols.count, -1)
+        return u, vh, tuple(np.where(odd, -1, 1).tolist())
+
+    return sv[order], blocks.edge_ring_ratio, modes
 
 
 def decompose_filter(
@@ -185,29 +258,34 @@ def decompose_filter(
 
     Grids from :func:`tffilter.core.recommended_axes` are doubled until every
     singular value that ``keep`` retains moves by less than ``tol`` times s_0
-    against the previous grid, then that grid's SVD is returned with a :class:`GridReport`.
+    against the previous grid; that grid's pairs are returned with a :class:`GridReport`.
+    When the window and the gate are both ``even`` each grid is factored as its
+    two :func:`tffilter.core.parity_blocks` and the modes carry ``parities``;
+    otherwise the whole :func:`tffilter.core.build_operator` matrix is.
     """
-    from .core import build_operator  # local import keeps module load order simple
-
+    factor = _factor_split if spec.spectral.even and spec.temporal.even else _factor_full
     resolutions: list[int] = []
     prev: np.ndarray | None = None
     res = resolution
     while res <= max_resolution:
         rows, cols = recommended_axes(spec, res)
-        op = build_operator(spec, rows, cols)
-        factors = _svd(op)
-        sv = factors[1]
+        sv, ring, modes = factor(spec, rows, cols)
         resolutions.append(res)
         if prev is not None:
             scale = max(sv[0], np.finfo(float).tiny)
-            kept = sv[: _resolve_keep(sv, keep)]
+            n_keep = _resolve_keep(sv, keep)
+            kept = sv[:n_keep]
             before = np.zeros_like(kept)
             before[: len(prev)] = prev[: len(kept)]
             ladder = float(np.max(np.abs(kept - before)) / scale)
             if ladder < tol:
                 leading = float(abs(sv[0] - prev[0]) / scale)
-                report = GridReport(tuple(resolutions), leading, True, tol, rows, cols, ladder)
-                return _result(op, factors, keep, report)
+                report = GridReport(
+                    tuple(resolutions), leading, True, tol, rows, cols, ladder, ring
+                )
+                u, vh, parities = modes(n_keep)
+                total = float(np.sum(sv**2))
+                return _result(rows, cols, kept, u, vh, total, report, parities)
         prev = sv
         res *= 2
     raise ConvergenceError(

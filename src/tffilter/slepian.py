@@ -81,6 +81,7 @@ class RectangularSpectralWindow(SpectralWindowProfile):
     """Brick-wall window: R~ = 1 on (-pi B, pi B), so the intensity bandwidth is B."""
 
     compact_spectral = True
+    even = True
 
     def __init__(self, bandwidth_hz: float) -> None:
         if bandwidth_hz <= 0:
@@ -108,6 +109,7 @@ class RectangularTemporalGate(TemporalGateProfile):
     """Brick-wall gate: Q = 1 on (-T/2, T/2), so the integral duration is T."""
 
     compact_temporal = True
+    even = True
 
     def __init__(self, duration_s: float) -> None:
         if duration_s <= 0:

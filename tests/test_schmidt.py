@@ -4,15 +4,26 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tffilter.schmidt
 from tffilter.core import (
     ConvergenceError,
     OperatorMatrix,
+    Sif,
     StageOrder,
     build_operator,
+    compose_order_swap,
+    parity_blocks,
     recommended_axes,
 )
-from tffilter.gaussian import gaussian_sif, gaussian_singular_values
+from tffilter.gaussian import (
+    GaussianSpectralWindow,
+    GaussianTemporalGate,
+    gaussian_sif,
+    gaussian_singular_values,
+)
 from tffilter.schmidt import (
     decompose_filter,
     inner_product,
@@ -219,3 +230,199 @@ class TestRealFactorization:
             first = np.argmax(mags >= (1.0 - 1e-9) * mags.max())
             assert mode.values[first].real > 0
             assert mode.values[first].imag == 0.0
+
+
+def _mirror_rel(mode, parity):
+    """max |mode(-x) - parity * mode(x)| relative to max |mode|."""
+    v = mode.values
+    return np.max(np.abs(v[::-1] - parity * v)) / np.max(np.abs(v))
+
+
+def _mode_rel(a, b):
+    return np.max(np.abs(a.values - b.values)) / np.max(np.abs(b.values))
+
+
+class TestParitySplit:
+    """Even Sifs factor as two real half-size blocks with the full SVD's Schmidt data."""
+
+    CASES = [
+        (make, bt, keep, order)
+        for make, bt, keep in (
+            (gaussian_sif, 0.5, 10),
+            (gaussian_sif, 5.0, 10),
+            (rectangular_sif, 0.8, None),
+            (rectangular_sif, 4.0, None),
+        )
+        for order in StageOrder
+    ]
+
+    @pytest.fixture(
+        scope="class",
+        params=CASES,
+        ids=lambda c: f"{c[0].__name__.split('_')[0]}-bt{c[1]:g}-{c[3].name.lower()}",
+    )
+    def pair(self, request):
+        # the split result against one SVD of the whole matrix on its own final
+        # axes, with one more value so every kept mode has two neighbours
+        make, bt, keep, order = request.param
+        spec = make(bt, 1.0, order)
+        split = decompose_filter(spec, keep=keep)
+        rep = split.grid_report
+        op = build_operator(spec, rep.final_rows, rep.final_cols)
+        return split, schmidt_decompose(op, keep=split.kept + 1), op
+
+    def test_values_match_full_svd(self, pair):
+        split, full, _ = pair
+        assert np.max(np.abs(split.singular_values - full.singular_values[: split.kept])) <= 1e-14
+
+    def test_total_power_matches_full_svd(self, pair):
+        split, full, _ = pair
+        assert split.total_power == pytest.approx(full.total_power, rel=1e-13)
+
+    def test_modes_match_full_svd_where_gaps_are_wide(self, pair):
+        # a mode is only as well defined as the gap to its neighbouring values
+        split, full, _ = pair
+        sv = full.singular_values
+        checked = 0
+        for n in range(split.kept):
+            gap = min(abs(sv[n] - sv[m]) for m in (n - 1, n + 1) if m >= 0)
+            if gap <= 1e-3 * sv[0]:
+                continue
+            checked += 1
+            assert _mode_rel(split.input_modes[n], full.input_modes[n]) <= 1e-10, n
+            assert _mode_rel(split.output_modes[n], full.output_modes[n]) <= 1e-10, n
+        assert checked >= 4
+
+    def test_modes_have_their_parity(self, pair):
+        split, _, _ = pair
+        assert len(split.parities) == split.kept
+        for n, parity in enumerate(split.parities):
+            assert _mirror_rel(split.input_modes[n], parity) <= 1e-12, n
+            assert _mirror_rel(split.output_modes[n], parity) <= 1e-12, n
+
+    def test_edge_ring_ratio_is_the_full_grids(self, pair):
+        split, _, op = pair
+        assert split.grid_report.edge_ring_ratio == pytest.approx(op.edge_ring_ratio, rel=1e-12)
+        assert split.grid_report.edge_ring_ratio <= 1e-12
+
+
+@pytest.mark.parametrize("order", list(StageOrder), ids=lambda o: o.name.lower())
+def test_gaussian_parities_alternate(order):
+    res = decompose_filter(gaussian_sif(2.0, 1.0, order), keep=10)
+    assert res.parities == (1, -1) * 5
+
+
+@pytest.mark.parametrize("make", [gaussian_sif, rectangular_sif], ids=["gaussian", "rectangular"])
+def test_split_runs_only_real_half_size_svds(make, monkeypatch):
+    # no complex LAPACK SVD and no full N x N one: each grid level factors
+    # exactly two real (N/2 x N/2) blocks
+    calls = []
+    svd = tffilter.schmidt._svd
+
+    def recording(a):
+        calls.append((a.shape, a.dtype))
+        return svd(a)
+
+    monkeypatch.setattr(tffilter.schmidt, "_svd", recording)
+    res = decompose_filter(make(2.0, 1.0), keep=10)
+    real = np.dtype(np.float64)
+    assert calls == [((n // 2, n // 2), real) for n in res.grid_report.resolutions for _ in (0, 1)]
+
+
+@pytest.mark.parametrize("make", [gaussian_sif, rectangular_sif], ids=["gaussian", "rectangular"])
+@pytest.mark.parametrize("order", list(StageOrder), ids=lambda o: o.name.lower())
+def test_odd_axes_put_the_centre_in_the_even_block(make, order):
+    # 257 samples: the centre sample joins the even block; the two blocks
+    # still hold every singular value of the whole matrix
+    spec = make(2.0, 1.0, order)
+    rows, cols = recommended_axes(spec, 257)
+    blocks = parity_blocks(spec, rows, cols)
+    assert blocks.even.shape == (129, 129) and blocks.odd.shape == (128, 128)
+    split = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in (blocks.even, blocks.odd)])
+    split = np.sort(split)[::-1]
+    full = np.linalg.svd(build_operator(spec, rows, cols).entries, compute_uv=False)
+    assert np.max(np.abs(split - full)) <= 1e-14
+
+
+@pytest.mark.parametrize("make", [gaussian_sif, rectangular_sif], ids=["gaussian", "rectangular"])
+def test_odd_axes_rebuild_modes_with_the_centre_sample(make):
+    # a returned grid always has an even count (the first level is never
+    # returned), so the centre-sample rebuild is checked on the level itself
+    spec = make(2.0, 1.0)
+    rows, cols = recommended_axes(spec, 257)
+    sv, _, modes = tffilter.schmidt._factor_split(spec, rows, cols)
+    u, vh, parities = modes(8)
+    op = build_operator(spec, rows, cols)
+    full = schmidt_decompose(op, keep=8)
+    total = float(np.sum(sv**2))
+    split = tffilter.schmidt._result(rows, cols, sv[:8], u, vh, total, None, parities)
+    assert np.max(np.abs(split.singular_values - full.singular_values)) <= 1e-14
+    for n in range(8):
+        assert _mode_rel(split.input_modes[n], full.input_modes[n]) <= 1e-10, n
+        assert _mode_rel(split.output_modes[n], full.output_modes[n]) <= 1e-10, n
+
+
+@pytest.mark.parametrize("order", list(StageOrder), ids=lambda o: o.name.lower())
+def test_odd_resolution_converges_to_the_same_ladder(order):
+    spec = gaussian_sif(0.5, 1.0, order)
+    odd = decompose_filter(spec, keep=10, resolution=257)
+    assert odd.grid_report.resolutions == (257, 514)
+    assert np.max(np.abs(odd.singular_values - gaussian_singular_values(0.5, 10))) <= 1e-12
+    assert odd.parities == (1, -1) * 5
+
+
+def test_parity_blocks_refuse_asymmetric_axes():
+    from tffilter.core import SampledAxis
+
+    spec = gaussian_sif(2.0, 1.0)
+    rows, _ = recommended_axes(spec, 64)
+    shifted = SampledAxis(rows.start + 0.5 * rows.step, rows.step, rows.count, rows.domain)
+    with pytest.raises(ValueError, match="symmetric"):
+        parity_blocks(spec, shifted, shifted)
+
+
+class _ShiftedGaussianGate(GaussianTemporalGate):
+    """Gaussian gate centred at t0, Q(t - t0); its transform carries exp(i w t0)."""
+
+    even = False
+
+    def __init__(self, duration_s: float, t0: float) -> None:
+        super().__init__(duration_s)
+        self.t0 = t0
+
+    def gate(self, t):
+        return super().gate(np.asarray(t, dtype=float) - self.t0)
+
+    def transfer(self, omega):
+        x = np.asarray(omega, dtype=float)
+        return super().transfer(x) * np.exp(1j * x * self.t0)
+
+    def temporal_support(self, tol=1e-12):
+        return super().temporal_support(tol) + abs(self.t0)
+
+
+@pytest.mark.parametrize("order", list(StageOrder), ids=lambda o: o.name.lower())
+def test_asymmetric_profile_keeps_the_full_path(order):
+    # a shift conjugates the kernel by diagonal phases, so the ladder is still Mehler's
+    spec = Sif(GaussianSpectralWindow(0.5), _ShiftedGaussianGate(1.0, 0.3), order)
+    res = decompose_filter(spec, keep=10)
+    assert res.parities is None
+    assert res.grid_report.converged
+    assert res.grid_report.edge_ring_ratio is not None
+    assert np.max(np.abs(res.singular_values - gaussian_singular_values(0.5, 10))) <= 1e-12
+    with pytest.raises(ValueError, match="even"):
+        parity_blocks(spec, *recommended_axes(spec, 64))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(st.floats(min_value=0.1, max_value=10.0), st.sampled_from(list(StageOrder)))
+def test_gaussian_ladder_properties(bt, order):
+    # Mehler ladder, sum rule sum s^2 = BT and order-swap invariance
+    spec = gaussian_sif(bt, 1.0, order)
+    res = decompose_filter(spec, keep=10)
+    swapped = decompose_filter(compose_order_swap(spec), keep=10)
+    mehler = gaussian_singular_values(bt, 10)
+    for r in (res, swapped):
+        assert np.max(np.abs(r.singular_values - mehler)) <= 1e-12
+        assert abs(r.total_power - bt) / bt <= 1e-12
+    assert np.max(np.abs(res.singular_values - swapped.singular_values)) <= 1e-12
