@@ -182,10 +182,39 @@ class SampledAxis:
 
 @lru_cache(maxsize=8)
 def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on (-1, 1); callers must not write to them."""
-    from scipy.special import roots_legendre  # loaded on first use, not by ``import tffilter``
+    """Gauss-Legendre nodes (ascending) and weights on (-1, 1), read-only.
 
-    return roots_legendre(count)
+    Newton's method on P_count, evaluated by the three-term recurrence and
+    started from Tricomi's asymptotic nodes, finds the nodes x >= 0; the
+    negative half is their exact mirror.  Each weight is taken as
+    2 / ((1 - x^2) P'_count(x)^2).  The equal form 2 (1 - x^2) / (count
+    P_{count-1}(x))^2 would magnify a node's last-bit error about count^2
+    times near +-1.
+    """
+    n = count
+    k = np.arange(n // 2, 0, -1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    x = np.r_[np.zeros(n % 2), x]  # odd count: P_count(0) = 0 exactly, so 0 stays put
+
+    def value_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        return p, n * (x * p - p_prev) / ((x - 1.0) * (x + 1.0))
+
+    for _ in range(10):  # 3 or 4 steps for every count up to 4200
+        p, dp = value_and_slope(x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step), initial=0.0) <= 1e-15:
+            break
+    else:
+        raise ConvergenceError(f"Gauss-Legendre nodes did not converge for count = {count}")
+    dp = value_and_slope(x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    nodes, weights = np.r_[-x[n % 2 :][::-1], x], np.r_[w[n % 2 :][::-1], w]
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)

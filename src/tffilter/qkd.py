@@ -27,6 +27,7 @@ from enum import Enum
 
 import numpy as np
 
+from .core import ConvergenceError
 from .slepian import pswf_solve_legendre, slepian_tradeoff
 
 __all__ = [
@@ -136,7 +137,7 @@ def _slepian_log_c(eta: np.ndarray) -> np.ndarray:
             step = float(np.clip(miss / sol.log_slope(0), -1.0, 1.0))
             t = min(max(t + step, t_lo), t_hi)
         else:
-            raise RuntimeError(f"no prolate parameter found for eta = {eta[i]!r}")
+            raise ConvergenceError(f"no prolate parameter found for eta = {eta[i]!r}")
         out[i] = t
     return out
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     ConvergenceError,
@@ -171,6 +170,8 @@ def schmidt_decompose(
 
 
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    import scipy.linalg  # loaded on first use, not by ``import tffilter``
+
     return scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesdd")
 
 

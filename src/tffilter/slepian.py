@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
+    ConvergenceError,
     Domain,
     SampledAxis,
     SampledSignal,
@@ -290,13 +290,34 @@ def _concentrations(c: float, coeffs: np.ndarray) -> np.ndarray:
     return factor * lead**2 / at0**2
 
 
+def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, want: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``want`` smallest eigenpairs of the symmetric tridiagonal (d, e), ascending.
+
+    LAPACK bisection (``dstebz``, by index, block order) then inverse iteration
+    (``dstein``): the two routines ``scipy.linalg.eigh_tridiagonal(select="i")``
+    runs, called directly to skip its argument checking.
+    """
+    from scipy.linalg import lapack  # loaded on first use, not by ``import tffilter``
+
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, want, 0.0, "B")
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal bisection failed (dstebz info {info})")
+    w = w[:m]
+    vecs, info = lapack.dstein(d, e, w, iblock, isplit)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal inverse iteration failed (dstein info {info})")
+    order = np.argsort(w)
+    return w[order], vecs[:, order]
+
+
 def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
     """Prolate modes via the commuting differential operator in a Legendre basis.
 
     The operator is tridiagonal within each parity block, so eigenvectors come
-    from ``eigh_tridiagonal`` and are spectrally accurate.  Concentrations
-    beta_n follow in closed form from the Legendre coefficients (see
-    ``_concentrations``); the quadrature is built only when first needed.
+    from LAPACK bisection and inverse iteration (``_lowest_eigenpairs``) and
+    are spectrally accurate.  Concentrations beta_n follow in closed form from
+    the Legendre coefficients (see ``_concentrations``); the quadrature is
+    built only when first needed.
     The basis grows automatically until the two trailing Legendre coefficients
     of every requested mode fall below 1e-12 of the head.
     """
@@ -318,9 +339,7 @@ def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
                 continue
             d_blk = diag[parity::2]
             o_blk = off[parity::2]
-            vals, vecs = scipy.linalg.eigh_tridiagonal(
-                d_blk, o_blk[: len(d_blk) - 1], select="i", select_range=(0, want - 1)
-            )
+            vals, vecs = _lowest_eigenpairs(d_blk, o_blk[: len(d_blk) - 1], want)
             for j in range(want):
                 coeffs[2 * j + parity, parity::2] = vecs[:, j]
                 chis[2 * j + parity] = vals[j]
@@ -329,7 +348,7 @@ def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
             break
         size = int(size * 1.6) + 16
     else:
-        raise RuntimeError("Legendre basis did not capture the requested prolate modes")
+        raise ConvergenceError("Legendre basis did not capture the requested prolate modes")
     order = np.argsort(chis, kind="stable")
     coeffs = coeffs[order]
     # sign convention: coefficient of the degree-n Legendre polynomial positive

@@ -369,28 +369,82 @@ class TestManifest:
         assert manifest["seed"] is None  # deterministic command
 
 
+class TestTypedErrors:
+    def test_prolate_basis_failure_exits_3(self, monkeypatch, tmp_path, capsys):
+        import tffilter.slepian as slepian
+
+        # flat coefficient vectors never decay into the basis tail, so the solver gives up
+        monkeypatch.setattr(
+            slepian,
+            "_lowest_eigenpairs",
+            lambda d, e, want: (np.arange(want, dtype=float), np.ones((len(d), want))),
+        )
+        rc = run(
+            "tradeoff", "--filter", "slepian", "--bt-min", "0.5", "--bt-max", "1",
+            "--points", "2", "--out", str(tmp_path / "t.csv"),
+        )
+        assert rc == 3
+        assert "numeric failure: Legendre basis" in capsys.readouterr().err
+
+    def test_prolate_inversion_failure_exits_3(self, monkeypatch, tmp_path, capsys):
+        import tffilter.qkd as qkd
+
+        solve = qkd.pswf_solve_legendre
+
+        class Sluggish:
+            """A solution whose slope reads 10x too steep: each miss shrinks, but slowly."""
+
+            def __init__(self, c, n_max):
+                self._sol = solve(c, n_max)
+                self.c, self.eigenvalues = self._sol.c, self._sol.eigenvalues
+
+            def log_slope(self, n):
+                return 10.0 * self._sol.log_slope(n)
+
+        monkeypatch.setattr(qkd, "pswf_solve_legendre", Sluggish)
+        rc = run(
+            "qkd", "--filter", "slepian", "--ny-min", "1e-3", "--ny-max", "1e-3",
+            "--points", "1", "--out", str(tmp_path / "q.csv"),
+        )
+        assert rc == 3
+        assert "numeric failure: no prolate parameter found" in capsys.readouterr().err
+
+
+def _threads_under_cap(script: str) -> int:
+    """Threads of a fresh process with TF_FILTER_THREADS=1 and the pool variables unset."""
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    src = str(Path(tffilter.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["TF_FILTER_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", script + "; print(len(os.listdir('/proc/self/task')))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
 class TestThreadCap:
     def test_cap_applies_before_numpy_loads(self):
         # the pools size themselves when numpy loads, so importing the CLI
         # module (which imports the package) must already honor the cap
         script = (
             "import os, tffilter.cli, numpy as np; "
-            "np.linalg.svd(np.random.default_rng(0).standard_normal((300, 300))); "
-            "print(len(os.listdir('/proc/self/task')))"
+            "np.linalg.svd(np.random.default_rng(0).standard_normal((300, 300)))"
         )
-        env = {
-            k: v
-            for k, v in os.environ.items()
-            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-        }
-        src = str(Path(tffilter.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        env["TF_FILTER_THREADS"] = "1"
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        assert _threads_under_cap(script) == 1
+
+    def test_cap_reaches_the_lazily_loaded_scipy_pool(self):
+        # scipy's LAPACK loads on the first Schmidt SVD, long after the package import
+        script = (
+            "import os; from tffilter import decompose_filter, rectangular_sif; "
+            "decompose_filter(rectangular_sif(4, 1), keep=None, max_resolution=1024)"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) == 1
+        assert _threads_under_cap(script) == 1
 
     @pytest.mark.parametrize("value", ["0", "two", ""])
     def test_invalid_cap_returns_2(self, monkeypatch, value):

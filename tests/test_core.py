@@ -8,6 +8,7 @@ import pytest
 
 import tffilter
 from tffilter.core import (
+    _legendre_rule,
     Domain,
     DomainMismatchError,
     QuadratureAxis,
@@ -71,6 +72,58 @@ class TestSampledAxis:
     def test_centered_axis_contains_zero(self):
         ax = centered_axis(0.125, 33, Domain.TIME)
         assert np.min(np.abs(ax.points)) == pytest.approx(0.0, abs=1e-15)
+
+
+# Gauss-Legendre nodes and weights from Newton's method on the Legendre recurrence at 40
+# digits in mpmath (one more step at 60 digits moves no weight by 1e-32 relative), printed
+# to 30 digits: (count, index) -> (node, weight).  The edge weights are where a rule loses
+# accuracy: scipy.special.roots_legendre is off by 2.0e-10 at (276, 0) and 1.8e-9 at (1024, 0).
+LEGENDRE_40_DIGIT = {
+    (257, 0): (-0.99995639071233040247285681745, 0.00011191470145601756450862287886),
+    (257, 1): (-0.999770232390338019056052574735, 0.000260499955801769644368066808308),
+    (257, 128): (0.0, 0.0122003368199861450777728923176),
+    (276, 0): (-0.999962178070600115272837138753, 0.0000970626728019379647317829553918),
+    (276, 1): (-0.999800723869621630212869169128, 0.000225931266268853926195405229359),
+    (276, 69): (-0.702066505221991494839439417992, 0.00809098255870146423216891663037),
+    (1024, 0): (-0.999997245054558440351618206183, 0.00000707007641018258987129580517564),
+    (1024, 1): (-0.999985484385028444767591359765, 0.0000164577275798968681068057987567),
+    (1024, 2): (-0.999964326153889455094333024951, 0.0000258591246764618586715766963672),
+    (1024, 511): (-0.00153323135606263840653874557698, 0.00306646030924390821155127849205),
+}
+
+
+class TestLegendreRule:
+    @pytest.mark.parametrize("count", [257, 276, 1024])
+    def test_matches_pinned_oracle(self, count):
+        x, w = _legendre_rule(count)
+        pins = {i: ref for (n, i), ref in LEGENDRE_40_DIGIT.items() if n == count}
+        for i, (node, weight) in pins.items():
+            assert abs(x[i] - node) <= 2.0 * np.spacing(1.0)
+            assert abs(w[i] - weight) <= 3e-12 * weight
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 5, 8, 16])
+    def test_small_rules_match_numpy(self, count):
+        # leggauss (companion-matrix eigenvalues and one Newton step) is an oracle only
+        # while its own error stays at a few ulp, i.e. for small counts
+        ref_x, ref_w = np.polynomial.legendre.leggauss(count)
+        x, w = _legendre_rule(count)
+        assert np.max(np.abs(x - ref_x)) <= 1e-15
+        assert np.max(np.abs(w - ref_w) / ref_w) <= 1e-13
+
+    @pytest.mark.parametrize("count", [40, 257, 512])
+    def test_symmetric_ascending_and_exact(self, count):
+        x, w = _legendre_rule(count)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and -1.0 < x[0]
+        # exact for every polynomial of degree < 2 count: the even moments 2 / (2k + 1)
+        for k in (0, 1, count // 2, count - 1):
+            assert w @ x ** (2 * k) == pytest.approx(2.0 / (2 * k + 1), rel=1e-13)
+
+    def test_shared_arrays_are_read_only(self):
+        x, w = _legendre_rule(64)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        assert _legendre_rule(64)[1][0] != 1.0
 
 
 class TestQuadratureAxis:

@@ -132,10 +132,28 @@ class TestKeyRate:
         assert 1.0 - 2.0 * binary_entropy(np.nextafter(QBER_THRESHOLD, 1.0)) <= 0.0
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.special (Gauss-Legendre nodes) also loads only on first use
+        # no scipy module at all: scipy.linalg loads on the first prolate solve or Schmidt SVD
         script = (
-            "import sys, tffilter; "
-            "print(any(m in sys.modules for m in ('scipy.optimize', 'scipy.special')))"
+            "import sys, tffilter, tffilter.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert _run_python(script) == "[]"
+
+    def test_gaussian_commands_leave_scipy_linalg_unloaded(self, tmp_path):
+        commands = [
+            ["decompose", "--filter", "gaussian", "--bt", "0.5", "--n-modes", "10"],
+            ["snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "200", "--seed", "7"],
+            ["tradeoff", "--filter", "gaussian", "--bt-min", "0.1", "--bt-max", "2",
+             "--points", "5"],
+            ["modes", "--filter", "gaussian", "--bt", "0.5", "--mode", "1"],
+        ]
+        calls = "; ".join(
+            f"assert main({argv + ['--out', str(tmp_path / f'out{i}')]!r}) == 0"
+            for i, argv in enumerate(commands)
+        )
+        script = (
+            f"import sys; from tffilter.cli import main; {calls}; "
+            "print('scipy.linalg' in sys.modules)"
         )
         assert _run_python(script) == "False"
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tffilter.core import Domain, SampledAxis, StageOrder, inner_product
+from tffilter.core import ConvergenceError, Domain, SampledAxis, StageOrder, inner_product
 from tffilter.schmidt import decompose_filter
 from tffilter.slepian import (
     BETA_FLOOR,
@@ -166,6 +166,34 @@ class TestLegendreSolver:
     def test_truncation_warning(self):
         with pytest.warns(UserWarning):
             pswf_solve_legendre(0.5, 12)
+
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 3.0, 6.3, 17.0])
+    @pytest.mark.parametrize("n_max", [0, 5, 20])
+    def test_direct_lapack_matches_eigh_tridiagonal(self, c, n_max):
+        # dstebz + dstein called directly are the routines eigh_tridiagonal(select="i") runs
+        import scipy.linalg
+
+        from tffilter.slepian import _legendre_blocks, _lowest_eigenpairs
+
+        diag, off = _legendre_blocks(c, int(2 * c) + 2 * n_max + 60)
+        for parity, want in ((0, (n_max + 2) // 2), (1, (n_max + 1) // 2)):
+            if want == 0:
+                continue
+            d = diag[parity::2]
+            e = off[parity::2][: len(d) - 1]
+            ref_vals, ref_vecs = scipy.linalg.eigh_tridiagonal(
+                d, e, select="i", select_range=(0, want - 1)
+            )
+            vals, vecs = _lowest_eigenpairs(d, e, want)
+            assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        stebz = lapack.dstebz
+        monkeypatch.setattr(lapack, "dstebz", lambda *args: (*stebz(*args)[:4], 1))
+        with pytest.raises(ConvergenceError, match="dstebz"):
+            pswf_solve_legendre(3.0, 2)
 
     def test_rejects_out_of_range_order(self):
         with pytest.raises(ValueError):
