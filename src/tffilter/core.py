@@ -9,11 +9,12 @@ Every frequency-axis integral carries the measure dw/(2 pi), so signal energy,
 inner products, and bandwidths agree between domains without stray 2 pi
 factors (Parseval holds to machine precision on matched grids).
 
-The transforms live only in this module.  They act along the last axis of
-``(..., n)`` sample arrays, so ``filter_samples`` pushes a whole batch of
-signals (e.g. Monte Carlo noise rows) through a filter in one call, and
-``fourier_forward``, ``fourier_inverse`` and ``apply_filter`` are its
-single-signal wrappers.
+The transforms live only in this module, written once as phase ramp, DFT,
+phase ramp.  They act along the last axis of ``(..., n)`` sample arrays, so
+``filter_samples`` pushes a whole batch of signals (e.g. Monte Carlo noise
+rows) through a window, gate or Sif in one pass of three diagonals around two
+in-place FFTs; ``fourier_forward``, ``fourier_inverse`` and ``apply_filter``
+are its single-signal wrappers.
 
 A filter is one of four specifications:
 
@@ -334,15 +335,25 @@ def inner_product(f: SampledSignal, g: SampledSignal) -> complex:
 # Fourier transforms
 
 
-def _to_frequency(values: np.ndarray, time_axis: SampledAxis) -> tuple[SampledAxis, np.ndarray]:
-    """Forward transform of samples on ``time_axis`` along the last axis of ``values``."""
-    n = time_axis.count
-    freq = frequency_axis_for(time_axis)
-    k = np.arange(n)
-    spec = np.fft.ifft(values * np.exp(1j * freq.start * time_axis.step * k), axis=-1)
-    spec *= n
-    spec *= time_axis.step * np.exp(1j * freq.points * time_axis.start)
-    return freq, spec
+def _fourier_factors(src: SampledAxis, dst: SampledAxis):
+    """(pre, fft, post): post * fft(pre * f) transforms f from ``src`` onto its reciprocal ``dst``.
+
+    As dw dt = 2 pi / n, the phase exp(+-i w t) splits into a ramp over the source
+    index, the DFT kernel (``np.fft.ifft`` from time, ``np.fft.fft`` from frequency)
+    and a ramp over the target samples, which also carries dt or dw/(2 pi).
+    """
+    k = np.arange(src.count)
+    if src.domain is Domain.TIME:
+        pre = np.exp(1j * dst.start * src.step * k)
+        return pre, np.fft.ifft, (src.count * src.step) * np.exp(1j * dst.points * src.start)
+    pre = np.exp(-1j * k * src.step * dst.start)
+    return pre, np.fft.fft, np.exp(-1j * src.start * dst.points) / (src.count * dst.step)
+
+
+def _transform(values: np.ndarray, src: SampledAxis, dst: SampledAxis) -> np.ndarray:
+    """Samples on ``src`` transformed onto its reciprocal ``dst``, along the last axis."""
+    pre, fft, post = _fourier_factors(src, dst)
+    return post * fft(values * pre, axis=-1)
 
 
 def _reciprocal_time_axis(freq_axis: SampledAxis, time_axis: SampledAxis | None) -> SampledAxis:
@@ -358,19 +369,12 @@ def _reciprocal_time_axis(freq_axis: SampledAxis, time_axis: SampledAxis | None)
     return time_axis
 
 
-def _to_time(values: np.ndarray, freq_axis: SampledAxis, time_axis: SampledAxis) -> np.ndarray:
-    """Inverse transform along the last axis of ``values`` onto a reciprocal ``time_axis``."""
-    m = np.arange(freq_axis.count)
-    out = np.fft.fft(values * np.exp(-1j * m * freq_axis.step * time_axis.start), axis=-1)
-    out *= np.exp(-1j * freq_axis.start * time_axis.points) / (freq_axis.count * time_axis.step)
-    return out
-
-
 def fourier_forward(signal: SampledSignal) -> SampledSignal:
     """f~(w_m) = dt * sum_k exp(+i w_m t_k) f(t_k) on the reciprocal frequency axis."""
     if signal.axis.domain is not Domain.TIME:
         raise DomainMismatchError("fourier_forward expects a time-domain signal")
-    return SampledSignal(*_to_frequency(signal.values, signal.axis))
+    freq = frequency_axis_for(signal.axis)
+    return SampledSignal(freq, _transform(signal.values, signal.axis, freq))
 
 
 def fourier_inverse(signal: SampledSignal, time_axis: SampledAxis | None = None) -> SampledSignal:
@@ -384,7 +388,7 @@ def fourier_inverse(signal: SampledSignal, time_axis: SampledAxis | None = None)
     if signal.axis.domain is not Domain.ANGULAR_FREQUENCY:
         raise DomainMismatchError("fourier_inverse expects a frequency-domain signal")
     time_axis = _reciprocal_time_axis(signal.axis, time_axis)
-    return SampledSignal(time_axis, _to_time(signal.values, signal.axis, time_axis))
+    return SampledSignal(time_axis, _transform(signal.values, signal.axis, time_axis))
 
 
 # ---------------------------------------------------------------------------
@@ -572,28 +576,6 @@ def _check_grid(spec: FilterSpec, ax: SampledAxis) -> None:
             raise ResolutionError("frequency span too narrow for the filter bandwidth")
 
 
-def _apply_spectral(profile: SpectralWindowProfile, axis: SampledAxis, values: np.ndarray) -> np.ndarray:
-    if axis.domain is Domain.ANGULAR_FREQUENCY:
-        return values * profile.window(axis.points)
-    freq, spec = _to_frequency(values, axis)
-    spec *= profile.window(freq.points)
-    return _to_time(spec, freq, axis)
-
-
-def _apply_temporal(profile: TemporalGateProfile, axis: SampledAxis, values: np.ndarray) -> np.ndarray:
-    if axis.domain is Domain.TIME:
-        return values * profile.gate(axis.points)
-    time_axis = _reciprocal_time_axis(axis, None)
-    if not frequency_axis_for(time_axis).close_to(axis):
-        raise DomainMismatchError(
-            "time gating of a spectrum requires a centered frequency axis "
-            "(start = -step * (count // 2))"
-        )
-    trace = _to_time(values, axis, time_axis)
-    trace *= profile.gate(time_axis.points)
-    return _to_frequency(trace, time_axis)[1]
-
-
 def _match_axis(values: np.ndarray, axis: SampledAxis, target: SampledAxis) -> np.ndarray:
     """Samples on ``axis`` re-expressed on ``target``: as they are, or Fourier transformed."""
     if axis.close_to(target):
@@ -601,13 +583,12 @@ def _match_axis(values: np.ndarray, axis: SampledAxis, target: SampledAxis) -> n
     if axis.domain is target.domain:
         raise DomainMismatchError("signal grid does not match the mode grid")
     if axis.domain is Domain.TIME:
-        out_axis, out = _to_frequency(values, axis)
+        out_axis = frequency_axis_for(axis)
     else:
         out_axis = _reciprocal_time_axis(axis, target)
-        out = _to_time(values, axis, out_axis)
     if not out_axis.close_to(target):
         raise DomainMismatchError("signal grid is not reciprocal to the mode grid")
-    return out
+    return _transform(values, axis, out_axis)
 
 
 def filter_samples(spec: FilterSpec, axis: SampledAxis, values: np.ndarray) -> np.ndarray:
@@ -618,26 +599,49 @@ def filter_samples(spec: FilterSpec, axis: SampledAxis, values: np.ndarray) -> n
     behind :func:`apply_filter`, without its resolution guard, for callers
     that push batches of rows through one filter on a grid they have checked.
     ``values`` is never written to.
+
+    A window, gate or Sif is post * FFT(mid * FFT(pre * x)), in place on one
+    fresh array: ``mid`` is the stage from the other domain with the inner
+    ramps of the transform there and back; the outer ramps, the loss and the
+    stage native to ``axis`` fold into ``pre`` or ``post``, by the order.
     """
     _uniform(axis)
-    if isinstance(spec, SpectralWindow):
-        out = _apply_spectral(spec.profile, axis, values)
-    elif isinstance(spec, TemporalGate):
-        out = _apply_temporal(spec.profile, axis, values)
-    elif isinstance(spec, Sif):
-        if spec.order is StageOrder.FREQUENCY_FIRST:
-            out = _apply_temporal(spec.temporal, axis, _apply_spectral(spec.spectral, axis, values))
-        else:
-            out = _apply_spectral(spec.spectral, axis, _apply_temporal(spec.temporal, axis, values))
-    elif isinstance(spec, SeparableCoherent):
+    if isinstance(spec, SeparableCoherent):
         phi = spec.input_mode
         matched = _match_axis(values, axis, phi.axis)
         coeff = spec.weight * ((matched @ np.conj(phi.values)) * phi.axis.measure)
         out = _match_axis(coeff[..., None] * spec.output_mode.values, spec.output_mode.axis, axis)
-    else:
+        return out * spec.insertion_loss
+    window, gate = _stages(spec)
+    if window is None and gate is None:
         raise TypeError(f"unknown filter specification {type(spec).__name__}")
-    # every branch returns a fresh array, so scaling in place never touches ``values``
-    out *= spec.insertion_loss
+    on_time = axis.domain is Domain.TIME
+    q = None if gate is None else gate.gate
+    r = None if window is None else window.window
+    native, other = (q, r) if on_time else (r, q)
+    if other is None:  # a lone stage native to the axis: one diagonal
+        return values * (native(axis.points) * spec.insertion_loss)
+    if on_time:
+        far = frequency_axis_for(axis)
+    else:
+        far = _reciprocal_time_axis(axis, None)
+        if not frequency_axis_for(far).close_to(axis):
+            raise DomainMismatchError(
+                "time gating of a spectrum requires a centered frequency axis "
+                "(start = -step * (count // 2))"
+            )
+    pre, fft_a, inner_a = _fourier_factors(axis, far)
+    inner_b, fft_b, post = _fourier_factors(far, axis)
+    mid = inner_a * inner_b * other(far.points)
+    post *= spec.insertion_loss
+    if native is not None:  # a Sif: its native stage acts first or last
+        side = pre if (spec.order is StageOrder.TIME_FIRST) is on_time else post
+        side *= native(axis.points)
+    out = values * pre
+    fft_a(out, axis=-1, out=out)
+    out *= mid
+    fft_b(out, axis=-1, out=out)
+    out *= post
     return out
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tffilter
 from tffilter.core import (
@@ -16,6 +18,7 @@ from tffilter.core import (
     SampledAxis,
     SampledSignal,
     SeparableCoherent,
+    Sif,
     SpectralWindow,
     StageOrder,
     TemporalGate,
@@ -245,6 +248,61 @@ class TestFourierPair:
             fourier_forward(sig)
 
 
+# a uniform grid of 2..256 samples (odd counts included) whose start lies
+# anywhere from two spans left of 0 to one span right of it
+grids = st.builds(
+    lambda count, step, shift: SampledAxis(shift * count * step, step, count, Domain.TIME),
+    st.integers(min_value=2, max_value=256),
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.floats(min_value=-2.0, max_value=1.0),
+)
+
+
+def random_signal(axis: SampledAxis, seed: int) -> SampledSignal:
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, axis.count))
+    return SampledSignal(axis, z[0] + 1j * z[1])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(grids, st.integers(min_value=0, max_value=2**32 - 1))
+def test_fourier_parseval_and_round_trip(axis, seed):
+    sig = random_signal(axis, seed)
+    spec = fourier_forward(sig)
+    assert spec.axis.close_to(frequency_axis_for(axis))
+    assert abs(spec.energy() - sig.energy()) <= 1e-12 * sig.energy()
+    back = fourier_inverse(spec, axis)
+    assert np.max(np.abs(back.values - sig.values)) <= 1e-12 * np.max(np.abs(sig.values))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    grids,
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["gaussian", "rectangular"]),
+    st.floats(min_value=0.1, max_value=5.0),
+    st.sampled_from(list(StageOrder)),
+    st.floats(min_value=0.05, max_value=1.0),
+    st.sampled_from(["sif", "window", "gate"]),
+    st.booleans(),
+)
+def test_filter_samples_never_gains_energy(axis, seed, family, bt, order, loss, kind, spectral):
+    # peak-normalized stages and a unitary discrete transform: energy out <= loss^2 energy in
+    make = gaussian_sif if family == "gaussian" else rectangular_sif
+    sif = make(bt, 1.0, order, insertion_loss=loss)
+    spec = {
+        "sif": sif,
+        "window": SpectralWindow(sif.spectral, loss),
+        "gate": TemporalGate(sif.temporal, loss),
+    }[kind]
+    sig = random_signal(axis, seed).normalized()
+    if spectral:  # the same signal on the centred reciprocal frequency axis
+        centred = centered_axis(axis.step, axis.count, Domain.TIME)
+        sig = fourier_forward(SampledSignal(centred, sig.values))
+    out = SampledSignal(sig.axis, filter_samples(spec, sig.axis, sig.values))
+    assert out.energy() <= loss**2 * sig.energy() + 1e-12
+
+
 class TestSignal:
     def test_norm_energy_normalized(self):
         ax = centered_axis(0.01, 1001, Domain.TIME)
@@ -331,6 +389,72 @@ class TestApplyFilter:
         for row, sig in zip(out, rows):
             ref = apply_filter(spec, sig).values
             assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def stage_by_stage(spec, signal: SampledSignal) -> np.ndarray:
+    """``spec`` applied one stage at a time, each in its own domain, by the public transforms."""
+    if isinstance(spec, Sif):
+        stages = [("window", spec.spectral), ("gate", spec.temporal)]
+        if spec.order is StageOrder.TIME_FIRST:
+            stages.reverse()
+    else:
+        stages = [("window" if isinstance(spec, SpectralWindow) else "gate", spec.profile)]
+    on_time = signal.axis.domain is Domain.TIME
+    sig = signal
+    for kind, profile in stages:
+        native = (kind == "gate") is on_time
+        if not native:  # over to the stage's own domain: a centred grid there
+            sig = fourier_forward(sig) if on_time else fourier_inverse(sig)
+        pointwise = profile.window if kind == "window" else profile.gate
+        sig = SampledSignal(sig.axis, sig.values * pointwise(sig.axis.points))
+        if not native:  # and back onto the caller's grid
+            sig = fourier_inverse(sig, signal.axis) if on_time else fourier_forward(sig)
+    assert sig.axis.close_to(signal.axis)
+    return sig.values * spec.insertion_loss
+
+
+class TestTransportOracle:
+    """filter_samples against its stages applied one at a time, with no ramps or stages folded."""
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            SampledAxis(-2.3, 8.0 / 511, 511, Domain.TIME),  # odd count, non-centred start
+            centered_axis(8.0 / 512, 512, Domain.TIME),
+            frequency_axis_for(centered_axis(8.0 / 511, 511, Domain.TIME)),
+            frequency_axis_for(centered_axis(8.0 / 512, 512, Domain.TIME)),
+        ],
+        ids=["time-odd-shifted", "time-centred", "frequency-odd", "frequency-even"],
+    )
+    @pytest.mark.parametrize(
+        "kind",
+        ["gaussian_ff", "gaussian_tf", "brickwall_ff", "brickwall_tf", "window", "gate"],
+    )
+    def test_matches_stage_by_stage(self, kind, axis):
+        g = gaussian_sif(1.5, 1.0, insertion_loss=0.9)
+        spec = {
+            "gaussian_ff": g,
+            "gaussian_tf": compose_order_swap(g),
+            "brickwall_ff": rectangular_sif(2.0, 1.0, insertion_loss=0.8),
+            "brickwall_tf": rectangular_sif(2.0, 1.0, StageOrder.TIME_FIRST, insertion_loss=0.8),
+            "window": SpectralWindow(g.spectral, 0.7),
+            "gate": TemporalGate(g.temporal, 0.6),
+        }[kind]
+        rng = np.random.default_rng(17)
+        rows = rng.standard_normal((3, axis.count)) + 1j * rng.standard_normal((3, axis.count))
+        out = filter_samples(spec, axis, rows)
+        for row, got in zip(rows, out):
+            ref = stage_by_stage(spec, SampledSignal(axis, row))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_gate_on_a_shifted_spectrum_is_refused(self):
+        ax = frequency_axis_for(centered_axis(8.0 / 512, 512, Domain.TIME))
+        shifted = SampledAxis(ax.start + 3 * ax.step, ax.step, ax.count, ax.domain)
+        spec = gaussian_sif(1.5, 1.0)
+        with pytest.raises(DomainMismatchError, match="centered"):
+            filter_samples(spec, shifted, np.ones(ax.count, dtype=complex))
+        window = SpectralWindow(spec.spectral)  # pointwise there, so no grid condition
+        assert filter_samples(window, shifted, np.ones(ax.count)).shape == (ax.count,)
 
 
 class TestFourierOwnership:

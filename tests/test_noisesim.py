@@ -15,10 +15,12 @@ from tffilter.core import (
     centered_axis,
 )
 from tffilter.gaussian import gaussian_sif, gaussian_tradeoff
+from tffilter import noisesim
 from tffilter.metrics import analytic_snr
 from tffilter.noisesim import (
     RNG_ALGORITHM,
     NoiseEnsembleConfig,
+    _white_rows,
     filtered_noise_correlation,
     run_ensemble,
     sample_white_noise,
@@ -88,6 +90,21 @@ class TestDeterminism:
         a = trial_generator(123, 0).standard_normal(8)
         b = trial_generator(123, 1).standard_normal(8)
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize(
+        "axis",
+        [centered_axis(16.0 / 1024, 1024, Domain.TIME), SampledAxis(-0.7, 0.013, 301, Domain.TIME)],
+    )
+    def test_white_rows_replay_bit_for_bit(self, axis):
+        # the (seed, trial) contract: each batched row is, bit for bit, the
+        # trial's own stream drawn as one (2, n) block and scaled once
+        seed, psd = 97, 0.37
+        rows = _white_rows(axis, psd, [trial_generator(seed, t) for t in range(5)])
+        scale = np.sqrt(psd / (2.0 * axis.step))
+        for t, row in enumerate(rows):
+            z = trial_generator(seed, t).standard_normal((2, axis.count))
+            ref = scale * (z[0] + 1j * z[1])
+            assert np.array_equal(row.view(np.uint64), ref.view(np.uint64))
 
     def test_algorithm_name_pinned(self):
         assert RNG_ALGORITHM == "philox4x64"
@@ -250,6 +267,16 @@ class TestCorrelation:
             apply_filter(spec, SampledSignal(coarse, np.zeros(512)))
         with pytest.raises(ResolutionError):
             filtered_noise_correlation(spec, 0.25, 1000, np.array([0.0]), seed=3, axis=coarse)
+
+    def test_window_moments_evaluated_once(self, monkeypatch):
+        # the default grid and the analytic surface share one |R~|^2 quadrature
+        calls = []
+        moments = noisesim._window_power_moments
+        monkeypatch.setattr(
+            noisesim, "_window_power_moments", lambda spec: calls.append(spec) or moments(spec)
+        )
+        filtered_noise_correlation(gaussian_sif(0.3, 1.0), 0.25, 1000, np.array([0.0]), seed=4)
+        assert len(calls) == 1
 
     def test_surface_shapes(self):
         spec = gaussian_sif(0.3, 1.0)
