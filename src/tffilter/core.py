@@ -30,14 +30,19 @@ matrix singular values approximate the operator's Schmidt coefficients.  The
 FFT-based paths need a uniform ``SampledAxis``; ``recommended_axes`` gives compact
 pairs a ``QuadratureAxis`` of Gauss-Legendre nodes inside the supports instead.
 The matrix keeps the data type its kernel is assembled in: ``float64`` where
-every factor is real (a Gaussian Sif in the square frequency or time
+every factor is real (a real-profile Sif in a square time or frequency
 representation, a real pointwise stage), ``complex128`` where a factor is
 complex (the Fourier phase of a mixed time x frequency kernel, the modes of a
-``SeparableCoherent`` filter).  ``parity_blocks`` renders a Sif whose profiles
-are both ``even`` as two half-size blocks instead, the kernel's even and odd
-parts on the positive half-axes.  They are real for real profiles in either
-representation: the mixed kernel's Fourier phase splits into a cosine and a
-sine kernel, and the odd block's constant -+i is kept aside.
+``SeparableCoherent`` filter).
+
+A Sif is decomposed in one representation only, the mixed one, whose kernel
+Q(t) exp(-+i w t) R~(w) needs nothing of the profiles but ``gate()`` and
+``window()``.  ``recommended_axes`` picks each of its two axes from that
+axis's own profile, and ``parity_blocks`` renders a Sif whose profiles are
+both ``even`` as two half-size blocks, the kernel's even and odd parts on the
+positive half-axes.  They are real for real profiles: the Fourier phase
+splits into a cosine and a sine kernel, and the odd block's constant -+i is
+kept aside.
 """
 
 from __future__ import annotations
@@ -398,13 +403,15 @@ def fourier_inverse(signal: SampledSignal, time_axis: SampledAxis | None = None)
 class SpectralWindowProfile:
     """Stationary spectral window R~(w), peak-normalized to max |R~| = 1.
 
-    Subclasses provide the window, its time-domain impulse response
-    R(t) = inverse transform of R~, the intensity-integral bandwidth
-    B = integral |R~(w)|^2 dw/2pi (in Hz), and support radii.  ``compact_spectral``
-    marks windows that vanish identically outside a finite band.  ``even``
-    marks windows with R~(-w) = R~(w); a Sif whose window and gate are both
-    even is decomposed by :func:`tffilter.schmidt.decompose_filter` as two
-    half-size parity blocks (see :func:`parity_blocks`).
+    Subclasses provide the window, the intensity-integral bandwidth
+    B = integral |R~(w)|^2 dw/2pi (in Hz) and its spectral support radius;
+    the time-domain impulse response R(t) = inverse transform of R~ is needed
+    only for :func:`build_operator`'s square time representation.
+    ``compact_spectral`` marks windows that vanish identically outside a
+    finite band.  ``even`` marks windows with R~(-w) = R~(w); a Sif whose
+    window and gate are both even is decomposed by
+    :func:`tffilter.schmidt.decompose_filter` as two half-size parity blocks
+    (see :func:`parity_blocks`).
     """
 
     bandwidth_hz: float
@@ -421,19 +428,16 @@ class SpectralWindowProfile:
         """Radius r with |R~(w)| <= tol for |w| > r."""
         raise NotImplementedError
 
-    def temporal_support(self, tol: float = 1e-12) -> float:
-        """Radius r with |R(t)| <= tol * |R(0)| for |t| > r (may be inf)."""
-        raise NotImplementedError
-
 
 class TemporalGateProfile:
     """Time gate Q(t), peak-normalized to max |Q| = 1.
 
-    Subclasses provide the gate, its transfer function Q~(w) = forward
-    transform of Q, the integral duration T = integral |Q(t)|^2 dt (in s), and
-    support radii.  ``compact_temporal`` marks gates that vanish identically
-    outside a finite interval.  ``even`` marks gates with Q(-t) = Q(t), as on
-    :class:`SpectralWindowProfile`.
+    Subclasses provide the gate, the integral duration T = integral |Q(t)|^2
+    dt (in s) and its temporal support radius; the transfer function Q~(w) =
+    forward transform of Q is needed only for :func:`build_operator`'s square
+    frequency representation.  ``compact_temporal`` marks gates that vanish
+    identically outside a finite interval.  ``even`` marks gates with
+    Q(-t) = Q(t), as on :class:`SpectralWindowProfile`.
     """
 
     duration_s: float
@@ -447,9 +451,7 @@ class TemporalGateProfile:
         raise NotImplementedError
 
     def temporal_support(self, tol: float = 1e-12) -> float:
-        raise NotImplementedError
-
-    def spectral_support(self, tol: float = 1e-12) -> float:
+        """Radius r with |Q(t)| <= tol for |t| > r."""
         raise NotImplementedError
 
 
@@ -753,12 +755,13 @@ def _kernel_temporal(spec: TemporalGate, rows: Axis, cols: Axis) -> np.ndarray:
 def _edge_ring_check(spec: Sif, rows: Axis, cols: Axis, kmax: float) -> float:
     """Sample the kernel one edge spacing outside each grid edge; complain about tails.
 
-    Returns the ratio of the largest ring sample to the kernel maximum ``kmax``
-    (0 for a zero kernel), a proxy for the truncated tail mass: above 1e-6 the
-    discretization is refused, above 1e-12 a warning is emitted.
+    Returns the ratio of the largest ring sample to the kernel maximum ``kmax``,
+    a proxy for the truncated tail mass: above 1e-6 the discretization is
+    refused, above 1e-12 a warning is emitted.  Profiles are peak-normalized,
+    so a kernel that is zero at every sample means the axes miss the filter.
     """
     if kmax == 0:
-        return 0.0
+        raise ResolutionError("kernel vanishes on the grid; the axes miss the filter's support")
     rp, cp = rows.points, cols.points
     ring_rows = np.array([2.0 * rp[0] - rp[1], 2.0 * rp[-1] - rp[-2]])
     ring_cols = np.array([2.0 * cp[0] - cp[1], 2.0 * cp[-1] - cp[-2]])
@@ -826,9 +829,9 @@ class ParityBlocks:
     Row k of ``even`` is the sample ``count // 2 + k`` of the rows axis (on an
     odd axis the centre first, with half its weight, then the positive
     points ascending), row k of ``odd`` is the sample ``(count + 1) // 2 + k``;
-    columns likewise.  ``odd_phase`` is 1 in a square representation and -+i
-    in the mixed one, whose odd block is -+2i Q(t) R(w) sin(wt), so both blocks
-    of a real-profile Sif are real.  ``edge_ring_ratio`` is what
+    columns likewise.  ``odd_phase`` is -+i, the constant of the odd part
+    -+2i Q(t) R(w) sin(wt) of the mixed kernel, so both blocks of a
+    real-profile Sif are real.  ``edge_ring_ratio`` is what
     :func:`build_operator`'s edge-ring check measures on the full axes.
     """
 
@@ -855,35 +858,30 @@ def _even_half(axis: Axis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parity_blocks(spec: Sif, rows: Axis, cols: Axis) -> ParityBlocks:
-    """Even and odd half-size blocks of a Sif with even profiles on symmetric axes.
+    """Even and odd half-size blocks of a Sif with even profiles on symmetric mixed axes.
 
-    The blocks are assembled from the positive half-points and their exact
-    negations, so half the kernel entries of :func:`build_operator` are
-    evaluated; their singular values together are those of the full matrix.
-    The edge-ring and finiteness checks of :func:`build_operator` apply.
+    The blocks are assembled from the positive half-points, so the profiles
+    are evaluated on a quarter of :func:`build_operator`'s grid; the blocks'
+    singular values together are those of the full matrix.  The edge-ring and
+    finiteness checks of :func:`build_operator` apply.
     """
     if not (spec.spectral.even and spec.temporal.even):
         raise ValueError("parity blocks need a Sif whose window and gate are both even")
+    if rows.domain is cols.domain:
+        raise DomainMismatchError("parity blocks need the mixed time x frequency representation")
     xr, wr = _even_half(rows)
     xc, wc = _even_half(cols)
-    if rows.domain is cols.domain:
-        plus = _kernel_sif(spec, xr, rows.domain, xc, cols.domain)
-        minus = _kernel_sif(spec, xr, rows.domain, -xc, cols.domain)
-        kmax = max(np.max(np.abs(plus)), np.max(np.abs(minus)))
-        even, odd, phase = plus + minus, plus - minus, 1.0
-    else:
-        amp, sign = _mixed_sif(spec, xr, rows.domain, xc, cols.domain)
-        arg = np.outer(xr, xc)
-        kmax = np.max(np.abs(amp))
-        even, odd, phase = 2.0 * amp * np.cos(arg), 2.0 * amp * np.sin(arg), sign * 1j
-    ratio = _edge_ring_check(spec, rows, cols, float(kmax))
+    amp, sign = _mixed_sif(spec, xr, rows.domain, xc, cols.domain)
+    arg = np.outer(xr, xc)
+    even, odd = 2.0 * amp * np.cos(arg), 2.0 * amp * np.sin(arg)
+    ratio = _edge_ring_check(spec, rows, cols, float(np.max(np.abs(amp))))
     sr, sc = np.sqrt(wr) * spec.insertion_loss, np.sqrt(wc)
     r0, c0 = rows.count % 2, cols.count % 2  # the centre sample has no odd part
     even = sr[:, None] * even * sc[None, :]
     odd = sr[r0:, None] * odd[r0:, c0:] * sc[None, c0:]
     if not (np.all(np.isfinite(even)) and np.all(np.isfinite(odd))):
         raise ValueError("operator entries must be finite")
-    return ParityBlocks(even, odd, phase, ratio)
+    return ParityBlocks(even, odd, sign * 1j, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -891,23 +889,24 @@ def parity_blocks(spec: Sif, rows: Axis, cols: Axis) -> ParityBlocks:
 
 
 def recommended_axes(spec: Sif, resolution: int = 1024) -> tuple[Axis, Axis]:
-    """(rows, cols) axes suited to the Sif's profile tails.
+    """(rows, cols) of the Sif's mixed representation, each axis chosen by its own profile.
 
-    A window and a gate both compact in their own domain get ``resolution``
-    Gauss-Legendre nodes on the gate's temporal and the window's spectral
-    support, in the mixed representation; otherwise the profiles get a square
-    uniform frequency representation spanning the combined support radii at
-    tolerance 1e-13.
+    A profile compact in its own domain gets ``resolution`` Gauss-Legendre
+    nodes inside its support; a smooth one a symmetric uniform grid of
+    ``resolution`` samples spanning its support radius at tolerance 1e-13.
+    Time rows x frequency columns for FREQUENCY_FIRST, the transpose for
+    TIME_FIRST.
     """
-    window, gate = spec.spectral, spec.temporal
-    if window.compact_spectral and gate.compact_temporal:
-        t_ax = QuadratureAxis(gate.temporal_support(), resolution, Domain.TIME)
-        f_ax = QuadratureAxis(window.spectral_support(), resolution, Domain.ANGULAR_FREQUENCY)
-        if spec.order is StageOrder.FREQUENCY_FIRST:
-            return t_ax, f_ax
-        return f_ax, t_ax
-    tol = 1e-13
-    half = window.spectral_support(tol) + gate.spectral_support(tol)
-    step = 2.0 * half / (resolution - 1)
-    ax = SampledAxis(-half, step, resolution, Domain.ANGULAR_FREQUENCY)
-    return ax, ax
+
+    def axis(compact: bool, support, domain: Domain) -> Axis:
+        if compact:
+            return QuadratureAxis(support(), resolution, domain)
+        half = support(1e-13)
+        return SampledAxis(-half, 2.0 * half / (resolution - 1), resolution, domain)
+
+    gate, window = spec.temporal, spec.spectral
+    t_ax = axis(gate.compact_temporal, gate.temporal_support, Domain.TIME)
+    f_ax = axis(window.compact_spectral, window.spectral_support, Domain.ANGULAR_FREQUENCY)
+    if spec.order is StageOrder.FREQUENCY_FIRST:
+        return t_ax, f_ax
+    return f_ax, t_ax

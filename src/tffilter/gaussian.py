@@ -78,9 +78,6 @@ class GaussianSpectralWindow(SpectralWindowProfile):
     def spectral_support(self, tol: float = _SUPPORT_TOL_DEFAULT) -> float:
         return _gauss_radius(self._sigma_w, tol)
 
-    def temporal_support(self, tol: float = _SUPPORT_TOL_DEFAULT) -> float:
-        return _gauss_radius(1.0 / (2.0 * self.bandwidth_hz * np.sqrt(np.pi)), tol)
-
 
 class GaussianTemporalGate(TemporalGateProfile):
     """Q(t) = exp(-pi t^2 / (2 T^2)); integral duration exactly T."""
@@ -106,9 +103,6 @@ class GaussianTemporalGate(TemporalGateProfile):
 
     def temporal_support(self, tol: float = _SUPPORT_TOL_DEFAULT) -> float:
         return _gauss_radius(self._sigma_t, tol)
-
-    def spectral_support(self, tol: float = _SUPPORT_TOL_DEFAULT) -> float:
-        return _gauss_radius(np.sqrt(np.pi) / self.duration_s, tol)
 
 
 def gaussian_profiles(

@@ -8,13 +8,14 @@ arithmetic.  Un-weighting the singular vectors by 1/sqrt(w), w the axes'
 the axis measure; they are stored complex either way.
 
 :func:`decompose_filter` raises the resolution of a Sif's grids until every
-kept singular value stabilizes.  When the window and the gate are both even
-(every profile that ships), each grid is factored as the two half-size
-:func:`~tffilter.core.parity_blocks`, real for both the Gaussian and the
-brick-wall pair; the two value lists are merged, and full-axis vectors are
-rebuilt, with their parity, only for the pairs that are returned.  Any other
-Sif goes through one SVD of the whole :func:`~tffilter.core.build_operator`
-matrix.
+kept singular value stabilizes.  Every Sif is discretized in its mixed time x
+frequency representation, on the axes :func:`~tffilter.core.recommended_axes`
+picks for each profile.  When the window and the gate are both even (every
+profile that ships), each grid is factored as the two half-size real
+:func:`~tffilter.core.parity_blocks`; the two value lists are merged, and
+full-axis vectors are rebuilt, with their parity, only for the pairs that are
+returned.  Any other Sif goes through one complex SVD of the whole
+:func:`~tffilter.core.build_operator` matrix.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ class GridReport:
     ``leading_rel_change`` is |s_0 - s_0^prev| / s_0 between the last two
     grids and ``ladder_rel_change`` is max_n |s_n - s_n^prev| / s_0 over the
     values kept on the last grid (a value the coarser grid lacks counts as 0).
-    ``final_rows``/``final_cols`` are the returned modes' axes (Gauss-Legendre for brick walls).
+    ``final_rows``/``final_cols`` are the returned modes' axes, one time and one
+    frequency axis: Gauss-Legendre nodes for a compact profile, a uniform grid
+    for a smooth one.
     ``edge_ring_ratio`` is the kernel's largest magnitude one spacing outside
     the final grid relative to its peak, a proxy for the truncated tail.
     """

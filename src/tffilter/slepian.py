@@ -100,10 +100,6 @@ class RectangularSpectralWindow(SpectralWindowProfile):
     def spectral_support(self, tol: float = 1e-12) -> float:
         return self.cutoff_rad
 
-    def temporal_support(self, tol: float = 1e-12) -> float:
-        # |sinc| envelope 1/|cut * t|; radius where it reaches tol
-        return 1.0 / (self.cutoff_rad * tol)
-
 
 class RectangularTemporalGate(TemporalGateProfile):
     """Brick-wall gate: Q = 1 on (-T/2, T/2), so the integral duration is T."""
@@ -127,9 +123,6 @@ class RectangularTemporalGate(TemporalGateProfile):
 
     def temporal_support(self, tol: float = 1e-12) -> float:
         return self.half_width_s
-
-    def spectral_support(self, tol: float = 1e-12) -> float:
-        return 1.0 / (self.half_width_s * tol)
 
 
 def rectangular_profiles(

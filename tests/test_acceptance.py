@@ -14,6 +14,7 @@ import pytest
 
 from tffilter.core import (
     Domain,
+    SampledAxis,
     StageOrder,
     build_operator,
     centered_axis,
@@ -59,8 +60,13 @@ class TestC01MehlerOracle:
     def test_numeric_svd_matches_ladder(self, bt):
         started = time.perf_counter()
         spec = gaussian_sif(bt, 1.0)
-        rows, cols = recommended_axes(spec, resolution=1024)
-        res = schmidt_decompose(build_operator(spec, rows, cols), keep=11)
+        # the square frequency representation, independent of the mixed
+        # grids decompose_filter uses: the window's 1e-13 radius plus that of
+        # the gate's transfer T sqrt(2) exp(-w^2 T^2 / (2 pi))
+        gate_radius = np.sqrt(2.0 * np.pi * np.log(1e13)) / spec.temporal.duration_s
+        half = spec.spectral.spectral_support(1e-13) + gate_radius
+        ax = SampledAxis(-half, 2.0 * half / 1023, 1024, Domain.ANGULAR_FREQUENCY)
+        res = schmidt_decompose(build_operator(spec, ax, ax), keep=11)
         lam = gaussian_singular_values(bt, 11)
         rel = np.max(np.abs(res.singular_values - lam) / lam)
         elapsed = time.perf_counter() - started

@@ -34,9 +34,14 @@ from tffilter.core import (
     inner_product,
     recommended_axes,
 )
-from tffilter.gaussian import gaussian_sif, hermite_gaussian_mode_set
+from tffilter.gaussian import (
+    GaussianSpectralWindow,
+    GaussianTemporalGate,
+    gaussian_sif,
+    hermite_gaussian_mode_set,
+)
 from tffilter.noisesim import sample_white_noise
-from tffilter.slepian import rectangular_sif
+from tffilter.slepian import RectangularSpectralWindow, RectangularTemporalGate, rectangular_sif
 
 
 def gaussian_pulse(axis: SampledAxis, width: float = 1.0) -> SampledSignal:
@@ -490,8 +495,8 @@ class TestOperator:
         # every factor of a Gaussian Sif kernel is real in the square
         # representations, so the matrix is factored in real arithmetic
         spec = gaussian_sif(0.5, 1.0, order)
-        rows, cols = recommended_axes(spec, resolution=128)
-        assert build_operator(spec, rows, cols).entries.dtype == np.float64
+        f_ax = centered_axis(56.0 / 128, 128, Domain.ANGULAR_FREQUENCY)
+        assert build_operator(spec, f_ax, f_ax).entries.dtype == np.float64
         t_ax = centered_axis(24.0 / 128, 128, Domain.TIME)
         assert build_operator(spec, t_ax, t_ax).entries.dtype == np.float64
 
@@ -530,11 +535,46 @@ class TestOperator:
         assert cols.domain is Domain.ANGULAR_FREQUENCY
         assert rows.domain is Domain.TIME
 
-    def test_recommended_axes_smooth_square(self):
+    @pytest.mark.parametrize("order", list(StageOrder), ids=lambda o: o.name.lower())
+    @pytest.mark.parametrize(
+        "window, gate",
+        [
+            (GaussianSpectralWindow(0.5), GaussianTemporalGate(1.0)),
+            (GaussianSpectralWindow(2.0), RectangularTemporalGate(1.0)),
+            (RectangularSpectralWindow(2.0), GaussianTemporalGate(1.0)),
+            (RectangularSpectralWindow(0.8), RectangularTemporalGate(1.0)),
+        ],
+        ids=["gauss-gauss", "gauss-rect", "rect-gauss", "rect-rect"],
+    )
+    def test_recommended_axes_mixed_per_profile(self, window, gate, order):
+        # one time and one frequency axis, each chosen by its own profile:
+        # Gauss-Legendre inside a compact support, a symmetric uniform grid
+        # over a smooth profile's 1e-13 radius
+        rows, cols = recommended_axes(Sif(window, gate, order), resolution=128)
+        t_ax, f_ax = (rows, cols) if order is StageOrder.FREQUENCY_FIRST else (cols, rows)
+        assert t_ax.domain is Domain.TIME and f_ax.domain is Domain.ANGULAR_FREQUENCY
+        for ax, compact, radius in (
+            (t_ax, gate.compact_temporal, gate.temporal_support),
+            (f_ax, window.compact_spectral, window.spectral_support),
+        ):
+            assert ax.count == 128
+            if compact:
+                assert ax == QuadratureAxis(radius(), 128, ax.domain)
+            else:
+                assert isinstance(ax, SampledAxis)
+                assert ax.start == -radius(1e-13)
+                assert ax.stop == pytest.approx(radius(1e-13), rel=1e-14)
+
+    def test_zero_kernel_is_refused(self):
+        # peak-normalized profiles never give a kernel that vanishes at every
+        # sample of a grid that covers the filter
         spec = gaussian_sif(0.5, 1.0)
-        rows, cols = recommended_axes(spec, resolution=128)
-        assert rows is cols
-        assert rows.domain is Domain.ANGULAR_FREQUENCY
+        far = SampledAxis(100.0, 0.01, 64, Domain.TIME)
+        with pytest.raises(ResolutionError, match="kernel vanishes"):
+            build_operator(spec, far, far)
+        freq = recommended_axes(spec, resolution=64)[1]
+        with pytest.raises(ResolutionError, match="kernel vanishes"):
+            build_operator(spec, far, freq)
 
     def test_indicator_axis_covers_support(self):
         ax = indicator_axis(1.0, 64, Domain.TIME)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tffilter.core import Domain, SampledAxis, StageOrder, centered_axis, inner_product
 from tffilter.gaussian import (
@@ -83,6 +85,12 @@ class TestTradeoff:
         for bt in (0.05, 0.5, 3.0):
             eta, xi = gaussian_tradeoff(bt)
             assert eta / xi == pytest.approx(bt, rel=1e-13)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.floats(min_value=0.01, max_value=20.0))
+    def test_eta_is_xi_times_bt(self, bt):
+        eta, xi = gaussian_tradeoff(bt)
+        assert abs(xi * bt - eta) <= 1e-12
 
     def test_array_broadcast(self):
         bts = np.geomspace(0.01, 10.0, 40)

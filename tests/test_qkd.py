@@ -173,6 +173,17 @@ class TestKeyRate:
         rates = normalized_key_rate(0.8, 0.7, nys)
         assert np.all(np.diff(rates) <= 1e-15)
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        st.floats(min_value=1e-6, max_value=1.0),
+        st.floats(min_value=1e-6, max_value=1.0),
+        st.floats(min_value=0.0, max_value=100.0),
+        st.floats(min_value=0.0, max_value=100.0),
+    )
+    def test_more_noise_never_raises_the_rate(self, eta, xi, n1, n2):
+        n1, n2 = sorted((n1, n2))
+        assert normalized_key_rate(eta, xi, n1) >= normalized_key_rate(eta, xi, n2) - 1e-15
+
     def test_array_broadcast(self):
         etas = np.array([0.2, 0.5, 0.9])
         rates = normalized_key_rate(etas, 0.5, 0.0)

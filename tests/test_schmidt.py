@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 import tffilter.schmidt
 from tffilter.core import (
     ConvergenceError,
+    Domain,
+    DomainMismatchError,
     OperatorMatrix,
+    SampledAxis,
     Sif,
     StageOrder,
     build_operator,
@@ -31,7 +34,25 @@ from tffilter.schmidt import (
     reconstruct_kernel,
     schmidt_decompose,
 )
-from tffilter.slepian import pswf_solve_legendre, rectangular_filter_modes, rectangular_sif
+from tffilter.metrics import bt_from_profiles
+from tffilter.slepian import (
+    RectangularSpectralWindow,
+    RectangularTemporalGate,
+    pswf_solve_legendre,
+    rectangular_filter_modes,
+    rectangular_sif,
+)
+
+
+def gaussian_square_axis(spec, count):
+    """Uniform frequency axis of a Gaussian Sif's square representation.
+
+    The kernel Q~(w - w') R~(w') needs the window's radius plus that of the
+    gate's transfer T sqrt(2) exp(-w^2 T^2 / (2 pi)), both taken at 1e-13.
+    """
+    gate_radius = np.sqrt(np.pi) / spec.temporal.duration_s * np.sqrt(2.0 * np.log(1.0 / 1e-13))
+    half = spec.spectral.spectral_support(1e-13) + gate_radius
+    return SampledAxis(-half, 2.0 * half / (count - 1), count, Domain.ANGULAR_FREQUENCY)
 
 
 @pytest.fixture(scope="module")
@@ -75,13 +96,13 @@ class TestSchmidtDecompose:
         assert rep.leading_rel_change <= rep.ladder_rel_change < rep.tolerance
 
     def test_refines_until_every_kept_value_settles(self):
-        # from N=64, s_0 of the BT=0.5 ladder has settled to 3e-13 at N=128
-        # while s_9 still drifts by 4e-7 s_0; the loop must go on to N=256
-        res = decompose_filter(gaussian_sif(0.5, 1.0), keep=10, resolution=64)
+        # from N=64, s_0 of the BT=2 ladder has settled to 7e-14 at N=128
+        # while s_9 still drifts by 3.4e-7 s_0; the loop must go on to N=256
+        res = decompose_filter(gaussian_sif(2.0, 1.0), keep=10, resolution=64)
         rep = res.grid_report
         assert rep.resolutions == (64, 128, 256)
         assert rep.ladder_rel_change < rep.tolerance
-        sv = gaussian_singular_values(0.5, 10)
+        sv = gaussian_singular_values(2.0, 10)
         assert np.max(np.abs(res.singular_values - sv)) < 1e-12
 
     def test_keep_threshold_is_relative(self):
@@ -197,7 +218,7 @@ class TestRealFactorization:
     def pair(self, request):
         bt, res, order = request.param
         spec = gaussian_sif(bt, 1.0, order)
-        rows, cols = recommended_axes(spec, resolution=res)
+        rows = cols = gaussian_square_axis(spec, res)
         op = build_operator(spec, rows, cols)
         cplx = OperatorMatrix(rows, cols, op.entries.astype(complex))
         return op, schmidt_decompose(op, keep=10), schmidt_decompose(cplx, keep=10)
@@ -372,13 +393,22 @@ def test_odd_resolution_converges_to_the_same_ladder(order):
 
 
 def test_parity_blocks_refuse_asymmetric_axes():
-    from tffilter.core import SampledAxis
-
     spec = gaussian_sif(2.0, 1.0)
-    rows, _ = recommended_axes(spec, 64)
-    shifted = SampledAxis(rows.start + 0.5 * rows.step, rows.step, rows.count, rows.domain)
+    rows, cols = (
+        SampledAxis(ax.start + 0.5 * ax.step, ax.step, ax.count, ax.domain)
+        for ax in recommended_axes(spec, 64)
+    )
     with pytest.raises(ValueError, match="symmetric"):
-        parity_blocks(spec, shifted, shifted)
+        parity_blocks(spec, rows, cols)
+
+
+def test_parity_blocks_refuse_a_square_representation():
+    # the blocks split the mixed kernel's Fourier phase; a same-domain pair
+    # would otherwise be read as a mixed one
+    spec = gaussian_sif(2.0, 1.0)
+    f_ax = gaussian_square_axis(spec, 64)
+    with pytest.raises(DomainMismatchError, match="mixed"):
+        parity_blocks(spec, f_ax, f_ax)
 
 
 class _ShiftedGaussianGate(GaussianTemporalGate):
@@ -426,3 +456,40 @@ def test_gaussian_ladder_properties(bt, order):
         assert np.max(np.abs(r.singular_values - mehler)) <= 1e-12
         assert abs(r.total_power - bt) / bt <= 1e-12
     assert np.max(np.abs(res.singular_values - swapped.singular_values)) <= 1e-12
+
+
+def _refuse(self, x):
+    raise AssertionError("the decomposition must read profiles through window() and gate() only")
+
+
+@pytest.mark.parametrize("b, t", [(2.0, 1.0), (0.5, 1.0)])
+def test_mixed_families_decompose(b, t, monkeypatch):
+    # a Gaussian window with a brick-wall gate, and the reverse, in both orders
+    for cls, name in (
+        (GaussianSpectralWindow, "response"),
+        (RectangularSpectralWindow, "response"),
+        (GaussianTemporalGate, "transfer"),
+        (RectangularTemporalGate, "transfer"),
+    ):
+        monkeypatch.setattr(cls, name, _refuse)
+    ladders = {}
+    for window, gate in (
+        (GaussianSpectralWindow(b), RectangularTemporalGate(t)),
+        (RectangularSpectralWindow(b), GaussianTemporalGate(t)),
+    ):
+        for order in StageOrder:
+            spec = Sif(window, gate, order)
+            res = decompose_filter(spec, keep=10)
+            assert res.grid_report.converged
+            bt = bt_from_profiles(spec)
+            assert abs(res.total_power - bt) / bt <= 1e-12
+            ladders[window.compact_spectral, order] = res.singular_values
+    for compact in (False, True):
+        ff, tf = (ladders[compact, order] for order in StageOrder)
+        assert np.max(np.abs(ff - tf)) <= 1e-12
+    # duality: w = (2 pi B / T) t' and t = (T / 2 pi B) w' carry the kernel
+    # Q(t) exp(-i w t) R~(w) of a Gaussian window with a brick-wall gate onto
+    # the transpose of the brick-wall window with a Gaussian gate, since
+    # w t = t' w', and dt dw / 2 pi = dt' dw' / 2 pi (unit Jacobian)
+    gauss_window = ladders[False, StageOrder.FREQUENCY_FIRST]
+    assert np.max(np.abs(gauss_window - ladders[True, StageOrder.FREQUENCY_FIRST])) <= 1e-12

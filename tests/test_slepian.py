@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tffilter.core import ConvergenceError, Domain, SampledAxis, StageOrder, inner_product
 from tffilter.schmidt import decompose_filter
@@ -305,6 +307,12 @@ class TestTradeoff:
         for bt in (0.2, 0.8, 2.0):
             eta, xi = slepian_tradeoff(bt)
             assert eta / xi == pytest.approx(bt, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.floats(min_value=0.01, max_value=20.0))
+    def test_eta_is_xi_times_bt(self, bt):
+        eta, xi = slepian_tradeoff(bt)
+        assert abs(xi * bt - eta) <= 1e-12
 
     def test_eta_is_beta0(self):
         eta, _ = slepian_tradeoff(1.0 / np.pi)  # c = 0.5
