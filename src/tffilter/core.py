@@ -29,20 +29,20 @@ axes' quadrature weights folded in symmetrically (sqrt(w) K sqrt(w)), so that
 matrix singular values approximate the operator's Schmidt coefficients.  The
 FFT-based paths need a uniform ``SampledAxis``; ``recommended_axes`` gives compact
 pairs a ``QuadratureAxis`` of Gauss-Legendre nodes inside the supports instead.
-The matrix keeps the data type its kernel is assembled in: ``float64`` where
-every factor is real (a real-profile Sif in a square time or frequency
-representation, a real pointwise stage), ``complex128`` where a factor is
-complex (the Fourier phase of a mixed time x frequency kernel, the modes of a
-``SeparableCoherent`` filter).
+The matrix keeps the data type its kernel is assembled in: ``float64`` for a
+real pointwise stage, ``complex128`` where a factor is complex (the Fourier
+phase of a mixed time x frequency kernel, the modes of a ``SeparableCoherent``
+filter).
 
-A Sif is decomposed in one representation only, the mixed one, whose kernel
-Q(t) exp(-+i w t) R~(w) needs nothing of the profiles but ``gate()`` and
-``window()``.  ``recommended_axes`` picks each of its two axes from that
-axis's own profile, and ``parity_blocks`` renders a Sif whose profiles are
-both ``even`` as two half-size blocks, the kernel's even and odd parts on the
-positive half-axes.  They are real for real profiles: the Fourier phase
-splits into a cosine and a sine kernel, and the odd block's constant -+i is
-kept aside.
+A window, gate or Sif has one kernel, the mixed time x frequency one,
+Q(t) exp(-+i w t) R~(w) with a missing stage counted as 1, which needs nothing
+of the profiles but ``gate()`` and ``window()``; only a lone stage on its own
+domain is rendered otherwise, as a diagonal.  ``recommended_axes`` picks each
+of a Sif's two axes from that axis's own profile, and ``parity_blocks``
+renders a Sif whose profiles are both ``even`` as two half-size blocks, the
+kernel's even and odd parts on the positive half-axes.  They are real for
+real profiles: the Fourier phase splits into a cosine and a sine kernel, and
+the odd block's constant -+i is kept aside.
 """
 
 from __future__ import annotations
@@ -404,9 +404,7 @@ class SpectralWindowProfile:
     """Stationary spectral window R~(w), peak-normalized to max |R~| = 1.
 
     Subclasses provide the window, the intensity-integral bandwidth
-    B = integral |R~(w)|^2 dw/2pi (in Hz) and its spectral support radius;
-    the time-domain impulse response R(t) = inverse transform of R~ is needed
-    only for :func:`build_operator`'s square time representation.
+    B = integral |R~(w)|^2 dw/2pi (in Hz) and its spectral support radius.
     ``compact_spectral`` marks windows that vanish identically outside a
     finite band.  ``even`` marks windows with R~(-w) = R~(w); a Sif whose
     window and gate are both even is decomposed by
@@ -421,9 +419,6 @@ class SpectralWindowProfile:
     def window(self, omega: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def response(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def spectral_support(self, tol: float = 1e-12) -> float:
         """Radius r with |R~(w)| <= tol for |w| > r."""
         raise NotImplementedError
@@ -433,11 +428,9 @@ class TemporalGateProfile:
     """Time gate Q(t), peak-normalized to max |Q| = 1.
 
     Subclasses provide the gate, the integral duration T = integral |Q(t)|^2
-    dt (in s) and its temporal support radius; the transfer function Q~(w) =
-    forward transform of Q is needed only for :func:`build_operator`'s square
-    frequency representation.  ``compact_temporal`` marks gates that vanish
-    identically outside a finite interval.  ``even`` marks gates with
-    Q(-t) = Q(t), as on :class:`SpectralWindowProfile`.
+    dt (in s) and its temporal support radius.  ``compact_temporal`` marks
+    gates that vanish identically outside a finite interval.  ``even`` marks
+    gates with Q(-t) = Q(t), as on :class:`SpectralWindowProfile`.
     """
 
     duration_s: float
@@ -445,9 +438,6 @@ class TemporalGateProfile:
     even: bool = False
 
     def gate(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def transfer(self, omega: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def temporal_support(self, tol: float = 1e-12) -> float:
@@ -551,7 +541,11 @@ def _stages(spec: FilterSpec) -> tuple[SpectralWindowProfile | None, TemporalGat
 
 
 def _check_grid(spec: FilterSpec, ax: SampledAxis) -> None:
-    """Resolution guard on ``ax``: dt <= 1/(10 B) and span covering the filter support."""
+    """Resolution guard on ``ax``: dt <= 1/(10 B) and span covering the filter support.
+
+    On a frequency axis the gate acts on the reciprocal time grid, whose
+    half-span pi/dw must cover the gate support.
+    """
     window, gate = _stages(spec)
     if _uniform(ax).domain is Domain.TIME:
         if window is not None and ax.step > 1.0 / (10.0 * window.bandwidth_hz):
@@ -568,14 +562,23 @@ def _check_grid(spec: FilterSpec, ax: SampledAxis) -> None:
                 raise ResolutionError(
                     f"time span [{ax.start:g}, {ax.stop:g}] does not cover the gate support +-{r:g}"
                 )
-    elif window is not None:
-        r = window.spectral_support(1e-12)
-        if ax.start > -r or ax.stop < r:
-            raise ResolutionError(
-                f"frequency span [{ax.start:g}, {ax.stop:g}] does not cover the window support +-{r:g}"
-            )
-        if ax.span < 20.0 * np.pi * window.bandwidth_hz:
-            raise ResolutionError("frequency span too narrow for the filter bandwidth")
+    else:
+        if window is not None:
+            r = window.spectral_support(1e-12)
+            if ax.start > -r or ax.stop < r:
+                raise ResolutionError(
+                    f"frequency span [{ax.start:g}, {ax.stop:g}] does not cover the window "
+                    f"support +-{r:g}"
+                )
+            if ax.span < 20.0 * np.pi * window.bandwidth_hz:
+                raise ResolutionError("frequency span too narrow for the filter bandwidth")
+        if gate is not None:
+            r = gate.temporal_support(1e-12)
+            if np.pi / ax.step < r:
+                raise ResolutionError(
+                    f"frequency step {ax.step:g} too coarse: the reciprocal time grid's "
+                    f"half-span {np.pi / ax.step:g} does not cover the gate support +-{r:g}"
+                )
 
 
 def _match_axis(values: np.ndarray, axis: SampledAxis, target: SampledAxis) -> np.ndarray:
@@ -696,60 +699,43 @@ class OperatorMatrix:
         return float(np.sum(np.abs(self.entries) ** 2))
 
 
-def _kernel_sif(spec: Sif, rp: np.ndarray, rdom: Domain, cp: np.ndarray, cdom: Domain) -> np.ndarray:
-    """Sif kernel between row points in domain ``rdom`` and column points in ``cdom``."""
-    freq_first = spec.order is StageOrder.FREQUENCY_FIRST
-    t_dom, f_dom = Domain.TIME, Domain.ANGULAR_FREQUENCY
-    if rdom is t_dom and cdom is t_dom:
-        resp = spec.spectral.response(rp[:, None] - cp[None, :])
-        if freq_first:
-            return spec.temporal.gate(rp)[:, None] * resp
-        return resp * spec.temporal.gate(cp)[None, :]
-    if rdom is f_dom and cdom is f_dom:
-        xfer = spec.temporal.transfer(rp[:, None] - cp[None, :])
-        if freq_first:
-            return xfer * spec.spectral.window(cp)[None, :]
-        return spec.spectral.window(rp)[:, None] * xfer
-    amp, sign = _mixed_sif(spec, rp, rdom, cp, cdom)
-    return amp * np.exp(sign * 1j * np.outer(rp, cp))
-
-
-def _mixed_sif(
-    spec: Sif, rp: np.ndarray, rdom: Domain, cp: np.ndarray, cdom: Domain
+def _mixed_kernel(
+    spec: FilterSpec, rp: np.ndarray, rdom: Domain, cp: np.ndarray, cdom: Domain
 ) -> tuple[np.ndarray, int]:
-    """(Q R amplitude, sign s) of a mixed Sif kernel: amplitude * exp(i s outer(rp, cp))."""
-    freq_first = spec.order is StageOrder.FREQUENCY_FIRST
-    if rdom is Domain.TIME:
-        if not freq_first:
-            raise DomainMismatchError(
-                "time-rows x frequency-cols kernel is separable only for FREQUENCY_FIRST"
-            )
-        return spec.temporal.gate(rp)[:, None] * spec.spectral.window(cp)[None, :], -1
-    if freq_first:
+    """(amplitude, sign s) of the mixed kernel amplitude * exp(i s outer(rp, cp)).
+
+    The amplitude is Q(t) R~(w) of a window, gate or Sif, a missing stage
+    counting as 1.  A Sif has time rows x frequency columns only for
+    FREQUENCY_FIRST and the transpose only for TIME_FIRST; a same-domain
+    pairing has no such kernel.
+    """
+    if rdom is cdom:
+        raise DomainMismatchError("needs the mixed time x frequency representation")
+    time_rows = rdom is Domain.TIME
+    if isinstance(spec, Sif) and time_rows is not (spec.order is StageOrder.FREQUENCY_FIRST):
         raise DomainMismatchError(
-            "frequency-rows x time-cols kernel is separable only for TIME_FIRST"
+            "a Sif's kernel is separable in time rows x frequency columns only for "
+            "FREQUENCY_FIRST, and in the transpose only for TIME_FIRST"
         )
-    return spec.spectral.window(rp)[:, None] * spec.temporal.gate(cp)[None, :], 1
+    window, gate = _stages(spec)
+    t, w = (rp, cp) if time_rows else (cp, rp)
+    q = np.ones(len(t)) if gate is None else gate.gate(t)
+    r = np.ones(len(w)) if window is None else window.window(w)
+    if time_rows:
+        return q[:, None] * r[None, :], -1
+    return r[:, None] * q[None, :], 1
 
 
-def _kernel_spectral(spec: SpectralWindow, rows: Axis, cols: Axis) -> np.ndarray:
-    """Window kernel on every pairing but frequency x frequency (a diagonal)."""
-    rp, cp = rows.points, cols.points
-    if rows.domain is Domain.TIME and cols.domain is Domain.TIME:
-        return spec.profile.response(rp[:, None] - cp[None, :])
-    if rows.domain is Domain.TIME:
-        return np.exp(-1j * np.outer(rp, cp)) * spec.profile.window(cp)[None, :]
-    return spec.profile.window(rp)[:, None] * np.exp(1j * np.outer(rp, cp))
+def _peak(amplitude: np.ndarray) -> float:
+    """Largest |amplitude|; refused when 0.
 
-
-def _kernel_temporal(spec: TemporalGate, rows: Axis, cols: Axis) -> np.ndarray:
-    """Gate kernel on every pairing but time x time (a diagonal)."""
-    rp, cp = rows.points, cols.points
-    if rows.domain is Domain.ANGULAR_FREQUENCY and cols.domain is Domain.ANGULAR_FREQUENCY:
-        return spec.profile.transfer(rp[:, None] - cp[None, :])
-    if rows.domain is Domain.ANGULAR_FREQUENCY:
-        return np.exp(1j * np.outer(rp, cp)) * spec.profile.gate(cp)[None, :]
-    return spec.profile.gate(rp)[:, None] * np.exp(-1j * np.outer(rp, cp))
+    Profiles are peak-normalized, so a kernel zero at every sample means the
+    axes miss the filter.
+    """
+    kmax = float(np.max(np.abs(amplitude)))
+    if kmax == 0:
+        raise ResolutionError("kernel vanishes on the grid; the axes miss the filter's support")
+    return kmax
 
 
 def _edge_ring_check(spec: Sif, rows: Axis, cols: Axis, kmax: float) -> float:
@@ -757,17 +743,14 @@ def _edge_ring_check(spec: Sif, rows: Axis, cols: Axis, kmax: float) -> float:
 
     Returns the ratio of the largest ring sample to the kernel maximum ``kmax``,
     a proxy for the truncated tail mass: above 1e-6 the discretization is
-    refused, above 1e-12 a warning is emitted.  Profiles are peak-normalized,
-    so a kernel that is zero at every sample means the axes miss the filter.
+    refused, above 1e-12 a warning is emitted.
     """
-    if kmax == 0:
-        raise ResolutionError("kernel vanishes on the grid; the axes miss the filter's support")
     rp, cp = rows.points, cols.points
     ring_rows = np.array([2.0 * rp[0] - rp[1], 2.0 * rp[-1] - rp[-2]])
     ring_cols = np.array([2.0 * cp[0] - cp[1], 2.0 * cp[-1] - cp[-2]])
     probe = max(
-        np.max(np.abs(_kernel_sif(spec, ring_rows, rows.domain, cp, cols.domain))),
-        np.max(np.abs(_kernel_sif(spec, rp, rows.domain, ring_cols, cols.domain))),
+        np.max(np.abs(_mixed_kernel(spec, ring_rows, rows.domain, cp, cols.domain)[0])),
+        np.max(np.abs(_mixed_kernel(spec, rp, rows.domain, ring_cols, cols.domain)[0])),
     )
     ratio = float(probe / kmax)
     if ratio > 1e-6:
@@ -784,31 +767,37 @@ def _edge_ring_check(spec: Sif, rows: Axis, cols: Axis, kmax: float) -> float:
 def build_operator(spec: FilterSpec, rows: Axis, cols: Axis) -> OperatorMatrix:
     """Dense Nystrom discretization of the filter kernel on (rows x cols).
 
-    Supported domain pairings: both square representations for single stages
-    and Sifs, plus the mixed pairing natural to a Sif's order (time rows x
-    frequency columns for FREQUENCY_FIRST, the transpose for TIME_FIRST),
-    where both supports can be rendered exactly.  Pointwise stages on their
-    own domain become diagonal matrices.
+    A window, gate or Sif is rendered in the mixed time x frequency
+    representation, where its kernel is Q(t) exp(-+i w t) R~(w); a Sif only in
+    the pairing natural to its order (time rows x frequency columns for
+    FREQUENCY_FIRST, the transpose for TIME_FIRST), a lone stage in either.  A
+    lone stage on its own domain on both sides becomes a diagonal matrix.  Any
+    other same-domain pairing raises :class:`DomainMismatchError`, and a kernel
+    that is zero at every sample raises :class:`ResolutionError`.  A
+    ``SeparableCoherent`` filter is rendered on any axes its modes can be
+    matched to.
     """
     ratio = None
-    if isinstance(spec, (SpectralWindow, TemporalGate)):
-        spectral = isinstance(spec, SpectralWindow)
-        own = Domain.ANGULAR_FREQUENCY if spectral else Domain.TIME
-        if rows.domain is own and cols.domain is own:
-            # pointwise multiplication: the delta kernel collapses to a diagonal
-            if not rows.close_to(cols):
-                raise DomainMismatchError("diagonal representation requires rows == cols axis")
-            pointwise = spec.profile.window if spectral else spec.profile.gate
-            entries = np.diag(pointwise(rows.points))
-            return OperatorMatrix(rows, cols, entries * spec.insertion_loss)
-        kernel = (_kernel_spectral if spectral else _kernel_temporal)(spec, rows, cols)
-    elif isinstance(spec, SeparableCoherent):
+    if isinstance(spec, SeparableCoherent):
         psi = _match_axis(spec.output_mode.values, spec.output_mode.axis, rows)
         phi = _match_axis(spec.input_mode.values, spec.input_mode.axis, cols)
         kernel = spec.weight * np.outer(psi, np.conj(phi))
-    elif isinstance(spec, Sif):
-        kernel = _kernel_sif(spec, rows.points, rows.domain, cols.points, cols.domain)
-        ratio = _edge_ring_check(spec, rows, cols, float(np.max(np.abs(kernel))))
+    elif isinstance(spec, (SpectralWindow, TemporalGate, Sif)):
+        lone = not isinstance(spec, Sif)
+        spectral = isinstance(spec, SpectralWindow)
+        own = Domain.ANGULAR_FREQUENCY if spectral else Domain.TIME
+        if lone and rows.domain is own and cols.domain is own:
+            # pointwise multiplication: the delta kernel collapses to a diagonal
+            if not rows.close_to(cols):
+                raise DomainMismatchError("diagonal representation requires rows == cols axis")
+            pointwise = (spec.profile.window if spectral else spec.profile.gate)(rows.points)
+            _peak(pointwise)
+            return OperatorMatrix(rows, cols, np.diag(pointwise) * spec.insertion_loss)
+        amp, sign = _mixed_kernel(spec, rows.points, rows.domain, cols.points, cols.domain)
+        kmax = _peak(amp)
+        if not lone:
+            ratio = _edge_ring_check(spec, rows, cols, kmax)
+        kernel = amp * np.exp(sign * 1j * np.outer(rows.points, cols.points))
     else:
         raise TypeError(f"unknown filter specification {type(spec).__name__}")
     sw = np.sqrt(rows.quadrature_weights())
@@ -867,14 +856,12 @@ def parity_blocks(spec: Sif, rows: Axis, cols: Axis) -> ParityBlocks:
     """
     if not (spec.spectral.even and spec.temporal.even):
         raise ValueError("parity blocks need a Sif whose window and gate are both even")
-    if rows.domain is cols.domain:
-        raise DomainMismatchError("parity blocks need the mixed time x frequency representation")
     xr, wr = _even_half(rows)
     xc, wc = _even_half(cols)
-    amp, sign = _mixed_sif(spec, xr, rows.domain, xc, cols.domain)
+    amp, sign = _mixed_kernel(spec, xr, rows.domain, xc, cols.domain)
     arg = np.outer(xr, xc)
     even, odd = 2.0 * amp * np.cos(arg), 2.0 * amp * np.sin(arg)
-    ratio = _edge_ring_check(spec, rows, cols, float(np.max(np.abs(amp))))
+    ratio = _edge_ring_check(spec, rows, cols, _peak(amp))
     sr, sc = np.sqrt(wr) * spec.insertion_loss, np.sqrt(wc)
     r0, c0 = rows.count % 2, cols.count % 2  # the centre sample has no odd part
     even = sr[:, None] * even * sc[None, :]

@@ -69,12 +69,6 @@ class GaussianSpectralWindow(SpectralWindowProfile):
         x = np.asarray(omega, dtype=float)
         return np.exp(-(x**2) / (8.0 * np.pi * self.bandwidth_hz**2))
 
-    def response(self, t: np.ndarray) -> np.ndarray:
-        # inverse transform: R(t) = sqrt(2) B exp(-2 pi B^2 t^2)
-        x = np.asarray(t, dtype=float)
-        b = self.bandwidth_hz
-        return np.sqrt(2.0) * b * np.exp(-2.0 * np.pi * b**2 * x**2)
-
     def spectral_support(self, tol: float = _SUPPORT_TOL_DEFAULT) -> float:
         return _gauss_radius(self._sigma_w, tol)
 
@@ -94,12 +88,6 @@ class GaussianTemporalGate(TemporalGateProfile):
     def gate(self, t: np.ndarray) -> np.ndarray:
         x = np.asarray(t, dtype=float)
         return np.exp(-np.pi * x**2 / (2.0 * self.duration_s**2))
-
-    def transfer(self, omega: np.ndarray) -> np.ndarray:
-        # forward transform: Q~(w) = T sqrt(2) exp(-w^2 T^2 / (2 pi))
-        x = np.asarray(omega, dtype=float)
-        tt = self.duration_s
-        return tt * np.sqrt(2.0) * np.exp(-(x**2) * tt**2 / (2.0 * np.pi))
 
     def temporal_support(self, tol: float = _SUPPORT_TOL_DEFAULT) -> float:
         return _gauss_radius(self._sigma_t, tol)

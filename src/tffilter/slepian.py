@@ -92,11 +92,6 @@ class RectangularSpectralWindow(SpectralWindowProfile):
     def window(self, omega: np.ndarray) -> np.ndarray:
         return _indicator(omega, self.cutoff_rad)
 
-    def response(self, t: np.ndarray) -> np.ndarray:
-        # (1/2pi) integral_{-cut}^{cut} e^{-i w t} dw = (cut/pi) sinc(cut t / pi)
-        x = np.asarray(t, dtype=float)
-        return (self.cutoff_rad / np.pi) * np.sinc(self.cutoff_rad * x / np.pi)
-
     def spectral_support(self, tol: float = 1e-12) -> float:
         return self.cutoff_rad
 
@@ -115,11 +110,6 @@ class RectangularTemporalGate(TemporalGateProfile):
 
     def gate(self, t: np.ndarray) -> np.ndarray:
         return _indicator(t, self.half_width_s)
-
-    def transfer(self, omega: np.ndarray) -> np.ndarray:
-        # integral_{-tau}^{tau} e^{i w t} dt = 2 tau sinc(w tau / pi)
-        x = np.asarray(omega, dtype=float)
-        return 2.0 * self.half_width_s * np.sinc(x * self.half_width_s / np.pi)
 
     def temporal_support(self, tol: float = 1e-12) -> float:
         return self.half_width_s

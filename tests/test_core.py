@@ -330,15 +330,24 @@ class TestSignal:
 
 class TestApplyFilter:
     def test_matches_operator_action_gaussian(self):
-        # entries are sqrt(w) K sqrt(w); undo the row weight after acting
-        spec = gaussian_sif(0.5, 1.0)
-        ax = centered_axis(16.0 / 1024, 1024, Domain.TIME)
-        sig = gaussian_pulse(ax).normalized()
-        direct = apply_filter(spec, sig)
-        op = build_operator(spec, ax, ax)
-        sw = np.sqrt(ax.quadrature_weights())
-        acted = (op.entries @ (sw * sig.values)) / sw
-        assert np.max(np.abs(direct.values - acted)) < 1e-8
+        # the operator on a centred time axis and its reciprocal frequency
+        # axis maps the input's samples in one domain onto the output's in the
+        # other: a window and a gate either way round, a Sif as its order
+        # fixes.  Entries are sqrt(w) K sqrt(w), so the row weight is undone
+        # after acting
+        sig = gaussian_pulse(centered_axis(16.0 / 1024, 1024, Domain.TIME)).normalized()
+        spectrum = fourier_forward(sig)
+        for order in StageOrder:
+            g = gaussian_sif(0.5, 1.0, order)
+            time_rows = order is StageOrder.FREQUENCY_FIRST
+            out_side, in_side = (sig, spectrum) if time_rows else (spectrum, sig)
+            for spec in (SpectralWindow(g.spectral), TemporalGate(g.temporal), g):
+                direct = apply_filter(spec, out_side)
+                op = build_operator(spec, out_side.axis, in_side.axis)
+                sr = np.sqrt(out_side.axis.quadrature_weights())
+                sc = np.sqrt(in_side.axis.quadrature_weights())
+                acted = (op.entries @ (sc * in_side.values)) / sr
+                assert np.max(np.abs(direct.values - acted)) < 1e-12, (spec, order)
 
     def test_insertion_loss_scales_output(self):
         full = gaussian_sif(0.5, 1.0)
@@ -354,6 +363,14 @@ class TestApplyFilter:
         ax = centered_axis(0.1, 256, Domain.TIME)
         with pytest.raises(ResolutionError):
             apply_filter(spec, gaussian_pulse(ax))
+        # on a spectrum the gate acts on the reciprocal time grid: dw = pi / 2
+        # puts it on [-2, 2) s, inside the gate's 1e-12 radius of 4.19 s
+        spec = gaussian_sif(0.5, 1.0)
+        f_ax = centered_axis(np.pi / 2, 256, Domain.ANGULAR_FREQUENCY)
+        spectrum = SampledSignal(f_ax, spec.spectral.window(f_ax.points))
+        for stage in (spec, TemporalGate(spec.temporal)):
+            with pytest.raises(ResolutionError, match="gate support"):
+                apply_filter(stage, spectrum)
 
     def test_output_energy_below_input(self):
         spec = gaussian_sif(0.5, 1.0)
@@ -490,16 +507,6 @@ class TestOperator:
         assert op.frobenius_sq() == pytest.approx(0.5, rel=1e-12)
         assert op.entries.shape == (rows.count, cols.count)
 
-    @pytest.mark.parametrize("order", list(StageOrder))
-    def test_gaussian_sif_entries_stay_real(self, order):
-        # every factor of a Gaussian Sif kernel is real in the square
-        # representations, so the matrix is factored in real arithmetic
-        spec = gaussian_sif(0.5, 1.0, order)
-        f_ax = centered_axis(56.0 / 128, 128, Domain.ANGULAR_FREQUENCY)
-        assert build_operator(spec, f_ax, f_ax).entries.dtype == np.float64
-        t_ax = centered_axis(24.0 / 128, 128, Domain.TIME)
-        assert build_operator(spec, t_ax, t_ax).entries.dtype == np.float64
-
     def test_pointwise_diagonal_keeps_profile_dtype(self):
         ax = centered_axis(0.05, 64, Domain.TIME)
         op = build_operator(TemporalGate(gaussian_sif(0.5, 1.0).temporal), ax, ax)
@@ -567,14 +574,38 @@ class TestOperator:
 
     def test_zero_kernel_is_refused(self):
         # peak-normalized profiles never give a kernel that vanishes at every
-        # sample of a grid that covers the filter
+        # sample of a grid that covers the filter: not for a Sif, nor for a
+        # lone stage, mixed or diagonal
         spec = gaussian_sif(0.5, 1.0)
+        t_ax, f_ax = recommended_axes(spec, resolution=64)
         far = SampledAxis(100.0, 0.01, 64, Domain.TIME)
-        with pytest.raises(ResolutionError, match="kernel vanishes"):
-            build_operator(spec, far, far)
-        freq = recommended_axes(spec, resolution=64)[1]
-        with pytest.raises(ResolutionError, match="kernel vanishes"):
-            build_operator(spec, far, freq)
+        far_freq = SampledAxis(1000.0, 0.1, 64, Domain.ANGULAR_FREQUENCY)
+        gate, window = TemporalGate(spec.temporal), SpectralWindow(spec.spectral)
+        for filt, rows, cols in (
+            (spec, far, f_ax),
+            (gate, f_ax, far),
+            (gate, far, f_ax),
+            (gate, far, far),
+            (window, t_ax, far_freq),
+            (window, far_freq, t_ax),
+            (window, far_freq, far_freq),
+        ):
+            with pytest.raises(ResolutionError, match="kernel vanishes"):
+                build_operator(filt, rows, cols)
+
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.name.lower())
+    def test_same_domain_pairs_are_refused(self, domain):
+        # a window, gate or Sif has one kernel, the mixed time x frequency
+        # one; only a lone stage on its own domain is a diagonal
+        g = gaussian_sif(0.5, 1.0)
+        ax = centered_axis(0.1, 64, domain)
+        if domain is Domain.TIME:
+            foreign = SpectralWindow(g.spectral)
+        else:
+            foreign = TemporalGate(g.temporal)
+        for spec in (g, compose_order_swap(g), foreign):
+            with pytest.raises(DomainMismatchError):
+                build_operator(spec, ax, ax)
 
     def test_indicator_axis_covers_support(self):
         ax = indicator_axis(1.0, 64, Domain.TIME)
