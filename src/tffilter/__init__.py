@@ -105,7 +105,9 @@ from .slepian import (
     RectangularSif,
     RectangularSpectralWindow,
     RectangularTemporalGate,
+    concentration_complement,
     full_line_gram,
+    ground_concentration,
     interval_gram,
     pswf_solve_legendre,
     rectangular_filter_modes,
@@ -181,6 +183,8 @@ __all__ = [
     "slepian_filter_modes",
     "rectangular_filter_modes",
     "slepian_tradeoff",
+    "concentration_complement",
+    "ground_concentration",
     # metrics
     "FilterFigures",
     "figures_from_singulars",

@@ -17,7 +17,9 @@ A filter family enters only through its efficiency-vs-discriminativity
 characteristic xi(eta); optimizing the rate along that curve gives the
 family's best operating point at each noise level.  The brick-wall curve is
 read exactly off the prolate solver: eta = beta_0(c), xi = pi beta_0 / (2 c)
-for 1e-3 <= c <= 17.
+for 1e-3 <= c <= 17, with beta_0 from ``slepian.ground_concentration``.  Its
+saturated end comes from the concentration complement, so the upper end of
+the curve, 1 - 4.87e-14, is fixed to the last bit.
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ from enum import Enum
 import numpy as np
 
 from .core import ConvergenceError
-from .slepian import pswf_solve_legendre, slepian_tradeoff
+from .slepian import (
+    _GROUND_SWITCH,
+    concentration_complement,
+    ground_concentration,
+    pswf_solve_legendre,
+    slepian_tradeoff,
+)
 
 __all__ = [
     "QBER_THRESHOLD",
@@ -112,11 +120,15 @@ _C_RANGE = (1e-3, 17.0)
 
 
 def _slepian_log_c(eta: np.ndarray) -> np.ndarray:
-    """ln c with beta_0(c) = eta: Newton steps in ln c on PswfSolution.log_slope,
-    clipped to +-1 and to the clamp, warm-started from below along ascending eta.
-    A point is done when beta_0 lands within 4 ulp of eta or the miss stops
-    shrinking: a vanishing step, a step stuck at the clamp, or, near eta = 1,
-    where beta_0 is flat to a few ulp and c ill-conditioned, rounding noise."""
+    """ln c with ground_concentration(c) = eta: Newton steps in ln c on
+    PswfSolution.log_slope, clipped to +-1 and to the clamp, warm-started from
+    below along ascending eta.  Where the curve reads the concentration
+    complement, the step solves ln(1 - beta_0) = ln(1 - eta) instead: both sides
+    come without cancellation there (1 - eta is exact for eta >= 1/2), and
+    ln(1 - beta_0) is nearly linear in c.  A point is done when its miss
+    eta - beta_0 is within 4 ulp of eta, or of 1 - eta on the complement, or
+    when the miss stops shrinking: a vanishing step, a step stuck at the clamp,
+    or the complement's own noise."""
     t_lo, t_hi = np.log(_C_RANGE)
     out = np.empty(len(eta))
     order = np.argsort(eta, kind="stable")
@@ -125,17 +137,25 @@ def _slepian_log_c(eta: np.ndarray) -> np.ndarray:
     for i in order:
         best = (np.inf, t)
         for _ in range(100):
-            if sol is None or sol.c != np.exp(t):  # a warm start reuses the last solve
-                sol = pswf_solve_legendre(np.exp(t), 0)
-            miss = eta[i] - sol.eigenvalues[0]
+            c = np.exp(t)
+            if sol is None or sol.c != c:  # a warm start reuses the last solve
+                sol = pswf_solve_legendre(c, 0)
+            if c < _GROUND_SWITCH:
+                miss = eta[i] - sol.eigenvalues[0]
+                tol = 4.0 * np.spacing(eta[i])
+                step = miss / sol.log_slope(0)
+            else:
+                q = concentration_complement(c)
+                miss = q - (1.0 - eta[i])
+                tol = 4.0 * np.spacing(1.0 - eta[i])
+                step = np.log(q / (1.0 - eta[i])) * q / sol.log_slope(0)
             if abs(miss) >= best[0]:
                 t = best[1]
                 break
             best = (abs(miss), t)
-            if abs(miss) <= 4.0 * np.spacing(eta[i]):
+            if abs(miss) <= tol:
                 break
-            step = float(np.clip(miss / sol.log_slope(0), -1.0, 1.0))
-            t = min(max(t + step, t_lo), t_hi)
+            t = min(max(t + float(np.clip(step, -1.0, 1.0)), t_lo), t_hi)
         else:
             raise ConvergenceError(f"no prolate parameter found for eta = {eta[i]!r}")
         out[i] = t
@@ -166,11 +186,12 @@ class FilterCharacteristic:
 
     def domain(self) -> tuple[float, float]:
         """Efficiency range on which xi(eta) is defined; for the slepian curve
-        (beta_0(1e-3), beta_0(17)) = (6.366e-4, 1 - 4.8e-14)."""
+        ``ground_concentration`` at the clamp, (beta_0(1e-3), beta_0(17)) =
+        (6.366e-4, 1 - 4.87e-14), the upper end read off the complement."""
         if self.kind is CharacteristicKind.GAUSSIAN_SIF:
             return (0.0, 1.0)
         if self.kind is CharacteristicKind.SLEPIAN_SIF:
-            lo, hi = (pswf_solve_legendre(c, 0).eigenvalues[0] for c in _C_RANGE)
+            lo, hi = ground_concentration(np.array(_C_RANGE))
             return (float(lo), float(hi))
         return (self.eta_point, self.eta_point)
 
@@ -182,7 +203,7 @@ class FilterCharacteristic:
             out = 1.0 - e**2
         elif self.kind is CharacteristicKind.SLEPIAN_SIF:
             lo, hi = self.domain()
-            # beta_0 of a c just below 17 can read a few ulp above hi: the clamp
+            # the solver's own beta_0 near c = 17 can read a few ulp above hi: the clamp
             if np.any(e < lo) or np.any(e > hi + 16.0 * np.spacing(hi)):
                 raise ValueError(f"slepian characteristic covers eta in [{lo:.3g}, {hi:.3g}]")
             # xi = beta_0 / BT = pi beta_0 / (2 c)

@@ -14,12 +14,21 @@ are doubly orthogonal: orthogonal over the gate interval and over the full
 line simultaneously.
 
 The solver diagonalizes the commuting prolate differential operator in a
-Legendre basis (spectrally accurate) and reads each concentration off the
-Legendre coefficients of its mode, through the finite-Fourier eigenvalue
-relation (Xiao, Rokhlin & Yarvin 2001), so a concentration costs no
-quadrature.  Gauss-Legendre quadrature is built only when a mode is extended
-off the interval, transformed, or checked for double orthogonality.  The
-independent cross-check shares no code with the solver: ``decompose_filter``
+Legendre basis (spectrally accurate), one dense NumPy ``eigh`` per parity
+block, and reads each concentration off the Legendre coefficients of its
+mode, through the finite-Fourier eigenvalue relation (Xiao, Rokhlin & Yarvin
+2001), so a concentration costs no quadrature.  Gauss-Legendre quadrature is
+built only when a mode is extended off the interval, transformed, or checked
+for double orthogonality.  No SciPy routine is called here.
+
+Near saturation 1 - beta_0 is formed by cancellation, and the few ulp of
+rounding noise in beta_0 become most of it: 1 - beta_0(17) = 4.88e-14 is
+about 440 ulp of beta_0.  ``concentration_complement`` computes 1 - beta_0
+directly, by integrating the closed-form slope d beta_0 / d ln c from c to
+infinity, and ``ground_concentration``, the brick-wall efficiency curve that
+``slepian_tradeoff`` and ``qkd`` read, switches to it at c = 5.6.
+
+The independent cross-check shares no code with the solver: ``decompose_filter``
 on a ``rectangular_sif`` factors the Gauss-Legendre Nystrom matrix of the
 filter kernel itself.
 """
@@ -28,7 +37,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +68,8 @@ __all__ = [
     "slepian_filter_modes",
     "rectangular_filter_modes",
     "slepian_tradeoff",
+    "concentration_complement",
+    "ground_concentration",
 ]
 
 BETA_FLOOR = 1e-14  # below this a concentration eigenvalue is numerically unresolvable
@@ -228,76 +240,121 @@ class PswfSolution:
         return vals.reshape(np.shape(xi)) if np.ndim(xi) else complex(vals[0])
 
     def log_slope(self, n: int) -> float:
-        """d beta_n / d ln c = 2 beta_n phi_n(1)^2 for the interval-normalized mode.
-
-        P_k(1) = 1 puts phi_n(1) = sum_k d_nk sqrt(k + 1/2) in the Legendre
-        coefficients, so the slope needs neither quadrature nor evaluation.
-        """
-        coeff = self._coeffs[n]
-        edge = coeff @ np.sqrt(np.arange(len(coeff)) + 0.5)
-        return float(2.0 * self.eigenvalues[n] * edge**2)
+        """d beta_n / d ln c = 2 beta_n phi_n(1)^2 for the interval-normalized mode,
+        read off the Legendre coefficients (see ``_log_slopes``)."""
+        return float(_log_slopes(self.eigenvalues[n], self._coeffs[n]))
 
 
-def _legendre_blocks(c: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and k<->k+2 coupling of the prolate operator in normalized Legendre."""
+class _LegendreTables(NamedTuple):
+    """The c-free factors of the prolate operator and of the mode read-outs in a
+    normalized Legendre basis: the operator's diagonal is k_k1 + c^2 diag_c2 and
+    its k<->k+2 coupling c^2 off_c2; at0_even, at0_odd and at1 are sqrt(k + 1/2)
+    times P_k(0), P_k'(0) and P_k(1) = 1."""
+
+    k_k1: np.ndarray
+    diag_c2: np.ndarray
+    off_c2: np.ndarray
+    at0_even: np.ndarray
+    at0_odd: np.ndarray
+    at1: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _legendre_tables(size: int) -> _LegendreTables:
+    """The tables for a basis of ``size`` terms, shared between solves."""
     k = np.arange(size, dtype=float)
-    diag = k * (k + 1) + c**2 * (k + 1) ** 2 / ((2 * k + 1) * (2 * k + 3))
-    second = np.zeros(size)
-    second[1:] = c**2 * k[1:] ** 2 / ((2 * k[1:] + 1) * (2 * k[1:] - 1))
-    diag = diag + second
     kk = k[:-2]
-    off = c**2 * (kk + 2) * (kk + 1) / ((2 * kk + 3) * np.sqrt((2 * kk + 1) * (2 * kk + 5)))
-    return diag, off
-
-
-def _concentrations(c: float, coeffs: np.ndarray) -> np.ndarray:
-    """beta_n from the normalized Legendre coefficients of mode n, no quadrature.
-
-    F_c phi_n = mu_n phi_n with F_c phi(x) = integral_{-1}^{1} exp(i c x t) phi(t) dt,
-    and beta_n = c |mu_n|^2 / (2 pi).  At x = 0 only the k = 0 term of an even mode
-    survives the integral, and the derivative at 0 keeps only k = 1 of an odd one:
-    beta_n = c d_n0^2 / (pi phi_n(0)^2) or c^3 d_n1^2 / (3 pi phi_n'(0)^2).
-    """
-    size = coeffs.shape[1]
-    k = np.arange(size, dtype=float)
     step = k[: size - 2 : 2]
     p_at0 = np.zeros(size)  # P_k(0), from P_{k+2}(0) = -(k+1)/(k+2) P_k(0)
     p_at0[0::2] = np.cumprod(np.r_[1.0, -(step + 1) / (step + 2)])
     dp_at0 = np.zeros(size)  # P_k'(0) = k P_{k-1}(0)
     dp_at0[1:] = k[1:] * p_at0[:-1]
     scale = np.sqrt(k + 0.5)
-    even = np.arange(len(coeffs)) % 2 == 0
-    at0 = np.where(even, coeffs @ (scale * p_at0), coeffs @ (scale * dp_at0))
-    lead = np.where(even, coeffs[:, 0], coeffs[:, 1])
-    factor = np.where(even, c / np.pi, c**3 / (3.0 * np.pi))
+    tables = _LegendreTables(
+        k * (k + 1),
+        (k + 1) ** 2 / ((2 * k + 1) * (2 * k + 3)) + k**2 / ((2 * k + 1) * (2 * k - 1)),
+        (kk + 2) * (kk + 1) / ((2 * kk + 3) * np.sqrt((2 * kk + 1) * (2 * kk + 5))),
+        scale * p_at0,
+        scale * dp_at0,
+        scale,
+    )
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _legendre_blocks(c: float | np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and k<->k+2 coupling of the prolate operator in normalized Legendre.
+
+    An array ``c`` gives one row of each per value, for a stacked eigensolve.
+    """
+    tables = _legendre_tables(size)
+    c2 = np.asarray(c, dtype=float)[..., None] ** 2
+    return tables.k_k1 + c2 * tables.diag_c2, c2 * tables.off_c2
+
+
+def _concentrations(c: float | np.ndarray, coeffs: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """beta_n from the normalized Legendre coefficients of mode n, no quadrature.
+
+    F_c phi_n = mu_n phi_n with F_c phi(x) = integral_{-1}^{1} exp(i c x t) phi(t) dt,
+    and beta_n = c |mu_n|^2 / (2 pi).  At x = 0 only the k = 0 term of an even mode
+    survives the integral, and the derivative at 0 keeps only k = 1 of an odd one:
+    beta_n = c d_n0^2 / (pi phi_n(0)^2) or c^3 d_n1^2 / (3 pi phi_n'(0)^2).
+    ``odd`` flags the odd rows; ``c`` is a scalar or one value per row.
+    """
+    tables = _legendre_tables(coeffs.shape[1])
+    at0 = np.where(odd, coeffs @ tables.at0_odd, coeffs @ tables.at0_even)
+    lead = np.where(odd, coeffs[:, 1], coeffs[:, 0])
+    factor = np.where(odd, c**3 / (3.0 * np.pi), c / np.pi)
     return factor * lead**2 / at0**2
+
+
+def _log_slopes(betas: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """d beta_n / d ln c = 2 beta_n phi_n(1)^2, one mode per row of ``coeffs``.
+
+    P_k(1) = 1 puts phi_n(1) = sum_k d_nk sqrt(k + 1/2) in the Legendre
+    coefficients, so the slope needs neither quadrature nor evaluation.
+    """
+    edge = coeffs @ _legendre_tables(coeffs.shape[-1]).at1
+    return 2.0 * betas * edge**2
+
+
+def _tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Dense symmetric tridiagonal matrices, stacked along the leading axes of d and e."""
+    m = d.shape[-1]
+    i = np.arange(m)
+    t = np.zeros(d.shape + (m,))
+    t[..., i, i] = d
+    t[..., i[1:], i[:-1]] = e
+    t[..., i[:-1], i[1:]] = e
+    return t
 
 
 def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, want: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``want`` smallest eigenpairs of the symmetric tridiagonal (d, e), ascending.
 
-    LAPACK bisection (``dstebz``, by index, block order) then inverse iteration
-    (``dstein``): the two routines ``scipy.linalg.eigh_tridiagonal(select="i")``
-    runs, called directly to skip its argument checking.
+    One dense ``np.linalg.eigh`` (LAPACK ``syevd``) of the block.  Leading axes
+    of ``d`` and ``e`` stack independent blocks into that one call.  A LAPACK
+    failure raises ``ConvergenceError``.
     """
-    from scipy.linalg import lapack  # loaded on first use, not by ``import tffilter``
+    try:
+        vals, vecs = np.linalg.eigh(_tridiagonal(d, e))
+    except np.linalg.LinAlgError as err:
+        raise ConvergenceError(f"tridiagonal eigensolve failed: {err}") from err
+    return vals[..., :want], vecs[..., :want]
 
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, want, 0.0, "B")
-    if info != 0:
-        raise ConvergenceError(f"tridiagonal bisection failed (dstebz info {info})")
-    w = w[:m]
-    vecs, info = lapack.dstein(d, e, w, iblock, isplit)
-    if info != 0:
-        raise ConvergenceError(f"tridiagonal inverse iteration failed (dstein info {info})")
-    order = np.argsort(w)
-    return w[order], vecs[:, order]
+
+def _basis_captured(coeffs: np.ndarray) -> bool:
+    """The two trailing Legendre coefficients of every row are below 1e-12 of its head."""
+    tail = np.max(np.abs(coeffs[:, -2:]), axis=1) / np.max(np.abs(coeffs), axis=1)
+    return bool(np.all(tail < 1e-12))
 
 
 def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
     """Prolate modes via the commuting differential operator in a Legendre basis.
 
     The operator is tridiagonal within each parity block, so eigenvectors come
-    from LAPACK bisection and inverse iteration (``_lowest_eigenpairs``) and
+    from one dense symmetric eigensolve per block (``_lowest_eigenpairs``) and
     are spectrally accurate.  Concentrations beta_n follow in closed form from
     the Legendre coefficients (see ``_concentrations``); the quadrature is
     built only when first needed.
@@ -326,8 +383,7 @@ def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
             for j in range(want):
                 coeffs[2 * j + parity, parity::2] = vecs[:, j]
                 chis[2 * j + parity] = vals[j]
-        tail = np.max(np.abs(coeffs[:, -2:]), axis=1) / np.max(np.abs(coeffs), axis=1)
-        if np.all(tail < 1e-12):
+        if _basis_captured(coeffs):
             break
         size = int(size * 1.6) + 16
     else:
@@ -338,7 +394,8 @@ def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
     for n in range(n_max + 1):
         if coeffs[n, n] < 0:
             coeffs[n] *= -1.0
-    betas = np.clip(_concentrations(c, coeffs), 0.0, 1.0)
+    odd = np.arange(n_max + 1) % 2 == 1
+    betas = np.clip(_concentrations(c, coeffs, odd), 0.0, 1.0)
     sol = PswfSolution(c, betas, coeffs)
     if sol.resolvable_count <= n_max:
         warnings.warn(
@@ -347,6 +404,76 @@ def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
             stacklevel=2,
         )
     return sol
+
+
+# Gauss-Laguerre rule of the complement integral, in u = 2 (c' - c)
+_LAGUERRE_NODES, _LAGUERRE_WEIGHTS = np.polynomial.laguerre.laggauss(12)
+_GROUND_SWITCH = 5.6  # ground_concentration reads the complement from here up
+_GROUND_ONE = 21.0  # from here up 1 - beta_0 < 2^-54, so beta_0 rounds to 1
+
+
+def concentration_complement(c: float) -> float:
+    """1 - beta_0(c), without forming it from beta_0 by cancellation.
+
+    beta_0 -> 1 as c -> infinity, so 1 - beta_0(c) is the integral of the
+    closed-form slope, integral_c^inf log_slope(c') dc' / c'.  The integrand
+    decays like exp(-2 c') (1 - beta_0 ~ 4 sqrt(pi c) exp(-2 c), Slepian
+    1965), so a 12-node Gauss-Laguerre rule in u = 2 (c' - c) integrates it.
+    The ground modes at all 12 nodes come from one stacked eigensolve of their
+    even Legendre blocks, c' + 32 terms for the largest node c', then one
+    stacked step of inverse iteration.  Against a 40-digit Nystrom oracle the
+    result holds to 1e-9 relative at c = 6, 10 and 15 and to 1e-8 at c = 17,
+    where the direct 1 - beta_0 is off by 3e-3.  The rule is built for the
+    saturated end: at c = 4 it still agrees with the direct 1 - beta_0 to
+    4e-13, at c = 1 only to 4e-8.
+    """
+    if c <= 0:
+        raise ValueError("c must be positive")
+    nodes = c + 0.5 * _LAGUERRE_NODES
+    size = int(nodes[-1]) + 32
+    diag, off = _legendre_blocks(nodes, size)
+    d = diag[:, ::2]
+    e = off[:, ::2][:, : d.shape[1] - 1]
+    chi, vecs = _lowest_eigenpairs(d, e, 1)
+    # one inverse-iteration step: the dense solve now and then returns a vector
+    # off by its normwise bound eps ||T|| / gap, which phi_0(1) ~ exp(-c) magnifies
+    try:
+        vecs = np.linalg.solve(_tridiagonal(d - chi, e), vecs)[..., 0]
+    except np.linalg.LinAlgError as err:
+        raise ConvergenceError(f"inverse iteration failed: {err}") from err
+    coeffs = np.zeros((len(nodes), size))
+    coeffs[:, ::2] = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    if not _basis_captured(coeffs):
+        raise ConvergenceError("Legendre basis did not capture the ground prolate modes")
+    betas = _concentrations(nodes, coeffs, np.zeros(len(nodes), dtype=bool))
+    # integral e^{-u} g(u) du with g(u) = e^u log_slope(c') / (2 c')
+    g = np.exp(_LAGUERRE_NODES) * _log_slopes(betas, coeffs) / (2.0 * nodes)
+    return float(_LAGUERRE_WEIGHTS @ g)
+
+
+def ground_concentration(c: float | np.ndarray) -> float | np.ndarray:
+    """beta_0(c), the brick-wall efficiency curve, for scalar or array c.
+
+    Below c = 5.6 (1 - beta_0 = 2.1e-4) this is ``pswf_solve_legendre(c, 0)``'s
+    beta_0.  From there up it is 1 - ``concentration_complement(c)``: the
+    direct beta_0 carries a few ulp of rounding noise, up to 12, which near
+    saturation is a large share of 1 - beta_0 and fixes c only to that noise
+    over d beta_0 / d ln c (about 4e-14 per ulp at c = 5.6, 9e-14 at c = 6).
+    The complement is smooth and decreasing, so this curve rises
+    monotonically to its last bit.  At the switch the two readings differ by
+    1 ulp.  From c = 21 up 1 - beta_0 < 2^-54 and the curve is exactly 1.
+    """
+    cs = np.asarray(c, dtype=float)
+    out = np.array([_ground(x) for x in cs.ravel()]).reshape(cs.shape)
+    return float(out) if cs.ndim == 0 else out
+
+
+def _ground(c: float) -> float:
+    if c < _GROUND_SWITCH:
+        return float(pswf_solve_legendre(c, 0).eigenvalues[0])
+    if c >= _GROUND_ONE:
+        return 1.0
+    return 1.0 - concentration_complement(c)
 
 
 def interval_gram(sol: PswfSolution, count: int | None = None) -> np.ndarray:
@@ -481,16 +608,15 @@ def rectangular_filter_modes(
 def slepian_tradeoff(bt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(efficiency, discriminativity) for the brick-wall pair at the given BT.
 
-    efficiency = beta_0 at c = (pi/2) BT; discriminativity = beta_0 / BT since
-    the concentrations sum to BT.  Scalar in, scalars out.
+    efficiency = beta_0 at c = (pi/2) BT, read off ``ground_concentration``;
+    discriminativity = beta_0 / BT since the concentrations sum to BT.
+    Scalar in, scalars out.
     """
     bts = np.asarray(bt, dtype=float)
     if np.any(bts <= 0):
         raise ValueError("all BT values must be positive")
-    flat = np.atleast_1d(bts)
-    beta0 = np.array([pswf_solve_legendre(0.5 * np.pi * b, 0).eigenvalues[0] for b in flat])
-    eta = beta0
-    xi = beta0 / flat
+    eta = ground_concentration(0.5 * np.pi * bts)
+    xi = eta / bts
     if np.ndim(bt) == 0:
-        return float(eta[0]), float(xi[0])
-    return eta.reshape(bts.shape), xi.reshape(bts.shape)
+        return float(eta), float(xi)
+    return eta, xi

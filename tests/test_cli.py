@@ -386,6 +386,18 @@ class TestTypedErrors:
         assert rc == 3
         assert "numeric failure: Legendre basis" in capsys.readouterr().err
 
+    def test_prolate_eigensolver_failure_exits_3(self, monkeypatch, tmp_path, capsys):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        rc = run(
+            "qkd", "--filter", "slepian", "--ny-min", "1e-3", "--ny-max", "1e-3",
+            "--points", "1", "--out", str(tmp_path / "q.csv"),
+        )
+        assert rc == 3
+        assert "numeric failure: tridiagonal eigensolve failed" in capsys.readouterr().err
+
     def test_prolate_inversion_failure_exits_3(self, monkeypatch, tmp_path, capsys):
         import tffilter.qkd as qkd
 
@@ -443,6 +455,15 @@ class TestThreadCap:
         script = (
             "import os; from tffilter import decompose_filter, rectangular_sif; "
             "decompose_filter(rectangular_sif(4, 1), keep=None, max_resolution=1024)"
+        )
+        assert _threads_under_cap(script) == 1
+
+    def test_cap_holds_through_a_slepian_qkd_run(self):
+        # the prolate solves run NumPy's own LAPACK, in the pool the cap sized at import
+        script = (
+            "import os; from tffilter.cli import main; "
+            "assert main(['qkd', '--filter', 'slepian', '--ny-min', '1e-3', '--ny-max', '0.1', "
+            "'--points', '5', '--optimize', '--out', os.devnull]) == 0"
         )
         assert _threads_under_cap(script) == 1
 

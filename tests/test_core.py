@@ -1,5 +1,6 @@
 """Axes, transforms, and operator assembly."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -487,6 +488,30 @@ class TestFourierOwnership:
         fft_use = re.compile(r"\b(np|numpy|scipy)\.fft\b")
         users = sorted(p.name for p in pkg.glob("*.py") if fft_use.search(p.read_text("utf-8")))
         assert users == ["core.py"]
+
+
+class TestScipyOwnership:
+    def test_scipy_is_imported_only_by_the_schmidt_svd(self):
+        # the prolate solver, the quadrature rules and the key-rate code run on
+        # NumPy alone; SciPy's LAPACK serves the Schmidt SVD and nothing else
+        pkg = Path(tffilter.__file__).parent
+        sites = set()
+        for path in sorted(pkg.glob("*.py")):
+            tree = ast.parse(path.read_text("utf-8"))
+            owner = {}  # node -> innermost enclosing function (walk is breadth-first)
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner.update((node, fn.name) for node in ast.walk(fn))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    sites.add((path.name, owner.get(node, "<module>")))
+        assert sites == {("schmidt.py", "_svd")}
 
 
 class TestOperator:

@@ -22,11 +22,11 @@ from tffilter.qkd import (
     optimize_over_efficiency,
     qber,
 )
-from tffilter.slepian import pswf_solve_legendre, slepian_tradeoff
+from tffilter.slepian import ground_concentration, pswf_solve_legendre, slepian_tradeoff
 
 
 def _beta0(c: float) -> float:
-    return pswf_solve_legendre(c, 0).eigenvalues[0]
+    return ground_concentration(c)
 
 
 def _bisect_c(eta: float) -> float:
@@ -132,7 +132,7 @@ class TestKeyRate:
         assert 1.0 - 2.0 * binary_entropy(np.nextafter(QBER_THRESHOLD, 1.0)) <= 0.0
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # no scipy module at all: scipy.linalg loads on the first prolate solve or Schmidt SVD
+        # no scipy module at all: scipy.linalg loads only on the first Schmidt SVD
         script = (
             "import sys, tffilter, tffilter.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -140,12 +140,21 @@ class TestKeyRate:
         assert _run_python(script) == "[]"
 
     def test_gaussian_commands_leave_scipy_linalg_unloaded(self, tmp_path):
+        # every README command, the prolate ones included, runs on NumPy alone:
+        # only the Schmidt SVD of decompose_filter loads scipy, and no command reaches it
+        qkd = ["qkd", "--filter", "all", "--ny-min", "1e-4", "--ny-max", "1", "--points", "50"]
         commands = [
             ["decompose", "--filter", "gaussian", "--bt", "0.5", "--n-modes", "10"],
+            ["decompose", "--filter", "slepian", "--bt", "4", "--n-modes", "10"],
             ["snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "200", "--seed", "7"],
             ["tradeoff", "--filter", "gaussian", "--bt-min", "0.1", "--bt-max", "2",
              "--points", "5"],
+            ["tradeoff", "--filter", "slepian", "--bt-min", "0.01", "--bt-max", "10",
+             "--points", "80"],
             ["modes", "--filter", "gaussian", "--bt", "0.5", "--mode", "1"],
+            ["modes", "--filter", "slepian", "--c", "3.0", "--mode", "0"],
+            qkd,
+            qkd + ["--optimize"],
         ]
         calls = "; ".join(
             f"assert main({argv + ['--out', str(tmp_path / f'out{i}')]!r}) == 0"
@@ -153,9 +162,9 @@ class TestKeyRate:
         )
         script = (
             f"import sys; from tffilter.cli import main; {calls}; "
-            "print('scipy.linalg' in sys.modules)"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        assert _run_python(script) == "False"
+        assert _run_python(script) == "[]"
 
     def test_slepian_curve_leaves_interpolate_and_optimize_unloaded(self):
         script = (
@@ -259,6 +268,22 @@ class TestSlepianCharacteristic:
         lo, hi = fc.domain()
         assert fc.xi_of(hi) == pytest.approx(0.5 * np.pi * hi / 17.0, rel=1e-12)
         assert fc.xi_of(lo) == pytest.approx(0.5 * np.pi * lo / 1e-3, rel=1e-12)
+
+    def test_saturated_end_steps_on_the_log_complement(self, monkeypatch):
+        # ln(1 - beta_0) is nearly linear in c, so Newton on it lands in a few
+        # steps; Newton on beta_0 itself needs 24 complements at 1 - 1e-12
+        import tffilter.qkd as qkd
+
+        calls = []
+        complement = qkd.concentration_complement
+        monkeypatch.setattr(
+            qkd, "concentration_complement", lambda c: calls.append(c) or complement(c)
+        )
+        eta = 1.0 - 1e-12
+        xi = FilterCharacteristic.slepian().xi_of(eta)
+        assert len(calls) <= 10  # one of them is domain()'s upper end
+        c = 0.5 * np.pi * eta / xi
+        assert complement(c) == pytest.approx(1e-12, rel=1e-9)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.floats(min_value=1e-3, max_value=17.0))

@@ -11,7 +11,9 @@ from tffilter.core import ConvergenceError, Domain, SampledAxis, StageOrder, inn
 from tffilter.schmidt import decompose_filter
 from tffilter.slepian import (
     BETA_FLOOR,
+    concentration_complement,
     full_line_gram,
+    ground_concentration,
     interval_gram,
     pswf_solve_legendre,
     rectangular_filter_modes,
@@ -171,11 +173,10 @@ class TestLegendreSolver:
 
     @pytest.mark.parametrize("c", [1e-3, 0.5, 3.0, 6.3, 17.0])
     @pytest.mark.parametrize("n_max", [0, 5, 20])
-    def test_direct_lapack_matches_eigh_tridiagonal(self, c, n_max):
-        # dstebz + dstein called directly are the routines eigh_tridiagonal(select="i") runs
-        import scipy.linalg
-
-        from tffilter.slepian import _legendre_blocks, _lowest_eigenpairs
+    def test_eigenpairs_have_backward_stable_residuals(self, c, n_max):
+        # every pair the solver keeps satisfies ||T v - lambda v|| <= 8 eps ||T||
+        # on the parity block it came from, sized as pswf_solve_legendre sizes it
+        from tffilter.slepian import _legendre_blocks, _lowest_eigenpairs, _tridiagonal
 
         diag, off = _legendre_blocks(c, int(2 * c) + 2 * n_max + 60)
         for parity, want in ((0, (n_max + 2) // 2), (1, (n_max + 1) // 2)):
@@ -183,25 +184,97 @@ class TestLegendreSolver:
                 continue
             d = diag[parity::2]
             e = off[parity::2][: len(d) - 1]
-            ref_vals, ref_vecs = scipy.linalg.eigh_tridiagonal(
-                d, e, select="i", select_range=(0, want - 1)
-            )
             vals, vecs = _lowest_eigenpairs(d, e, want)
-            assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+            t = _tridiagonal(d, e)
+            assert vals.shape == (want,) and np.all(np.diff(vals) > 0)
+            assert np.allclose(vecs.T @ vecs, np.eye(want), rtol=0, atol=1e-14)
+            residual = np.linalg.norm(t @ vecs - vecs * vals, axis=0)
+            assert np.max(residual) <= 8.0 * np.finfo(float).eps * np.linalg.norm(t, 2)
 
-    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
-        from scipy.linalg import lapack
+    def test_eigensolver_failure_is_a_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        stebz = lapack.dstebz
-        monkeypatch.setattr(lapack, "dstebz", lambda *args: (*stebz(*args)[:4], 1))
-        with pytest.raises(ConvergenceError, match="dstebz"):
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="tridiagonal eigensolve failed"):
             pswf_solve_legendre(3.0, 2)
+        with pytest.raises(ConvergenceError, match="tridiagonal eigensolve failed"):
+            concentration_complement(8.0)
 
     def test_rejects_out_of_range_order(self):
         with pytest.raises(ValueError):
             pswf_solve_legendre(1.0, 61)
         with pytest.raises(ValueError):
             pswf_solve_legendre(-1.0, 4)
+
+
+# 1 - beta_0 at 40 digits, rounded to double: the largest eigenvalue of the even-parity
+# block of the same 96-node Gauss-Legendre Nystrom matrix (48 positive nodes, kernel
+# K(x, y) + K(x, -y)), solved in mpmath at mp.dps = 40.  128 nodes agree to 5e-27 relative.
+COMPLEMENT_40_DIGIT = {
+    6.0: 9.811737841282259e-05,
+    10.0: 4.408808063162299e-08,
+    15.0: 2.492226437664143e-12,
+    17.0: 4.877714082596029e-14,
+}
+
+
+class TestGroundConcentration:
+    @pytest.mark.parametrize("c", sorted(COMPLEMENT_40_DIGIT))
+    def test_complement_matches_pinned_oracle(self, c):
+        ref = COMPLEMENT_40_DIGIT[c]
+        bound = 1e-9 if c <= 15.0 else 1e-8
+        assert abs(concentration_complement(c) - ref) <= bound * ref
+        assert 1.0 - ground_concentration(c) == pytest.approx(ref, rel=bound)
+
+    @pytest.mark.parametrize("span", [(5.5, 5.7), (5.9, 6.1), (16.9, 17.0)])
+    def test_curve_never_decreases(self, span):
+        # across the switch at c = 5.6, and at the clamp, where a step of c moves
+        # 1 - beta_0 by a fifth of an ulp of beta_0
+        beta = ground_concentration(np.linspace(*span, 400))
+        assert np.all(np.diff(beta) >= 0.0)
+
+    def test_complement_is_smooth_in_c(self):
+        # ln(1 - beta_0) is analytic in c, so a degree-10 fit over a short span
+        # leaves only the complement's noise; the inverse-iteration step keeps
+        # out the rare node whose dense eigenvector is off by eps ||T|| / gap
+        # (without that step one of these 120 points reads 5.1e-12 off, with it
+        # the largest residual is 3.7e-13)
+        cs = np.linspace(8.0, 8.5, 120)
+        logq = np.log([concentration_complement(c) for c in cs])
+        x = cs - cs.mean()
+        residual = logq - np.polyval(np.polyfit(x, logq, 10), x)
+        assert np.max(np.abs(residual)) <= 1.5e-12
+
+    def test_switch_is_continuous(self):
+        from tffilter.slepian import _GROUND_SWITCH
+
+        direct = pswf_solve_legendre(_GROUND_SWITCH, 0).eigenvalues[0]
+        assert 5.5 < _GROUND_SWITCH < 5.7  # inside the first span above
+        assert abs(direct - (1.0 - concentration_complement(_GROUND_SWITCH))) <= 4.0 * np.spacing(
+            direct
+        )
+
+    def test_reads_the_solver_below_the_switch_and_rounds_to_one_above_21(self):
+        from tffilter.slepian import _GROUND_ONE, _GROUND_SWITCH
+
+        cs = np.array([1e-3, 0.5, 3.0, np.nextafter(_GROUND_SWITCH, 0.0)])
+        direct = [pswf_solve_legendre(c, 0).eigenvalues[0] for c in cs]
+        assert np.array_equal(ground_concentration(cs), direct)
+        # 1 - beta_0 < 2^-54 from c = 21 up, so 1 - complement rounds to 1 there
+        assert concentration_complement(_GROUND_ONE) < 2.0**-54
+        assert ground_concentration(_GROUND_ONE) == 1.0
+        assert ground_concentration(40.0) == 1.0
+        assert isinstance(ground_concentration(8.0), float)
+        assert ground_concentration(np.full((2, 3), 8.0)).shape == (2, 3)
+        with pytest.raises(ValueError):
+            concentration_complement(0.0)
+
+    def test_tradeoff_reads_the_curve(self):
+        bts = np.geomspace(0.01, 12.0, 9)
+        eta, xi = slepian_tradeoff(bts)
+        assert np.array_equal(eta, ground_concentration(0.5 * np.pi * bts))
+        assert np.array_equal(xi, eta / bts)
 
 
 class TestCrossMethod:
