@@ -191,7 +191,35 @@ class TestLegendreSolver:
             residual = np.linalg.norm(t @ vecs - vecs * vals, axis=0)
             assert np.max(residual) <= 8.0 * np.finfo(float).eps * np.linalg.norm(t, 2)
 
-    def test_eigensolver_failure_is_a_convergence_error(self, monkeypatch):
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 3.0, 6.3, 17.0])
+    @pytest.mark.parametrize("n_max", [0, 5, 20])
+    def test_direct_lapack_matches_eigh_tridiagonal(self, c, n_max):
+        # the one dense LAPACK syevd call agrees with SciPy's tridiagonal dstebz + dstein:
+        # eigenvalues to 8 eps ||T||, eigenvectors (up to sign) to 8 eps ||T|| / gap
+        import scipy.linalg
+
+        from tffilter.slepian import _legendre_blocks, _lowest_eigenpairs
+
+        diag, off = _legendre_blocks(c, int(2 * c) + 2 * n_max + 60)
+        for parity, want in ((0, (n_max + 2) // 2), (1, (n_max + 1) // 2)):
+            if want == 0:
+                continue
+            d = diag[parity::2]
+            e = off[parity::2][: len(d) - 1]
+            ref_vals, ref_vecs = scipy.linalg.eigh_tridiagonal(
+                d, e, select="i", select_range=(0, want - 1)
+            )
+            vals, vecs = _lowest_eigenpairs(d, e, want)
+            spectrum = scipy.linalg.eigvalsh_tridiagonal(d, e)
+            scale = 8.0 * np.finfo(float).eps * np.max(np.abs(spectrum))
+            assert vals.shape == ref_vals.shape and vecs.shape == ref_vecs.shape
+            assert np.max(np.abs(vals - ref_vals)) <= scale
+            for j in range(want):
+                gap = np.min(np.abs(np.delete(spectrum, j) - spectrum[j]))
+                sign = np.sign(vecs[:, j] @ ref_vecs[:, j])
+                assert np.linalg.norm(sign * vecs[:, j] - ref_vecs[:, j]) <= scale / gap
+
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
