@@ -52,6 +52,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _fmt_all(values) -> list[str]:
+    """``_fmt`` of every entry of a 1-D float array, through one ``tolist``."""
+    return [repr(x) for x in values.tolist()]
+
+
 def _open_out(path: str | None):
     if path is None:
         return sys.stdout, False
@@ -409,20 +414,15 @@ def cmd_qkd(args: argparse.Namespace) -> int:
                     lo, hi = fc.domain()
                     etas = base_grid[(base_grid >= lo) & (base_grid <= hi)]
                 xis = np.atleast_1d(fc.xi_of(etas))
+                eta_cells, xi_cells = _fmt_all(etas), _fmt_all(xis)
                 for ny in ny_values:
                     rates = np.atleast_1d(normalized_key_rate(etas, xis, float(ny)))
                     logs = np.where(rates > 0, np.log10(np.where(rates > 0, rates, 1.0)), -np.inf)
-                    for i in range(len(etas)):
-                        rows.append(
-                            [
-                                label,
-                                _fmt(float(ny)),
-                                _fmt(etas[i]),
-                                _fmt(xis[i]),
-                                _fmt(rates[i]),
-                                _fmt(logs[i]),
-                            ]
-                        )
+                    ny_cell = _fmt(float(ny))
+                    rows.extend(
+                        [label, ny_cell, *cells]
+                        for cells in zip(eta_cells, xi_cells, _fmt_all(rates), _fmt_all(logs))
+                    )
     _write_rows(args.out, header, rows)
     _write_manifest(
         args.out,

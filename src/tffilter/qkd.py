@@ -225,45 +225,7 @@ class OptimizationResult:
     no_key: bool
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:
-    inv = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def _optimize_along(point, grid, lo, hi, etas, xis, n_y: float) -> OptimizationResult:
-    """Best rate along one curve parameterized by t, from its scan (grid, etas, xis)."""
-    rates = normalized_key_rate(etas, xis, n_y)
-    if np.all(rates <= 0.0):
-        return OptimizationResult(0.0, 0.0, True)
-
-    def rate(t):
-        return normalized_key_rate(*point(float(t)), n_y)
-
-    i = int(np.argmax(rates))
-    bra = grid[i - 1] if i > 0 else lo
-    ket = grid[i + 1] if i + 1 < len(grid) else hi
-    t_star, rate_star = _golden_max(rate, bra, ket)
-    # the bracket endpoints may beat the interior point when the optimum
-    # rides the domain edge (noiseless limit)
-    for cand in (bra, ket):
-        r = rate(cand)
-        if r > rate_star:
-            t_star, rate_star = cand, r
-    return OptimizationResult(float(point(float(t_star))[0]), float(rate_star), False)
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def optimize_over_efficiency(
@@ -273,11 +235,16 @@ def optimize_over_efficiency(
 
     The curve is scanned once in its own parameter t and the scan serves
     every n_y: the gaussian curve in t = eta at 1e-3 spacing, the slepian one
-    in t = ln c at 200 points over the prolate clamp [1e-3, 17].
-    Golden-section refinement of the best bracket to 1e-6 in t follows for
-    each n_y.  All-zero scans return (0, 0) with the no_key flag set; a
-    fixed point has nothing to optimize and is rejected.  A scalar n_y gives
-    one result, a 1-D array a tuple of them.
+    in t = ln c at 200 points over the prolate clamp [1e-3, 17].  Each n_y
+    then refines the scan points either side of its best one by golden-section
+    search to 1e-6 in t, and keeps an end of that bracket if it beats the
+    interior optimum (the noiseless optimum rides the domain edge).  All n_y
+    are refined in lockstep: each golden step evaluates the curve once, on
+    the array of every n_y's probe, so the cost follows the number of steps,
+    not the number of noise levels.  Each n_y's result is the one it gets on
+    its own.  All-zero scans return (0, 0) with the no_key flag set; a fixed
+    point has nothing to optimize and is rejected.  A scalar n_y gives one
+    result, a 1-D array a tuple of them.
     """
     if fc.kind is CharacteristicKind.FIXED_POINT:
         raise ValueError("a fixed (eta, xi) point has no efficiency to optimize over")
@@ -300,11 +267,57 @@ def optimize_over_efficiency(
         def point(t):  # t = ln c
             return slepian_tradeoff(np.exp(t) / (0.5 * np.pi))
 
-    etas, xis = point(grid)
+    lanes = np.atleast_1d(nys)
+    scan = normalized_key_rate(*point(grid), lanes[:, None])
+    keyed = np.any(scan > 0.0, axis=1)
+    eta_star = np.zeros(len(lanes))
+    rate_star = np.zeros(len(lanes))
+    if np.any(keyed):
+        # the scan points either side of the best one, or the domain ends
+        best = np.argmax(scan[keyed], axis=1)
+        ends = np.r_[lo, grid, hi]
+        eta_star[keyed], rate_star[keyed] = _golden_lockstep(
+            point, lanes[keyed], ends[best], ends[best + 2]
+        )
     results = tuple(
-        _optimize_along(point, grid, lo, hi, etas, xis, float(ny)) for ny in np.atleast_1d(nys)
+        OptimizationResult(float(e), float(r), not k)
+        for e, r, k in zip(eta_star, rate_star, keyed.tolist())
     )
     return results if nys.ndim else results[0]
+
+
+def _golden_lockstep(point, ny: np.ndarray, bra: np.ndarray, ket: np.ndarray, tol: float = 1e-6):
+    """Golden-section maximum of the rate along ``point`` on [bra_i, ket_i] at
+    noise ny_i, every i in lockstep; returns (eta*, rate*) per i."""
+
+    def rate(t, n_y):
+        eta, xi = point(t)
+        return eta, normalized_key_rate(eta, xi, n_y)
+
+    m = len(ny)
+    a, b = bra.copy(), ket.copy()
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = np.split(rate(np.r_[c, d], np.tile(ny, 2))[1], 2)
+    while np.any(live := b - a > tol):
+        left = live & (fc >= fd)
+        right = live & ~left
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        c[left] = b[left] - _GOLDEN * (b[left] - a[left])
+        d[right] = a[right] + _GOLDEN * (b[right] - a[right])
+        new = np.empty(m)
+        new[live] = rate(np.where(left, c, d)[live], ny[live])[1]
+        fc[left], fd[right] = new[left], new[right]
+    # the interior optimum, then the bracket ends, which win where the optimum
+    # rides the domain edge
+    cands = np.stack([0.5 * (a + b), bra, ket])
+    etas, rates = (v.reshape(3, m) for v in rate(cands.ravel(), np.tile(ny, 3)))
+    lane = np.arange(m)
+    pick = np.zeros(m, dtype=int)
+    for k in (1, 2):
+        pick = np.where(rates[k] > rates[pick, lane], k, pick)
+    return etas[pick, lane], rates[pick, lane]
 
 
 @dataclass(frozen=True)

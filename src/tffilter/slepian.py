@@ -300,11 +300,13 @@ def _concentrations(c: float | np.ndarray, coeffs: np.ndarray, odd: np.ndarray) 
     and beta_n = c |mu_n|^2 / (2 pi).  At x = 0 only the k = 0 term of an even mode
     survives the integral, and the derivative at 0 keeps only k = 1 of an odd one:
     beta_n = c d_n0^2 / (pi phi_n(0)^2) or c^3 d_n1^2 / (3 pi phi_n'(0)^2).
-    ``odd`` flags the odd rows; ``c`` is a scalar or one value per row.
+    ``odd`` flags the odd rows; ``c`` broadcasts against the leading axes of
+    ``coeffs``.  Each row is summed on its own, so a mode's value does not
+    depend on what else is stacked with it.
     """
-    tables = _legendre_tables(coeffs.shape[1])
-    at0 = np.where(odd, coeffs @ tables.at0_odd, coeffs @ tables.at0_even)
-    lead = np.where(odd, coeffs[:, 1], coeffs[:, 0])
+    tables = _legendre_tables(coeffs.shape[-1])
+    at0 = (coeffs * np.where(odd[:, None], tables.at0_odd, tables.at0_even)).sum(axis=-1)
+    lead = np.where(odd, coeffs[..., 1], coeffs[..., 0])
     factor = np.where(odd, c**3 / (3.0 * np.pi), c / np.pi)
     return factor * lead**2 / at0**2
 
@@ -315,7 +317,7 @@ def _log_slopes(betas: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     P_k(1) = 1 puts phi_n(1) = sum_k d_nk sqrt(k + 1/2) in the Legendre
     coefficients, so the slope needs neither quadrature nor evaluation.
     """
-    edge = coeffs @ _legendre_tables(coeffs.shape[-1]).at1
+    edge = (coeffs * _legendre_tables(coeffs.shape[-1]).at1).sum(axis=-1)
     return 2.0 * betas * edge**2
 
 
@@ -344,10 +346,75 @@ def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, want: int) -> tuple[np.ndar
     return vals[..., :want], vecs[..., :want]
 
 
-def _basis_captured(coeffs: np.ndarray) -> bool:
-    """The two trailing Legendre coefficients of every row are below 1e-12 of its head."""
-    tail = np.max(np.abs(coeffs[:, -2:]), axis=1) / np.max(np.abs(coeffs), axis=1)
-    return bool(np.all(tail < 1e-12))
+def _basis_captured(coeffs: np.ndarray) -> np.ndarray:
+    """The two trailing Legendre coefficients of every row are below 1e-12 of its head,
+    one verdict per stack of rows (the leading axes of ``coeffs``)."""
+    mag = np.abs(coeffs)
+    return (mag[..., -2:].max(axis=-1) / mag.max(axis=-1) < 1e-12).all(axis=-1)
+
+
+def _basis_size(c: float, n_max: int) -> int:
+    """First Legendre basis size tried for modes 0 .. n_max at parameter c; at
+    least 4 terms above the smallest that passes the capture test for c <= 80."""
+    return int(c) + 2 * n_max + 24
+
+
+def _solve_stacked(cs: np.ndarray, n_max: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Concentrations and Legendre coefficients of modes 0 .. n_max for every c in ``cs``.
+
+    Points that share a basis size are solved as one stack: one dense
+    eigensolve per parity block (``_lowest_eigenpairs``).  A point whose modes
+    the basis does not capture moves on to a basis 1.6 times larger, six sizes
+    at most.  Returns (index into cs, betas, coeffs) per stack captured,
+    betas of shape (k, n_max + 1) and coeffs (k, n_max + 1, size), modes in
+    ascending order, signs making coefficient n of mode n positive.  Every
+    step acts on each point alone, so a point's values do not depend on what
+    else is in ``cs``.
+    """
+    wants = ((0, (n_max + 2) // 2), (1, (n_max + 1) // 2))
+    sizes = [_basis_size(c, n_max) for c in cs.tolist()]
+    pending = list(range(len(cs)))
+    done = []
+    for _ in range(6):
+        if not pending:
+            break
+        groups: dict[int, list[int]] = {}
+        for i in pending:
+            groups.setdefault(sizes[i], []).append(i)
+        pending = []
+        for size, members in groups.items():
+            idx = np.array(members)
+            diag, off = _legendre_blocks(cs[idx], size)
+            coeffs = np.zeros((len(idx), n_max + 1, size))
+            chis = np.empty((len(idx), n_max + 1))
+            for parity, want in wants:
+                if want == 0:
+                    continue
+                # the k <-> k+2 couplings of a parity block are one fewer than its terms
+                vals, vecs = _lowest_eigenpairs(diag[:, parity::2], off[:, parity::2], want)
+                coeffs[:, parity::2, parity::2] = np.swapaxes(vecs, 1, 2)
+                chis[:, parity::2] = vals
+            captured = _basis_captured(coeffs)
+            if captured.all():
+                done.append((idx, coeffs, chis))
+            elif captured.any():
+                done.append((idx[captured], coeffs[captured], chis[captured]))
+            for i, ok in zip(members, captured.tolist()):
+                if not ok:
+                    sizes[i] = int(size * 1.6) + 16
+                    pending.append(i)
+    if pending:
+        raise ConvergenceError("Legendre basis did not capture the requested prolate modes")
+    out = []
+    odd = np.arange(n_max + 1) % 2 == 1
+    modes = np.arange(n_max + 1)
+    for idx, coeffs, chis in done:
+        coeffs = coeffs[np.arange(len(idx))[:, None], np.argsort(chis, axis=1, kind="stable")]
+        # sign convention: coefficient of the degree-n Legendre polynomial positive
+        coeffs *= np.where(coeffs[:, modes, modes] < 0, -1.0, 1.0)[:, :, None]
+        betas = np.clip(_concentrations(cs[idx, None], coeffs, odd), 0.0, 1.0)
+        out.append((idx, betas, coeffs))
+    return out
 
 
 def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
@@ -358,8 +425,9 @@ def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
     are spectrally accurate.  Concentrations beta_n follow in closed form from
     the Legendre coefficients (see ``_concentrations``); the quadrature is
     built only when first needed.
-    The basis grows automatically until the two trailing Legendre coefficients
-    of every requested mode fall below 1e-12 of the head.
+    The basis starts at int(c) + 2 n_max + 24 terms and grows automatically
+    until the two trailing Legendre coefficients of every requested mode fall
+    below 1e-12 of the head.  This is ``_solve_stacked`` on a stack of one.
     """
     if c <= 0:
         raise ValueError("c must be positive")
@@ -367,36 +435,8 @@ def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
         n_max = int(np.ceil(2.0 * c / np.pi)) + 10
     if not (0 <= n_max <= 60):
         raise ValueError("n_max must lie in [0, 60]")
-    size = int(2 * c) + 2 * n_max + 60
-    for _ in range(6):
-        diag, off = _legendre_blocks(c, size)
-        n_even = (n_max + 2) // 2
-        n_odd = (n_max + 1) // 2
-        coeffs = np.zeros((n_max + 1, size))
-        chis = np.empty(n_max + 1)
-        for parity, want in ((0, n_even), (1, n_odd)):
-            if want == 0:
-                continue
-            d_blk = diag[parity::2]
-            o_blk = off[parity::2]
-            vals, vecs = _lowest_eigenpairs(d_blk, o_blk[: len(d_blk) - 1], want)
-            for j in range(want):
-                coeffs[2 * j + parity, parity::2] = vecs[:, j]
-                chis[2 * j + parity] = vals[j]
-        if _basis_captured(coeffs):
-            break
-        size = int(size * 1.6) + 16
-    else:
-        raise ConvergenceError("Legendre basis did not capture the requested prolate modes")
-    order = np.argsort(chis, kind="stable")
-    coeffs = coeffs[order]
-    # sign convention: coefficient of the degree-n Legendre polynomial positive
-    for n in range(n_max + 1):
-        if coeffs[n, n] < 0:
-            coeffs[n] *= -1.0
-    odd = np.arange(n_max + 1) % 2 == 1
-    betas = np.clip(_concentrations(c, coeffs, odd), 0.0, 1.0)
-    sol = PswfSolution(c, betas, coeffs)
+    ((_, betas, coeffs),) = _solve_stacked(np.array([float(c)]), n_max)
+    sol = PswfSolution(c, betas[0], coeffs[0])
     if sol.resolvable_count <= n_max:
         warnings.warn(
             f"concentrations beyond index {sol.resolvable_count - 1} are below "
@@ -455,25 +495,27 @@ def ground_concentration(c: float | np.ndarray) -> float | np.ndarray:
     """beta_0(c), the brick-wall efficiency curve, for scalar or array c.
 
     Below c = 5.6 (1 - beta_0 = 2.1e-4) this is ``pswf_solve_legendre(c, 0)``'s
-    beta_0.  From there up it is 1 - ``concentration_complement(c)``: the
-    direct beta_0 carries a few ulp of rounding noise, up to 12, which near
-    saturation is a large share of 1 - beta_0 and fixes c only to that noise
-    over d beta_0 / d ln c (about 4e-14 per ulp at c = 5.6, 9e-14 at c = 6).
+    beta_0, every such point of an array solved in one stack per basis size
+    (``_solve_stacked``), bit for bit the value of a solve of its own.  From
+    there up it is 1 - ``concentration_complement(c)``: the direct beta_0
+    carries a few ulp of rounding noise, up to 12, which near saturation is a
+    large share of 1 - beta_0 and fixes c only to that noise over
+    d beta_0 / d ln c (about 4e-14 per ulp at c = 5.6, 9e-14 at c = 6).
     The complement is smooth and decreasing, so this curve rises
     monotonically to its last bit.  At the switch the two readings differ by
     1 ulp.  From c = 21 up 1 - beta_0 < 2^-54 and the curve is exactly 1.
     """
     cs = np.asarray(c, dtype=float)
-    out = np.array([_ground(x) for x in cs.ravel()]).reshape(cs.shape)
-    return float(out) if cs.ndim == 0 else out
-
-
-def _ground(c: float) -> float:
-    if c < _GROUND_SWITCH:
-        return float(pswf_solve_legendre(c, 0).eigenvalues[0])
-    if c >= _GROUND_ONE:
-        return 1.0
-    return 1.0 - concentration_complement(c)
+    flat = cs.ravel()
+    if not np.all(flat > 0):
+        raise ValueError("c must be positive")
+    out = np.ones(flat.shape)
+    low = np.flatnonzero(flat < _GROUND_SWITCH)
+    for idx, betas, _ in _solve_stacked(flat[low], 0):
+        out[low[idx]] = betas[:, 0]
+    for i in np.flatnonzero((flat >= _GROUND_SWITCH) & (flat < _GROUND_ONE)):
+        out[i] = 1.0 - concentration_complement(float(flat[i]))
+    return float(out[0]) if cs.ndim == 0 else out.reshape(cs.shape)
 
 
 def interval_gram(sol: PswfSolution, count: int | None = None) -> np.ndarray:

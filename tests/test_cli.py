@@ -373,17 +373,21 @@ class TestTypedErrors:
     def test_prolate_basis_failure_exits_3(self, monkeypatch, tmp_path, capsys):
         import tffilter.slepian as slepian
 
-        # flat coefficient vectors never decay into the basis tail, so the solver gives up
-        monkeypatch.setattr(
-            slepian,
-            "_lowest_eigenpairs",
-            lambda d, e, want: (np.arange(want, dtype=float), np.ones((len(d), want))),
-        )
+        # flat coefficient vectors never decay into the basis tail, so the solver gives up;
+        # both BT values (c = 0.79, 0.94) share a basis size, so they fail as one stack
+        stacks = []
+
+        def flat(d, e, want):
+            stacks.append(d.shape[0])
+            return np.zeros(d.shape[:-1] + (1,)) + np.arange(want), np.ones(d.shape + (want,))
+
+        monkeypatch.setattr(slepian, "_lowest_eigenpairs", flat)
         rc = run(
-            "tradeoff", "--filter", "slepian", "--bt-min", "0.5", "--bt-max", "1",
+            "tradeoff", "--filter", "slepian", "--bt-min", "0.5", "--bt-max", "0.6",
             "--points", "2", "--out", str(tmp_path / "t.csv"),
         )
         assert rc == 3
+        assert stacks and set(stacks) == {2}
         assert "numeric failure: Legendre basis" in capsys.readouterr().err
 
     def test_prolate_eigensolver_failure_exits_3(self, monkeypatch, tmp_path, capsys):

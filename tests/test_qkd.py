@@ -300,16 +300,38 @@ class TestSlepianCharacteristic:
         assert abs(_beta0(0.5 * np.pi * beta / xi) - beta) <= 16.0 * np.spacing(beta)
 
     def test_optimizer_matches_dense_log_c_scan(self):
-        nys = np.array([1e-4, 1e-2, 0.07])
-        etas, xis = slepian_tradeoff(np.geomspace(1e-3, 17.0, 4000) / (0.5 * np.pi))
-        results = optimize_over_efficiency(FilterCharacteristic.slepian(), nys)
-        for res, ny in zip(results, nys):
-            scan = np.max(normalized_key_rate(etas, xis, ny))
-            assert scan > 0.0 and not res.no_key
-            assert res.rate >= scan - 1e-12
-            assert FilterCharacteristic.slepian().rate(res.eta, ny) == pytest.approx(
-                res.rate, rel=1e-9
-            )
+        # the README's 50 noise levels, against a dense scan of each family's curve:
+        # 4000 points in ln c for the brick wall, 1e-5 steps in eta for the gaussian
+        nys = np.geomspace(1e-4, 1.0, 50)
+        eta_g = np.linspace(1e-3, 1.0 - 1e-9, 100_000)
+        dense = {
+            "slepian": slepian_tradeoff(np.geomspace(1e-3, 17.0, 4000) / (0.5 * np.pi)),
+            "gaussian": (eta_g, 1.0 - eta_g**2),
+        }
+        for family, (etas, xis) in dense.items():
+            fc = getattr(FilterCharacteristic, family)()
+            results = optimize_over_efficiency(fc, nys)
+            for res, ny in zip(results, nys):
+                scan = np.max(normalized_key_rate(etas, xis, ny))
+                assert res.no_key == (scan == 0.0)
+                assert res.rate >= scan - 1e-12
+                if not res.no_key:
+                    assert fc.rate(res.eta, ny) == pytest.approx(res.rate, rel=1e-9)
+            assert sum(not res.no_key for res in results) >= 30
+
+    def test_optimizer_solves_per_golden_step_not_per_noise_level(self, monkeypatch):
+        # every n_y is refined in lockstep, so the curve is evaluated once for the
+        # scan and once per golden step, however many noise levels there are
+        import tffilter.slepian as slepian
+
+        calls = []
+        ground = slepian.ground_concentration
+        monkeypatch.setattr(
+            slepian, "ground_concentration", lambda c: calls.append(np.size(c)) or ground(c)
+        )
+        optimize_over_efficiency(FilterCharacteristic.slepian(), np.geomspace(1e-4, 1.0, 50))
+        assert len(calls) <= 40
+        assert np.median(calls) >= 30  # a golden step carries every keyed n_y's probe
 
 
 class TestOptimizer:

@@ -176,9 +176,14 @@ class TestLegendreSolver:
     def test_eigenpairs_have_backward_stable_residuals(self, c, n_max):
         # every pair the solver keeps satisfies ||T v - lambda v|| <= 8 eps ||T||
         # on the parity block it came from, sized as pswf_solve_legendre sizes it
-        from tffilter.slepian import _legendre_blocks, _lowest_eigenpairs, _tridiagonal
+        from tffilter.slepian import (
+            _basis_size,
+            _legendre_blocks,
+            _lowest_eigenpairs,
+            _tridiagonal,
+        )
 
-        diag, off = _legendre_blocks(c, int(2 * c) + 2 * n_max + 60)
+        diag, off = _legendre_blocks(c, _basis_size(c, n_max))
         for parity, want in ((0, (n_max + 2) // 2), (1, (n_max + 1) // 2)):
             if want == 0:
                 continue
@@ -198,9 +203,9 @@ class TestLegendreSolver:
         # eigenvalues to 8 eps ||T||, eigenvectors (up to sign) to 8 eps ||T|| / gap
         import scipy.linalg
 
-        from tffilter.slepian import _legendre_blocks, _lowest_eigenpairs
+        from tffilter.slepian import _basis_size, _legendre_blocks, _lowest_eigenpairs
 
-        diag, off = _legendre_blocks(c, int(2 * c) + 2 * n_max + 60)
+        diag, off = _legendre_blocks(c, _basis_size(c, n_max))
         for parity, want in ((0, (n_max + 2) // 2), (1, (n_max + 1) // 2)):
             if want == 0:
                 continue
@@ -297,6 +302,28 @@ class TestGroundConcentration:
         assert ground_concentration(np.full((2, 3), 8.0)).shape == (2, 3)
         with pytest.raises(ValueError):
             concentration_complement(0.0)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=1e-3, max_value=8.0),
+                # either side of a basis-size step (the size follows int(c)) and of the switch
+                st.builds(
+                    lambda k, eps: k + eps, st.integers(1, 7), st.floats(-1e-9, 1e-9)
+                ),
+                st.sampled_from([float(np.nextafter(5.6, 0.0)), 5.6]),
+            ),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    def test_array_matches_one_point_calls_bit_for_bit(self, cs):
+        # points sharing a basis size are solved as one stack; each value is still
+        # the one its own solve gives
+        cs = np.array(cs)
+        batch = ground_concentration(cs)
+        assert [float(b) for b in batch] == [ground_concentration(float(c)) for c in cs]
 
     def test_tradeoff_reads_the_curve(self):
         bts = np.geomspace(0.01, 12.0, 9)
