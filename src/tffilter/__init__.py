@@ -53,7 +53,6 @@ from .core import (
     fourier_forward,
     fourier_inverse,
     frequency_axis_for,
-    indicator_axis,
     inner_product,
     recommended_axes,
 )
@@ -143,7 +142,6 @@ __all__ = [
     "ConvergenceError",
     "centered_axis",
     "frequency_axis_for",
-    "indicator_axis",
     "inner_product",
     "fourier_forward",
     "fourier_inverse",

@@ -5,7 +5,8 @@ functions of the command line (stochastic runs take a mandatory --seed), so a
 rerun is byte-identical; the run metadata (including the only timestamp)
 lives in a ``<out>.manifest.json`` sidecar, never in the data file.
 
-Exit codes: 0 success, 2 usage error, 3 numeric or convergence failure.
+Exit codes: 0 success, 2 usage error (a NaN or infinite number, a negative
+seed), 3 numeric or convergence failure.
 Set TF_FILTER_THREADS to cap the linear-algebra thread pools.
 """
 
@@ -36,14 +37,37 @@ class NumericError(Exception):
 
 
 def parse_bt(text: str) -> float:
-    """Accept a plain real or the literal form 'X/2pi'."""
+    """Accept a finite plain real or the literal form 'X/2pi'."""
     s = text.strip().lower().replace(" ", "")
     try:
-        if s.endswith("/2pi"):
-            return float(s[:-4]) / (2.0 * math.pi)
-        return float(s)
+        bt = float(s[:-4]) / (2.0 * math.pi) if s.endswith("/2pi") else float(s)
     except ValueError:
-        raise UsageError(f"cannot parse time-bandwidth product {text!r}") from None
+        bt = math.nan
+    if not math.isfinite(bt):
+        raise UsageError(f"cannot parse time-bandwidth product {text!r} as a finite number")
+    return bt
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type: a nonnegative integer seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -468,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modes", help="sampled Schmidt mode profiles")
     p.add_argument("--filter", choices=("gaussian", "slepian"), required=True)
     p.add_argument("--bt")
-    p.add_argument("--c", type=float, help="prolate parameter (slepian only)")
+    p.add_argument("--c", type=_finite, help="prolate parameter (slepian only)")
     p.add_argument("--mode", type=int, default=0)
     p.add_argument("--which", choices=("input", "output"), default="input")
     p.add_argument("--out")
@@ -477,10 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("snr", help="Monte Carlo signal-to-noise check")
     p.add_argument("--filter", choices=("gaussian", "slepian"), required=True)
     p.add_argument("--bt", required=True)
-    p.add_argument("--signal-energy", type=float, default=1.0)
-    p.add_argument("--noise-psd", type=float, default=0.1)
+    p.add_argument("--signal-energy", type=_finite, default=1.0)
+    p.add_argument("--noise-psd", type=_finite, default=0.1)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_snr)
 
@@ -490,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="gaussian | slepian | point:ETA,XI | all",
     )
-    p.add_argument("--ny-min", type=float, required=True)
-    p.add_argument("--ny-max", type=float, required=True)
+    p.add_argument("--ny-min", type=_finite, required=True)
+    p.add_argument("--ny-max", type=_finite, required=True)
     p.add_argument("--points", type=int, default=25)
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--out")

@@ -78,7 +78,6 @@ __all__ = [
     "ConvergenceError",
     "centered_axis",
     "frequency_axis_for",
-    "indicator_axis",
     "inner_product",
     "fourier_forward",
     "fourier_inverse",
@@ -283,21 +282,6 @@ def frequency_axis_for(time_axis: SampledAxis) -> SampledAxis:
     n = time_axis.count
     dw = TWO_PI / (n * time_axis.step)
     return SampledAxis(-dw * (n // 2), dw, n, Domain.ANGULAR_FREQUENCY)
-
-
-def indicator_axis(half_width: float, count: int, domain: Domain) -> SampledAxis:
-    """Axis for an indicator of half-width ``a``: samples land exactly on +-a.
-
-    ``count`` interior samples cover [-a, a]; one extra sample is added
-    outside each edge so the jump sits strictly inside the grid and trapezoid
-    quadrature of the indicator is exact.
-    """
-    if half_width <= 0:
-        raise ValueError("half_width must be positive")
-    if count < 3:
-        raise ValueError("need at least three samples across the support")
-    step = 2.0 * half_width / (count - 1)
-    return SampledAxis(-half_width - step, step, count + 2, domain)
 
 
 @dataclass(frozen=True)
@@ -875,25 +859,36 @@ def parity_blocks(spec: Sif, rows: Axis, cols: Axis) -> ParityBlocks:
 # default discretization axes
 
 
-def recommended_axes(spec: Sif, resolution: int = 1024) -> tuple[Axis, Axis]:
-    """(rows, cols) of the Sif's mixed representation, each axis chosen by its own profile.
+def _profile_axis(
+    profile: SpectralWindowProfile | TemporalGateProfile, resolution: int = 1024
+) -> Axis:
+    """The axis every integral of ``profile`` over its own domain runs on.
 
     A profile compact in its own domain gets ``resolution`` Gauss-Legendre
     nodes inside its support; a smooth one a symmetric uniform grid of
     ``resolution`` samples spanning its support radius at tolerance 1e-13.
+    Its ``quadrature_weights()`` carry the domain's measure (dt, or dw/2pi).
+    """
+    if isinstance(profile, SpectralWindowProfile):
+        compact, support = profile.compact_spectral, profile.spectral_support
+        domain = Domain.ANGULAR_FREQUENCY
+    else:
+        compact, support, domain = profile.compact_temporal, profile.temporal_support, Domain.TIME
+    if compact:
+        return QuadratureAxis(support(), resolution, domain)
+    half = support(1e-13)
+    return SampledAxis(-half, 2.0 * half / (resolution - 1), resolution, domain)
+
+
+def recommended_axes(spec: Sif, resolution: int = 1024) -> tuple[Axis, Axis]:
+    """(rows, cols) of the Sif's mixed representation, each axis chosen by its own profile.
+
+    Each axis is :func:`_profile_axis` of its profile at ``resolution``.
     Time rows x frequency columns for FREQUENCY_FIRST, the transpose for
     TIME_FIRST.
     """
-
-    def axis(compact: bool, support, domain: Domain) -> Axis:
-        if compact:
-            return QuadratureAxis(support(), resolution, domain)
-        half = support(1e-13)
-        return SampledAxis(-half, 2.0 * half / (resolution - 1), resolution, domain)
-
-    gate, window = spec.temporal, spec.spectral
-    t_ax = axis(gate.compact_temporal, gate.temporal_support, Domain.TIME)
-    f_ax = axis(window.compact_spectral, window.spectral_support, Domain.ANGULAR_FREQUENCY)
+    t_ax = _profile_axis(spec.temporal, resolution)
+    f_ax = _profile_axis(spec.spectral, resolution)
     if spec.order is StageOrder.FREQUENCY_FIRST:
         return t_ax, f_ax
     return f_ax, t_ax

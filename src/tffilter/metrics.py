@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sif, SpectralWindowProfile, TemporalGateProfile
+from .core import Sif, _profile_axis
 
 __all__ = [
     "FilterFigures",
@@ -89,43 +89,18 @@ def figures_from_singulars(
     )
 
 
-def _profile_integral(
-    profile: SpectralWindowProfile | TemporalGateProfile,
-    spectral: bool,
-    resolution: int,
-) -> float:
-    """integral |p|^2 over its own domain (frequency measure dw/2pi)."""
-    if spectral:
-        compact = profile.compact_spectral
-        support = profile.spectral_support(1e-13)
-        evaluate = profile.window
-    else:
-        compact = profile.compact_temporal
-        support = profile.temporal_support(1e-13)
-        evaluate = profile.gate
-    if compact:
-        # midpoint rule with the support edge exactly between samples:
-        # exact for brick-wall profiles, second order for smooth ones
-        step = 2.0 * support / resolution
-        pts = -support + (np.arange(resolution) + 0.5) * step
-        vals = np.abs(evaluate(pts)) ** 2
-        integral = float(np.sum(vals) * step)
-    else:
-        pts = np.linspace(-support, support, resolution)
-        vals = np.abs(evaluate(pts)) ** 2
-        integral = float(np.trapezoid(vals, pts))
-    return integral / (2.0 * np.pi) if spectral else integral
-
-
 def bt_from_profiles(spec: Sif) -> float:
     """B T from the profiles alone: intensity bandwidth times integral duration.
 
     B = integral |R~(w)|^2 dw / 2pi and T = integral |Q(t)|^2 dt, both under
-    the unit-peak convention the profile classes enforce, on 8193 samples.
+    the unit-peak convention the profile classes enforce, each summed with the
+    quadrature weights of the profile's own axis (:func:`tffilter.core._profile_axis`),
+    the weights a ladder's ``total_power`` is summed with.
     """
-    b = _profile_integral(spec.spectral, spectral=True, resolution=8193)
-    t = _profile_integral(spec.temporal, spectral=False, resolution=8193)
-    return b * t
+    w_ax, t_ax = _profile_axis(spec.spectral), _profile_axis(spec.temporal)
+    b = np.abs(spec.spectral.window(w_ax.points)) ** 2 @ w_ax.quadrature_weights()
+    t = np.abs(spec.temporal.gate(t_ax.points)) ** 2 @ t_ax.quadrature_weights()
+    return float(b * t)
 
 
 def analytic_snr(signal_energy: float, noise_psd: float, discriminativity: float) -> float:

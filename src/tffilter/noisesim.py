@@ -36,11 +36,11 @@ from .core import (
     Sif,
     StageOrder,
     _check_grid,
+    _profile_axis,
     _uniform,
     apply_filter,
     centered_axis,
     filter_samples,
-    indicator_axis,
 )
 from .gaussian import gaussian_sif, gaussian_tradeoff, hermite_gaussian_mode_set
 from .slepian import rectangular_filter_modes, rectangular_sif, slepian_tradeoff
@@ -240,16 +240,15 @@ class CorrelationSurface:
 
 
 def _window_power_moments(spec: Sif) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and weights (8193 samples) for integrals against |R~(w)|^2."""
+    """Nodes and weights for integrals against |R~(w)|^2 dw.
+
+    The nodes are the window's own axis (:func:`tffilter.core._profile_axis`),
+    the weights 2 pi w |R~|^2 with w its quadrature weights under dw/2pi.
+    """
     win = spec.spectral
-    half = win.spectral_support(1e-13)
-    if win.compact_spectral:
-        axis = indicator_axis(half, 8193, Domain.ANGULAR_FREQUENCY)
-    else:
-        axis = SampledAxis(-half, 2.0 * half / 8192, 8193, Domain.ANGULAR_FREQUENCY)
+    axis = _profile_axis(win)
     pts = axis.points
-    wts = axis.quadrature_weights() * 2.0 * np.pi  # undo the 1/2pi folded into measure
-    return pts, wts * np.abs(win.window(pts)) ** 2
+    return pts, 2.0 * np.pi * axis.quadrature_weights() * np.abs(win.window(pts)) ** 2
 
 
 def _auto_correlation_axis(spec: Sif, max_reach: float, moments: tuple) -> SampledAxis:

@@ -369,6 +369,40 @@ class TestManifest:
         assert manifest["seed"] is None  # deterministic command
 
 
+_BAD_NUMBER_PROBES = [
+    ("decompose", "--filter", "gaussian", "--bt", "nan"),
+    ("decompose", "--filter", "slepian", "--bt", "inf"),
+    ("decompose", "--filter", "gaussian", "--bt", "inf/2pi"),
+    ("tradeoff", "--filter", "gaussian", "--bt-min", "nan", "--bt-max", "1"),
+    ("tradeoff", "--filter", "slepian", "--bt-min", "0.5", "--bt-max", "inf"),
+    ("modes", "--filter", "slepian", "--c", "nan"),
+    ("modes", "--filter", "slepian", "--c", "inf"),
+    ("modes", "--filter", "gaussian", "--bt", "nan"),
+    ("snr", "--filter", "gaussian", "--bt", "nan", "--trials", "10", "--seed", "1"),
+    ("snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "10", "--seed", "-1"),
+    ("snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "10", "--seed", "1",
+     "--signal-energy", "inf"),
+    ("snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "10", "--seed", "1",
+     "--noise-psd", "nan"),
+    ("qkd", "--filter", "gaussian", "--ny-min", "nan", "--ny-max", "1"),
+    ("qkd", "--filter", "slepian", "--ny-min", "0", "--ny-max", "inf"),
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_NUMBER_PROBES, ids=" ".join)
+def test_bad_numbers_exit_2(argv, tmp_path, capsys):
+    # non-finite reals and a negative seed are usage errors, refused before
+    # any computation: exit 2, an error line, no data file
+    out = tmp_path / "out"
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse refuses a bad --c, --ny-*, energy or seed
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestTypedErrors:
     def test_prolate_basis_failure_exits_3(self, monkeypatch, tmp_path, capsys):
         import tffilter.slepian as slepian

@@ -31,7 +31,6 @@ from tffilter.core import (
     fourier_forward,
     fourier_inverse,
     frequency_axis_for,
-    indicator_axis,
     inner_product,
     recommended_axes,
 )
@@ -490,6 +489,16 @@ class TestFourierOwnership:
         assert users == ["core.py"]
 
 
+class TestIntegrationRuleOwnership:
+    def test_profile_quadrature_lives_only_in_core(self):
+        # one integration rule per profile: B, T and the |R~|^2 moments run on
+        # core._profile_axis, the axis the ladder is factored on
+        pkg = Path(tffilter.__file__).parent
+        rule_use = re.compile(r"\b(np|numpy)\.trapz(oid)?\b|\bQuadratureAxis\(")
+        users = sorted(p.name for p in pkg.glob("*.py") if rule_use.search(p.read_text("utf-8")))
+        assert users == ["core.py"]
+
+
 class TestScipyOwnership:
     def test_scipy_is_imported_only_by_the_schmidt_svd(self):
         # the prolate solver, the quadrature rules and the key-rate code run on
@@ -631,7 +640,3 @@ class TestOperator:
         for spec in (g, compose_order_swap(g), foreign):
             with pytest.raises(DomainMismatchError):
                 build_operator(spec, ax, ax)
-
-    def test_indicator_axis_covers_support(self):
-        ax = indicator_axis(1.0, 64, Domain.TIME)
-        assert ax.points[0] <= -1.0 <= 1.0 <= ax.points[-1]

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from tffilter.core import _profile_axis
 from tffilter.gaussian import gaussian_sif, gaussian_singular_values, gaussian_tradeoff
 from tffilter.metrics import (
-    _profile_integral,
     analytic_snr,
     bt_from_profiles,
     figures_from_singulars,
@@ -46,28 +46,31 @@ class TestFiguresFromSingulars:
 
 class TestBtFromProfiles:
     def test_gaussian(self):
-        assert bt_from_profiles(gaussian_sif(0.5, 1.0)) == pytest.approx(0.5, rel=1e-10)
+        for bt in (0.1, 0.5, 2.0, 10.0, 20.0):
+            assert bt_from_profiles(gaussian_sif(bt, 1.0)) == pytest.approx(bt, rel=1e-14)
 
     def test_gaussian_split_shape(self):
         # B and T enter only through the product
-        assert bt_from_profiles(gaussian_sif(0.25, 2.0)) == pytest.approx(0.5, rel=1e-10)
+        assert bt_from_profiles(gaussian_sif(0.25, 2.0)) == pytest.approx(0.5, rel=1e-14)
 
     def test_rectangular_exact(self):
-        # brick-wall edges sit mid-cell, so the sums quantize exactly
+        # Gauss-Legendre nodes inside the support see a constant |p|^2 = 1
         assert bt_from_profiles(rectangular_sif(0.8, 1.0)) == pytest.approx(
-            0.8, rel=1e-12
+            0.8, rel=1e-14
         )
 
     def test_rectangular_various(self):
-        for band in (0.1, 1.0, 3.7):
-            spec = rectangular_sif(band, 2.0)
-            assert bt_from_profiles(spec) == pytest.approx(2.0 * band, rel=1e-12)
+        for band in (0.1, 0.8, 1.0, 3.7):
+            for duration in (1.0, 2.0):
+                spec = rectangular_sif(band, duration)
+                assert bt_from_profiles(spec) == pytest.approx(duration * band, rel=1e-14)
 
     def test_insensitive_to_resolution(self):
-        spec = rectangular_sif(1.3, 1.0)
-        a = _profile_integral(spec.spectral, spectral=True, resolution=1025)
-        a *= _profile_integral(spec.temporal, spectral=False, resolution=1025)
-        assert a == pytest.approx(bt_from_profiles(spec), rel=1e-12)
+        for spec in (rectangular_sif(1.3, 1.0), gaussian_sif(1.3, 1.0)):
+            w_ax, t_ax = _profile_axis(spec.spectral, 257), _profile_axis(spec.temporal, 257)
+            b = np.abs(spec.spectral.window(w_ax.points)) ** 2 @ w_ax.quadrature_weights()
+            t = np.abs(spec.temporal.gate(t_ax.points)) ** 2 @ t_ax.quadrature_weights()
+            assert b * t == pytest.approx(bt_from_profiles(spec), rel=1e-14)
 
 
 class TestAnalyticSnr:

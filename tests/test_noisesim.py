@@ -240,6 +240,24 @@ class TestCorrelation:
         dev = np.abs(surf.empirical - surf.analytic) / surf.stderr
         assert np.max(dev) < 5.0
 
+    def test_brick_wall_analytic_is_the_sinc(self):
+        # rho(tau) = integral_{|w| < pi B} exp(-i w tau) dw / 2pi = sin(pi B tau) / (pi tau),
+        # B at tau = 0 and 0 at the zeros tau = k / B, on the window's
+        # Gauss-Legendre axis (a trapezoid over the band edge read rho(0) 1.2e-4 low)
+        spec = rectangular_sif(2.0, 1.0)
+        surf = filtered_noise_correlation(spec, 1.0, 1000, np.array([0.0, 0.5, 2.0]), seed=5)
+        assert np.array_equal(surf.lags, [0.0, 0.5, 2.0])
+        tau = np.where(surf.lags == 0.0, 1.0, surf.lags)
+        rho = np.where(surf.lags == 0.0, 2.0, np.sin(2.0 * np.pi * tau) / (np.pi * tau))
+        gate = spec.temporal.gate
+        expected = (
+            spec.insertion_loss**2
+            * gate(surf.times[:, None] + surf.lags[None, :])
+            * np.conj(gate(surf.times))[:, None]
+            * rho[None, :]
+        )
+        assert np.max(np.abs(surf.analytic - expected)) <= 1e-13
+
     def test_zero_lag_column_is_power(self):
         spec = gaussian_sif(0.3, 1.0)
         surf = filtered_noise_correlation(spec, 0.25, 1500, np.array([0.0]), seed=8)

@@ -364,6 +364,18 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             optimize_over_efficiency(FilterCharacteristic.gaussian(), np.array([0.1, -0.1]))
 
+    def test_lanes_that_stop_early_match_scalar_calls(self):
+        # interior brackets span two scan spacings; the Gaussian edge bracket
+        # [1e-3, 2e-3] of a best scan point at eta = 1e-3 spans one and takes
+        # fewer golden steps.  At n_y = 0.132317 the optimum (eta 1.35e-3)
+        # lies inside it, so a lane that kept stepping after its bracket
+        # closed would move its interior optimum off the scalar call's
+        fc = FilterCharacteristic.gaussian()
+        nys = np.array([1e-3, 0.132317, 0.05, 0.12])
+        batch = optimize_over_efficiency(fc, nys)
+        assert 1e-3 < batch[1].eta < 1.5e-3 and batch[1].rate > 0.0
+        assert batch == tuple(optimize_over_efficiency(fc, float(n)) for n in nys)
+
     def test_noiseless_slepian_rides_the_clamp(self):
         fc = FilterCharacteristic.slepian()
         res = optimize_over_efficiency(fc, 0.0)
