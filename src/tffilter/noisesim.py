@@ -17,12 +17,15 @@ the transport ``apply_filter`` uses for single signals.
 
 Reproducibility: trial t draws from Philox keyed by
 SeedSequence(entropy=seed, spawn_key=(t,)), so any trial can be replayed in
-isolation and results are independent of batching.
+isolation with :func:`trial_generator` and results are independent of
+batching.  The ensembles derive the keys of a whole block at once, running
+SeedSequence's entropy mixing on uint32 arrays, and re-key one Philox per
+trial; every row is bit for bit the one ``trial_generator`` draws.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -68,6 +71,97 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _check_stream(seed: int, trials: int) -> None:
+    """Refuse what SeedSequence refuses, with its error types, before any draw.
+
+    Trial indices must fit one spawn-key word, as :func:`_trial_keys` mixes them.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError("seed must be an integer")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    if trials > 2**32:
+        raise ValueError("at most 2**32 trials per seed")
+
+
+# SeedSequence's entropy mixing (numpy.random.bit_generator), pool of 4 words
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _trial_keys(seed: int, indices: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(2, np.uint64) per t.
+
+    Runs SeedSequence's mixing with every word a uint32 array: the seed's
+    words have one element, the trial word one per index t < 2**32, and
+    NumPy broadcasting carries them together.  Returns shape (len(indices), 2);
+    Philox keyed by a SeedSequence uses exactly that pair with a zero counter.
+    """
+    seed = int(seed)
+    words = [
+        np.array([(seed >> shift) & _MASK32], np.uint32)
+        for shift in range(0, max(seed.bit_length(), 1), 32)
+    ]
+    # a spawned sequence pads its run entropy with zeros to the pool size
+    words += [np.zeros(1, np.uint32)] * (_POOL - len(words))
+    words.append(np.asarray(indices, np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    # generate_state: four uint32 words cycled from the pool, paired little-endian
+    state = np.empty((len(words[-1]), _POOL), np.uint32)
+    hash_const = _INIT_B
+    for i, w in enumerate(pool):
+        w = w ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        w = w * np.uint32(hash_const)
+        state[:, i] = w ^ (w >> _XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _keyed_streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """One generator re-keyed per Philox key in turn: the stream a fresh
+    ``Generator(Philox(SeedSequence))`` with that key would draw."""
+    bit_gen = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_gen)
+    zeros = (0, 0, 0, 0)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": None},
+        "buffer": zeros,
+        "buffer_pos": 4,  # buffer spent, as in a freshly keyed Philox
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for key in keys.tolist():
+        state["state"]["key"] = key
+        bit_gen.state = state
+        yield rng
+
+
 def sample_white_noise(
     axis: SampledAxis, noise_psd: float, rng: np.random.Generator
 ) -> SampledSignal:
@@ -82,13 +176,15 @@ def sample_white_noise(
         raise DomainMismatchError("white noise is sampled on a time axis")
     if noise_psd < 0:
         raise ValueError("noise power spectral density must be nonnegative")
-    return SampledSignal(axis, _white_rows(axis, noise_psd, [rng])[0])
+    return SampledSignal(axis, _white_rows(axis, noise_psd, 1, [rng])[0])
 
 
-def _white_rows(axis: SampledAxis, noise_psd: float, rngs: list[np.random.Generator]) -> np.ndarray:
-    """One row of white noise per generator, as :func:`sample_white_noise` draws it."""
+def _white_rows(
+    axis: SampledAxis, noise_psd: float, count: int, rngs: Iterable[np.random.Generator]
+) -> np.ndarray:
+    """``count`` rows of white noise, one per generator, as :func:`sample_white_noise` draws it."""
     scale = np.sqrt(noise_psd / (2.0 * _uniform(axis).step))
-    rows = np.empty((len(rngs), axis.count), dtype=complex)
+    rows = np.empty((count, axis.count), dtype=complex)
     draws = np.empty((2, axis.count))  # one buffer, refilled per trial in stream order
     for row, rng in zip(rows, rngs):
         rng.standard_normal(out=draws)
@@ -100,10 +196,15 @@ def _white_rows(axis: SampledAxis, noise_psd: float, rngs: list[np.random.Genera
 def _filtered_noise_blocks(
     spec: FilterSpec, axis: SampledAxis, noise_psd: float, seed: int, trials: int
 ) -> Iterator[np.ndarray]:
-    """Filtered white noise of trials 0 .. trials-1, yielded in blocks of _BATCH rows."""
+    """Filtered white noise of trials 0 .. trials-1, yielded in blocks of _BATCH rows.
+
+    Keys are derived one block at a time, so their memory does not grow with
+    ``trials``; every row equals the one drawn from ``trial_generator(seed, t)``.
+    """
     for first in range(0, trials, _BATCH):
-        rngs = [trial_generator(seed, t) for t in range(first, min(first + _BATCH, trials))]
-        yield filter_samples(spec, axis, _white_rows(axis, noise_psd, rngs))
+        keys = _trial_keys(seed, np.arange(first, min(first + _BATCH, trials)))
+        rows = _white_rows(axis, noise_psd, len(keys), _keyed_streams(keys))
+        yield filter_samples(spec, axis, rows)
 
 
 @dataclass(frozen=True)
@@ -123,6 +224,7 @@ class NoiseEnsembleConfig:
             raise ValueError("signal_energy must be nonnegative")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        _check_stream(self.seed, self.trials)
         if self.signal_mode.axis.domain is not Domain.TIME:
             raise DomainMismatchError("signal mode must live on a time axis")
         if abs(self.signal_mode.norm() - 1.0) > 1e-10:
@@ -298,6 +400,7 @@ def filtered_noise_correlation(
         raise ValueError("correlation analysis covers the window-then-gate composition")
     if trials < 1000:
         raise ValueError("need at least 1000 trials for stable error bars")
+    _check_stream(seed, trials)
     if noise_psd <= 0:
         raise ValueError("noise_psd must be positive")
     lags = np.asarray(lags, dtype=float)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tffilter.core import (
     Domain,
@@ -13,17 +15,20 @@ from tffilter.core import (
     TemporalGate,
     apply_filter,
     centered_axis,
+    filter_samples,
 )
-from tffilter.gaussian import gaussian_sif, gaussian_tradeoff
+from tffilter.gaussian import gaussian_sif, gaussian_singular_values, gaussian_tradeoff
 from tffilter import noisesim
 from tffilter.metrics import analytic_snr
 from tffilter.noisesim import (
     RNG_ALGORITHM,
     NoiseEnsembleConfig,
+    _trial_keys,
     _white_rows,
     filtered_noise_correlation,
     run_ensemble,
     sample_white_noise,
+    snr_setup,
     trial_generator,
 )
 from tffilter.slepian import rectangular_sif
@@ -99,7 +104,7 @@ class TestDeterminism:
         # the (seed, trial) contract: each batched row is, bit for bit, the
         # trial's own stream drawn as one (2, n) block and scaled once
         seed, psd = 97, 0.37
-        rows = _white_rows(axis, psd, [trial_generator(seed, t) for t in range(5)])
+        rows = _white_rows(axis, psd, 5, [trial_generator(seed, t) for t in range(5)])
         scale = np.sqrt(psd / (2.0 * axis.step))
         for t, row in enumerate(rows):
             z = trial_generator(seed, t).standard_normal((2, axis.count))
@@ -125,20 +130,28 @@ class TestDeterminism:
 
 
 class TestEnsembleStatistics:
-    def test_noise_energy_mean_matches_ladder(self, time_axis):
-        # <W_noise> = N_y * sum lambda_n^2 = N_y * BT
-        spec = gaussian_sif(0.5, 1.0)
+    def test_noise_energy_mean_matches_ladder(self):
+        # W_noise = sum_n s_n^2 |a_n|^2 with a_n the noise's projection on input
+        # mode n: independent circular complex Gaussians with E|a_n|^2 = N_y, so
+        # |a_n|^2 is exponential with cumulants kappa_k = (k - 1)! N_y^k and W has
+        #   mean N_y sum s^2 = N_y BT,  kappa_2 = N_y^2 sum s^4,  kappa_4 = 6 N_y^4 sum s^8.
+        # The sample variance S^2 of n trials has Var S^2 = kappa_4 / n
+        # + 2 kappa_2^2 / (n - 1); by the delta method the stderr S / sqrt(n)
+        # scatters about N_y sqrt(sum s^4 / n) with relative standard deviation
+        #   (1/2) sqrt(2 / (n - 1) + kappa_4 / (n kappa_2^2))   (0.025 here).
+        spec, axis, mode, _ = snr_setup("gaussian", 0.5)
+        n_y, trials = 0.2, 3000
         cfg = NoiseEnsembleConfig(
-            noise_psd=0.2,
-            signal_energy=0.0,
-            signal_mode=unit_gaussian_mode(time_axis),
-            trials=3000,
-            seed=17,
+            noise_psd=n_y, signal_energy=0.0, signal_mode=mode, trials=trials, seed=17
         )
         rep = run_ensemble(cfg, spec)
-        expected = 0.2 * 0.5
-        assert abs(rep.w_noise_mean - expected) < 3.0 * rep.w_noise_stderr
-        assert rep.w_noise_stderr < 0.01 * expected * 10
+        s = gaussian_singular_values(spec, 60)  # s_59^2 ~ 1e-46
+        kappa_2 = n_y**2 * np.sum(s**4)
+        kappa_4 = 6.0 * n_y**4 * np.sum(s**8)
+        stderr = np.sqrt(kappa_2 / trials)
+        rel_sd = 0.5 * np.sqrt(2.0 / (trials - 1) + kappa_4 / (trials * kappa_2**2))
+        assert abs(rep.w_noise_stderr / stderr - 1.0) < 4.0 * rel_sd
+        assert abs(rep.w_noise_mean - n_y * 0.5) < 3.0 * stderr
 
     def test_signal_energy_through_filter(self, time_axis):
         # ground-mode signal keeps eta = u of its energy
@@ -193,6 +206,43 @@ class TestEnsembleStatistics:
                 noise_psd=0.1, signal_energy=1.0, signal_mode=crooked, trials=4, seed=0
             )
 
+    @pytest.mark.parametrize(
+        "seed, error", [(-1, ValueError), (3.0, TypeError), ("3", TypeError), (3.5, TypeError)]
+    )
+    def test_seed_refused_at_the_boundary(self, time_axis, seed, error):
+        # the errors SeedSequence raises, before any trial is drawn
+        mode = unit_gaussian_mode(time_axis)
+        with pytest.raises(error):
+            NoiseEnsembleConfig(
+                noise_psd=0.1, signal_energy=1.0, signal_mode=mode, trials=4, seed=seed
+            )
+        with pytest.raises(error):
+            filtered_noise_correlation(gaussian_sif(0.3, 1.0), 0.25, 1000, np.array([0.0]), seed=seed)
+        with pytest.raises(error):
+            np.random.SeedSequence(seed)
+
+    def test_numpy_integer_seed_accepted(self, time_axis):
+        mode = unit_gaussian_mode(time_axis)
+        reports = [
+            run_ensemble(
+                NoiseEnsembleConfig(noise_psd=0.1, signal_energy=1.0, signal_mode=mode, trials=4, seed=seed),
+                gaussian_sif(0.5, 1.0),
+            )
+            for seed in (np.uint64(2**40 + 3), 2**40 + 3)
+        ]
+        assert reports[0] == reports[1]
+
+    def test_trials_fit_one_spawn_key_word(self, time_axis):
+        # trial 2**32 would need a two-word spawn key; refused before any draw
+        mode = unit_gaussian_mode(time_axis)
+        NoiseEnsembleConfig(noise_psd=0.1, signal_energy=1.0, signal_mode=mode, trials=2**32, seed=0)
+        with pytest.raises(ValueError):
+            NoiseEnsembleConfig(
+                noise_psd=0.1, signal_energy=1.0, signal_mode=mode, trials=2**32 + 1, seed=0
+            )
+        with pytest.raises(ValueError):
+            filtered_noise_correlation(gaussian_sif(0.3, 1.0), 0.25, 2**32 + 1, np.array([0.0]), seed=0)
+
 
 # (filter, trials) pairs pushed through run_ensemble's batched path; 300
 # trials cross the 256-trial block boundary
@@ -229,6 +279,63 @@ class TestFastPathConsistency:
         assert rep.w_total_mean == pytest.approx(np.mean(w_total), rel=1e-12)
         stderr = np.std(w_noise, ddof=1) / np.sqrt(trials)
         assert rep.w_noise_stderr == pytest.approx(stderr, rel=1e-12)
+
+
+# seeds on either side of the uint32 word boundaries of SeedSequence's entropy;
+# 2**128 and beyond take more words than the four-word pool
+SEED_BOUNDARIES = (0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**160)
+seeds = st.one_of(
+    st.builds(lambda b, d: max(b + d, 0), st.sampled_from(SEED_BOUNDARIES), st.integers(-2, 2)),
+    st.integers(min_value=0, max_value=2**192),
+)
+
+
+def reference_blocks(spec, axis, noise_psd, seed, trials):
+    """_filtered_noise_blocks rebuilt from one trial_generator per trial."""
+    for first in range(0, trials, noisesim._BATCH):
+        rngs = [trial_generator(seed, t) for t in range(first, min(first + noisesim._BATCH, trials))]
+        yield filter_samples(spec, axis, _white_rows(axis, noise_psd, len(rngs), rngs))
+
+
+class TestBlockKeys:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(seeds, st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=6))
+    def test_keys_are_seed_sequence_state(self, seed, trials):
+        keys = _trial_keys(seed, np.array(trials))
+        assert keys.dtype == np.uint64 and keys.shape == (len(trials), 2)
+        for t, key in zip(trials, keys):
+            ref = np.random.SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(2, np.uint64)
+            assert np.array_equal(key, ref)
+
+    @pytest.mark.parametrize(
+        "make_spec, axis",
+        [
+            (lambda: gaussian_sif(0.5, 1.0), centered_axis(1.0 / 12.0, 1024, Domain.TIME)),
+            (
+                lambda: rectangular_sif(2.0, 1.0, StageOrder.TIME_FIRST),
+                centered_axis(1.0 / 121.0, 1024, Domain.TIME),
+            ),
+        ],
+        ids=["gaussian", "brick_wall"],
+    )
+    def test_ensemble_equals_trial_generator_blocks(self, monkeypatch, make_spec, axis):
+        # 300 trials cross the 256-row block edge; a seed past 2**32 takes two words
+        spec = make_spec()
+        mode = SampledSignal(axis, np.exp(-np.pi * axis.points**2).astype(complex)).normalized()
+        cfg = NoiseEnsembleConfig(
+            noise_psd=0.3, signal_energy=1.0, signal_mode=mode, trials=300, seed=2**40 + 9
+        )
+        rep = run_ensemble(cfg, spec)
+        monkeypatch.setattr(noisesim, "_filtered_noise_blocks", reference_blocks)
+        assert rep == run_ensemble(cfg, spec)
+
+    def test_correlation_equals_trial_generator_blocks(self, monkeypatch):
+        spec, lags = gaussian_sif(0.3, 1.0), np.array([0.0, 0.5, 2.0])
+        surf = filtered_noise_correlation(spec, 0.25, 1000, lags, seed=41)
+        monkeypatch.setattr(noisesim, "_filtered_noise_blocks", reference_blocks)
+        ref = filtered_noise_correlation(spec, 0.25, 1000, lags, seed=41)
+        for field in ("times", "lags", "empirical", "analytic", "stderr"):
+            assert np.array_equal(getattr(surf, field), getattr(ref, field))
 
 
 class TestCorrelation:
