@@ -7,7 +7,8 @@ lives in a ``<out>.manifest.json`` sidecar, never in the data file.
 
 Exit codes: 0 success, 2 usage error (a NaN or infinite number, a negative
 seed), 3 numeric or convergence failure.
-Set TF_FILTER_THREADS to cap the linear-algebra thread pools.
+Set TF_FILTER_THREADS to cap the linear-algebra thread pools and to size the
+worker pool of the snr ensembles (1 runs them serially).
 """
 
 from __future__ import annotations

@@ -594,13 +594,21 @@ def filter_samples(spec: FilterSpec, axis: SampledAxis, values: np.ndarray) -> n
     ramps of the transform there and back; the outer ramps, the loss and the
     stage native to ``axis`` fold into ``pre`` or ``post``, by the order.
     """
+    return _filter_samples(spec, axis, values, None)
+
+
+def _filter_samples(
+    spec: FilterSpec, axis: SampledAxis, values: np.ndarray, out: np.ndarray | None
+) -> np.ndarray:
+    """:func:`filter_samples` written into ``out``: None for a fresh array, or a
+    complex ``values`` itself to filter it in place."""
     _uniform(axis)
     if isinstance(spec, SeparableCoherent):
         phi = spec.input_mode
         matched = _match_axis(values, axis, phi.axis)
         coeff = spec.weight * ((matched @ np.conj(phi.values)) * phi.axis.measure)
-        out = _match_axis(coeff[..., None] * spec.output_mode.values, spec.output_mode.axis, axis)
-        return out * spec.insertion_loss
+        moved = _match_axis(coeff[..., None] * spec.output_mode.values, spec.output_mode.axis, axis)
+        return np.multiply(moved, spec.insertion_loss, out=out)
     window, gate = _stages(spec)
     if window is None and gate is None:
         raise TypeError(f"unknown filter specification {type(spec).__name__}")
@@ -609,7 +617,7 @@ def filter_samples(spec: FilterSpec, axis: SampledAxis, values: np.ndarray) -> n
     r = None if window is None else window.window
     native, other = (q, r) if on_time else (r, q)
     if other is None:  # a lone stage native to the axis: one diagonal
-        return values * (native(axis.points) * spec.insertion_loss)
+        return np.multiply(values, native(axis.points) * spec.insertion_loss, out=out)
     if on_time:
         far = frequency_axis_for(axis)
     else:
@@ -626,7 +634,7 @@ def filter_samples(spec: FilterSpec, axis: SampledAxis, values: np.ndarray) -> n
     if native is not None:  # a Sif: its native stage acts first or last
         side = pre if (spec.order is StageOrder.TIME_FIRST) is on_time else post
         side *= native(axis.points)
-    out = values * pre
+    out = np.multiply(values, pre, out=out)
     fft_a(out, axis=-1, out=out)
     out *= mid
     fft_b(out, axis=-1, out=out)

@@ -11,9 +11,17 @@ ensemble statistics after filtering are known in closed form,
 and this module estimates both empirically so the closed forms can be
 certified at Monte Carlo precision.
 
-Each block of trials is drawn into one complex array and filtered in place by
-``core.filter_samples`` (pre-diagonal, FFT, mid-diagonal, FFT, post-diagonal),
-the transport ``apply_filter`` uses for single signals.
+Each block of 256 trials is drawn into one complex array and filtered in place
+by the numerics of ``core.filter_samples`` (pre-diagonal, FFT, mid-diagonal,
+FFT, post-diagonal), the transport ``apply_filter`` uses for single signals.
+
+Blocks run on one pool of worker threads per process, made on the first
+ensemble or correlation and sized by ``TF_FILTER_THREADS``, else the CPUs in
+the process's affinity mask; one worker runs the blocks serially, with no
+thread.  A worker draws, filters and reduces its block (the row energies and
+cross sum of an ensemble, the two moment sums of a correlation) and returns
+only those partial sums, which the caller adds in block order with no BLAS
+call, so every result is independent of the worker count.
 
 Reproducibility: trial t draws from Philox keyed by
 SeedSequence(entropy=seed, spawn_key=(t,)), so any trial can be replayed in
@@ -25,8 +33,12 @@ trial; every row is bit for bit the one ``trial_generator`` draws.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import os
+import threading
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,14 +51,17 @@ from .core import (
     Sif,
     StageOrder,
     _check_grid,
+    _filter_samples,
     _profile_axis,
     _uniform,
     apply_filter,
     centered_axis,
-    filter_samples,
 )
 from .gaussian import gaussian_sif, gaussian_tradeoff, hermite_gaussian_mode_set
 from .slepian import rectangular_filter_modes, rectangular_sif, slepian_tradeoff
+
+if TYPE_CHECKING:  # imported when a pool is first made, not with the package
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -82,6 +97,12 @@ def _check_stream(seed: int, trials: int) -> None:
         raise ValueError("seed must be nonnegative")
     if trials > 2**32:
         raise ValueError("at most 2**32 trials per seed")
+
+
+def _check_level(name: str, value: float) -> None:
+    """Refuse a NaN, infinite or negative power or energy before any draw."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative")
 
 
 # SeedSequence's entropy mixing (numpy.random.bit_generator), pool of 4 words
@@ -174,8 +195,7 @@ def sample_white_noise(
     """
     if axis.domain is not Domain.TIME:
         raise DomainMismatchError("white noise is sampled on a time axis")
-    if noise_psd < 0:
-        raise ValueError("noise power spectral density must be nonnegative")
+    _check_level("noise_psd", noise_psd)
     return SampledSignal(axis, _white_rows(axis, noise_psd, 1, [rng])[0])
 
 
@@ -193,18 +213,102 @@ def _white_rows(
     return rows
 
 
-def _filtered_noise_blocks(
-    spec: FilterSpec, axis: SampledAxis, noise_psd: float, seed: int, trials: int
-) -> Iterator[np.ndarray]:
-    """Filtered white noise of trials 0 .. trials-1, yielded in blocks of _BATCH rows.
+def _worker_count() -> int:
+    """TF_FILTER_THREADS if it is a positive integer, else the CPUs this process may use."""
+    cap = os.environ.get("TF_FILTER_THREADS", "")
+    if cap.isdigit() and int(cap) >= 1:
+        return int(cap)
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
 
-    Keys are derived one block at a time, so their memory does not grow with
-    ``trials``; every row equals the one drawn from ``trial_generator(seed, t)``.
+
+def _start_pool(workers: int) -> ThreadPoolExecutor:
+    """A ThreadPoolExecutor of ``workers`` threads, every one started now.
+
+    A new thread inherits the CPU mask of the thread that starts it, so threads
+    started up front keep every allowed CPU when the caller is later pinned to one.
     """
-    for first in range(0, trials, _BATCH):
-        keys = _trial_keys(seed, np.arange(first, min(first + _BATCH, trials)))
-        rows = _white_rows(axis, noise_psd, len(keys), _keyed_streams(keys))
-        yield filter_samples(spec, axis, rows)
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="tffilter-noise")
+    # each task holds its thread until all have one, so the pool starts them all
+    barrier = threading.Barrier(workers, timeout=60.0)
+    for started in [pool.submit(barrier.wait) for _ in range(workers)]:
+        started.result()
+    return pool
+
+
+_pool_lock = threading.Lock()
+_pool_state: tuple[int, ThreadPoolExecutor | None, int] | None = None
+
+
+def _pool() -> tuple[ThreadPoolExecutor | None, int]:
+    """(pool, workers) of this process, made on its first call; pool None for one worker.
+
+    The state is keyed by process id: a forked child has none of its
+    parent's threads, so it makes its own pool.
+    """
+    global _pool_state
+    with _pool_lock:
+        if _pool_state is None or _pool_state[0] != os.getpid():
+            workers = _worker_count()
+            _pool_state = (os.getpid(), _start_pool(workers) if workers > 1 else None, workers)
+        return _pool_state[1:]
+
+
+def _filtered_block(
+    spec: FilterSpec, axis: SampledAxis, noise_psd: float, seed: int, trials: range
+) -> np.ndarray:
+    """Filtered white noise of ``trials``, one row each, filtered in the array it is drawn in.
+
+    Every row equals the one drawn from ``trial_generator(seed, t)``.
+    """
+    keys = _trial_keys(seed, np.arange(trials.start, trials.stop))
+    rows = _white_rows(axis, noise_psd, len(keys), _keyed_streams(keys))
+    return _filter_samples(spec, axis, rows, rows)
+
+
+def _filtered_noise_blocks(
+    spec: FilterSpec,
+    axis: SampledAxis,
+    noise_psd: float,
+    seed: int,
+    trials: int,
+    reduce: Callable[[np.ndarray], tuple],
+) -> Iterator[tuple]:
+    """``reduce`` of each block of _BATCH rows of filtered white noise, trials
+    0 .. trials-1, yielded in trial order.
+
+    The blocks run on the process's pool, at most one more than it has workers
+    in flight; only their reductions come back, so memory does not grow with
+    ``trials``.
+    """
+
+    def work(first: int) -> tuple:
+        block = range(first, min(first + _BATCH, trials))
+        return reduce(_filtered_block(spec, axis, noise_psd, seed, block))
+
+    firsts = range(0, trials, _BATCH)
+    pool, workers = _pool()
+    if pool is None:
+        yield from map(work, firsts)
+        return
+    from concurrent.futures import wait
+
+    pending = deque()
+    try:
+        for first in firsts:
+            if len(pending) > workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(work, first))
+        while pending:
+            yield pending.popleft().result()
+    finally:  # on an error, leave no block of this call running
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 @dataclass(frozen=True)
@@ -218,10 +322,8 @@ class NoiseEnsembleConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.noise_psd < 0:
-            raise ValueError("noise_psd must be nonnegative")
-        if self.signal_energy < 0:
-            raise ValueError("signal_energy must be nonnegative")
+        _check_level("noise_psd", self.noise_psd)
+        _check_level("signal_energy", self.signal_energy)
         if self.trials < 1:
             raise ValueError("need at least one trial")
         _check_stream(self.seed, self.trials)
@@ -259,7 +361,9 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: FilterSpec) -> EnergyReport:
     The deterministic signal is filtered once; each trial filters a fresh
     white-noise draw and records the noise energy and the total (signal plus
     noise) energy at the filter output, the latter as w_noise + 2 Re<y_sig, y>
-    + w_signal: both are one pass over the float view of each block.
+    + w_signal: both are one pass over the float view of each block, by
+    ``einsum`` rather than a BLAS matvec, whose threads would compete with the
+    block workers.
     """
     axis = cfg.signal_mode.axis
     amp = np.sqrt(cfg.signal_energy)
@@ -267,11 +371,19 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: FilterSpec) -> EnergyReport:
     y_sig = apply_filter(spec, sig_in)
     w_signal = y_sig.energy()
 
-    w_noise, cross = [], 0.0
-    for y_noise in _filtered_noise_blocks(spec, axis, cfg.noise_psd, cfg.seed, cfg.trials):
+    sig_view = y_sig.values.view(float)
+
+    def reduce(y_noise: np.ndarray) -> tuple:
         y_view = y_noise.view(float)
-        w_noise.append(np.einsum("ij,ij->i", y_view, y_view) * axis.measure)
-        cross += np.sum(y_view @ y_sig.values.view(float))
+        energies = np.einsum("ij,ij->i", y_view, y_view) * axis.measure
+        return energies, np.sum(np.einsum("ij,j->i", y_view, sig_view))
+
+    w_noise, cross = [], 0.0
+    for energies, block_cross in _filtered_noise_blocks(
+        spec, axis, cfg.noise_psd, cfg.seed, cfg.trials, reduce
+    ):
+        w_noise.append(energies)
+        cross += block_cross
     w_noise = np.concatenate(w_noise)
 
     w_noise_mean = float(np.mean(w_noise))
@@ -401,7 +513,8 @@ def filtered_noise_correlation(
     if trials < 1000:
         raise ValueError("need at least 1000 trials for stable error bars")
     _check_stream(seed, trials)
-    if noise_psd <= 0:
+    _check_level("noise_psd", noise_psd)
+    if noise_psd == 0:
         raise ValueError("noise_psd must be positive")
     lags = np.asarray(lags, dtype=float)
     if times is None:
@@ -427,12 +540,15 @@ def filtered_noise_correlation(
     times_g = axis.start + axis.step * t_idx
     lags_g = axis.step * l_idx
 
+    def reduce(y: np.ndarray) -> tuple:
+        z = y[:, pair] * np.conj(y[:, t_idx])[:, :, None]
+        return np.sum(z, axis=0), np.sum(np.abs(z) ** 2, axis=0)
+
     s1 = np.zeros((len(times_g), len(lags_g)), dtype=complex)
     s2 = np.zeros((len(times_g), len(lags_g)))
-    for y in _filtered_noise_blocks(spec, axis, noise_psd, seed, trials):
-        z = y[:, pair] * np.conj(y[:, t_idx])[:, :, None]
-        s1 += np.sum(z, axis=0)
-        s2 += np.sum(np.abs(z) ** 2, axis=0)
+    for block_s1, block_s2 in _filtered_noise_blocks(spec, axis, noise_psd, seed, trials, reduce):
+        s1 += block_s1
+        s2 += block_s2
 
     emp = s1 / trials
     var_c = s2 / trials - np.abs(emp) ** 2

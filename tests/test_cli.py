@@ -460,8 +460,8 @@ class TestTypedErrors:
         assert "numeric failure: no prolate parameter found" in capsys.readouterr().err
 
 
-def _threads_under_cap(script: str) -> int:
-    """Threads of a fresh process with TF_FILTER_THREADS=1 and the pool variables unset."""
+def _threads_under_cap(script: str, cap: str = "1") -> int:
+    """Threads of a fresh process with TF_FILTER_THREADS=cap and the pool variables unset."""
     env = {
         k: v
         for k, v in os.environ.items()
@@ -469,7 +469,7 @@ def _threads_under_cap(script: str) -> int:
     }
     src = str(Path(tffilter.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    env["TF_FILTER_THREADS"] = "1"
+    env["TF_FILTER_THREADS"] = cap
     proc = subprocess.run(
         [sys.executable, "-c", script + "; print(len(os.listdir('/proc/self/task')))"],
         env=env, capture_output=True, text=True, timeout=60,
@@ -504,6 +504,28 @@ class TestThreadCap:
             "'--points', '5', '--optimize', '--out', os.devnull]) == 0"
         )
         assert _threads_under_cap(script) == 1
+
+    def test_cap_of_one_runs_the_noise_blocks_serially(self):
+        # 300 trials take two blocks; one worker draws them with no thread of its own
+        script = (
+            "import os, tffilter as tf, numpy as np; spec, axis, mode, _ = tf.snr_setup('gaussian', 0.5); "
+            "tf.run_ensemble(tf.NoiseEnsembleConfig(0.1, 1.0, mode, 300, 0), spec); "
+            "tf.filtered_noise_correlation(tf.gaussian_sif(0.3, 1.0), 0.25, 1000, np.array([0.0]), seed=0)"
+        )
+        assert _threads_under_cap(script) == 1
+
+    def test_noise_pool_started_whole_and_reused(self):
+        # a one-block call makes the pool with all its threads; later calls add none
+        script = (
+            "import os, tffilter as tf, numpy as np; spec, axis, mode, _ = tf.snr_setup('gaussian', 0.5); "
+            "count = lambda: len(os.listdir('/proc/self/task')); before = count(); "
+            "tf.run_ensemble(tf.NoiseEnsembleConfig(0.1, 1.0, mode, 1, 0), spec); "
+            "assert count() == before + 3, (before, count()); "
+            "tf.run_ensemble(tf.NoiseEnsembleConfig(0.1, 1.0, mode, 2000, 1), spec); "
+            "tf.filtered_noise_correlation(tf.gaussian_sif(0.3, 1.0), 0.25, 1000, np.array([0.0]), seed=0); "
+            "assert count() == before + 3, (before, count())"
+        )
+        _threads_under_cap(script, cap="3")
 
     @pytest.mark.parametrize("value", ["0", "two", ""])
     def test_invalid_cap_returns_2(self, monkeypatch, value):

@@ -1,5 +1,10 @@
 """Monte Carlo noise ensembles: statistics, determinism, correlations."""
 
+import os
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +237,20 @@ class TestEnsembleStatistics:
         ]
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_levels_refused(self, time_axis, bad):
+        # each would run and return NaN; refused before any draw, as the CLI refuses them
+        mode = unit_gaussian_mode(time_axis)
+        for psd, energy in ((bad, 1.0), (0.1, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                NoiseEnsembleConfig(
+                    noise_psd=psd, signal_energy=energy, signal_mode=mode, trials=4, seed=0
+                )
+        with pytest.raises(ValueError, match="finite"):
+            sample_white_noise(time_axis, bad, trial_generator(0, 0))
+        with pytest.raises(ValueError, match="finite"):
+            filtered_noise_correlation(gaussian_sif(0.3, 1.0), bad, 1000, np.array([0.0]), seed=0)
+
     def test_trials_fit_one_spawn_key_word(self, time_axis):
         # trial 2**32 would need a two-word spawn key; refused before any draw
         mode = unit_gaussian_mode(time_axis)
@@ -297,6 +316,109 @@ def reference_blocks(spec, axis, noise_psd, seed, trials):
         yield filter_samples(spec, axis, _white_rows(axis, noise_psd, len(rngs), rngs))
 
 
+def reduced_reference_blocks(spec, axis, noise_psd, seed, trials, reduce):
+    """_filtered_noise_blocks, serially on the reference blocks."""
+    return map(reduce, reference_blocks(spec, axis, noise_psd, seed, trials))
+
+
+@pytest.fixture(scope="module")
+def pools():
+    """What noisesim._pool returns for 1, 2 and 3 workers."""
+    made = {n: noisesim._start_pool(n) for n in (2, 3)}
+    yield {1: (None, 1), **{n: (pool, n) for n, pool in made.items()}}
+    for pool in made.values():
+        pool.shutdown()
+
+
+class TestWorkerPool:
+    # blocks are reduced in their workers and added in block order; the trial
+    # counts straddle the 256-row block edge and more blocks than workers + 1
+    @pytest.mark.parametrize("trials", [1, 255, 256, 257, 300, 2048])
+    @pytest.mark.parametrize("family, bt", [("gaussian", 0.5), ("slepian", 2.0)])
+    def test_ensemble_independent_of_worker_count(self, monkeypatch, pools, family, bt, trials):
+        spec, _, mode, _ = snr_setup(family, bt)
+        cfg = NoiseEnsembleConfig(
+            noise_psd=0.1, signal_energy=1.0, signal_mode=mode, trials=trials, seed=2**40 + trials
+        )
+        reports = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(noisesim, "_pool", lambda pool=pools[workers]: pool)
+            reports.append(run_ensemble(cfg, spec))
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("trials", [1000, 1025, 2048])
+    def test_correlation_independent_of_worker_count(self, monkeypatch, pools, trials):
+        spec, lags = gaussian_sif(0.3, 1.0), np.array([0.0, 0.5, 2.0])
+        surfaces = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(noisesim, "_pool", lambda pool=pools[workers]: pool)
+            surfaces.append(filtered_noise_correlation(spec, 0.25, trials, lags, seed=trials))
+        for field in ("times", "lags", "empirical", "analytic", "stderr"):
+            serial = getattr(surfaces[0], field)
+            assert all(np.array_equal(getattr(s, field), serial) for s in surfaces[1:])
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, pools):
+        spec, _, mode, _ = snr_setup("gaussian", 0.5)
+        cfg = NoiseEnsembleConfig(noise_psd=0.1, signal_energy=1.0, signal_mode=mode, trials=2048, seed=3)
+        monkeypatch.setattr(noisesim, "_pool", lambda: pools[1])
+        serial = run_ensemble(cfg, spec)
+        monkeypatch.setattr(noisesim, "_pool", lambda: pools[3])
+        block = noisesim._filtered_block
+        started, running = [], set()
+
+        def failing(spec, axis, noise_psd, seed, trials):
+            started.append(trials.start)
+            running.add(trials.start)
+            try:
+                if trials.start == 3 * noisesim._BATCH:
+                    raise ResolutionError("block 3 failed")
+                time.sleep(0.05)  # so later blocks are in flight when block 3 fails
+                return block(spec, axis, noise_psd, seed, trials)
+            finally:
+                running.discard(trials.start)
+
+        monkeypatch.setattr(noisesim, "_filtered_block", failing)
+        with pytest.raises(ResolutionError, match="block 3 failed"):
+            run_ensemble(cfg, spec)
+        # the call returns once none of its blocks runs, and none starts after it
+        assert not running
+        count = len(started)
+        time.sleep(0.2)
+        assert len(started) == count
+        monkeypatch.setattr(noisesim, "_filtered_block", block)
+        assert run_ensemble(cfg, spec) == serial
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        # more callers than workers and more workers than cores, switching often:
+        # the first calls race to make the pool, then share it
+        monkeypatch.setattr(noisesim, "_pool_state", None)
+        monkeypatch.setenv("TF_FILTER_THREADS", "3")
+        spec, _, mode, _ = snr_setup("gaussian", 0.5)
+        cfgs = [NoiseEnsembleConfig(0.1, 1.0, mode, 600, seed) for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as callers:
+                made = list(callers.map(lambda _: noisesim._pool(), range(6), timeout=60))
+                reports = list(callers.map(lambda cfg: run_ensemble(cfg, spec), cfgs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+            pool, _ = noisesim._pool()
+            pool.shutdown()
+        assert made == [(pool, 3)] * 6
+        monkeypatch.setattr(noisesim, "_pool", lambda: (None, 1))
+        assert reports == [run_ensemble(cfg, spec) for cfg in cfgs]
+
+    @pytest.mark.parametrize("value, workers", [("3", 3), ("1", 1), (None, None), ("0", None), ("two", None)])
+    def test_worker_count(self, monkeypatch, value, workers):
+        # TF_FILTER_THREADS sizes the pool; unset or invalid, the CPUs of the affinity mask do
+        if value is None:
+            monkeypatch.delenv("TF_FILTER_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("TF_FILTER_THREADS", value)
+        assert noisesim._worker_count() == (workers or len(os.sched_getaffinity(0)))
+
+
 class TestBlockKeys:
     @settings(max_examples=200, deadline=None, database=None)
     @given(seeds, st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=6))
@@ -326,13 +448,13 @@ class TestBlockKeys:
             noise_psd=0.3, signal_energy=1.0, signal_mode=mode, trials=300, seed=2**40 + 9
         )
         rep = run_ensemble(cfg, spec)
-        monkeypatch.setattr(noisesim, "_filtered_noise_blocks", reference_blocks)
+        monkeypatch.setattr(noisesim, "_filtered_noise_blocks", reduced_reference_blocks)
         assert rep == run_ensemble(cfg, spec)
 
     def test_correlation_equals_trial_generator_blocks(self, monkeypatch):
         spec, lags = gaussian_sif(0.3, 1.0), np.array([0.0, 0.5, 2.0])
         surf = filtered_noise_correlation(spec, 0.25, 1000, lags, seed=41)
-        monkeypatch.setattr(noisesim, "_filtered_noise_blocks", reference_blocks)
+        monkeypatch.setattr(noisesim, "_filtered_noise_blocks", reduced_reference_blocks)
         ref = filtered_noise_correlation(spec, 0.25, 1000, lags, seed=41)
         for field in ("times", "lags", "empirical", "analytic", "stderr"):
             assert np.array_equal(getattr(surf, field), getattr(ref, field))
