@@ -1,10 +1,10 @@
 """Schmidt-mode analysis of time-frequency filters.
 
-Model a spectral window and a temporal gate (applied in either order, or
-fused coherently) as a linear integral operator on pulse waveforms, compute
-its singular value decomposition, and turn the spectrum into the quantities
-experiments care about: target-mode efficiency, mode discriminativity,
-filtered-noise statistics, and entanglement-based key rates.
+Model a spectral window and a temporal gate (applied in either order) as a
+linear integral operator on pulse waveforms, compute its singular value
+decomposition, and turn the spectrum into the quantities experiments care
+about: target-mode efficiency, mode discriminativity, filtered-noise
+statistics, and entanglement-based key rates.
 """
 
 import os as _os
@@ -37,7 +37,6 @@ from .core import (
     ResolutionError,
     SampledAxis,
     SampledSignal,
-    SeparableCoherent,
     Sif,
     SpectralWindow,
     SpectralWindowProfile,
@@ -49,7 +48,6 @@ from .core import (
     apply_filter,
     build_operator,
     centered_axis,
-    compose_order_swap,
     fourier_forward,
     fourier_inverse,
     frequency_axis_for,
@@ -60,12 +58,10 @@ from .gaussian import (
     GaussianSif,
     GaussianSpectralWindow,
     GaussianTemporalGate,
-    gaussian_profiles,
     gaussian_sif,
     gaussian_singular_values,
     gaussian_tradeoff,
     hermite_gaussian_mode_set,
-    hermite_gaussian_modes,
     mehler_u,
 )
 from .metrics import FilterFigures, analytic_snr, bt_from_profiles, figures_from_singulars
@@ -110,7 +106,6 @@ from .slepian import (
     interval_gram,
     pswf_solve_legendre,
     rectangular_filter_modes,
-    rectangular_profiles,
     rectangular_sif,
     slepian_filter_modes,
     slepian_singular_values,
@@ -132,7 +127,6 @@ __all__ = [
     "SpectralWindow",
     "TemporalGate",
     "Sif",
-    "SeparableCoherent",
     "FilterSpec",
     "OperatorMatrix",
     "DomainMismatchError",
@@ -147,7 +141,6 @@ __all__ = [
     "fourier_inverse",
     "apply_filter",
     "build_operator",
-    "compose_order_swap",
     "recommended_axes",
     # schmidt
     "GridReport",
@@ -160,18 +153,15 @@ __all__ = [
     "GaussianSpectralWindow",
     "GaussianTemporalGate",
     "GaussianSif",
-    "gaussian_profiles",
     "gaussian_sif",
     "mehler_u",
     "gaussian_singular_values",
     "hermite_gaussian_mode_set",
-    "hermite_gaussian_modes",
     "gaussian_tradeoff",
     # slepian
     "RectangularSpectralWindow",
     "RectangularTemporalGate",
     "RectangularSif",
-    "rectangular_profiles",
     "rectangular_sif",
     "PswfSolution",
     "pswf_solve_legendre",

@@ -16,23 +16,26 @@ rows) through a window, gate or Sif in one pass of three diagonals around two
 in-place FFTs; ``fourier_forward``, ``fourier_inverse`` and ``apply_filter``
 are its single-signal wrappers.
 
-A filter is one of four specifications:
+A filter is one of three specifications:
 
-* ``SpectralWindow``    -- pointwise multiplication by R~(w) in frequency,
-* ``TemporalGate``      -- pointwise multiplication by Q(t) in time,
-* ``Sif``               -- the two above composed in a declared order
-                           (a sequential incoherent filter),
-* ``SeparableCoherent`` -- a rank-one projector onto a single mode pair.
+* ``SpectralWindow`` -- pointwise multiplication by R~(w) in frequency,
+* ``TemporalGate``   -- pointwise multiplication by Q(t) in time,
+* ``Sif``            -- the two above composed in a declared order
+                        (a sequential incoherent filter).
 
-``build_operator`` renders any of them as a dense Nystrom matrix with the
+Each axis type has one integration rule, and ``integrate`` and
+``quadrature_weights()`` both apply it: the Riemann sum, ``measure`` per
+sample, on a uniform ``SampledAxis``, the rule under which the FFT transport's
+discrete Parseval identity holds, and Gauss-Legendre on a ``QuadratureAxis``.
+
+``build_operator`` renders any filter as a dense Nystrom matrix with the
 axes' quadrature weights folded in symmetrically (sqrt(w) K sqrt(w)), so that
 matrix singular values approximate the operator's Schmidt coefficients.  The
 FFT-based paths need a uniform ``SampledAxis``; ``recommended_axes`` gives compact
 pairs a ``QuadratureAxis`` of Gauss-Legendre nodes inside the supports instead.
 The matrix keeps the data type its kernel is assembled in: ``float64`` for a
-real pointwise stage, ``complex128`` where a factor is complex (the Fourier
-phase of a mixed time x frequency kernel, the modes of a ``SeparableCoherent``
-filter).
+real pointwise stage, ``complex128`` for the Fourier phase of a mixed
+time x frequency kernel.
 
 A window, gate or Sif has one kernel, the mixed time x frequency one,
 Q(t) exp(-+i w t) R~(w) with a missing stage counted as 1, which needs nothing
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -67,7 +70,6 @@ __all__ = [
     "StageOrder",
     "SpectralWindow",
     "TemporalGate",
-    "SeparableCoherent",
     "Sif",
     "FilterSpec",
     "OperatorMatrix",
@@ -86,7 +88,6 @@ __all__ = [
     "build_operator",
     "ParityBlocks",
     "parity_blocks",
-    "compose_order_swap",
     "recommended_axes",
 ]
 
@@ -127,7 +128,8 @@ class SampledAxis:
     """Uniform sample grid ``start + step * arange(count)`` in one domain.
 
     The quadrature measure per sample is ``step`` on time axes and
-    ``step / (2 pi)`` on angular-frequency axes.
+    ``step / (2 pi)`` on angular-frequency axes; every sample weighs that
+    much (the Riemann rule).
     """
 
     start: float
@@ -163,11 +165,8 @@ class SampledAxis:
         return self.step / TWO_PI
 
     def quadrature_weights(self) -> np.ndarray:
-        """Trapezoid weights under the axis measure."""
-        w = np.full(self.count, self.measure)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        """The Riemann weights of :meth:`integrate`: ``measure`` at every sample."""
+        return np.full(self.count, self.measure)
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Riemann sum along the last axis of ``values``: sum v dt, or sum v dw/2pi."""
@@ -464,24 +463,6 @@ class TemporalGate:
 
 
 @dataclass(frozen=True)
-class SeparableCoherent:
-    """Rank-one filter: output = weight * psi0 * <phi0, input>."""
-
-    output_mode: SampledSignal
-    input_mode: SampledSignal
-    weight: float
-    insertion_loss: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_loss(self.insertion_loss)
-        if not (0.0 <= self.weight <= 1.0):
-            raise ValueError("weight must lie in [0, 1]")
-        for mode in (self.output_mode, self.input_mode):
-            if abs(mode.energy() - 1.0) > 1e-8:
-                raise ValueError("coherent filter modes must be unit-norm")
-
-
-@dataclass(frozen=True)
 class Sif:
     """Sequential incoherent filter: spectral window and time gate in a declared order."""
 
@@ -494,19 +475,7 @@ class Sif:
         _check_loss(self.insertion_loss)
 
 
-FilterSpec = Union[SpectralWindow, TemporalGate, SeparableCoherent, Sif]
-
-
-def compose_order_swap(spec: Sif) -> Sif:
-    """Same stages, opposite composition order."""
-    if not isinstance(spec, Sif):
-        raise TypeError("compose_order_swap applies to Sif specifications")
-    flipped = (
-        StageOrder.TIME_FIRST
-        if spec.order is StageOrder.FREQUENCY_FIRST
-        else StageOrder.FREQUENCY_FIRST
-    )
-    return replace(spec, order=flipped)
+FilterSpec = Union[SpectralWindow, TemporalGate, Sif]
 
 
 # ---------------------------------------------------------------------------
@@ -565,21 +534,6 @@ def _check_grid(spec: FilterSpec, ax: SampledAxis) -> None:
                 )
 
 
-def _match_axis(values: np.ndarray, axis: SampledAxis, target: SampledAxis) -> np.ndarray:
-    """Samples on ``axis`` re-expressed on ``target``: as they are, or Fourier transformed."""
-    if axis.close_to(target):
-        return values
-    if axis.domain is target.domain:
-        raise DomainMismatchError("signal grid does not match the mode grid")
-    if axis.domain is Domain.TIME:
-        out_axis = frequency_axis_for(axis)
-    else:
-        out_axis = _reciprocal_time_axis(axis, target)
-    if not out_axis.close_to(target):
-        raise DomainMismatchError("signal grid is not reciprocal to the mode grid")
-    return _transform(values, axis, out_axis)
-
-
 def filter_samples(spec: FilterSpec, axis: SampledAxis, values: np.ndarray) -> np.ndarray:
     """Pass samples on ``axis`` through ``spec`` along the last axis of ``values``.
 
@@ -603,12 +557,6 @@ def _filter_samples(
     """:func:`filter_samples` written into ``out``: None for a fresh array, or a
     complex ``values`` itself to filter it in place."""
     _uniform(axis)
-    if isinstance(spec, SeparableCoherent):
-        phi = spec.input_mode
-        matched = _match_axis(values, axis, phi.axis)
-        coeff = spec.weight * ((matched @ np.conj(phi.values)) * phi.axis.measure)
-        moved = _match_axis(coeff[..., None] * spec.output_mode.values, spec.output_mode.axis, axis)
-        return np.multiply(moved, spec.insertion_loss, out=out)
     window, gate = _stages(spec)
     if window is None and gate is None:
         raise TypeError(f"unknown filter specification {type(spec).__name__}")
@@ -765,33 +713,24 @@ def build_operator(spec: FilterSpec, rows: Axis, cols: Axis) -> OperatorMatrix:
     FREQUENCY_FIRST, the transpose for TIME_FIRST), a lone stage in either.  A
     lone stage on its own domain on both sides becomes a diagonal matrix.  Any
     other same-domain pairing raises :class:`DomainMismatchError`, and a kernel
-    that is zero at every sample raises :class:`ResolutionError`.  A
-    ``SeparableCoherent`` filter is rendered on any axes its modes can be
-    matched to.
+    that is zero at every sample raises :class:`ResolutionError`.
     """
-    ratio = None
-    if isinstance(spec, SeparableCoherent):
-        psi = _match_axis(spec.output_mode.values, spec.output_mode.axis, rows)
-        phi = _match_axis(spec.input_mode.values, spec.input_mode.axis, cols)
-        kernel = spec.weight * np.outer(psi, np.conj(phi))
-    elif isinstance(spec, (SpectralWindow, TemporalGate, Sif)):
-        lone = not isinstance(spec, Sif)
-        spectral = isinstance(spec, SpectralWindow)
-        own = Domain.ANGULAR_FREQUENCY if spectral else Domain.TIME
-        if lone and rows.domain is own and cols.domain is own:
-            # pointwise multiplication: the delta kernel collapses to a diagonal
-            if not rows.close_to(cols):
-                raise DomainMismatchError("diagonal representation requires rows == cols axis")
-            pointwise = (spec.profile.window if spectral else spec.profile.gate)(rows.points)
-            _peak(pointwise)
-            return OperatorMatrix(rows, cols, np.diag(pointwise) * spec.insertion_loss)
-        amp, sign = _mixed_kernel(spec, rows.points, rows.domain, cols.points, cols.domain)
-        kmax = _peak(amp)
-        if not lone:
-            ratio = _edge_ring_check(spec, rows, cols, kmax)
-        kernel = amp * np.exp(sign * 1j * np.outer(rows.points, cols.points))
-    else:
+    if not isinstance(spec, (SpectralWindow, TemporalGate, Sif)):
         raise TypeError(f"unknown filter specification {type(spec).__name__}")
+    lone = not isinstance(spec, Sif)
+    spectral = isinstance(spec, SpectralWindow)
+    own = Domain.ANGULAR_FREQUENCY if spectral else Domain.TIME
+    if lone and rows.domain is own and cols.domain is own:
+        # pointwise multiplication: the delta kernel collapses to a diagonal
+        if not rows.close_to(cols):
+            raise DomainMismatchError("diagonal representation requires rows == cols axis")
+        pointwise = (spec.profile.window if spectral else spec.profile.gate)(rows.points)
+        _peak(pointwise)
+        return OperatorMatrix(rows, cols, np.diag(pointwise) * spec.insertion_loss)
+    amp, sign = _mixed_kernel(spec, rows.points, rows.domain, cols.points, cols.domain)
+    kmax = _peak(amp)
+    ratio = None if lone else _edge_ring_check(spec, rows, cols, kmax)
+    kernel = amp * np.exp(sign * 1j * np.outer(rows.points, cols.points))
     sw = np.sqrt(rows.quadrature_weights())
     sc = np.sqrt(cols.quadrature_weights())
     entries = sw[:, None] * kernel * sc[None, :] * spec.insertion_loss

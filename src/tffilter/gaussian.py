@@ -23,7 +23,6 @@ import numpy as np
 from .core import (
     Axis,
     Domain,
-    SampledAxis,
     SampledSignal,
     Sif,
     SpectralWindowProfile,
@@ -35,11 +34,9 @@ __all__ = [
     "GaussianSpectralWindow",
     "GaussianTemporalGate",
     "GaussianSif",
-    "gaussian_profiles",
     "gaussian_sif",
     "mehler_u",
     "gaussian_singular_values",
-    "hermite_gaussian_modes",
     "hermite_gaussian_mode_set",
     "gaussian_tradeoff",
 ]
@@ -91,12 +88,6 @@ class GaussianTemporalGate(TemporalGateProfile):
 
     def temporal_support(self, tol: float = _SUPPORT_TOL_DEFAULT) -> float:
         return _gauss_radius(self._sigma_t, tol)
-
-
-def gaussian_profiles(
-    bandwidth_hz: float, duration_s: float
-) -> tuple[GaussianSpectralWindow, GaussianTemporalGate]:
-    return GaussianSpectralWindow(bandwidth_hz), GaussianTemporalGate(duration_s)
 
 
 def mehler_u(bt: float | np.ndarray) -> float | np.ndarray:
@@ -157,8 +148,9 @@ def gaussian_sif(
     order: StageOrder = StageOrder.FREQUENCY_FIRST,
     insertion_loss: float = 1.0,
 ) -> GaussianSif:
-    window, gate = gaussian_profiles(bandwidth_hz, duration_s)
-    return GaussianSif(window, gate, order, insertion_loss)
+    return GaussianSif(
+        GaussianSpectralWindow(bandwidth_hz), GaussianTemporalGate(duration_s), order, insertion_loss
+    )
 
 
 def gaussian_singular_values(sif_or_bt: GaussianSif | float, count: int) -> np.ndarray:
@@ -226,17 +218,6 @@ def hermite_gaussian_mode_set(
             )
         out.append(SampledSignal(axis, vals / nrm))
     return tuple(out)
-
-
-def hermite_gaussian_modes(
-    spec: GaussianSif, n: int, axis: SampledAxis
-) -> tuple[SampledSignal, SampledSignal]:
-    """(input mode n, output mode n) of a Gaussian sequential filter on ``axis``."""
-    if n < 0:
-        raise ValueError("mode index must be >= 0")
-    ins = hermite_gaussian_mode_set(spec, axis, n + 1, "input")
-    outs = hermite_gaussian_mode_set(spec, axis, n + 1, "output")
-    return ins[n], outs[n]
 
 
 def gaussian_tradeoff(bt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -521,6 +521,9 @@ def filtered_noise_correlation(
         half = 0.5 * spec.temporal.duration_s
         times = np.linspace(-half, half, 5)
     times = np.asarray(times, dtype=float)
+    for name, probe in (("lags", lags), ("times", times)):
+        if probe.size == 0 or not np.all(np.isfinite(probe)):
+            raise ValueError(f"{name} must be a non-empty array of finite numbers")
     reach = np.max(np.abs(times)) + np.max(np.abs(lags))
     pts, wts = _window_power_moments(spec)
     if axis is None:

@@ -58,7 +58,6 @@ __all__ = [
     "RectangularSpectralWindow",
     "RectangularTemporalGate",
     "RectangularSif",
-    "rectangular_profiles",
     "rectangular_sif",
     "PswfSolution",
     "pswf_solve_legendre",
@@ -127,12 +126,6 @@ class RectangularTemporalGate(TemporalGateProfile):
         return self.half_width_s
 
 
-def rectangular_profiles(
-    bandwidth_hz: float, duration_s: float
-) -> tuple[RectangularSpectralWindow, RectangularTemporalGate]:
-    return RectangularSpectralWindow(bandwidth_hz), RectangularTemporalGate(duration_s)
-
-
 @dataclass(frozen=True)
 class RectangularSif(Sif):
     """Brick-wall + brick-wall sequential filter."""
@@ -161,8 +154,12 @@ def rectangular_sif(
     order: StageOrder = StageOrder.FREQUENCY_FIRST,
     insertion_loss: float = 1.0,
 ) -> RectangularSif:
-    window, gate = rectangular_profiles(bandwidth_hz, duration_s)
-    return RectangularSif(window, gate, order, insertion_loss)
+    return RectangularSif(
+        RectangularSpectralWindow(bandwidth_hz),
+        RectangularTemporalGate(duration_s),
+        order,
+        insertion_loss,
+    )
 
 
 # ---------------------------------------------------------------------------

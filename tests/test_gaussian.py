@@ -8,19 +8,22 @@ from hypothesis import strategies as st
 from tffilter.core import Domain, SampledAxis, StageOrder, centered_axis, inner_product
 from tffilter.gaussian import (
     GaussianSif,
-    gaussian_profiles,
     gaussian_sif,
     gaussian_singular_values,
     gaussian_tradeoff,
     hermite_gaussian_mode_set,
-    hermite_gaussian_modes,
     mehler_u,
 )
 
 
+def mode_pair(spec, n, axis):
+    """(input mode n, output mode n), each read off its side's closed-form mode set."""
+    return tuple(hermite_gaussian_mode_set(spec, axis, n + 1, side)[n] for side in ("input", "output"))
+
+
 class TestProfiles:
     def test_window_peak_and_half_energy_width(self):
-        window, gate = gaussian_profiles(1.0, 1.0)
+        window = gaussian_sif(1.0, 1.0).spectral
         assert window.window(np.array([0.0]))[0] == pytest.approx(1.0)
         # |window|^2 integrates to B under the dw/2pi measure
         w = np.linspace(-60.0, 60.0, 200001)
@@ -28,14 +31,15 @@ class TestProfiles:
         assert mass == pytest.approx(1.0, rel=1e-10)
 
     def test_gate_unit_peak_and_energy(self):
-        _, gate = gaussian_profiles(1.0, 2.0)
+        gate = gaussian_sif(1.0, 2.0).temporal
         assert gate.gate(np.array([0.0]))[0] == pytest.approx(1.0)
         t = np.linspace(-30.0, 30.0, 200001)
         mass = np.trapezoid(np.abs(gate.gate(t)) ** 2, t)
         assert mass == pytest.approx(2.0, rel=1e-10)
 
     def test_supports_shrink_with_tolerance(self):
-        window, gate = gaussian_profiles(1.0, 1.0)
+        sif = gaussian_sif(1.0, 1.0)
+        window, gate = sif.spectral, sif.temporal
         assert window.spectral_support(1e-6) < window.spectral_support(1e-12)
         assert gate.temporal_support(1e-6) < gate.temporal_support(1e-12)
 
@@ -133,20 +137,20 @@ class TestHermiteModes:
 
     def test_input_output_scale_differs(self, spec, axis):
         # the output trace is compressed by the gate: narrower waist
-        mi, mo = hermite_gaussian_modes(spec, 0, axis)
+        mi, mo = mode_pair(spec, 0, axis)
         wi = np.sum(axis.points**2 * np.abs(mi.values) ** 2) * axis.step
         wo = np.sum(axis.points**2 * np.abs(mo.values) ** 2) * axis.step
         assert wo < wi
 
     def test_ground_mode_even_no_nodes(self, spec, axis):
-        m0, _ = hermite_gaussian_modes(spec, 0, axis)
+        m0 = hermite_gaussian_mode_set(spec, axis, 1, "input")[0]
         v = m0.values
         assert np.max(np.abs(v - v[::-1])) < 1e-12
         body = np.abs(v) > 1e-8 * np.max(np.abs(v))
         assert np.all(np.abs(v.real[body]) > 0)
 
     def test_first_mode_single_zero_crossing(self, spec, axis):
-        m1, _ = hermite_gaussian_modes(spec, 1, axis)
+        m1 = hermite_gaussian_mode_set(spec, axis, 2, "input")[1]
         prof = m1.values.imag if np.max(np.abs(m1.values.imag)) > np.max(
             np.abs(m1.values.real)
         ) else m1.values.real
@@ -160,7 +164,7 @@ class TestHermiteModes:
 
         lam = gaussian_singular_values(spec, 3)
         for n in range(3):
-            mi, mo = hermite_gaussian_modes(spec, n, axis)
+            mi, mo = mode_pair(spec, n, axis)
             pushed = apply_filter(spec, mi)
             overlap = inner_product(mo, pushed)
             assert abs(overlap - lam[n]) < 1e-8
@@ -177,8 +181,8 @@ class TestHermiteModes:
     def test_order_swap_swaps_mode_roles(self, axis):
         ff = gaussian_sif(0.5, 1.0, order=StageOrder.FREQUENCY_FIRST)
         tf = gaussian_sif(0.5, 1.0, order=StageOrder.TIME_FIRST)
-        fi, fo = hermite_gaussian_modes(ff, 2, axis)
-        ti, to = hermite_gaussian_modes(tf, 2, axis)
+        fi, fo = mode_pair(ff, 2, axis)
+        ti, to = mode_pair(tf, 2, axis)
         assert abs(abs(inner_product(fi, to)) - 1.0) < 1e-10
         assert abs(abs(inner_product(fo, ti)) - 1.0) < 1e-10
 

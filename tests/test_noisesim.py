@@ -505,6 +505,17 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             filtered_noise_correlation(spec, 0.0, 2000, np.array([0.0]), seed=1)
 
+    @pytest.mark.parametrize("name", ["lags", "times"])
+    @pytest.mark.parametrize("bad", [[np.nan], [0.0, np.inf], [-np.inf], []], ids=str)
+    def test_non_finite_or_empty_probes_refused(self, name, bad):
+        # refused by name before any grid snap, rather than as a cast warning,
+        # a misleading "outside the grid" error or an empty-array reduction
+        probes = {"lags": np.array([0.0]), "times": None, name: np.array(bad)}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            filtered_noise_correlation(
+                gaussian_sif(0.3, 1.0), 0.25, 1000, probes["lags"], seed=0, times=probes["times"]
+            )
+
     def test_coarse_caller_axis_refused(self):
         # B = 4 Hz needs dt <= 0.025; a caller's coarser grid is refused just
         # as apply_filter refuses it

@@ -17,7 +17,6 @@ from tffilter.slepian import (
     interval_gram,
     pswf_solve_legendre,
     rectangular_filter_modes,
-    rectangular_profiles,
     rectangular_sif,
     slepian_filter_modes,
     slepian_singular_values,
@@ -27,7 +26,7 @@ from tffilter.slepian import (
 
 class TestProfiles:
     def test_window_indicator_with_half_jump(self):
-        window, _ = rectangular_profiles(1.0, 1.0)
+        window = rectangular_sif(1.0, 1.0).spectral
         cut = window.cutoff_rad
         w = np.array([0.0, 0.5 * cut, cut, 1.5 * cut])
         vals = window.window(w)
@@ -36,7 +35,7 @@ class TestProfiles:
         assert vals[3] == 0.0
 
     def test_gate_indicator_with_half_jump(self):
-        _, gate = rectangular_profiles(1.0, 2.0)
+        gate = rectangular_sif(1.0, 2.0).temporal
         tau = gate.half_width_s
         assert tau == pytest.approx(1.0)
         t = np.array([0.0, tau, 2.0 * tau])
@@ -44,7 +43,7 @@ class TestProfiles:
         assert vals[0] == 1.0 and vals[1] == 0.5 and vals[2] == 0.0
 
     def test_band_mass_is_bandwidth(self):
-        window, _ = rectangular_profiles(0.8, 1.0)
+        window = rectangular_sif(0.8, 1.0).spectral
         # 2 * cutoff / (2 pi) = B
         assert window.cutoff_rad == pytest.approx(np.pi * 0.8)
 
