@@ -557,7 +557,10 @@ def filtered_noise_correlation(
     var_c = s2 / trials - np.abs(emp) ** 2
     stderr = np.sqrt(np.maximum(var_c, 0.0) / trials)
 
-    rho = (np.exp(-1j * np.outer(lags_g, pts)) @ wts) / (2.0 * np.pi)
+    # an even window's rho is real: its cosine sum carries no imaginary rounding
+    phase = np.outer(lags_g, pts)
+    kernel = np.cos(phase) if spec.spectral.even else np.exp(-1j * phase)
+    rho = (kernel @ wts) / (2.0 * np.pi)
     gate_t = spec.temporal.gate(times_g)
     gate_shift = spec.temporal.gate(times_g[:, None] + lags_g[None, :])
     analytic = (

@@ -171,15 +171,12 @@ class TestC04SlepianCrossMethod:
 
 
 class TestC05OrderSymmetry:
-    def check_family(self, make_spec, resolution=1024):
-        ff = make_spec(StageOrder.FREQUENCY_FIRST)
-        tf = make_spec(StageOrder.TIME_FIRST)
-        rows, cols = recommended_axes(ff, resolution=resolution)
-        res_ff = schmidt_decompose(build_operator(ff, rows, cols), keep=20)
-        res_tf = schmidt_decompose(build_operator(tf, cols, rows), keep=20)
+    @staticmethod
+    def compare(res_ff, res_tf):
+        """sv gap and worst overlap defect of the two orders, whose mode roles swap."""
         sv_dev = np.max(np.abs(res_ff.singular_values - res_tf.singular_values))
-        assert sv_dev < 1e-8
-        # mode roles swap; overlap is only meaningful above the SVD noise floor
+        assert sv_dev < 1e-12
+        # overlap is only meaningful above the SVD noise floor
         worst = 0.0
         for n in range(20):
             if res_ff.singular_values[n] < 1e-6:
@@ -187,8 +184,18 @@ class TestC05OrderSymmetry:
             oi = abs(inner_product(res_ff.input_modes[n], res_tf.output_modes[n]))
             oo = abs(inner_product(res_ff.output_modes[n], res_tf.input_modes[n]))
             worst = max(worst, 1.0 - oi, 1.0 - oo)
-        assert worst < 1e-6
+        assert worst < 1e-12
         return sv_dev, worst
+
+    def check_family(self, make_spec):
+        # the adaptive ladders of both orders, compared on their final grids:
+        # one order's frequency axis is the other's
+        res_ff = decompose_filter(make_spec(StageOrder.FREQUENCY_FIRST), keep=20)
+        res_tf = decompose_filter(make_spec(StageOrder.TIME_FIRST), keep=20)
+        rep_ff, rep_tf = res_ff.grid_report, res_tf.grid_report
+        assert rep_ff.final_rows.close_to(rep_tf.final_cols)
+        assert rep_ff.final_cols.close_to(rep_tf.final_rows)
+        return self.compare(res_ff, res_tf)
 
     def test_gaussian(self):
         sv_dev, worst = self.check_family(
@@ -203,6 +210,16 @@ class TestC05OrderSymmetry:
         report(
             "C5", f"rectangular: sv dev {sv_dev:.2e}, worst overlap defect {worst:.2e}"
         )
+
+    def test_full_svd_path(self):
+        # one complex SVD of each order's whole mixed kernel on a fixed grid
+        ff = rectangular_sif(2.0, 1.0, order=StageOrder.FREQUENCY_FIRST)
+        tf = rectangular_sif(2.0, 1.0, order=StageOrder.TIME_FIRST)
+        rows, cols = recommended_axes(ff, resolution=256)
+        res_ff = schmidt_decompose(build_operator(ff, rows, cols), keep=20)
+        res_tf = schmidt_decompose(build_operator(tf, cols, rows), keep=20)
+        sv_dev, worst = self.compare(res_ff, res_tf)
+        report("C5", f"full SVD: sv dev {sv_dev:.2e}, worst overlap defect {worst:.2e}")
 
 
 class TestC06SnrMonteCarlo:

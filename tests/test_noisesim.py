@@ -487,6 +487,29 @@ class TestCorrelation:
         )
         assert np.max(np.abs(surf.analytic - expected)) <= 1e-13
 
+    @pytest.mark.parametrize(
+        "spec, noise_psd",
+        [(gaussian_sif(0.5, 1.0), 0.25), (rectangular_sif(2.0, 1.0), 1.0)],
+        ids=["gaussian", "brick-wall"],
+    )
+    def test_even_window_analytic_is_exactly_real(self, spec, noise_psd):
+        # an even window's rho(tau) is a cosine sum: no imaginary rounding,
+        # and the real parts of the complex exponential sum within 1e-16
+        surf = filtered_noise_correlation(spec, noise_psd, 1000, np.array([0.0, 0.5, 1.0]), seed=3)
+        assert surf.analytic.dtype == complex
+        assert np.all(surf.analytic.imag == 0.0)
+        pts, wts = noisesim._window_power_moments(spec)
+        rho = (np.exp(-1j * np.outer(surf.lags, pts)) @ wts) / (2.0 * np.pi)
+        gate = spec.temporal.gate
+        complex_sum = (
+            noise_psd
+            * spec.insertion_loss**2
+            * gate(surf.times[:, None] + surf.lags[None, :])
+            * np.conj(gate(surf.times))[:, None]
+            * rho[None, :]
+        )
+        assert np.max(np.abs(surf.analytic.real - complex_sum.real)) <= 1e-16
+
     def test_zero_lag_column_is_power(self):
         spec = gaussian_sif(0.3, 1.0)
         surf = filtered_noise_correlation(spec, 0.25, 1500, np.array([0.0]), seed=8)

@@ -112,7 +112,9 @@ class TestFixedGrid:
     def test_single_grid_cannot_converge(self):
         # convergence needs two grids to compare; one level must say so
         with pytest.raises(ConvergenceError):
-            decompose_filter(rectangular_sif(0.8, 1.0), keep=8, max_resolution=256)
+            decompose_filter(
+                rectangular_sif(0.8, 1.0), keep=8, resolution=256, max_resolution=256
+            )
 
     def test_mode_axes_follow_operator(self):
         ff = rectangular_sif(0.8, 1.0)
@@ -479,3 +481,44 @@ def test_mixed_families_decompose(b, t):
     # w t = t' w', and dt dw / 2 pi = dt' dw' / 2 pi (unit Jacobian)
     gauss_window = ladders[False, StageOrder.FREQUENCY_FIRST]
     assert np.max(np.abs(gauss_window - ladders[True, StageOrder.FREQUENCY_FIRST])) <= 1e-12
+
+
+# Every ladder from the default first level N=128, with the grids it takes: a
+# change that quietly adds a level fails here.  The shifted gate is not even,
+# so it covers the full complex factorization.
+DEFAULT_START_CASES = [
+    *(("gaussian", bt, 10, (128, 256)) for bt in (0.01, 0.05, 0.5, 2.0)),
+    *(("gaussian", bt, 10, (128, 256, 512)) for bt in (5.0, 10.0)),
+    *(("rectangular", bt, None, (128, 256)) for bt in (0.8, 4.0)),
+    ("shifted-gaussian", 0.5, 10, (128, 256)),
+]
+
+
+def _default_start_spec(family, bt, order):
+    if family == "gaussian":
+        return gaussian_sif(bt, 1.0, order)
+    if family == "rectangular":
+        return rectangular_sif(bt, 1.0, order)
+    return Sif(GaussianSpectralWindow(bt), _ShiftedGaussianGate(1.0, 0.3), order)
+
+
+@pytest.mark.parametrize("order", list(StageOrder), ids=lambda o: o.name.lower())
+@pytest.mark.parametrize(
+    "family, bt, keep, grids",
+    DEFAULT_START_CASES,
+    ids=[f"{family}-bt{bt:g}" for family, bt, _, _ in DEFAULT_START_CASES],
+)
+def test_default_start_settles_on_pinned_grids(family, bt, keep, grids, order):
+    spec = _default_start_spec(family, bt, order)
+    res = decompose_filter(spec, keep=keep)
+    assert res.grid_report.resolutions == grids
+    assert (res.parities is None) == (family == "shifted-gaussian")
+    if family == "rectangular":
+        sol = _prolate(spec, res.kept)
+        k = min(res.kept, sol.resolvable_count)
+        oracle = np.sqrt(sol.eigenvalues[:k])
+    else:
+        k = keep
+        oracle = gaussian_singular_values(bt, keep)
+    assert np.max(np.abs(res.singular_values[:k] - oracle)) <= 1e-12
+    assert abs(res.total_power - bt) / bt <= 1e-13
