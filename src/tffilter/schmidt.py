@@ -8,11 +8,13 @@ arithmetic.  Un-weighting the singular vectors by 1/sqrt(w), w the axes'
 the axis measure; they are stored complex either way.
 
 :func:`decompose_filter` raises the resolution of a Sif's grids until every
-kept singular value stabilizes: it starts at N = 128 samples per axis and
-doubles N up to ``max_resolution``.  A typical ladder settles on its second
-level, (128, 256); Gaussian BT 5 and 10 take (128, 256, 512).  Every Sif is
-discretized in its mixed time x frequency representation, on the axes
-:func:`~tffilter.core.recommended_axes` picks for each profile.  When the
+kept singular value stabilizes: it starts at N = 64 samples per axis and
+raises N in half-octave steps, round(64 * 2**(k/2)) = 64, 91, 128, 181, 256,
+362, ..., up to ``max_resolution``.  A typical ladder settles on its second
+level, (64, 91): Gaussian BT up to 0.5 and the brick wall at BT 0.8 and 4.
+Gaussian BT 2 takes (64, 91, 128), BT 5 stops at 256 and BT 10 at 362.
+Every Sif is discretized in its mixed time x frequency representation, on the
+axes :func:`~tffilter.core.recommended_axes` picks for each profile.  When the
 window and the gate are both even (every profile that ships), each grid is
 factored as the two half-size real :func:`~tffilter.core.parity_blocks`; the
 two value lists are merged, and full-axis vectors are rebuilt, with their
@@ -253,26 +255,41 @@ def _factor_split(spec: Sif, rows: Axis, cols: Axis) -> _Level:
     return sv[order], blocks.edge_ring_ratio, modes
 
 
+def _check_level(name: str, value: int) -> int:
+    """A grid size as a Python int, refused unless it is an integer >= 2."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < 2:
+        raise ValueError(f"{name} must be >= 2 samples per axis, got {value}")
+    return int(value)
+
+
 def decompose_filter(
     spec: Sif,
     keep: int | float | None = None,
-    resolution: int = 128,
+    resolution: int = 64,
     max_resolution: int = 4096,
     tol: float = 1e-8,
 ) -> SchmidtResult:
     """Decompose a sequential filter with automatic grid refinement.
 
-    Grids from :func:`tffilter.core.recommended_axes` start at ``resolution``
-    (N = 128) samples per axis and are doubled, up to ``max_resolution``, until
-    every singular value that ``keep`` retains moves by less than ``tol`` times
-    s_0 against the previous grid; that grid's pairs are returned with a
-    :class:`GridReport`, whose ``resolutions`` are the levels taken: (128, 256)
-    for Gaussian BT up to 2 and the brick wall at BT 0.8 and 4, (128, 256, 512)
-    for Gaussian BT 5 and 10.  One level alone never converges.
+    Grids from :func:`tffilter.core.recommended_axes` take N = round(
+    ``resolution`` * 2**(k/2)) samples per axis at level k = 0, 1, 2, ...: from
+    the default 64, that is 64, 91, 128, 181, 256, 362, ..., 4096, so every
+    power of two stays a level.  Levels are tried up to ``max_resolution``
+    until every singular value that ``keep`` retains moves by less than ``tol``
+    times s_0 against the previous level; that grid's pairs are returned with a
+    :class:`GridReport`, whose ``resolutions`` are the levels taken: (64, 91)
+    for Gaussian BT up to 0.5 and the brick wall at BT 0.8 and 4,
+    (64, 91, 128) for Gaussian BT 2, up to 256 for BT 5 and up to 362 for
+    BT 10.  One level alone never converges.  ``resolution`` and
+    ``max_resolution`` must be integers >= 2 (TypeError, ValueError).
     When the window and the gate are both ``even`` each grid is factored as its
     two :func:`tffilter.core.parity_blocks` and the modes carry ``parities``;
     otherwise the whole :func:`tffilter.core.build_operator` matrix is.
     """
+    resolution = _check_level("resolution", resolution)
+    max_resolution = _check_level("max_resolution", max_resolution)
     factor = _factor_split if spec.spectral.even and spec.temporal.even else _factor_full
     resolutions: list[int] = []
     prev: np.ndarray | None = None
@@ -297,7 +314,7 @@ def decompose_filter(
                 total = float(np.sum(sv**2))
                 return _result(rows, cols, kept, u, vh, total, report, parities)
         prev = sv
-        res *= 2
+        res = round(resolution * 2 ** (len(resolutions) / 2))
     raise ConvergenceError(
         f"kept singular values did not stabilize to {tol:g} below resolution {max_resolution}"
     )

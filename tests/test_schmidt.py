@@ -84,11 +84,11 @@ class TestSchmidtDecompose:
         assert rep.leading_rel_change <= rep.ladder_rel_change < rep.tolerance
 
     def test_refines_until_every_kept_value_settles(self):
-        # from N=64, s_0 of the BT=2 ladder has settled to 7e-14 at N=128
-        # while s_9 still drifts by 3.4e-7 s_0; the loop must go on to N=256
+        # from N=64, s_0 of the BT=2 ladder has settled to 7e-14 at N=91
+        # while s_9 still drifts by 3.4e-7 s_0; the loop must go on to N=128
         res = decompose_filter(gaussian_sif(2.0, 1.0), keep=10, resolution=64)
         rep = res.grid_report
-        assert rep.resolutions == (64, 128, 256)
+        assert rep.resolutions == (64, 91, 128)
         assert rep.ladder_rel_change < rep.tolerance
         sv = gaussian_singular_values(2.0, 10)
         assert np.max(np.abs(res.singular_values - sv)) < 1e-12
@@ -337,7 +337,8 @@ def test_gaussian_parities_alternate(order):
 @pytest.mark.parametrize("make", [gaussian_sif, rectangular_sif], ids=["gaussian", "rectangular"])
 def test_split_runs_only_real_half_size_svds(make, monkeypatch):
     # no complex LAPACK SVD and no full N x N one: each grid level factors
-    # exactly two real (N/2 x N/2) blocks
+    # exactly two real blocks, the even one ((N+1)//2 square, with the centre
+    # sample of an odd N such as 91) and the odd one (N//2 square)
     calls = []
     svd = tffilter.schmidt._svd
 
@@ -348,7 +349,12 @@ def test_split_runs_only_real_half_size_svds(make, monkeypatch):
     monkeypatch.setattr(tffilter.schmidt, "_svd", recording)
     res = decompose_filter(make(2.0, 1.0), keep=10)
     real = np.dtype(np.float64)
-    assert calls == [((n // 2, n // 2), real) for n in res.grid_report.resolutions for _ in (0, 1)]
+    assert 91 in res.grid_report.resolutions
+    assert calls == [
+        (shape, real)
+        for n in res.grid_report.resolutions
+        for shape in (((n + 1) // 2, (n + 1) // 2), (n // 2, n // 2))
+    ]
 
 
 @pytest.mark.parametrize("make", [gaussian_sif, rectangular_sif], ids=["gaussian", "rectangular"])
@@ -368,8 +374,8 @@ def test_odd_axes_put_the_centre_in_the_even_block(make, order):
 
 @pytest.mark.parametrize("make", [gaussian_sif, rectangular_sif], ids=["gaussian", "rectangular"])
 def test_odd_axes_rebuild_modes_with_the_centre_sample(make):
-    # a returned grid always has an even count (the first level is never
-    # returned), so the centre-sample rebuild is checked on the level itself
+    # the centre-sample rebuild on one odd level, against the full SVD of
+    # the same grid
     spec = make(2.0, 1.0)
     rows, cols = recommended_axes(spec, 257)
     sv, _, modes = tffilter.schmidt._factor_split(spec, rows, cols)
@@ -388,7 +394,7 @@ def test_odd_axes_rebuild_modes_with_the_centre_sample(make):
 def test_odd_resolution_converges_to_the_same_ladder(order):
     spec = gaussian_sif(0.5, 1.0, order)
     odd = decompose_filter(spec, keep=10, resolution=257)
-    assert odd.grid_report.resolutions == (257, 514)
+    assert odd.grid_report.resolutions == (257, 363)
     assert np.max(np.abs(odd.singular_values - gaussian_singular_values(0.5, 10))) <= 1e-12
     assert odd.parities == (1, -1) * 5
 
@@ -483,14 +489,16 @@ def test_mixed_families_decompose(b, t):
     assert np.max(np.abs(gauss_window - ladders[True, StageOrder.FREQUENCY_FIRST])) <= 1e-12
 
 
-# Every ladder from the default first level N=128, with the grids it takes: a
+# Every ladder from the default first level N=64, with the grids it takes: a
 # change that quietly adds a level fails here.  The shifted gate is not even,
 # so it covers the full complex factorization.
 DEFAULT_START_CASES = [
-    *(("gaussian", bt, 10, (128, 256)) for bt in (0.01, 0.05, 0.5, 2.0)),
-    *(("gaussian", bt, 10, (128, 256, 512)) for bt in (5.0, 10.0)),
-    *(("rectangular", bt, None, (128, 256)) for bt in (0.8, 4.0)),
-    ("shifted-gaussian", 0.5, 10, (128, 256)),
+    *(("gaussian", bt, 10, (64, 91)) for bt in (0.01, 0.05, 0.5)),
+    ("gaussian", 2.0, 10, (64, 91, 128)),
+    ("gaussian", 5.0, 10, (64, 91, 128, 181, 256)),
+    ("gaussian", 10.0, 10, (64, 91, 128, 181, 256, 362)),
+    *(("rectangular", bt, None, (64, 91)) for bt in (0.8, 4.0)),
+    ("shifted-gaussian", 0.5, 10, (64, 91)),
 ]
 
 
@@ -522,3 +530,75 @@ def test_default_start_settles_on_pinned_grids(family, bt, keep, grids, order):
         oracle = gaussian_singular_values(bt, keep)
     assert np.max(np.abs(res.singular_values[:k] - oracle)) <= 1e-12
     assert abs(res.total_power - bt) / bt <= 1e-13
+
+
+# The half-octave levels round(64 * 2**(k/2)) up to the default max_resolution.
+DEFAULT_LEVELS = (64, 91, 128, 181, 256, 362, 512, 724, 1024, 1448, 2048, 2896, 4096)
+
+
+def _assert_default_levels(rep):
+    n = len(rep.resolutions)
+    assert n >= 2 and rep.resolutions == DEFAULT_LEVELS[:n]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    st.floats(min_value=np.log(0.01), max_value=np.log(20.0)).map(np.exp),
+    st.sampled_from(list(StageOrder)),
+)
+def test_half_octave_levels_do_not_stop_early_gaussian(bt, order):
+    # closer levels make a smaller drift between them; the ladder they stop
+    # on must still be Mehler's, with every value kept
+    res = decompose_filter(gaussian_sif(bt, 1.0, order), keep=10)
+    _assert_default_levels(res.grid_report)
+    assert np.max(np.abs(res.singular_values - gaussian_singular_values(bt, 10))) <= 1e-12
+    assert abs(res.total_power - bt) / bt <= 1e-13
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(st.floats(min_value=0.1, max_value=10.0), st.sampled_from(list(StageOrder)))
+def test_half_octave_levels_do_not_stop_early_rectangular(bt, order):
+    spec = rectangular_sif(bt, 1.0, order)
+    res = decompose_filter(spec, keep=None)
+    _assert_default_levels(res.grid_report)
+    sol = _prolate(spec, res.kept)
+    k = min(res.kept, sol.resolvable_count)
+    assert np.max(np.abs(res.singular_values[:k] - np.sqrt(sol.eigenvalues[:k]))) <= 1e-12
+    assert abs(res.total_power - bt) / bt <= 1e-13
+
+
+LEVEL_ARGUMENT_CASES = [
+    ("resolution", 1, ValueError),
+    ("resolution", 0, ValueError),
+    ("resolution", -4, ValueError),
+    ("resolution", 2.5, TypeError),
+    ("resolution", 64.0, TypeError),
+    ("resolution", True, TypeError),
+    ("max_resolution", 1, ValueError),
+    ("max_resolution", -4, ValueError),
+    ("max_resolution", 4096.0, TypeError),
+    ("max_resolution", False, TypeError),
+]
+
+
+@pytest.mark.parametrize(
+    "name, value, error",
+    LEVEL_ARGUMENT_CASES,
+    ids=[f"{name}={value!r}" for name, value, _ in LEVEL_ARGUMENT_CASES],
+)
+def test_grid_sizes_are_checked_before_any_grid(name, value, error, monkeypatch):
+    # resolution=1 would repeat level 1 (round(sqrt 2) = 1) and "converge" on it
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(tffilter.schmidt, "recommended_axes", no_grid)
+    with pytest.raises(error, match=f"^{name} "):
+        decompose_filter(gaussian_sif(0.5, 1.0), keep=4, **{name: value})
+
+
+def test_numpy_integer_grid_sizes_are_accepted():
+    res = decompose_filter(
+        gaussian_sif(0.5, 1.0), keep=4, resolution=np.int64(64), max_resolution=np.int32(4096)
+    )
+    assert res.grid_report.resolutions == (64, 91)
+    assert all(type(n) is int for n in res.grid_report.resolutions)
