@@ -65,8 +65,8 @@ def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
 
 def _entropy_bracket_root() -> float:
     # 1 - 2 H(q) = 0 on (0, 1/2); single root since H is increasing there.
-    # Bisection until the midpoint stops moving, so importing the package does
-    # not load scipy.optimize.
+    # Bisection until the midpoint stops moving, with no SciPy root finder:
+    # NumPy is the only runtime dependency.
     lo, hi = 1e-9, 0.5 - 1e-12
     while True:
         mid = 0.5 * (lo + hi)

@@ -1,11 +1,14 @@
 """Schmidt (singular-value) decomposition of discretized filter kernels.
 
 :func:`schmidt_decompose` sends the weighted matrix sqrt(w_r) K sqrt(w_c) of an
-:class:`~tffilter.core.OperatorMatrix` through LAPACK SVD as it is: a real
-(``float64``) matrix is factored in real arithmetic, a complex one in complex
-arithmetic.  Un-weighting the singular vectors by 1/sqrt(w), w the axes'
-``quadrature_weights()``, recovers continuum mode functions normalized under
-the axis measure; they are stored complex either way.
+:class:`~tffilter.core.OperatorMatrix` through NumPy's LAPACK SVD (``gesdd``) as
+it is: a real (``float64``) matrix is factored in real arithmetic, a complex one
+in complex arithmetic.  Un-weighting the singular vectors by 1/sqrt(w), w the
+axes' ``quadrature_weights()``, recovers continuum mode functions normalized
+under the axis measure; they are stored complex either way.  A matrix below 362
+on its smaller side (every parity block of a typical ladder) is factored on one
+BLAS thread, where a second thread costs more than it brings; larger ones use
+the process's BLAS pool.
 
 :func:`decompose_filter` raises the resolution of a Sif's grids until every
 kept singular value stabilizes: it starts at N = 64 samples per axis and
@@ -24,6 +27,8 @@ complex SVD of the whole :func:`~tffilter.core.build_operator` matrix.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -176,10 +181,58 @@ def schmidt_decompose(
     )
 
 
-def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    import scipy.linalg  # loaded on first use, not by ``import tffilter``
+# NumPy ``svd`` of random n x n matrices on 2 shared x86-64 cores (OpenBLAS
+# 0.3.31), median of 3-5 runs: its time on 2 threads over its time on 1 was
+# 1.13 at n = 181, 1.08 at 256, 1.00 at 362, 0.93 at 512, 0.84 at 724 and 0.81
+# at 1024.  A second thread pays only from n = 362 on, so a matrix whose smaller
+# side is below that is factored on one thread.  Parity blocks of 32-181 rows
+# are the typical ladder's.
+_ONE_THREAD_BELOW = 362
 
-    return scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesdd")
+# OpenBLAS built on pthreads keeps one thread count for the whole process, so
+# the lowered count is set and restored by one caller at a time.
+_blas_threads_lock = threading.Lock()
+
+
+@functools.cache
+def _blas_thread_setter() -> Callable[[int], int] | None:
+    """``openblas_set_num_threads_local`` of the library NumPy's LAPACK calls, or None.
+
+    The symbol (OpenBLAS 0.3.27 on) sets the thread count and returns the old
+    one.  It is looked up through NumPy's linalg extension, whose dependencies
+    dlsym searches, so it is NumPy's OpenBLAS even when another (SciPy's) is
+    loaded too.  MKL, Accelerate, an older OpenBLAS or a NumPy without that
+    extension give None.
+    """
+    import ctypes
+
+    try:
+        from numpy.linalg import _umath_linalg
+
+        setter = ctypes.CDLL(_umath_linalg.__file__).openblas_set_num_threads_local
+    except (ImportError, AttributeError, OSError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin NumPy SVD (LAPACK ``gesdd``) of every factored grid.
+
+    A matrix whose smaller side is below ``_ONE_THREAD_BELOW`` runs on one BLAS
+    thread, whatever the process's pool size; the caller's count is restored
+    afterwards.  Larger ones, and any BLAS without the OpenBLAS setter, run on
+    the process's pool.
+    """
+    setter = _blas_thread_setter() if min(a.shape) < _ONE_THREAD_BELOW else None
+    if setter is None:
+        return np.linalg.svd(a, full_matrices=False)
+    with _blas_threads_lock:
+        previous = setter(1)
+        try:
+            return np.linalg.svd(a, full_matrices=False)
+        finally:
+            setter(previous)
 
 
 def _result(
@@ -283,13 +336,23 @@ def decompose_filter(
     for Gaussian BT up to 0.5 and the brick wall at BT 0.8 and 4,
     (64, 91, 128) for Gaussian BT 2, up to 256 for BT 5 and up to 362 for
     BT 10.  One level alone never converges.  ``resolution`` and
-    ``max_resolution`` must be integers >= 2 (TypeError, ValueError).
+    ``max_resolution`` must be integers >= 2 (TypeError, ValueError), and a
+    ``max_resolution`` below ``resolution``, or between the first two levels,
+    raises ValueError.
     When the window and the gate are both ``even`` each grid is factored as its
     two :func:`tffilter.core.parity_blocks` and the modes carry ``parities``;
     otherwise the whole :func:`tffilter.core.build_operator` matrix is.
     """
     resolution = _check_level("resolution", resolution)
     max_resolution = _check_level("max_resolution", max_resolution)
+    if max_resolution < resolution:
+        raise ValueError(f"max_resolution {max_resolution} is below resolution {resolution}")
+    second = round(resolution * 2 ** (1 / 2))
+    if resolution < max_resolution < second:
+        raise ValueError(
+            f"max_resolution {max_resolution} lies between the first two levels, "
+            f"{resolution} and {second}, so no level can be checked against another"
+        )
     factor = _factor_split if spec.spectral.even and spec.temporal.even else _factor_full
     resolutions: list[int] = []
     prev: np.ndarray | None = None

@@ -488,11 +488,12 @@ class TestThreadCap:
         )
         assert _threads_under_cap(script) == 1
 
-    def test_cap_reaches_the_lazily_loaded_scipy_pool(self):
-        # scipy's LAPACK loads on the first Schmidt SVD, long after the package import
+    def test_cap_holds_through_the_schmidt_svds(self):
+        # BT 20 ends on 724-point grids: blocks below 362 rows lower and restore
+        # NumPy's BLAS thread count, and the 362-row blocks run on its pool
         script = (
-            "import os; from tffilter import decompose_filter, rectangular_sif; "
-            "decompose_filter(rectangular_sif(4, 1), keep=None, max_resolution=1024)"
+            "import os; from tffilter import decompose_filter, gaussian_sif; "
+            "decompose_filter(gaussian_sif(20, 1), keep=10)"
         )
         assert _threads_under_cap(script) == 1
 

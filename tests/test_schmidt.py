@@ -1,6 +1,10 @@
 """Schmidt decomposition of discretized filter kernels."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -567,6 +571,13 @@ def test_half_octave_levels_do_not_stop_early_rectangular(bt, order):
     assert abs(res.total_power - bt) / bt <= 1e-13
 
 
+def _refuse_grids(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(tffilter.schmidt, "recommended_axes", no_grid)
+
+
 LEVEL_ARGUMENT_CASES = [
     ("resolution", 1, ValueError),
     ("resolution", 0, ValueError),
@@ -588,10 +599,7 @@ LEVEL_ARGUMENT_CASES = [
 )
 def test_grid_sizes_are_checked_before_any_grid(name, value, error, monkeypatch):
     # resolution=1 would repeat level 1 (round(sqrt 2) = 1) and "converge" on it
-    def no_grid(*args):
-        raise AssertionError("a grid was built")
-
-    monkeypatch.setattr(tffilter.schmidt, "recommended_axes", no_grid)
+    _refuse_grids(monkeypatch)
     with pytest.raises(error, match=f"^{name} "):
         decompose_filter(gaussian_sif(0.5, 1.0), keep=4, **{name: value})
 
@@ -602,3 +610,122 @@ def test_numpy_integer_grid_sizes_are_accepted():
     )
     assert res.grid_report.resolutions == (64, 91)
     assert all(type(n) is int for n in res.grid_report.resolutions)
+
+
+@pytest.mark.parametrize(
+    "resolution, max_resolution",
+    [(128, 64), (128, 160), (64, 90)],
+    ids=["below-resolution", "between-the-first-two-levels", "just-below-level-91"],
+)
+def test_max_resolution_without_a_second_level_is_refused(resolution, max_resolution, monkeypatch):
+    # one level has nothing to be compared with, so such a pair could only
+    # end in ConvergenceError; resolution == max_resolution still does
+    _refuse_grids(monkeypatch)
+    with pytest.raises(ValueError, match="^max_resolution "):
+        decompose_filter(
+            gaussian_sif(0.5, 1.0), keep=4, resolution=resolution, max_resolution=max_resolution
+        )
+
+
+def test_max_resolution_at_the_second_level_converges():
+    res = decompose_filter(gaussian_sif(0.5, 1.0), keep=4, max_resolution=91)
+    assert res.grid_report.resolutions == (64, 91)
+
+
+def _run_with_blas_threads(script: str, threads: int) -> str:
+    """Stdout of a fresh process with ``threads`` OpenBLAS threads and no other pool setting."""
+    pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "TF_FILTER_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in pools}
+    src = str(Path(tffilter.schmidt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+# Gaussian BT 20 ends on 724-point grids, so its 362-row blocks run on the pool
+# and every smaller one on one thread; the brick wall settles on (64, 91).
+LADDER_DIGEST_SCRIPT = """
+import hashlib, sys
+import tffilter as tf
+digest = hashlib.sha256()
+for res in (
+    tf.decompose_filter(tf.gaussian_sif(20, 1), keep=10),
+    tf.decompose_filter(tf.rectangular_sif(4, 1), keep=None, max_resolution=1024),
+):
+    digest.update(res.singular_values.tobytes())
+    for mode in res.output_modes + res.input_modes:
+        digest.update(mode.values.tobytes())
+print(digest.hexdigest(), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def _no_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+class TestSvdThreads:
+    def test_one_and_two_blas_threads_give_equal_ladders(self):
+        one = _run_with_blas_threads(LADDER_DIGEST_SCRIPT, 1)
+        two = _run_with_blas_threads(LADDER_DIGEST_SCRIPT, 2)
+        assert one == two
+        assert one.endswith(" []")  # NumPy alone: no scipy module loaded
+
+    def test_caller_thread_count_is_restored(self):
+        # small blocks see one thread, a 362-row one the caller's two, and
+        # the caller reads two again afterwards
+        script = """
+import numpy as np
+from tffilter import schmidt
+setter = schmidt._blas_thread_setter()
+def count():
+    n = setter(1)
+    setter(n)
+    return n
+seen, svd = [], np.linalg.svd
+def spy(a, **kwargs):
+    seen.append(count())
+    return svd(a, **kwargs)
+if setter is not None:
+    np.linalg.svd = spy
+    before = count()
+    rng = np.random.default_rng(0)
+    for n in (32, 361, 362):
+        schmidt._svd(rng.standard_normal((n + 5, n)))
+    print(before, seen, count())
+"""
+        out = _run_with_blas_threads(script, 2)
+        if not out:
+            pytest.skip("NumPy's BLAS exports no openblas_set_num_threads_local")
+        assert out == "2 [1, 1, 2] 2"
+
+    def test_numpy_openblas_setter_is_found(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        version = blas.get("version", "").split(".")[:3]
+        if "openblas" not in blas.get("name", "") or not all(v.isdigit() for v in version):
+            pytest.skip("NumPy is not built on a versioned OpenBLAS")
+        if tuple(map(int, version)) < (0, 3, 27):
+            pytest.skip("openblas_set_num_threads_local needs OpenBLAS 0.3.27")
+        assert tffilter.schmidt._blas_thread_setter() is not None
+
+    @pytest.mark.parametrize("cdll", [_no_library, lambda path: object()], ids=["no-library", "no-symbol"])
+    def test_lookup_failure_gives_no_setter(self, cdll, monkeypatch):
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert tffilter.schmidt._blas_thread_setter.__wrapped__() is None
+
+    def test_svd_without_a_setter_factors_the_same(self, monkeypatch):
+        spec = gaussian_sif(2.0, 1.0)
+        ref = decompose_filter(spec, keep=10)
+        monkeypatch.setattr(tffilter.schmidt, "_blas_thread_setter", lambda: None)
+        res = decompose_filter(spec, keep=10)
+        assert np.array_equal(res.singular_values, ref.singular_values)
+        for got, want in zip(res.input_modes + res.output_modes, ref.input_modes + ref.output_modes):
+            assert np.array_equal(got.values, want.values)
+        a = np.random.default_rng(1).standard_normal((40, 30))
+        u, s, vh = tffilter.schmidt._svd(a)
+        assert np.max(np.abs((u * s) @ vh - a)) <= 1e-13
