@@ -7,7 +7,7 @@ A coherent pulse gate sits far above both curves.
 
 import numpy as np
 
-from tffilter import gaussian_tradeoff, slepian_tradeoff
+from tffilter import QPG_REFERENCE_POINTS, gaussian_tradeoff, slepian_tradeoff
 
 bts = np.geomspace(0.02, 20.0, 17)
 eg, xg = gaussian_tradeoff(bts)
@@ -34,7 +34,7 @@ print("At every BT the rectangular family beats the gaussian one in BOTH")
 print("figures at once; no sequential filter does better than prolate modes.")
 
 # what a good coherent gate achieves at a single operating point
-qpg_eta, qpg_xi = 0.99, 0.98
+qpg_eta, qpg_xi = QPG_REFERENCE_POINTS[0]
 i = np.argmin(np.abs(eg - qpg_eta))
 print(f"\nA quantum pulse gate reaches (eta, xi) = ({qpg_eta}, {qpg_xi}).")
 print(

@@ -10,7 +10,7 @@ statistics, and entanglement-based key rates.
 import os as _os
 
 
-def _cap_threads() -> bool:
+def cap_threads() -> bool:
     """Copy TF_FILTER_THREADS into unset BLAS/OpenMP pool sizes; False if it is invalid.
 
     The pools size themselves when numpy loads, so this runs before any numeric import.
@@ -25,7 +25,7 @@ def _cap_threads() -> bool:
     return True
 
 
-_cap_threads()
+cap_threads()
 
 from .core import (
     ConvergenceError,
@@ -77,7 +77,9 @@ from .noisesim import (
     trial_generator,
 )
 from .qkd import (
+    ETA_GRID,
     QBER_THRESHOLD,
+    QPG_REFERENCE_POINTS,
     CharacteristicKind,
     FilterCharacteristic,
     OptimizationResult,
@@ -190,6 +192,8 @@ __all__ = [
     "filtered_noise_correlation",
     # qkd
     "QBER_THRESHOLD",
+    "ETA_GRID",
+    "QPG_REFERENCE_POINTS",
     "binary_entropy",
     "qber",
     "normalized_key_rate",

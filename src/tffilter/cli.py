@@ -5,8 +5,9 @@ functions of the command line (stochastic runs take a mandatory --seed), so a
 rerun is byte-identical; the run metadata (including the only timestamp)
 lives in a ``<out>.manifest.json`` sidecar, never in the data file.
 
-Exit codes: 0 success, 2 usage error (a NaN or infinite number, a negative
-seed), 3 numeric or convergence failure.
+Exit codes: 0 success, 2 usage error (a NaN or infinite number, a
+nonpositive BT, a negative seed), 3 numeric or convergence failure, or a run
+past the library's resolution limits.
 Set TF_FILTER_THREADS to cap the linear-algebra thread pools and to size the
 worker pool of the snr ensembles (1 runs them serially).
 """
@@ -14,31 +15,24 @@ worker pool of the snr ensembles (1 runs them serially).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
 from datetime import datetime, timezone
 
-from . import _cap_threads
+from . import cap_threads
 
 ARTIFACT_VERSION = "0.1.0"
-
-_ETA_GRID_START = 0.005
-_ETA_GRID_STOP = 0.995
-_ETA_GRID_POINTS = 199
 
 
 class UsageError(Exception):
     pass
 
 
-class NumericError(Exception):
-    pass
-
-
 def parse_bt(text: str) -> float:
-    """Accept a finite plain real or the literal form 'X/2pi'."""
+    """Accept a finite positive plain real or the literal form 'X/2pi'."""
     s = text.strip().lower().replace(" ", "")
     try:
         bt = float(s[:-4]) / (2.0 * math.pi) if s.endswith("/2pi") else float(s)
@@ -46,6 +40,8 @@ def parse_bt(text: str) -> float:
         bt = math.nan
     if not math.isfinite(bt):
         raise UsageError(f"cannot parse time-bandwidth product {text!r} as a finite number")
+    if bt <= 0:
+        raise UsageError(f"time-bandwidth product {text!r} must be positive")
     return bt
 
 
@@ -83,30 +79,23 @@ def _fmt_all(values) -> list[str]:
 
 
 def _open_out(path: str | None):
+    """The file at ``path``, or stdout (left open) when there is none."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="", encoding="utf-8")
 
 
-def _write_rows(path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    handle, close = _open_out(path)
-    try:
+def _write_rows(path: str | None, header: list[str], rows) -> None:
+    with _open_out(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if close:
-            handle.close()
 
 
 def _write_json(path: str | None, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    handle, close = _open_out(path)
-    try:
+    with _open_out(path) as handle:
         handle.write(text)
-    finally:
-        if close:
-            handle.close()
 
 
 def _write_manifest(
@@ -126,8 +115,7 @@ def _write_manifest(
         "artifact_version": ARTIFACT_VERSION,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out + ".manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +126,16 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .gaussian import gaussian_singular_values
-    from .slepian import slepian_singular_values
+    from .slepian import rectangular_sif, slepian_singular_values
 
     bt = parse_bt(args.bt)
-    if bt <= 0:
-        raise UsageError("--bt must be positive")
     if args.n_modes < 1:
         raise UsageError("--n-modes must be >= 1")
     if args.filter == "gaussian":
         lam = gaussian_singular_values(bt, args.n_modes)
         backend = {"backend": "analytic-mehler"}
     else:
-        if args.n_modes > 61:
-            raise NumericError("prolate solver resolves mode indices up to 60 only")
-        lam = slepian_singular_values(0.5 * math.pi * bt, args.n_modes)
+        lam = slepian_singular_values(rectangular_sif(bt, 1.0), args.n_modes)
         backend = {"backend": "legendre-prolate"}
     sq = lam**2
     cum = np.cumsum(sq)
@@ -161,7 +145,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "lambda_n_sq (dimensionless)",
         "cumulative_sq (dimensionless)",
     ]
-    rows = [[str(n), _fmt(lam[n]), _fmt(sq[n]), _fmt(cum[n])] for n in range(args.n_modes)]
+    rows = zip(map(str, range(args.n_modes)), _fmt_all(lam), _fmt_all(sq), _fmt_all(cum))
     _write_rows(args.out, header, rows)
     _write_manifest(
         args.out,
@@ -176,12 +160,13 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .gaussian import gaussian_tradeoff
+    from .qkd import QPG_REFERENCE_POINTS
     from .slepian import slepian_tradeoff
 
     bt_min = parse_bt(args.bt_min)
     bt_max = parse_bt(args.bt_max)
-    if bt_min <= 0 or bt_max < bt_min:
-        raise UsageError("need 0 < --bt-min <= --bt-max")
+    if bt_max < bt_min:
+        raise UsageError("need --bt-min <= --bt-max")
     if args.points < 1:
         raise UsageError("--points must be >= 1")
     bts = np.geomspace(bt_min, bt_max, args.points)
@@ -189,8 +174,6 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
         eta, xi = gaussian_tradeoff(bts)
     else:
         eta, xi = slepian_tradeoff(bts)
-    eta = np.atleast_1d(eta)
-    xi = np.atleast_1d(xi)
     header = [
         "family",
         "bt (dimensionless)",
@@ -199,10 +182,11 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
         "selectivity (dimensionless)",
     ]
     rows = [
-        [args.filter, _fmt(bts[i]), _fmt(eta[i]), _fmt(xi[i]), _fmt(eta[i] * xi[i])]
-        for i in range(len(bts))
+        [args.filter, *cells]
+        for cells in zip(_fmt_all(bts), _fmt_all(eta), _fmt_all(xi), _fmt_all(eta * xi))
     ]
-    rows.append(["qpg_reference", "", _fmt(0.99), _fmt(0.98), _fmt(0.99 * 0.98)])
+    qpg_eta, qpg_xi = QPG_REFERENCE_POINTS[0]
+    rows.append(["qpg_reference", "", _fmt(qpg_eta), _fmt(qpg_xi), _fmt(qpg_eta * qpg_xi)])
     _write_rows(args.out, header, rows)
     _write_manifest(
         args.out,
@@ -219,62 +203,37 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
 
 
 def cmd_modes(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .core import Domain, SampledAxis
     from .gaussian import gaussian_sif, hermite_gaussian_mode_set
-    from .slepian import pswf_solve_legendre, slepian_filter_modes
+    from .slepian import pswf_solve_legendre, rectangular_sif, slepian_filter_modes
 
     n = args.mode
     if n < 0:
         raise UsageError("--mode must be >= 0")
-    if n > 60:
-        raise NumericError("mode index above 60 is out of the solvers' numeric range")
     if args.filter == "gaussian":
         if args.c is not None:
             raise UsageError("--c applies to the slepian family; use --bt for gaussian")
         if args.bt is None:
             raise UsageError("gaussian modes need --bt")
-        bt = parse_bt(args.bt)
-        if bt <= 0:
-            raise UsageError("--bt must be positive")
-        spec = gaussian_sif(bt, 1.0)
-        scale_w = spec.alpha if args.which == "input" else spec.beta
-        half = (math.sqrt(2.0 * n + 1.0) + 6.0) / scale_w
-        count = 4097
-        axis = SampledAxis(-half, 2.0 * half / (count - 1), count, Domain.TIME)
-        mode = hermite_gaussian_mode_set(spec, axis, n + 1, args.which)[n]
+        spec = gaussian_sif(parse_bt(args.bt), 1.0)
+        mode = hermite_gaussian_mode_set(spec, None, n + 1, args.which)[n]
         t_unit = "s"
         amp_unit = "1/sqrt(s)"
-        grid = {"axis": {"start": axis.start, "step": axis.step, "count": axis.count}}
+        notes = {}
     else:
         if (args.c is None) == (args.bt is None):
             raise UsageError("slepian modes need exactly one of --c or --bt")
-        c = args.c if args.c is not None else 0.5 * math.pi * parse_bt(args.bt)
+        c = args.c if args.c is not None else rectangular_sif(parse_bt(args.bt), 1.0).c
         if c <= 0:
             raise UsageError("prolate parameter must be positive")
-        try:
-            sol = pswf_solve_legendre(c, n)
-            phi_in, psi_out, _ = slepian_filter_modes(sol, n)
-        except ValueError as exc:
-            raise NumericError(str(exc)) from exc
+        phi_in, psi_out, _ = slepian_filter_modes(pswf_solve_legendre(c, n), n)
         mode = phi_in if args.which == "input" else psi_out
         t_unit = "gate half-widths"
         amp_unit = "dimensionless"
-        grid = {
-            "axis": {
-                "start": mode.axis.start,
-                "step": mode.axis.step,
-                "count": mode.axis.count,
-            },
-            "normalization": "gate interval mapped to [-1, 1]",
-        }
-    pts = mode.axis.points
-    vals = np.asarray(mode.values)
+        notes = {"normalization": "gate interval mapped to [-1, 1]"}
+    axis = mode.axis
+    grid = {"axis": {"start": axis.start, "step": axis.step, "count": axis.count}, **notes}
     header = [f"t ({t_unit})", f"re ({amp_unit})", f"im ({amp_unit})"]
-    rows = [
-        [_fmt(pts[i]), _fmt(vals[i].real), _fmt(vals[i].imag)] for i in range(len(pts))
-    ]
+    rows = zip(_fmt_all(axis.points), _fmt_all(mode.values.real), _fmt_all(mode.values.imag))
     _write_rows(args.out, header, rows)
     _write_manifest(
         args.out,
@@ -292,13 +251,10 @@ def cmd_modes(args: argparse.Namespace) -> int:
 
 
 def cmd_snr(args: argparse.Namespace) -> int:
-    from .core import ResolutionError, SampledSignal
     from .metrics import analytic_snr
     from .noisesim import NoiseEnsembleConfig, run_ensemble, snr_setup
 
     bt = parse_bt(args.bt)
-    if bt <= 0:
-        raise UsageError("--bt must be positive")
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     if args.signal_energy < 0 or args.noise_psd < 0:
@@ -311,10 +267,7 @@ def cmd_snr(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    try:
-        report = run_ensemble(cfg, spec)
-    except ResolutionError as exc:
-        raise NumericError(str(exc)) from exc
+    report = run_ensemble(cfg, spec)
     payload = {
         "filter": args.filter,
         "bt": bt,
@@ -341,31 +294,35 @@ def cmd_snr(args: argparse.Namespace) -> int:
     return 0
 
 
-def _qkd_families(token: str):
+def _qkd_point(eta: float, xi: float):
     from .qkd import FilterCharacteristic
+
+    try:
+        fc = FilterCharacteristic.fixed_point(eta, xi)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return (f"point_{_fmt(eta)}_{_fmt(xi)}", fc)
+
+
+def _qkd_families(token: str):
+    from .qkd import QPG_REFERENCE_POINTS, FilterCharacteristic
 
     if token == "gaussian":
         return [("gaussian", FilterCharacteristic.gaussian())]
     if token == "slepian":
         return [("slepian", FilterCharacteristic.slepian())]
     if token.startswith("point:"):
-        body = token[len("point:") :]
         try:
-            eta_s, xi_s = body.split(",")
+            eta_s, xi_s = token[len("point:") :].split(",")
             eta, xi = float(eta_s), float(xi_s)
         except ValueError:
-            raise UsageError("point filter must look like point:0.99,0.98") from None
-        try:
-            fc = FilterCharacteristic.fixed_point(eta, xi)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        return [(f"point_{_fmt(eta)}_{_fmt(xi)}", fc)]
+            raise UsageError("point filter must look like point:ETA,XI") from None
+        return [_qkd_point(eta, xi)]
     if token == "all":
         return (
             _qkd_families("gaussian")
             + _qkd_families("slepian")
-            + _qkd_families("point:0.99,0.98")
-            + _qkd_families("point:0.9999,0.9999")
+            + [_qkd_point(eta, xi) for eta, xi in QPG_REFERENCE_POINTS]
         )
     raise UsageError(f"unknown filter family {token!r}")
 
@@ -373,12 +330,7 @@ def _qkd_families(token: str):
 def cmd_qkd(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .qkd import (
-        CharacteristicKind,
-        OptimizationResult,
-        normalized_key_rate,
-        optimize_over_efficiency,
-    )
+    from .qkd import ETA_GRID, normalized_key_rate, optimize_over_efficiency
 
     if args.ny_min < 0 or args.ny_max < args.ny_min:
         raise UsageError("need 0 <= --ny-min <= --ny-max")
@@ -394,60 +346,47 @@ def cmd_qkd(args: argparse.Namespace) -> int:
 
     rate_unit = "rate (normalized to R_S*tau_ch^2)"
     rows: list[list[str]] = []
-    with np.errstate(divide="ignore"):
-        if args.optimize:
-            header = [
-                "family",
-                "n_y (dimensionless)",
-                "eta_star (dimensionless)",
-                f"{rate_unit.replace('rate', 'rate_star')}",
-                "log10_rate_star (dimensionless)",
-                "no_key (0 or 1)",
-            ]
-            for label, fc in families:
-                if fc.kind is CharacteristicKind.FIXED_POINT:
-                    eta, xi = fc.eta_point, fc.xi_point
-                    rates = [normalized_key_rate(eta, xi, float(n)) for n in ny_values]
-                    optima = [OptimizationResult(eta, r, r == 0.0) for r in rates]
-                else:
-                    optima = optimize_over_efficiency(fc, ny_values)
-                for ny, res in zip(ny_values, optima):
-                    rows.append(
-                        [
-                            label,
-                            _fmt(float(ny)),
-                            _fmt(res.eta),
-                            _fmt(res.rate),
-                            _fmt(float(np.log10(res.rate)) if res.rate > 0 else float("-inf")),
-                            "1" if res.no_key else "0",
-                        ]
-                    )
-        else:
-            header = [
-                "family",
-                "n_y (dimensionless)",
-                "eta (dimensionless)",
-                "xi (dimensionless)",
-                rate_unit,
-                "log10_rate (dimensionless)",
-            ]
-            base_grid = np.linspace(_ETA_GRID_START, _ETA_GRID_STOP, _ETA_GRID_POINTS)
-            for label, fc in families:
-                if fc.kind is CharacteristicKind.FIXED_POINT:
-                    etas = np.array([fc.eta_point])
-                else:
-                    lo, hi = fc.domain()
-                    etas = base_grid[(base_grid >= lo) & (base_grid <= hi)]
-                xis = np.atleast_1d(fc.xi_of(etas))
-                eta_cells, xi_cells = _fmt_all(etas), _fmt_all(xis)
-                for ny in ny_values:
-                    rates = np.atleast_1d(normalized_key_rate(etas, xis, float(ny)))
-                    logs = np.where(rates > 0, np.log10(np.where(rates > 0, rates, 1.0)), -np.inf)
-                    ny_cell = _fmt(float(ny))
-                    rows.extend(
-                        [label, ny_cell, *cells]
-                        for cells in zip(eta_cells, xi_cells, _fmt_all(rates), _fmt_all(logs))
-                    )
+    if args.optimize:
+        header = [
+            "family",
+            "n_y (dimensionless)",
+            "eta_star (dimensionless)",
+            f"{rate_unit.replace('rate', 'rate_star')}",
+            "log10_rate_star (dimensionless)",
+            "no_key (0 or 1)",
+        ]
+        for label, fc in families:
+            for ny, res in zip(ny_values, optimize_over_efficiency(fc, ny_values)):
+                rows.append(
+                    [
+                        label,
+                        _fmt(float(ny)),
+                        _fmt(res.eta),
+                        _fmt(res.rate),
+                        _fmt(float(np.log10(res.rate)) if res.rate > 0 else float("-inf")),
+                        "1" if res.no_key else "0",
+                    ]
+                )
+    else:
+        header = [
+            "family",
+            "n_y (dimensionless)",
+            "eta (dimensionless)",
+            "xi (dimensionless)",
+            rate_unit,
+            "log10_rate (dimensionless)",
+        ]
+        for label, fc in families:
+            etas, xis = fc.grid_points()
+            eta_cells, xi_cells = _fmt_all(etas), _fmt_all(xis)
+            for ny in ny_values:
+                rates = np.atleast_1d(normalized_key_rate(etas, xis, float(ny)))
+                logs = np.where(rates > 0, np.log10(np.where(rates > 0, rates, 1.0)), -np.inf)
+                ny_cell = _fmt(float(ny))
+                rows.extend(
+                    [label, ny_cell, *cells]
+                    for cells in zip(eta_cells, xi_cells, _fmt_all(rates), _fmt_all(logs))
+                )
     _write_rows(args.out, header, rows)
     _write_manifest(
         args.out,
@@ -459,7 +398,7 @@ def cmd_qkd(args: argparse.Namespace) -> int:
             "points": args.points,
             "optimize": bool(args.optimize),
         },
-        grid_report={"ny_spacing": spacing, "eta_grid_points": _ETA_GRID_POINTS},
+        grid_report={"ny_spacing": spacing, "eta_grid_points": len(ETA_GRID)},
     )
     return 0
 
@@ -526,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if not _cap_threads():
+    if not cap_threads():
         print("error: TF_FILTER_THREADS must be a positive integer", file=sys.stderr)
         return 2
     parser = build_parser()
@@ -536,9 +475,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - map library numerics to exit 3
         from .core import ConvergenceError, ResolutionError, TruncationError
 

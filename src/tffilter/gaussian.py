@@ -23,6 +23,8 @@ import numpy as np
 from .core import (
     Axis,
     Domain,
+    ResolutionError,
+    SampledAxis,
     SampledSignal,
     Sif,
     SpectralWindowProfile,
@@ -175,22 +177,27 @@ def _hermite_rows(x: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def hermite_gaussian_mode_set(
-    spec: GaussianSif, axis: Axis, count: int, side: str
+    spec: GaussianSif, axis: Axis | None, count: int, side: str
 ) -> tuple[SampledSignal, ...]:
     """Closed-form Schmidt modes 0..count-1 of one side, sampled on ``axis``.
 
     ``side`` is "input" or "output".  On a frequency axis mode n is
     sqrt(2 pi / a) * h_n(w / a) with a the side's width scale; on a time axis
     the same functions acquire the inverse-transform factor (-i)^n.  Modes are
-    unit-norm under the axis measure; the recurrence is stable to n = 60.
+    unit-norm under the axis measure.  ``axis`` None is the time axis of 4097
+    points on +-(sqrt(2 n + 1) + 6) / a, n = count - 1.  The recurrence is
+    stable to n = 60; a higher mode index raises ``ResolutionError``.
     """
     if side not in ("input", "output"):
         raise ValueError("side must be 'input' or 'output'")
     if count < 1:
         raise ValueError("count must be >= 1")
     if count - 1 > 60:
-        raise ValueError("Hermite recurrence overflow guard: mode index above 60")
+        raise ResolutionError("Hermite recurrence overflow guard: mode index above 60")
     scale_w = spec.alpha if side == "input" else spec.beta
+    if axis is None:
+        half = (np.sqrt(2.0 * count - 1.0) + 6.0) / scale_w
+        axis = SampledAxis(-half, 2.0 * half / 4096, 4097, Domain.TIME)
     pts = axis.points
     if axis.domain is Domain.ANGULAR_FREQUENCY:
         half_span_needed = 6.0 * scale_w

@@ -46,6 +46,7 @@ from .core import (
     Domain,
     DomainMismatchError,
     FilterSpec,
+    ResolutionError,
     SampledAxis,
     SampledSignal,
     Sif,
@@ -78,6 +79,7 @@ __all__ = [
 RNG_ALGORITHM = "philox4x64"
 
 _BATCH = 256  # trials per filter_samples block
+SNR_MAX_SAMPLES = 2**17  # largest snr_setup grid: 0.5 GB per complex block of _BATCH trials
 
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
@@ -406,7 +408,9 @@ def snr_setup(family: str, bt: float) -> tuple[Sif, SampledAxis, SampledSignal, 
     ``family`` is "gaussian" (window then gate) or "slepian" (brick-wall gate
     then window), at time-bandwidth product ``bt`` with a unit gate duration.
     The grid is a centered power-of-two time axis for the Gaussian family; for
-    the brick-wall family it puts the gate and band edges mid-cell.
+    the brick-wall family it puts the gate and band edges mid-cell.  A grid
+    above ``SNR_MAX_SAMPLES`` samples raises ``ResolutionError`` before
+    anything is sampled on it.
     """
     if family == "gaussian":
         spec = gaussian_sif(bt, 1.0)
@@ -427,6 +431,11 @@ def snr_setup(family: str, bt: float) -> tuple[Sif, SampledAxis, SampledSignal, 
         mode_set, tradeoff = rectangular_filter_modes, slepian_tradeoff
     else:
         raise ValueError(f"unknown filter family {family!r}")
+    if count > SNR_MAX_SAMPLES:
+        raise ResolutionError(
+            f"BT = {bt:g} needs a {count}-sample time grid, above the "
+            f"{SNR_MAX_SAMPLES}-sample limit of the noise ensembles"
+        )
     axis = centered_axis(dt, count, Domain.TIME)
     mode = mode_set(spec, axis, 1, "input")[0].normalized()
     return spec, axis, mode, tradeoff(bt)[1]

@@ -40,6 +40,8 @@ from .slepian import (
 
 __all__ = [
     "QBER_THRESHOLD",
+    "ETA_GRID",
+    "QPG_REFERENCE_POINTS",
     "binary_entropy",
     "qber",
     "normalized_key_rate",
@@ -80,6 +82,13 @@ def _entropy_bracket_root() -> float:
 
 QBER_THRESHOLD = _entropy_bracket_root()  # ~ 0.110028
 
+# the efficiency grid that FilterCharacteristic.grid_points samples a curve on
+ETA_GRID = np.linspace(0.005, 0.995, 199)
+ETA_GRID.flags.writeable = False
+
+# (eta, xi) of the quantum pulse gates the sequential families are measured against
+QPG_REFERENCE_POINTS = ((0.99, 0.98), (0.9999, 0.9999))
+
 
 def qber(n_y: float | np.ndarray, xi: float | np.ndarray) -> float | np.ndarray:
     """Quantum bit error rate at scaled noise n_y behind a filter with
@@ -90,14 +99,21 @@ def qber(n_y: float | np.ndarray, xi: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("n_y must be nonnegative")
     if np.any(x <= 0) or np.any(x > 1):
         raise ValueError("xi must lie in (0, 1]")
-    out = 0.5 * (1.0 - (1.0 + n / x) ** -2)
+    with np.errstate(over="ignore"):  # n_y / xi past the float range: QBER 1/2
+        out = 0.5 * (1.0 - (1.0 + n / x) ** -2)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def normalized_key_rate(
     eta: float | np.ndarray, xi: float | np.ndarray, n_y: float | np.ndarray
 ) -> float | np.ndarray:
-    """Key rate in units of R_S tau_ch^2, clamped at zero past the QBER threshold."""
+    """Key rate in units of R_S tau_ch^2, exactly zero past the QBER threshold.
+
+    The inflation (1 + n_y / xi)^2 is only formed where the bracket is
+    positive (QBER below the threshold, so 1 + n_y / xi < 1.13); elsewhere it
+    is set to zero, so a noise level whose inflation would overflow gives a
+    rate of 0, not inf * 0.
+    """
     e = np.asarray(eta, dtype=float)
     if np.any(e <= 0) or np.any(e > 1):
         raise ValueError("eta must lie in (0, 1]")
@@ -105,7 +121,9 @@ def normalized_key_rate(
     x = np.asarray(xi, dtype=float)
     n = np.asarray(n_y, dtype=float)
     bracket = 1.0 - 2.0 * binary_entropy(q)
-    out = e**2 * (1.0 + n / x) ** 2 * np.maximum(0.0, bracket)
+    with np.errstate(over="ignore"):
+        inflation = np.where(bracket > 0.0, 1.0 + n / x, 0.0)
+    out = e**2 * inflation**2 * np.maximum(0.0, bracket)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -214,6 +232,16 @@ class FilterCharacteristic:
             out = np.full_like(e, self.xi_point)
         return float(out) if np.ndim(eta) == 0 else out
 
+    def grid_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """(etas, xis) the key-rate grid is evaluated at: the points of
+        ``ETA_GRID`` inside ``domain()``, or the fixed point itself."""
+        lo, hi = self.domain()
+        if self.kind is CharacteristicKind.FIXED_POINT:
+            etas = np.array([self.eta_point])
+        else:
+            etas = ETA_GRID[(ETA_GRID >= lo) & (ETA_GRID <= hi)]
+        return etas, np.atleast_1d(self.xi_of(etas))
+
     def rate(self, eta: float | np.ndarray, n_y: float) -> float | np.ndarray:
         return normalized_key_rate(eta, self.xi_of(eta), n_y)
 
@@ -242,17 +270,21 @@ def optimize_over_efficiency(
     are refined in lockstep: each golden step evaluates the curve once, on
     the array of every n_y's probe, so the cost follows the number of steps,
     not the number of noise levels.  Each n_y's result is the one it gets on
-    its own.  All-zero scans return (0, 0) with the no_key flag set; a fixed
-    point has nothing to optimize and is rejected.  A scalar n_y gives one
-    result, a 1-D array a tuple of them.
+    its own.  All-zero scans return (0, 0) with the no_key flag set.  A fixed
+    point has nothing to optimize: it returns itself at its rate, with no_key
+    set exactly where that rate is 0.  A scalar n_y gives one result, a 1-D
+    array a tuple of them.
     """
-    if fc.kind is CharacteristicKind.FIXED_POINT:
-        raise ValueError("a fixed (eta, xi) point has no efficiency to optimize over")
     nys = np.asarray(n_y, dtype=float)
     if nys.ndim > 1:
         raise ValueError("n_y must be a scalar or a 1-D array")
     if np.any(nys < 0):
         raise ValueError("n_y must be nonnegative")
+    lanes = np.atleast_1d(nys)
+    if fc.kind is CharacteristicKind.FIXED_POINT:
+        rates = (normalized_key_rate(fc.eta_point, fc.xi_point, n) for n in lanes.tolist())
+        results = tuple(OptimizationResult(fc.eta_point, r, r == 0.0) for r in rates)
+        return results if nys.ndim else results[0]
     if fc.kind is CharacteristicKind.GAUSSIAN_SIF:
         lo, hi = np.clip(fc.domain(), 1e-3, 1.0 - 1e-9)
         grid = np.arange(1e-3, 1.0, 1e-3)
@@ -267,7 +299,6 @@ def optimize_over_efficiency(
         def point(t):  # t = ln c
             return slepian_tradeoff(np.exp(t) / (0.5 * np.pi))
 
-    lanes = np.atleast_1d(nys)
     scan = normalized_key_rate(*point(grid), lanes[:, None])
     keyed = np.any(scan > 0.0, axis=1)
     eta_star = np.zeros(len(lanes))

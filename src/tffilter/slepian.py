@@ -45,6 +45,7 @@ import numpy as np
 from .core import (
     ConvergenceError,
     Domain,
+    ResolutionError,
     SampledAxis,
     SampledSignal,
     Sif,
@@ -72,6 +73,7 @@ __all__ = [
 ]
 
 BETA_FLOOR = 1e-14  # below this a concentration eigenvalue is numerically unresolvable
+BASIS_LIMIT = 4096  # largest Legendre basis a prolate solve may build (c up to about 4000)
 
 
 def _indicator(x: np.ndarray, half_width: float) -> np.ndarray:
@@ -284,7 +286,14 @@ def _legendre_blocks(c: float | np.ndarray, size: int) -> tuple[np.ndarray, np.n
     """Diagonal and k<->k+2 coupling of the prolate operator in normalized Legendre.
 
     An array ``c`` gives one row of each per value, for a stacked eigensolve.
+    A basis above ``BASIS_LIMIT`` terms raises ``ResolutionError`` before
+    anything is built: its dense parity blocks would not fit in memory.
     """
+    if size > BASIS_LIMIT:
+        raise ResolutionError(
+            f"a {size}-term Legendre basis is above the {BASIS_LIMIT}-term limit "
+            "of the prolate solver"
+        )
     tables = _legendre_tables(size)
     c2 = np.asarray(c, dtype=float)[..., None] ** 2
     return tables.k_k1 + c2 * tables.diag_c2, c2 * tables.off_c2
@@ -425,13 +434,17 @@ def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
     The basis starts at int(c) + 2 n_max + 24 terms and grows automatically
     until the two trailing Legendre coefficients of every requested mode fall
     below 1e-12 of the head.  This is ``_solve_stacked`` on a stack of one.
+    An ``n_max`` above 60, or a basis above ``BASIS_LIMIT`` terms, raises
+    ``ResolutionError``.
     """
     if c <= 0:
         raise ValueError("c must be positive")
     if n_max is None:  # covers the plunge region where all nontrivial concentrations live
         n_max = int(np.ceil(2.0 * c / np.pi)) + 10
-    if not (0 <= n_max <= 60):
-        raise ValueError("n_max must lie in [0, 60]")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if n_max > 60:
+        raise ResolutionError("prolate solver resolves mode indices up to 60 only")
     ((_, betas, coeffs),) = _solve_stacked(np.array([float(c)]), n_max)
     sol = PswfSolution(c, betas[0], coeffs[0])
     if sol.resolvable_count <= n_max:
@@ -566,13 +579,14 @@ def slepian_filter_modes(
     unit norm on the gate window; the singular value is sqrt(beta_n).  Both
     are sampled on ``axis`` (default: 2049 uniform points over [-4, 4]); the
     output mode is zero outside the interval with the 1/2 jump convention at
-    the boundary.
+    the boundary.  A concentration below ``BETA_FLOOR`` raises
+    ``ResolutionError``.
     """
     if not (0 <= n < sol.n_modes):
         raise ValueError("mode index out of range")
     beta = sol.eigenvalues[n]
     if beta < BETA_FLOOR:
-        raise ValueError(f"concentration beta_{n} below {BETA_FLOOR:g}; mode unresolvable")
+        raise ResolutionError(f"concentration beta_{n} below {BETA_FLOOR:g}; mode unresolvable")
     if axis is None:
         axis = SampledAxis(-4.0, 8.0 / 2048, 2049, Domain.TIME)
     pts = axis.points

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, reproducibility."""
 
+import ast
 import csv
 import json
 import math
@@ -12,7 +13,15 @@ import numpy as np
 import pytest
 
 import tffilter
+import tffilter.cli
 from tffilter.cli import main, parse_bt
+from tffilter.gaussian import gaussian_sif, hermite_gaussian_mode_set
+from tffilter.qkd import (
+    QPG_REFERENCE_POINTS,
+    FilterCharacteristic,
+    normalized_key_rate,
+    optimize_over_efficiency,
+)
 from tffilter.slepian import slepian_tradeoff
 
 
@@ -193,6 +202,21 @@ class TestModes:
         signs = np.sign(prof[keep])
         assert np.sum(np.diff(signs) != 0) == 1
 
+    @pytest.mark.parametrize("mode, which", [(0, "input"), (60, "output")])
+    def test_gaussian_csv_is_the_library_mode_set(self, tmp_path, mode, which):
+        out = tmp_path / "m.csv"
+        rc = run(
+            "modes", "--filter", "gaussian", "--bt", "0.5", "--mode", str(mode),
+            "--which", which, "--out", str(out),
+        )
+        assert rc == 0
+        ref = hermite_gaussian_mode_set(gaussian_sif(0.5, 1.0), None, mode + 1, which)[mode]
+        _, rows = read_csv(out)
+        got = np.array([[float(v) for v in r] for r in rows])
+        assert np.array_equal(got[:, 0], ref.axis.points)
+        assert np.array_equal(got[:, 1], ref.values.real)
+        assert np.array_equal(got[:, 2], ref.values.imag)
+
     def test_huge_mode_index_returns_3(self):
         assert run("modes", "--filter", "slepian", "--c", "1.25", "--mode", "500") == 3
 
@@ -340,6 +364,47 @@ class TestQkd:
             else:
                 assert lg == -np.inf
 
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_all_rows_are_the_library_values(self, tmp_path, optimize):
+        out = tmp_path / "q.csv"
+        flags = ["--optimize"] if optimize else []
+        rc = run(
+            "qkd", "--filter", "all", "--ny-min", "1e-3", "--ny-max", "0.5",
+            "--points", "3", *flags, "--out", str(out),
+        )
+        assert rc == 0
+        nys = np.geomspace(1e-3, 0.5, 3)
+        families = [FilterCharacteristic.gaussian(), FilterCharacteristic.slepian()] + [
+            FilterCharacteristic.fixed_point(eta, xi) for eta, xi in QPG_REFERENCE_POINTS
+        ]
+        want = []
+        for fc in families:
+            if optimize:
+                for ny, res in zip(nys, optimize_over_efficiency(fc, nys)):
+                    want.append([ny, res.eta, res.rate, res.no_key])
+            else:
+                etas, xis = fc.grid_points()
+                for ny in nys:
+                    rates = np.atleast_1d(normalized_key_rate(etas, xis, ny))
+                    want.extend([ny, *cells] for cells in zip(etas, xis, rates))
+        _, rows = read_csv(out)
+        if optimize:
+            got = [[float(r[1]), float(r[2]), float(r[3]), r[5] == "1"] for r in rows]
+        else:
+            got = [[float(v) for v in r[1:5]] for r in rows]
+        assert got == want
+
+    def test_overflowing_noise_reads_no_key(self, tmp_path):
+        # (1 + n_y/xi)^2 overflows here; the rate is 0, not inf * 0
+        out = tmp_path / "q.csv"
+        noise = ["--ny-min", "1e200", "--ny-max", "1e308", "--points", "2"]
+        assert run("qkd", "--filter", "point:0.9,0.9", *noise, "--optimize", "--out", str(out)) == 0
+        _, rows = read_csv(out)
+        assert [r[3:] for r in rows] == [["0.0", "-inf", "1"]] * 2
+        assert run("qkd", "--filter", "all", *noise, "--out", str(out)) == 0
+        _, rows = read_csv(out)
+        assert {tuple(r[4:]) for r in rows} == {("0.0", "-inf")}
+
     def test_bad_point_spec_returns_2(self):
         assert run("qkd", "--filter", "point:0.99", "--ny-min", "0", "--ny-max", "1") == 2
 
@@ -458,6 +523,45 @@ class TestTypedErrors:
         )
         assert rc == 3
         assert "numeric failure: no prolate parameter found" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("family, bt", [("gaussian", "1e-6"), ("slepian", "1e-4")])
+    def test_oversized_snr_grid_exits_3(self, monkeypatch, capsys, family, bt):
+        import tffilter.noisesim as noisesim
+
+        def refuse(*args):
+            raise AssertionError("the grid was built")
+
+        # refused before the axis, let alone a block of trials, is made
+        monkeypatch.setattr(noisesim, "centered_axis", refuse)
+        rc = run("snr", "--filter", family, "--bt", bt, "--trials", "1", "--seed", "0")
+        assert rc == 3
+        assert "sample limit of the noise ensembles" in capsys.readouterr().err
+
+    def test_oversized_prolate_basis_exits_3(self, monkeypatch, capsys):
+        import tffilter.slepian as slepian
+
+        def refuse(size):
+            raise AssertionError("the basis was built")
+
+        # c = 1.57e5 would need two dense 78 571-square parity blocks
+        monkeypatch.setattr(slepian, "_legendre_tables", refuse)
+        rc = run("decompose", "--filter", "slepian", "--bt", "1e5", "--n-modes", "20")
+        assert rc == 3
+        assert "term limit of the prolate solver" in capsys.readouterr().err
+
+
+def test_cli_imports_no_private_package_name():
+    tree = ast.parse(Path(tffilter.cli.__file__).read_text(encoding="utf-8"))
+    # every name the CLI takes from the package, module names included
+    names = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for name in [node.module or "", *(alias.name for alias in node.names)]
+    ]
+    assert "optimize_over_efficiency" in names
+    assert [name for name in names if name.startswith("_")] == []
 
 
 def _threads_under_cap(script: str, cap: str = "1") -> int:

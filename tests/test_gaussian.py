@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tffilter.core import Domain, SampledAxis, StageOrder, centered_axis, inner_product
+from tffilter.core import (
+    Domain,
+    ResolutionError,
+    SampledAxis,
+    StageOrder,
+    centered_axis,
+    inner_product,
+)
 from tffilter.gaussian import (
     GaussianSif,
     gaussian_sif,
@@ -197,6 +204,23 @@ class TestValidation:
     def test_rejects_bad_loss(self):
         with pytest.raises(ValueError):
             gaussian_sif(1.0, 1.0, insertion_loss=1.5)
+
+    def test_mode_index_above_60_is_a_resolution_error(self):
+        spec = gaussian_sif(0.5, 1.0)
+        with pytest.raises(ResolutionError):
+            hermite_gaussian_mode_set(spec, None, 62, "input")
+        assert len(hermite_gaussian_mode_set(spec, None, 61, "input")) == 61
+
+    @pytest.mark.parametrize("count, side", [(1, "input"), (61, "output")])
+    def test_default_axis_holds_the_highest_mode(self, count, side):
+        # +-(sqrt(2 n + 1) + 6) / a on 4097 points: past the classical turning
+        # point sqrt(2 n + 1) / a of mode n by six widths
+        spec = gaussian_sif(0.5, 1.0)
+        modes = hermite_gaussian_mode_set(spec, None, count, side)
+        scale = spec.alpha if side == "input" else spec.beta
+        half = (np.sqrt(2.0 * count - 1.0) + 6.0) / scale
+        assert modes[0].axis == SampledAxis(-half, 2.0 * half / 4096, 4097, Domain.TIME)
+        assert all(abs(m.norm() - 1.0) < 1e-12 for m in modes)
 
     def test_mode_set_needs_time_axis(self):
         spec = gaussian_sif(0.5, 1.0)

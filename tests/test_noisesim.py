@@ -134,6 +134,24 @@ class TestDeterminism:
         assert a.snr_empirical == b.snr_empirical
 
 
+class TestSnrSetup:
+    @pytest.mark.parametrize(
+        "family, bt, count",
+        [("gaussian", 1e-6, 2**26), ("gaussian", 3e3, 2**19), ("slepian", 1e-4, 6_050_000)],
+    )
+    def test_oversized_grid_is_refused_before_it_is_built(self, monkeypatch, family, bt, count):
+        def refuse(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(noisesim, "centered_axis", refuse)
+        with pytest.raises(ResolutionError, match=f"needs a {count}-sample time grid"):
+            snr_setup(family, bt)
+
+    def test_grid_at_the_limit_is_kept(self):
+        _, axis, _, _ = snr_setup("gaussian", 1e3)
+        assert axis.count == noisesim.SNR_MAX_SAMPLES
+
+
 class TestEnsembleStatistics:
     def test_noise_energy_mean_matches_ladder(self):
         # W_noise = sum_n s_n^2 |a_n|^2 with a_n the noise's projection on input

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tffilter
-from tffilter.cli import _ETA_GRID_POINTS, _ETA_GRID_START, _ETA_GRID_STOP
 from tffilter.qkd import (
+    ETA_GRID,
     QBER_THRESHOLD,
+    QPG_REFERENCE_POINTS,
     CharacteristicKind,
     FilterCharacteristic,
     QkdScenario,
@@ -29,18 +30,21 @@ def _beta0(c: float) -> float:
     return ground_concentration(c)
 
 
-def _bisect_c(eta: float) -> float:
-    """Reference inversion of beta_0(c) = eta: bisection over the prolate clamp
-    [1e-3, 17] until the midpoint stops moving."""
-    lo, hi = 1e-3, 17.0
+def _bisect_c(etas: np.ndarray) -> np.ndarray:
+    """Reference inversion of beta_0(c) = eta for every eta: bisection over the
+    prolate clamp [1e-3, 17] until each midpoint stops moving.  All etas step in
+    lockstep; ground_concentration gives each point of an array the bits of a
+    call on that point alone, so each one takes the path of its own bisection."""
+    lo = np.full(len(etas), 1e-3)
+    hi = np.full(len(etas), 17.0)
     while True:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
+        live = (mid != lo) & (mid != hi)
+        if not live.any():
             return mid
-        if _beta0(mid) < eta:
-            lo = mid
-        else:
-            hi = mid
+        below = _beta0(mid) < etas
+        lo = np.where(live & below, mid, lo)
+        hi = np.where(live & ~below, mid, hi)
 
 
 def _run_python(script: str) -> str:
@@ -204,6 +208,25 @@ class TestKeyRate:
         rates = normalized_key_rate(0.5, 0.3, nys)
         assert np.all(rates >= 0.0)
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.floats(min_value=1e-300, max_value=1.0),
+        st.floats(min_value=1e-300, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1e308),
+    )
+    def test_rate_is_zero_past_the_threshold_at_any_noise(self, eta, xi, n_y):
+        # (1 + n_y/xi)^2 overflows from n_y ~ 1e154 xi on; the rate must still
+        # read exactly 0 there (no inf * 0), with no RuntimeWarning
+        rate = normalized_key_rate(eta, xi, n_y)
+        bracket = 1.0 - 2.0 * binary_entropy(qber(n_y, xi))
+        assert np.isfinite(rate) and rate >= 0.0
+        if bracket <= 0.0:
+            assert rate == 0.0
+        else:
+            # below the threshold the product is the one it always was
+            e, inflation = np.asarray(eta), np.asarray(1.0 + n_y / xi)
+            assert rate == e**2 * inflation**2 * bracket
+
 
 class TestCharacteristics:
     def test_gaussian_curve_identity(self):
@@ -230,6 +253,15 @@ class TestCharacteristics:
             FilterCharacteristic.fixed_point(1.5, 0.9)
         with pytest.raises(ValueError):
             FilterCharacteristic.fixed_point(0.9, 0.0)
+
+    def test_grid_points_are_the_eta_grid_inside_the_domain(self):
+        assert np.array_equal(ETA_GRID, np.linspace(0.005, 0.995, 199))
+        etas, xis = FilterCharacteristic.gaussian().grid_points()
+        assert np.array_equal(etas, ETA_GRID)
+        assert np.array_equal(xis, 1.0 - ETA_GRID**2)
+        fp = FilterCharacteristic.fixed_point(*QPG_REFERENCE_POINTS[0])
+        etas, xis = fp.grid_points()
+        assert (etas.tolist(), xis.tolist()) == ([0.99], [0.98])
 
     def test_kind_tags(self):
         assert FilterCharacteristic.gaussian().kind is CharacteristicKind.GAUSSIAN_SIF
@@ -259,9 +291,8 @@ class TestSlepianCharacteristic:
 
     def test_xi_of_pins_bisection_inversion(self):
         fc = FilterCharacteristic.slepian()
-        grid = np.linspace(_ETA_GRID_START, _ETA_GRID_STOP, _ETA_GRID_POINTS)
-        etas = np.r_[grid, 0.999, 0.9999, 0.99999]
-        ref = 0.5 * np.pi * etas / np.array([_bisect_c(e) for e in etas])
+        etas = np.r_[ETA_GRID, 0.999, 0.9999, 0.99999]
+        ref = 0.5 * np.pi * etas / _bisect_c(etas)
         xis = fc.xi_of(etas)
         assert np.max(np.abs(xis - ref) / ref) <= 1e-12
         # the ends of the domain are beta_0 at the clamp, so their roots are
@@ -389,9 +420,18 @@ class TestOptimizer:
         assert res.no_key
         assert res.eta == 0.0 and res.rate == 0.0
 
-    def test_fixed_point_refuses(self):
-        with pytest.raises(ValueError):
-            optimize_over_efficiency(FilterCharacteristic.fixed_point(0.9, 0.9), 0.1)
+    def test_fixed_point_returns_itself(self):
+        fc = FilterCharacteristic.fixed_point(0.9, 0.9)
+        res = optimize_over_efficiency(fc, 0.1)
+        assert res.eta == 0.9 and not res.no_key
+        assert res.rate == normalized_key_rate(0.9, 0.9, 0.1)
+        # no key exactly where the rate is 0, at the point's own efficiency
+        res = optimize_over_efficiency(fc, 1e3)
+        assert (res.eta, res.rate, res.no_key) == (0.9, 0.0, True)
+        nys = np.array([0.0, 0.1, 1e3, 1e300])
+        assert optimize_over_efficiency(fc, nys) == tuple(
+            optimize_over_efficiency(fc, float(n)) for n in nys
+        )
 
 
 class TestScenario:

@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tffilter.core import ConvergenceError, Domain, SampledAxis, StageOrder, inner_product
+from tffilter.core import (
+    ConvergenceError,
+    Domain,
+    ResolutionError,
+    SampledAxis,
+    StageOrder,
+    inner_product,
+)
 from tffilter.schmidt import decompose_filter
 from tffilter.slepian import (
+    BASIS_LIMIT,
     BETA_FLOOR,
     concentration_complement,
     full_line_gram,
@@ -234,7 +242,7 @@ class TestLegendreSolver:
             concentration_complement(8.0)
 
     def test_rejects_out_of_range_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ResolutionError):
             pswf_solve_legendre(1.0, 61)
         with pytest.raises(ValueError):
             pswf_solve_legendre(-1.0, 4)
@@ -400,6 +408,13 @@ class TestFilterModes:
             assert interval_energy == pytest.approx(sol.eigenvalues[n], abs=2e-4)
             assert sv == pytest.approx(np.sqrt(sol.eigenvalues[n]), rel=1e-12)
 
+    def test_starved_mode_is_a_resolution_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sol = pswf_solve_legendre(0.05, 12)
+        with pytest.raises(ResolutionError, match="mode unresolvable"):
+            slepian_filter_modes(sol, 12)
+
     def test_output_mode_vanishes_off_gate(self):
         sol = pswf_solve_legendre(3.0, 2)
         _, psi, _ = slepian_filter_modes(sol, 0)
@@ -469,6 +484,19 @@ class TestValidation:
 
     def test_beta_floor_constant(self):
         assert BETA_FLOOR == 1e-14
+
+    def test_basis_above_the_limit_is_refused_before_it_is_built(self, monkeypatch):
+        import tffilter.slepian as slepian
+
+        def refuse(size):
+            raise AssertionError("the basis was built")
+
+        monkeypatch.setattr(slepian, "_legendre_tables", refuse)
+        # int(c) + 24 terms for the ground mode; the complement's c + 32 at its last node
+        with pytest.raises(ResolutionError, match=f"{BASIS_LIMIT}-term limit"):
+            pswf_solve_legendre(BASIS_LIMIT - 23.0, 0)
+        with pytest.raises(ResolutionError, match=f"{BASIS_LIMIT}-term limit"):
+            concentration_complement(1.6e5)
 
     def test_time_first_order(self):
         spec = rectangular_sif(0.8, 1.0, order=StageOrder.TIME_FIRST)
