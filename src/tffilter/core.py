@@ -59,6 +59,7 @@ from typing import Union
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+_AXIS_RTOL = 1e-9  # relative slack within which close_to takes two axes for the same grid
 
 __all__ = [
     "Domain",
@@ -172,15 +173,15 @@ class SampledAxis:
         """Riemann sum along the last axis of ``values``: sum v dt, or sum v dw/2pi."""
         return np.sum(values, axis=-1) * self.measure
 
-    def close_to(self, other: "Axis", rtol: float = 1e-9) -> bool:
+    def close_to(self, other: "Axis") -> bool:
         if not isinstance(other, SampledAxis):
             return False
         scale = max(abs(self.start), abs(self.stop), self.step)
         return (
             self.domain is other.domain
             and self.count == other.count
-            and abs(self.start - other.start) <= rtol * scale
-            and abs(self.step - other.step) <= rtol * self.step
+            and abs(self.start - other.start) <= _AXIS_RTOL * scale
+            and abs(self.step - other.step) <= _AXIS_RTOL * self.step
         )
 
 
@@ -250,12 +251,12 @@ class QuadratureAxis:
         """Gauss-Legendre quadrature along the last axis of ``values``."""
         return values @ self.quadrature_weights()
 
-    def close_to(self, other: "Axis", rtol: float = 1e-9) -> bool:
+    def close_to(self, other: "Axis") -> bool:
         return (
             isinstance(other, QuadratureAxis)
             and self.domain is other.domain
             and self.count == other.count
-            and abs(self.half_width - other.half_width) <= rtol * self.half_width
+            and abs(self.half_width - other.half_width) <= _AXIS_RTOL * self.half_width
         )
 
 

@@ -113,35 +113,23 @@ class GaussianSif(Sif):
         return self.spectral.bandwidth_hz * self.temporal.duration_s
 
     @property
-    def u(self) -> float:
-        return mehler_u(self.bt)
-
-    @property
     def alpha(self) -> float:
         """Frequency-domain width scale of the input Schmidt modes."""
-        b, bt = self.spectral.bandwidth_hz, self.bt
-        a = 2.0 * np.sqrt(np.pi) * b * (1.0 + (2.0 * bt) ** 2) ** (-0.25)
-        return a if self.order is StageOrder.FREQUENCY_FIRST else self._beta_raw
+        return self._widths[0]
 
     @property
     def beta(self) -> float:
         """Frequency-domain width scale of the output Schmidt modes."""
-        return self._beta_raw if self.order is StageOrder.FREQUENCY_FIRST else (
-            2.0 * np.sqrt(np.pi) * self.spectral.bandwidth_hz
-            * (1.0 + (2.0 * self.bt) ** 2) ** (-0.25)
-        )
+        return self._widths[1]
 
     @property
-    def _beta_raw(self) -> float:
-        t, bt = self.temporal.duration_s, self.bt
-        return (np.sqrt(np.pi) / t) * (1.0 + (2.0 * bt) ** 2) ** 0.25
-
-    def efficiency(self) -> float:
-        return self.u
-
-    def mode_discrimination(self) -> float:
-        # s_0^2 / sum s_n^2 = u / (u / (1 - u^2)) = 1 - u^2
-        return 1.0 - self.u**2
+    def _widths(self) -> tuple[float, float]:
+        """(input, output) width scales: the window side's and the gate side's,
+        in stage order."""
+        b, t, bt = self.spectral.bandwidth_hz, self.temporal.duration_s, self.bt
+        window = 2.0 * np.sqrt(np.pi) * b * (1.0 + (2.0 * bt) ** 2) ** (-0.25)
+        gate = (np.sqrt(np.pi) / t) * (1.0 + (2.0 * bt) ** 2) ** 0.25
+        return (window, gate) if self.order is StageOrder.FREQUENCY_FIRST else (gate, window)
 
 
 def gaussian_sif(

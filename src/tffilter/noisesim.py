@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _thread_cap
 from .core import (
     Domain,
     DomainMismatchError,
@@ -217,9 +218,8 @@ def _white_rows(
 
 def _worker_count() -> int:
     """TF_FILTER_THREADS if it is a positive integer, else the CPUs this process may use."""
-    cap = os.environ.get("TF_FILTER_THREADS", "")
-    if cap.isdigit() and int(cap) >= 1:
-        return int(cap)
+    if cap := _thread_cap():
+        return cap
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without affinity masks

@@ -17,9 +17,10 @@ A filter family enters only through its efficiency-vs-discriminativity
 characteristic xi(eta); optimizing the rate along that curve gives the
 family's best operating point at each noise level.  The brick-wall curve is
 read exactly off the prolate solver: eta = beta_0(c), xi = pi beta_0 / (2 c)
-for 1e-3 <= c <= 17, with beta_0 from ``slepian.ground_concentration``.  Its
-saturated end comes from the concentration complement, so the upper end of
-the curve, 1 - 4.87e-14, is fixed to the last bit.
+for 1e-3 <= c <= 17, with beta_0 from ``slepian.ground_concentration`` and
+its inverse c(eta) from ``slepian.ground_parameter``.  Its saturated end
+comes from the concentration complement, so the upper end of the curve,
+1 - 4.87e-14, is fixed to the last bit.
 """
 
 from __future__ import annotations
@@ -29,14 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ConvergenceError
-from .slepian import (
-    _GROUND_SWITCH,
-    concentration_complement,
-    ground_concentration,
-    pswf_solve_legendre,
-    slepian_tradeoff,
-)
+from .slepian import GROUND_C_RANGE, ground_parameter, ground_range, slepian_tradeoff
 
 __all__ = [
     "QBER_THRESHOLD",
@@ -133,53 +127,6 @@ class CharacteristicKind(Enum):
     FIXED_POINT = "fixed_point"
 
 
-# prolate-parameter range of the slepian curve: eta = beta_0(c), 1e-3 <= c <= 17
-_C_RANGE = (1e-3, 17.0)
-
-
-def _slepian_log_c(eta: np.ndarray) -> np.ndarray:
-    """ln c with ground_concentration(c) = eta: Newton steps in ln c on
-    PswfSolution.log_slope, clipped to +-1 and to the clamp, warm-started from
-    below along ascending eta.  Where the curve reads the concentration
-    complement, the step solves ln(1 - beta_0) = ln(1 - eta) instead: both sides
-    come without cancellation there (1 - eta is exact for eta >= 1/2), and
-    ln(1 - beta_0) is nearly linear in c.  A point is done when its miss
-    eta - beta_0 is within 4 ulp of eta, or of 1 - eta on the complement, or
-    when the miss stops shrinking: a vanishing step, a step stuck at the clamp,
-    or the complement's own noise."""
-    t_lo, t_hi = np.log(_C_RANGE)
-    out = np.empty(len(eta))
-    order = np.argsort(eta, kind="stable")
-    t = float(np.clip(np.log(0.5 * np.pi * eta[order[0]]), t_lo, t_hi))
-    sol = None
-    for i in order:
-        best = (np.inf, t)
-        for _ in range(100):
-            c = np.exp(t)
-            if sol is None or sol.c != c:  # a warm start reuses the last solve
-                sol = pswf_solve_legendre(c, 0)
-            if c < _GROUND_SWITCH:
-                miss = eta[i] - sol.eigenvalues[0]
-                tol = 4.0 * np.spacing(eta[i])
-                step = miss / sol.log_slope(0)
-            else:
-                q = concentration_complement(c)
-                miss = q - (1.0 - eta[i])
-                tol = 4.0 * np.spacing(1.0 - eta[i])
-                step = np.log(q / (1.0 - eta[i])) * q / sol.log_slope(0)
-            if abs(miss) >= best[0]:
-                t = best[1]
-                break
-            best = (abs(miss), t)
-            if abs(miss) <= tol:
-                break
-            t = min(max(t + float(np.clip(step, -1.0, 1.0)), t_lo), t_hi)
-        else:
-            raise ConvergenceError(f"no prolate parameter found for eta = {eta[i]!r}")
-        out[i] = t
-    return out
-
-
 @dataclass(frozen=True)
 class FilterCharacteristic:
     """A filter family reduced to its xi(eta) curve (or a single point)."""
@@ -204,13 +151,12 @@ class FilterCharacteristic:
 
     def domain(self) -> tuple[float, float]:
         """Efficiency range on which xi(eta) is defined; for the slepian curve
-        ``ground_concentration`` at the clamp, (beta_0(1e-3), beta_0(17)) =
+        ``slepian.ground_range()``, (beta_0(1e-3), beta_0(17)) =
         (6.366e-4, 1 - 4.87e-14), the upper end read off the complement."""
         if self.kind is CharacteristicKind.GAUSSIAN_SIF:
             return (0.0, 1.0)
         if self.kind is CharacteristicKind.SLEPIAN_SIF:
-            lo, hi = ground_concentration(np.array(_C_RANGE))
-            return (float(lo), float(hi))
+            return ground_range()
         return (self.eta_point, self.eta_point)
 
     def xi_of(self, eta: float | np.ndarray) -> float | np.ndarray:
@@ -225,7 +171,7 @@ class FilterCharacteristic:
             if np.any(e < lo) or np.any(e > hi + 16.0 * np.spacing(hi)):
                 raise ValueError(f"slepian characteristic covers eta in [{lo:.3g}, {hi:.3g}]")
             # xi = beta_0 / BT = pi beta_0 / (2 c)
-            out = 0.5 * np.pi * e / np.exp(_slepian_log_c(e.ravel())).reshape(e.shape)
+            out = 0.5 * np.pi * e / ground_parameter(e)
         else:
             if not np.all(np.abs(e - self.eta_point) <= 1e-12):
                 raise ValueError("fixed-point characteristic is defined at one eta only")
@@ -293,7 +239,7 @@ def optimize_over_efficiency(
             return t, fc.xi_of(t)
 
     else:
-        lo, hi = np.log(_C_RANGE)
+        lo, hi = np.log(GROUND_C_RANGE)
         grid = np.linspace(lo, hi, 200)
 
         def point(t):  # t = ln c

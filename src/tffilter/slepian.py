@@ -27,6 +27,8 @@ about 440 ulp of beta_0.  ``concentration_complement`` computes 1 - beta_0
 directly, by integrating the closed-form slope d beta_0 / d ln c from c to
 infinity, and ``ground_concentration``, the brick-wall efficiency curve that
 ``slepian_tradeoff`` and ``qkd`` read, switches to it at c = 5.6.
+``ground_parameter`` inverts that curve for ``qkd``, every point of an array
+in lockstep.
 
 The independent cross-check shares no code with the solver: ``decompose_filter``
 on a ``rectangular_sif`` factors the Gauss-Legendre Nystrom matrix of the
@@ -70,10 +72,13 @@ __all__ = [
     "slepian_tradeoff",
     "concentration_complement",
     "ground_concentration",
+    "ground_range",
+    "ground_parameter",
 ]
 
 BETA_FLOOR = 1e-14  # below this a concentration eigenvalue is numerically unresolvable
 BASIS_LIMIT = 4096  # largest Legendre basis a prolate solve may build (c up to about 4000)
+QUADRATURE_LIMIT = 6240  # largest Gauss-Legendre rule a prolate mode may build (c up to 500)
 
 
 def _indicator(x: np.ndarray, half_width: float) -> np.ndarray:
@@ -187,7 +192,8 @@ class PswfSolution:
     The ``quad_points``-node (240 + 12 c) Gauss-Legendre rule and the mode
     samples on it are built on first use, by the off-interval extension, the
     finite transform and the two Gram checks; eigenvalues, on-interval values
-    and ``log_slope`` never need them.
+    and ``log_slope`` never need them.  Above c = 500 the rule exceeds
+    ``QUADRATURE_LIMIT`` and those uses raise ``ResolutionError``.
 
     ``resolvable_count`` reports how many leading eigenvalues sit above the
     1e-14 floor where the eigensolver output is meaningful; entries beyond it
@@ -203,7 +209,17 @@ class PswfSolution:
 
     @cached_property
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes on [-1, 1], weights, and mode samples at the nodes (n_modes, M)."""
+        """Nodes on [-1, 1], weights, and mode samples at the nodes (n_modes, M).
+
+        A rule above ``QUADRATURE_LIMIT`` nodes raises ``ResolutionError``
+        before anything is built: its Legendre samples and the kernels
+        against it would not fit in memory.
+        """
+        if self.quad_points > QUADRATURE_LIMIT:
+            raise ResolutionError(
+                f"c = {self.c:g} needs a {self.quad_points}-node quadrature, above the "
+                f"{QUADRATURE_LIMIT}-node limit of the prolate modes off the gate interval"
+            )
         qx, qw = _legendre_rule(self.quad_points)
         return qx, qw, self._coeffs @ _normalized_legendre(qx, self._coeffs.shape[1]).T
 
@@ -460,6 +476,7 @@ def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
 _LAGUERRE_NODES, _LAGUERRE_WEIGHTS = np.polynomial.laguerre.laggauss(12)
 _GROUND_SWITCH = 5.6  # ground_concentration reads the complement from here up
 _GROUND_ONE = 21.0  # from here up 1 - beta_0 < 2^-54, so beta_0 rounds to 1
+GROUND_C_RANGE = (1e-3, 17.0)  # the clamp on c of the brick-wall curve ground_parameter inverts
 
 
 def concentration_complement(c: float) -> float:
@@ -521,11 +538,75 @@ def ground_concentration(c: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("c must be positive")
     out = np.ones(flat.shape)
     low = np.flatnonzero(flat < _GROUND_SWITCH)
-    for idx, betas, _ in _solve_stacked(flat[low], 0):
-        out[low[idx]] = betas[:, 0]
+    out[low] = _ground_stacked(flat[low])[0]
     for i in np.flatnonzero((flat >= _GROUND_SWITCH) & (flat < _GROUND_ONE)):
         out[i] = 1.0 - concentration_complement(float(flat[i]))
     return float(out[0]) if cs.ndim == 0 else out.reshape(cs.shape)
+
+
+def _ground_stacked(cs: np.ndarray) -> np.ndarray:
+    """Rows beta_0 and d beta_0 / d ln c at every c in ``cs``, from one
+    ``_solve_stacked`` call, each bit for bit the value of ``pswf_solve_legendre(c, 0)``."""
+    out = np.empty((2, len(cs)))
+    for idx, betas, coeffs in _solve_stacked(cs, 0):
+        out[:, idx] = betas[:, 0], _log_slopes(betas[:, 0], coeffs[:, 0])
+    return out
+
+
+@lru_cache(maxsize=1)
+def ground_range() -> tuple[float, float]:
+    """(beta_0(1e-3), beta_0(17)) = (6.366e-4, 1 - 4.87e-14): the efficiencies
+    ``ground_parameter`` inverts, computed once per process."""
+    lo, hi = ground_concentration(np.array(GROUND_C_RANGE))
+    return float(lo), float(hi)
+
+
+def ground_parameter(eta: float | np.ndarray) -> float | np.ndarray:
+    """c in ``GROUND_C_RANGE`` with ground_concentration(c) = eta, scalar or array.
+
+    Newton steps in ln c, starting at ln(pi eta / 2) and clipped to +-1 and to
+    the clamp.  Below c = 5.6 a step solves beta_0 = eta on
+    d beta_0 / d ln c; from there up it solves ln(1 - beta_0) = ln(1 - eta)
+    on the concentration complement instead: both sides come without
+    cancellation there (1 - eta is exact for eta >= 1/2), and ln(1 - beta_0)
+    is nearly linear in c.  A point is done when its miss is within 4 ulp of
+    eta, or of 1 - eta on the complement, or when the miss stops shrinking:
+    a vanishing step, a step stuck at the clamp, or the complement's own
+    noise.  Every point steps in lockstep, all of them solved in one
+    ``_solve_stacked`` call per step, and stops on its own, so each value is
+    bit for bit the one it gets alone.  An eta outside (0, 1) raises
+    ``ValueError``, 100 steps without a stop ``ConvergenceError``; an eta
+    outside ``ground_range()`` ends at the clamp.
+    """
+    es = np.asarray(eta, dtype=float)
+    flat = es.ravel()
+    if not np.all((flat > 0.0) & (flat < 1.0)):
+        raise ValueError("eta must lie in (0, 1)")
+    t_lo, t_hi = np.log(GROUND_C_RANGE)
+    t = np.clip(np.log(0.5 * np.pi * flat), t_lo, t_hi)
+    best = np.full(flat.shape, np.inf)  # the smallest miss so far, at t_best
+    t_best = t.copy()
+    live = np.arange(flat.size)
+    for _ in range(100):
+        c = np.exp(t[live])
+        e = flat[live]
+        beta, slope = _ground_stacked(c)
+        miss, tol, step = e - beta, 4.0 * np.spacing(e), (e - beta) / slope
+        high = np.flatnonzero(c >= _GROUND_SWITCH)
+        q = np.array([concentration_complement(x) for x in c[high].tolist()])
+        r = 1.0 - e[high]
+        miss[high], tol[high] = q - r, 4.0 * np.spacing(r)
+        step[high] = np.log(q / r) * q / slope[high]
+        miss = np.abs(miss)
+        keep = miss < best[live]  # else the point ends at t_best
+        best[live[keep]], t_best[live[keep]] = miss[keep], t[live[keep]]
+        go = keep & (miss > tol)
+        t[live[go]] = np.clip(t[live[go]] + np.clip(step[go], -1.0, 1.0), t_lo, t_hi)
+        live = live[go]
+        if not live.size:
+            c = np.exp(t_best)
+            return float(c[0]) if es.ndim == 0 else c.reshape(es.shape)
+    raise ConvergenceError(f"no prolate parameter found for eta = {flat[live[0]]!r}")
 
 
 def interval_gram(sol: PswfSolution, count: int | None = None) -> np.ndarray:

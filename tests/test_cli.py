@@ -502,28 +502,22 @@ class TestTypedErrors:
         assert "numeric failure: tridiagonal eigensolve failed" in capsys.readouterr().err
 
     def test_prolate_inversion_failure_exits_3(self, monkeypatch, tmp_path, capsys):
-        import tffilter.qkd as qkd
+        import tffilter.slepian as slepian
 
-        solve = qkd.pswf_solve_legendre
+        ground = slepian._ground_stacked
 
-        class Sluggish:
-            """A solution whose slope reads 10x too steep: each miss shrinks, but slowly."""
+        def sluggish(cs):
+            """Slopes that read 10x too steep: each miss shrinks, but slowly."""
+            betas, slopes = ground(cs)
+            return betas, 10.0 * slopes
 
-            def __init__(self, c, n_max):
-                self._sol = solve(c, n_max)
-                self.c, self.eigenvalues = self._sol.c, self._sol.eigenvalues
-
-            def log_slope(self, n):
-                return 10.0 * self._sol.log_slope(n)
-
-        monkeypatch.setattr(qkd, "pswf_solve_legendre", Sluggish)
+        monkeypatch.setattr(slepian, "_ground_stacked", sluggish)
         rc = run(
             "qkd", "--filter", "slepian", "--ny-min", "1e-3", "--ny-max", "1e-3",
             "--points", "1", "--out", str(tmp_path / "q.csv"),
         )
         assert rc == 3
         assert "numeric failure: no prolate parameter found" in capsys.readouterr().err
-
 
     @pytest.mark.parametrize("family, bt", [("gaussian", "1e-6"), ("slepian", "1e-4")])
     def test_oversized_snr_grid_exits_3(self, monkeypatch, capsys, family, bt):
@@ -537,6 +531,18 @@ class TestTypedErrors:
         rc = run("snr", "--filter", family, "--bt", bt, "--trials", "1", "--seed", "0")
         assert rc == 3
         assert "sample limit of the noise ensembles" in capsys.readouterr().err
+
+    def test_oversized_mode_quadrature_exits_3(self, monkeypatch, capsys):
+        import tffilter.slepian as slepian
+
+        def refuse(count):
+            raise AssertionError("the quadrature was built")
+
+        # c = 501 solves on a 525-term basis, but its 6252-node rule is refused
+        monkeypatch.setattr(slepian, "_legendre_rule", refuse)
+        rc = run("modes", "--filter", "slepian", "--c", "501", "--mode", "0")
+        assert rc == 3
+        assert "node limit of the prolate modes" in capsys.readouterr().err
 
     def test_oversized_prolate_basis_exits_3(self, monkeypatch, capsys):
         import tffilter.slepian as slepian
@@ -632,7 +638,15 @@ class TestThreadCap:
         )
         _threads_under_cap(script, cap="3")
 
-    @pytest.mark.parametrize("value", ["0", "two", ""])
+    @pytest.mark.parametrize("value", ["0", "two", "", "\u00b2"])
     def test_invalid_cap_returns_2(self, monkeypatch, value):
         monkeypatch.setenv("TF_FILTER_THREADS", value)
         assert run("decompose", "--filter", "gaussian", "--bt", "0.5") == 2
+
+    def test_noise_workers_ignore_a_non_ascii_digit_cap(self, monkeypatch):
+        # "\u00b2" (superscript two) passes str.isdigit() but not int()
+        from tffilter.noisesim import _worker_count
+
+        monkeypatch.setenv("TF_FILTER_THREADS", "\u00b2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert _worker_count() == 3

@@ -110,12 +110,6 @@ class TestTradeoff:
         assert np.all(np.diff(eta) > 0)  # more BT, better transmission
         assert np.all(np.diff(xi) < 0)  # and worse discrimination
 
-    def test_spec_properties_match(self):
-        spec = gaussian_sif(0.8, 1.0)
-        eta, xi = gaussian_tradeoff(0.8)
-        assert spec.efficiency() == pytest.approx(eta, rel=1e-14)
-        assert spec.mode_discrimination() == pytest.approx(xi, rel=1e-14)
-
     def test_scale_product_tracks_bt(self):
         # product of the two mode width scales collapses onto B*T alone
         for band in np.geomspace(1e-2, 1e2, 17):

@@ -1,5 +1,6 @@
 """Entanglement-distribution key rates behind a filtered noisy channel."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tffilter
+import tffilter.qkd
 from tffilter.qkd import (
     ETA_GRID,
     QBER_THRESHOLD,
@@ -304,18 +306,55 @@ class TestSlepianCharacteristic:
     def test_saturated_end_steps_on_the_log_complement(self, monkeypatch):
         # ln(1 - beta_0) is nearly linear in c, so Newton on it lands in a few
         # steps; Newton on beta_0 itself needs 24 complements at 1 - 1e-12
-        import tffilter.qkd as qkd
+        import tffilter.slepian as slepian
 
         calls = []
-        complement = qkd.concentration_complement
+        complement = slepian.concentration_complement
         monkeypatch.setattr(
-            qkd, "concentration_complement", lambda c: calls.append(c) or complement(c)
+            slepian, "concentration_complement", lambda c: calls.append(c) or complement(c)
         )
         eta = 1.0 - 1e-12
         xi = FilterCharacteristic.slepian().xi_of(eta)
-        assert len(calls) <= 10  # one of them is domain()'s upper end
+        assert len(calls) <= 10  # one of them may be domain()'s upper end
         c = 0.5 * np.pi * eta / xi
         assert complement(c) == pytest.approx(1e-12, rel=1e-9)
+
+    def test_grid_values_equal_one_point_calls(self):
+        # no point of an array starts from another's solution
+        fc = FilterCharacteristic.slepian()
+        etas, xis = fc.grid_points()
+        assert xis.tolist() == [fc.xi_of(float(e)) for e in etas]
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(
+        st.lists(
+            # the complement range starts at beta_0(5.6) = 1 - 2.1e-4
+            st.one_of(st.floats(6.4e-4, 0.9997), st.floats(1.0 - 2e-4, 1.0 - 5e-14)),
+            min_size=1,
+            max_size=4,
+        ).flatmap(lambda xs: st.permutations(xs + xs[: len(xs) // 2 + 1]))
+    )
+    def test_array_values_equal_one_point_calls(self, etas):
+        fc = FilterCharacteristic.slepian()
+        xis = fc.xi_of(np.array(etas))
+        assert xis.tolist() == [fc.xi_of(e) for e in etas]
+
+    def test_curve_ends_are_computed_once(self, monkeypatch):
+        import tffilter.slepian as slepian
+
+        calls = []
+        ground = slepian.ground_concentration
+        monkeypatch.setattr(
+            slepian, "ground_concentration", lambda c: calls.append(np.size(c)) or ground(c)
+        )
+        slepian.ground_range.cache_clear()
+        fc = FilterCharacteristic.slepian()
+        lo, hi = fc.domain()
+        fc.xi_of(0.5)
+        fc.grid_points()
+        fc.rate(np.array([0.3, 0.6]), 1e-3)
+        assert fc.domain() == (lo, hi) == (_beta0(1e-3), _beta0(17.0))
+        assert calls == [2]  # both ends in one call
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.floats(min_value=1e-3, max_value=17.0))
@@ -364,6 +403,20 @@ class TestSlepianCharacteristic:
         optimize_over_efficiency(FilterCharacteristic.slepian(), np.geomspace(1e-4, 1.0, 50))
         assert len(calls) <= 40
         assert np.median(calls) >= 30  # a golden step carries every keyed n_y's probe
+
+
+def test_qkd_imports_no_private_name_or_solver_from_slepian():
+    # qkd reads the brick-wall curve through public slepian functions only
+    tree = ast.parse(Path(tffilter.qkd.__file__).read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "slepian"
+        for alias in node.names
+    ]
+    assert names
+    solvers = {"pswf_solve_legendre", "concentration_complement"}
+    assert not [n for n in names if n.startswith("_") or n in solvers]
 
 
 class TestOptimizer:

@@ -19,9 +19,13 @@ from tffilter.schmidt import decompose_filter
 from tffilter.slepian import (
     BASIS_LIMIT,
     BETA_FLOOR,
+    GROUND_C_RANGE,
+    QUADRATURE_LIMIT,
     concentration_complement,
     full_line_gram,
     ground_concentration,
+    ground_parameter,
+    ground_range,
     interval_gram,
     pswf_solve_legendre,
     rectangular_filter_modes,
@@ -332,6 +336,24 @@ class TestGroundConcentration:
         batch = ground_concentration(cs)
         assert [float(b) for b in batch] == [ground_concentration(float(c)) for c in cs]
 
+    def test_inverse_returns_the_parameter_on_the_curve(self):
+        cs = np.array([[1e-3, 0.3, 2.0], [5.0, 8.0, 17.0]])
+        back = ground_parameter(ground_concentration(cs))
+        assert back.shape == cs.shape
+        # beta_0 flattens as it saturates, so only its own bits pin c there
+        assert np.allclose(back[0], cs[0], rtol=1e-13, atol=0.0)
+        assert np.allclose(back[1], cs[1], rtol=1e-9, atol=0.0)
+        assert isinstance(ground_parameter(0.5), float)
+        lo, hi = ground_range()
+        assert (lo, hi) == tuple(ground_concentration(np.array(GROUND_C_RANGE)))
+        # past the ends of the range the parameter stays at the clamp
+        c_lo, c_hi = GROUND_C_RANGE
+        assert ground_parameter(0.5 * lo) == pytest.approx(c_lo, rel=1e-15)
+        assert ground_parameter(hi + 0.5 * (1.0 - hi)) == pytest.approx(c_hi, rel=1e-15)
+        for eta in (0.0, 1.0, -0.5, np.nan):
+            with pytest.raises(ValueError):
+                ground_parameter(np.array([0.5, eta]))
+
     def test_tradeoff_reads_the_curve(self):
         bts = np.geomspace(0.01, 12.0, 9)
         eta, xi = slepian_tradeoff(bts)
@@ -497,6 +519,21 @@ class TestValidation:
             pswf_solve_legendre(BASIS_LIMIT - 23.0, 0)
         with pytest.raises(ResolutionError, match=f"{BASIS_LIMIT}-term limit"):
             concentration_complement(1.6e5)
+
+    def test_quadrature_above_the_limit_is_refused_before_it_is_built(self, monkeypatch):
+        import tffilter.slepian as slepian
+
+        def refuse(count):
+            raise AssertionError("the quadrature was built")
+
+        assert pswf_solve_legendre(500.0, 0).quad_points == QUADRATURE_LIMIT
+        monkeypatch.setattr(slepian, "_legendre_rule", refuse)
+        sol = pswf_solve_legendre(501.0, 0)
+        assert sol.evaluate(0, 0.5) == pytest.approx(sol.evaluate(0, -0.5))  # on the interval
+        with pytest.raises(ResolutionError, match=f"{QUADRATURE_LIMIT}-node limit"):
+            sol.evaluate(0, 1.5)
+        with pytest.raises(ResolutionError, match=f"{QUADRATURE_LIMIT}-node limit"):
+            sol.finite_transform(0, 0.5)
 
     def test_time_first_order(self):
         spec = rectangular_sif(0.8, 1.0, order=StageOrder.TIME_FIRST)
