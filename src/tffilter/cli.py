@@ -1,13 +1,20 @@
 """Command-line front end: reproducible CSV/JSON runs of every analysis.
 
-Subcommands: decompose, tradeoff, modes, snr, qkd.  Data files are pure
-functions of the command line (stochastic runs take a mandatory --seed), so a
-rerun is byte-identical; the run metadata (including the only timestamp)
-lives in a ``<out>.manifest.json`` sidecar, never in the data file.
+Subcommands: decompose, tradeoff, modes, snr, qkd.  Each ``cmd_*`` only
+computes: it returns its data, a CSV ``(header, rows)`` pair or a JSON
+payload, and a grid-report dict, and writes nothing.  ``main`` then writes
+the data file (stdout without --out) and, with --out, a
+``<out>.manifest.json`` sidecar whose ``parameters`` are the parsed flags
+(``seed`` apart, at the top level).  Data files are pure functions of the
+command line (stochastic runs take a mandatory --seed), so a rerun is
+byte-identical; the run metadata (including the only timestamp) lives in the
+manifest, never in the data file.  JSON spells a non-finite float as the CSV
+cells do: "inf", "-inf" or "nan".
 
 Exit codes: 0 success, 2 usage error (a NaN or infinite number, a
-nonpositive BT, a negative seed), 3 numeric or convergence failure, or a run
-past the library's resolution limits.
+nonpositive BT, a negative seed, a count flag outside 1..MAX_COUNT), 3
+numeric or convergence failure, or a run past the library's resolution
+limits.  A failed run writes no file.
 Set TF_FILTER_THREADS to cap the linear-algebra thread pools and to size the
 worker pool of the snr ensembles (1 runs them serially).
 """
@@ -22,9 +29,41 @@ import math
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import cap_threads
+from .core import ConvergenceError, ResolutionError, TruncationError
+from .gaussian import (
+    gaussian_sif,
+    gaussian_singular_values,
+    gaussian_tradeoff,
+    hermite_gaussian_mode_set,
+)
+from .metrics import analytic_snr
+from .noisesim import NoiseEnsembleConfig, run_ensemble, snr_setup
+from .qkd import (
+    ETA_GRID,
+    QPG_REFERENCE_POINTS,
+    FilterCharacteristic,
+    normalized_key_rate,
+    optimize_over_efficiency,
+)
+from .slepian import (
+    pswf_solve_legendre,
+    rectangular_sif,
+    slepian_filter_modes,
+    slepian_singular_values,
+    slepian_tradeoff,
+)
 
 ARTIFACT_VERSION = "0.1.0"
+
+# Upper bound of --n-modes and --points.  The largest table it allows,
+# ``qkd --filter all`` without --optimize, has 4e6 rows.
+MAX_COUNT = 10_000
+
+# flags that are not run parameters: the manifest records them elsewhere or not at all
+_NOT_PARAMETERS = ("command", "func", "out", "seed")
 
 
 class UsageError(Exception):
@@ -43,6 +82,13 @@ def parse_bt(text: str) -> float:
     if bt <= 0:
         raise UsageError(f"time-bandwidth product {text!r} must be positive")
     return bt
+
+
+def _check_count(value: int, flag: str) -> None:
+    if value < 1:
+        raise UsageError(f"{flag} must be >= 1")
+    if value > MAX_COUNT:
+        raise UsageError(f"{flag} must be <= {MAX_COUNT}")
 
 
 def _finite(text: str) -> float:
@@ -78,6 +124,15 @@ def _fmt_all(values) -> list[str]:
     return [repr(x) for x in values.tolist()]
 
 
+def _spell_nonfinite(value):
+    """``value`` with every non-finite float, in nested dicts too, spelled as ``_fmt`` spells it."""
+    if isinstance(value, dict):
+        return {key: _spell_nonfinite(item) for key, item in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    return value
+
+
 def _open_out(path: str | None):
     """The file at ``path``, or stdout (left open) when there is none."""
     if path is None:
@@ -93,44 +148,18 @@ def _write_rows(path: str | None, header: list[str], rows) -> None:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_spell_nonfinite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     with _open_out(path) as handle:
         handle.write(text)
 
 
-def _write_manifest(
-    out: str | None,
-    command: str,
-    parameters: dict,
-    seed: int | None = None,
-    grid_report: dict | None = None,
-) -> None:
-    if out is None:
-        return
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "grid_report": grid_report or {},
-        "artifact_version": ARTIFACT_VERSION,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    _write_json(out + ".manifest.json", manifest)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (data, grid_report), data a (header, rows) pair or a JSON payload
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .gaussian import gaussian_singular_values
-    from .slepian import rectangular_sif, slepian_singular_values
-
+def cmd_decompose(args: argparse.Namespace):
     bt = parse_bt(args.bt)
-    if args.n_modes < 1:
-        raise UsageError("--n-modes must be >= 1")
+    _check_count(args.n_modes, "--n-modes")
     if args.filter == "gaussian":
         lam = gaussian_singular_values(bt, args.n_modes)
         backend = {"backend": "analytic-mehler"}
@@ -146,29 +175,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "cumulative_sq (dimensionless)",
     ]
     rows = zip(map(str, range(args.n_modes)), _fmt_all(lam), _fmt_all(sq), _fmt_all(cum))
-    _write_rows(args.out, header, rows)
-    _write_manifest(
-        args.out,
-        "decompose",
-        {"filter": args.filter, "bt": args.bt, "n_modes": args.n_modes},
-        grid_report=backend,
-    )
-    return 0
+    return (header, rows), backend
 
 
-def cmd_tradeoff(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .gaussian import gaussian_tradeoff
-    from .qkd import QPG_REFERENCE_POINTS
-    from .slepian import slepian_tradeoff
-
+def cmd_tradeoff(args: argparse.Namespace):
     bt_min = parse_bt(args.bt_min)
     bt_max = parse_bt(args.bt_max)
     if bt_max < bt_min:
         raise UsageError("need --bt-min <= --bt-max")
-    if args.points < 1:
-        raise UsageError("--points must be >= 1")
+    _check_count(args.points, "--points")
     bts = np.geomspace(bt_min, bt_max, args.points)
     if args.filter == "gaussian":
         eta, xi = gaussian_tradeoff(bts)
@@ -187,25 +202,10 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     ]
     qpg_eta, qpg_xi = QPG_REFERENCE_POINTS[0]
     rows.append(["qpg_reference", "", _fmt(qpg_eta), _fmt(qpg_xi), _fmt(qpg_eta * qpg_xi)])
-    _write_rows(args.out, header, rows)
-    _write_manifest(
-        args.out,
-        "tradeoff",
-        {
-            "filter": args.filter,
-            "bt_min": args.bt_min,
-            "bt_max": args.bt_max,
-            "points": args.points,
-        },
-        grid_report={"spacing": "log", "includes": "qpg_reference row"},
-    )
-    return 0
+    return (header, rows), {"spacing": "log", "includes": "qpg_reference row"}
 
 
-def cmd_modes(args: argparse.Namespace) -> int:
-    from .gaussian import gaussian_sif, hermite_gaussian_mode_set
-    from .slepian import pswf_solve_legendre, rectangular_sif, slepian_filter_modes
-
+def cmd_modes(args: argparse.Namespace):
     n = args.mode
     if n < 0:
         raise UsageError("--mode must be >= 0")
@@ -234,26 +234,10 @@ def cmd_modes(args: argparse.Namespace) -> int:
     grid = {"axis": {"start": axis.start, "step": axis.step, "count": axis.count}, **notes}
     header = [f"t ({t_unit})", f"re ({amp_unit})", f"im ({amp_unit})"]
     rows = zip(_fmt_all(axis.points), _fmt_all(mode.values.real), _fmt_all(mode.values.imag))
-    _write_rows(args.out, header, rows)
-    _write_manifest(
-        args.out,
-        "modes",
-        {
-            "filter": args.filter,
-            "bt": args.bt,
-            "c": args.c,
-            "mode": n,
-            "which": args.which,
-        },
-        grid_report=grid,
-    )
-    return 0
+    return (header, rows), grid
 
 
-def cmd_snr(args: argparse.Namespace) -> int:
-    from .metrics import analytic_snr
-    from .noisesim import NoiseEnsembleConfig, run_ensemble, snr_setup
-
+def cmd_snr(args: argparse.Namespace):
     bt = parse_bt(args.bt)
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
@@ -277,26 +261,10 @@ def cmd_snr(args: argparse.Namespace) -> int:
         "snr_analytic": analytic_snr(args.signal_energy, args.noise_psd, xi),
         "xi_analytic": xi,
     }
-    _write_json(args.out, payload)
-    _write_manifest(
-        args.out,
-        "snr",
-        {
-            "filter": args.filter,
-            "bt": args.bt,
-            "signal_energy": args.signal_energy,
-            "noise_psd": args.noise_psd,
-            "trials": args.trials,
-        },
-        seed=args.seed,
-        grid_report={"time_axis": {"start": axis.start, "step": axis.step, "count": axis.count}},
-    )
-    return 0
+    return payload, {"time_axis": {"start": axis.start, "step": axis.step, "count": axis.count}}
 
 
 def _qkd_point(eta: float, xi: float):
-    from .qkd import FilterCharacteristic
-
     try:
         fc = FilterCharacteristic.fixed_point(eta, xi)
     except ValueError as exc:
@@ -305,8 +273,6 @@ def _qkd_point(eta: float, xi: float):
 
 
 def _qkd_families(token: str):
-    from .qkd import QPG_REFERENCE_POINTS, FilterCharacteristic
-
     if token == "gaussian":
         return [("gaussian", FilterCharacteristic.gaussian())]
     if token == "slepian":
@@ -327,15 +293,10 @@ def _qkd_families(token: str):
     raise UsageError(f"unknown filter family {token!r}")
 
 
-def cmd_qkd(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .qkd import ETA_GRID, normalized_key_rate, optimize_over_efficiency
-
+def cmd_qkd(args: argparse.Namespace):
     if args.ny_min < 0 or args.ny_max < args.ny_min:
         raise UsageError("need 0 <= --ny-min <= --ny-max")
-    if args.points < 1:
-        raise UsageError("--points must be >= 1")
+    _check_count(args.points, "--points")
     families = _qkd_families(args.filter)
     if args.ny_min > 0:
         ny_values = np.geomspace(args.ny_min, args.ny_max, args.points)
@@ -387,20 +348,7 @@ def cmd_qkd(args: argparse.Namespace) -> int:
                     [label, ny_cell, *cells]
                     for cells in zip(eta_cells, xi_cells, _fmt_all(rates), _fmt_all(logs))
                 )
-    _write_rows(args.out, header, rows)
-    _write_manifest(
-        args.out,
-        "qkd",
-        {
-            "filter": args.filter,
-            "ny_min": args.ny_min,
-            "ny_max": args.ny_max,
-            "points": args.points,
-            "optimize": bool(args.optimize),
-        },
-        grid_report={"ny_spacing": spacing, "eta_grid_points": len(ETA_GRID)},
-    )
-    return 0
+    return (header, rows), {"ny_spacing": spacing, "eta_grid_points": len(ETA_GRID)}
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +416,30 @@ def main(argv: list[str] | None = None) -> int:
     if not cap_threads():
         print("error: TF_FILTER_THREADS must be a positive integer", file=sys.stderr)
         return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        data, grid_report = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # noqa: BLE001 - map library numerics to exit 3
-        from .core import ConvergenceError, ResolutionError, TruncationError
-
-        if isinstance(exc, (ConvergenceError, ResolutionError, TruncationError)):
-            print(f"numeric failure: {exc}", file=sys.stderr)
-            return 3
-        raise
+    except (ConvergenceError, ResolutionError, TruncationError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    if isinstance(data, dict):
+        _write_json(args.out, data)
+    else:
+        _write_rows(args.out, *data)
+    if args.out is not None:
+        manifest = {
+            "command": args.command,
+            "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
+            "seed": getattr(args, "seed", None),
+            "grid_report": grid_report,
+            "artifact_version": ARTIFACT_VERSION,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
+        _write_json(args.out + ".manifest.json", manifest)
+    return 0
 
 
 if __name__ == "__main__":

@@ -165,7 +165,6 @@ def _fix_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def schmidt_decompose(
     op: OperatorMatrix,
     keep: int | float | None = None,
-    grid_report: GridReport | None = None,
 ) -> SchmidtResult:
     """SVD of a weighted operator matrix, un-weighted back to mode functions.
 
@@ -176,9 +175,7 @@ def schmidt_decompose(
     u, sv, vh = _svd(op.entries)
     n_keep = _resolve_keep(sv, keep)
     total = float(np.sum(sv**2))
-    return _result(
-        op.rows_axis, op.cols_axis, sv[:n_keep], u[:, :n_keep], vh[:n_keep], total, grid_report
-    )
+    return _result(op.rows_axis, op.cols_axis, sv[:n_keep], u[:, :n_keep], vh[:n_keep], total, None)
 
 
 # NumPy ``svd`` of random n x n matrices on 2 shared x86-64 cores (OpenBLAS

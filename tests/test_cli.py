@@ -307,6 +307,23 @@ class TestSnr:
         assert manifest["seed"] == 2
         assert manifest["artifact_version"]
 
+    def test_noiseless_run_writes_strict_json(self, tmp_path):
+        # the infinite SNRs of a noiseless run are spelled as the CSV cells spell them
+        out = tmp_path / "r.json"
+        rc = run(
+            "snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "20",
+            "--seed", "1", "--noise-psd", "0", "--out", str(out),
+        )
+        assert rc == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload["snr_analytic"] == "inf"
+        assert payload["empirical"]["snr_empirical"] == "inf"
+        assert payload["empirical"]["w_noise_mean"] == 0.0
+
 
 class TestQkd:
     def test_point_noiseless_rate(self, tmp_path):
@@ -424,14 +441,107 @@ class TestQkd:
         assert a.read_bytes() == b.read_bytes()
 
 
+_README_COMMANDS = {
+    "decompose": (
+        ("decompose", "--filter", "gaussian", "--bt", "0.5", "--n-modes", "10"),
+        {"filter": "gaussian", "bt": "0.5", "n_modes": 10},
+        None,
+        {"backend": "analytic-mehler"},
+    ),
+    "tradeoff": (
+        ("tradeoff", "--filter", "slepian", "--bt-min", "0.01", "--bt-max", "10",
+         "--points", "80"),
+        {"filter": "slepian", "bt_min": "0.01", "bt_max": "10", "points": 80},
+        None,
+        {"spacing": "log", "includes": "qpg_reference row"},
+    ),
+    "modes": (
+        ("modes", "--filter", "slepian", "--c", "3.0", "--mode", "0"),
+        {"filter": "slepian", "bt": None, "c": 3.0, "mode": 0, "which": "input"},
+        None,
+        {
+            "axis": {"start": -4.0, "step": 0.00390625, "count": 2049},
+            "normalization": "gate interval mapped to [-1, 1]",
+        },
+    ),
+    "snr": (
+        ("snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "10000", "--seed", "7"),
+        {
+            "filter": "gaussian", "bt": "0.5", "signal_energy": 1.0, "noise_psd": 0.1,
+            "trials": 10000,
+        },
+        7,
+        {"time_axis": {"start": -42.666666666666664, "step": 0.08333333333333333, "count": 1024}},
+    ),
+    "qkd": (
+        ("qkd", "--filter", "all", "--ny-min", "1e-4", "--ny-max", "1", "--points", "50",
+         "--optimize"),
+        {"filter": "all", "ny_min": 1e-4, "ny_max": 1.0, "points": 50, "optimize": True},
+        None,
+        {"ny_spacing": "log", "eta_grid_points": 199},
+    ),
+}
+
+
 class TestManifest:
     def test_sidecar_next_to_every_out_file(self, tmp_path):
-        out = tmp_path / "d.csv"
-        run("decompose", "--filter", "gaussian", "--bt", "0.5", "--out", str(out))
-        manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
-        assert manifest["command"] == "decompose"
-        assert manifest["parameters"]["bt"] == "0.5"
-        assert manifest["seed"] is None  # deterministic command
+        # the README commands, with the manifest fields their runs have always written
+        for command, (argv, parameters, seed, grid_report) in _README_COMMANDS.items():
+            out = tmp_path / command
+            assert run(*argv, "--out", str(out)) == 0
+            manifest = json.loads((tmp_path / f"{command}.manifest.json").read_text())
+            assert set(manifest) == {
+                "command", "parameters", "seed", "grid_report", "artifact_version", "timestamp",
+            }
+            assert manifest["command"] == command
+            assert manifest["parameters"] == parameters
+            assert manifest["seed"] == seed
+            assert manifest["grid_report"] == grid_report
+            assert manifest["artifact_version"] == tffilter.cli.ARTIFACT_VERSION
+
+    def test_no_manifest_without_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("decompose", "--filter", "gaussian", "--bt", "0.5", "--n-modes", "2") == 0
+        assert capsys.readouterr().out.startswith("n (index),")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCountBound:
+    @pytest.mark.parametrize(
+        "argv, library",
+        [
+            (("decompose", "--filter", "gaussian", "--bt", "0.5", "--n-modes"),
+             "gaussian_singular_values"),
+            (("decompose", "--filter", "slepian", "--bt", "0.5", "--n-modes"),
+             "slepian_singular_values"),
+            (("tradeoff", "--filter", "gaussian", "--bt-min", "0.5", "--bt-max", "1", "--points"),
+             "gaussian_tradeoff"),
+            (("qkd", "--filter", "gaussian", "--ny-min", "0", "--ny-max", "1", "--points"),
+             "normalized_key_rate"),
+        ],
+    )
+    def test_above_the_bound_exits_2_before_the_library(
+        self, monkeypatch, tmp_path, capsys, argv, library
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the library was called")
+
+        monkeypatch.setattr(tffilter.cli, library, refuse)
+        out = tmp_path / "out"
+        assert run(*argv, str(tffilter.cli.MAX_COUNT + 1), "--out", str(out)) == 2
+        assert f"must be <= {tffilter.cli.MAX_COUNT}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_bound_itself_runs(self, tmp_path):
+        out = tmp_path / "g.csv"
+        count = tffilter.cli.MAX_COUNT
+        rc = run(
+            "decompose", "--filter", "gaussian", "--bt", "0.5",
+            "--n-modes", str(count), "--out", str(out),
+        )
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert len(rows) == count
 
 
 _BAD_NUMBER_PROBES = [
@@ -465,7 +575,24 @@ def test_bad_numbers_exit_2(argv, tmp_path, capsys):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []  # neither a data file nor a manifest
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--filter", "slepian", "--bt", "1.0", "--n-modes", "80"),
+        ("decompose", "--filter", "slepian", "--bt", "1e5"),
+        ("modes", "--filter", "slepian", "--c", "0.05", "--mode", "12"),
+        ("snr", "--filter", "gaussian", "--bt", "1e-6", "--trials", "1", "--seed", "0"),
+    ],
+    ids=" ".join,
+)
+def test_numeric_failures_exit_3_and_write_nothing(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    assert "numeric failure:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestTypedErrors:
@@ -568,6 +695,20 @@ def test_cli_imports_no_private_package_name():
     ]
     assert "optimize_over_efficiency" in names
     assert [name for name in names if name.startswith("_")] == []
+
+
+def test_cli_imports_only_at_module_level():
+    # the package __init__ loads every module before the CLI runs, so an import
+    # inside a command saves nothing
+    tree = ast.parse(Path(tffilter.cli.__file__).read_text(encoding="utf-8"))
+    nested = [
+        (func.name, node.lineno)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
 
 
 def _threads_under_cap(script: str, cap: str = "1") -> int:
