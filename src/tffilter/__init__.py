@@ -37,17 +37,14 @@ from .core import (
     ConvergenceError,
     Domain,
     DomainMismatchError,
-    FilterSpec,
     OperatorMatrix,
     QuadratureAxis,
     ResolutionError,
     SampledAxis,
     SampledSignal,
     Sif,
-    SpectralWindow,
     SpectralWindowProfile,
     StageOrder,
-    TemporalGate,
     TemporalGateProfile,
     TruncationError,
     TruncationWarning,
@@ -132,10 +129,7 @@ __all__ = [
     "SampledSignal",
     "SpectralWindowProfile",
     "TemporalGateProfile",
-    "SpectralWindow",
-    "TemporalGate",
     "Sif",
-    "FilterSpec",
     "OperatorMatrix",
     "DomainMismatchError",
     "ResolutionError",

@@ -5,7 +5,9 @@ computes: it returns its data, a CSV ``(header, rows)`` pair or a JSON
 payload, and a grid-report dict, and writes nothing.  ``main`` then writes
 the data file (stdout without --out) and, with --out, a
 ``<out>.manifest.json`` sidecar whose ``parameters`` are the parsed flags
-(``seed`` apart, at the top level).  Data files are pure functions of the
+(``seed`` apart, at the top level) and whose ``warnings`` list the category
+and message of every warning the command raised; each is still shown on
+stderr as it would be without the record.  Data files are pure functions of the
 command line (stochastic runs take a mandatory --seed), so a rerun is
 byte-identical; the run metadata (including the only timestamp) lives in the
 manifest, never in the data file.  JSON spells a non-finite float as the CSV
@@ -27,6 +29,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -355,6 +358,17 @@ def cmd_qkd(args: argparse.Namespace):
 # parser / dispatch
 
 
+@contextlib.contextmanager
+def _recorded_warnings():
+    """Record the warnings raised inside; on the way out show each where it would have gone."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            yield caught
+    finally:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tffilter",
@@ -418,7 +432,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     args = build_parser().parse_args(argv)
     try:
-        data, grid_report = args.func(args)
+        with _recorded_warnings() as caught:
+            data, grid_report = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -435,6 +450,7 @@ def main(argv: list[str] | None = None) -> int:
             "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
             "seed": getattr(args, "seed", None),
             "grid_report": grid_report,
+            "warnings": [{"category": w.category.__name__, "message": str(w.message)} for w in caught],
             "artifact_version": ARTIFACT_VERSION,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }

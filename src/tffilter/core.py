@@ -12,16 +12,16 @@ factors (Parseval holds to machine precision on matched grids).
 The transforms live only in this module, written once as phase ramp, DFT,
 phase ramp.  They act along the last axis of ``(..., n)`` sample arrays, so
 ``filter_samples`` pushes a whole batch of signals (e.g. Monte Carlo noise
-rows) through a window, gate or Sif in one pass of three diagonals around two
-in-place FFTs; ``fourier_forward``, ``fourier_inverse`` and ``apply_filter``
-are its single-signal wrappers.
+rows) through a filter in one pass of three diagonals around two in-place
+FFTs; ``fourier_forward``, ``fourier_inverse`` and ``apply_filter`` are its
+single-signal wrappers.
 
-A filter is one of three specifications:
-
-* ``SpectralWindow`` -- pointwise multiplication by R~(w) in frequency,
-* ``TemporalGate``   -- pointwise multiplication by Q(t) in time,
-* ``Sif``            -- the two above composed in a declared order
-                        (a sequential incoherent filter).
+A filter is a ``Sif``, a sequential incoherent filter: a spectral window,
+pointwise multiplication by R~(w) in frequency, and a time gate, pointwise
+multiplication by Q(t) in time, composed in a declared order.  A lone window
+or gate is not a filter here: its kernel is a diagonal, or a diagonal times a
+Fourier factor, which is not Hilbert-Schmidt and has no Schmidt ladder.
+Every entry point that takes a filter raises ``TypeError`` for anything else.
 
 Each axis type has one integration rule, and ``integrate`` and
 ``quadrature_weights()`` both apply it: the Riemann sum, ``measure`` per
@@ -33,19 +33,15 @@ axes' quadrature weights folded in symmetrically (sqrt(w) K sqrt(w)), so that
 matrix singular values approximate the operator's Schmidt coefficients.  The
 FFT-based paths need a uniform ``SampledAxis``; ``recommended_axes`` gives compact
 pairs a ``QuadratureAxis`` of Gauss-Legendre nodes inside the supports instead.
-The matrix keeps the data type its kernel is assembled in: ``float64`` for a
-real pointwise stage, ``complex128`` for the Fourier phase of a mixed
-time x frequency kernel.
+The matrix is ``complex128``, for the Fourier phase of the kernel.
 
-A window, gate or Sif has one kernel, the mixed time x frequency one,
-Q(t) exp(-+i w t) R~(w) with a missing stage counted as 1, which needs nothing
-of the profiles but ``gate()`` and ``window()``; only a lone stage on its own
-domain is rendered otherwise, as a diagonal.  ``recommended_axes`` picks each
-of a Sif's two axes from that axis's own profile, and ``parity_blocks``
-renders a Sif whose profiles are both ``even`` as two half-size blocks, the
-kernel's even and odd parts on the positive half-axes.  They are real for
-real profiles: the Fourier phase splits into a cosine and a sine kernel, and
-the odd block's constant -+i is kept aside.
+A Sif has one kernel, the mixed time x frequency one, Q(t) exp(-+i w t) R~(w),
+which needs nothing of the profiles but ``gate()`` and ``window()``.
+``recommended_axes`` picks each of its two axes from that axis's own profile,
+and ``parity_blocks`` renders a Sif whose profiles are both ``even`` as two
+half-size blocks, the kernel's even and odd parts on the positive
+half-axes.  They are real for real profiles: the Fourier phase splits into a
+cosine and a sine kernel, and the odd block's constant -+i is kept aside.
 """
 
 from __future__ import annotations
@@ -54,8 +50,6 @@ import enum
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
-
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -69,10 +63,7 @@ __all__ = [
     "SpectralWindowProfile",
     "TemporalGateProfile",
     "StageOrder",
-    "SpectralWindow",
-    "TemporalGate",
     "Sif",
-    "FilterSpec",
     "OperatorMatrix",
     "DomainMismatchError",
     "ResolutionError",
@@ -260,7 +251,7 @@ class QuadratureAxis:
         )
 
 
-Axis = Union[SampledAxis, QuadratureAxis]
+Axis = SampledAxis | QuadratureAxis
 
 
 def _uniform(axis: Axis) -> SampledAxis:
@@ -440,29 +431,6 @@ class StageOrder(enum.Enum):
     TIME_FIRST = "time_first"            # gate acts on the input, spectral window on the result
 
 
-def _check_loss(loss: float) -> None:
-    if not (0.0 < loss <= 1.0):
-        raise ValueError("insertion_loss must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class SpectralWindow:
-    profile: SpectralWindowProfile
-    insertion_loss: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_loss(self.insertion_loss)
-
-
-@dataclass(frozen=True)
-class TemporalGate:
-    profile: TemporalGateProfile
-    insertion_loss: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_loss(self.insertion_loss)
-
-
 @dataclass(frozen=True)
 class Sif:
     """Sequential incoherent filter: spectral window and time gate in a declared order."""
@@ -473,69 +441,54 @@ class Sif:
     insertion_loss: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_loss(self.insertion_loss)
+        if not (0.0 < self.insertion_loss <= 1.0):
+            raise ValueError("insertion_loss must lie in (0, 1]")
 
 
-FilterSpec = Union[SpectralWindow, TemporalGate, Sif]
+def _require_sif(spec: Sif) -> None:
+    """The one check of every entry point that takes a filter: ``spec`` is a Sif."""
+    if not isinstance(spec, Sif):
+        raise TypeError(f"unknown filter specification {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # applying filters to signals
 
 
-def _stages(spec: FilterSpec) -> tuple[SpectralWindowProfile | None, TemporalGateProfile | None]:
-    """(spectral window, temporal gate) of ``spec``; None for a stage it lacks."""
-    if isinstance(spec, Sif):
-        return spec.spectral, spec.temporal
-    if isinstance(spec, SpectralWindow):
-        return spec.profile, None
-    if isinstance(spec, TemporalGate):
-        return None, spec.profile
-    return None, None
-
-
-def _check_grid(spec: FilterSpec, ax: SampledAxis) -> None:
+def _check_grid(spec: Sif, ax: SampledAxis) -> None:
     """Resolution guard on ``ax``: dt <= 1/(10 B) and span covering the filter support.
 
-    On a frequency axis the gate acts on the reciprocal time grid, whose
-    half-span pi/dw must cover the gate support.
+    The span must cover the support of the stage native to ``ax``.  On a
+    frequency axis it must also be 10 bandwidths wide, and the gate acts on
+    the reciprocal time grid, whose half-span pi/dw must cover the gate support.
     """
-    window, gate = _stages(spec)
-    if _uniform(ax).domain is Domain.TIME:
-        if window is not None and ax.step > 1.0 / (10.0 * window.bandwidth_hz):
-            b_est = window.bandwidth_hz
-            raise ResolutionError(
-                f"time step {ax.step:g} too coarse for filter bandwidth {b_est:g} Hz "
-                f"(need dt <= {1.0 / (10.0 * b_est):g})"
-            )
-        if gate is not None:
-            if isinstance(spec, TemporalGate) and ax.step > gate.duration_s / 20.0:
-                raise ResolutionError("time step too coarse to resolve the gate shape")
-            r = gate.temporal_support(1e-12)
-            if ax.start > -r or ax.stop < r:
-                raise ResolutionError(
-                    f"time span [{ax.start:g}, {ax.stop:g}] does not cover the gate support +-{r:g}"
-                )
-    else:
-        if window is not None:
-            r = window.spectral_support(1e-12)
-            if ax.start > -r or ax.stop < r:
-                raise ResolutionError(
-                    f"frequency span [{ax.start:g}, {ax.stop:g}] does not cover the window "
-                    f"support +-{r:g}"
-                )
-            if ax.span < 20.0 * np.pi * window.bandwidth_hz:
-                raise ResolutionError("frequency span too narrow for the filter bandwidth")
-        if gate is not None:
-            r = gate.temporal_support(1e-12)
-            if np.pi / ax.step < r:
-                raise ResolutionError(
-                    f"frequency step {ax.step:g} too coarse: the reciprocal time grid's "
-                    f"half-span {np.pi / ax.step:g} does not cover the gate support +-{r:g}"
-                )
+    window, gate = spec.spectral, spec.temporal
+    on_time = _uniform(ax).domain is Domain.TIME
+    if on_time and ax.step > 1.0 / (10.0 * window.bandwidth_hz):
+        b_est = window.bandwidth_hz
+        raise ResolutionError(
+            f"time step {ax.step:g} too coarse for filter bandwidth {b_est:g} Hz "
+            f"(need dt <= {1.0 / (10.0 * b_est):g})"
+        )
+    span, stage = ("time", "gate") if on_time else ("frequency", "window")
+    r = gate.temporal_support(1e-12) if on_time else window.spectral_support(1e-12)
+    if ax.start > -r or ax.stop < r:
+        raise ResolutionError(
+            f"{span} span [{ax.start:g}, {ax.stop:g}] does not cover the {stage} support +-{r:g}"
+        )
+    if on_time:
+        return
+    if ax.span < 20.0 * np.pi * window.bandwidth_hz:
+        raise ResolutionError("frequency span too narrow for the filter bandwidth")
+    r = gate.temporal_support(1e-12)
+    if np.pi / ax.step < r:
+        raise ResolutionError(
+            f"frequency step {ax.step:g} too coarse: the reciprocal time grid's "
+            f"half-span {np.pi / ax.step:g} does not cover the gate support +-{r:g}"
+        )
 
 
-def filter_samples(spec: FilterSpec, axis: SampledAxis, values: np.ndarray) -> np.ndarray:
+def filter_samples(spec: Sif, axis: SampledAxis, values: np.ndarray) -> np.ndarray:
     """Pass samples on ``axis`` through ``spec`` along the last axis of ``values``.
 
     ``values`` has shape ``(..., axis.count)``; every leading index is filtered
@@ -544,29 +497,23 @@ def filter_samples(spec: FilterSpec, axis: SampledAxis, values: np.ndarray) -> n
     that push batches of rows through one filter on a grid they have checked.
     ``values`` is never written to.
 
-    A window, gate or Sif is post * FFT(mid * FFT(pre * x)), in place on one
-    fresh array: ``mid`` is the stage from the other domain with the inner
-    ramps of the transform there and back; the outer ramps, the loss and the
-    stage native to ``axis`` fold into ``pre`` or ``post``, by the order.
+    A Sif is post * FFT(mid * FFT(pre * x)), in place on one fresh array:
+    ``mid`` is the stage from the other domain with the inner ramps of the
+    transform there and back; the outer ramps, the loss and the stage native
+    to ``axis`` fold into ``pre`` or ``post``, by the order.
     """
+    _require_sif(spec)
     return _filter_samples(spec, axis, values, None)
 
 
 def _filter_samples(
-    spec: FilterSpec, axis: SampledAxis, values: np.ndarray, out: np.ndarray | None
+    spec: Sif, axis: SampledAxis, values: np.ndarray, out: np.ndarray | None
 ) -> np.ndarray:
     """:func:`filter_samples` written into ``out``: None for a fresh array, or a
     complex ``values`` itself to filter it in place."""
-    _uniform(axis)
-    window, gate = _stages(spec)
-    if window is None and gate is None:
-        raise TypeError(f"unknown filter specification {type(spec).__name__}")
-    on_time = axis.domain is Domain.TIME
-    q = None if gate is None else gate.gate
-    r = None if window is None else window.window
+    on_time = _uniform(axis).domain is Domain.TIME
+    q, r = spec.temporal.gate, spec.spectral.window
     native, other = (q, r) if on_time else (r, q)
-    if other is None:  # a lone stage native to the axis: one diagonal
-        return np.multiply(values, native(axis.points) * spec.insertion_loss, out=out)
     if on_time:
         far = frequency_axis_for(axis)
     else:
@@ -580,9 +527,9 @@ def _filter_samples(
     inner_b, fft_b, post = _fourier_factors(far, axis)
     mid = inner_a * inner_b * other(far.points)
     post *= spec.insertion_loss
-    if native is not None:  # a Sif: its native stage acts first or last
-        side = pre if (spec.order is StageOrder.TIME_FIRST) is on_time else post
-        side *= native(axis.points)
+    # the stage native to the axis acts first or last
+    side = pre if (spec.order is StageOrder.TIME_FIRST) is on_time else post
+    side *= native(axis.points)
     out = np.multiply(values, pre, out=out)
     fft_a(out, axis=-1, out=out)
     out *= mid
@@ -591,13 +538,14 @@ def _filter_samples(
     return out
 
 
-def apply_filter(spec: FilterSpec, signal: SampledSignal) -> SampledSignal:
+def apply_filter(spec: Sif, signal: SampledSignal) -> SampledSignal:
     """Pass ``signal`` through ``spec``; the result stays on the input's axis.
 
     Stages act pointwise in their own domain; domain changes use the package
     Fourier convention.  Output energy never exceeds input energy times
     insertion_loss^2 (all profiles are peak-normalized).
     """
+    _require_sif(spec)
     _check_grid(spec, signal.axis)
     return SampledSignal(signal.axis, filter_samples(spec, signal.axis, signal.values))
 
@@ -613,12 +561,13 @@ class OperatorMatrix:
     ``entries[i, j] = sqrt(w_i) K(x_i, y_j) sqrt(w_j)`` where w are the axes'
     ``quadrature_weights()`` under their measures, so ``svd(entries)`` approximates the
     continuum Schmidt data and ``frobenius_sq`` approximates sum lambda_n^2.
-    ``entries`` is a read-only ``float64`` copy when the kernel arrives real and
-    a ``complex128`` copy otherwise; the data type, not the values, decides, so
-    a complex kernel with zero imaginary parts stays complex.
+    ``entries`` is a read-only ``float64`` copy when a caller's matrix arrives
+    real and a ``complex128`` copy otherwise (every :func:`build_operator`
+    kernel); the data type, not the values, decides, so a complex kernel with
+    zero imaginary parts stays complex.
     ``edge_ring_ratio`` is the kernel's largest magnitude one spacing outside
-    the grid relative to its peak, as :func:`build_operator` measures it for a
-    Sif; None when it was not measured.
+    the grid relative to its peak, as :func:`build_operator` measures it; None
+    for a matrix it did not build.
     """
 
     rows_axis: Axis
@@ -627,8 +576,7 @@ class OperatorMatrix:
     edge_ring_ratio: float | None = None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.entries)
-        arr = np.array(arr, dtype=complex if np.iscomplexobj(arr) else float)
+        arr = np.array(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
         if arr.shape != (self.rows_axis.count, self.cols_axis.count):
             raise ValueError("entries shape must match (rows, cols) axis counts")
         if not np.all(np.isfinite(arr.view(float))):
@@ -641,27 +589,22 @@ class OperatorMatrix:
 
 
 def _mixed_kernel(
-    spec: FilterSpec, rp: np.ndarray, rdom: Domain, cp: np.ndarray, cdom: Domain
+    spec: Sif, rp: np.ndarray, rdom: Domain, cp: np.ndarray, cdom: Domain
 ) -> tuple[np.ndarray, int]:
-    """(amplitude, sign s) of the mixed kernel amplitude * exp(i s outer(rp, cp)).
+    """(amplitude, sign s) of the Sif kernel amplitude * exp(i s outer(rp, cp)).
 
-    The amplitude is Q(t) R~(w) of a window, gate or Sif, a missing stage
-    counting as 1.  A Sif has time rows x frequency columns only for
-    FREQUENCY_FIRST and the transpose only for TIME_FIRST; a same-domain
+    The amplitude is Q(t) R~(w), on time rows x frequency columns for
+    FREQUENCY_FIRST and on the transpose for TIME_FIRST; a same-domain
     pairing has no such kernel.
     """
-    if rdom is cdom:
-        raise DomainMismatchError("needs the mixed time x frequency representation")
     time_rows = rdom is Domain.TIME
-    if isinstance(spec, Sif) and time_rows is not (spec.order is StageOrder.FREQUENCY_FIRST):
+    if rdom is cdom or time_rows is not (spec.order is StageOrder.FREQUENCY_FIRST):
         raise DomainMismatchError(
-            "a Sif's kernel is separable in time rows x frequency columns only for "
-            "FREQUENCY_FIRST, and in the transpose only for TIME_FIRST"
+            "a Sif's kernel needs the mixed representation: time rows x frequency "
+            "columns for FREQUENCY_FIRST, the transpose for TIME_FIRST"
         )
-    window, gate = _stages(spec)
     t, w = (rp, cp) if time_rows else (cp, rp)
-    q = np.ones(len(t)) if gate is None else gate.gate(t)
-    r = np.ones(len(w)) if window is None else window.window(w)
+    q, r = spec.temporal.gate(t), spec.spectral.window(w)
     if time_rows:
         return q[:, None] * r[None, :], -1
     return r[:, None] * q[None, :], 1
@@ -705,32 +648,18 @@ def _edge_ring_check(spec: Sif, rows: Axis, cols: Axis, kmax: float) -> float:
     return ratio
 
 
-def build_operator(spec: FilterSpec, rows: Axis, cols: Axis) -> OperatorMatrix:
-    """Dense Nystrom discretization of the filter kernel on (rows x cols).
+def build_operator(spec: Sif, rows: Axis, cols: Axis) -> OperatorMatrix:
+    """Dense Nystrom discretization of the Sif kernel on (rows x cols).
 
-    A window, gate or Sif is rendered in the mixed time x frequency
-    representation, where its kernel is Q(t) exp(-+i w t) R~(w); a Sif only in
-    the pairing natural to its order (time rows x frequency columns for
-    FREQUENCY_FIRST, the transpose for TIME_FIRST), a lone stage in either.  A
-    lone stage on its own domain on both sides becomes a diagonal matrix.  Any
-    other same-domain pairing raises :class:`DomainMismatchError`, and a kernel
-    that is zero at every sample raises :class:`ResolutionError`.
+    The kernel is rendered in the mixed time x frequency representation,
+    Q(t) exp(-+i w t) R~(w), in the pairing natural to the order: time rows x
+    frequency columns for FREQUENCY_FIRST, the transpose for TIME_FIRST.  Any
+    other pairing raises :class:`DomainMismatchError`, and a kernel that is
+    zero at every sample raises :class:`ResolutionError`.
     """
-    if not isinstance(spec, (SpectralWindow, TemporalGate, Sif)):
-        raise TypeError(f"unknown filter specification {type(spec).__name__}")
-    lone = not isinstance(spec, Sif)
-    spectral = isinstance(spec, SpectralWindow)
-    own = Domain.ANGULAR_FREQUENCY if spectral else Domain.TIME
-    if lone and rows.domain is own and cols.domain is own:
-        # pointwise multiplication: the delta kernel collapses to a diagonal
-        if not rows.close_to(cols):
-            raise DomainMismatchError("diagonal representation requires rows == cols axis")
-        pointwise = (spec.profile.window if spectral else spec.profile.gate)(rows.points)
-        _peak(pointwise)
-        return OperatorMatrix(rows, cols, np.diag(pointwise) * spec.insertion_loss)
+    _require_sif(spec)
     amp, sign = _mixed_kernel(spec, rows.points, rows.domain, cols.points, cols.domain)
-    kmax = _peak(amp)
-    ratio = None if lone else _edge_ring_check(spec, rows, cols, kmax)
+    ratio = _edge_ring_check(spec, rows, cols, _peak(amp))
     kernel = amp * np.exp(sign * 1j * np.outer(rows.points, cols.points))
     sw = np.sqrt(rows.quadrature_weights())
     sc = np.sqrt(cols.quadrature_weights())
@@ -786,6 +715,7 @@ def parity_blocks(spec: Sif, rows: Axis, cols: Axis) -> ParityBlocks:
     singular values together are those of the full matrix.  The edge-ring and
     finiteness checks of :func:`build_operator` apply.
     """
+    _require_sif(spec)
     if not (spec.spectral.even and spec.temporal.even):
         raise ValueError("parity blocks need a Sif whose window and gate are both even")
     xr, wr = _even_half(rows)
@@ -835,6 +765,7 @@ def recommended_axes(spec: Sif, resolution: int = 1024) -> tuple[Axis, Axis]:
     Time rows x frequency columns for FREQUENCY_FIRST, the transpose for
     TIME_FIRST.
     """
+    _require_sif(spec)
     t_ax = _profile_axis(spec.temporal, resolution)
     f_ax = _profile_axis(spec.spectral, resolution)
     if spec.order is StageOrder.FREQUENCY_FIRST:

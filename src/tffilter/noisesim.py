@@ -46,7 +46,6 @@ from . import _thread_cap
 from .core import (
     Domain,
     DomainMismatchError,
-    FilterSpec,
     ResolutionError,
     SampledAxis,
     SampledSignal,
@@ -55,6 +54,7 @@ from .core import (
     _check_grid,
     _filter_samples,
     _profile_axis,
+    _require_sif,
     _uniform,
     apply_filter,
     centered_axis,
@@ -261,7 +261,7 @@ def _pool() -> tuple[ThreadPoolExecutor | None, int]:
 
 
 def _filtered_block(
-    spec: FilterSpec, axis: SampledAxis, noise_psd: float, seed: int, trials: range
+    spec: Sif, axis: SampledAxis, noise_psd: float, seed: int, trials: range
 ) -> np.ndarray:
     """Filtered white noise of ``trials``, one row each, filtered in the array it is drawn in.
 
@@ -273,7 +273,7 @@ def _filtered_block(
 
 
 def _filtered_noise_blocks(
-    spec: FilterSpec,
+    spec: Sif,
     axis: SampledAxis,
     noise_psd: float,
     seed: int,
@@ -357,7 +357,7 @@ class EnergyReport:
         return asdict(self)
 
 
-def run_ensemble(cfg: NoiseEnsembleConfig, spec: FilterSpec) -> EnergyReport:
+def run_ensemble(cfg: NoiseEnsembleConfig, spec: Sif) -> EnergyReport:
     """Push signal + noise through the filter for cfg.trials independent trials.
 
     The deterministic signal is filtered once; each trial filters a fresh
@@ -367,6 +367,7 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: FilterSpec) -> EnergyReport:
     ``einsum`` rather than a BLAS matvec, whose threads would compete with the
     block workers.
     """
+    _require_sif(spec)
     axis = cfg.signal_mode.axis
     amp = np.sqrt(cfg.signal_energy)
     sig_in = SampledSignal(axis, amp * cfg.signal_mode.values)
@@ -517,7 +518,8 @@ def filtered_noise_correlation(
     the same resolution guard as :func:`tffilter.core.apply_filter`, else
     :class:`tffilter.core.ResolutionError` is raised.
     """
-    if not isinstance(spec, Sif) or spec.order is not StageOrder.FREQUENCY_FIRST:
+    _require_sif(spec)
+    if spec.order is not StageOrder.FREQUENCY_FIRST:
         raise ValueError("correlation analysis covers the window-then-gate composition")
     if trials < 1000:
         raise ValueError("need at least 1000 trials for stable error bars")

@@ -40,6 +40,7 @@ from .core import (
     OperatorMatrix,
     SampledSignal,
     Sif,
+    _require_sif,
     inner_product,
     parity_blocks,
     recommended_axes,
@@ -339,7 +340,9 @@ def decompose_filter(
     When the window and the gate are both ``even`` each grid is factored as its
     two :func:`tffilter.core.parity_blocks` and the modes carry ``parities``;
     otherwise the whole :func:`tffilter.core.build_operator` matrix is.
+    Anything but a Sif raises TypeError.
     """
+    _require_sif(spec)
     resolution = _check_level("resolution", resolution)
     max_resolution = _check_level("max_resolution", max_resolution)
     if max_resolution < resolution:

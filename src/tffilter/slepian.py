@@ -25,10 +25,10 @@ Near saturation 1 - beta_0 is formed by cancellation, and the few ulp of
 rounding noise in beta_0 become most of it: 1 - beta_0(17) = 4.88e-14 is
 about 440 ulp of beta_0.  ``concentration_complement`` computes 1 - beta_0
 directly, by integrating the closed-form slope d beta_0 / d ln c from c to
-infinity, and ``ground_concentration``, the brick-wall efficiency curve that
-``slepian_tradeoff`` and ``qkd`` read, switches to it at c = 5.6.
-``ground_parameter`` inverts that curve for ``qkd``, every point of an array
-in lockstep.
+infinity, for a scalar or an array of c, and ``ground_concentration``, the
+brick-wall efficiency curve that ``slepian_tradeoff`` and ``qkd`` read,
+switches to it at c = 5.6.  ``ground_parameter`` inverts that curve for
+``qkd``, every point of an array in lockstep.
 
 The independent cross-check shares no code with the solver: ``decompose_filter``
 on a ``rectangular_sif`` factors the Gauss-Legendre Nystrom matrix of the
@@ -479,8 +479,8 @@ _GROUND_ONE = 21.0  # from here up 1 - beta_0 < 2^-54, so beta_0 rounds to 1
 GROUND_C_RANGE = (1e-3, 17.0)  # the clamp on c of the brick-wall curve ground_parameter inverts
 
 
-def concentration_complement(c: float) -> float:
-    """1 - beta_0(c), without forming it from beta_0 by cancellation.
+def concentration_complement(c: float | np.ndarray) -> float | np.ndarray:
+    """1 - beta_0(c), without forming it from beta_0 by cancellation, for scalar or array c.
 
     beta_0 -> 1 as c -> infinity, so 1 - beta_0(c) is the integral of the
     closed-form slope, integral_c^inf log_slope(c') dc' / c'.  The integrand
@@ -493,14 +493,29 @@ def concentration_complement(c: float) -> float:
     where the direct 1 - beta_0 is off by 3e-3.  The rule is built for the
     saturated end: at c = 4 it still agrees with the direct 1 - beta_0 to
     4e-13, at c = 1 only to 4e-8.
+    An array ``c`` puts the nodes of all points that share a basis size into
+    that one eigensolve and one solve, and sums each point's 12 terms on its
+    own, so every value is bit for bit that of a call on its c alone.
     """
-    if c <= 0:
+    cs = np.asarray(c, dtype=float)
+    flat = cs.ravel()
+    if not np.all(flat > 0):
         raise ValueError("c must be positive")
-    nodes = c + 0.5 * _LAGUERRE_NODES
-    size = int(nodes[-1]) + 32
+    nodes = flat[:, None] + 0.5 * _LAGUERRE_NODES
+    sizes = nodes[:, -1].astype(int) + 32
+    out = np.empty(flat.shape)
+    for size in np.unique(sizes).tolist():
+        group = sizes == size
+        out[group] = _complement_stacked(nodes[group], size)
+    return float(out[0]) if cs.ndim == 0 else out.reshape(cs.shape)
+
+
+def _complement_stacked(nodes: np.ndarray, size: int) -> np.ndarray:
+    """``concentration_complement`` of each row of Laguerre ``nodes``, all on one
+    ``size``-term basis: one stacked eigensolve and one inverse-iteration solve."""
     diag, off = _legendre_blocks(nodes, size)
-    d = diag[:, ::2]
-    e = off[:, ::2][:, : d.shape[1] - 1]
+    d = diag[..., ::2]
+    e = off[..., ::2][..., : d.shape[-1] - 1]
     chi, vecs = _lowest_eigenpairs(d, e, 1)
     # one inverse-iteration step: the dense solve now and then returns a vector
     # off by its normwise bound eps ||T|| / gap, which phi_0(1) ~ exp(-c) magnifies
@@ -508,14 +523,14 @@ def concentration_complement(c: float) -> float:
         vecs = np.linalg.solve(_tridiagonal(d - chi, e), vecs)[..., 0]
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"inverse iteration failed: {err}") from err
-    coeffs = np.zeros((len(nodes), size))
-    coeffs[:, ::2] = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-    if not _basis_captured(coeffs):
+    coeffs = np.zeros(nodes.shape + (size,))
+    coeffs[..., ::2] = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+    if not _basis_captured(coeffs).all():
         raise ConvergenceError("Legendre basis did not capture the ground prolate modes")
-    betas = _concentrations(nodes, coeffs, np.zeros(len(nodes), dtype=bool))
-    # integral e^{-u} g(u) du with g(u) = e^u log_slope(c') / (2 c')
+    betas = _concentrations(nodes, coeffs, np.zeros(nodes.shape[-1], dtype=bool))
+    # integral e^{-u} g(u) du with g(u) = e^u log_slope(c') / (2 c'), one dot per point
     g = np.exp(_LAGUERRE_NODES) * _log_slopes(betas, coeffs) / (2.0 * nodes)
-    return float(_LAGUERRE_WEIGHTS @ g)
+    return np.array([_LAGUERRE_WEIGHTS @ row for row in g])
 
 
 def ground_concentration(c: float | np.ndarray) -> float | np.ndarray:
@@ -524,7 +539,8 @@ def ground_concentration(c: float | np.ndarray) -> float | np.ndarray:
     Below c = 5.6 (1 - beta_0 = 2.1e-4) this is ``pswf_solve_legendre(c, 0)``'s
     beta_0, every such point of an array solved in one stack per basis size
     (``_solve_stacked``), bit for bit the value of a solve of its own.  From
-    there up it is 1 - ``concentration_complement(c)``: the direct beta_0
+    there up it is 1 - ``concentration_complement(c)``, every such point of an
+    array in the complement's one stack per basis size: the direct beta_0
     carries a few ulp of rounding noise, up to 12, which near saturation is a
     large share of 1 - beta_0 and fixes c only to that noise over
     d beta_0 / d ln c (about 4e-14 per ulp at c = 5.6, 9e-14 at c = 6).
@@ -539,8 +555,8 @@ def ground_concentration(c: float | np.ndarray) -> float | np.ndarray:
     out = np.ones(flat.shape)
     low = np.flatnonzero(flat < _GROUND_SWITCH)
     out[low] = _ground_stacked(flat[low])[0]
-    for i in np.flatnonzero((flat >= _GROUND_SWITCH) & (flat < _GROUND_ONE)):
-        out[i] = 1.0 - concentration_complement(float(flat[i]))
+    high = np.flatnonzero((flat >= _GROUND_SWITCH) & (flat < _GROUND_ONE))
+    out[high] = 1.0 - concentration_complement(flat[high])
     return float(out[0]) if cs.ndim == 0 else out.reshape(cs.shape)
 
 
@@ -573,7 +589,8 @@ def ground_parameter(eta: float | np.ndarray) -> float | np.ndarray:
     eta, or of 1 - eta on the complement, or when the miss stops shrinking:
     a vanishing step, a step stuck at the clamp, or the complement's own
     noise.  Every point steps in lockstep, all of them solved in one
-    ``_solve_stacked`` call per step, and stops on its own, so each value is
+    ``_solve_stacked`` call and one ``concentration_complement`` call per
+    step, and stops on its own, so each value is
     bit for bit the one it gets alone.  An eta outside (0, 1) raises
     ``ValueError``, 100 steps without a stop ``ConvergenceError``; an eta
     outside ``ground_range()`` ends at the clamp.
@@ -593,7 +610,7 @@ def ground_parameter(eta: float | np.ndarray) -> float | np.ndarray:
         beta, slope = _ground_stacked(c)
         miss, tol, step = e - beta, 4.0 * np.spacing(e), (e - beta) / slope
         high = np.flatnonzero(c >= _GROUND_SWITCH)
-        q = np.array([concentration_complement(x) for x in c[high].tolist()])
+        q = concentration_complement(c[high])
         r = 1.0 - e[high]
         miss[high], tol[high] = q - r, 4.0 * np.spacing(r)
         step[high] = np.log(q / r) * q / slope[high]

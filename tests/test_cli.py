@@ -491,13 +491,38 @@ class TestManifest:
             assert run(*argv, "--out", str(out)) == 0
             manifest = json.loads((tmp_path / f"{command}.manifest.json").read_text())
             assert set(manifest) == {
-                "command", "parameters", "seed", "grid_report", "artifact_version", "timestamp",
+                "command", "parameters", "seed", "grid_report", "warnings", "artifact_version",
+                "timestamp",
             }
             assert manifest["command"] == command
             assert manifest["parameters"] == parameters
             assert manifest["seed"] == seed
             assert manifest["grid_report"] == grid_report
+            assert manifest["warnings"] == []
             assert manifest["artifact_version"] == tffilter.cli.ARTIFACT_VERSION
+
+    def test_warnings_are_recorded_and_still_shown(self, tmp_path):
+        # 20 brick-wall modes at BT 4: the solver warns that six of them are
+        # unresolvable; the run still succeeds, stderr shows the warning as
+        # before, and the manifest records it without a source path
+        out = tmp_path / "ladder.csv"
+        argv = ["decompose", "--filter", "slepian", "--bt", "4", "--n-modes", "20"]
+        env = dict(os.environ, PYTHONPATH=str(Path(tffilter.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tffilter.cli", *argv, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        message = "concentrations beyond index 13 are below 1e-14 and numerically unresolvable"
+        assert f"UserWarning: {message}" in proc.stderr
+        assert proc.stderr.count("UserWarning") == 1
+        manifest = json.loads((tmp_path / "ladder.csv.manifest.json").read_text())
+        assert manifest["warnings"] == [{"category": "UserWarning", "message": message}]
+        # in process the warning still reaches the caller's filters, and the data is the same
+        again = tmp_path / "again.csv"
+        with pytest.warns(UserWarning, match="index 13"):
+            assert run(*argv, "--out", str(again)) == 0
+        assert again.read_bytes() == out.read_bytes()
 
     def test_no_manifest_without_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

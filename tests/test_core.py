@@ -21,9 +21,7 @@ from tffilter.core import (
     SampledAxis,
     SampledSignal,
     Sif,
-    SpectralWindow,
     StageOrder,
-    TemporalGate,
     apply_filter,
     build_operator,
     centered_axis,
@@ -32,6 +30,7 @@ from tffilter.core import (
     fourier_inverse,
     frequency_axis_for,
     inner_product,
+    parity_blocks,
     recommended_axes,
 )
 from tffilter.gaussian import (
@@ -40,7 +39,13 @@ from tffilter.gaussian import (
     gaussian_sif,
     hermite_gaussian_mode_set,
 )
-from tffilter.noisesim import sample_white_noise
+from tffilter.noisesim import (
+    NoiseEnsembleConfig,
+    filtered_noise_correlation,
+    run_ensemble,
+    sample_white_noise,
+)
+from tffilter.schmidt import decompose_filter
 from tffilter.slepian import RectangularSpectralWindow, RectangularTemporalGate, rectangular_sif
 
 
@@ -205,9 +210,7 @@ class TestQuadratureAxis:
             "fourier_inverse": lambda: fourier_inverse(SampledSignal(f_ax, ones)),
             "frequency_axis_for": lambda: frequency_axis_for(t_ax),
             "apply_filter": lambda: apply_filter(gaussian_sif(0.5, 1.0), SampledSignal(t_ax, ones)),
-            "filter_samples": lambda: filter_samples(
-                TemporalGate(gaussian_sif(0.5, 1.0).temporal), t_ax, ones
-            ),
+            "filter_samples": lambda: filter_samples(gaussian_sif(0.5, 1.0), t_ax, ones),
             "sample_white_noise": lambda: sample_white_noise(t_ax, 0.1, np.random.default_rng(0)),
         }[entry]
         with pytest.raises(DomainMismatchError):
@@ -294,18 +297,12 @@ def test_fourier_parseval_and_round_trip(axis, seed):
     st.floats(min_value=0.1, max_value=5.0),
     st.sampled_from(list(StageOrder)),
     st.floats(min_value=0.05, max_value=1.0),
-    st.sampled_from(["sif", "window", "gate"]),
     st.booleans(),
 )
-def test_filter_samples_never_gains_energy(axis, seed, family, bt, order, loss, kind, spectral):
+def test_filter_samples_never_gains_energy(axis, seed, family, bt, order, loss, spectral):
     # peak-normalized stages and a unitary discrete transform: energy out <= loss^2 energy in
     make = gaussian_sif if family == "gaussian" else rectangular_sif
-    sif = make(bt, 1.0, order, insertion_loss=loss)
-    spec = {
-        "sif": sif,
-        "window": SpectralWindow(sif.spectral, loss),
-        "gate": TemporalGate(sif.temporal, loss),
-    }[kind]
+    spec = make(bt, 1.0, order, insertion_loss=loss)
     sig = random_signal(axis, seed).normalized()
     if spectral:  # the same signal on the centred reciprocal frequency axis
         centred = centered_axis(axis.step, axis.count, Domain.TIME)
@@ -338,22 +335,20 @@ class TestApplyFilter:
     def test_matches_operator_action_gaussian(self):
         # the operator on a centred time axis and its reciprocal frequency
         # axis maps the input's samples in one domain onto the output's in the
-        # other: a window and a gate either way round, a Sif as its order
-        # fixes.  Entries are sqrt(w) K sqrt(w), so the row weight is undone
-        # after acting
+        # other, the way round that the order fixes.  Entries are
+        # sqrt(w) K sqrt(w), so the row weight is undone after acting
         sig = gaussian_pulse(centered_axis(16.0 / 1024, 1024, Domain.TIME)).normalized()
         spectrum = fourier_forward(sig)
         for order in StageOrder:
-            g = gaussian_sif(0.5, 1.0, order)
+            spec = gaussian_sif(0.5, 1.0, order)
             time_rows = order is StageOrder.FREQUENCY_FIRST
             out_side, in_side = (sig, spectrum) if time_rows else (spectrum, sig)
-            for spec in (SpectralWindow(g.spectral), TemporalGate(g.temporal), g):
-                direct = apply_filter(spec, out_side)
-                op = build_operator(spec, out_side.axis, in_side.axis)
-                sr = np.sqrt(out_side.axis.quadrature_weights())
-                sc = np.sqrt(in_side.axis.quadrature_weights())
-                acted = (op.entries @ (sc * in_side.values)) / sr
-                assert np.max(np.abs(direct.values - acted)) < 1e-12, (spec, order)
+            direct = apply_filter(spec, out_side)
+            op = build_operator(spec, out_side.axis, in_side.axis)
+            sr = np.sqrt(out_side.axis.quadrature_weights())
+            sc = np.sqrt(in_side.axis.quadrature_weights())
+            acted = (op.entries @ (sc * in_side.values)) / sr
+            assert np.max(np.abs(direct.values - acted)) < 1e-12, order
 
     def test_insertion_loss_scales_output(self):
         full = gaussian_sif(0.5, 1.0)
@@ -374,9 +369,8 @@ class TestApplyFilter:
         spec = gaussian_sif(0.5, 1.0)
         f_ax = centered_axis(np.pi / 2, 256, Domain.ANGULAR_FREQUENCY)
         spectrum = SampledSignal(f_ax, spec.spectral.window(f_ax.points))
-        for stage in (spec, TemporalGate(spec.temporal)):
-            with pytest.raises(ResolutionError, match="gate support"):
-                apply_filter(stage, spectrum)
+        with pytest.raises(ResolutionError, match="gate support"):
+            apply_filter(spec, spectrum)
 
     def test_output_energy_below_input(self):
         spec = gaussian_sif(0.5, 1.0)
@@ -386,17 +380,14 @@ class TestApplyFilter:
 
 
     @pytest.mark.parametrize("domain", [Domain.TIME, Domain.ANGULAR_FREQUENCY])
-    @pytest.mark.parametrize("kind", ["sif_frequency_first", "sif_time_first", "window", "gate"])
+    @pytest.mark.parametrize("kind", ["sif_frequency_first", "sif_time_first"])
     def test_filter_samples_rows_match_apply_filter(self, kind, domain):
         # a (rows, n) block filters row by row like apply_filter, and the
         # caller's block is left untouched
         ax = centered_axis(16.0 / 1024, 1024, Domain.TIME)
-        g = gaussian_sif(0.5, 1.0)
         spec = {
-            "sif_frequency_first": g,
+            "sif_frequency_first": gaussian_sif(0.5, 1.0),
             "sif_time_first": gaussian_sif(0.5, 1.0, StageOrder.TIME_FIRST),
-            "window": SpectralWindow(g.spectral, 0.9),
-            "gate": TemporalGate(g.temporal, 0.8),
         }[kind]
         rng = np.random.default_rng(5)
         rows = [
@@ -418,14 +409,11 @@ class TestApplyFilter:
         assert np.array_equal(block, out)
 
 
-def stage_by_stage(spec, signal: SampledSignal) -> np.ndarray:
+def stage_by_stage(spec: Sif, signal: SampledSignal) -> np.ndarray:
     """``spec`` applied one stage at a time, each in its own domain, by the public transforms."""
-    if isinstance(spec, Sif):
-        stages = [("window", spec.spectral), ("gate", spec.temporal)]
-        if spec.order is StageOrder.TIME_FIRST:
-            stages.reverse()
-    else:
-        stages = [("window" if isinstance(spec, SpectralWindow) else "gate", spec.profile)]
+    stages = [("window", spec.spectral), ("gate", spec.temporal)]
+    if spec.order is StageOrder.TIME_FIRST:
+        stages.reverse()
     on_time = signal.axis.domain is Domain.TIME
     sig = signal
     for kind, profile in stages:
@@ -455,7 +443,7 @@ class TestTransportOracle:
     )
     @pytest.mark.parametrize(
         "kind",
-        ["gaussian_ff", "gaussian_tf", "brickwall_ff", "brickwall_tf", "window", "gate"],
+        ["gaussian_ff", "gaussian_tf", "brickwall_ff", "brickwall_tf"],
     )
     def test_matches_stage_by_stage(self, kind, axis):
         g = gaussian_sif(1.5, 1.0, insertion_loss=0.9)
@@ -464,8 +452,6 @@ class TestTransportOracle:
             "gaussian_tf": replace(g, order=StageOrder.TIME_FIRST),
             "brickwall_ff": rectangular_sif(2.0, 1.0, insertion_loss=0.8),
             "brickwall_tf": rectangular_sif(2.0, 1.0, StageOrder.TIME_FIRST, insertion_loss=0.8),
-            "window": SpectralWindow(g.spectral, 0.7),
-            "gate": TemporalGate(g.temporal, 0.6),
         }[kind]
         rng = np.random.default_rng(17)
         rows = rng.standard_normal((3, axis.count)) + 1j * rng.standard_normal((3, axis.count))
@@ -480,8 +466,6 @@ class TestTransportOracle:
         spec = gaussian_sif(1.5, 1.0)
         with pytest.raises(DomainMismatchError, match="centered"):
             filter_samples(spec, shifted, np.ones(ax.count, dtype=complex))
-        window = SpectralWindow(spec.spectral)  # pointwise there, so no grid condition
-        assert filter_samples(window, shifted, np.ones(ax.count)).shape == (ax.count,)
 
 
 class TestFourierOwnership:
@@ -540,12 +524,6 @@ class TestOperator:
         assert op.frobenius_sq() == pytest.approx(0.5, rel=1e-12)
         assert op.entries.shape == (rows.count, cols.count)
 
-    def test_pointwise_diagonal_keeps_profile_dtype(self):
-        ax = centered_axis(0.05, 64, Domain.TIME)
-        op = build_operator(TemporalGate(gaussian_sif(0.5, 1.0).temporal), ax, ax)
-        assert op.entries.dtype == np.float64
-        assert np.array_equal(np.diag(op.entries), gaussian_sif(0.5, 1.0).temporal.gate(ax.points))
-
     def test_mixed_and_coherent_entries_stay_complex(self):
         # the Fourier phase of the mixed brick-wall kernel keeps the matrix complex
         ff = rectangular_sif(0.8, 1.0)
@@ -602,35 +580,65 @@ class TestOperator:
 
     def test_zero_kernel_is_refused(self):
         # peak-normalized profiles never give a kernel that vanishes at every
-        # sample of a grid that covers the filter: not for a Sif, nor for a
-        # lone stage, mixed or diagonal
-        spec = gaussian_sif(0.5, 1.0)
-        t_ax, f_ax = recommended_axes(spec, resolution=64)
+        # sample of a grid that covers the filter: a Sif whose rows, columns
+        # or both miss its support is refused, in either order
+        ff = gaussian_sif(0.5, 1.0)
+        tf = replace(ff, order=StageOrder.TIME_FIRST)
+        t_ax, f_ax = recommended_axes(ff, resolution=64)
         far = SampledAxis(100.0, 0.01, 64, Domain.TIME)
         far_freq = SampledAxis(1000.0, 0.1, 64, Domain.ANGULAR_FREQUENCY)
-        gate, window = TemporalGate(spec.temporal), SpectralWindow(spec.spectral)
         for filt, rows, cols in (
-            (spec, far, f_ax),
-            (gate, f_ax, far),
-            (gate, far, f_ax),
-            (gate, far, far),
-            (window, t_ax, far_freq),
-            (window, far_freq, t_ax),
-            (window, far_freq, far_freq),
+            (ff, far, f_ax),
+            (ff, t_ax, far_freq),
+            (ff, far, far_freq),
+            (tf, f_ax, far),
+            (tf, far_freq, t_ax),
+            (tf, far_freq, far),
         ):
             with pytest.raises(ResolutionError, match="kernel vanishes"):
                 build_operator(filt, rows, cols)
 
     @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.name.lower())
     def test_same_domain_pairs_are_refused(self, domain):
-        # a window, gate or Sif has one kernel, the mixed time x frequency
-        # one; only a lone stage on its own domain is a diagonal
+        # a Sif has one kernel, the mixed time x frequency one, in either order
         g = gaussian_sif(0.5, 1.0)
         ax = centered_axis(0.1, 64, domain)
-        if domain is Domain.TIME:
-            foreign = SpectralWindow(g.spectral)
-        else:
-            foreign = TemporalGate(g.temporal)
-        for spec in (g, replace(g, order=StageOrder.TIME_FIRST), foreign):
+        for spec in (g, replace(g, order=StageOrder.TIME_FIRST)):
             with pytest.raises(DomainMismatchError):
                 build_operator(spec, ax, ax)
+
+
+FILTER_ENTRY_POINTS = [
+    "apply_filter", "filter_samples", "build_operator", "parity_blocks", "recommended_axes",
+    "decompose_filter", "run_ensemble", "filtered_noise_correlation",
+]
+
+
+@pytest.mark.parametrize("entry", FILTER_ENTRY_POINTS)
+@pytest.mark.parametrize("stage", ["spectral", "temporal"])
+def test_entry_points_refuse_anything_but_a_sif(entry, stage):
+    # a lone window or gate has no Schmidt ladder: every entry point that takes
+    # a filter refuses a bare profile with one TypeError, never an AttributeError
+    # from deep inside, and samples nothing of it first
+    profile = getattr(gaussian_sif(0.5, 1.0), stage)
+    sampled = []
+    profile.window = profile.gate = lambda x: sampled.append(x)
+    ax = centered_axis(16.0 / 1024, 1024, Domain.TIME)
+    sig = gaussian_pulse(ax).normalized()
+    t_ax, f_ax = recommended_axes(gaussian_sif(0.5, 1.0), resolution=64)
+    call = {
+        "apply_filter": lambda: apply_filter(profile, sig),
+        "filter_samples": lambda: filter_samples(profile, ax, sig.values),
+        "build_operator": lambda: build_operator(profile, t_ax, f_ax),
+        "parity_blocks": lambda: parity_blocks(profile, t_ax, f_ax),
+        "recommended_axes": lambda: recommended_axes(profile),
+        "decompose_filter": lambda: decompose_filter(profile),
+        "run_ensemble": lambda: run_ensemble(NoiseEnsembleConfig(0.1, 1.0, sig, 10, 0), profile),
+        "filtered_noise_correlation": lambda: filtered_noise_correlation(
+            profile, 0.25, 1000, np.array([0.0]), seed=0
+        ),
+    }[entry]
+    name = type(profile).__name__
+    with pytest.raises(TypeError, match=f"^unknown filter specification {name}$"):
+        call()
+    assert sampled == []

@@ -15,9 +15,7 @@ from tffilter.core import (
     ResolutionError,
     SampledAxis,
     SampledSignal,
-    SpectralWindow,
     StageOrder,
-    TemporalGate,
     apply_filter,
     centered_axis,
     filter_samples,
@@ -286,8 +284,6 @@ class TestEnsembleStatistics:
 FAST_PATH_CASES = {
     "gaussian_frequency_first": (lambda: gaussian_sif(0.5, 1.0), 5),
     "rectangular_time_first": (lambda: rectangular_sif(2.0, 1.0, StageOrder.TIME_FIRST), 5),
-    "lone_spectral_window": (lambda: SpectralWindow(gaussian_sif(0.5, 1.0).spectral, 0.9), 5),
-    "lone_temporal_gate": (lambda: TemporalGate(gaussian_sif(0.5, 1.0).temporal, 0.8), 5),
     "second_block": (lambda: gaussian_sif(0.5, 1.0), 300),
 }
 

@@ -15,6 +15,7 @@ from tffilter.core import (
     StageOrder,
     inner_product,
 )
+from tffilter import slepian
 from tffilter.schmidt import decompose_filter
 from tffilter.slepian import (
     BASIS_LIMIT,
@@ -335,6 +336,64 @@ class TestGroundConcentration:
         cs = np.array(cs)
         batch = ground_concentration(cs)
         assert [float(b) for b in batch] == [ground_concentration(float(c)) for c in cs]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=0.5, max_value=25.0),
+                # either side of a basis-size step: the size follows int of the
+                # largest Laguerre node, c + 0.5 * 37.099...
+                st.builds(
+                    lambda k, eps: k - 0.5 * float(slepian._LAGUERRE_NODES[-1]) + eps,
+                    st.integers(20, 43),
+                    st.floats(-1e-9, 1e-9),
+                ),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_complement_array_matches_one_point_calls_bit_for_bit(self, cs):
+        # points sharing a basis size share one eigensolve and one solve; each
+        # point's 12 terms are still summed on their own
+        batch = concentration_complement(np.array(cs))
+        assert batch.tolist() == [concentration_complement(c) for c in cs]
+
+    def test_one_stacked_complement_solve_per_basis_size_per_step(self, monkeypatch):
+        # a Newton step of ground_parameter solves its complement-range points
+        # in one stack per basis size, not one point at a time
+        events = []
+        stacked, ground = slepian._complement_stacked, slepian._ground_stacked
+
+        def spy_complement(nodes, size):
+            events.append(("complement", len(nodes), size))
+            return stacked(nodes, size)
+
+        def spy_ground(cs):
+            events.append(("step", cs.copy()))
+            return ground(cs)
+
+        monkeypatch.setattr(slepian, "_complement_stacked", spy_complement)
+        monkeypatch.setattr(slepian, "_ground_stacked", spy_ground)
+        eta = 1.0 - np.geomspace(2e-4, 1e-13, 50)
+        ground_parameter(eta)
+        steps = [i for i, ev in enumerate(events) if ev[0] == "step"]
+        assert len(steps) > 1
+        half_top = 0.5 * slepian._LAGUERRE_NODES[-1]
+        for first, last in zip(steps, steps[1:] + [len(events)]):
+            cs = events[first][1]
+            high = cs[cs >= slepian._GROUND_SWITCH]
+            sizes = [int(c + half_top) + 32 for c in high.tolist()]
+            calls = events[first + 1 : last]
+            assert sorted(size for _, _, size in calls) == sorted(set(sizes))
+            assert sum(count for _, count, _ in calls) == len(high)
+        # the curve itself: one stack per basis size over 40 points
+        events.clear()
+        cs = np.linspace(5.6, 17.0, 40)
+        ground_concentration(cs)
+        sizes = {int(c + half_top) + 32 for c in cs.tolist()}
+        assert sorted(ev[2] for ev in events if ev[0] == "complement") == sorted(sizes)
 
     def test_inverse_returns_the_parameter_on_the_curve(self):
         cs = np.array([[1e-3, 0.3, 2.0], [5.0, 8.0, 17.0]])
