@@ -43,9 +43,8 @@ from .core import (
     SampledAxis,
     SampledSignal,
     Sif,
-    SpectralWindowProfile,
     StageOrder,
-    TemporalGateProfile,
+    StageProfile,
     TruncationError,
     TruncationWarning,
     apply_filter,
@@ -58,9 +57,8 @@ from .core import (
     recommended_axes,
 )
 from .gaussian import (
+    GaussianProfile,
     GaussianSif,
-    GaussianSpectralWindow,
-    GaussianTemporalGate,
     gaussian_sif,
     gaussian_singular_values,
     gaussian_tradeoff,
@@ -102,9 +100,8 @@ from .schmidt import (
 )
 from .slepian import (
     PswfSolution,
+    RectangularProfile,
     RectangularSif,
-    RectangularSpectralWindow,
-    RectangularTemporalGate,
     concentration_complement,
     full_line_gram,
     ground_concentration,
@@ -127,8 +124,7 @@ __all__ = [
     "SampledAxis",
     "QuadratureAxis",
     "SampledSignal",
-    "SpectralWindowProfile",
-    "TemporalGateProfile",
+    "StageProfile",
     "Sif",
     "OperatorMatrix",
     "DomainMismatchError",
@@ -152,8 +148,7 @@ __all__ = [
     "project_onto_input_mode",
     "reconstruct_kernel",
     # gaussian
-    "GaussianSpectralWindow",
-    "GaussianTemporalGate",
+    "GaussianProfile",
     "GaussianSif",
     "gaussian_sif",
     "mehler_u",
@@ -161,8 +156,7 @@ __all__ = [
     "hermite_gaussian_mode_set",
     "gaussian_tradeoff",
     # slepian
-    "RectangularSpectralWindow",
-    "RectangularTemporalGate",
+    "RectangularProfile",
     "RectangularSif",
     "rectangular_sif",
     "PswfSolution",

@@ -18,10 +18,15 @@ single-signal wrappers.
 
 A filter is a ``Sif``, a sequential incoherent filter: a spectral window,
 pointwise multiplication by R~(w) in frequency, and a time gate, pointwise
-multiplication by Q(t) in time, composed in a declared order.  A lone window
-or gate is not a filter here: its kernel is a diagonal, or a diagonal times a
-Fourier factor, which is not Hilbert-Schmidt and has no Schmidt ladder.
-Every entry point that takes a filter raises ``TypeError`` for anything else.
+multiplication by Q(t) in time, composed in a declared order.  Window and
+gate are one type, a ``StageProfile`` on one of the two domains; a family
+(``GaussianProfile``, ``RectangularProfile``) is one class whose instances
+live on either.  Code that needs a particular stage reads it by domain, or
+as the input or output stage of ``Sif.stages``, never by its class.  A lone
+window or gate is not a filter here: its kernel is a diagonal, or a diagonal
+times a Fourier factor, which is not Hilbert-Schmidt and has no Schmidt
+ladder.  Every entry point that takes a filter raises ``TypeError`` for
+anything else.
 
 Each axis type has one integration rule, and ``integrate`` and
 ``quadrature_weights()`` both apply it: the Riemann sum, ``measure`` per
@@ -36,7 +41,8 @@ pairs a ``QuadratureAxis`` of Gauss-Legendre nodes inside the supports instead.
 The matrix is ``complex128``, for the Fourier phase of the kernel.
 
 A Sif has one kernel, the mixed time x frequency one, Q(t) exp(-+i w t) R~(w),
-which needs nothing of the profiles but ``gate()`` and ``window()``.
+the output stage on the rows times the input stage on the columns, which needs
+nothing of the profiles but their values.
 ``recommended_axes`` picks each of its two axes from that axis's own profile,
 and ``parity_blocks`` renders a Sif whose profiles are both ``even`` as two
 half-size blocks, the kernel's even and odd parts on the positive
@@ -60,8 +66,7 @@ __all__ = [
     "SampledAxis",
     "QuadratureAxis",
     "SampledSignal",
-    "SpectralWindowProfile",
-    "TemporalGateProfile",
+    "StageProfile",
     "StageOrder",
     "Sif",
     "OperatorMatrix",
@@ -372,56 +377,41 @@ def fourier_inverse(signal: SampledSignal, time_axis: SampledAxis | None = None)
 
 
 # ---------------------------------------------------------------------------
-# filter profiles (concrete families live in gaussian.py / slepian.py)
+# stage profiles (concrete families live in gaussian.py / slepian.py) and filters
 
 
-class SpectralWindowProfile:
-    """Stationary spectral window R~(w), peak-normalized to max |R~| = 1.
+class StageProfile:
+    """One stage of a Sif: a profile p(x), peak-normalized to max |p| = 1, on one domain.
 
-    Subclasses provide the window, the intensity-integral bandwidth
-    B = integral |R~(w)|^2 dw/2pi (in Hz) and its spectral support radius.
-    ``compact_spectral`` marks windows that vanish identically outside a
-    finite band.  ``even`` marks windows with R~(-w) = R~(w); a Sif whose
-    window and gate are both even is decomposed by
+    On ``Domain.TIME`` it is a time gate Q(t), on ``Domain.ANGULAR_FREQUENCY``
+    a spectral window R~(w): one type serves both, and a family subclass keeps
+    its per-domain constants.
+    ``width`` is integral |p|^2 under the domain's measure: the integral
+    duration T = integral |Q(t)|^2 dt (in s) of a gate, the intensity
+    bandwidth B = integral |R~(w)|^2 dw/2pi (in Hz) of a window.  Subclasses
+    provide the profile, by calling the instance, and its support radius.
+    ``compact`` marks profiles that vanish identically outside a finite
+    support.  ``even`` marks profiles with p(-x) = p(x); a Sif whose two
+    stages are both even is decomposed by
     :func:`tffilter.schmidt.decompose_filter` as two half-size parity blocks
     (see :func:`parity_blocks`).
     """
 
-    bandwidth_hz: float
-    compact_spectral: bool = False
+    compact: bool = False
     even: bool = False
 
-    def window(self, omega: np.ndarray) -> np.ndarray:
+    def __init__(self, width: float, domain: Domain) -> None:
+        if not width > 0:
+            raise ValueError("profile width must be positive")
+        self.width = float(width)
+        self.domain = Domain(domain)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def spectral_support(self, tol: float = 1e-12) -> float:
-        """Radius r with |R~(w)| <= tol for |w| > r."""
+    def support(self, tol: float = 1e-12) -> float:
+        """Radius r with |p(x)| <= tol for |x| > r."""
         raise NotImplementedError
-
-
-class TemporalGateProfile:
-    """Time gate Q(t), peak-normalized to max |Q| = 1.
-
-    Subclasses provide the gate, the integral duration T = integral |Q(t)|^2
-    dt (in s) and its temporal support radius.  ``compact_temporal`` marks
-    gates that vanish identically outside a finite interval.  ``even`` marks
-    gates with Q(-t) = Q(t), as on :class:`SpectralWindowProfile`.
-    """
-
-    duration_s: float
-    compact_temporal: bool = False
-    even: bool = False
-
-    def gate(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def temporal_support(self, tol: float = 1e-12) -> float:
-        """Radius r with |Q(t)| <= tol for |t| > r."""
-        raise NotImplementedError
-
-
-# ---------------------------------------------------------------------------
-# filter specifications
 
 
 class StageOrder(enum.Enum):
@@ -433,16 +423,40 @@ class StageOrder(enum.Enum):
 
 @dataclass(frozen=True)
 class Sif:
-    """Sequential incoherent filter: spectral window and time gate in a declared order."""
+    """Sequential incoherent filter: spectral window and time gate in a declared order.
 
-    spectral: SpectralWindowProfile
-    temporal: TemporalGateProfile
+    ``spectral`` must be a :class:`StageProfile` whose ``domain`` is
+    ``ANGULAR_FREQUENCY`` and ``temporal`` one whose ``domain`` is ``TIME``;
+    anything else raises :class:`DomainMismatchError`.
+    """
+
+    spectral: StageProfile
+    temporal: StageProfile
     order: StageOrder = StageOrder.FREQUENCY_FIRST
     insertion_loss: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.insertion_loss <= 1.0):
             raise ValueError("insertion_loss must lie in (0, 1]")
+        for name, domain in (("spectral", Domain.ANGULAR_FREQUENCY), ("temporal", Domain.TIME)):
+            found = getattr(getattr(self, name), "domain", None)
+            if found is not domain:
+                raise DomainMismatchError(
+                    f"the {name} stage must be a StageProfile on {domain.value}, "
+                    f"got {type(getattr(self, name)).__name__} on {found}"
+                )
+
+    @property
+    def bt(self) -> float:
+        """Time-bandwidth product: the window's width B times the gate's width T."""
+        return self.spectral.width * self.temporal.width
+
+    @property
+    def stages(self) -> tuple[StageProfile, StageProfile]:
+        """(input, output): the stage that acts first, then the one that acts on its result."""
+        if self.order is StageOrder.FREQUENCY_FIRST:
+            return self.spectral, self.temporal
+        return self.temporal, self.spectral
 
 
 def _require_sif(spec: Sif) -> None:
@@ -462,25 +476,24 @@ def _check_grid(spec: Sif, ax: SampledAxis) -> None:
     frequency axis it must also be 10 bandwidths wide, and the gate acts on
     the reciprocal time grid, whose half-span pi/dw must cover the gate support.
     """
-    window, gate = spec.spectral, spec.temporal
+    b = spec.spectral.width
     on_time = _uniform(ax).domain is Domain.TIME
-    if on_time and ax.step > 1.0 / (10.0 * window.bandwidth_hz):
-        b_est = window.bandwidth_hz
+    if on_time and ax.step > 1.0 / (10.0 * b):
         raise ResolutionError(
-            f"time step {ax.step:g} too coarse for filter bandwidth {b_est:g} Hz "
-            f"(need dt <= {1.0 / (10.0 * b_est):g})"
+            f"time step {ax.step:g} too coarse for filter bandwidth {b:g} Hz "
+            f"(need dt <= {1.0 / (10.0 * b):g})"
         )
     span, stage = ("time", "gate") if on_time else ("frequency", "window")
-    r = gate.temporal_support(1e-12) if on_time else window.spectral_support(1e-12)
+    r = (spec.temporal if on_time else spec.spectral).support(1e-12)
     if ax.start > -r or ax.stop < r:
         raise ResolutionError(
             f"{span} span [{ax.start:g}, {ax.stop:g}] does not cover the {stage} support +-{r:g}"
         )
     if on_time:
         return
-    if ax.span < 20.0 * np.pi * window.bandwidth_hz:
+    if ax.span < 20.0 * np.pi * b:
         raise ResolutionError("frequency span too narrow for the filter bandwidth")
-    r = gate.temporal_support(1e-12)
+    r = spec.temporal.support(1e-12)
     if np.pi / ax.step < r:
         raise ResolutionError(
             f"frequency step {ax.step:g} too coarse: the reciprocal time grid's "
@@ -512,8 +525,8 @@ def _filter_samples(
     """:func:`filter_samples` written into ``out``: None for a fresh array, or a
     complex ``values`` itself to filter it in place."""
     on_time = _uniform(axis).domain is Domain.TIME
-    q, r = spec.temporal.gate, spec.spectral.window
-    native, other = (q, r) if on_time else (r, q)
+    first, last = spec.stages
+    native, other = (first, last) if first.domain is axis.domain else (last, first)
     if on_time:
         far = frequency_axis_for(axis)
     else:
@@ -528,7 +541,7 @@ def _filter_samples(
     mid = inner_a * inner_b * other(far.points)
     post *= spec.insertion_loss
     # the stage native to the axis acts first or last
-    side = pre if (spec.order is StageOrder.TIME_FIRST) is on_time else post
+    side = pre if native is first else post
     side *= native(axis.points)
     out = np.multiply(values, pre, out=out)
     fft_a(out, axis=-1, out=out)
@@ -593,21 +606,18 @@ def _mixed_kernel(
 ) -> tuple[np.ndarray, int]:
     """(amplitude, sign s) of the Sif kernel amplitude * exp(i s outer(rp, cp)).
 
-    The amplitude is Q(t) R~(w), on time rows x frequency columns for
-    FREQUENCY_FIRST and on the transpose for TIME_FIRST; a same-domain
-    pairing has no such kernel.
+    The amplitude is the output stage on the rows times the input stage on
+    the columns, so the rows lie in the output stage's domain and the columns
+    in the input stage's: time rows x frequency columns for FREQUENCY_FIRST,
+    the transpose for TIME_FIRST.  Any other pairing has no such kernel.
     """
-    time_rows = rdom is Domain.TIME
-    if rdom is cdom or time_rows is not (spec.order is StageOrder.FREQUENCY_FIRST):
+    first, last = spec.stages
+    if (rdom, cdom) != (last.domain, first.domain):
         raise DomainMismatchError(
             "a Sif's kernel needs the mixed representation: time rows x frequency "
             "columns for FREQUENCY_FIRST, the transpose for TIME_FIRST"
         )
-    t, w = (rp, cp) if time_rows else (cp, rp)
-    q, r = spec.temporal.gate(t), spec.spectral.window(w)
-    if time_rows:
-        return q[:, None] * r[None, :], -1
-    return r[:, None] * q[None, :], 1
+    return last(rp)[:, None] * first(cp)[None, :], -1 if rdom is Domain.TIME else 1
 
 
 def _peak(amplitude: np.ndarray) -> float:
@@ -737,9 +747,7 @@ def parity_blocks(spec: Sif, rows: Axis, cols: Axis) -> ParityBlocks:
 # default discretization axes
 
 
-def _profile_axis(
-    profile: SpectralWindowProfile | TemporalGateProfile, resolution: int = 1024
-) -> Axis:
+def _profile_axis(profile: StageProfile, resolution: int = 1024) -> Axis:
     """The axis every integral of ``profile`` over its own domain runs on.
 
     A profile compact in its own domain gets ``resolution`` Gauss-Legendre
@@ -747,27 +755,19 @@ def _profile_axis(
     ``resolution`` samples spanning its support radius at tolerance 1e-13.
     Its ``quadrature_weights()`` carry the domain's measure (dt, or dw/2pi).
     """
-    if isinstance(profile, SpectralWindowProfile):
-        compact, support = profile.compact_spectral, profile.spectral_support
-        domain = Domain.ANGULAR_FREQUENCY
-    else:
-        compact, support, domain = profile.compact_temporal, profile.temporal_support, Domain.TIME
-    if compact:
-        return QuadratureAxis(support(), resolution, domain)
-    half = support(1e-13)
-    return SampledAxis(-half, 2.0 * half / (resolution - 1), resolution, domain)
+    if profile.compact:
+        return QuadratureAxis(profile.support(), resolution, profile.domain)
+    half = profile.support(1e-13)
+    return SampledAxis(-half, 2.0 * half / (resolution - 1), resolution, profile.domain)
 
 
 def recommended_axes(spec: Sif, resolution: int = 1024) -> tuple[Axis, Axis]:
     """(rows, cols) of the Sif's mixed representation, each axis chosen by its own profile.
 
-    Each axis is :func:`_profile_axis` of its profile at ``resolution``.
-    Time rows x frequency columns for FREQUENCY_FIRST, the transpose for
-    TIME_FIRST.
+    The rows are :func:`_profile_axis` of the output stage at ``resolution``,
+    the columns that of the input stage: time rows x frequency columns for
+    FREQUENCY_FIRST, the transpose for TIME_FIRST.
     """
     _require_sif(spec)
-    t_ax = _profile_axis(spec.temporal, resolution)
-    f_ax = _profile_axis(spec.spectral, resolution)
-    if spec.order is StageOrder.FREQUENCY_FIRST:
-        return t_ax, f_ax
-    return f_ax, t_ax
+    first, last = spec.stages
+    return _profile_axis(last, resolution), _profile_axis(first, resolution)

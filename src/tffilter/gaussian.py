@@ -1,6 +1,8 @@
 """Gaussian spectral window + Gaussian time gate: closed-form Schmidt data.
 
-For a Gaussian window R~(w) = exp(-w^2 / (8 pi B^2)) and Gaussian gate
+One class, ``GaussianProfile(width, domain)``, is both stages: exp(-a x^2 / b)
+with (a, b) = (1, 8 pi B^2) on frequency and (pi, 2 T^2) on time.  For the
+window R~(w) = exp(-w^2 / (8 pi B^2)) and the gate
 Q(t) = exp(-pi t^2 / (2 T^2)) the sequential filter kernel is a Mehler kernel,
 so every Schmidt quantity is analytic in the single product B*T:
 
@@ -27,14 +29,12 @@ from .core import (
     SampledAxis,
     SampledSignal,
     Sif,
-    SpectralWindowProfile,
     StageOrder,
-    TemporalGateProfile,
+    StageProfile,
 )
 
 __all__ = [
-    "GaussianSpectralWindow",
-    "GaussianTemporalGate",
+    "GaussianProfile",
     "GaussianSif",
     "gaussian_sif",
     "mehler_u",
@@ -43,53 +43,31 @@ __all__ = [
     "gaussian_tradeoff",
 ]
 
-_SUPPORT_TOL_DEFAULT = 1e-12
 
+class GaussianProfile(StageProfile):
+    """exp(-a x^2 / b), unit peak, with integral |p|^2 exactly ``width`` under the domain's measure.
 
-def _gauss_radius(sigma: float, tol: float) -> float:
-    """Radius where exp(-x^2 / (2 sigma^2)) falls to tol."""
-    return sigma * np.sqrt(2.0 * np.log(1.0 / tol))
+    On frequency (a, b) = (1, 8 pi B^2), the window R~(w) of bandwidth B; on
+    time (a, b) = (pi, 2 T^2), the gate Q(t) of duration T.
+    """
 
-
-class GaussianSpectralWindow(SpectralWindowProfile):
-    """R~(w) = exp(-w^2 / (8 pi B^2)); intensity-integral bandwidth exactly B."""
-
-    compact_spectral = False
     even = True
 
-    def __init__(self, bandwidth_hz: float) -> None:
-        if bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
-        self.bandwidth_hz = float(bandwidth_hz)
-        # |R~|^2 = exp(-w^2/(4 pi B^2)): std sigma = B sqrt(2 pi), integral dw/2pi = B
-        self._sigma_w = 2.0 * bandwidth_hz * np.sqrt(np.pi)  # amplitude 1/e^(1/2) width
+    def __init__(self, width: float, domain: Domain) -> None:
+        super().__init__(width, domain)
+        width = self.width  # _sigma is the amplitude's 1/e^(1/2) radius
+        if self.domain is Domain.TIME:
+            self._a, self._b, self._sigma = np.pi, 2.0 * width**2, width / np.sqrt(np.pi)
+        else:  # |R~|^2 = exp(-w^2/(4 pi B^2)): std B sqrt(2 pi), integral dw/2pi = B
+            self._a, self._b, self._sigma = 1.0, 8.0 * np.pi * width**2, 2.0 * width * np.sqrt(np.pi)
 
-    def window(self, omega: np.ndarray) -> np.ndarray:
-        x = np.asarray(omega, dtype=float)
-        return np.exp(-(x**2) / (8.0 * np.pi * self.bandwidth_hz**2))
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.exp(-(self._a * x**2) / self._b)
 
-    def spectral_support(self, tol: float = _SUPPORT_TOL_DEFAULT) -> float:
-        return _gauss_radius(self._sigma_w, tol)
-
-
-class GaussianTemporalGate(TemporalGateProfile):
-    """Q(t) = exp(-pi t^2 / (2 T^2)); integral duration exactly T."""
-
-    compact_temporal = False
-    even = True
-
-    def __init__(self, duration_s: float) -> None:
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        self.duration_s = float(duration_s)
-        self._sigma_t = duration_s / np.sqrt(np.pi)
-
-    def gate(self, t: np.ndarray) -> np.ndarray:
-        x = np.asarray(t, dtype=float)
-        return np.exp(-np.pi * x**2 / (2.0 * self.duration_s**2))
-
-    def temporal_support(self, tol: float = _SUPPORT_TOL_DEFAULT) -> float:
-        return _gauss_radius(self._sigma_t, tol)
+    def support(self, tol: float = 1e-12) -> float:
+        """Radius where exp(-x^2 / (2 sigma^2)), sigma = ``_sigma``, falls to tol."""
+        return self._sigma * np.sqrt(2.0 * np.log(1.0 / tol))
 
 
 def mehler_u(bt: float | np.ndarray) -> float | np.ndarray:
@@ -109,10 +87,6 @@ class GaussianSif(Sif):
     """Gaussian + Gaussian sequential filter with its closed-form Schmidt scalars."""
 
     @property
-    def bt(self) -> float:
-        return self.spectral.bandwidth_hz * self.temporal.duration_s
-
-    @property
     def alpha(self) -> float:
         """Frequency-domain width scale of the input Schmidt modes."""
         return self._widths[0]
@@ -124,12 +98,14 @@ class GaussianSif(Sif):
 
     @property
     def _widths(self) -> tuple[float, float]:
-        """(input, output) width scales: the window side's and the gate side's,
-        in stage order."""
-        b, t, bt = self.spectral.bandwidth_hz, self.temporal.duration_s, self.bt
-        window = 2.0 * np.sqrt(np.pi) * b * (1.0 + (2.0 * bt) ** 2) ** (-0.25)
-        gate = (np.sqrt(np.pi) / t) * (1.0 + (2.0 * bt) ** 2) ** 0.25
-        return (window, gate) if self.order is StageOrder.FREQUENCY_FIRST else (gate, window)
+        """(input, output) width scales, each that of its stage's domain."""
+        b, t, bt = self.spectral.width, self.temporal.width, self.bt
+        scale = {
+            Domain.ANGULAR_FREQUENCY: 2.0 * np.sqrt(np.pi) * b * (1.0 + (2.0 * bt) ** 2) ** (-0.25),
+            Domain.TIME: (np.sqrt(np.pi) / t) * (1.0 + (2.0 * bt) ** 2) ** 0.25,
+        }
+        first, last = self.stages
+        return scale[first.domain], scale[last.domain]
 
 
 def gaussian_sif(
@@ -139,7 +115,10 @@ def gaussian_sif(
     insertion_loss: float = 1.0,
 ) -> GaussianSif:
     return GaussianSif(
-        GaussianSpectralWindow(bandwidth_hz), GaussianTemporalGate(duration_s), order, insertion_loss
+        GaussianProfile(bandwidth_hz, Domain.ANGULAR_FREQUENCY),
+        GaussianProfile(duration_s, Domain.TIME),
+        order,
+        insertion_loss,
     )
 
 

@@ -97,10 +97,11 @@ def bt_from_profiles(spec: Sif) -> float:
     quadrature weights of the profile's own axis (:func:`tffilter.core._profile_axis`),
     the weights a ladder's ``total_power`` is summed with.
     """
-    w_ax, t_ax = _profile_axis(spec.spectral), _profile_axis(spec.temporal)
-    b = np.abs(spec.spectral.window(w_ax.points)) ** 2 @ w_ax.quadrature_weights()
-    t = np.abs(spec.temporal.gate(t_ax.points)) ** 2 @ t_ax.quadrature_weights()
-    return float(b * t)
+    product = 1.0
+    for stage in (spec.spectral, spec.temporal):
+        axis = _profile_axis(stage)
+        product *= np.abs(stage(axis.points)) ** 2 @ axis.quadrature_weights()
+    return float(product)
 
 
 def analytic_snr(signal_energy: float, noise_psd: float, discriminativity: float) -> float:

@@ -416,10 +416,10 @@ def snr_setup(family: str, bt: float) -> tuple[Sif, SampledAxis, SampledSignal, 
     if family == "gaussian":
         spec = gaussian_sif(bt, 1.0)
         dt = min(1.0 / (12.0 * bt), 1.0 / 12.0)
-        gate_reach = spec.temporal.temporal_support(1e-12)
+        gate_reach = spec.temporal.support(1e-12)
         mode_reach = 6.0 / min(spec.alpha, spec.beta)
         half = max(gate_reach, mode_reach) + 1.0
-        count = 1 << max(10, int(np.ceil(np.log2(2.0 * half / dt))))
+        count = 2.0 ** max(10, np.ceil(np.log2(2.0 * half / dt)))
         mode_set, tradeoff = hermite_gaussian_mode_set, gaussian_tradeoff
     elif family == "slepian":
         spec = rectangular_sif(bt, 1.0, order=StageOrder.TIME_FIRST)
@@ -428,16 +428,16 @@ def snr_setup(family: str, bt: float) -> tuple[Sif, SampledAxis, SampledSignal, 
         j = max(60, int(np.ceil(5.0 * bt)))
         dt = 1.0 / (2 * j + 1)
         band_cells = max(5, 2 * int(np.ceil(2.0 * bt)) + 1)
-        count = int(round(band_cells * (2 * j + 1) / bt))
+        count = np.rint(band_cells * (2 * j + 1) / bt)
         mode_set, tradeoff = rectangular_filter_modes, slepian_tradeoff
     else:
         raise ValueError(f"unknown filter family {family!r}")
     if count > SNR_MAX_SAMPLES:
         raise ResolutionError(
-            f"BT = {bt:g} needs a {count}-sample time grid, above the "
+            f"BT = {bt:g} needs a {count:.16g}-sample time grid, above the "
             f"{SNR_MAX_SAMPLES}-sample limit of the noise ensembles"
         )
-    axis = centered_axis(dt, count, Domain.TIME)
+    axis = centered_axis(dt, int(count), Domain.TIME)
     mode = mode_set(spec, axis, 1, "input")[0].normalized()
     return spec, axis, mode, tradeoff(bt)[1]
 
@@ -469,10 +469,9 @@ def _window_power_moments(spec: Sif) -> tuple[np.ndarray, np.ndarray]:
     The nodes are the window's own axis (:func:`tffilter.core._profile_axis`),
     the weights 2 pi w |R~|^2 with w its quadrature weights under dw/2pi.
     """
-    win = spec.spectral
-    axis = _profile_axis(win)
+    axis = _profile_axis(spec.spectral)
     pts = axis.points
-    return pts, 2.0 * np.pi * axis.quadrature_weights() * np.abs(win.window(pts)) ** 2
+    return pts, 2.0 * np.pi * axis.quadrature_weights() * np.abs(spec.spectral(pts)) ** 2
 
 
 def _auto_correlation_axis(spec: Sif, max_reach: float, moments: tuple) -> SampledAxis:
@@ -483,15 +482,14 @@ def _auto_correlation_axis(spec: Sif, max_reach: float, moments: tuple) -> Sampl
     |R~(w)|^2, so the grid-induced correlation bias stays far below the Monte
     Carlo noise floor.  ``moments`` is :func:`_window_power_moments` of ``spec``.
     """
-    bw = spec.spectral.bandwidth_hz
-    duration = spec.temporal.duration_s
+    bw, duration = spec.spectral.width, spec.temporal.width
     dt = min(1.0 / (10.0 * bw), duration / 8.0)
     pts, wts = moments
     total = np.sum(wts)
     sigma_w = np.sqrt(np.sum(wts * pts**2) / total)
     span_needed = max(
         2.0 * np.pi / (sigma_w / 4.0),
-        2.0 * (spec.temporal.temporal_support(1e-10) + max_reach),
+        2.0 * (spec.temporal.support(1e-10) + max_reach),
     )
     count = 1 << int(np.ceil(np.log2(span_needed / dt)))
     count = max(count, 512)
@@ -529,7 +527,7 @@ def filtered_noise_correlation(
         raise ValueError("noise_psd must be positive")
     lags = np.asarray(lags, dtype=float)
     if times is None:
-        half = 0.5 * spec.temporal.duration_s
+        half = 0.5 * spec.temporal.width
         times = np.linspace(-half, half, 5)
     times = np.asarray(times, dtype=float)
     for name, probe in (("lags", lags), ("times", times)):
@@ -572,8 +570,8 @@ def filtered_noise_correlation(
     phase = np.outer(lags_g, pts)
     kernel = np.cos(phase) if spec.spectral.even else np.exp(-1j * phase)
     rho = (kernel @ wts) / (2.0 * np.pi)
-    gate_t = spec.temporal.gate(times_g)
-    gate_shift = spec.temporal.gate(times_g[:, None] + lags_g[None, :])
+    gate_t = spec.temporal(times_g)
+    gate_shift = spec.temporal(times_g[:, None] + lags_g[None, :])
     analytic = (
         noise_psd
         * spec.insertion_loss**2

@@ -72,7 +72,6 @@ class GridReport:
 
     resolutions: tuple[int, ...]
     leading_rel_change: float
-    converged: bool
     tolerance: float
     final_rows: Axis | None = None
     final_cols: Axis | None = None
@@ -370,9 +369,7 @@ def decompose_filter(
             ladder = float(np.max(np.abs(kept - before)) / scale)
             if ladder < tol:
                 leading = float(abs(sv[0] - prev[0]) / scale)
-                report = GridReport(
-                    tuple(resolutions), leading, True, tol, rows, cols, ladder, ring
-                )
+                report = GridReport(tuple(resolutions), leading, tol, rows, cols, ladder, ring)
                 u, vh, parities = modes(n_keep)
                 total = float(np.sum(sv**2))
                 return _result(rows, cols, kept, u, vh, total, report, parities)

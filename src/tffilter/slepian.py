@@ -11,7 +11,9 @@ with concentration eigenvalues 1 > beta_0 > beta_1 > ... > 0 summing to
 2 c / pi.  The filter's singular values are sqrt(beta_n); the window-side
 modes are the band-limited extensions of the gate-side ones, and the two sets
 are doubly orthogonal: orthogonal over the gate interval and over the full
-line simultaneously.
+line simultaneously.  Both brick walls are one class,
+``RectangularProfile(width, domain)``: 1 inside an edge of pi B on frequency
+and of T / 2 on time.
 
 The solver diagonalizes the commuting prolate differential operator in a
 Legendre basis (spectrally accurate), one dense NumPy ``eigh`` per parity
@@ -51,15 +53,13 @@ from .core import (
     SampledAxis,
     SampledSignal,
     Sif,
-    SpectralWindowProfile,
     StageOrder,
-    TemporalGateProfile,
+    StageProfile,
     _legendre_rule,
 )
 
 __all__ = [
-    "RectangularSpectralWindow",
-    "RectangularTemporalGate",
+    "RectangularProfile",
     "RectangularSif",
     "rectangular_sif",
     "PswfSolution",
@@ -95,42 +95,25 @@ def _sinc_kernel(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
     return (c / np.pi) * np.sinc(c * d / np.pi)
 
 
-class RectangularSpectralWindow(SpectralWindowProfile):
-    """Brick-wall window: R~ = 1 on (-pi B, pi B), so the intensity bandwidth is B."""
+class RectangularProfile(StageProfile):
+    """Brick wall: 1 on (-edge, edge), so integral |p|^2 is exactly ``width``.
 
-    compact_spectral = True
+    On frequency the edge is the cutoff pi B of a band window of bandwidth B;
+    on time it is the half-width T / 2 of a gate of duration T.
+    """
+
+    compact = True
     even = True
 
-    def __init__(self, bandwidth_hz: float) -> None:
-        if bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
-        self.bandwidth_hz = float(bandwidth_hz)
-        self.cutoff_rad = np.pi * bandwidth_hz
+    def __init__(self, width: float, domain: Domain) -> None:
+        super().__init__(width, domain)
+        self.edge = 0.5 * self.width if self.domain is Domain.TIME else np.pi * self.width
 
-    def window(self, omega: np.ndarray) -> np.ndarray:
-        return _indicator(omega, self.cutoff_rad)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return _indicator(x, self.edge)
 
-    def spectral_support(self, tol: float = 1e-12) -> float:
-        return self.cutoff_rad
-
-
-class RectangularTemporalGate(TemporalGateProfile):
-    """Brick-wall gate: Q = 1 on (-T/2, T/2), so the integral duration is T."""
-
-    compact_temporal = True
-    even = True
-
-    def __init__(self, duration_s: float) -> None:
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        self.duration_s = float(duration_s)
-        self.half_width_s = 0.5 * duration_s
-
-    def gate(self, t: np.ndarray) -> np.ndarray:
-        return _indicator(t, self.half_width_s)
-
-    def temporal_support(self, tol: float = 1e-12) -> float:
-        return self.half_width_s
+    def support(self, tol: float = 1e-12) -> float:
+        return self.edge
 
 
 @dataclass(frozen=True)
@@ -138,21 +121,17 @@ class RectangularSif(Sif):
     """Brick-wall + brick-wall sequential filter."""
 
     @property
-    def bt(self) -> float:
-        return self.spectral.bandwidth_hz * self.temporal.duration_s
-
-    @property
     def cutoff_rad(self) -> float:
-        return self.spectral.cutoff_rad
+        return self.spectral.edge
 
     @property
     def tau_half(self) -> float:
-        return self.temporal.half_width_s
+        return self.temporal.edge
 
     @property
     def c(self) -> float:
         """Prolate time-bandwidth parameter: cutoff * half-width = (pi / 2) B T."""
-        return self.spectral.cutoff_rad * self.temporal.half_width_s
+        return self.spectral.edge * self.temporal.edge
 
 
 def rectangular_sif(
@@ -162,8 +141,8 @@ def rectangular_sif(
     insertion_loss: float = 1.0,
 ) -> RectangularSif:
     return RectangularSif(
-        RectangularSpectralWindow(bandwidth_hz),
-        RectangularTemporalGate(duration_s),
+        RectangularProfile(bandwidth_hz, Domain.ANGULAR_FREQUENCY),
+        RectangularProfile(duration_s, Domain.TIME),
         order,
         insertion_loss,
     )
@@ -464,10 +443,13 @@ def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
     ((_, betas, coeffs),) = _solve_stacked(np.array([float(c)]), n_max)
     sol = PswfSolution(c, betas[0], coeffs[0])
     if sol.resolvable_count <= n_max:
+        which = (
+            f"concentrations beyond index {sol.resolvable_count - 1} are"
+            if sol.resolvable_count
+            else "every concentration from index 0 on is"
+        )
         warnings.warn(
-            f"concentrations beyond index {sol.resolvable_count - 1} are below "
-            f"{BETA_FLOOR:g} and numerically unresolvable",
-            stacklevel=2,
+            f"{which} below {BETA_FLOOR:g} and numerically unresolvable", stacklevel=2
         )
     return sol
 
@@ -723,8 +705,8 @@ def rectangular_filter_modes(
         raise ValueError("side must be 'input' or 'output'")
     if count < 1:
         raise ValueError("count must be >= 1")
-    gate_side = (side == "output") == (spec.order is StageOrder.FREQUENCY_FIRST)
-    want = Domain.TIME if gate_side else Domain.ANGULAR_FREQUENCY
+    first, last = spec.stages
+    want = (last if side == "output" else first).domain
     if axis.domain is not want:
         raise ValueError(
             f"{side} modes of this composition order are compact on a {want.value} axis; "
@@ -739,7 +721,7 @@ def rectangular_filter_modes(
         )
     pts = axis.points
     out: list[SampledSignal] = []
-    if gate_side:
+    if want is Domain.TIME:
         tau = spec.tau_half
         mask = _indicator(pts, tau)
         for n in range(count):

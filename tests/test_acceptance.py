@@ -64,8 +64,8 @@ class TestC01MehlerOracle:
         # here, independent of the grids, the refinement and the parity split
         # of decompose_filter: time rows and frequency columns over 1.1 times
         # the gate's and the window's 1e-14 radii
-        t_half = 1.1 * spec.temporal.temporal_support(1e-14)
-        w_half = 1.1 * spec.spectral.spectral_support(1e-14)
+        t_half = 1.1 * spec.temporal.support(1e-14)
+        w_half = 1.1 * spec.spectral.support(1e-14)
         rows = SampledAxis(-t_half, 2.0 * t_half / 1023, 1024, Domain.TIME)
         cols = SampledAxis(-w_half, 2.0 * w_half / 1023, 1024, Domain.ANGULAR_FREQUENCY)
         res = schmidt_decompose(build_operator(spec, rows, cols), keep=11)

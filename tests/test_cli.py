@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -683,6 +684,21 @@ class TestTypedErrors:
         rc = run("snr", "--filter", family, "--bt", bt, "--trials", "1", "--seed", "0")
         assert rc == 3
         assert "sample limit of the noise ensembles" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("family", ["gaussian", "slepian"])
+    @pytest.mark.parametrize("bt", ["1e-300", "1e-320"])
+    def test_vast_snr_grid_is_refused_in_a_short_message(self, capsys, family, bt):
+        # the refused size is printed as a float, not as a ~300-digit integer,
+        # and a size beyond the float range is refused too, not an overflow
+        rc = run("snr", "--filter", family, "--bt", bt, "--trials", "1", "--seed", "0")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"numeric failure: BT = \S+ needs a (\d\.\d+e\+\d{3}|inf)-sample time grid, "
+            r"above the 131072-sample limit of the noise ensembles\n",
+            err,
+        ), err
 
     def test_oversized_mode_quadrature_exits_3(self, monkeypatch, capsys):
         import tffilter.slepian as slepian

@@ -34,8 +34,7 @@ from tffilter.core import (
     recommended_axes,
 )
 from tffilter.gaussian import (
-    GaussianSpectralWindow,
-    GaussianTemporalGate,
+    GaussianProfile,
     gaussian_sif,
     hermite_gaussian_mode_set,
 )
@@ -46,7 +45,7 @@ from tffilter.noisesim import (
     sample_white_noise,
 )
 from tffilter.schmidt import decompose_filter
-from tffilter.slepian import RectangularSpectralWindow, RectangularTemporalGate, rectangular_sif
+from tffilter.slepian import RectangularProfile, rectangular_sif
 
 
 def gaussian_pulse(axis: SampledAxis, width: float = 1.0) -> SampledSignal:
@@ -161,8 +160,8 @@ class TestQuadratureAxis:
         # no node sits on a jump, so the indicators read exactly 1 at every node
         spec = rectangular_sif(0.8, 1.0)
         t_ax, f_ax = recommended_axes(spec, resolution=256)
-        assert np.all(spec.temporal.gate(t_ax.points) == 1.0)
-        assert np.all(spec.spectral.window(f_ax.points) == 1.0)
+        assert np.all(spec.temporal(t_ax.points) == 1.0)
+        assert np.all(spec.spectral(f_ax.points) == 1.0)
 
     def test_indicator_quadrature_exact(self):
         # the weights carry the axis measure: 2a on time, 2a / 2pi on frequency
@@ -368,7 +367,7 @@ class TestApplyFilter:
         # puts it on [-2, 2) s, inside the gate's 1e-12 radius of 4.19 s
         spec = gaussian_sif(0.5, 1.0)
         f_ax = centered_axis(np.pi / 2, 256, Domain.ANGULAR_FREQUENCY)
-        spectrum = SampledSignal(f_ax, spec.spectral.window(f_ax.points))
+        spectrum = SampledSignal(f_ax, spec.spectral(f_ax.points))
         with pytest.raises(ResolutionError, match="gate support"):
             apply_filter(spec, spectrum)
 
@@ -411,17 +410,16 @@ class TestApplyFilter:
 
 def stage_by_stage(spec: Sif, signal: SampledSignal) -> np.ndarray:
     """``spec`` applied one stage at a time, each in its own domain, by the public transforms."""
-    stages = [("window", spec.spectral), ("gate", spec.temporal)]
+    stages = [spec.spectral, spec.temporal]
     if spec.order is StageOrder.TIME_FIRST:
         stages.reverse()
     on_time = signal.axis.domain is Domain.TIME
     sig = signal
-    for kind, profile in stages:
-        native = (kind == "gate") is on_time
+    for profile in stages:
+        native = profile.domain is signal.axis.domain
         if not native:  # over to the stage's own domain: a centred grid there
             sig = fourier_forward(sig) if on_time else fourier_inverse(sig)
-        pointwise = profile.window if kind == "window" else profile.gate
-        sig = SampledSignal(sig.axis, sig.values * pointwise(sig.axis.points))
+        sig = SampledSignal(sig.axis, sig.values * profile(sig.axis.points))
         if not native:  # and back onto the caller's grid
             sig = fourier_inverse(sig, signal.axis) if on_time else fourier_forward(sig)
     assert sig.axis.close_to(signal.axis)
@@ -552,10 +550,10 @@ class TestOperator:
     @pytest.mark.parametrize(
         "window, gate",
         [
-            (GaussianSpectralWindow(0.5), GaussianTemporalGate(1.0)),
-            (GaussianSpectralWindow(2.0), RectangularTemporalGate(1.0)),
-            (RectangularSpectralWindow(2.0), GaussianTemporalGate(1.0)),
-            (RectangularSpectralWindow(0.8), RectangularTemporalGate(1.0)),
+            (GaussianProfile(0.5, Domain.ANGULAR_FREQUENCY), GaussianProfile(1.0, Domain.TIME)),
+            (GaussianProfile(2.0, Domain.ANGULAR_FREQUENCY), RectangularProfile(1.0, Domain.TIME)),
+            (RectangularProfile(2.0, Domain.ANGULAR_FREQUENCY), GaussianProfile(1.0, Domain.TIME)),
+            (RectangularProfile(0.8, Domain.ANGULAR_FREQUENCY), RectangularProfile(1.0, Domain.TIME)),
         ],
         ids=["gauss-gauss", "gauss-rect", "rect-gauss", "rect-rect"],
     )
@@ -566,17 +564,14 @@ class TestOperator:
         rows, cols = recommended_axes(Sif(window, gate, order), resolution=128)
         t_ax, f_ax = (rows, cols) if order is StageOrder.FREQUENCY_FIRST else (cols, rows)
         assert t_ax.domain is Domain.TIME and f_ax.domain is Domain.ANGULAR_FREQUENCY
-        for ax, compact, radius in (
-            (t_ax, gate.compact_temporal, gate.temporal_support),
-            (f_ax, window.compact_spectral, window.spectral_support),
-        ):
+        for ax, profile in ((t_ax, gate), (f_ax, window)):
             assert ax.count == 128
-            if compact:
-                assert ax == QuadratureAxis(radius(), 128, ax.domain)
+            if profile.compact:
+                assert ax == QuadratureAxis(profile.support(), 128, ax.domain)
             else:
                 assert isinstance(ax, SampledAxis)
-                assert ax.start == -radius(1e-13)
-                assert ax.stop == pytest.approx(radius(1e-13), rel=1e-14)
+                assert ax.start == -profile.support(1e-13)
+                assert ax.stop == pytest.approx(profile.support(1e-13), rel=1e-14)
 
     def test_zero_kernel_is_refused(self):
         # peak-normalized profiles never give a kernel that vanishes at every
@@ -608,6 +603,19 @@ class TestOperator:
                 build_operator(spec, ax, ax)
 
 
+@pytest.mark.parametrize("family", [GaussianProfile, RectangularProfile], ids=["gauss", "rect"])
+def test_stages_on_the_wrong_domains_are_refused_at_construction(family):
+    # a window on the time axis or a gate on the frequency axis is refused by
+    # Sif itself, with the typed error, before any entry point reads a stage
+    window = family(0.5, Domain.ANGULAR_FREQUENCY)
+    gate = family(1.0, Domain.TIME)
+    for spectral, temporal in ((gate, window), (window, window), (gate, gate), (window, None)):
+        for order in StageOrder:
+            with pytest.raises(DomainMismatchError, match="stage must be a StageProfile on"):
+                Sif(spectral, temporal, order)
+    assert Sif(window, gate).bt == 0.5
+
+
 FILTER_ENTRY_POINTS = [
     "apply_filter", "filter_samples", "build_operator", "parity_blocks", "recommended_axes",
     "decompose_filter", "run_ensemble", "filtered_noise_correlation",
@@ -616,13 +624,13 @@ FILTER_ENTRY_POINTS = [
 
 @pytest.mark.parametrize("entry", FILTER_ENTRY_POINTS)
 @pytest.mark.parametrize("stage", ["spectral", "temporal"])
-def test_entry_points_refuse_anything_but_a_sif(entry, stage):
+def test_entry_points_refuse_anything_but_a_sif(entry, stage, monkeypatch):
     # a lone window or gate has no Schmidt ladder: every entry point that takes
     # a filter refuses a bare profile with one TypeError, never an AttributeError
     # from deep inside, and samples nothing of it first
     profile = getattr(gaussian_sif(0.5, 1.0), stage)
     sampled = []
-    profile.window = profile.gate = lambda x: sampled.append(x)
+    monkeypatch.setattr(type(profile), "__call__", lambda self, x: sampled.append(x))
     ax = centered_axis(16.0 / 1024, 1024, Domain.TIME)
     sig = gaussian_pulse(ax).normalized()
     t_ax, f_ax = recommended_axes(gaussian_sif(0.5, 1.0), resolution=64)

@@ -31,24 +31,24 @@ def mode_pair(spec, n, axis):
 class TestProfiles:
     def test_window_peak_and_half_energy_width(self):
         window = gaussian_sif(1.0, 1.0).spectral
-        assert window.window(np.array([0.0]))[0] == pytest.approx(1.0)
+        assert window(np.array([0.0]))[0] == pytest.approx(1.0)
         # |window|^2 integrates to B under the dw/2pi measure
         w = np.linspace(-60.0, 60.0, 200001)
-        mass = np.trapezoid(np.abs(window.window(w)) ** 2, w) / (2.0 * np.pi)
+        mass = np.trapezoid(np.abs(window(w)) ** 2, w) / (2.0 * np.pi)
         assert mass == pytest.approx(1.0, rel=1e-10)
 
     def test_gate_unit_peak_and_energy(self):
         gate = gaussian_sif(1.0, 2.0).temporal
-        assert gate.gate(np.array([0.0]))[0] == pytest.approx(1.0)
+        assert gate(np.array([0.0]))[0] == pytest.approx(1.0)
         t = np.linspace(-30.0, 30.0, 200001)
-        mass = np.trapezoid(np.abs(gate.gate(t)) ** 2, t)
+        mass = np.trapezoid(np.abs(gate(t)) ** 2, t)
         assert mass == pytest.approx(2.0, rel=1e-10)
 
     def test_supports_shrink_with_tolerance(self):
         sif = gaussian_sif(1.0, 1.0)
         window, gate = sif.spectral, sif.temporal
-        assert window.spectral_support(1e-6) < window.spectral_support(1e-12)
-        assert gate.temporal_support(1e-6) < gate.temporal_support(1e-12)
+        assert window.support(1e-6) < window.support(1e-12)
+        assert gate.support(1e-6) < gate.support(1e-12)
 
 
 class TestMehlerLadder:
@@ -114,7 +114,7 @@ class TestTradeoff:
         # product of the two mode width scales collapses onto B*T alone
         for band in np.geomspace(1e-2, 1e2, 17):
             spec = gaussian_sif(band, 2.5)
-            t = spec.temporal.duration_s
+            t = spec.temporal.width
             product = t**2 * spec.alpha * spec.beta
             assert product == pytest.approx(2.0 * np.pi * spec.bt, rel=1e-12)
 

@@ -68,8 +68,8 @@ class TestBtFromProfiles:
     def test_insensitive_to_resolution(self):
         for spec in (rectangular_sif(1.3, 1.0), gaussian_sif(1.3, 1.0)):
             w_ax, t_ax = _profile_axis(spec.spectral, 257), _profile_axis(spec.temporal, 257)
-            b = np.abs(spec.spectral.window(w_ax.points)) ** 2 @ w_ax.quadrature_weights()
-            t = np.abs(spec.temporal.gate(t_ax.points)) ** 2 @ t_ax.quadrature_weights()
+            b = np.abs(spec.spectral(w_ax.points)) ** 2 @ w_ax.quadrature_weights()
+            t = np.abs(spec.temporal(t_ax.points)) ** 2 @ t_ax.quadrature_weights()
             assert b * t == pytest.approx(bt_from_profiles(spec), rel=1e-14)
 
 

@@ -492,7 +492,7 @@ class TestCorrelation:
         assert np.array_equal(surf.lags, [0.0, 0.5, 2.0])
         tau = np.where(surf.lags == 0.0, 1.0, surf.lags)
         rho = np.where(surf.lags == 0.0, 2.0, np.sin(2.0 * np.pi * tau) / (np.pi * tau))
-        gate = spec.temporal.gate
+        gate = spec.temporal
         expected = (
             spec.insertion_loss**2
             * gate(surf.times[:, None] + surf.lags[None, :])
@@ -514,7 +514,7 @@ class TestCorrelation:
         assert np.all(surf.analytic.imag == 0.0)
         pts, wts = noisesim._window_power_moments(spec)
         rho = (np.exp(-1j * np.outer(surf.lags, pts)) @ wts) / (2.0 * np.pi)
-        gate = spec.temporal.gate
+        gate = spec.temporal
         complex_sum = (
             noise_psd
             * spec.insertion_loss**2

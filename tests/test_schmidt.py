@@ -25,8 +25,7 @@ from tffilter.core import (
     recommended_axes,
 )
 from tffilter.gaussian import (
-    GaussianSpectralWindow,
-    GaussianTemporalGate,
+    GaussianProfile,
     gaussian_sif,
     gaussian_singular_values,
 )
@@ -39,8 +38,7 @@ from tffilter.schmidt import (
 )
 from tffilter.metrics import bt_from_profiles
 from tffilter.slepian import (
-    RectangularSpectralWindow,
-    RectangularTemporalGate,
+    RectangularProfile,
     pswf_solve_legendre,
     rectangular_filter_modes,
     rectangular_sif,
@@ -84,7 +82,6 @@ class TestSchmidtDecompose:
 
     def test_grid_report_converged(self, gaussian_result):
         rep = gaussian_result.grid_report
-        assert rep.converged
         assert rep.leading_rel_change <= rep.ladder_rel_change < rep.tolerance
 
     def test_refines_until_every_kept_value_settles(self):
@@ -144,7 +141,6 @@ class TestRectangularLadder:
     def test_rectangular_converges_to_prolate_ladder(self, bt, order):
         spec = rectangular_sif(bt, 1.0, order)
         res = decompose_filter(spec, keep=None)
-        assert res.grid_report.converged
         sol = _prolate(spec, res.kept)
         k = min(res.kept, sol.resolvable_count)
         assert np.max(np.abs(res.singular_values[:k] ** 2 - sol.eigenvalues[:k])) <= 1e-12
@@ -176,6 +172,26 @@ class TestKernelAlgebra:
         approx = reconstruct_kernel(res)
         err = np.linalg.norm(op.entries - approx.entries) / np.linalg.norm(op.entries)
         assert err < 1e-8
+
+    @pytest.mark.parametrize(
+        "spec",
+        [gaussian_sif(2.0, 1.0), rectangular_sif(4.0, 1.0), gaussian_sif(0.5, 1.0, StageOrder.TIME_FIRST)],
+        ids=["gaussian-bt2", "rectangular-bt4", "gaussian-bt0.5-time_first"],
+    )
+    def test_truncation_residual_is_the_reconstruction_distance(self, spec):
+        # Eckart-Young: the kept pairs are the best rank-k approximation of the
+        # final grid's weighted matrix, at Frobenius distance sqrt(sum of the
+        # dropped s_n^2), which truncation_residual() forms as
+        # sqrt(total_power - sum of the kept s_n^2); that difference loses about
+        # eps * total_power, so the square root is good to eps * total / residual
+        res = decompose_filter(spec, keep=6)
+        rep = res.grid_report
+        op = build_operator(spec, rep.final_rows, rep.final_cols)
+        dist = np.linalg.norm(op.entries - reconstruct_kernel(res).entries)
+        residual = res.truncation_residual()
+        assert residual > 1e-3  # far above the cancellation floor
+        tol = 8.0 * np.finfo(float).eps * res.total_power / residual
+        assert abs(dist - residual) <= tol
 
     def test_projection_coefficients(self, gaussian_result):
         # feeding mode n back in: the only surviving coefficient is n's
@@ -216,12 +232,12 @@ class TestRealFactorization:
         # the gate's 1e-15 radius plus that of R
         bt, res, order = request.param
         spec = gaussian_sif(bt, 1.0, order)
-        b = spec.spectral.bandwidth_hz
-        half = spec.temporal.temporal_support(1e-15) + np.sqrt(np.log(1e15) / (2.0 * np.pi)) / b
+        b = spec.spectral.width
+        half = spec.temporal.support(1e-15) + np.sqrt(np.log(1e15) / (2.0 * np.pi)) / b
         rows = cols = SampledAxis(-half, 2.0 * half / (res - 1), res, Domain.TIME)
         t = rows.points
         resp = np.sqrt(2.0) * b * np.exp(-2.0 * np.pi * b**2 * np.subtract.outer(t, t) ** 2)
-        q = spec.temporal.gate(t)
+        q = spec.temporal(t)
         kernel = q[:, None] * resp if order is StageOrder.FREQUENCY_FIRST else resp * q[None, :]
         sw = np.sqrt(rows.quadrature_weights())
         op = OperatorMatrix(rows, cols, sw[:, None] * kernel * sw[None, :])
@@ -423,29 +439,28 @@ def test_parity_blocks_refuse_a_square_representation():
             parity_blocks(spec, ax, ax)
 
 
-class _ShiftedGaussianGate(GaussianTemporalGate):
+class _ShiftedGaussianGate(GaussianProfile):
     """Gaussian gate centred at t0, Q(t - t0)."""
 
     even = False
 
-    def __init__(self, duration_s: float, t0: float) -> None:
-        super().__init__(duration_s)
+    def __init__(self, width: float, t0: float) -> None:
+        super().__init__(width, Domain.TIME)
         self.t0 = t0
 
-    def gate(self, t):
-        return super().gate(np.asarray(t, dtype=float) - self.t0)
+    def __call__(self, t):
+        return super().__call__(np.asarray(t, dtype=float) - self.t0)
 
-    def temporal_support(self, tol=1e-12):
-        return super().temporal_support(tol) + abs(self.t0)
+    def support(self, tol=1e-12):
+        return super().support(tol) + abs(self.t0)
 
 
 @pytest.mark.parametrize("order", list(StageOrder), ids=lambda o: o.name.lower())
 def test_asymmetric_profile_keeps_the_full_path(order):
     # a shift conjugates the kernel by diagonal phases, so the ladder is still Mehler's
-    spec = Sif(GaussianSpectralWindow(0.5), _ShiftedGaussianGate(1.0, 0.3), order)
+    spec = Sif(GaussianProfile(0.5, Domain.ANGULAR_FREQUENCY), _ShiftedGaussianGate(1.0, 0.3), order)
     res = decompose_filter(spec, keep=10)
     assert res.parities is None
-    assert res.grid_report.converged
     assert res.grid_report.edge_ring_ratio is not None
     assert np.max(np.abs(res.singular_values - gaussian_singular_values(0.5, 10))) <= 1e-12
     with pytest.raises(ValueError, match="even"):
@@ -472,16 +487,15 @@ def test_mixed_families_decompose(b, t):
     # a Gaussian window with a brick-wall gate, and the reverse, in both orders
     ladders = {}
     for window, gate in (
-        (GaussianSpectralWindow(b), RectangularTemporalGate(t)),
-        (RectangularSpectralWindow(b), GaussianTemporalGate(t)),
+        (GaussianProfile(b, Domain.ANGULAR_FREQUENCY), RectangularProfile(t, Domain.TIME)),
+        (RectangularProfile(b, Domain.ANGULAR_FREQUENCY), GaussianProfile(t, Domain.TIME)),
     ):
         for order in StageOrder:
             spec = Sif(window, gate, order)
             res = decompose_filter(spec, keep=10)
-            assert res.grid_report.converged
             bt = bt_from_profiles(spec)
             assert abs(res.total_power - bt) / bt <= 1e-12
-            ladders[window.compact_spectral, order] = res.singular_values
+            ladders[window.compact, order] = res.singular_values
     for compact in (False, True):
         ff, tf = (ladders[compact, order] for order in StageOrder)
         assert np.max(np.abs(ff - tf)) <= 1e-12
@@ -511,7 +525,7 @@ def _default_start_spec(family, bt, order):
         return gaussian_sif(bt, 1.0, order)
     if family == "rectangular":
         return rectangular_sif(bt, 1.0, order)
-    return Sif(GaussianSpectralWindow(bt), _ShiftedGaussianGate(1.0, 0.3), order)
+    return Sif(GaussianProfile(bt, Domain.ANGULAR_FREQUENCY), _ShiftedGaussianGate(1.0, 0.3), order)
 
 
 @pytest.mark.parametrize("order", list(StageOrder), ids=lambda o: o.name.lower())

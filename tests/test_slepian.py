@@ -40,25 +40,25 @@ from tffilter.slepian import (
 class TestProfiles:
     def test_window_indicator_with_half_jump(self):
         window = rectangular_sif(1.0, 1.0).spectral
-        cut = window.cutoff_rad
+        cut = window.edge
         w = np.array([0.0, 0.5 * cut, cut, 1.5 * cut])
-        vals = window.window(w)
+        vals = window(w)
         assert vals[0] == 1.0 and vals[1] == 1.0
         assert vals[2] == 0.5  # midpoint convention exactly at the edge
         assert vals[3] == 0.0
 
     def test_gate_indicator_with_half_jump(self):
         gate = rectangular_sif(1.0, 2.0).temporal
-        tau = gate.half_width_s
+        tau = gate.edge
         assert tau == pytest.approx(1.0)
         t = np.array([0.0, tau, 2.0 * tau])
-        vals = gate.gate(t)
+        vals = gate(t)
         assert vals[0] == 1.0 and vals[1] == 0.5 and vals[2] == 0.0
 
     def test_band_mass_is_bandwidth(self):
         window = rectangular_sif(0.8, 1.0).spectral
         # 2 * cutoff / (2 pi) = B
-        assert window.cutoff_rad == pytest.approx(np.pi * 0.8)
+        assert window.edge == pytest.approx(np.pi * 0.8)
 
     def test_prolate_parameter(self):
         spec = rectangular_sif(0.8, 1.0)
@@ -182,6 +182,12 @@ class TestLegendreSolver:
     def test_truncation_warning(self):
         with pytest.warns(UserWarning):
             pswf_solve_legendre(0.5, 12)
+
+    def test_warning_with_no_resolvable_concentration(self):
+        # no concentration is above the floor: there is no last resolvable index to name
+        with pytest.warns(UserWarning, match="^every concentration from index 0 on is below 1e-14"):
+            sol = pswf_solve_legendre(1e-20, 0)
+        assert sol.resolvable_count == 0
 
     @pytest.mark.parametrize("c", [1e-3, 0.5, 3.0, 6.3, 17.0])
     @pytest.mark.parametrize("n_max", [0, 5, 20])
