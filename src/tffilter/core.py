@@ -406,6 +406,15 @@ class StageProfile:
         self.width = float(width)
         self.domain = Domain(domain)
 
+    def __eq__(self, other: object) -> bool:
+        """Profiles are values: equal when of one class, width and domain."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.width, self.domain) == (other.width, other.domain)
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.width, self.domain))
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 

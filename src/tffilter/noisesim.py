@@ -38,6 +38,7 @@ import threading
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
+from decimal import Decimal
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -408,23 +409,33 @@ def snr_setup(family: str, bt: float) -> tuple[Sif, SampledAxis, SampledSignal, 
 
     ``family`` is "gaussian" (window then gate) or "slepian" (brick-wall gate
     then window), at time-bandwidth product ``bt`` with a unit gate duration.
-    The grid is a centered power-of-two time axis for the Gaussian family; for
-    the brick-wall family it puts the gate and band edges mid-cell.  A grid
-    above ``SNR_MAX_SAMPLES`` samples raises ``ResolutionError`` before
+
+    The Gaussian grid is the smallest centered power-of-two time axis whose
+    step meets the resolution guard with room to spare, dt = 1/(12 max(BT, 1)),
+    and whose span covers the gate's 1e-12 support and the input ground
+    mode's reach, 6 / min(alpha, beta), plus a margin of 1 on each side.
+    The brick-wall grid's step 1/(2j + 1) puts the gate edge mid-cell; its
+    count, band_cells (2j + 1) / BT rounded, puts the band edge mid-cell only
+    when that quotient is an integer, and only then are the discrete T and B
+    sums, and with them the mean noise energy, exact.
+
+    A grid above ``SNR_MAX_SAMPLES`` samples raises ``ResolutionError`` before
     anything is sampled on it.
     """
     if family == "gaussian":
         spec = gaussian_sif(bt, 1.0)
-        dt = min(1.0 / (12.0 * bt), 1.0 / 12.0)
-        gate_reach = spec.temporal.support(1e-12)
-        mode_reach = 6.0 / min(spec.alpha, spec.beta)
-        half = max(gate_reach, mode_reach) + 1.0
-        count = 2.0 ** max(10, np.ceil(np.log2(2.0 * half / dt)))
+        dt = 1.0 / (12.0 * max(bt, 1.0))
+        # the span in log2, so that the mode reach cannot overflow at a subnormal BT
+        log2_reach = max(
+            np.log2(spec.temporal.support(1e-12)),
+            np.log2(6.0) - np.log2(min(spec.alpha, spec.beta)),
+        )
+        count = 2 ** int(np.ceil(np.logaddexp2(log2_reach, 0.0) + 1.0 - np.log2(dt)))
         mode_set, tradeoff = hermite_gaussian_mode_set, gaussian_tradeoff
     elif family == "slepian":
         spec = rectangular_sif(bt, 1.0, order=StageOrder.TIME_FIRST)
-        # brick-wall edges quantize plain Riemann sums; put the gate edge and the
-        # band edge exactly mid-cell so the discrete T and B sums are exact
+        # brick-wall edges quantize plain Riemann sums; the gate edge sits
+        # mid-cell, and the band edge does where the rounded count is exact
         j = max(60, int(np.ceil(5.0 * bt)))
         dt = 1.0 / (2 * j + 1)
         band_cells = max(5, 2 * int(np.ceil(2.0 * bt)) + 1)
@@ -433,8 +444,10 @@ def snr_setup(family: str, bt: float) -> tuple[Sif, SampledAxis, SampledSignal, 
     else:
         raise ValueError(f"unknown filter family {family!r}")
     if count > SNR_MAX_SAMPLES:
+        # a Gaussian count is an exact int, possibly past the float range
+        size = format(Decimal(count), ".16g") if isinstance(count, int) else f"{count:.16g}"
         raise ResolutionError(
-            f"BT = {bt:g} needs a {count:.16g}-sample time grid, above the "
+            f"BT = {bt:g} needs a {size}-sample time grid, above the "
             f"{SNR_MAX_SAMPLES}-sample limit of the noise ensembles"
         )
     axis = centered_axis(dt, int(count), Domain.TIME)
@@ -475,12 +488,16 @@ def _window_power_moments(spec: Sif) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _auto_correlation_axis(spec: Sif, max_reach: float, moments: tuple) -> SampledAxis:
-    """Time grid dense and wide enough for faithful correlation statistics.
+    """Smallest centered power-of-two time grid for faithful correlation statistics.
 
-    dt resolves both the window (dt <= 1/(10 B)) and the gate; the span keeps
-    the FFT frequency spacing below a quarter of the spectral width of
-    |R~(w)|^2, so the grid-induced correlation bias stays far below the Monte
-    Carlo noise floor.  ``moments`` is :func:`_window_power_moments` of ``spec``.
+    dt resolves both the window (dt <= 1/(10 B)) and the gate (dt <= T/8).
+    The span keeps the FFT frequency spacing below a quarter of the spectral
+    width of |R~(w)|^2, so the grid-induced correlation bias stays far below
+    the Monte Carlo noise floor; it covers the gate's 1e-10 support plus
+    ``max_reach`` (the farthest probe time plus lag) on each side; and its
+    last sample reaches the gate's 1e-12 support, so the grid passes the
+    resolution guard of :func:`tffilter.core.apply_filter`.  ``moments`` is
+    :func:`_window_power_moments` of ``spec``.
     """
     bw, duration = spec.spectral.width, spec.temporal.width
     dt = min(1.0 / (10.0 * bw), duration / 8.0)
@@ -490,9 +507,9 @@ def _auto_correlation_axis(spec: Sif, max_reach: float, moments: tuple) -> Sampl
     span_needed = max(
         2.0 * np.pi / (sigma_w / 4.0),
         2.0 * (spec.temporal.support(1e-10) + max_reach),
+        2.0 * (spec.temporal.support(1e-12) + dt),
     )
     count = 1 << int(np.ceil(np.log2(span_needed / dt)))
-    count = max(count, 512)
     return centered_axis(dt, count, Domain.TIME)
 
 

@@ -472,7 +472,7 @@ _README_COMMANDS = {
             "trials": 10000,
         },
         7,
-        {"time_axis": {"start": -42.666666666666664, "step": 0.08333333333333333, "count": 1024}},
+        {"time_axis": {"start": -5.333333333333333, "step": 0.08333333333333333, "count": 128}},
     ),
     "qkd": (
         ("qkd", "--filter", "all", "--ny-min", "1e-4", "--ny-max", "1", "--points", "50",

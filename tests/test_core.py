@@ -616,6 +616,30 @@ def test_stages_on_the_wrong_domains_are_refused_at_construction(family):
     assert Sif(window, gate).bt == 0.5
 
 
+@pytest.mark.parametrize("family", [GaussianProfile, RectangularProfile], ids=["gauss", "rect"])
+def test_profiles_are_values(family):
+    # a profile is its class, width and domain: equal ones hash alike, so a
+    # Sif built twice from the same arguments is one key
+    for domain in Domain:
+        a, b = family(0.5, domain), family(0.5, domain)
+        assert a == b and hash(a) == hash(b)
+        assert a != family(0.25, domain)
+    assert family(0.5, Domain.TIME) != family(0.5, Domain.ANGULAR_FREQUENCY)
+    other = RectangularProfile if family is GaussianProfile else GaussianProfile
+    assert family(0.5, Domain.TIME) != other(0.5, Domain.TIME)
+    assert family(0.5, Domain.TIME) != 0.5
+    window, gate = family(0.5, Domain.ANGULAR_FREQUENCY), family(1.0, Domain.TIME)
+    twin = Sif(family(0.5, Domain.ANGULAR_FREQUENCY), family(1.0, Domain.TIME))
+    assert Sif(window, gate) == twin and len({Sif(window, gate), twin}) == 1
+    assert Sif(window, gate) != Sif(window, gate, StageOrder.TIME_FIRST)
+
+
+def test_family_filters_built_twice_are_equal():
+    assert gaussian_sif(0.5, 1) == gaussian_sif(0.5, 1)
+    assert hash(rectangular_sif(2.0, 1.0)) == hash(rectangular_sif(2.0, 1.0))
+    assert gaussian_sif(0.5, 1) != gaussian_sif(0.5, 2)
+
+
 FILTER_ENTRY_POINTS = [
     "apply_filter", "filter_samples", "build_operator", "parity_blocks", "recommended_axes",
     "decompose_filter", "run_ensemble", "filtered_noise_correlation",

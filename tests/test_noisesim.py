@@ -16,6 +16,7 @@ from tffilter.core import (
     SampledAxis,
     SampledSignal,
     StageOrder,
+    _check_grid,
     apply_filter,
     centered_axis,
     filter_samples,
@@ -148,6 +149,92 @@ class TestSnrSetup:
     def test_grid_at_the_limit_is_kept(self):
         _, axis, _, _ = snr_setup("gaussian", 1e3)
         assert axis.count == noisesim.SNR_MAX_SAMPLES
+
+    @pytest.mark.parametrize("bt", [1e-320, np.float64(1e-320), 5e-324], ids=str)
+    def test_subnormal_bt_is_refused(self, bt):
+        # the mode reach 6 / min(alpha, beta) is past the float range here: the
+        # refusal names the size as a number, with no overflow warning on the way
+        with pytest.raises(ResolutionError, match=r"needs a \d\.\d+e\+\d{3}-sample time grid") as exc:
+            snr_setup("gaussian", bt)
+        assert "inf" not in str(exc.value)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.floats(min_value=0.01, max_value=50.0))
+    def test_gaussian_grid_is_minimal(self, bt):
+        # dt = 1/(12 max(BT, 1)); the span covers the gate's 1e-12 support and
+        # the mode reach 6 / min(alpha, beta), plus a margin of 1 on each side
+        spec, axis, _, _ = snr_setup("gaussian", bt)
+        assert axis.step == 1.0 / (12.0 * max(bt, 1.0))
+        half = max(spec.temporal.support(1e-12), 6.0 / min(spec.alpha, spec.beta)) + 1.0
+        assert_minimal_grid(spec, axis, 2.0 * half)
+
+
+def meets_grid_criteria(spec, step: float, count: int, span: float) -> bool:
+    """A power-of-two centered grid that passes the resolution guard and spans ``span``."""
+    if count < 1 or count & (count - 1):
+        return False
+    try:
+        _check_grid(spec, centered_axis(step, count, Domain.TIME))
+    except ResolutionError:
+        return False
+    return count * step >= span
+
+
+def assert_minimal_grid(spec, axis: SampledAxis, span: float) -> None:
+    """``axis`` meets the grid criteria and half its count would not."""
+    assert axis == centered_axis(axis.step, axis.count, Domain.TIME)
+    assert meets_grid_criteria(spec, axis.step, axis.count, span)
+    assert not meets_grid_criteria(spec, axis.step, axis.count // 2, span)
+
+
+def transport_matrix(spec, axis: SampledAxis) -> np.ndarray:
+    """The discrete transport F on ``axis``, y = F x: the filtered unit rows, transposed."""
+    return filter_samples(spec, axis, np.eye(axis.count, dtype=complex)).T
+
+
+class TestExactLaws:
+    # White rows of per-sample variance N_y / dt give E[y y^dagger] = (N_y / dt) F F^dagger,
+    # so the output energy W = dt |y|^2 has mean N_y ||F||_F^2 and variance
+    # N_y^2 tr((F F^dagger)^2), with no draw.  These laws are what the grids are
+    # sized to keep: N_y BT and N_y^2 sum s^4 for the Gaussian (Mehler) ladder.
+
+    @pytest.mark.parametrize("bt", [0.1, 0.5, 1.0, 2.0, 4.0])
+    def test_gaussian_snr_grid_keeps_the_energy_law(self, bt):
+        spec, axis, mode, _ = snr_setup("gaussian", bt)
+        f = transport_matrix(spec, axis)
+        gram = f @ f.conj().T
+        s = gaussian_singular_values(spec, 400)
+        assert np.vdot(f, f).real == pytest.approx(bt, rel=4e-15)
+        assert np.trace(gram @ gram).real == pytest.approx(np.sum(s**4), rel=4e-15)
+        # the ground mode keeps eta of its energy, the ensembles' w_signal
+        assert apply_filter(spec, mode).energy() == pytest.approx(gaussian_tradeoff(bt)[0], rel=2e-15)
+
+    @pytest.mark.parametrize("bt", [0.5, 1.0])
+    def test_brick_wall_snr_grid_keeps_the_mean(self, bt):
+        # band_cells (2j + 1) / BT is 1210 and 605 here, so the band edge is
+        # mid-cell with the gate edge; at BT 2 it is 544.5, rounded to 544,
+        # and the mean is 9.2e-4 off
+        spec, axis, _, _ = snr_setup("slepian", bt)
+        f = transport_matrix(spec, axis)
+        assert np.vdot(f, f).real == pytest.approx(bt, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "bt, lags", [(0.5, [0.0, 0.5, 1.5, 4.0]), (1.0, [0.0, 0.2, 0.5, 1.5])], ids=["0.5", "1"]
+    )
+    def test_correlation_grid_keeps_the_two_time_law(self, bt, lags):
+        # (1/dt) F F^dagger is the grid's covariance per unit N_y; at the probe
+        # points it must be Q(t + tau) Q(t) rho(tau), rho(tau) = B exp(-pi B^2 tau^2),
+        # to the FFTs' rounding (1.9e-14 of the peak on a 512-sample grid)
+        spec, times, lags = gaussian_sif(bt, 1.0), np.linspace(-0.5, 0.5, 5), np.array(lags)
+        moments = noisesim._window_power_moments(spec)
+        axis = noisesim._auto_correlation_axis(spec, 0.5 + lags.max(), moments)
+        t_idx = np.rint((times - axis.start) / axis.step).astype(int)
+        l_idx = np.rint(lags / axis.step).astype(int)
+        f = transport_matrix(spec, axis)
+        grid = (f @ f.conj().T)[t_idx[:, None] + l_idx, t_idx[:, None]] / axis.step
+        t, tau = axis.points[t_idx][:, None], axis.step * l_idx
+        exact = spec.temporal(t + tau) * spec.temporal(t) * bt * np.exp(-np.pi * (bt * tau) ** 2)
+        assert np.max(np.abs(grid - exact)) <= 5e-14 * np.max(exact)
 
 
 class TestEnsembleStatistics:
@@ -562,6 +649,28 @@ class TestCorrelation:
             apply_filter(spec, SampledSignal(coarse, np.zeros(512)))
         with pytest.raises(ResolutionError):
             filtered_noise_correlation(spec, 0.25, 1000, np.array([0.0]), seed=3, axis=coarse)
+
+    @pytest.mark.parametrize(
+        "family, bw, duration, reach",
+        [
+            ("gaussian", 0.5, 1.0, 4.5),  # demo 04's lags
+            ("gaussian", 0.05, 1.0, 8.5),
+            ("gaussian", 1.6, 1.0, 0.0),  # the resolution guard sets the span
+            ("gaussian", 4.0, 2.0, 1.0),
+            ("brick_wall", 2.0, 1.0, 2.5),
+        ],
+    )
+    def test_default_grid_is_minimal(self, family, bw, duration, reach):
+        # the rms angular frequency of |R~|^2: B sqrt(2 pi) for the Gaussian,
+        # pi B / sqrt(3) for the brick wall
+        if family == "gaussian":
+            spec, sigma_w = gaussian_sif(bw, duration), bw * np.sqrt(2.0 * np.pi)
+        else:
+            spec, sigma_w = rectangular_sif(bw, duration), np.pi * bw / np.sqrt(3.0)
+        axis = noisesim._auto_correlation_axis(spec, reach, noisesim._window_power_moments(spec))
+        assert axis.step == min(1.0 / (10.0 * bw), duration / 8.0)
+        span = max(8.0 * np.pi / sigma_w, 2.0 * (spec.temporal.support(1e-10) + reach))
+        assert_minimal_grid(spec, axis, span)
 
     def test_window_moments_evaluated_once(self, monkeypatch):
         # the default grid and the analytic surface share one |R~|^2 quadrature
