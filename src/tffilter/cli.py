@@ -34,7 +34,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import cap_threads
+from . import __version__, cap_threads
 from .core import ConvergenceError, ResolutionError, TruncationError
 from .gaussian import (
     gaussian_sif,
@@ -58,8 +58,6 @@ from .slepian import (
     slepian_singular_values,
     slepian_tradeoff,
 )
-
-ARTIFACT_VERSION = "0.1.0"
 
 # Upper bound of --n-modes and --points.  The largest table it allows,
 # ``qkd --filter all`` without --optimize, has 4e6 rows.
@@ -451,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
             "seed": getattr(args, "seed", None),
             "grid_report": grid_report,
             "warnings": [{"category": w.category.__name__, "message": str(w.message)} for w in caught],
-            "artifact_version": ARTIFACT_VERSION,
+            "artifact_version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         _write_json(args.out + ".manifest.json", manifest)

@@ -442,11 +442,8 @@ class Sif:
     spectral: StageProfile
     temporal: StageProfile
     order: StageOrder = StageOrder.FREQUENCY_FIRST
-    insertion_loss: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.insertion_loss <= 1.0):
-            raise ValueError("insertion_loss must lie in (0, 1]")
         for name, domain in (("spectral", Domain.ANGULAR_FREQUENCY), ("temporal", Domain.TIME)):
             found = getattr(getattr(self, name), "domain", None)
             if found is not domain:
@@ -521,8 +518,8 @@ def filter_samples(spec: Sif, axis: SampledAxis, values: np.ndarray) -> np.ndarr
 
     A Sif is post * FFT(mid * FFT(pre * x)), in place on one fresh array:
     ``mid`` is the stage from the other domain with the inner ramps of the
-    transform there and back; the outer ramps, the loss and the stage native
-    to ``axis`` fold into ``pre`` or ``post``, by the order.
+    transform there and back; the outer ramps and the stage native to
+    ``axis`` fold into ``pre`` or ``post``, by the order.
     """
     _require_sif(spec)
     return _filter_samples(spec, axis, values, None)
@@ -548,7 +545,6 @@ def _filter_samples(
     pre, fft_a, inner_a = _fourier_factors(axis, far)
     inner_b, fft_b, post = _fourier_factors(far, axis)
     mid = inner_a * inner_b * other(far.points)
-    post *= spec.insertion_loss
     # the stage native to the axis acts first or last
     side = pre if native is first else post
     side *= native(axis.points)
@@ -564,8 +560,8 @@ def apply_filter(spec: Sif, signal: SampledSignal) -> SampledSignal:
     """Pass ``signal`` through ``spec``; the result stays on the input's axis.
 
     Stages act pointwise in their own domain; domain changes use the package
-    Fourier convention.  Output energy never exceeds input energy times
-    insertion_loss^2 (all profiles are peak-normalized).
+    Fourier convention.  Output energy never exceeds input energy (all
+    profiles are peak-normalized).
     """
     _require_sif(spec)
     _check_grid(spec, signal.axis)
@@ -682,7 +678,7 @@ def build_operator(spec: Sif, rows: Axis, cols: Axis) -> OperatorMatrix:
     kernel = amp * np.exp(sign * 1j * np.outer(rows.points, cols.points))
     sw = np.sqrt(rows.quadrature_weights())
     sc = np.sqrt(cols.quadrature_weights())
-    entries = sw[:, None] * kernel * sc[None, :] * spec.insertion_loss
+    entries = sw[:, None] * kernel * sc[None, :]
     return OperatorMatrix(rows, cols, entries, ratio)
 
 
@@ -743,7 +739,7 @@ def parity_blocks(spec: Sif, rows: Axis, cols: Axis) -> ParityBlocks:
     arg = np.outer(xr, xc)
     even, odd = 2.0 * amp * np.cos(arg), 2.0 * amp * np.sin(arg)
     ratio = _edge_ring_check(spec, rows, cols, _peak(amp))
-    sr, sc = np.sqrt(wr) * spec.insertion_loss, np.sqrt(wc)
+    sr, sc = np.sqrt(wr), np.sqrt(wc)
     r0, c0 = rows.count % 2, cols.count % 2  # the centre sample has no odd part
     even = sr[:, None] * even * sc[None, :]
     odd = sr[r0:, None] * odd[r0:, c0:] * sc[None, c0:]

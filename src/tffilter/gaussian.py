@@ -112,13 +112,11 @@ def gaussian_sif(
     bandwidth_hz: float,
     duration_s: float,
     order: StageOrder = StageOrder.FREQUENCY_FIRST,
-    insertion_loss: float = 1.0,
 ) -> GaussianSif:
     return GaussianSif(
         GaussianProfile(bandwidth_hz, Domain.ANGULAR_FREQUENCY),
         GaussianProfile(duration_s, Domain.TIME),
         order,
-        insertion_loss,
     )
 
 
@@ -152,8 +150,10 @@ def hermite_gaussian_mode_set(
     sqrt(2 pi / a) * h_n(w / a) with a the side's width scale; on a time axis
     the same functions acquire the inverse-transform factor (-i)^n.  Modes are
     unit-norm under the axis measure.  ``axis`` None is the time axis of 4097
-    points on +-(sqrt(2 n + 1) + 6) / a, n = count - 1.  The recurrence is
-    stable to n = 60; a higher mode index raises ``ResolutionError``.
+    points on +-(sqrt(2 n + 1) + 6) / a, n = count - 1; a width scale a so
+    small that this span leaves the float range raises ``ResolutionError``.
+    The recurrence is stable to n = 60; a higher mode index raises
+    ``ResolutionError``.
     """
     if side not in ("input", "output"):
         raise ValueError("side must be 'input' or 'output'")
@@ -163,7 +163,13 @@ def hermite_gaussian_mode_set(
         raise ResolutionError("Hermite recurrence overflow guard: mode index above 60")
     scale_w = spec.alpha if side == "input" else spec.beta
     if axis is None:
-        half = (np.sqrt(2.0 * count - 1.0) + 6.0) / scale_w
+        with np.errstate(over="ignore"):  # a vanishing scale_w: refused below
+            half = (np.sqrt(2.0 * count - 1.0) + 6.0) / scale_w
+        if not np.isfinite(half):
+            raise ResolutionError(
+                f"the {side} modes' width scale {scale_w:.3g} is too small: their "
+                "default time axis would reach past the float range"
+            )
         axis = SampledAxis(-half, 2.0 * half / 4096, 4097, Domain.TIME)
     pts = axis.points
     if axis.domain is Domain.ANGULAR_FREQUENCY:

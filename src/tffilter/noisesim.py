@@ -39,6 +39,8 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from decimal import Decimal
+from fractions import Fraction
+from math import ceil
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -420,7 +422,8 @@ def snr_setup(family: str, bt: float) -> tuple[Sif, SampledAxis, SampledSignal, 
     sums, and with them the mean noise energy, exact.
 
     A grid above ``SNR_MAX_SAMPLES`` samples raises ``ResolutionError`` before
-    anything is sampled on it.
+    anything is sampled on it; its message gives the size worked out in exact
+    arithmetic, even past the float range.
     """
     if family == "gaussian":
         spec = gaussian_sif(bt, 1.0)
@@ -435,19 +438,23 @@ def snr_setup(family: str, bt: float) -> tuple[Sif, SampledAxis, SampledSignal, 
     elif family == "slepian":
         spec = rectangular_sif(bt, 1.0, order=StageOrder.TIME_FIRST)
         # brick-wall edges quantize plain Riemann sums; the gate edge sits
-        # mid-cell, and the band edge does where the rounded count is exact
-        j = max(60, int(np.ceil(5.0 * bt)))
-        dt = 1.0 / (2 * j + 1)
-        band_cells = max(5, 2 * int(np.ceil(2.0 * bt)) + 1)
-        count = np.rint(band_cells * (2 * j + 1) / bt)
+        # mid-cell, and the band edge does where the rounded count is exact.
+        # In Python floats a size past the float range reads inf, with no
+        # overflow error or warning
+        x = float(bt)
+        j = max(60.0, float(np.ceil(5.0 * x)))
+        dt = 1.0 / (2.0 * j + 1.0)
+        band_cells = max(5.0, 2.0 * float(np.ceil(2.0 * x)) + 1.0)
+        count = np.rint(band_cells * (2.0 * j + 1.0) / x)
+        if count > SNR_MAX_SAMPLES:  # the refused size in exact arithmetic
+            q = Fraction(x)
+            count = round(max(5, 2 * ceil(2 * q) + 1) * (2 * max(60, ceil(5 * q)) + 1) / q)
         mode_set, tradeoff = rectangular_filter_modes, slepian_tradeoff
     else:
         raise ValueError(f"unknown filter family {family!r}")
-    if count > SNR_MAX_SAMPLES:
-        # a Gaussian count is an exact int, possibly past the float range
-        size = format(Decimal(count), ".16g") if isinstance(count, int) else f"{count:.16g}"
+    if count > SNR_MAX_SAMPLES:  # an exact int, possibly past the float range
         raise ResolutionError(
-            f"BT = {bt:g} needs a {size}-sample time grid, above the "
+            f"BT = {bt:g} needs a {Decimal(count):.16g}-sample time grid, above the "
             f"{SNR_MAX_SAMPLES}-sample limit of the noise ensembles"
         )
     axis = centered_axis(dt, int(count), Domain.TIME)
@@ -589,11 +596,5 @@ def filtered_noise_correlation(
     rho = (kernel @ wts) / (2.0 * np.pi)
     gate_t = spec.temporal(times_g)
     gate_shift = spec.temporal(times_g[:, None] + lags_g[None, :])
-    analytic = (
-        noise_psd
-        * spec.insertion_loss**2
-        * gate_shift
-        * np.conj(gate_t)[:, None]
-        * rho[None, :]
-    )
+    analytic = noise_psd * gate_shift * np.conj(gate_t)[:, None] * rho[None, :]
     return CorrelationSurface(times_g, lags_g, emp, np.asarray(analytic, complex), stderr, trials)

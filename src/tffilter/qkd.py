@@ -263,9 +263,10 @@ def optimize_over_efficiency(
     return results if nys.ndim else results[0]
 
 
-def _golden_lockstep(point, ny: np.ndarray, bra: np.ndarray, ket: np.ndarray, tol: float = 1e-6):
+def _golden_lockstep(point, ny: np.ndarray, bra: np.ndarray, ket: np.ndarray):
     """Golden-section maximum of the rate along ``point`` on [bra_i, ket_i] at
-    noise ny_i, every i in lockstep; returns (eta*, rate*) per i."""
+    noise ny_i, every i in lockstep, each bracket narrowed to 1e-6; returns
+    (eta*, rate*) per i."""
 
     def rate(t, n_y):
         eta, xi = point(t)
@@ -276,7 +277,7 @@ def _golden_lockstep(point, ny: np.ndarray, bra: np.ndarray, ket: np.ndarray, to
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = np.split(rate(np.r_[c, d], np.tile(ny, 2))[1], 2)
-    while np.any(live := b - a > tol):
+    while np.any(live := b - a > 1e-6):
         left = live & (fc >= fd)
         right = live & ~left
         b[left], d[left], fd[left] = d[left], c[left], fc[left]

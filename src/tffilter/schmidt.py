@@ -73,10 +73,10 @@ class GridReport:
     resolutions: tuple[int, ...]
     leading_rel_change: float
     tolerance: float
-    final_rows: Axis | None = None
-    final_cols: Axis | None = None
-    ladder_rel_change: float = 0.0
-    edge_ring_ratio: float | None = None
+    final_rows: Axis
+    final_cols: Axis
+    ladder_rel_change: float
+    edge_ring_ratio: float
 
 
 @dataclass(frozen=True)

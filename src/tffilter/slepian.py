@@ -138,13 +138,11 @@ def rectangular_sif(
     bandwidth_hz: float,
     duration_s: float,
     order: StageOrder = StageOrder.FREQUENCY_FIRST,
-    insertion_loss: float = 1.0,
 ) -> RectangularSif:
     return RectangularSif(
         RectangularProfile(bandwidth_hz, Domain.ANGULAR_FREQUENCY),
         RectangularProfile(duration_s, Domain.TIME),
         order,
-        insertion_loss,
     )
 
 
@@ -356,7 +354,13 @@ def _basis_captured(coeffs: np.ndarray) -> np.ndarray:
 
 def _basis_size(c: float, n_max: int) -> int:
     """First Legendre basis size tried for modes 0 .. n_max at parameter c; at
-    least 4 terms above the smallest that passes the capture test for c <= 80."""
+    least 4 terms above the smallest that passes the capture test for c <= 80.
+    A c past the float range raises ``ResolutionError``, as ``BASIS_LIMIT`` would."""
+    if not np.isfinite(c):
+        raise ResolutionError(
+            "a prolate parameter c past the float range needs a basis above the "
+            f"{BASIS_LIMIT}-term limit of the prolate solver"
+        )
     return int(c) + 2 * n_max + 24
 
 
@@ -418,8 +422,8 @@ def _solve_stacked(cs: np.ndarray, n_max: int) -> list[tuple[np.ndarray, np.ndar
     return out
 
 
-def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
-    """Prolate modes via the commuting differential operator in a Legendre basis.
+def pswf_solve_legendre(c: float, n_max: int) -> PswfSolution:
+    """Prolate modes 0 .. ``n_max`` via the commuting operator in a Legendre basis.
 
     The operator is tridiagonal within each parity block, so eigenvectors come
     from one dense symmetric eigensolve per block (``_lowest_eigenpairs``) and
@@ -434,8 +438,6 @@ def pswf_solve_legendre(c: float, n_max: int | None = None) -> PswfSolution:
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    if n_max is None:  # covers the plunge region where all nontrivial concentrations live
-        n_max = int(np.ceil(2.0 * c / np.pi)) + 10
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > 60:
@@ -608,38 +610,37 @@ def ground_parameter(eta: float | np.ndarray) -> float | np.ndarray:
     raise ConvergenceError(f"no prolate parameter found for eta = {flat[live[0]]!r}")
 
 
-def interval_gram(sol: PswfSolution, count: int | None = None) -> np.ndarray:
-    """<Phi_m, Phi_n> over the gate interval for full-line-normalized modes.
+def interval_gram(sol: PswfSolution) -> np.ndarray:
+    """<Phi_m, Phi_n> over the gate interval for every full-line-normalized mode of ``sol``.
 
     Double orthogonality makes this diag(beta_n); computed with the native
     quadrature of the solution, so its diagonal checks the quadrature-free
     concentrations independently.
     """
-    n = count or sol.n_modes
     _, qw, qs = sol._quadrature
-    s = qs[:n] * np.sqrt(sol.eigenvalues[:n, None])
+    s = qs * np.sqrt(sol.eigenvalues[:, None])
     return (s * qw[None, :]) @ s.T
 
 
-def full_line_gram(sol: PswfSolution, count: int | None = None) -> np.ndarray:
-    """<Phi_m, Phi_n> over the full line (identity matrix), computed spectrally.
+def full_line_gram(sol: PswfSolution) -> np.ndarray:
+    """<Phi_m, Phi_n> over the full line for every mode of ``sol``: the identity matrix.
 
-    The band-limited extension of mode n has spectrum confined to the
-    normalized band, where it is proportional to the finite Fourier transform
-    g_n; Plancherel turns the full-line integral into a band integral,
+    It is computed spectrally.  The band-limited extension of mode n has
+    spectrum confined to the normalized band, where it is proportional to the
+    finite Fourier transform g_n; Plancherel turns the full-line integral into
+    a band integral,
     <Phi_m, Phi_n> = c / (2 pi sqrt(beta_m beta_n)) integral g_m* g_n dxi,
     so the 1/x interval tails never need quadrature.
     """
-    n = count or sol.n_modes
     xi, wxi = _legendre_rule(sol.quad_points + 64)
-    g = np.empty((n, len(xi)), dtype=complex)
-    for k in range(n):
+    g = np.empty((sol.n_modes, len(xi)), dtype=complex)
+    for k in range(sol.n_modes):
         g[k] = sol.finite_transform(k, xi)
     gram = (g.conj() * wxi[None, :]) @ g.T * (sol.c / (2.0 * np.pi))
     # the normalization is undefined where beta has collapsed to the floor;
     # those entries come back nan rather than a warning storm
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = 1.0 / np.sqrt(sol.eigenvalues[:n])
+        scale = 1.0 / np.sqrt(sol.eigenvalues)
         return gram * scale[:, None] * scale[None, :]
 
 
@@ -649,26 +650,22 @@ def slepian_singular_values(spec_or_c: RectangularSif | float, count: int) -> np
     return np.sqrt(pswf_solve_legendre(c, count - 1).eigenvalues[:count])
 
 
-def slepian_filter_modes(
-    sol: PswfSolution, n: int, axis: SampledAxis | None = None
-) -> tuple[SampledSignal, SampledSignal, float]:
+def slepian_filter_modes(sol: PswfSolution, n: int) -> tuple[SampledSignal, SampledSignal, float]:
     """(input mode, output mode, singular value) for pair n, window-first order.
 
     In normalized units the input mode is the full-line-normalized band-limited
     prolate and the output mode is its interval restriction renormalized to
     unit norm on the gate window; the singular value is sqrt(beta_n).  Both
-    are sampled on ``axis`` (default: 2049 uniform points over [-4, 4]); the
-    output mode is zero outside the interval with the 1/2 jump convention at
-    the boundary.  A concentration below ``BETA_FLOOR`` raises
-    ``ResolutionError``.
+    are sampled on 2049 uniform points over [-4, 4]; the output mode is zero
+    outside the interval with the 1/2 jump convention at the boundary.  A
+    concentration below ``BETA_FLOOR`` raises ``ResolutionError``.
     """
     if not (0 <= n < sol.n_modes):
         raise ValueError("mode index out of range")
     beta = sol.eigenvalues[n]
     if beta < BETA_FLOOR:
         raise ResolutionError(f"concentration beta_{n} below {BETA_FLOOR:g}; mode unresolvable")
-    if axis is None:
-        axis = SampledAxis(-4.0, 8.0 / 2048, 2049, Domain.TIME)
+    axis = SampledAxis(-4.0, 8.0 / 2048, 2049, Domain.TIME)
     pts = axis.points
     vals_in = np.sqrt(beta) * sol.evaluate(n, pts)
     mask = _indicator(pts, 1.0)
@@ -686,7 +683,6 @@ def rectangular_filter_modes(
     axis: SampledAxis,
     count: int,
     side: str,
-    solution: PswfSolution | None = None,
 ) -> tuple[SampledSignal, ...]:
     """Schmidt modes of a physical brick-wall filter, on the axis where they live.
 
@@ -699,7 +695,9 @@ def rectangular_filter_modes(
     * FREQUENCY_FIRST: input modes on a frequency axis, output modes on time,
     * TIME_FIRST: input modes on a time axis, output modes on frequency.
 
-    Samples on the support boundary use the 1/2 jump convention.
+    Samples on the support boundary use the 1/2 jump convention.  The
+    prolates are solved here, ``pswf_solve_legendre(spec.c, count - 1)``, and
+    a concentration beta_{count-1} below ``BETA_FLOOR`` raises ``ValueError``.
     """
     if side not in ("input", "output"):
         raise ValueError("side must be 'input' or 'output'")
@@ -712,9 +710,7 @@ def rectangular_filter_modes(
             f"{side} modes of this composition order are compact on a {want.value} axis; "
             "evaluating their infinite-tail counterpart on a truncated grid is refused"
         )
-    sol = solution or pswf_solve_legendre(spec.c, count - 1)
-    if sol.n_modes < count:
-        raise ValueError("solution holds fewer modes than requested")
+    sol = pswf_solve_legendre(spec.c, count - 1)
     if sol.eigenvalues[count - 1] < BETA_FLOOR:
         raise ValueError(
             f"concentration beta_{count - 1} below {BETA_FLOOR:g}; mode unresolvable"

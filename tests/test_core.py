@@ -295,19 +295,18 @@ def test_fourier_parseval_and_round_trip(axis, seed):
     st.sampled_from(["gaussian", "rectangular"]),
     st.floats(min_value=0.1, max_value=5.0),
     st.sampled_from(list(StageOrder)),
-    st.floats(min_value=0.05, max_value=1.0),
     st.booleans(),
 )
-def test_filter_samples_never_gains_energy(axis, seed, family, bt, order, loss, spectral):
-    # peak-normalized stages and a unitary discrete transform: energy out <= loss^2 energy in
+def test_filter_samples_never_gains_energy(axis, seed, family, bt, order, spectral):
+    # peak-normalized stages and a unitary discrete transform: energy out <= energy in
     make = gaussian_sif if family == "gaussian" else rectangular_sif
-    spec = make(bt, 1.0, order, insertion_loss=loss)
+    spec = make(bt, 1.0, order)
     sig = random_signal(axis, seed).normalized()
     if spectral:  # the same signal on the centred reciprocal frequency axis
         centred = centered_axis(axis.step, axis.count, Domain.TIME)
         sig = fourier_forward(SampledSignal(centred, sig.values))
     out = SampledSignal(sig.axis, filter_samples(spec, sig.axis, sig.values))
-    assert out.energy() <= loss**2 * sig.energy() + 1e-12
+    assert out.energy() <= sig.energy() + 1e-12
 
 
 class TestSignal:
@@ -348,15 +347,6 @@ class TestApplyFilter:
             sc = np.sqrt(in_side.axis.quadrature_weights())
             acted = (op.entries @ (sc * in_side.values)) / sr
             assert np.max(np.abs(direct.values - acted)) < 1e-12, order
-
-    def test_insertion_loss_scales_output(self):
-        full = gaussian_sif(0.5, 1.0)
-        lossy = gaussian_sif(0.5, 1.0, insertion_loss=0.5)
-        ax = centered_axis(16.0 / 1024, 1024, Domain.TIME)
-        sig = gaussian_pulse(ax).normalized()
-        a = apply_filter(full, sig)
-        b = apply_filter(lossy, sig)
-        assert np.max(np.abs(b.values - 0.5 * a.values)) < 1e-12
 
     def test_undersampled_grid_raises(self):
         spec = gaussian_sif(4.0, 1.0)  # needs dt <= 1/40
@@ -423,7 +413,7 @@ def stage_by_stage(spec: Sif, signal: SampledSignal) -> np.ndarray:
         if not native:  # and back onto the caller's grid
             sig = fourier_inverse(sig, signal.axis) if on_time else fourier_forward(sig)
     assert sig.axis.close_to(signal.axis)
-    return sig.values * spec.insertion_loss
+    return sig.values
 
 
 class TestTransportOracle:
@@ -444,12 +434,12 @@ class TestTransportOracle:
         ["gaussian_ff", "gaussian_tf", "brickwall_ff", "brickwall_tf"],
     )
     def test_matches_stage_by_stage(self, kind, axis):
-        g = gaussian_sif(1.5, 1.0, insertion_loss=0.9)
+        g = gaussian_sif(1.5, 1.0)
         spec = {
             "gaussian_ff": g,
             "gaussian_tf": replace(g, order=StageOrder.TIME_FIRST),
-            "brickwall_ff": rectangular_sif(2.0, 1.0, insertion_loss=0.8),
-            "brickwall_tf": rectangular_sif(2.0, 1.0, StageOrder.TIME_FIRST, insertion_loss=0.8),
+            "brickwall_ff": rectangular_sif(2.0, 1.0),
+            "brickwall_tf": rectangular_sif(2.0, 1.0, StageOrder.TIME_FIRST),
         }[kind]
         rng = np.random.default_rng(17)
         rows = rng.standard_normal((3, axis.count)) + 1j * rng.standard_normal((3, axis.count))

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +20,11 @@ def test_every_name_in_all_resolves(module_name):
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     missing = [name for name in exported if not hasattr(module, name)]
     assert missing == []
+
+
+def test_one_version_string():
+    # the package, its manifests and its distribution metadata carry one version
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(tffilter.__file__).parents[2] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == tffilter.__version__

@@ -195,10 +195,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             gaussian_sif(1.0, -2.0)
 
-    def test_rejects_bad_loss(self):
-        with pytest.raises(ValueError):
-            gaussian_sif(1.0, 1.0, insertion_loss=1.5)
-
     def test_mode_index_above_60_is_a_resolution_error(self):
         spec = gaussian_sif(0.5, 1.0)
         with pytest.raises(ResolutionError):

@@ -158,6 +158,24 @@ class TestSnrSetup:
             snr_setup("gaussian", bt)
         assert "inf" not in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "bt, size",
+        [
+            (1e-320, "6.050067354294611e+322"),
+            (1e200, "4.000000000000000e+201"),
+            (1e308, "4.000000000000000e+309"),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("as_type", [float, np.float64], ids=["float", "float64"])
+    def test_brick_wall_size_past_the_float_range_is_exact(self, bt, size, as_type):
+        # round(band_cells (2j + 1) / BT) with j = max(60, ceil(5 BT)) and
+        # band_cells = max(5, 2 ceil(2 BT) + 1) is past the float range here;
+        # the refusal gives it exactly, to 16 digits, with no overflow warning
+        with pytest.raises(ResolutionError) as exc:
+            snr_setup("slepian", as_type(bt))
+        assert f"needs a {size}-sample time grid" in str(exc.value)
+
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.floats(min_value=0.01, max_value=50.0))
     def test_gaussian_grid_is_minimal(self, bt):
@@ -581,8 +599,7 @@ class TestCorrelation:
         rho = np.where(surf.lags == 0.0, 2.0, np.sin(2.0 * np.pi * tau) / (np.pi * tau))
         gate = spec.temporal
         expected = (
-            spec.insertion_loss**2
-            * gate(surf.times[:, None] + surf.lags[None, :])
+            gate(surf.times[:, None] + surf.lags[None, :])
             * np.conj(gate(surf.times))[:, None]
             * rho[None, :]
         )
@@ -604,7 +621,6 @@ class TestCorrelation:
         gate = spec.temporal
         complex_sum = (
             noise_psd
-            * spec.insertion_loss**2
             * gate(surf.times[:, None] + surf.lags[None, :])
             * np.conj(gate(surf.times))[:, None]
             * rho[None, :]

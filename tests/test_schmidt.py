@@ -155,9 +155,10 @@ class TestRectangularLadder:
         rep = res.grid_report
         sv = res.singular_values
         count = int(np.sum(sv >= 1e-3 * sv[0]))
-        sol = _prolate(spec, count)
-        outs = rectangular_filter_modes(spec, rep.final_rows, count, "output", sol)
-        ins = rectangular_filter_modes(spec, rep.final_cols, count, "input", sol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # concentrations below the floor are cut by the caller
+            outs = rectangular_filter_modes(spec, rep.final_rows, count, "output")
+            ins = rectangular_filter_modes(spec, rep.final_cols, count, "input")
         for n in range(count):
             assert abs(abs(inner_product(outs[n], res.output_modes[n])) - 1.0) < 1e-11, n
             assert abs(abs(inner_product(ins[n], res.input_modes[n])) - 1.0) < 1e-11, n
