@@ -19,13 +19,14 @@ numeric or convergence failure, or a run past the library's resolution
 limits.  A failed run writes no file.
 Set TF_FILTER_THREADS to cap the linear-algebra thread pools and to size the
 worker pool of the snr ensembles (1 runs them serially).
+Each command imports the library functions it calls inside its own branch, so
+a cold process loads only the modules that command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import sys
@@ -36,28 +37,6 @@ import numpy as np
 
 from . import __version__, cap_threads
 from .core import ConvergenceError, ResolutionError, TruncationError
-from .gaussian import (
-    gaussian_sif,
-    gaussian_singular_values,
-    gaussian_tradeoff,
-    hermite_gaussian_mode_set,
-)
-from .metrics import analytic_snr
-from .noisesim import NoiseEnsembleConfig, run_ensemble, snr_setup
-from .qkd import (
-    ETA_GRID,
-    QPG_REFERENCE_POINTS,
-    FilterCharacteristic,
-    normalized_key_rate,
-    optimize_over_efficiency,
-)
-from .slepian import (
-    pswf_solve_legendre,
-    rectangular_sif,
-    slepian_filter_modes,
-    slepian_singular_values,
-    slepian_tradeoff,
-)
 
 # Upper bound of --n-modes and --points.  The largest table it allows,
 # ``qkd --filter all`` without --optimize, has 4e6 rows.
@@ -142,10 +121,28 @@ def _open_out(path: str | None):
 
 
 def _write_rows(path: str | None, header: list[str], rows) -> None:
+    """Write the table as ``csv.writer(lineterminator="\\n")`` would, in one join.
+
+    Every cell is written unquoted, so a table that csv would quote raises
+    ``ValueError`` before any file is opened: a cell holding a comma, a quote
+    or a line break, an empty row, or a row of one empty cell.
+    """
+    table = [header, *rows]
+    text = "\n".join(map(",".join, table)) + "\n"
+    # a row of n cells joins with n - 1 commas, so a comma in a cell shows in
+    # the count, as a line break does in the line count; an empty row and a
+    # row of one empty cell both write an empty line
+    if (
+        text.count(",") != sum(map(len, table)) - len(table)
+        or text.count("\n") != len(table)
+        or '"' in text
+        or "\r" in text
+        or text[0] == "\n"
+        or "\n\n" in text
+    ):
+        raise ValueError("a CSV cell holds a comma, quote or line break, or a row is empty")
     with _open_out(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(text)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -162,9 +159,13 @@ def cmd_decompose(args: argparse.Namespace):
     bt = parse_bt(args.bt)
     _check_count(args.n_modes, "--n-modes")
     if args.filter == "gaussian":
+        from .gaussian import gaussian_singular_values
+
         lam = gaussian_singular_values(bt, args.n_modes)
         backend = {"backend": "analytic-mehler"}
     else:
+        from .slepian import rectangular_sif, slepian_singular_values
+
         lam = slepian_singular_values(rectangular_sif(bt, 1.0), args.n_modes)
         backend = {"backend": "legendre-prolate"}
     sq = lam**2
@@ -187,8 +188,12 @@ def cmd_tradeoff(args: argparse.Namespace):
     _check_count(args.points, "--points")
     bts = np.geomspace(bt_min, bt_max, args.points)
     if args.filter == "gaussian":
+        from .gaussian import gaussian_tradeoff
+
         eta, xi = gaussian_tradeoff(bts)
     else:
+        from .slepian import slepian_tradeoff
+
         eta, xi = slepian_tradeoff(bts)
     header = [
         "family",
@@ -201,6 +206,8 @@ def cmd_tradeoff(args: argparse.Namespace):
         [args.filter, *cells]
         for cells in zip(_fmt_all(bts), _fmt_all(eta), _fmt_all(xi), _fmt_all(eta * xi))
     ]
+    from .metrics import QPG_REFERENCE_POINTS
+
     qpg_eta, qpg_xi = QPG_REFERENCE_POINTS[0]
     rows.append(["qpg_reference", "", _fmt(qpg_eta), _fmt(qpg_xi), _fmt(qpg_eta * qpg_xi)])
     return (header, rows), {"spacing": "log", "includes": "qpg_reference row"}
@@ -215,6 +222,8 @@ def cmd_modes(args: argparse.Namespace):
             raise UsageError("--c applies to the slepian family; use --bt for gaussian")
         if args.bt is None:
             raise UsageError("gaussian modes need --bt")
+        from .gaussian import gaussian_sif, hermite_gaussian_mode_set
+
         spec = gaussian_sif(parse_bt(args.bt), 1.0)
         mode = hermite_gaussian_mode_set(spec, None, n + 1, args.which)[n]
         t_unit = "s"
@@ -223,6 +232,8 @@ def cmd_modes(args: argparse.Namespace):
     else:
         if (args.c is None) == (args.bt is None):
             raise UsageError("slepian modes need exactly one of --c or --bt")
+        from .slepian import pswf_solve_legendre, rectangular_sif, slepian_filter_modes
+
         c = args.c if args.c is not None else rectangular_sif(parse_bt(args.bt), 1.0).c
         if c <= 0:
             raise UsageError("prolate parameter must be positive")
@@ -244,6 +255,9 @@ def cmd_snr(args: argparse.Namespace):
         raise UsageError("--trials must be >= 1")
     if args.signal_energy < 0 or args.noise_psd < 0:
         raise UsageError("energies must be nonnegative")
+    from .metrics import analytic_snr
+    from .noisesim import NoiseEnsembleConfig, run_ensemble, snr_setup
+
     spec, axis, mode, xi = snr_setup(args.filter, bt)
     cfg = NoiseEnsembleConfig(
         noise_psd=args.noise_psd,
@@ -266,6 +280,8 @@ def cmd_snr(args: argparse.Namespace):
 
 
 def _qkd_point(eta: float, xi: float):
+    from .qkd import FilterCharacteristic
+
     try:
         fc = FilterCharacteristic.fixed_point(eta, xi)
     except ValueError as exc:
@@ -274,6 +290,9 @@ def _qkd_point(eta: float, xi: float):
 
 
 def _qkd_families(token: str):
+    from .metrics import QPG_REFERENCE_POINTS
+    from .qkd import FilterCharacteristic
+
     if token == "gaussian":
         return [("gaussian", FilterCharacteristic.gaussian())]
     if token == "slepian":
@@ -298,6 +317,8 @@ def cmd_qkd(args: argparse.Namespace):
     if args.ny_min < 0 or args.ny_max < args.ny_min:
         raise UsageError("need 0 <= --ny-min <= --ny-max")
     _check_count(args.points, "--points")
+    from .qkd import ETA_GRID, normalized_key_rate, optimize_over_efficiency
+
     families = _qkd_families(args.filter)
     if args.ny_min > 0:
         ny_values = np.geomspace(args.ny_min, args.ny_max, args.points)

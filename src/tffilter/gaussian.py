@@ -54,12 +54,20 @@ class GaussianProfile(StageProfile):
     even = True
 
     def __init__(self, width: float, domain: Domain) -> None:
+        """A width whose constants leave the float range raises ``ResolutionError``."""
         super().__init__(width, domain)
         width = self.width  # _sigma is the amplitude's 1/e^(1/2) radius
-        if self.domain is Domain.TIME:
-            self._a, self._b, self._sigma = np.pi, 2.0 * width**2, width / np.sqrt(np.pi)
-        else:  # |R~|^2 = exp(-w^2/(4 pi B^2)): std B sqrt(2 pi), integral dw/2pi = B
-            self._a, self._b, self._sigma = 1.0, 8.0 * np.pi * width**2, 2.0 * width * np.sqrt(np.pi)
+        try:
+            if self.domain is Domain.TIME:
+                self._a, self._b, self._sigma = np.pi, 2.0 * width**2, width / np.sqrt(np.pi)
+            else:  # |R~|^2 = exp(-w^2/(4 pi B^2)): std B sqrt(2 pi), integral dw/2pi = B
+                self._a, self._b, self._sigma = 1.0, 8.0 * np.pi * width**2, 2.0 * width * np.sqrt(np.pi)
+        except OverflowError:  # a Python float's ** raises where * reads inf
+            self._b = self._sigma = float("inf")
+        if not (np.isfinite(self._b) and np.isfinite(self._sigma)):
+            raise ResolutionError(
+                f"a Gaussian profile of width {width:.3g} is past the float range"
+            )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -26,7 +26,11 @@ __all__ = [
     "figures_from_singulars",
     "bt_from_profiles",
     "analytic_snr",
+    "QPG_REFERENCE_POINTS",
 ]
+
+# (eta, xi) of the quantum pulse gates the sequential families are measured against
+QPG_REFERENCE_POINTS = ((0.99, 0.98), (0.9999, 0.9999))
 
 
 @dataclass(frozen=True)

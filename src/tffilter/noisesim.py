@@ -38,8 +38,6 @@ import threading
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
-from decimal import Decimal
-from fractions import Fraction
 from math import ceil
 from typing import TYPE_CHECKING
 
@@ -63,7 +61,6 @@ from .core import (
     centered_axis,
 )
 from .gaussian import gaussian_sif, gaussian_tradeoff, hermite_gaussian_mode_set
-from .slepian import rectangular_filter_modes, rectangular_sif, slepian_tradeoff
 
 if TYPE_CHECKING:  # imported when a pool is first made, not with the package
     from concurrent.futures import ThreadPoolExecutor
@@ -436,6 +433,8 @@ def snr_setup(family: str, bt: float) -> tuple[Sif, SampledAxis, SampledSignal, 
         count = 2 ** int(np.ceil(np.logaddexp2(log2_reach, 0.0) + 1.0 - np.log2(dt)))
         mode_set, tradeoff = hermite_gaussian_mode_set, gaussian_tradeoff
     elif family == "slepian":
+        from .slepian import rectangular_filter_modes, rectangular_sif, slepian_tradeoff
+
         spec = rectangular_sif(bt, 1.0, order=StageOrder.TIME_FIRST)
         # brick-wall edges quantize plain Riemann sums; the gate edge sits
         # mid-cell, and the band edge does where the rounded count is exact.
@@ -447,12 +446,16 @@ def snr_setup(family: str, bt: float) -> tuple[Sif, SampledAxis, SampledSignal, 
         band_cells = max(5.0, 2.0 * float(np.ceil(2.0 * x)) + 1.0)
         count = np.rint(band_cells * (2.0 * j + 1.0) / x)
         if count > SNR_MAX_SAMPLES:  # the refused size in exact arithmetic
+            from fractions import Fraction
+
             q = Fraction(x)
             count = round(max(5, 2 * ceil(2 * q) + 1) * (2 * max(60, ceil(5 * q)) + 1) / q)
         mode_set, tradeoff = rectangular_filter_modes, slepian_tradeoff
     else:
         raise ValueError(f"unknown filter family {family!r}")
     if count > SNR_MAX_SAMPLES:  # an exact int, possibly past the float range
+        from decimal import Decimal
+
         raise ResolutionError(
             f"BT = {bt:g} needs a {Decimal(count):.16g}-sample time grid, above the "
             f"{SNR_MAX_SAMPLES}-sample limit of the noise ensembles"

@@ -30,6 +30,7 @@ from enum import Enum
 
 import numpy as np
 
+from .metrics import QPG_REFERENCE_POINTS
 from .slepian import GROUND_C_RANGE, ground_parameter, ground_range, slepian_tradeoff
 
 __all__ = [
@@ -59,29 +60,13 @@ def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _entropy_bracket_root() -> float:
-    # 1 - 2 H(q) = 0 on (0, 1/2); single root since H is increasing there.
-    # Bisection until the midpoint stops moving, with no SciPy root finder:
-    # NumPy is the only runtime dependency.
-    lo, hi = 1e-9, 0.5 - 1e-12
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid
-        if 1.0 - 2.0 * binary_entropy(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
-QBER_THRESHOLD = _entropy_bracket_root()  # ~ 0.110028
+# the root of the bracket 1 - 2 H(q) on (0, 1/2), to the last bit: bisection
+# of the bracket in float64 stops moving here (tests/test_qkd.py re-solves it)
+QBER_THRESHOLD = 0.11002786443835955
 
 # the efficiency grid that FilterCharacteristic.grid_points samples a curve on
 ETA_GRID = np.linspace(0.005, 0.995, 199)
 ETA_GRID.flags.writeable = False
-
-# (eta, xi) of the quantum pulse gates the sequential families are measured against
-QPG_REFERENCE_POINTS = ((0.99, 0.98), (0.9999, 0.9999))
 
 
 def qber(n_y: float | np.ndarray, xi: float | np.ndarray) -> float | np.ndarray:

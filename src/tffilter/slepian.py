@@ -282,10 +282,12 @@ def _legendre_blocks(c: float | np.ndarray, size: int) -> tuple[np.ndarray, np.n
     A basis above ``BASIS_LIMIT`` terms raises ``ResolutionError`` before
     anything is built: its dense parity blocks would not fit in memory.
     """
-    if size > BASIS_LIMIT:
+    if size > BASIS_LIMIT:  # an exact int, possibly past the float range
+        from decimal import Decimal
+
         raise ResolutionError(
-            f"a {size}-term Legendre basis is above the {BASIS_LIMIT}-term limit "
-            "of the prolate solver"
+            f"a {Decimal(size):.16g}-term Legendre basis is above the {BASIS_LIMIT}-term "
+            "limit of the prolate solver"
         )
     tables = _legendre_tables(size)
     c2 = np.asarray(c, dtype=float)[..., None] ** 2
@@ -456,8 +458,20 @@ def pswf_solve_legendre(c: float, n_max: int) -> PswfSolution:
     return sol
 
 
-# Gauss-Laguerre rule of the complement integral, in u = 2 (c' - c)
-_LAGUERRE_NODES, _LAGUERRE_WEIGHTS = np.polynomial.laguerre.laggauss(12)
+# the 12-node Gauss-Laguerre rule of the complement integral, in u = 2 (c' - c):
+# np.polynomial.laguerre.laggauss(12) to the last bit (tests/test_slepian.py
+# checks it), written out so that loading this module imports no numpy.polynomial
+_LAGUERRE_NODES = np.array([
+    0.1157221173580205, 0.6117574845151308, 1.512610269776419, 2.833751337743507,
+    4.5992276394183484, 6.844525453115177, 9.621316842456867, 13.006054993306348,
+    17.116855187462257, 22.151090379397004, 28.487967250984, 37.09912104446692,
+])
+_LAGUERRE_WEIGHTS = np.array([
+    0.26473137105543654, 0.3777592758731421, 0.24408201131987906, 0.09044922221168182,
+    0.020102381154634218, 0.0026639735418653335, 0.0002032315926630013,
+    8.365055856819926e-06, 1.6684938765409212e-07, 1.342391030515004e-09,
+    3.0616016350351023e-12, 8.148077467426094e-16,
+])
 _GROUND_SWITCH = 5.6  # ground_concentration reads the complement from here up
 _GROUND_ONE = 21.0  # from here up 1 - beta_0 < 2^-54, so beta_0 rounds to 1
 GROUND_C_RANGE = (1e-3, 17.0)  # the clamp on c of the brick-wall curve ground_parameter inverts
@@ -488,7 +502,7 @@ def concentration_complement(c: float | np.ndarray) -> float | np.ndarray:
     nodes = flat[:, None] + 0.5 * _LAGUERRE_NODES
     sizes = nodes[:, -1].astype(int) + 32
     out = np.empty(flat.shape)
-    for size in np.unique(sizes).tolist():
+    for size in sorted(set(sizes.tolist())):
         group = sizes == size
         out[group] = _complement_stacked(nodes[group], size)
     return float(out[0]) if cs.ndim == 0 else out.reshape(cs.shape)

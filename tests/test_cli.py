@@ -2,6 +2,8 @@
 
 import ast
 import csv
+import importlib
+import io
 import json
 import math
 import os
@@ -552,7 +554,10 @@ class TestCountBound:
         def refuse(*args, **kwargs):
             raise AssertionError("the library was called")
 
-        monkeypatch.setattr(tffilter.cli, library, refuse)
+        # the CLI imports each library function inside its command, from the
+        # module that defines it, so the patch goes on that module
+        owner = importlib.import_module(getattr(tffilter, library).__module__)
+        monkeypatch.setattr(owner, library, refuse)
         out = tmp_path / "out"
         assert run(*argv, str(tffilter.cli.MAX_COUNT + 1), "--out", str(out)) == 2
         assert f"must be <= {tffilter.cli.MAX_COUNT}" in capsys.readouterr().err
@@ -617,6 +622,11 @@ def test_bad_numbers_exit_2(argv, tmp_path, capsys):
         ("decompose", "--filter", "slepian", "--bt", "1e308"),
         ("modes", "--filter", "slepian", "--bt", "1e308"),
         ("modes", "--filter", "gaussian", "--bt", "1e-320"),
+        # a Gaussian window whose constants leave the float range is refused
+        # when it is built, not an overflow
+        ("modes", "--filter", "gaussian", "--bt", "1e200"),
+        ("snr", "--filter", "gaussian", "--bt", "1e200", "--trials", "1", "--seed", "0"),
+        ("snr", "--filter", "gaussian", "--bt", "1e308", "--trials", "1", "--seed", "0"),
     ],
     ids=" ".join,
 )
@@ -715,6 +725,22 @@ class TestTypedErrors:
             err,
         ), err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("modes", "--filter", "slepian", "--c", "1e300"), ("decompose", "--filter", "slepian", "--bt", "1e300")],
+        ids=" ".join,
+    )
+    def test_vast_prolate_basis_is_refused_in_a_short_message(self, capsys, argv):
+        # the refused basis size is printed to 16 digits, not as a ~300-digit integer
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"numeric failure: a \d\.\d{15}e\+300-term Legendre basis is above the "
+            r"4096-term limit of the prolate solver\n",
+            err,
+        ), err
+        assert len(err) < 120
+
     def test_oversized_mode_quadrature_exits_3(self, monkeypatch, capsys):
         import tffilter.slepian as slepian
 
@@ -755,18 +781,112 @@ def test_cli_imports_no_private_package_name():
     assert private == []
 
 
-def test_cli_imports_only_at_module_level():
-    # the package __init__ loads every module before the CLI runs, so an import
-    # inside a command saves nothing
-    tree = ast.parse(Path(tffilter.cli.__file__).read_text(encoding="utf-8"))
-    nested = [
-        (func.name, node.lineno)
-        for func in ast.walk(tree)
-        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for node in ast.walk(func)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-    ]
-    assert nested == []
+# each README command, with the tffilter modules it may load
+_FOOTPRINTS = [
+    (("decompose", "--filter", "gaussian", "--bt", "0.5", "--n-modes", "10"),
+     {"cli", "core", "gaussian"}),
+    (("tradeoff", "--filter", "slepian", "--bt-min", "0.01", "--bt-max", "10", "--points", "80"),
+     {"cli", "core", "metrics", "slepian"}),
+    (("modes", "--filter", "slepian", "--c", "3.0", "--mode", "0"),
+     {"cli", "core", "slepian"}),
+    (("snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "10000", "--seed", "7"),
+     {"cli", "core", "gaussian", "metrics", "noisesim"}),
+    (("qkd", "--filter", "all", "--ny-min", "1e-4", "--ny-max", "1", "--points", "50", "--optimize"),
+     {"cli", "core", "metrics", "qkd", "slepian"}),
+]
+
+
+def _fresh_python(script: str) -> str:
+    """Standard output of ``script`` run in a fresh interpreter on this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(tffilter.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv, modules", _FOOTPRINTS, ids=[" ".join(argv[:3]) for argv, _ in _FOOTPRINTS])
+def test_each_command_loads_only_its_modules(argv, modules, tmp_path):
+    # a cold command pays for the modules it runs and no others; NumPy's
+    # masked arrays (10-15 ms to import) are not among them, nor its
+    # polynomial package, which only the prolate modes' Legendre series use
+    script = (
+        "import sys; from tffilter.cli import main; "
+        f"assert main({[*argv, '--out', str(tmp_path / 'out')]!r}) == 0; "
+        "print(sorted(m[9:] for m in sys.modules if m.startswith('tffilter.'))); "
+        "print('numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)"
+    )
+    loaded, numpy_packages = _fresh_python(script).splitlines()
+    assert loaded == repr(sorted(modules))
+    assert numpy_packages == f"False {argv[0] == 'modes'}"
+
+
+def test_package_import_loads_no_numpy():
+    script = "import sys, tffilter; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    assert _fresh_python(script) == "[]\n"
+
+
+# a cell csv.writer quotes (a carriage return too, in some Python versions),
+# in each position it can take in a row
+_QUOTED_CELLS = ["a,b", 'say "x"', "a\rb", "a\nb"]
+
+
+def _csv_text(header, rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--filter", "gaussian", "--bt", "0.5", "--n-modes", "10"),
+        ("decompose", "--filter", "slepian", "--bt", "4"),
+        ("tradeoff", "--filter", "slepian", "--bt-min", "0.01", "--bt-max", "10", "--points", "80"),
+        ("tradeoff", "--filter", "gaussian", "--bt-min", "0.01", "--bt-max", "10", "--points", "5"),
+        ("modes", "--filter", "slepian", "--c", "3.0", "--mode", "0"),
+        ("qkd", "--filter", "all", "--ny-min", "1e-4", "--ny-max", "1", "--points", "50", "--optimize"),
+        ("qkd", "--filter", "all", "--ny-min", "1e-4", "--ny-max", "1", "--points", "50"),
+    ],
+    ids=" ".join,
+)
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_rows_are_written_as_csv_writes_them(argv, tmp_path):
+    args = tffilter.cli.build_parser().parse_args(list(argv))
+    (header, rows), _ = args.func(args)
+    rows = list(rows)
+    out = tmp_path / "out.csv"
+    tffilter.cli._write_rows(str(out), header, rows)
+    assert out.read_bytes() == _csv_text(header, rows).encode("utf-8")
+    if argv[0] == "tradeoff":  # the reference row's empty bt cell
+        assert rows[-1][:2] == ["qpg_reference", ""]
+
+
+@pytest.mark.parametrize("cell", _QUOTED_CELLS, ids=repr)
+@pytest.mark.parametrize("where", ["header", "first", "last"])
+def test_a_cell_csv_would_quote_is_refused(cell, where, tmp_path):
+    header, rows = ["a", "b", "c"], [["1", "2", "3"], ["4", "5", "6"]]
+    if where == "header":
+        header[1] = cell
+    else:
+        rows[1][0 if where == "first" else -1] = cell
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="CSV cell"):
+        tffilter.cli._write_rows(str(out), header, rows)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", [[], [""]], ids=repr)
+def test_an_empty_row_is_refused(row, tmp_path):
+    # csv writes a row of one empty cell as "", and no command writes an
+    # empty row; both would be an empty line, which the writer refuses
+    with pytest.raises(ValueError, match="CSV cell"):
+        tffilter.cli._write_rows(str(tmp_path / "out.csv"), ["a", "b"], [["1", "2"], row])
 
 
 def _threads_under_cap(script: str, cap: str = "1") -> int:

@@ -132,6 +132,17 @@ class TestKeyRate:
         assert normalized_key_rate(0.9, xi, n_star * 1.0001) == 0.0
         assert normalized_key_rate(0.9, xi, n_star * 0.9999) > 0.0
 
+    def test_threshold_is_the_bisected_entropy_root(self):
+        # the literal is the root of 1 - 2 H(q) on (0, 1/2) that bisection
+        # reaches when its midpoint stops moving, bit for bit
+        lo, hi = 1e-9, 0.5 - 1e-12
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if 1.0 - 2.0 * binary_entropy(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert mid == QBER_THRESHOLD
+
     def test_threshold_is_entropy_root(self):
         assert abs(1.0 - 2.0 * binary_entropy(QBER_THRESHOLD)) < 1e-14
         assert 1.0 - 2.0 * binary_entropy(np.nextafter(QBER_THRESHOLD, 0.0)) > 0.0

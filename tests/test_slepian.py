@@ -285,6 +285,12 @@ class TestGroundConcentration:
         beta = ground_concentration(np.linspace(*span, 400))
         assert np.all(np.diff(beta) >= 0.0)
 
+    def test_complement_rule_is_numpys_laguerre_rule(self):
+        # the module writes the rule out; it must be laggauss(12) bit for bit
+        nodes, weights = np.polynomial.laguerre.laggauss(12)
+        assert slepian._LAGUERRE_NODES.tobytes() == nodes.tobytes()
+        assert slepian._LAGUERRE_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_complement_is_smooth_in_c(self):
         # ln(1 - beta_0) is analytic in c, so a degree-10 fit over a short span
         # leaves only the complement's noise; the inverse-iteration step keeps
