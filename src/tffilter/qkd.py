@@ -78,8 +78,11 @@ def qber(n_y: float | np.ndarray, xi: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("n_y must be nonnegative")
     if np.any(x <= 0) or np.any(x > 1):
         raise ValueError("xi must lie in (0, 1]")
+    # products, not **: NumPy powers a scalar and an array by different
+    # routines, and a point must get the same bits alone and in an array
     with np.errstate(over="ignore"):  # n_y / xi past the float range: QBER 1/2
-        out = 0.5 * (1.0 - (1.0 + n / x) ** -2)
+        y = 1.0 + n / x
+        out = 0.5 * (1.0 - 1.0 / (y * y))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -102,7 +105,7 @@ def normalized_key_rate(
     bracket = 1.0 - 2.0 * binary_entropy(q)
     with np.errstate(over="ignore"):
         inflation = np.where(bracket > 0.0, 1.0 + n / x, 0.0)
-    out = e**2 * inflation**2 * np.maximum(0.0, bracket)
+    out = (e * e) * (inflation * inflation) * np.maximum(0.0, bracket)
     return float(out) if np.ndim(out) == 0 else out
 
 

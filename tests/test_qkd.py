@@ -211,6 +211,26 @@ class TestKeyRate:
         n1, n2 = sorted((n1, n2))
         assert normalized_key_rate(eta, xi, n1) >= normalized_key_rate(eta, xi, n2) - 1e-15
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=1e-6, max_value=1.0),
+                st.floats(min_value=1e-6, max_value=1.0),
+                st.floats(min_value=0.0, max_value=100.0),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_scalar_call_equals_its_array_entry_bit_for_bit(self, triples):
+        etas, xis, nys = (np.array(v) for v in zip(*triples))
+        rates = normalized_key_rate(etas, xis, nys)
+        qbers = qber(nys, xis)
+        for i, (eta, xi, ny) in enumerate(triples):
+            assert normalized_key_rate(eta, xi, ny) == rates[i]
+            assert qber(ny, xi) == qbers[i]
+
     def test_array_broadcast(self):
         etas = np.array([0.2, 0.5, 0.9])
         rates = normalized_key_rate(etas, 0.5, 0.0)
