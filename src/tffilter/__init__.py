@@ -119,7 +119,6 @@ _EXPORTS = {
         "binary_entropy",
         "qber",
         "normalized_key_rate",
-        "CharacteristicKind",
         "FilterCharacteristic",
         "OptimizationResult",
         "optimize_over_efficiency",

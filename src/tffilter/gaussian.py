@@ -84,7 +84,7 @@ def mehler_u(bt: float | np.ndarray) -> float | np.ndarray:
     Scalar in, scalar out; array in, array out.
     """
     bts = np.asarray(bt, dtype=float)
-    if np.any(bts <= 0):
+    if not np.all(bts > 0):  # NaN fails it too
         raise ValueError("BT product must be positive")
     m = 1.0 / (2.0 * bts)
     return 1.0 / (np.hypot(1.0, m) + m)

@@ -115,9 +115,9 @@ def analytic_snr(signal_energy: float, noise_psd: float, discriminativity: float
     filtered white noise carries N_y sum_n s_n^2 = N_y eta / xi, so the ratio
     is (|A_0|^2 / N_y) xi independent of eta.  Zero noise returns +inf.
     """
-    if signal_energy < 0:
+    if not signal_energy >= 0:  # NaN fails these checks too
         raise ValueError("signal energy must be nonnegative")
-    if noise_psd < 0:
+    if not noise_psd >= 0:
         raise ValueError("noise power spectral density must be nonnegative")
     if not (0.0 < discriminativity <= 1.0 + 1e-12):
         raise ValueError("discriminativity must lie in (0, 1]")

@@ -14,8 +14,11 @@ it no key can be distilled and the rate clamps to zero.  The (1 + n_y/xi)^2
 prefactor is the coincidence-probability inflation from noise counts.
 
 A filter family enters only through its efficiency-vs-discriminativity
-characteristic xi(eta); optimizing the rate along that curve gives the
-family's best operating point at each noise level.  The brick-wall curve is
+characteristic, a ``FilterCharacteristic``: one curve t -> (eta, xi) in the
+family's own parameter t.  Optimizing the rate along that curve gives the
+family's best operating point at each noise level; a fixed operating point,
+such as a quantum pulse gate's, is a curve of one point and runs the same
+optimizer.  Every range check here refuses NaN.  The brick-wall curve is
 read exactly off the prolate solver: eta = beta_0(c), xi = pi beta_0 / (2 c)
 for 1e-3 <= c <= 17, with beta_0 from ``slepian.ground_concentration`` and
 its inverse c(eta) from ``slepian.ground_parameter``.  Its saturated end
@@ -25,8 +28,8 @@ comes from the concentration complement, so the upper end of the curve,
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -40,7 +43,6 @@ __all__ = [
     "binary_entropy",
     "qber",
     "normalized_key_rate",
-    "CharacteristicKind",
     "FilterCharacteristic",
     "OptimizationResult",
     "optimize_over_efficiency",
@@ -51,7 +53,7 @@ __all__ = [
 def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
     """H(x) = -x log2 x - (1-x) log2(1-x), with H(0) = H(1) = 0 by continuity."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails every check here
         raise ValueError("binary entropy argument must lie in [0, 1]")
     out = np.zeros_like(arr)
     inner = (arr > 0) & (arr < 1)
@@ -74,9 +76,9 @@ def qber(n_y: float | np.ndarray, xi: float | np.ndarray) -> float | np.ndarray:
     discriminativity xi: half of one minus the entangled-state weight."""
     n = np.asarray(n_y, dtype=float)
     x = np.asarray(xi, dtype=float)
-    if np.any(n < 0):
+    if not np.all(n >= 0):
         raise ValueError("n_y must be nonnegative")
-    if np.any(x <= 0) or np.any(x > 1):
+    if not np.all((x > 0) & (x <= 1)):
         raise ValueError("xi must lie in (0, 1]")
     # products, not **: NumPy powers a scalar and an array by different
     # routines, and a point must get the same bits alone and in an array
@@ -97,7 +99,7 @@ def normalized_key_rate(
     rate of 0, not inf * 0.
     """
     e = np.asarray(eta, dtype=float)
-    if np.any(e <= 0) or np.any(e > 1):
+    if not np.all((e > 0) & (e <= 1)):
         raise ValueError("eta must lie in (0, 1]")
     q = qber(n_y, xi)
     x = np.asarray(xi, dtype=float)
@@ -109,71 +111,80 @@ def normalized_key_rate(
     return float(out) if np.ndim(out) == 0 else out
 
 
-class CharacteristicKind(Enum):
-    GAUSSIAN_SIF = "gaussian_sif"
-    SLEPIAN_SIF = "slepian_sif"
-    FIXED_POINT = "fixed_point"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterCharacteristic:
-    """A filter family reduced to its xi(eta) curve (or a single point)."""
+    """A filter family as one curve t -> (eta, xi) in its own parameter t.
 
-    kind: CharacteristicKind
-    eta_point: float | None = None
-    xi_point: float | None = None
+    ``t_range`` is the closed t interval and ``scan`` the t grid that
+    ``optimize_over_efficiency`` scans once; ``point(t)`` is (eta, xi) on an
+    array of t; ``eta_range()`` is the efficiency ``domain()``; ``inverse`` is
+    xi(eta) on an array, raising ``ValueError`` off the curve.  The instances
+    are ``gaussian()`` (t = eta), ``slepian()`` (t = ln c) and
+    ``fixed_point(eta, xi)``, a curve of one point (t = eta on [eta, eta]);
+    a new family is one more constructor.
+    """
+
+    t_range: tuple[float, float]
+    scan: np.ndarray
+    point: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    eta_range: Callable[[], tuple[float, float]]
+    inverse: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def gaussian(cls) -> "FilterCharacteristic":
-        return cls(CharacteristicKind.GAUSSIAN_SIF)
+        def xi(e):
+            if not np.all((e > 0) & (e < 1)):
+                raise ValueError("gaussian characteristic needs eta in (0, 1)")
+            return 1.0 - e**2
+
+        grid = np.arange(1e-3, 1.0, 1e-3)
+        return cls((1e-3, 1.0 - 1e-9), grid, lambda t: (t, xi(t)), lambda: (0.0, 1.0), xi)
 
     @classmethod
     def slepian(cls) -> "FilterCharacteristic":
-        return cls(CharacteristicKind.SLEPIAN_SIF)
+        """The brick-wall curve in t = ln c over the prolate clamp, scanned at
+        200 points; its domain is ``slepian.ground_range()``, (beta_0(1e-3),
+        beta_0(17)) = (6.366e-4, 1 - 4.87e-14), the upper end read off the
+        complement."""
+
+        def xi(e):
+            lo, hi = ground_range()
+            # the solver's own beta_0 near c = 17 can read a few ulp above hi: the clamp
+            if not np.all((e >= lo) & (e <= hi + 16.0 * np.spacing(hi))):
+                raise ValueError(f"slepian characteristic covers eta in [{lo:.3g}, {hi:.3g}]")
+            return 0.5 * np.pi * e / ground_parameter(e)  # xi = beta_0 / BT = pi beta_0 / (2 c)
+
+        def point(t):  # t = ln c
+            return slepian_tradeoff(np.exp(t) / (0.5 * np.pi))
+
+        lo, hi = np.log(GROUND_C_RANGE)
+        return cls((lo, hi), np.linspace(lo, hi, 200), point, ground_range, xi)
 
     @classmethod
     def fixed_point(cls, eta: float, xi: float) -> "FilterCharacteristic":
         if not (0 < eta <= 1 and 0 < xi <= 1):
             raise ValueError("fixed point (eta, xi) must lie in (0, 1]^2")
-        return cls(CharacteristicKind.FIXED_POINT, eta, xi)
+        eta, xi = float(eta), float(xi)
+
+        def xi_at(e):
+            if not np.all(np.abs(e - eta) <= 1e-12):
+                raise ValueError("fixed-point characteristic is defined at one eta only")
+            return np.full_like(e, xi)
+
+        return cls((eta, eta), np.array([eta]), lambda t: (t, xi_at(t)), lambda: (eta, eta), xi_at)
 
     def domain(self) -> tuple[float, float]:
-        """Efficiency range on which xi(eta) is defined; for the slepian curve
-        ``slepian.ground_range()``, (beta_0(1e-3), beta_0(17)) =
-        (6.366e-4, 1 - 4.87e-14), the upper end read off the complement."""
-        if self.kind is CharacteristicKind.GAUSSIAN_SIF:
-            return (0.0, 1.0)
-        if self.kind is CharacteristicKind.SLEPIAN_SIF:
-            return ground_range()
-        return (self.eta_point, self.eta_point)
+        """The efficiency range the curve covers, (eta, eta) for a fixed point."""
+        return self.eta_range()
 
     def xi_of(self, eta: float | np.ndarray) -> float | np.ndarray:
-        e = np.asarray(eta, dtype=float)
-        if self.kind is CharacteristicKind.GAUSSIAN_SIF:
-            if np.any(e <= 0) or np.any(e >= 1):
-                raise ValueError("gaussian characteristic needs eta in (0, 1)")
-            out = 1.0 - e**2
-        elif self.kind is CharacteristicKind.SLEPIAN_SIF:
-            lo, hi = self.domain()
-            # the solver's own beta_0 near c = 17 can read a few ulp above hi: the clamp
-            if np.any(e < lo) or np.any(e > hi + 16.0 * np.spacing(hi)):
-                raise ValueError(f"slepian characteristic covers eta in [{lo:.3g}, {hi:.3g}]")
-            # xi = beta_0 / BT = pi beta_0 / (2 c)
-            out = 0.5 * np.pi * e / ground_parameter(e)
-        else:
-            if not np.all(np.abs(e - self.eta_point) <= 1e-12):
-                raise ValueError("fixed-point characteristic is defined at one eta only")
-            out = np.full_like(e, self.xi_point)
+        out = self.inverse(np.asarray(eta, dtype=float))
         return float(out) if np.ndim(eta) == 0 else out
 
     def grid_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """(etas, xis) the key-rate grid is evaluated at: the points of
-        ``ETA_GRID`` inside ``domain()``, or the fixed point itself."""
-        lo, hi = self.domain()
-        if self.kind is CharacteristicKind.FIXED_POINT:
-            etas = np.array([self.eta_point])
-        else:
-            etas = ETA_GRID[(ETA_GRID >= lo) & (ETA_GRID <= hi)]
+        """(etas, xis) the key-rate grid is evaluated at: ``ETA_GRID`` clipped
+        to ``domain()``, each point once, so a fixed point gives itself."""
+        etas = np.unique(np.clip(ETA_GRID, *self.domain()))
         return etas, np.atleast_1d(self.xi_of(etas))
 
     def rate(self, eta: float | np.ndarray, n_y: float) -> float | np.ndarray:
@@ -193,56 +204,42 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 def optimize_over_efficiency(
     fc: FilterCharacteristic, n_y: float | np.ndarray
 ) -> OptimizationResult | tuple[OptimizationResult, ...]:
-    """Best (eta, rate) along a family's tradeoff curve at noise level n_y.
+    """Best (eta, rate) along a family's curve at noise level n_y.
 
-    The curve is scanned once in its own parameter t and the scan serves
-    every n_y: the gaussian curve in t = eta at 1e-3 spacing, the slepian one
-    in t = ln c at 200 points over the prolate clamp [1e-3, 17].  Each n_y
-    then refines the scan points either side of its best one by golden-section
-    search to 1e-6 in t, and keeps an end of that bracket if it beats the
-    interior optimum (the noiseless optimum rides the domain edge).  All n_y
-    are refined in lockstep: each golden step evaluates the curve once, on
-    the array of every n_y's probe, so the cost follows the number of steps,
-    not the number of noise levels.  Each n_y's result is the one it gets on
-    its own.  All-zero scans return (0, 0) with the no_key flag set.  A fixed
-    point has nothing to optimize: it returns itself at its rate, with no_key
-    set exactly where that rate is 0.  A scalar n_y gives one result, a 1-D
-    array a tuple of them.
+    Every curve, a fixed point included, runs the one path.  The curve is
+    scanned once on its ``scan`` grid in t and the scan serves every n_y:
+    the gaussian curve at 1e-3 spacing in eta, the slepian one at 200 points
+    in ln c over the prolate clamp [1e-3, 17], a fixed point at its one
+    point.  Each n_y then refines the scan points either side of its best one
+    (or the ends of ``t_range``) by golden-section search to 1e-6 in t, and
+    keeps an end of that bracket if it beats the interior optimum (the
+    noiseless optimum rides the domain edge).  All n_y are refined in
+    lockstep: each golden step evaluates the curve once, on the array of
+    every n_y's probe, so the cost follows the number of steps, not the
+    number of noise levels.  Each n_y's result is the one it gets on its
+    own.  An n_y whose scan is all zero gets rate 0 with the no_key flag set,
+    at eta 0 on a curve and at the point's own eta on a one-point curve; so
+    a fixed point returns itself at its rate, with no_key set exactly where
+    that rate is 0.  A scalar n_y gives one result, a 1-D array a tuple of
+    them.
     """
     nys = np.asarray(n_y, dtype=float)
     if nys.ndim > 1:
         raise ValueError("n_y must be a scalar or a 1-D array")
-    if np.any(nys < 0):
+    if not np.all(nys >= 0):
         raise ValueError("n_y must be nonnegative")
     lanes = np.atleast_1d(nys)
-    if fc.kind is CharacteristicKind.FIXED_POINT:
-        rates = (normalized_key_rate(fc.eta_point, fc.xi_point, n) for n in lanes.tolist())
-        results = tuple(OptimizationResult(fc.eta_point, r, r == 0.0) for r in rates)
-        return results if nys.ndim else results[0]
-    if fc.kind is CharacteristicKind.GAUSSIAN_SIF:
-        lo, hi = np.clip(fc.domain(), 1e-3, 1.0 - 1e-9)
-        grid = np.arange(1e-3, 1.0, 1e-3)
-
-        def point(t):
-            return t, fc.xi_of(t)
-
-    else:
-        lo, hi = np.log(GROUND_C_RANGE)
-        grid = np.linspace(lo, hi, 200)
-
-        def point(t):  # t = ln c
-            return slepian_tradeoff(np.exp(t) / (0.5 * np.pi))
-
-    scan = normalized_key_rate(*point(grid), lanes[:, None])
+    scan = normalized_key_rate(*fc.point(fc.scan), lanes[:, None])
     keyed = np.any(scan > 0.0, axis=1)
-    eta_star = np.zeros(len(lanes))
+    eta_lo, eta_hi = fc.domain()
+    eta_star = np.full(len(lanes), eta_lo if eta_lo == eta_hi else 0.0)
     rate_star = np.zeros(len(lanes))
     if np.any(keyed):
-        # the scan points either side of the best one, or the domain ends
+        # the scan points either side of the best one, or the ends of t_range
         best = np.argmax(scan[keyed], axis=1)
-        ends = np.r_[lo, grid, hi]
+        ends = np.r_[fc.t_range[0], fc.scan, fc.t_range[1]]
         eta_star[keyed], rate_star[keyed] = _golden_lockstep(
-            point, lanes[keyed], ends[best], ends[best + 2]
+            fc.point, lanes[keyed], ends[best], ends[best + 2]
         )
     results = tuple(
         OptimizationResult(float(e), float(r), not k)
@@ -303,9 +300,9 @@ class QkdScenario:
     def __post_init__(self) -> None:
         if not (0 < self.channel_transmission <= 1):
             raise ValueError("channel transmission must lie in (0, 1]")
-        if self.noise_psd_photons < 0:
+        if not self.noise_psd_photons >= 0:
             raise ValueError("noise density must be nonnegative")
-        if self.source_rate <= 0:
+        if not self.source_rate > 0:
             raise ValueError("source rate must be positive")
 
     @property

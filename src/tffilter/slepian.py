@@ -438,7 +438,7 @@ def pswf_solve_legendre(c: float, n_max: int) -> PswfSolution:
     An ``n_max`` above 60, or a basis above ``BASIS_LIMIT`` terms, raises
     ``ResolutionError``.
     """
-    if c <= 0:
+    if not c > 0:  # NaN fails it too
         raise ValueError("c must be positive")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

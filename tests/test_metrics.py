@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from tffilter.core import _profile_axis
-from tffilter.gaussian import gaussian_sif, gaussian_singular_values, gaussian_tradeoff
+from tffilter.gaussian import gaussian_sif, gaussian_singular_values, gaussian_tradeoff, mehler_u
 from tffilter.metrics import (
     analytic_snr,
     bt_from_profiles,
     figures_from_singulars,
 )
-from tffilter.slepian import rectangular_sif
+from tffilter.slepian import pswf_solve_legendre, rectangular_sif
 
 
 class TestFiguresFromSingulars:
@@ -90,3 +90,36 @@ class TestAnalyticSnr:
             analytic_snr(-1.0, 0.1, 0.5)
         with pytest.raises(ValueError):
             analytic_snr(1.0, 0.1, 1.5)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gaussian_tradeoff(NAN), "BT product must be positive"),
+        (lambda: gaussian_tradeoff(np.array([0.5, NAN])), "BT product must be positive"),
+        (lambda: mehler_u(NAN), "BT product must be positive"),
+        (lambda: gaussian_singular_values(NAN, 3), "BT product must be positive"),
+        (lambda: analytic_snr(NAN, 0.1, 0.5), "signal energy must be nonnegative"),
+        (lambda: analytic_snr(1.0, NAN, 0.5), "noise power spectral density must be nonnegative"),
+        (lambda: analytic_snr(1.0, 0.1, NAN), r"discriminativity must lie in \(0, 1\]"),
+        (lambda: pswf_solve_legendre(NAN, 2), "c must be positive"),
+    ],
+    ids=[
+        "gaussian_tradeoff",
+        "gaussian_tradeoff_array",
+        "mehler_u",
+        "gaussian_singular_values",
+        "analytic_snr_energy",
+        "analytic_snr_noise",
+        "analytic_snr_xi",
+        "pswf_solve_legendre",
+    ],
+)
+def test_nan_fails_the_range_checks_of_the_closed_forms(call, message):
+    # a check written x <= 0 lets NaN through; each one here must refuse it
+    # with the message it gives any other value out of range
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -17,7 +17,6 @@ from tffilter.qkd import (
     ETA_GRID,
     QBER_THRESHOLD,
     QPG_REFERENCE_POINTS,
-    CharacteristicKind,
     FilterCharacteristic,
     QkdScenario,
     binary_entropy,
@@ -296,14 +295,6 @@ class TestCharacteristics:
         etas, xis = fp.grid_points()
         assert (etas.tolist(), xis.tolist()) == ([0.99], [0.98])
 
-    def test_kind_tags(self):
-        assert FilterCharacteristic.gaussian().kind is CharacteristicKind.GAUSSIAN_SIF
-        assert FilterCharacteristic.slepian().kind is CharacteristicKind.SLEPIAN_SIF
-        assert (
-            FilterCharacteristic.fixed_point(0.9, 0.9).kind
-            is CharacteristicKind.FIXED_POINT
-        )
-
 
 class TestSlepianCharacteristic:
     def test_domain_is_the_prolate_clamp(self):
@@ -517,6 +508,59 @@ class TestOptimizer:
         assert optimize_over_efficiency(fc, nys) == tuple(
             optimize_over_efficiency(fc, float(n)) for n in nys
         )
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: binary_entropy(NAN), r"binary entropy argument must lie in \[0, 1\]"),
+        (lambda: qber(NAN, 0.5), "n_y must be nonnegative"),
+        (lambda: qber(0.1, NAN), r"xi must lie in \(0, 1\]"),
+        (lambda: normalized_key_rate(NAN, 0.5, 0.1), r"eta must lie in \(0, 1\]"),
+        (lambda: normalized_key_rate(0.5, NAN, 0.1), r"xi must lie in \(0, 1\]"),
+        (lambda: normalized_key_rate(0.5, 0.5, NAN), "n_y must be nonnegative"),
+        (lambda: FilterCharacteristic.gaussian().xi_of(NAN), r"gaussian .* \(0, 1\)"),
+        (lambda: FilterCharacteristic.slepian().xi_of(NAN), "slepian characteristic covers .*"),
+        (lambda: FilterCharacteristic.fixed_point(0.9, 0.9).xi_of(NAN), "fixed-point .* only"),
+        (lambda: FilterCharacteristic.fixed_point(NAN, 0.9), r"fixed point .* \(0, 1\]\^2"),
+        (
+            lambda: optimize_over_efficiency(FilterCharacteristic.gaussian(), NAN),
+            "n_y must be nonnegative",
+        ),
+        (
+            lambda: optimize_over_efficiency(FilterCharacteristic.slepian(), np.array([0.1, NAN])),
+            "n_y must be nonnegative",
+        ),
+        (lambda: QkdScenario(0.5, NAN, 1.0), "noise density must be nonnegative"),
+        (lambda: QkdScenario(0.5, 0.1, NAN), "source rate must be positive"),
+        (lambda: QkdScenario(NAN, 0.1, 1.0), r"channel transmission must lie in \(0, 1\]"),
+    ],
+    ids=[
+        "binary_entropy",
+        "qber_noise",
+        "qber_xi",
+        "rate_eta",
+        "rate_xi",
+        "rate_noise",
+        "gaussian_xi_of",
+        "slepian_xi_of",
+        "fixed_point_xi_of",
+        "fixed_point",
+        "optimize_scalar",
+        "optimize_array",
+        "scenario_noise",
+        "scenario_source_rate",
+        "scenario_transmission",
+    ],
+)
+def test_nan_fails_every_range_check(call, message):
+    # a check written x < 0 lets NaN through; each one here must refuse it
+    # with the message it gives any other value out of range
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestScenario:

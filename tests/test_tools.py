@@ -1,0 +1,87 @@
+"""The measuring scripts under ``tools/``: line counts and the cold-run comparison.
+
+Neither test starts a ``tffilter`` process: ``code_lines`` reads a small
+package written here, and ``cold_cli`` is stopped by its argument checks.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SOURCE = '''"""A module docstring
+over two lines."""
+
+# a comment-only line
+import os  # a comment after code
+
+
+class Box:
+    """A class docstring."""
+
+    label = """a string literal
+that is no docstring"""
+
+    def size(self):
+        """A function docstring."""
+
+        "a later string statement, which is no docstring"
+        return len(self.label)
+
+
+async def wait():
+    """An async function docstring."""
+    return os.sep
+'''
+
+# import, class, the two lines of the label, def, the later string, return,
+# async def and its return
+CODE_LINES = 9
+
+
+def test_code_lines_counts_only_code(tmp_path, capsys):
+    code_lines = load_tool("code_lines")
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(SOURCE, encoding="utf-8")
+    (pkg / "empty.py").write_text('"""Only a docstring."""\n\n# and a comment\n', encoding="utf-8")
+    assert code_lines.code_lines(pkg / "mod.py") == CODE_LINES
+    assert code_lines.code_lines(pkg / "empty.py") == 0
+    assert code_lines.main([str(pkg)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["empty.py", "0"], ["mod.py", str(CODE_LINES)], ["total", str(CODE_LINES)]]
+
+
+def test_cold_cli_refuses_zero_rounds(tmp_path, capsys):
+    cold_cli = load_tool("cold_cli")
+    tree = tmp_path / "tree"
+    (tree / "src" / "tffilter").mkdir(parents=True)
+    (tree / "src" / "tffilter" / "__init__.py").write_text("", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cold_cli.main([str(tree), str(tree), "--rounds", "0"])
+    assert exc.value.code == 2
+    assert "--rounds must be >= 1" in capsys.readouterr().err
+
+
+def test_cold_cli_refuses_a_tree_without_the_package(tmp_path, capsys):
+    cold_cli = load_tool("cold_cli")
+    good = tmp_path / "good"
+    (good / "src" / "tffilter").mkdir(parents=True)
+    (good / "src" / "tffilter" / "__init__.py").write_text("", encoding="utf-8")
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for base, changed in ((bare, good), (good, bare)):
+        with pytest.raises(SystemExit) as exc:
+            cold_cli.main([str(base), str(changed)])
+        assert exc.value.code == 2
+        assert "holds no src/tffilter" in capsys.readouterr().err

@@ -27,3 +27,20 @@ def test_traced_name_resolves(layer, qual):
     for attr in qual.split("."):
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["grid", "optimize"])
+def test_both_qkd_paths_call_domain(optimize, monkeypatch, tmp_path):
+    # a traced run wraps FilterCharacteristic.domain on its class, as here, and
+    # takes max() over the spans of each of the qkd and qkd_grid ops: a path that
+    # stopped calling domain() would make that run raise ValueError
+    from tffilter import cli
+    from tffilter.qkd import FilterCharacteristic
+
+    calls = []
+    domain = FilterCharacteristic.domain
+    monkeypatch.setattr(FilterCharacteristic, "domain", lambda fc: calls.append(fc) or domain(fc))
+    argv = ["qkd", "--filter", "all", "--ny-min", "1e-4", "--ny-max", "1", "--points", "50"]
+    argv += ["--optimize"] * optimize + ["--out", str(tmp_path / "rates.csv")]
+    assert cli.main(argv) == 0
+    assert len({id(fc) for fc in calls}) == 4  # gaussian, slepian and the two reference points
