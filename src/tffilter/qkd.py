@@ -53,7 +53,7 @@ __all__ = [
 def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
     """H(x) = -x log2 x - (1-x) log2(1-x), with H(0) = H(1) = 0 by continuity."""
     arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails every check here
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("binary entropy argument must lie in [0, 1]")
     out = np.zeros_like(arr)
     inner = (arr > 0) & (arr < 1)
@@ -231,7 +231,7 @@ def optimize_over_efficiency(
     lanes = np.atleast_1d(nys)
     scan = normalized_key_rate(*fc.point(fc.scan), lanes[:, None])
     keyed = np.any(scan > 0.0, axis=1)
-    eta_lo, eta_hi = fc.domain()
+    eta_lo, eta_hi = fc.domain()  # a key-less lane: eta 0, or a one-point curve's own eta
     eta_star = np.full(len(lanes), eta_lo if eta_lo == eta_hi else 0.0)
     rate_star = np.zeros(len(lanes))
     if np.any(keyed):

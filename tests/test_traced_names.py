@@ -41,6 +41,6 @@ def test_both_qkd_paths_call_domain(optimize, monkeypatch, tmp_path):
     domain = FilterCharacteristic.domain
     monkeypatch.setattr(FilterCharacteristic, "domain", lambda fc: calls.append(fc) or domain(fc))
     argv = ["qkd", "--filter", "all", "--ny-min", "1e-4", "--ny-max", "1", "--points", "50"]
-    argv += ["--optimize"] * optimize + ["--out", str(tmp_path / "rates.csv")]
+    argv += (["--optimize"] if optimize else []) + ["--out", str(tmp_path / "rates.csv")]
     assert cli.main(argv) == 0
     assert len({id(fc) for fc in calls}) == 4  # gaussian, slepian and the two reference points
