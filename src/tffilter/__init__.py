@@ -69,7 +69,6 @@ _EXPORTS = {
         "schmidt_decompose",
         "decompose_filter",
         "project_onto_input_mode",
-        "reconstruct_kernel",
     ),
     "gaussian": (
         "GaussianProfile",

@@ -53,9 +53,12 @@ cosine and a sine kernel, and the odd block's constant -+i is kept aside.
 from __future__ import annotations
 
 import enum
+import threading
 import warnings
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -317,6 +320,67 @@ def inner_product(f: SampledSignal, g: SampledSignal) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads of the dense factorizations
+
+# NumPy ``svd`` of random n x n matrices on 2 shared x86-64 cores (OpenBLAS
+# 0.3.31), median of 3-5 runs: its time on 2 threads over its time on 1 was
+# 1.13 at n = 181, 1.08 at 256, 1.00 at 362, 0.93 at 512, 0.84 at 724 and 0.81
+# at 1024.  A second thread pays only from n = 362 on, so a matrix whose smaller
+# side is below that is factored on one thread.  Parity blocks of 32-181 rows
+# are the typical ladder's, and prolate blocks stay below 362 terms up to
+# c of about 700.  On a busy machine a small ``eigh`` on two threads stalled
+# 184-196 ms per call where one thread took 2.5-3.6 ms.
+_ONE_THREAD_BELOW = 362
+
+# OpenBLAS built on pthreads keeps one thread count for the whole process, so
+# the lowered count is set and restored by one caller at a time.
+_blas_threads_lock = threading.Lock()
+
+
+@cache
+def _blas_thread_setter() -> Callable[[int], int] | None:
+    """``openblas_set_num_threads_local`` of the library NumPy's LAPACK calls, or None.
+
+    The symbol (OpenBLAS 0.3.27 on) sets the thread count and returns the old
+    one.  It is looked up through NumPy's linalg extension, whose dependencies
+    dlsym searches, so it is NumPy's OpenBLAS even when another (SciPy's) is
+    loaded too.  MKL, Accelerate, an older OpenBLAS or a NumPy without that
+    extension give None.
+    """
+    import ctypes
+
+    try:
+        from numpy.linalg import _umath_linalg
+
+        setter = ctypes.CDLL(_umath_linalg.__file__).openblas_set_num_threads_local
+    except (ImportError, AttributeError, OSError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+@contextmanager
+def _blas_threads_for(side: int) -> Iterator[None]:
+    """The BLAS pool for a dense factorization whose matrices' smaller side is ``side``.
+
+    Below ``_ONE_THREAD_BELOW`` the block runs on one BLAS thread, whatever the
+    process's pool size, and the caller's count is restored afterwards.
+    Larger matrices, and any BLAS without the OpenBLAS setter, run on the
+    process's pool.
+    """
+    setter = _blas_thread_setter() if side < _ONE_THREAD_BELOW else None
+    if setter is None:
+        yield
+        return
+    with _blas_threads_lock:
+        previous = setter(1)
+        try:
+            yield
+        finally:
+            setter(previous)
+
+
+# ---------------------------------------------------------------------------
 # Fourier transforms
 
 
@@ -341,17 +405,11 @@ def _transform(values: np.ndarray, src: SampledAxis, dst: SampledAxis) -> np.nda
     return post * fft(values * pre, axis=-1)
 
 
-def _reciprocal_time_axis(freq_axis: SampledAxis, time_axis: SampledAxis | None) -> SampledAxis:
-    """``time_axis``, checked for reciprocity with ``freq_axis``; the centered grid if None."""
+def _reciprocal_time_axis(freq_axis: SampledAxis) -> SampledAxis:
+    """The centered time grid with dt = 2 pi / (count * dw)."""
     n = _uniform(freq_axis).count
     dt = TWO_PI / (n * freq_axis.step)
-    if time_axis is None:
-        return SampledAxis(-dt * (n // 2), dt, n, Domain.TIME)
-    if _uniform(time_axis).domain is not Domain.TIME or time_axis.count != n:
-        raise DomainMismatchError("target time axis incompatible with spectrum")
-    if abs(time_axis.step - dt) > 1e-9 * dt:
-        raise ResolutionError("target time axis violates dw*dt = 2 pi / count")
-    return time_axis
+    return SampledAxis(-dt * (n // 2), dt, n, Domain.TIME)
 
 
 def fourier_forward(signal: SampledSignal) -> SampledSignal:
@@ -362,17 +420,12 @@ def fourier_forward(signal: SampledSignal) -> SampledSignal:
     return SampledSignal(freq, _transform(signal.values, signal.axis, freq))
 
 
-def fourier_inverse(signal: SampledSignal, time_axis: SampledAxis | None = None) -> SampledSignal:
-    """f(t_k) = sum_m dw/(2 pi) exp(-i w_m t_k) f~(w_m).
-
-    With ``time_axis=None`` the canonical centered time grid with
-    dt = 2 pi / (count * dw) is used; a caller-supplied axis must satisfy the
-    same reciprocity relation (it fixes the sample positions, e.g. to undo a
-    forward transform taken from a non-centered grid).
-    """
+def fourier_inverse(signal: SampledSignal) -> SampledSignal:
+    """f(t_k) = sum_m dw/(2 pi) exp(-i w_m t_k) f~(w_m) on the centered time grid
+    with dt = 2 pi / (count * dw)."""
     if signal.axis.domain is not Domain.ANGULAR_FREQUENCY:
         raise DomainMismatchError("fourier_inverse expects a frequency-domain signal")
-    time_axis = _reciprocal_time_axis(signal.axis, time_axis)
+    time_axis = _reciprocal_time_axis(signal.axis)
     return SampledSignal(time_axis, _transform(signal.values, signal.axis, time_axis))
 
 
@@ -536,7 +589,7 @@ def _filter_samples(
     if on_time:
         far = frequency_axis_for(axis)
     else:
-        far = _reciprocal_time_axis(axis, None)
+        far = _reciprocal_time_axis(axis)
         if not frequency_axis_for(far).close_to(axis):
             raise DomainMismatchError(
                 "time gating of a spectrum requires a centered frequency axis "

@@ -50,17 +50,12 @@ class FilterFigures:
             raise ValueError("discriminativity must lie in (0, 1]")
 
 
-def figures_from_singulars(
-    singular_values: np.ndarray,
-    bt_hint: float | None = None,
-    total_sq: float | None = None,
-) -> FilterFigures:
-    """Figures of merit from a (truncated) singular value array.
+def figures_from_singulars(singular_values: np.ndarray, total: float) -> FilterFigures:
+    """Figures of merit from a (possibly truncated) singular value array.
 
-    ``total_sq`` supplies the exact sum of squares when known analytically
-    (for these filters it equals B T); otherwise the truncated sum is used.
-    ``bt_hint`` cross-checks the spectrum against the profile product: the
-    relative mismatch between sum s_n^2 and the hint must stay within 1e-4.
+    ``total`` is sum_n s_n^2 over the whole ladder, kept or not: a
+    ``SchmidtResult``'s ``total_power``, or B T for these filters.  It is
+    also the reported ``bt_product``.
     """
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0:
@@ -69,25 +64,15 @@ def figures_from_singulars(
         raise ValueError("singular values must be nonnegative")
     if np.any(np.diff(s) > 1e-12 * max(s[0], 1.0)):
         raise ValueError("singular values must be sorted descending")
-    sq = s * s
-    total = float(total_sq) if total_sq is not None else float(np.sum(sq))
-    if total <= 0:
+    total = float(total)
+    if not total > 0:  # NaN fails it too
         raise ValueError("total squared singular value mass must be positive")
-    if bt_hint is not None:
-        rel = abs(total - bt_hint) / bt_hint
-        if rel > 1e-4:
-            raise ValueError(
-                f"sum of squared singular values {total:.6g} disagrees with the "
-                f"profile product B T = {bt_hint:.6g} (relative error {rel:.2e}); "
-                "the decomposition grid is too coarse or too narrow"
-            )
-    eta = float(sq[0])
+    eta = float(s[0] * s[0])
     xi = eta / total
-    bt = bt_hint if bt_hint is not None else total
     return FilterFigures(
         efficiency=eta,
         discriminativity=xi,
-        bt_product=float(bt),
+        bt_product=total,
         selectivity=eta * xi,
         mode_count_effective=1.0 / xi,
     )

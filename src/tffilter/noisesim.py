@@ -80,6 +80,7 @@ __all__ = [
 RNG_ALGORITHM = "philox4x64"
 
 _BATCH = 256  # trials per filter_samples block
+_STAGE = 16  # trials per copy of white-noise draws into their complex rows
 SNR_MAX_SAMPLES = 2**17  # largest snr_setup grid: 0.5 GB per complex block of _BATCH trials
 
 
@@ -208,10 +209,16 @@ def _white_rows(
     """``count`` rows of white noise, one per generator, as :func:`sample_white_noise` draws it."""
     scale = np.sqrt(noise_psd / (2.0 * _uniform(axis).step))
     rows = np.empty((count, axis.count), dtype=complex)
-    draws = np.empty((2, axis.count))  # one buffer, refilled per trial in stream order
-    for row, rng in zip(rows, rngs):
-        rng.standard_normal(out=draws)
-        row.real, row.imag = draws
+    # _STAGE trials are drawn in stream order into one buffer, whose two
+    # quadratures are then copied into their rows at once
+    draws = np.empty((_STAGE, 2, axis.count))
+    rngs = iter(rngs)
+    for first in range(0, count, _STAGE):
+        stage = draws[: count - first]
+        for draw, rng in zip(stage, rngs):  # stage first, so no stream is taken unused
+            rng.standard_normal(out=draw)
+        block = rows[first : first + len(stage)]
+        block.real, block.imag = stage[:, 0], stage[:, 1]
     rows *= scale
     return rows
 
@@ -530,18 +537,15 @@ def filtered_noise_correlation(
     lags: np.ndarray,
     *,
     seed: int,
-    times: np.ndarray | None = None,
-    axis: SampledAxis | None = None,
 ) -> CorrelationSurface:
     """Estimate <y(t + tau) conj(y(t))> for window-then-gate white-noise input.
 
     Closed form: N_y Q(t + tau) conj(Q(t)) rho(tau) with rho the inverse
-    transform of |R~|^2.  Probe times default to five points across the gate
-    duration; times and lags are snapped to the simulation grid so empirical
-    samples need no interpolation.  At least 1000 trials are required for the
-    stderr estimate to be meaningful.  The grid, default or ``axis``, must pass
-    the same resolution guard as :func:`tffilter.core.apply_filter`, else
-    :class:`tffilter.core.ResolutionError` is raised.
+    transform of |R~|^2.  The probe times are five points across the gate
+    duration; they and the lags are snapped to the simulation grid, the
+    smallest one :func:`_auto_correlation_axis` admits, so empirical samples
+    need no interpolation.  At least 1000 trials are required for the stderr
+    estimate to be meaningful.
     """
     _require_sif(spec)
     if spec.order is not StageOrder.FREQUENCY_FIRST:
@@ -553,26 +557,18 @@ def filtered_noise_correlation(
     if noise_psd == 0:
         raise ValueError("noise_psd must be positive")
     lags = np.asarray(lags, dtype=float)
-    if times is None:
-        half = 0.5 * spec.temporal.width
-        times = np.linspace(-half, half, 5)
-    times = np.asarray(times, dtype=float)
-    for name, probe in (("lags", lags), ("times", times)):
-        if probe.size == 0 or not np.all(np.isfinite(probe)):
-            raise ValueError(f"{name} must be a non-empty array of finite numbers")
-    reach = np.max(np.abs(times)) + np.max(np.abs(lags))
+    if lags.size == 0 or not np.all(np.isfinite(lags)):
+        raise ValueError("lags must be a non-empty array of finite numbers")
+    half = 0.5 * spec.temporal.width
+    times = np.linspace(-half, half, 5)
+    reach = half + np.max(np.abs(lags))
     pts, wts = _window_power_moments(spec)
-    if axis is None:
-        axis = _auto_correlation_axis(spec, reach, (pts, wts))
-    if axis.domain is not Domain.TIME:
-        raise DomainMismatchError("correlation runs on a time grid")
+    axis = _auto_correlation_axis(spec, reach, (pts, wts))
     _check_grid(spec, axis)
 
     # snap probes and lags onto the grid
     t_idx = np.rint((times - axis.start) / axis.step).astype(int)
     l_idx = np.rint(lags / axis.step).astype(int)
-    if np.any(t_idx < 0) or np.any(t_idx >= axis.count):
-        raise ValueError("probe times fall outside the grid")
     pair = t_idx[:, None] + l_idx[None, :]
     if np.any(pair < 0) or np.any(pair >= axis.count):
         raise ValueError("time + lag combinations fall outside the grid")

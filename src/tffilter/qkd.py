@@ -184,7 +184,10 @@ class FilterCharacteristic:
     def grid_points(self) -> tuple[np.ndarray, np.ndarray]:
         """(etas, xis) the key-rate grid is evaluated at: ``ETA_GRID`` clipped
         to ``domain()``, each point once, so a fixed point gives itself."""
-        etas = np.unique(np.clip(ETA_GRID, *self.domain()))
+        # the clip of the ascending ETA_GRID ascends, so its repeats are adjacent;
+        # np.unique would import numpy.ma, about 10 ms of a cold command
+        etas = np.clip(ETA_GRID, *self.domain())
+        etas = etas[np.append(True, etas[1:] != etas[:-1])]
         return etas, np.atleast_1d(self.xi_of(etas))
 
     def rate(self, eta: float | np.ndarray, n_y: float) -> float | np.ndarray:

@@ -27,8 +27,6 @@ complex SVD of the whole :func:`~tffilter.core.build_operator` matrix.
 
 from __future__ import annotations
 
-import functools
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,6 +38,7 @@ from .core import (
     OperatorMatrix,
     SampledSignal,
     Sif,
+    _blas_threads_for,
     _require_sif,
     inner_product,
     parity_blocks,
@@ -52,7 +51,6 @@ __all__ = [
     "schmidt_decompose",
     "decompose_filter",
     "project_onto_input_mode",
-    "reconstruct_kernel",
 ]
 
 
@@ -178,58 +176,11 @@ def schmidt_decompose(
     return _result(op.rows_axis, op.cols_axis, sv[:n_keep], u[:, :n_keep], vh[:n_keep], total, None)
 
 
-# NumPy ``svd`` of random n x n matrices on 2 shared x86-64 cores (OpenBLAS
-# 0.3.31), median of 3-5 runs: its time on 2 threads over its time on 1 was
-# 1.13 at n = 181, 1.08 at 256, 1.00 at 362, 0.93 at 512, 0.84 at 724 and 0.81
-# at 1024.  A second thread pays only from n = 362 on, so a matrix whose smaller
-# side is below that is factored on one thread.  Parity blocks of 32-181 rows
-# are the typical ladder's.
-_ONE_THREAD_BELOW = 362
-
-# OpenBLAS built on pthreads keeps one thread count for the whole process, so
-# the lowered count is set and restored by one caller at a time.
-_blas_threads_lock = threading.Lock()
-
-
-@functools.cache
-def _blas_thread_setter() -> Callable[[int], int] | None:
-    """``openblas_set_num_threads_local`` of the library NumPy's LAPACK calls, or None.
-
-    The symbol (OpenBLAS 0.3.27 on) sets the thread count and returns the old
-    one.  It is looked up through NumPy's linalg extension, whose dependencies
-    dlsym searches, so it is NumPy's OpenBLAS even when another (SciPy's) is
-    loaded too.  MKL, Accelerate, an older OpenBLAS or a NumPy without that
-    extension give None.
-    """
-    import ctypes
-
-    try:
-        from numpy.linalg import _umath_linalg
-
-        setter = ctypes.CDLL(_umath_linalg.__file__).openblas_set_num_threads_local
-    except (ImportError, AttributeError, OSError):
-        return None
-    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-    return setter
-
-
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin NumPy SVD (LAPACK ``gesdd``) of every factored grid.
-
-    A matrix whose smaller side is below ``_ONE_THREAD_BELOW`` runs on one BLAS
-    thread, whatever the process's pool size; the caller's count is restored
-    afterwards.  Larger ones, and any BLAS without the OpenBLAS setter, run on
-    the process's pool.
-    """
-    setter = _blas_thread_setter() if min(a.shape) < _ONE_THREAD_BELOW else None
-    if setter is None:
+    """Thin NumPy SVD (LAPACK ``gesdd``) of every factored grid, on the BLAS
+    threads :func:`tffilter.core._blas_threads_for` gives its smaller side."""
+    with _blas_threads_for(min(a.shape)):
         return np.linalg.svd(a, full_matrices=False)
-    with _blas_threads_lock:
-        previous = setter(1)
-        try:
-            return np.linalg.svd(a, full_matrices=False)
-        finally:
-            setter(previous)
 
 
 def _result(
@@ -305,57 +256,52 @@ def _factor_split(spec: Sif, rows: Axis, cols: Axis) -> _Level:
     return sv[order], blocks.edge_ring_ratio, modes
 
 
-def _check_level(name: str, value: int) -> int:
-    """A grid size as a Python int, refused unless it is an integer >= 2."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 2:
-        raise ValueError(f"{name} must be >= 2 samples per axis, got {value}")
-    return int(value)
+# Grid levels N = round(64 * 2**(k/2)) samples per axis, k = 0, 1, 2, ...; a
+# kept singular value has settled once it moves by less than _TOLERANCE * s_0
+# between two levels.
+_FIRST_LEVEL = 64
+_TOLERANCE = 1e-8
 
 
 def decompose_filter(
     spec: Sif,
     keep: int | float | None = None,
-    resolution: int = 64,
     max_resolution: int = 4096,
-    tol: float = 1e-8,
 ) -> SchmidtResult:
     """Decompose a sequential filter with automatic grid refinement.
 
-    Grids from :func:`tffilter.core.recommended_axes` take N = round(
-    ``resolution`` * 2**(k/2)) samples per axis at level k = 0, 1, 2, ...: from
-    the default 64, that is 64, 91, 128, 181, 256, 362, ..., 4096, so every
-    power of two stays a level.  Levels are tried up to ``max_resolution``
-    until every singular value that ``keep`` retains moves by less than ``tol``
-    times s_0 against the previous level; that grid's pairs are returned with a
-    :class:`GridReport`, whose ``resolutions`` are the levels taken: (64, 91)
-    for Gaussian BT up to 0.5 and the brick wall at BT 0.8 and 4,
-    (64, 91, 128) for Gaussian BT 2, up to 256 for BT 5 and up to 362 for
-    BT 10.  One level alone never converges.  ``resolution`` and
-    ``max_resolution`` must be integers >= 2 (TypeError, ValueError), and a
-    ``max_resolution`` below ``resolution``, or between the first two levels,
-    raises ValueError.
+    Grids from :func:`tffilter.core.recommended_axes` take N = round(64 *
+    2**(k/2)) samples per axis at level k = 0, 1, 2, ...: 64, 91, 128, 181,
+    256, 362, ..., 4096, so every power of two stays a level.  Levels are tried
+    up to ``max_resolution`` until every singular value that ``keep`` retains
+    moves by less than 1e-8 times s_0 against the previous level; that grid's
+    pairs are returned with a :class:`GridReport`, whose ``resolutions`` are
+    the levels taken: (64, 91) for Gaussian BT up to 0.5 and the brick wall at
+    BT 0.8 and 4, (64, 91, 128) for Gaussian BT 2, up to 256 for BT 5 and up
+    to 362 for BT 10.  One level alone never converges.  ``max_resolution``
+    must be an integer (TypeError) of at least 64, and not between the first
+    two levels, 64 and 91 (ValueError).
     When the window and the gate are both ``even`` each grid is factored as its
     two :func:`tffilter.core.parity_blocks` and the modes carry ``parities``;
     otherwise the whole :func:`tffilter.core.build_operator` matrix is.
     Anything but a Sif raises TypeError.
     """
     _require_sif(spec)
-    resolution = _check_level("resolution", resolution)
-    max_resolution = _check_level("max_resolution", max_resolution)
-    if max_resolution < resolution:
-        raise ValueError(f"max_resolution {max_resolution} is below resolution {resolution}")
-    second = round(resolution * 2 ** (1 / 2))
-    if resolution < max_resolution < second:
+    if isinstance(max_resolution, bool) or not isinstance(max_resolution, (int, np.integer)):
+        raise TypeError(f"max_resolution must be an int, got {type(max_resolution).__name__}")
+    max_resolution = int(max_resolution)
+    if max_resolution < _FIRST_LEVEL:
+        raise ValueError(f"max_resolution must be >= {_FIRST_LEVEL} samples per axis, got {max_resolution}")
+    second = round(_FIRST_LEVEL * 2 ** (1 / 2))
+    if _FIRST_LEVEL < max_resolution < second:
         raise ValueError(
             f"max_resolution {max_resolution} lies between the first two levels, "
-            f"{resolution} and {second}, so no level can be checked against another"
+            f"{_FIRST_LEVEL} and {second}, so no level can be checked against another"
         )
     factor = _factor_split if spec.spectral.even and spec.temporal.even else _factor_full
     resolutions: list[int] = []
     prev: np.ndarray | None = None
-    res = resolution
+    res = _FIRST_LEVEL
     while res <= max_resolution:
         rows, cols = recommended_axes(spec, res)
         sv, ring, modes = factor(spec, rows, cols)
@@ -367,37 +313,19 @@ def decompose_filter(
             before = np.zeros_like(kept)
             before[: len(prev)] = prev[: len(kept)]
             ladder = float(np.max(np.abs(kept - before)) / scale)
-            if ladder < tol:
+            if ladder < _TOLERANCE:
                 leading = float(abs(sv[0] - prev[0]) / scale)
-                report = GridReport(tuple(resolutions), leading, tol, rows, cols, ladder, ring)
+                report = GridReport(tuple(resolutions), leading, _TOLERANCE, rows, cols, ladder, ring)
                 u, vh, parities = modes(n_keep)
                 total = float(np.sum(sv**2))
                 return _result(rows, cols, kept, u, vh, total, report, parities)
         prev = sv
-        res = round(resolution * 2 ** (len(resolutions) / 2))
+        res = round(_FIRST_LEVEL * 2 ** (len(resolutions) / 2))
     raise ConvergenceError(
-        f"kept singular values did not stabilize to {tol:g} below resolution {max_resolution}"
+        f"kept singular values did not stabilize to {_TOLERANCE:g} below resolution {max_resolution}"
     )
 
 
 def project_onto_input_mode(result: SchmidtResult, n: int, signal: SampledSignal) -> complex:
     """Coefficient <phi_n, signal>; transmitted amplitude in pair n is s_n times this."""
     return inner_product(result.input_modes[n], signal)
-
-
-def reconstruct_kernel(result: SchmidtResult) -> OperatorMatrix:
-    """Weighted matrix sum_n s_n (sqrt(w) psi_n)(sqrt(w) phi_n)^dagger from kept pairs.
-
-    Comparable entry-by-entry with the decomposed OperatorMatrix; the Frobenius
-    distance to the original is bounded by ``truncation_residual()``.
-    """
-    rows_axis = result.output_modes[0].axis
-    cols_axis = result.input_modes[0].axis
-    sr = np.sqrt(rows_axis.quadrature_weights())
-    sc = np.sqrt(cols_axis.quadrature_weights())
-    k = np.zeros((rows_axis.count, cols_axis.count), dtype=complex)
-    for s, psi, phi in zip(
-        result.singular_values, result.output_modes, result.input_modes
-    ):
-        k += s * np.outer(sr * psi.values, np.conj(sc * phi.values))
-    return OperatorMatrix(rows_axis, cols_axis, k)

@@ -17,7 +17,8 @@ and of T / 2 on time.
 
 The solver diagonalizes the commuting prolate differential operator in a
 Legendre basis (spectrally accurate), one dense NumPy ``eigh`` per parity
-block, and reads each concentration off the Legendre coefficients of its
+block (on one BLAS thread below 362 terms, as ``schmidt`` factors its small
+SVDs), and reads each concentration off the Legendre coefficients of its
 mode, through the finite-Fourier eigenvalue relation (Xiao, Rokhlin & Yarvin
 2001), so a concentration costs no quadrature.  Gauss-Legendre quadrature is
 built only when a mode is extended off the interval, transformed, or checked
@@ -55,6 +56,7 @@ from .core import (
     Sif,
     StageOrder,
     StageProfile,
+    _blas_threads_for,
     _legendre_rule,
 )
 
@@ -336,12 +338,14 @@ def _tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, want: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``want`` smallest eigenpairs of the symmetric tridiagonal (d, e), ascending.
 
-    One dense ``np.linalg.eigh`` (LAPACK ``syevd``) of the block.  Leading axes
-    of ``d`` and ``e`` stack independent blocks into that one call.  A LAPACK
-    failure raises ``ConvergenceError``.
+    One dense ``np.linalg.eigh`` (LAPACK ``syevd``) of the block, on the BLAS
+    threads :func:`tffilter.core._blas_threads_for` gives its size.  Leading
+    axes of ``d`` and ``e`` stack independent blocks into that one call.  A
+    LAPACK failure raises ``ConvergenceError``.
     """
     try:
-        vals, vecs = np.linalg.eigh(_tridiagonal(d, e))
+        with _blas_threads_for(d.shape[-1]):
+            vals, vecs = np.linalg.eigh(_tridiagonal(d, e))
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"tridiagonal eigensolve failed: {err}") from err
     return vals[..., :want], vecs[..., :want]
@@ -518,7 +522,8 @@ def _complement_stacked(nodes: np.ndarray, size: int) -> np.ndarray:
     # one inverse-iteration step: the dense solve now and then returns a vector
     # off by its normwise bound eps ||T|| / gap, which phi_0(1) ~ exp(-c) magnifies
     try:
-        vecs = np.linalg.solve(_tridiagonal(d - chi, e), vecs)[..., 0]
+        with _blas_threads_for(d.shape[-1]):
+            vecs = np.linalg.solve(_tridiagonal(d - chi, e), vecs)[..., 0]
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"inverse iteration failed: {err}") from err
     coeffs = np.zeros(nodes.shape + (size,))

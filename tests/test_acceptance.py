@@ -93,9 +93,7 @@ class TestC02BtIdentity:
         spec_g = gaussian_sif(0.5, 1.0)
         res_g = decompose_filter(spec_g, keep=24)
         bt_g = bt_from_profiles(spec_g)
-        fig_g = figures_from_singulars(
-            res_g.singular_values, bt_hint=bt_g, total_sq=res_g.total_power
-        )
+        fig_g = figures_from_singulars(res_g.singular_values, res_g.total_power)
         dev_g = abs(fig_g.efficiency / fig_g.discriminativity - bt_g)
         assert dev_g < 1e-4
         assert abs(res_g.total_power - bt_g) < 1e-4 * bt_g
@@ -107,9 +105,7 @@ class TestC02BtIdentity:
             res_r = decompose_filter(spec_r, keep=24)
             bt_r = bt_from_profiles(spec_r)
             assert abs(res_r.total_power - bt_r) < 1e-4 * bt_r
-            fig_r = figures_from_singulars(
-                res_r.singular_values, bt_hint=bt_r, total_sq=res_r.total_power
-            )
+            fig_r = figures_from_singulars(res_r.singular_values, res_r.total_power)
             devs.append(abs(fig_r.efficiency / fig_r.discriminativity - bt_r))
         assert max(devs) < 1e-4
         report(

@@ -781,7 +781,7 @@ def test_cli_imports_no_private_package_name():
     assert private == []
 
 
-# each README command, with the tffilter modules it may load
+# each README command and the qkd grid run, with the tffilter modules it may load
 _FOOTPRINTS = [
     (("decompose", "--filter", "gaussian", "--bt", "0.5", "--n-modes", "10"),
      {"cli", "core", "gaussian"}),
@@ -793,7 +793,16 @@ _FOOTPRINTS = [
      {"cli", "core", "gaussian", "metrics", "noisesim"}),
     (("qkd", "--filter", "all", "--ny-min", "1e-4", "--ny-max", "1", "--points", "50", "--optimize"),
      {"cli", "core", "metrics", "qkd", "slepian"}),
+    (("qkd", "--filter", "all", "--ny-min", "1e-4", "--ny-max", "1", "--points", "50"),
+     {"cli", "core", "metrics", "qkd", "slepian"}),
 ]
+
+
+def _footprint_id(argv: tuple[str, ...]) -> str:
+    """The command and its filter; the qkd run without --optimize is the grid run."""
+    if argv[0] == "qkd" and "--optimize" not in argv:
+        return "qkd grid"
+    return " ".join(argv[:3])
 
 
 def _fresh_python(script: str) -> str:
@@ -808,7 +817,7 @@ def _fresh_python(script: str) -> str:
     return proc.stdout
 
 
-@pytest.mark.parametrize("argv, modules", _FOOTPRINTS, ids=[" ".join(argv[:3]) for argv, _ in _FOOTPRINTS])
+@pytest.mark.parametrize("argv, modules", _FOOTPRINTS, ids=[_footprint_id(argv) for argv, _ in _FOOTPRINTS])
 def test_each_command_loads_only_its_modules(argv, modules, tmp_path):
     # a cold command pays for the modules it runs and no others; NumPy's
     # masked arrays (10-15 ms to import) are not among them, nor its

@@ -16,7 +16,9 @@ from tffilter.slepian import pswf_solve_legendre, rectangular_sif
 class TestFiguresFromSingulars:
     def test_gaussian_ladder_recovers_closed_form(self):
         sv = gaussian_singular_values(0.5, 40)
-        fig = figures_from_singulars(sv, bt_hint=0.5)
+        total = float(np.sum(sv**2))
+        assert total == pytest.approx(0.5, rel=1e-4)  # the 40 values carry all of B T
+        fig = figures_from_singulars(sv, total)
         eta, xi = gaussian_tradeoff(0.5)
         assert fig.efficiency == pytest.approx(eta, rel=1e-12)
         assert fig.discriminativity == pytest.approx(xi, rel=1e-12)
@@ -27,21 +29,22 @@ class TestFiguresFromSingulars:
     def test_total_sq_overrides_truncated_sum(self):
         # short ladder plus the exact Frobenius mass: xi uses the mass
         sv = gaussian_singular_values(0.5, 3)
-        fig = figures_from_singulars(sv, total_sq=0.5)
+        fig = figures_from_singulars(sv, 0.5)
         assert fig.discriminativity == pytest.approx(sv[0] ** 2 / 0.5, rel=1e-12)
+        assert fig.bt_product == 0.5
 
-    def test_bt_hint_mismatch_raises(self):
-        sv = gaussian_singular_values(0.5, 40)
-        with pytest.raises(ValueError, match="grid"):
-            figures_from_singulars(sv, bt_hint=0.7)
+    @pytest.mark.parametrize("total", [0.0, -0.5, np.nan])
+    def test_rejects_a_total_that_is_not_positive(self, total):
+        with pytest.raises(ValueError, match="^total squared singular value mass must be positive$"):
+            figures_from_singulars(gaussian_singular_values(0.5, 3), total)
 
     def test_rejects_ascending_ladder(self):
         with pytest.raises(ValueError):
-            figures_from_singulars(np.array([0.1, 0.5]))
+            figures_from_singulars(np.array([0.1, 0.5]), 0.26)
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
-            figures_from_singulars(np.array([0.5, -0.1]))
+            figures_from_singulars(np.array([0.5, -0.1]), 0.26)
 
 
 class TestBtFromProfiles:

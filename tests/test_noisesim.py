@@ -27,6 +27,7 @@ from tffilter.metrics import analytic_snr
 from tffilter.noisesim import (
     RNG_ALGORITHM,
     NoiseEnsembleConfig,
+    _keyed_streams,
     _trial_keys,
     _white_rows,
     filtered_noise_correlation,
@@ -114,6 +115,16 @@ class TestDeterminism:
             z = trial_generator(seed, t).standard_normal((2, axis.count))
             ref = scale * (z[0] + 1j * z[1])
             assert np.array_equal(row.view(np.uint64), ref.view(np.uint64))
+
+    def test_staged_rows_replay_bit_for_bit(self):
+        # 37 trials fill two staging buffers of 16 and part of a third; every
+        # row, drawn on the re-keyed stream the ensembles use, is the one
+        # sample_white_noise draws from the trial's own generator
+        axis, seed, psd, trials = centered_axis(1.0 / 12.0, 128, Domain.TIME), 2**40 + 3, 0.37, 37
+        rows = _white_rows(axis, psd, trials, _keyed_streams(_trial_keys(seed, np.arange(trials))))
+        for t, row in enumerate(rows):
+            ref = sample_white_noise(axis, psd, trial_generator(seed, t)).values
+            assert np.array_equal(row.view(np.uint64), ref.view(np.uint64)), t
 
     def test_algorithm_name_pinned(self):
         assert RNG_ALGORITHM == "philox4x64"
@@ -645,26 +656,13 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             filtered_noise_correlation(spec, 0.0, 2000, np.array([0.0]), seed=1)
 
-    @pytest.mark.parametrize("name", ["lags", "times"])
+    @pytest.mark.parametrize("name", ["lags"])
     @pytest.mark.parametrize("bad", [[np.nan], [0.0, np.inf], [-np.inf], []], ids=str)
     def test_non_finite_or_empty_probes_refused(self, name, bad):
         # refused by name before any grid snap, rather than as a cast warning,
         # a misleading "outside the grid" error or an empty-array reduction
-        probes = {"lags": np.array([0.0]), "times": None, name: np.array(bad)}
         with pytest.raises(ValueError, match=f"^{name} must be"):
-            filtered_noise_correlation(
-                gaussian_sif(0.3, 1.0), 0.25, 1000, probes["lags"], seed=0, times=probes["times"]
-            )
-
-    def test_coarse_caller_axis_refused(self):
-        # B = 4 Hz needs dt <= 0.025; a caller's coarser grid is refused just
-        # as apply_filter refuses it
-        spec = gaussian_sif(4.0, 1.0)
-        coarse = centered_axis(0.2, 512, Domain.TIME)
-        with pytest.raises(ResolutionError):
-            apply_filter(spec, SampledSignal(coarse, np.zeros(512)))
-        with pytest.raises(ResolutionError):
-            filtered_noise_correlation(spec, 0.25, 1000, np.array([0.0]), seed=3, axis=coarse)
+            filtered_noise_correlation(gaussian_sif(0.3, 1.0), 0.25, 1000, np.array(bad), seed=0)
 
     @pytest.mark.parametrize(
         "family, bw, duration, reach",
@@ -699,10 +697,12 @@ class TestCorrelation:
         assert len(calls) == 1
 
     def test_surface_shapes(self):
+        # five probe times across the gate duration T = 1, which the grid's
+        # step, min(1/(10 B), T/8) = 1/8, holds exactly
         spec = gaussian_sif(0.3, 1.0)
         lags = np.array([0.0, 1.0])
-        times = np.array([-0.25, 0.0, 0.25])
-        surf = filtered_noise_correlation(spec, 0.25, 1000, lags, seed=2, times=times)
-        assert surf.empirical.shape == (3, 2)  # (times, lags)
-        assert surf.analytic.shape == (3, 2)
+        surf = filtered_noise_correlation(spec, 0.25, 1000, lags, seed=2)
+        assert surf.empirical.shape == (5, 2)  # (times, lags)
+        assert surf.analytic.shape == (5, 2)
         assert surf.trials == 1000
+        assert np.array_equal(surf.times, np.linspace(-0.5, 0.5, 5))

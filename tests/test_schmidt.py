@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tffilter.core
 import tffilter.schmidt
 from tffilter.core import (
     ConvergenceError,
@@ -33,7 +34,6 @@ from tffilter.schmidt import (
     decompose_filter,
     inner_product,
     project_onto_input_mode,
-    reconstruct_kernel,
     schmidt_decompose,
 )
 from tffilter.metrics import bt_from_profiles
@@ -87,7 +87,7 @@ class TestSchmidtDecompose:
     def test_refines_until_every_kept_value_settles(self):
         # from N=64, s_0 of the BT=2 ladder has settled to 7e-14 at N=91
         # while s_9 still drifts by 3.4e-7 s_0; the loop must go on to N=128
-        res = decompose_filter(gaussian_sif(2.0, 1.0), keep=10, resolution=64)
+        res = decompose_filter(gaussian_sif(2.0, 1.0), keep=10)
         rep = res.grid_report
         assert rep.resolutions == (64, 91, 128)
         assert rep.ladder_rel_change < rep.tolerance
@@ -113,9 +113,7 @@ class TestFixedGrid:
     def test_single_grid_cannot_converge(self):
         # convergence needs two grids to compare; one level must say so
         with pytest.raises(ConvergenceError):
-            decompose_filter(
-                rectangular_sif(0.8, 1.0), keep=8, resolution=256, max_resolution=256
-            )
+            decompose_filter(rectangular_sif(0.8, 1.0), keep=8, max_resolution=64)
 
     def test_mode_axes_follow_operator(self):
         ff = rectangular_sif(0.8, 1.0)
@@ -164,14 +162,23 @@ class TestRectangularLadder:
             assert abs(abs(inner_product(ins[n], res.input_modes[n])) - 1.0) < 1e-11, n
 
 
+def reconstruct_kernel(result) -> np.ndarray:
+    """Weighted matrix sum_n s_n (sqrt(w) psi_n)(sqrt(w) phi_n)^dagger of the kept pairs,
+    comparable entry by entry with the decomposed ``OperatorMatrix``."""
+    sr = np.sqrt(result.output_modes[0].axis.quadrature_weights())
+    sc = np.sqrt(result.input_modes[0].axis.quadrature_weights())
+    psi = np.stack([sr * m.values for m in result.output_modes], axis=1)
+    phi = np.stack([sc * m.values for m in result.input_modes], axis=1)
+    return (psi * result.singular_values) @ phi.conj().T
+
+
 class TestKernelAlgebra:
     def test_reconstruct_kernel_matches_operator(self):
         spec = gaussian_sif(0.5, 1.0)
         rows, cols = recommended_axes(spec, resolution=256)
         op = build_operator(spec, rows, cols)
         res = schmidt_decompose(op, keep=24)
-        approx = reconstruct_kernel(res)
-        err = np.linalg.norm(op.entries - approx.entries) / np.linalg.norm(op.entries)
+        err = np.linalg.norm(op.entries - reconstruct_kernel(res)) / np.linalg.norm(op.entries)
         assert err < 1e-8
 
     @pytest.mark.parametrize(
@@ -188,7 +195,7 @@ class TestKernelAlgebra:
         res = decompose_filter(spec, keep=6)
         rep = res.grid_report
         op = build_operator(spec, rep.final_rows, rep.final_cols)
-        dist = np.linalg.norm(op.entries - reconstruct_kernel(res).entries)
+        dist = np.linalg.norm(op.entries - reconstruct_kernel(res))
         residual = res.truncation_residual()
         assert residual > 1e-3  # far above the cancellation floor
         tol = 8.0 * np.finfo(float).eps * res.total_power / residual
@@ -413,11 +420,14 @@ def test_odd_axes_rebuild_modes_with_the_centre_sample(make):
 
 @pytest.mark.parametrize("order", list(StageOrder), ids=lambda o: o.name.lower())
 def test_odd_resolution_converges_to_the_same_ladder(order):
-    spec = gaussian_sif(0.5, 1.0, order)
-    odd = decompose_filter(spec, keep=10, resolution=257)
-    assert odd.grid_report.resolutions == (257, 363)
-    assert np.max(np.abs(odd.singular_values - gaussian_singular_values(0.5, 10))) <= 1e-12
-    assert odd.parities == (1, -1) * 5
+    # the half-octave levels 91 and 181 are odd axes, whose centre sample the
+    # even parity block carries at half weight
+    for bt, levels in ((0.5, (64, 91)), (3.0, (64, 91, 128, 181))):
+        res = decompose_filter(gaussian_sif(bt, 1.0, order), keep=10)
+        assert res.grid_report.resolutions == levels
+        assert res.grid_report.final_rows.count == res.grid_report.final_cols.count == levels[-1]
+        assert np.max(np.abs(res.singular_values - gaussian_singular_values(bt, 10))) <= 1e-12
+        assert res.parities == (1, -1) * 5
 
 
 def test_parity_blocks_refuse_asymmetric_axes():
@@ -594,12 +604,6 @@ def _refuse_grids(monkeypatch):
 
 
 LEVEL_ARGUMENT_CASES = [
-    ("resolution", 1, ValueError),
-    ("resolution", 0, ValueError),
-    ("resolution", -4, ValueError),
-    ("resolution", 2.5, TypeError),
-    ("resolution", 64.0, TypeError),
-    ("resolution", True, TypeError),
     ("max_resolution", 1, ValueError),
     ("max_resolution", -4, ValueError),
     ("max_resolution", 4096.0, TypeError),
@@ -613,33 +617,29 @@ LEVEL_ARGUMENT_CASES = [
     ids=[f"{name}={value!r}" for name, value, _ in LEVEL_ARGUMENT_CASES],
 )
 def test_grid_sizes_are_checked_before_any_grid(name, value, error, monkeypatch):
-    # resolution=1 would repeat level 1 (round(sqrt 2) = 1) and "converge" on it
     _refuse_grids(monkeypatch)
     with pytest.raises(error, match=f"^{name} "):
         decompose_filter(gaussian_sif(0.5, 1.0), keep=4, **{name: value})
 
 
 def test_numpy_integer_grid_sizes_are_accepted():
-    res = decompose_filter(
-        gaussian_sif(0.5, 1.0), keep=4, resolution=np.int64(64), max_resolution=np.int32(4096)
-    )
+    res = decompose_filter(gaussian_sif(0.5, 1.0), keep=4, max_resolution=np.int32(4096))
     assert res.grid_report.resolutions == (64, 91)
     assert all(type(n) is int for n in res.grid_report.resolutions)
 
 
 @pytest.mark.parametrize(
-    "resolution, max_resolution",
-    [(128, 64), (128, 160), (64, 90)],
+    "max_resolution",
+    [63, 65, 90],
     ids=["below-resolution", "between-the-first-two-levels", "just-below-level-91"],
 )
-def test_max_resolution_without_a_second_level_is_refused(resolution, max_resolution, monkeypatch):
-    # one level has nothing to be compared with, so such a pair could only
-    # end in ConvergenceError; resolution == max_resolution still does
+def test_max_resolution_without_a_second_level_is_refused(max_resolution, monkeypatch):
+    # below the first level, 64, no grid is built; between it and the second,
+    # 91, one level has nothing to be compared with and could only end in
+    # ConvergenceError, as max_resolution=64 still does
     _refuse_grids(monkeypatch)
     with pytest.raises(ValueError, match="^max_resolution "):
-        decompose_filter(
-            gaussian_sif(0.5, 1.0), keep=4, resolution=resolution, max_resolution=max_resolution
-        )
+        decompose_filter(gaussian_sif(0.5, 1.0), keep=4, max_resolution=max_resolution)
 
 
 def test_max_resolution_at_the_second_level_converges():
@@ -694,8 +694,8 @@ class TestSvdThreads:
         # the caller reads two again afterwards
         script = """
 import numpy as np
-from tffilter import schmidt
-setter = schmidt._blas_thread_setter()
+from tffilter import core, schmidt
+setter = core._blas_thread_setter()
 def count():
     n = setter(1)
     setter(n)
@@ -724,19 +724,19 @@ if setter is not None:
             pytest.skip("NumPy is not built on a versioned OpenBLAS")
         if tuple(map(int, version)) < (0, 3, 27):
             pytest.skip("openblas_set_num_threads_local needs OpenBLAS 0.3.27")
-        assert tffilter.schmidt._blas_thread_setter() is not None
+        assert tffilter.core._blas_thread_setter() is not None
 
     @pytest.mark.parametrize("cdll", [_no_library, lambda path: object()], ids=["no-library", "no-symbol"])
     def test_lookup_failure_gives_no_setter(self, cdll, monkeypatch):
         import ctypes
 
         monkeypatch.setattr(ctypes, "CDLL", cdll)
-        assert tffilter.schmidt._blas_thread_setter.__wrapped__() is None
+        assert tffilter.core._blas_thread_setter.__wrapped__() is None
 
     def test_svd_without_a_setter_factors_the_same(self, monkeypatch):
         spec = gaussian_sif(2.0, 1.0)
         ref = decompose_filter(spec, keep=10)
-        monkeypatch.setattr(tffilter.schmidt, "_blas_thread_setter", lambda: None)
+        monkeypatch.setattr(tffilter.core, "_blas_thread_setter", lambda: None)
         res = decompose_filter(spec, keep=10)
         assert np.array_equal(res.singular_values, ref.singular_values)
         for got, want in zip(res.input_modes + res.output_modes, ref.input_modes + ref.output_modes):

@@ -15,7 +15,8 @@ from tffilter.core import (
     StageOrder,
     inner_product,
 )
-from tffilter import slepian
+from test_schmidt import _run_with_blas_threads
+from tffilter import core, slepian
 from tffilter.schmidt import decompose_filter
 from tffilter.slepian import (
     BASIS_LIMIT,
@@ -609,3 +610,55 @@ class TestValidation:
     def test_time_first_order(self):
         spec = rectangular_sif(0.8, 1.0, order=StageOrder.TIME_FIRST)
         assert spec.order is StageOrder.TIME_FIRST
+
+
+# every prolate path: the curve across the clamp and past it, its complement,
+# its inverse, and one solve's values and modes on the interval
+PROLATE_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from tffilter import slepian
+cs = np.geomspace(1e-3, 20.0, 400)
+sol = slepian.pswf_solve_legendre(12.0, 20)
+x = np.linspace(-1.0, 1.0, 101)
+digest = hashlib.sha256()
+for values in (
+    slepian.ground_concentration(cs),
+    slepian.concentration_complement(cs[cs > 4.0]),
+    slepian.ground_parameter(np.linspace(0.005, 0.995, 199)),
+    sol.eigenvalues,
+    *(sol.evaluate(n, x) for n in range(21)),
+):
+    digest.update(np.asarray(values).tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_one_and_two_blas_threads_give_equal_prolate_values(self):
+        one = _run_with_blas_threads(PROLATE_DIGEST_SCRIPT, 1)
+        two = _run_with_blas_threads(PROLATE_DIGEST_SCRIPT, 2)
+        assert one == two
+
+    def test_prolate_solves_see_one_blas_thread(self, monkeypatch):
+        # a stand-in setter for a two-thread pool: every tridiagonal eigh and
+        # inverse-iteration solve runs at one, and the pool reads two after
+        threads = [2]
+
+        def setter(count):
+            previous, threads[0] = threads[0], count
+            return previous
+
+        seen = []
+
+        def spy(solver):
+            return lambda *args: seen.append((solver.__name__, threads[0])) or solver(*args)
+
+        monkeypatch.setattr(core, "_blas_thread_setter", lambda: setter)
+        monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve))
+        pswf_solve_legendre(12.0, 16)
+        concentration_complement(17.0)
+        assert {name for name, _ in seen} == {"eigh", "solve"}
+        assert {count for _, count in seen} == {1}
+        assert threads == [2]

@@ -48,6 +48,45 @@ async def wait():
 # async def and its return
 CODE_LINES = 9
 
+SETTABLE = '''from dataclasses import dataclass, field
+import dataclasses
+
+
+@dataclass(frozen=True)
+class Point:
+    x: float
+    y: float = 0.0
+    tags: list = field(default_factory=list)
+    LIMIT = 3  # no annotation, so no field
+
+
+@dataclasses.dataclass
+class Pair:
+    left: int
+
+
+class Plain:
+    size: int = 1  # not a dataclass
+
+    def scale(self, by, *, floor=0.0):
+        return max(self.size * by, floor)
+
+    @classmethod
+    def make(cls, size=1):
+        return cls()
+
+
+def spread(first, /, second=2, *rest, key=None, **options):
+    def inner(a, b=1):
+        return a + b
+
+    return inner(first)
+'''
+
+# Point's three fields (two defaults) and Pair's one; scale's by and floor
+# (one default); make's size (one); spread's five (two) and inner's two (one)
+SETTABLE_VALUES, WITH_DEFAULTS = 14, 7
+
 
 def test_code_lines_counts_only_code(tmp_path, capsys):
     code_lines = load_tool("code_lines")
@@ -59,7 +98,24 @@ def test_code_lines_counts_only_code(tmp_path, capsys):
     assert code_lines.code_lines(pkg / "empty.py") == 0
     assert code_lines.main([str(pkg)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert rows == [["empty.py", "0"], ["mod.py", str(CODE_LINES)], ["total", str(CODE_LINES)]]
+    assert rows == [
+        ["module", "code", "settable", "defaults"],
+        ["empty.py", "0", "0", "0"],
+        ["mod.py", str(CODE_LINES), "0", "0"],
+        ["total", str(CODE_LINES), "0", "0"],
+    ]
+
+
+def test_code_lines_counts_settable_values(tmp_path, capsys):
+    code_lines = load_tool("code_lines")
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "values.py").write_text(SETTABLE, encoding="utf-8")
+    (pkg / "mod.py").write_text(SOURCE, encoding="utf-8")
+    assert code_lines.settable_values(pkg / "values.py") == (SETTABLE_VALUES, WITH_DEFAULTS)
+    assert code_lines.main([str(pkg)]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total[0] == "total" and total[2:] == [str(SETTABLE_VALUES), str(WITH_DEFAULTS)]
 
 
 def test_cold_cli_refuses_zero_rounds(tmp_path, capsys):

@@ -1,9 +1,12 @@
-"""Count the code lines of the ``tffilter`` package, per module and in total.
+"""Count the code lines and settable values of the ``tffilter`` package, per module and in total.
 
 A code line is a source line that holds at least one token of code: blank
 lines, comment-only lines and the lines of docstrings (a string literal that
-opens a module, class or function body) are not counted.  Only the standard
-library's ``ast`` and ``tokenize`` are used.
+opens a module, class or function body) are not counted.  A settable value is
+a parameter of a function (``self`` and ``cls`` excluded, ``*args`` and
+``**kwargs`` counted) or a field of a dataclass; the last column counts those
+that have a default.  Only the standard library's ``ast`` and ``tokenize`` are
+used.
 
 Run from a checkout:
 
@@ -57,13 +60,39 @@ def code_lines(path: Path) -> int:
     return len(lines - skip)
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def settable_values(path: Path) -> tuple[int, int]:
+    """(settable values, those with a default) of the module at ``path``."""
+    count = defaults = 0
+    for node in ast.walk(ast.parse(path.read_bytes())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            named = args.posonlyargs + args.args + args.kwonlyargs
+            count += sum(a.arg not in ("self", "cls") for a in named)
+            count += (args.vararg is not None) + (args.kwarg is not None)
+            defaults += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            count += len(fields)
+            defaults += sum(f.value is not None for f in fields)
+    return count, defaults
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "tffilter"
-    counts = {p.name: code_lines(p) for p in sorted(root.glob("*.py"))}
-    width = max(map(len, counts), default=5)
-    for name, count in counts.items():
-        print(f"{name:<{width}}  {count:5d}")
-    print(f"{'total':<{width}}  {sum(counts.values()):5d}")
+    rows = {p.name: (code_lines(p), *settable_values(p)) for p in sorted(root.glob("*.py"))}
+    width = max(map(len, rows), default=5)
+    print(f"{'module':<{width}}  {'code':>5}  {'settable':>8}  {'defaults':>8}")
+    totals = [sum(col) for col in zip(*rows.values())] or [0, 0, 0]
+    for name, (code, settable, defaults) in [*rows.items(), ("total", totals)]:
+        print(f"{name:<{width}}  {code:5d}  {settable:8d}  {defaults:8d}")
     return 0
 
 
