@@ -39,7 +39,7 @@ print("exact values.")
 for bt in (0.8, 2.0):
     spec = rectangular_sif(bt, 1.0)
     res = decompose_filter(spec, keep=8)
-    exact = slepian_singular_values(spec, 6)
+    exact = slepian_singular_values(spec.c, 6)
     dev = np.max(np.abs(res.singular_values[:6] - exact))
     print(f"\nBT = {bt}  (prolate parameter c = {spec.c:.4f})")
     print("  n    numeric        prolate solver")

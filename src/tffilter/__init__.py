@@ -95,7 +95,7 @@ _EXPORTS = {
         "ground_concentration",
     ),
     "metrics": (
-        "FilterFigures",
+        "Ladder",
         "figures_from_singulars",
         "bt_from_profiles",
         "analytic_snr",

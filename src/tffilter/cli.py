@@ -166,7 +166,7 @@ def cmd_decompose(args: argparse.Namespace):
     else:
         from .slepian import rectangular_sif, slepian_singular_values
 
-        lam = slepian_singular_values(rectangular_sif(bt, 1.0), args.n_modes)
+        lam = slepian_singular_values(rectangular_sif(bt, 1.0).c, args.n_modes)
         backend = {"backend": "legendre-prolate"}
     sq = lam**2
     cum = np.cumsum(sq)

@@ -471,7 +471,7 @@ class StageProfile:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def support(self, tol: float = 1e-12) -> float:
+    def support(self, tol: float) -> float:
         """Radius r with |p(x)| <= tol for |x| > r."""
         raise NotImplementedError
 
@@ -644,7 +644,7 @@ class OperatorMatrix:
     rows_axis: Axis
     cols_axis: Axis
     entries: np.ndarray
-    edge_ring_ratio: float | None = None
+    edge_ring_ratio: float | None
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
@@ -808,14 +808,14 @@ def parity_blocks(spec: Sif, rows: Axis, cols: Axis) -> ParityBlocks:
 def _profile_axis(profile: StageProfile, resolution: int = 1024) -> Axis:
     """The axis every integral of ``profile`` over its own domain runs on.
 
-    A profile compact in its own domain gets ``resolution`` Gauss-Legendre
-    nodes inside its support; a smooth one a symmetric uniform grid of
-    ``resolution`` samples spanning its support radius at tolerance 1e-13.
+    The axis spans the profile's support radius at tolerance 1e-13: a profile
+    compact in its own domain gets ``resolution`` Gauss-Legendre nodes inside
+    it, a smooth one a symmetric uniform grid of ``resolution`` samples.
     Its ``quadrature_weights()`` carry the domain's measure (dt, or dw/2pi).
     """
-    if profile.compact:
-        return QuadratureAxis(profile.support(), resolution, profile.domain)
     half = profile.support(1e-13)
+    if profile.compact:
+        return QuadratureAxis(half, resolution, profile.domain)
     return SampledAxis(-half, 2.0 * half / (resolution - 1), resolution, profile.domain)
 
 

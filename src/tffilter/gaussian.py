@@ -73,7 +73,7 @@ class GaussianProfile(StageProfile):
         x = np.asarray(x, dtype=float)
         return np.exp(-(self._a * x**2) / self._b)
 
-    def support(self, tol: float = 1e-12) -> float:
+    def support(self, tol: float) -> float:
         """Radius where exp(-x^2 / (2 sigma^2)), sigma = ``_sigma``, falls to tol."""
         return self._sigma * np.sqrt(2.0 * np.log(1.0 / tol))
 
@@ -86,7 +86,9 @@ def mehler_u(bt: float | np.ndarray) -> float | np.ndarray:
     bts = np.asarray(bt, dtype=float)
     if not np.all(bts > 0):  # NaN fails it too
         raise ValueError("BT product must be positive")
-    m = 1.0 / (2.0 * bts)
+    # past BT ~ 1e308 m reads 0, below the normal floats inf: u is then its limit, 1 or 0
+    with np.errstate(over="ignore"):
+        m = 1.0 / (2.0 * bts)
     return 1.0 / (np.hypot(1.0, m) + m)
 
 
@@ -128,12 +130,11 @@ def gaussian_sif(
     )
 
 
-def gaussian_singular_values(sif_or_bt: GaussianSif | float, count: int) -> np.ndarray:
+def gaussian_singular_values(bt: float, count: int) -> np.ndarray:
     """s_n = u^(n + 1/2) for n = 0 .. count-1; partial square sums converge to BT."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    bt = sif_or_bt.bt if isinstance(sif_or_bt, GaussianSif) else float(sif_or_bt)
-    u = mehler_u(bt)
+    u = mehler_u(float(bt))
     n = np.arange(count)
     return u ** (n + 0.5)
 

@@ -1,11 +1,11 @@
-"""Scalar figures of merit derived from a filter's Schmidt spectrum.
+"""Figures of merit of a filter's Schmidt ladder.
 
-For singular values s_0 >= s_1 >= ...:
+A :class:`Ladder` holds the kept singular values s_0 >= s_1 >= ... together
+with the sum of s_n^2 over the whole ladder, kept or not, and reads off:
 
 * efficiency      eta = s_0^2, the transmission of the best-matched mode,
 * discriminativity xi = s_0^2 / sum_n s_n^2, the share of total throughput
-  the dominant mode claims (1 means single-mode),
-* selectivity      eta * xi, the standard single-number tradeoff score.
+  the dominant mode claims (1 means single-mode).
 
 For a spectral window R~ composed with a temporal gate Q the total throughput
 obeys sum_n s_n^2 = B T with the intensity bandwidth B = integral |R~|^2 dw/2pi
@@ -22,7 +22,7 @@ import numpy as np
 from .core import Sif, _profile_axis
 
 __all__ = [
-    "FilterFigures",
+    "Ladder",
     "figures_from_singulars",
     "bt_from_profiles",
     "analytic_snr",
@@ -33,49 +33,69 @@ __all__ = [
 QPG_REFERENCE_POINTS = ((0.99, 0.98), (0.9999, 0.9999))
 
 
-@dataclass(frozen=True)
-class FilterFigures:
-    """Summary scalars of one filter's Schmidt spectrum."""
+@dataclass(frozen=True, eq=False)
+class Ladder:
+    """A Schmidt ladder: the kept singular values and the sum of every s_n^2.
 
-    efficiency: float
-    discriminativity: float
-    bt_product: float
-    selectivity: float
-    mode_count_effective: float
+    ``singular_values`` are nonempty, nonnegative and descending, and read-only
+    once stored.  ``total_power`` is sum_n s_n^2 over the whole ladder, kept
+    or not: positive, and at least s_0^2 (to a relative 1e-12), so that
+    0 < xi <= 1.  Ladders compare by identity, as their values are an array.
+    """
+
+    singular_values: np.ndarray
+    total_power: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.efficiency <= 1.0 + 1e-12):
-            raise ValueError("efficiency must lie in [0, 1]")
-        if not (0.0 < self.discriminativity <= 1.0 + 1e-12):
+        s = np.array(self.singular_values, dtype=float)
+        if s.size == 0:
+            raise ValueError("need at least one singular value")
+        if np.any(s < -1e-15):
+            raise ValueError("singular values must be nonnegative")
+        if np.any(np.diff(s) > 1e-12 * max(s[0], 1.0)):
+            raise ValueError("singular values must be sorted descending")
+        total = float(self.total_power)
+        if not total > 0:  # NaN fails it too
+            raise ValueError("total squared singular value mass must be positive")
+        eta = s[0] * s[0]
+        if eta == 0.0 or eta > total * (1.0 + 1e-12):
             raise ValueError("discriminativity must lie in (0, 1]")
+        s.setflags(write=False)
+        object.__setattr__(self, "singular_values", s)
+        object.__setattr__(self, "total_power", total)
+
+    @property
+    def efficiency(self) -> float:
+        """eta = s_0^2."""
+        return float(np.square(self.singular_values[0]))
+
+    @property
+    def discriminativity(self) -> float:
+        """xi = s_0^2 / total_power."""
+        return self.efficiency / self.total_power
+
+    @property
+    def kept(self) -> int:
+        return len(self.singular_values)
+
+    def truncation_residual(self) -> float:
+        """sqrt of the squared singular mass outside the kept modes."""
+        tail = self.total_power - float(np.sum(self.singular_values**2))
+        return float(np.sqrt(max(tail, 0.0)))
 
 
-def figures_from_singulars(singular_values: np.ndarray, total: float) -> FilterFigures:
-    """Figures of merit from a (possibly truncated) singular value array.
+def figures_from_singulars(singular_values: np.ndarray, total: float) -> Ladder:
+    """The :class:`Ladder` of a (possibly truncated) passive filter's singular values.
 
     ``total`` is sum_n s_n^2 over the whole ladder, kept or not: a
-    ``SchmidtResult``'s ``total_power``, or B T for these filters.  It is
-    also the reported ``bt_product``.
+    ``SchmidtResult``'s ``total_power``, or B T for these filters.  Beyond the
+    ladder's own checks, eta = s_0^2 must not exceed 1 (to 1e-12), as no
+    passive filter transmits more than it receives.
     """
-    s = np.asarray(singular_values, dtype=float)
-    if s.size == 0:
-        raise ValueError("need at least one singular value")
-    if np.any(s < -1e-15):
-        raise ValueError("singular values must be nonnegative")
-    if np.any(np.diff(s) > 1e-12 * max(s[0], 1.0)):
-        raise ValueError("singular values must be sorted descending")
-    total = float(total)
-    if not total > 0:  # NaN fails it too
-        raise ValueError("total squared singular value mass must be positive")
-    eta = float(s[0] * s[0])
-    xi = eta / total
-    return FilterFigures(
-        efficiency=eta,
-        discriminativity=xi,
-        bt_product=total,
-        selectivity=eta * xi,
-        mode_count_effective=1.0 / xi,
-    )
+    ladder = Ladder(singular_values, total)
+    if not ladder.efficiency <= 1.0 + 1e-12:  # NaN fails it too
+        raise ValueError("efficiency must lie in [0, 1]")
+    return ladder
 
 
 def bt_from_profiles(spec: Sif) -> float:

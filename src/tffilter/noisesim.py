@@ -206,8 +206,15 @@ def sample_white_noise(
 def _white_rows(
     axis: SampledAxis, noise_psd: float, count: int, rngs: Iterable[np.random.Generator]
 ) -> np.ndarray:
-    """``count`` rows of white noise, one per generator, as :func:`sample_white_noise` draws it."""
-    scale = np.sqrt(noise_psd / (2.0 * _uniform(axis).step))
+    """``count`` rows of white noise, one per generator, as :func:`sample_white_noise` draws it.
+
+    A per-sample scale sqrt(N_y / 2 dt) past the float range raises
+    ``ResolutionError`` before any draw.
+    """
+    # in Python floats the quotient overflows to inf with no warning
+    scale = np.sqrt(float(noise_psd) / (2.0 * _uniform(axis).step))
+    if not np.isfinite(scale):
+        raise ResolutionError(f"the white-noise scale at N_y = {noise_psd:.3g} is past the float range")
     rows = np.empty((count, axis.count), dtype=complex)
     # _STAGE trials are drawn in stream order into one buffer, whose two
     # quadratures are then copied into their rows at once
@@ -373,13 +380,19 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: Sif) -> EnergyReport:
     + w_signal: both are one pass over the float view of each block, by
     ``einsum`` rather than a BLAS matvec, whose threads would compete with the
     block workers.
+
+    Levels whose noise scale, filtered signal energy or ensemble statistics
+    leave the float range raise ``ResolutionError``: the noise scale before
+    any draw, the others after the run.  ``snr_empirical`` is +inf only for a
+    noiseless run.
     """
     _require_sif(spec)
     axis = cfg.signal_mode.axis
     amp = np.sqrt(cfg.signal_energy)
     sig_in = SampledSignal(axis, amp * cfg.signal_mode.values)
     y_sig = apply_filter(spec, sig_in)
-    w_signal = y_sig.energy()
+    with np.errstate(over="ignore"):  # refused below, with the ensemble statistics
+        w_signal = y_sig.energy()
 
     sig_view = y_sig.values.view(float)
 
@@ -396,11 +409,18 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: Sif) -> EnergyReport:
         cross += block_cross
     w_noise = np.concatenate(w_noise)
 
-    w_noise_mean = float(np.mean(w_noise))
-    stderr = float(np.std(w_noise, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic is refused below
+        w_noise_mean = float(np.mean(w_noise))
+        stderr = float(np.std(w_noise, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
+        w_total_mean = float(w_noise_mean + 2.0 * cross * axis.measure / cfg.trials + w_signal)
     snr = w_signal / w_noise_mean if w_noise_mean > 0 else float("inf")
+    # w_total_mean carries w_signal; snr is +inf, and allowed, only when w_noise_mean is 0
+    if not np.all(np.isfinite([w_total_mean, w_noise_mean, stderr, snr if w_noise_mean > 0 else 0.0])):
+        raise ResolutionError(
+            f"N_y = {cfg.noise_psd:.3g} and E = {cfg.signal_energy:.3g} give energies past the float range"
+        )
     return EnergyReport(
-        w_total_mean=float(w_noise_mean + 2.0 * cross * axis.measure / cfg.trials + w_signal),
+        w_total_mean=w_total_mean,
         w_signal=float(w_signal),
         w_noise_mean=w_noise_mean,
         w_noise_stderr=stderr,

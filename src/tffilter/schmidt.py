@@ -44,6 +44,7 @@ from .core import (
     parity_blocks,
     recommended_axes,
 )
+from .metrics import Ladder
 
 __all__ = [
     "GridReport",
@@ -77,12 +78,13 @@ class GridReport:
     edge_ring_ratio: float
 
 
-@dataclass(frozen=True)
-class SchmidtResult:
-    """Schmidt data of a filter kernel.
+@dataclass(frozen=True, eq=False)
+class SchmidtResult(Ladder):
+    """Schmidt data of a filter kernel: its :class:`~tffilter.metrics.Ladder` and modes.
 
     ``singular_values[n]`` pairs ``output_modes[n]`` (left) with
     ``input_modes[n]`` (right): K(x, y) = sum_n s_n psi_n(x) conj(phi_n(y)).
+    ``total_power`` is the sum of all squared singular values, kept or not.
     Modes are unit-norm under their axis measure.  The phase convention fixes
     each input mode's pivot sample to be real positive: the first sample whose
     magnitude is within a relative 1e-9 of the mode's largest.  Taking the
@@ -93,26 +95,10 @@ class SchmidtResult:
     decomposition was split by reflection parity; None when it was not.
     """
 
-    singular_values: np.ndarray
     output_modes: tuple[SampledSignal, ...]
     input_modes: tuple[SampledSignal, ...]
-    total_power: float           # sum of ALL squared singular values, kept or not
-    grid_report: GridReport | None = None
-    parities: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        sv = np.asarray(self.singular_values, dtype=float)
-        sv.setflags(write=False)
-        object.__setattr__(self, "singular_values", sv)
-
-    @property
-    def kept(self) -> int:
-        return len(self.singular_values)
-
-    def truncation_residual(self) -> float:
-        """sqrt of the squared singular mass outside the kept modes."""
-        tail = self.total_power - float(np.sum(self.singular_values**2))
-        return float(np.sqrt(max(tail, 0.0)))
+    grid_report: GridReport | None
+    parities: tuple[int, ...] | None
 
 
 def _resolve_keep(sv: np.ndarray, keep: int | float | None) -> int:
@@ -127,9 +113,7 @@ def _resolve_keep(sv: np.ndarray, keep: int | float | None) -> int:
     if isinstance(keep, float):
         if not (0.0 < keep < 1.0):
             raise ValueError("keep threshold must lie in (0, 1)")
-        if sv[0] == 0.0:
-            return 1
-        return max(1, int(np.sum(sv >= keep * sv[0])))
+        return int(np.sum(sv >= keep * sv[0]))  # s_0 counts; a zero ladder is refused as a Ladder
     raise TypeError("keep must be an int count, float threshold, or None")
 
 
@@ -171,9 +155,7 @@ def schmidt_decompose(
     default relative threshold 1e-6.
     """
     u, sv, vh = _svd(op.entries)
-    n_keep = _resolve_keep(sv, keep)
-    total = float(np.sum(sv**2))
-    return _result(op.rows_axis, op.cols_axis, sv[:n_keep], u[:, :n_keep], vh[:n_keep], total, None)
+    return _result(op.rows_axis, op.cols_axis, sv, _resolve_keep(sv, keep), None, u, vh, None)
 
 
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,19 +169,21 @@ def _result(
     rows: Axis,
     cols: Axis,
     sv: np.ndarray,
+    kept: int,
+    grid_report: GridReport | None,
     u: np.ndarray,
     vh: np.ndarray,
-    total: float,
-    grid_report: GridReport | None,
-    parities: tuple[int, ...] | None = None,
+    parities: tuple[int, ...] | None,
 ) -> SchmidtResult:
-    """Phase-fixed, un-weighted Schmidt pairs from the kept weighted singular vectors."""
-    u, vh = _fix_phases(u, vh)
+    """The ``kept`` leading Schmidt pairs, phase-fixed and un-weighted, of a grid
+    whose singular values are all of ``sv``; ``u`` and ``vh`` hold at least
+    those pairs' weighted singular vectors."""
+    u, vh = _fix_phases(u[:, :kept], vh[:kept])
     sr = np.sqrt(rows.quadrature_weights())
     sc = np.sqrt(cols.quadrature_weights())
-    outs = tuple(SampledSignal(rows, u[:, n] / sr) for n in range(len(sv)))
-    ins = tuple(SampledSignal(cols, np.conj(vh[n]) / sc) for n in range(len(sv)))
-    return SchmidtResult(sv, outs, ins, total, grid_report, parities)
+    outs = tuple(SampledSignal(rows, u[:, n] / sr) for n in range(kept))
+    ins = tuple(SampledSignal(cols, np.conj(vh[n]) / sc) for n in range(kept))
+    return SchmidtResult(sv[:kept], np.sum(sv**2), outs, ins, grid_report, parities)
 
 
 # A factored grid level: (all singular values, descending; edge-ring ratio;
@@ -316,9 +300,7 @@ def decompose_filter(
             if ladder < _TOLERANCE:
                 leading = float(abs(sv[0] - prev[0]) / scale)
                 report = GridReport(tuple(resolutions), leading, _TOLERANCE, rows, cols, ladder, ring)
-                u, vh, parities = modes(n_keep)
-                total = float(np.sum(sv**2))
-                return _result(rows, cols, kept, u, vh, total, report, parities)
+                return _result(rows, cols, sv, n_keep, report, *modes(n_keep))
         prev = sv
         res = round(_FIRST_LEVEL * 2 ** (len(resolutions) / 2))
     raise ConvergenceError(

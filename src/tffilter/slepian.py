@@ -114,7 +114,7 @@ class RectangularProfile(StageProfile):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return _indicator(x, self.edge)
 
-    def support(self, tol: float = 1e-12) -> float:
+    def support(self, tol: float) -> float:
         return self.edge
 
 
@@ -663,10 +663,9 @@ def full_line_gram(sol: PswfSolution) -> np.ndarray:
         return gram * scale[:, None] * scale[None, :]
 
 
-def slepian_singular_values(spec_or_c: RectangularSif | float, count: int) -> np.ndarray:
-    """sqrt(beta_n) for n = 0 .. count-1."""
-    c = spec_or_c.c if isinstance(spec_or_c, RectangularSif) else float(spec_or_c)
-    return np.sqrt(pswf_solve_legendre(c, count - 1).eigenvalues[:count])
+def slepian_singular_values(c: float, count: int) -> np.ndarray:
+    """sqrt(beta_n) for n = 0 .. count-1 at prolate parameter ``c``."""
+    return np.sqrt(pswf_solve_legendre(float(c), count - 1).eigenvalues[:count])
 
 
 def slepian_filter_modes(sol: PswfSolution, n: int) -> tuple[SampledSignal, SampledSignal, float]:

@@ -94,6 +94,7 @@ class TestC02BtIdentity:
         res_g = decompose_filter(spec_g, keep=24)
         bt_g = bt_from_profiles(spec_g)
         fig_g = figures_from_singulars(res_g.singular_values, res_g.total_power)
+        assert (fig_g.efficiency, fig_g.discriminativity) == (res_g.efficiency, res_g.discriminativity)
         dev_g = abs(fig_g.efficiency / fig_g.discriminativity - bt_g)
         assert dev_g < 1e-4
         assert abs(res_g.total_power - bt_g) < 1e-4 * bt_g

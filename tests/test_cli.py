@@ -627,6 +627,11 @@ def test_bad_numbers_exit_2(argv, tmp_path, capsys):
         ("modes", "--filter", "gaussian", "--bt", "1e200"),
         ("snr", "--filter", "gaussian", "--bt", "1e200", "--trials", "1", "--seed", "0"),
         ("snr", "--filter", "gaussian", "--bt", "1e308", "--trials", "1", "--seed", "0"),
+        # finite levels whose noise scale or filtered signal energy leave the
+        # float range are refused, not written as nan or inf
+        ("snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "3", "--seed", "1", "--noise-psd", "1e308"),
+        ("snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "3", "--seed", "1",
+         "--signal-energy", "1e308"),
     ],
     ids=" ".join,
 )
@@ -636,6 +641,22 @@ def test_numeric_failures_exit_3_and_write_nothing(argv, tmp_path, capsys):
     assert "numeric failure:" in err
     assert "Traceback" not in err and "inf" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--filter", "gaussian", "--bt", "1e308", "--n-modes", "3"),
+        ("decompose", "--filter", "gaussian", "--bt", "1e-320", "--n-modes", "3"),
+        ("tradeoff", "--filter", "gaussian", "--bt-min", "1e-320", "--bt-max", "1e308"),
+    ],
+    ids=" ".join,
+)
+def test_gaussian_ladder_at_the_float_range_ends_warns_nothing(argv, tmp_path):
+    # the Mehler ratio reaches its limits u = 1 and u = 0 there without an overflow warning
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "out.csv.manifest.json").read_text())["warnings"] == []
 
 
 class TestTypedErrors:

@@ -531,12 +531,12 @@ class TestOperator:
         spec = gaussian_sif(0.5, 1.0)
         rows, cols = recommended_axes(spec, resolution=64)
         raw = np.ones((rows.count, cols.count))
-        op = tffilter.OperatorMatrix(rows, cols, raw)
+        op = tffilter.OperatorMatrix(rows, cols, raw, None)
         raw[0, 0] = 2.0
         assert op.entries[0, 0] == 1.0
         assert not op.entries.flags.writeable
         with pytest.raises(ValueError):
-            tffilter.OperatorMatrix(rows, cols, np.full((rows.count, cols.count), np.nan))
+            tffilter.OperatorMatrix(rows, cols, np.full((rows.count, cols.count), np.nan), None)
 
     def test_recommended_axes_compact_mixed_domains(self):
         # FREQUENCY_FIRST: window limits the input spectrum, gate the output trace
@@ -566,7 +566,7 @@ class TestOperator:
         for ax, profile in ((t_ax, gate), (f_ax, window)):
             assert ax.count == 128
             if profile.compact:
-                assert ax == QuadratureAxis(profile.support(), 128, ax.domain)
+                assert ax == QuadratureAxis(profile.support(1e-13), 128, ax.domain)
             else:
                 assert isinstance(ax, SampledAxis)
                 assert ax.start == -profile.support(1e-13)

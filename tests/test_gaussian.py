@@ -69,6 +69,13 @@ class TestMehlerLadder:
         with pytest.raises(ValueError):
             mehler_u(np.array([0.5, 0.0]))
 
+    def test_u_at_the_ends_of_the_float_range_is_its_limit(self):
+        # m = 1/(2 BT) overflows at both ends; u is then exactly 1 or 0, with no warning
+        assert mehler_u(1e308) == 1.0
+        assert mehler_u(1e-320) == 0.0
+        assert np.array_equal(mehler_u(np.array([1e-320, 1e308])), [0.0, 1.0])
+        assert gaussian_tradeoff(1e308) == (1.0, 0.0)
+
     def test_singular_values_geometric(self):
         lam = gaussian_singular_values(0.5, 8)
         u = mehler_u(0.5)
@@ -79,12 +86,6 @@ class TestMehlerLadder:
         for bt in (0.1, 0.5, 2.0):
             u = mehler_u(bt)
             assert u / (1.0 - u**2) == pytest.approx(bt, rel=1e-13)
-
-    def test_accepts_spec_argument(self):
-        spec = gaussian_sif(0.5, 1.0)
-        a = gaussian_singular_values(spec, 5)
-        b = gaussian_singular_values(0.5, 5)
-        assert np.array_equal(a, b)
 
 
 class TestTradeoff:
@@ -163,7 +164,7 @@ class TestHermiteModes:
         # K phi_n = lambda_n psi_n, checked through the dense operator
         from tffilter.core import apply_filter
 
-        lam = gaussian_singular_values(spec, 3)
+        lam = gaussian_singular_values(spec.bt, 3)
         for n in range(3):
             mi, mo = mode_pair(spec, n, axis)
             pushed = apply_filter(spec, mi)

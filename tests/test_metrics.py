@@ -6,10 +6,12 @@ import pytest
 from tffilter.core import _profile_axis
 from tffilter.gaussian import gaussian_sif, gaussian_singular_values, gaussian_tradeoff, mehler_u
 from tffilter.metrics import (
+    Ladder,
     analytic_snr,
     bt_from_profiles,
     figures_from_singulars,
 )
+from tffilter.schmidt import decompose_filter
 from tffilter.slepian import pswf_solve_legendre, rectangular_sif
 
 
@@ -22,16 +24,14 @@ class TestFiguresFromSingulars:
         eta, xi = gaussian_tradeoff(0.5)
         assert fig.efficiency == pytest.approx(eta, rel=1e-12)
         assert fig.discriminativity == pytest.approx(xi, rel=1e-12)
-        assert fig.selectivity == pytest.approx(eta * xi, rel=1e-12)
-        assert fig.bt_product == pytest.approx(0.5, rel=1e-12)
-        assert fig.mode_count_effective == pytest.approx(1.0 / xi, rel=1e-12)
+        assert fig.total_power == total
 
     def test_total_sq_overrides_truncated_sum(self):
         # short ladder plus the exact Frobenius mass: xi uses the mass
         sv = gaussian_singular_values(0.5, 3)
         fig = figures_from_singulars(sv, 0.5)
         assert fig.discriminativity == pytest.approx(sv[0] ** 2 / 0.5, rel=1e-12)
-        assert fig.bt_product == 0.5
+        assert fig.total_power == 0.5
 
     @pytest.mark.parametrize("total", [0.0, -0.5, np.nan])
     def test_rejects_a_total_that_is_not_positive(self, total):
@@ -39,12 +39,71 @@ class TestFiguresFromSingulars:
             figures_from_singulars(gaussian_singular_values(0.5, 3), total)
 
     def test_rejects_ascending_ladder(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^singular values must be sorted descending$"):
             figures_from_singulars(np.array([0.1, 0.5]), 0.26)
 
     def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^singular values must be nonnegative$"):
             figures_from_singulars(np.array([0.5, -0.1]), 0.26)
+
+    @pytest.mark.parametrize(
+        "sv, total, message",
+        [
+            ([], 1.0, "need at least one singular value"),
+            ([1.5], 3.0, r"efficiency must lie in \[0, 1\]"),
+            ([np.nan], 1.0, r"efficiency must lie in \[0, 1\]"),
+            ([0.8], 0.5, r"discriminativity must lie in \(0, 1\]"),
+            ([0.0], 1.0, r"discriminativity must lie in \(0, 1\]"),
+        ],
+        ids=["empty", "eta", "eta_nan", "xi", "xi_zero"],
+    )
+    def test_each_refusal_keeps_its_message(self, sv, total, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            figures_from_singulars(np.array(sv, dtype=float), total)
+
+    def test_returns_the_ladder(self):
+        sv = gaussian_singular_values(0.5, 3)
+        fig = figures_from_singulars(sv, 0.5)
+        assert type(fig) is Ladder
+        assert np.array_equal(fig.singular_values, sv) and fig.total_power == 0.5
+        s0 = float(sv[0])
+        assert (fig.efficiency, fig.discriminativity) == (s0 * s0, s0 * s0 / 0.5)
+
+
+class TestLadder:
+    def test_figures_are_properties_of_the_values_and_total(self):
+        ladder = Ladder(np.array([0.6, 0.3, 0.1]), 0.5)
+        assert ladder.efficiency == 0.6 * 0.6
+        assert ladder.discriminativity == 0.6 * 0.6 / 0.5
+        assert ladder.kept == 3
+        assert ladder.truncation_residual() == pytest.approx(np.sqrt(0.5 - 0.46), rel=1e-14)
+
+    def test_values_are_a_read_only_copy(self):
+        values = np.array([0.6, 0.3])
+        ladder = Ladder(values, 0.5)
+        assert not ladder.singular_values.flags.writeable
+        values[0] = 0.7
+        assert ladder.singular_values[0] == 0.6
+        assert values.flags.writeable
+
+    def test_a_total_below_the_leading_square_is_refused(self):
+        # xi = s_0^2 / total cannot exceed 1: the total includes s_0^2
+        with pytest.raises(ValueError, match=r"^discriminativity must lie in \(0, 1\]$"):
+            Ladder(np.array([0.6]), 0.35)
+        assert Ladder(np.array([0.6]), 0.6 * 0.6).discriminativity == 1.0
+
+    def test_an_active_ladder_is_a_ladder(self):
+        # eta <= 1 is figures_from_singulars' passivity check, not the ladder's
+        assert Ladder(np.array([2.0, 1.0]), 5.0).efficiency == 4.0
+
+    def test_decompose_filter_returns_one(self):
+        res = decompose_filter(gaussian_sif(1.0, 0.5), keep=10)
+        assert isinstance(res, Ladder)  # the README quick start
+        fig = figures_from_singulars(res.singular_values, res.total_power)
+        assert (res.efficiency, res.discriminativity) == (fig.efficiency, fig.discriminativity)
+        eta, xi = gaussian_tradeoff(0.5)
+        assert res.efficiency == pytest.approx(eta, rel=1e-9)
+        assert res.discriminativity == pytest.approx(xi, rel=1e-9)
 
 
 class TestBtFromProfiles:

@@ -232,7 +232,7 @@ class TestExactLaws:
         spec, axis, mode, _ = snr_setup("gaussian", bt)
         f = transport_matrix(spec, axis)
         gram = f @ f.conj().T
-        s = gaussian_singular_values(spec, 400)
+        s = gaussian_singular_values(spec.bt, 400)
         assert np.vdot(f, f).real == pytest.approx(bt, rel=4e-15)
         assert np.trace(gram @ gram).real == pytest.approx(np.sum(s**4), rel=4e-15)
         # the ground mode keeps eta of its energy, the ensembles' w_signal
@@ -282,7 +282,7 @@ class TestEnsembleStatistics:
             noise_psd=n_y, signal_energy=0.0, signal_mode=mode, trials=trials, seed=17
         )
         rep = run_ensemble(cfg, spec)
-        s = gaussian_singular_values(spec, 60)  # s_59^2 ~ 1e-46
+        s = gaussian_singular_values(spec.bt, 60)  # s_59^2 ~ 1e-46
         kappa_2 = n_y**2 * np.sum(s**4)
         kappa_4 = 6.0 * n_y**4 * np.sum(s**8)
         stderr = np.sqrt(kappa_2 / trials)
@@ -393,6 +393,48 @@ class TestEnsembleStatistics:
             )
         with pytest.raises(ValueError):
             filtered_noise_correlation(gaussian_sif(0.3, 1.0), 0.25, 2**32 + 1, np.array([0.0]), seed=0)
+
+
+    def test_noise_scale_past_the_float_range_is_refused_before_any_draw(self, time_axis, monkeypatch):
+        # sqrt(N_y / 2 dt) overflows at N_y = 1e308 on a finite grid: each path
+        # refuses it without taking a stream, rather than returning NaN
+        rng = trial_generator(0, 0)
+        with pytest.raises(ResolutionError, match="past the float range"):
+            sample_white_noise(time_axis, 1e308, rng)
+        assert rng.standard_normal() == trial_generator(0, 0).standard_normal()
+
+        def no_stream(keys):
+            raise AssertionError("a stream was taken")
+            yield
+
+        monkeypatch.setattr(noisesim, "_keyed_streams", no_stream)
+        mode = unit_gaussian_mode(time_axis)
+        cfg = NoiseEnsembleConfig(noise_psd=1e308, signal_energy=1.0, signal_mode=mode, trials=300, seed=0)
+        with pytest.raises(ResolutionError, match="past the float range"):
+            run_ensemble(cfg, gaussian_sif(0.5, 1.0))
+        with pytest.raises(ResolutionError, match="past the float range"):
+            filtered_noise_correlation(gaussian_sif(0.5, 1.0), 1e308, 1000, np.array([0.0]), seed=0)
+
+    @pytest.mark.parametrize(
+        "psd, energy",
+        [(0.1, 1e308), (1e200, 1.0), (1e-10, 1e300)],
+        ids=["signal_energy", "noise_stderr", "snr"],
+    )
+    def test_statistics_past_the_float_range_are_refused(self, psd, energy):
+        # the filtered signal energy overflows; the stderr's squares overflow;
+        # w_signal / w_noise_mean overflows: each is refused, not reported as inf
+        _, axis, mode, _ = snr_setup("gaussian", 0.5)
+        cfg = NoiseEnsembleConfig(noise_psd=psd, signal_energy=energy, signal_mode=mode, trials=3, seed=1)
+        with pytest.raises(ResolutionError, match="past the float range"):
+            run_ensemble(cfg, gaussian_sif(0.5, 1.0))
+
+    def test_finite_extremes_report_finite_statistics(self):
+        # just inside the float range every statistic stays finite
+        _, axis, mode, _ = snr_setup("gaussian", 0.5)
+        cfg = NoiseEnsembleConfig(noise_psd=1e140, signal_energy=1e307, signal_mode=mode, trials=3, seed=1)
+        rep = run_ensemble(cfg, gaussian_sif(0.5, 1.0))
+        assert all(np.isfinite(v) for v in (rep.w_total_mean, rep.w_signal, rep.w_noise_mean,
+                                            rep.w_noise_stderr, rep.snr_empirical))
 
 
 # (filter, trials) pairs pushed through run_ensemble's batched path; 300

@@ -36,7 +36,7 @@ from tffilter.schmidt import (
     project_onto_input_mode,
     schmidt_decompose,
 )
-from tffilter.metrics import bt_from_profiles
+from tffilter.metrics import Ladder, bt_from_profiles
 from tffilter.slepian import (
     RectangularProfile,
     pswf_solve_legendre,
@@ -55,6 +55,10 @@ class TestSchmidtDecompose:
         sv = gaussian_result.singular_values
         assert np.all(sv >= 0)
         assert np.all(np.diff(sv) <= 1e-15)
+
+    def test_result_is_a_read_only_ladder(self, gaussian_result):
+        assert isinstance(gaussian_result, Ladder)
+        assert not gaussian_result.singular_values.flags.writeable
 
     def test_input_modes_orthonormal(self, gaussian_result):
         modes = gaussian_result.input_modes
@@ -201,6 +205,13 @@ class TestKernelAlgebra:
         tol = 8.0 * np.finfo(float).eps * res.total_power / residual
         assert abs(dist - residual) <= tol
 
+    def test_a_zero_matrix_has_no_ladder(self):
+        # every singular value is 0, so the total is too: the Ladder refuses it
+        rows, cols = recommended_axes(gaussian_sif(0.5, 1.0), resolution=64)
+        op = OperatorMatrix(rows, cols, np.zeros((rows.count, cols.count)), None)
+        with pytest.raises(ValueError, match="^total squared singular value mass must be positive$"):
+            schmidt_decompose(op)
+
     def test_projection_coefficients(self, gaussian_result):
         # feeding mode n back in: the only surviving coefficient is n's
         sig = gaussian_result.input_modes[2]
@@ -248,8 +259,8 @@ class TestRealFactorization:
         q = spec.temporal(t)
         kernel = q[:, None] * resp if order is StageOrder.FREQUENCY_FIRST else resp * q[None, :]
         sw = np.sqrt(rows.quadrature_weights())
-        op = OperatorMatrix(rows, cols, sw[:, None] * kernel * sw[None, :])
-        cplx = OperatorMatrix(rows, cols, op.entries.astype(complex))
+        op = OperatorMatrix(rows, cols, sw[:, None] * kernel * sw[None, :], None)
+        cplx = OperatorMatrix(rows, cols, op.entries.astype(complex), None)
         return op, schmidt_decompose(op, keep=10), schmidt_decompose(cplx, keep=10)
 
     def test_operator_is_real(self, pair):
@@ -410,8 +421,7 @@ def test_odd_axes_rebuild_modes_with_the_centre_sample(make):
     u, vh, parities = modes(8)
     op = build_operator(spec, rows, cols)
     full = schmidt_decompose(op, keep=8)
-    total = float(np.sum(sv**2))
-    split = tffilter.schmidt._result(rows, cols, sv[:8], u, vh, total, None, parities)
+    split = tffilter.schmidt._result(rows, cols, sv, 8, None, u, vh, parities)
     assert np.max(np.abs(split.singular_values - full.singular_values)) <= 1e-14
     for n in range(8):
         assert _mode_rel(split.input_modes[n], full.input_modes[n]) <= 1e-10, n
@@ -462,7 +472,7 @@ class _ShiftedGaussianGate(GaussianProfile):
     def __call__(self, t):
         return super().__call__(np.asarray(t, dtype=float) - self.t0)
 
-    def support(self, tol=1e-12):
+    def support(self, tol):
         return super().support(tol) + abs(self.t0)
 
 

@@ -476,14 +476,6 @@ class TestSingularValues:
             sv = slepian_singular_values(1.25, 6)
         assert np.max(np.abs(sv**2 - sol.eigenvalues[:6])) < 1e-14
 
-    def test_accepts_spec(self):
-        spec = rectangular_sif(0.8, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = slepian_singular_values(spec, 5)
-            b = slepian_singular_values(spec.c, 5)
-        assert np.array_equal(a, b)
-
 
 class TestFilterModes:
     def test_slepian_input_mode_concentration(self):
