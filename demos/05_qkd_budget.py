@@ -9,6 +9,7 @@ normalized rates into absolute ones for a concrete link.
 import numpy as np
 
 from tffilter import (
+    QBER_THRESHOLD,
     FilterCharacteristic,
     QkdScenario,
     normalized_key_rate,
@@ -39,7 +40,7 @@ print("As n_y grows the optimizer lowers eta*: passing less signal buys the")
 print("discrimination needed to keep the error rate under the threshold.")
 
 # the hard wall: no key past QBER ~ 11%
-q_wall = 0.11002786443836034
+q_wall = QBER_THRESHOLD
 xi = 0.9
 n_wall = xi * (1.0 / np.sqrt(1.0 - 2.0 * q_wall) - 1.0)
 assert normalized_key_rate(0.9, xi, n_wall * 1.01) == 0.0

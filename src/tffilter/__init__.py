@@ -7,32 +7,6 @@ about: target-mode efficiency, mode discriminativity, filtered-noise
 statistics, and entanglement-based key rates.
 """
 
-import os as _os
-
-
-def _thread_cap() -> int | None:
-    """TF_FILTER_THREADS as an integer: None if it is unset, 0 unless it is a
-    positive integer written in ASCII digits."""
-    cap = _os.environ.get("TF_FILTER_THREADS")
-    if cap is None:
-        return None
-    return int(cap) if cap.isascii() and cap.isdigit() else 0
-
-
-def cap_threads() -> bool:
-    """Copy TF_FILTER_THREADS into unset BLAS/OpenMP pool sizes; False if it is invalid.
-
-    The pools size themselves when numpy loads, so this runs before any numeric import.
-    """
-    cap = _thread_cap()
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            _os.environ.setdefault(var, str(cap))
-    return cap != 0
-
-
-cap_threads()
-
 __version__ = "0.1.0"
 
 # submodule -> the public names the package takes from it, in the order of

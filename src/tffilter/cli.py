@@ -14,11 +14,9 @@ manifest, never in the data file.  JSON spells a non-finite float as the CSV
 cells do: "inf", "-inf" or "nan".
 
 Exit codes: 0 success, 2 usage error (a NaN or infinite number, a
-nonpositive BT, a negative seed, a count flag outside 1..MAX_COUNT), 3
-numeric or convergence failure, or a run past the library's resolution
-limits.  A failed run writes no file.
-Set TF_FILTER_THREADS to cap the linear-algebra thread pools and to size the
-worker pool of the snr ensembles (1 runs them serially).
+nonpositive BT, a negative seed, a count flag outside 1..MAX_COUNT,
+--trials above 2**32), 3 numeric or convergence failure, or a run past the
+library's resolution limits.  A failed run writes no file.
 Each command imports the library functions it calls inside its own branch, so
 a cold process loads only the modules that command runs.
 """
@@ -35,7 +33,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, cap_threads
+from . import __version__
 from .core import ConvergenceError, ResolutionError, TruncationError
 
 # Upper bound of --n-modes and --points.  The largest table it allows,
@@ -250,13 +248,14 @@ def cmd_modes(args: argparse.Namespace):
 
 
 def cmd_snr(args: argparse.Namespace):
+    from .metrics import analytic_snr
+    from .noisesim import MAX_TRIALS, NoiseEnsembleConfig, run_ensemble, snr_setup
+
     bt = parse_bt(args.bt)
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise UsageError("--trials must be 1 to 2**32, the streams of one seed")
     if args.signal_energy < 0 or args.noise_psd < 0:
         raise UsageError("energies must be nonnegative")
-    from .metrics import analytic_snr
-    from .noisesim import NoiseEnsembleConfig, run_ensemble, snr_setup
 
     spec, axis, mode, xi = snr_setup(args.filter, bt)
     cfg = NoiseEnsembleConfig(
@@ -446,9 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if not cap_threads():
-        print("error: TF_FILTER_THREADS must be a positive integer", file=sys.stderr)
-        return 2
     args = build_parser().parse_args(argv)
     try:
         with _recorded_warnings() as caught:

@@ -86,10 +86,12 @@ def mehler_u(bt: float | np.ndarray) -> float | np.ndarray:
     bts = np.asarray(bt, dtype=float)
     if not np.all(bts > 0):  # NaN fails it too
         raise ValueError("BT product must be positive")
-    # past BT ~ 1e308 m reads 0, below the normal floats inf: u is then its limit, 1 or 0
+    # past BT ~ 1e308 m reads 0 and u its limit 1; below BT ~ 5.6e-309 the sum
+    # overflows, and u = BT (1 - BT^2 + ...) rounds to BT itself
     with np.errstate(over="ignore"):
         m = 1.0 / (2.0 * bts)
-    return 1.0 / (np.hypot(1.0, m) + m)
+        denominator = np.hypot(1.0, m) + m
+    return np.where(np.isinf(denominator), bts, 1.0 / denominator)[()]
 
 
 @dataclass(frozen=True)

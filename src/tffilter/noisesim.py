@@ -16,12 +16,12 @@ by the numerics of ``core.filter_samples`` (pre-diagonal, FFT, mid-diagonal,
 FFT, post-diagonal), the transport ``apply_filter`` uses for single signals.
 
 Blocks run on one pool of worker threads per process, made on the first
-ensemble or correlation and sized by ``TF_FILTER_THREADS``, else the CPUs in
-the process's affinity mask; one worker runs the blocks serially, with no
-thread.  A worker draws, filters and reduces its block (the row energies and
-cross sum of an ensemble, the two moment sums of a correlation) and returns
-only those partial sums, which the caller adds in block order with no BLAS
-call, so every result is independent of the worker count.
+ensemble or correlation and sized by the CPUs in the process's affinity mask
+(``taskset``, ``os.sched_setaffinity``); one worker runs the blocks serially,
+with no thread.  A worker draws, filters and reduces its block (the row
+energies and cross sum of an ensemble, the two moment sums of a correlation)
+and returns only those partial sums, which the caller adds in block order with
+no BLAS call, so every result is independent of the worker count.
 
 Reproducibility: trial t draws from Philox keyed by
 SeedSequence(entropy=seed, spawn_key=(t,)), so any trial can be replayed in
@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _thread_cap
 from .core import (
     Domain,
     DomainMismatchError,
@@ -82,6 +81,7 @@ RNG_ALGORITHM = "philox4x64"
 _BATCH = 256  # trials per filter_samples block
 _STAGE = 16  # trials per copy of white-noise draws into their complex rows
 SNR_MAX_SAMPLES = 2**17  # largest snr_setup grid: 0.5 GB per complex block of _BATCH trials
+MAX_TRIALS = 2**32  # per seed: a trial index must fit one spawn-key word
 
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
@@ -99,7 +99,7 @@ def _check_stream(seed: int, trials: int) -> None:
         raise TypeError("seed must be an integer")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    if trials > 2**32:
+    if trials > MAX_TRIALS:
         raise ValueError("at most 2**32 trials per seed")
 
 
@@ -231,9 +231,7 @@ def _white_rows(
 
 
 def _worker_count() -> int:
-    """TF_FILTER_THREADS if it is a positive integer, else the CPUs this process may use."""
-    if cap := _thread_cap():
-        return cap
+    """The CPUs this process may use."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without affinity masks
@@ -565,7 +563,8 @@ def filtered_noise_correlation(
     duration; they and the lags are snapped to the simulation grid, the
     smallest one :func:`_auto_correlation_axis` admits, so empirical samples
     need no interpolation.  At least 1000 trials are required for the stderr
-    estimate to be meaningful.
+    estimate to be meaningful.  A noise PSD whose moments leave the float
+    range raises ``ResolutionError`` after the run.
     """
     _require_sif(spec)
     if spec.order is not StageOrder.FREQUENCY_FIRST:
@@ -596,18 +595,22 @@ def filtered_noise_correlation(
     lags_g = axis.step * l_idx
 
     def reduce(y: np.ndarray) -> tuple:
-        z = y[:, pair] * np.conj(y[:, t_idx])[:, :, None]
-        return np.sum(z, axis=0), np.sum(np.abs(z) ** 2, axis=0)
+        # set in the worker thread, whose error state is its own; refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = y[:, pair] * np.conj(y[:, t_idx])[:, :, None]
+            return np.sum(z, axis=0), np.sum(np.abs(z) ** 2, axis=0)
 
     s1 = np.zeros((len(times_g), len(lags_g)), dtype=complex)
     s2 = np.zeros((len(times_g), len(lags_g)))
-    for block_s1, block_s2 in _filtered_noise_blocks(spec, axis, noise_psd, seed, trials, reduce):
-        s1 += block_s1
-        s2 += block_s2
-
-    emp = s1 / trials
-    var_c = s2 / trials - np.abs(emp) ** 2
-    stderr = np.sqrt(np.maximum(var_c, 0.0) / trials)
+    with np.errstate(over="ignore", invalid="ignore"):  # a moment past the float range is refused below
+        for block_s1, block_s2 in _filtered_noise_blocks(spec, axis, noise_psd, seed, trials, reduce):
+            s1 += block_s1
+            s2 += block_s2
+        emp = s1 / trials
+        var_c = s2 / trials - np.abs(emp) ** 2
+        stderr = np.sqrt(np.maximum(var_c, 0.0) / trials)
+    if not (np.all(np.isfinite(emp)) and np.all(np.isfinite(stderr))):
+        raise ResolutionError(f"N_y = {noise_psd:.3g} gives correlation moments past the float range")
 
     # an even window's rho is real: its cosine sum carries no imaginary rounding
     phase = np.outer(lags_g, pts)

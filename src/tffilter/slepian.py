@@ -715,7 +715,7 @@ def rectangular_filter_modes(
 
     Samples on the support boundary use the 1/2 jump convention.  The
     prolates are solved here, ``pswf_solve_legendre(spec.c, count - 1)``, and
-    a concentration beta_{count-1} below ``BETA_FLOOR`` raises ``ValueError``.
+    a concentration beta_{count-1} below ``BETA_FLOOR`` raises ``ResolutionError``.
     """
     if side not in ("input", "output"):
         raise ValueError("side must be 'input' or 'output'")
@@ -730,7 +730,7 @@ def rectangular_filter_modes(
         )
     sol = pswf_solve_legendre(spec.c, count - 1)
     if sol.eigenvalues[count - 1] < BETA_FLOOR:
-        raise ValueError(
+        raise ResolutionError(
             f"concentration beta_{count - 1} below {BETA_FLOOR:g}; mode unresolvable"
         )
     pts = axis.points

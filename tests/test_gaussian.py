@@ -70,11 +70,19 @@ class TestMehlerLadder:
             mehler_u(np.array([0.5, 0.0]))
 
     def test_u_at_the_ends_of_the_float_range_is_its_limit(self):
-        # m = 1/(2 BT) overflows at both ends; u is then exactly 1 or 0, with no warning
+        # 1/(2 BT) or the denominator overflows at both ends, with no warning:
+        # u is then 1, or BT itself, which u = BT (1 - BT^2 + ...) rounds to
         assert mehler_u(1e308) == 1.0
-        assert mehler_u(1e-320) == 0.0
-        assert np.array_equal(mehler_u(np.array([1e-320, 1e308])), [0.0, 1.0])
+        assert mehler_u(1e-320) == 1e-320
+        assert np.array_equal(mehler_u(np.array([1e-320, 1e308])), [1e-320, 1.0])
         assert gaussian_tradeoff(1e308) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("bt", [5e-324, 1e-320, 2e-309, 4e-309, 5.5e-309, 6e-309, 1e-300])
+    def test_tradeoff_identity_holds_at_subnormal_bt(self, bt):
+        # eta = xi * BT exactly, below the BT where the denominator of u overflows too
+        eta, xi = gaussian_tradeoff(bt)
+        assert eta == bt and xi == 1.0
+        assert eta == xi * bt
 
     def test_singular_values_geometric(self):
         lam = gaussian_singular_values(0.5, 8)

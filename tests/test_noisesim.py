@@ -3,6 +3,7 @@
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -428,6 +429,21 @@ class TestEnsembleStatistics:
         with pytest.raises(ResolutionError, match="past the float range"):
             run_ensemble(cfg, gaussian_sif(0.5, 1.0))
 
+    @pytest.mark.parametrize("psd", [1e200, 1e300])
+    def test_correlation_moments_past_the_float_range_are_refused(self, psd):
+        # the samples are finite, but the squares of their products are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolutionError, match="past the float range"):
+                filtered_noise_correlation(gaussian_sif(0.5, 1.0), psd, 1000, np.array([0.0, 0.2]), seed=0)
+
+    def test_correlation_just_inside_the_float_range_scales_with_the_psd(self):
+        spec, lags = gaussian_sif(0.5, 1.0), np.array([0.0, 0.2])
+        unit = filtered_noise_correlation(spec, 1.0, 1000, lags, seed=0)
+        huge = filtered_noise_correlation(spec, 1e150, 1000, lags, seed=0)
+        for name in ("empirical", "analytic", "stderr"):
+            np.testing.assert_allclose(getattr(huge, name) / 1e150, getattr(unit, name), rtol=1e-14)
+
     def test_finite_extremes_report_finite_statistics(self):
         # just inside the float range every statistic stays finite
         _, axis, mode, _ = snr_setup("gaussian", 0.5)
@@ -564,7 +580,7 @@ class TestWorkerPool:
         # more callers than workers and more workers than cores, switching often:
         # the first calls race to make the pool, then share it
         monkeypatch.setattr(noisesim, "_pool_state", None)
-        monkeypatch.setenv("TF_FILTER_THREADS", "3")
+        monkeypatch.setattr(noisesim, "_worker_count", lambda: 3)
         spec, _, mode, _ = snr_setup("gaussian", 0.5)
         cfgs = [NoiseEnsembleConfig(0.1, 1.0, mode, 600, seed) for seed in range(6)]
         interval = sys.getswitchinterval()
@@ -581,14 +597,13 @@ class TestWorkerPool:
         monkeypatch.setattr(noisesim, "_pool", lambda: (None, 1))
         assert reports == [run_ensemble(cfg, spec) for cfg in cfgs]
 
-    @pytest.mark.parametrize("value, workers", [("3", 3), ("1", 1), (None, None), ("0", None), ("two", None)])
-    def test_worker_count(self, monkeypatch, value, workers):
-        # TF_FILTER_THREADS sizes the pool; unset or invalid, the CPUs of the affinity mask do
-        if value is None:
-            monkeypatch.delenv("TF_FILTER_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("TF_FILTER_THREADS", value)
-        assert noisesim._worker_count() == (workers or len(os.sched_getaffinity(0)))
+    def test_worker_count(self, monkeypatch):
+        # the CPUs of the affinity mask size the pool; with no masks, the CPU count does
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert noisesim._worker_count() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert noisesim._worker_count() == 5
 
 
 class TestBlockKeys:

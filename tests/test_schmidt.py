@@ -659,7 +659,7 @@ def test_max_resolution_at_the_second_level_converges():
 
 def _run_with_blas_threads(script: str, threads: int) -> str:
     """Stdout of a fresh process with ``threads`` OpenBLAS threads and no other pool setting."""
-    pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "TF_FILTER_THREADS")
+    pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in pools}
     src = str(Path(tffilter.schmidt.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

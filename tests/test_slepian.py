@@ -501,6 +501,15 @@ class TestFilterModes:
         with pytest.raises(ResolutionError, match="mode unresolvable"):
             slepian_filter_modes(sol, 12)
 
+    def test_starved_rectangular_mode_is_a_resolution_error(self):
+        # beta_7 of c = 0.8 pi / 2 is 6.6e-15, below the floor
+        spec = rectangular_sif(0.8, 1.0)
+        tax = SampledAxis(-1.0, 2.0 / 512, 513, Domain.TIME)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ResolutionError, match="mode unresolvable"):
+                rectangular_filter_modes(spec, tax, 8, "output")
+
     def test_output_mode_vanishes_off_gate(self):
         sol = pswf_solve_legendre(3.0, 2)
         _, psi, _ = slepian_filter_modes(sol, 0)
