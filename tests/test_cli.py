@@ -1002,6 +1002,15 @@ class TestThreadCap:
         )
         _fresh_process(script)
 
+    def test_noise_workers_ignore_a_non_ascii_digit_cap(self, monkeypatch):
+        # with the deleted TF_FILTER_THREADS set to "\u00b2" (superscript two, which
+        # passes str.isdigit() but not int()), the 3-CPU mask sizes the pool
+        from tffilter.noisesim import _worker_count
+
+        monkeypatch.setenv("TF_FILTER_THREADS", "\u00b2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert _worker_count() == 3
+
     def test_import_leaves_the_environment_alone(self):
         # import sets no pool variable, whatever the environment names
         script = "import os; before = dict(os.environ); import tffilter; assert dict(os.environ) == before"

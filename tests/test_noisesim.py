@@ -597,10 +597,17 @@ class TestWorkerPool:
         monkeypatch.setattr(noisesim, "_pool", lambda: (None, 1))
         assert reports == [run_ensemble(cfg, spec) for cfg in cfgs]
 
-    def test_worker_count(self, monkeypatch):
-        # the CPUs of the affinity mask size the pool; with no masks, the CPU count does
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert noisesim._worker_count() == 3
+    @pytest.mark.parametrize("value, capped", [("3", 3), ("1", 1), (None, None), ("0", None), ("two", None)])
+    def test_worker_count(self, monkeypatch, value, capped):
+        # the CPUs of the affinity mask size the pool; with no masks, the CPU count does.
+        # The deleted TF_FILTER_THREADS, whatever it holds, sizes nothing: capped is the
+        # count it once gave, and the 4-CPU mask differs from each
+        if value is None:
+            monkeypatch.delenv("TF_FILTER_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("TF_FILTER_THREADS", value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5, 7}, raising=False)
+        assert noisesim._worker_count() == 4 != capped
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert noisesim._worker_count() == 5
