@@ -56,7 +56,7 @@ import enum
 import threading
 import warnings
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cache, lru_cache
 import numpy as np
@@ -329,7 +329,11 @@ def inner_product(f: SampledSignal, g: SampledSignal) -> complex:
 # side is below that is factored on one thread.  Parity blocks of 32-181 rows
 # are the typical ladder's, and prolate blocks stay below 362 terms up to
 # c of about 700.  On a busy machine a small ``eigh`` on two threads stalled
-# 184-196 ms per call where one thread took 2.5-3.6 ms.
+# 184-196 ms per call where one thread took 2.5-3.6 ms.  The symmetric
+# eigensolve of a self-dual Sif's parity blocks (``schmidt._eigh``) takes
+# :func:`_one_blas_thread` at every size instead: on two threads the 362-row
+# blocks of Gaussian BT 20 gave modes that differ in their last bits from one
+# thread's, so a ladder would depend on the pool size.
 _ONE_THREAD_BELOW = 362
 
 # OpenBLAS built on pthreads keeps one thread count for the whole process, so
@@ -360,15 +364,13 @@ def _blas_thread_setter() -> Callable[[int], int] | None:
 
 
 @contextmanager
-def _blas_threads_for(side: int) -> Iterator[None]:
-    """The BLAS pool for a dense factorization whose matrices' smaller side is ``side``.
+def _one_blas_thread() -> Iterator[None]:
+    """One BLAS thread for the block, whatever the process's pool size.
 
-    Below ``_ONE_THREAD_BELOW`` the block runs on one BLAS thread, whatever the
-    process's pool size, and the caller's count is restored afterwards.
-    Larger matrices, and any BLAS without the OpenBLAS setter, run on the
-    process's pool.
+    The caller's count is restored afterwards.  A BLAS without the OpenBLAS
+    setter runs the block on the process's pool.
     """
-    setter = _blas_thread_setter() if side < _ONE_THREAD_BELOW else None
+    setter = _blas_thread_setter()
     if setter is None:
         yield
         return
@@ -378,6 +380,15 @@ def _blas_threads_for(side: int) -> Iterator[None]:
             yield
         finally:
             setter(previous)
+
+
+def _blas_threads_for(side: int) -> AbstractContextManager[None]:
+    """The BLAS pool for a dense factorization whose matrices' smaller side is ``side``.
+
+    Below ``_ONE_THREAD_BELOW`` the block runs on :func:`_one_blas_thread`;
+    larger matrices run on the process's pool.
+    """
+    return _one_blas_thread() if side < _ONE_THREAD_BELOW else nullcontext()
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +762,13 @@ class ParityBlocks:
     -+2i Q(t) R(w) sin(wt) of the mixed kernel, so both blocks of a
     real-profile Sif are real.  ``edge_ring_ratio`` is what
     :func:`build_operator`'s edge-ring check measures on the full axes.
+
+    When window and gate are the same function once each is scaled to its own
+    support (a self-dual Sif: both shipped families) and the axes are scaled
+    alike, as on :func:`recommended_axes`, both blocks are symmetric up to the
+    rounding of cos and sin of the products x_r x_c, and their Schmidt pairs
+    are eigenpairs; :func:`tffilter.schmidt.decompose_filter` then factors
+    them with a symmetric eigensolve.
     """
 
     even: np.ndarray

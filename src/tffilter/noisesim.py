@@ -38,7 +38,7 @@ import threading
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
-from math import ceil
+from math import ceil, frexp, ldexp
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -230,6 +230,19 @@ def _white_rows(
     return rows
 
 
+def _moment_scale(noise_psd: float, step: float) -> float:
+    """2**-k, with 2**k the power of two just above N_y / ``step``.
+
+    A product of two filtered noise samples is of order N_y / step and a
+    per-trial energy of order N_y.  Scaled by this factor before they are
+    squared, their second moments stay inside the float range wherever the
+    statistics themselves do.  Scaling by a power of two is exact, so a second
+    moment that neither overflows nor underflows keeps its bits.  The factor
+    stays at most 2**1023 when N_y / step is subnormal.
+    """
+    return ldexp(1.0, min(-frexp(float(noise_psd) / step)[1], 1023))
+
+
 def _worker_count() -> int:
     """The CPUs this process may use."""
     try:
@@ -381,8 +394,9 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: Sif) -> EnergyReport:
 
     Levels whose noise scale, filtered signal energy or ensemble statistics
     leave the float range raise ``ResolutionError``: the noise scale before
-    any draw, the others after the run.  ``snr_empirical`` is +inf only for a
-    noiseless run.
+    any draw, the others after the run.  The per-trial energies are squared
+    for the stderr only after :func:`_moment_scale`'s exact rescale.
+    ``snr_empirical`` is +inf only for a noiseless run.
     """
     _require_sif(spec)
     axis = cfg.signal_mode.axis
@@ -406,10 +420,14 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: Sif) -> EnergyReport:
         w_noise.append(energies)
         cross += block_cross
     w_noise = np.concatenate(w_noise)
+    scale = _moment_scale(cfg.noise_psd, _uniform(axis).step)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic is refused below
         w_noise_mean = float(np.mean(w_noise))
-        stderr = float(np.std(w_noise, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
+        if cfg.trials > 1:
+            stderr = float(np.std(w_noise * scale, ddof=1) / np.sqrt(cfg.trials) / scale)
+        else:
+            stderr = 0.0
         w_total_mean = float(w_noise_mean + 2.0 * cross * axis.measure / cfg.trials + w_signal)
     snr = w_signal / w_noise_mean if w_noise_mean > 0 else float("inf")
     # w_total_mean carries w_signal; snr is +inf, and allowed, only when w_noise_mean is 0
@@ -563,8 +581,9 @@ def filtered_noise_correlation(
     duration; they and the lags are snapped to the simulation grid, the
     smallest one :func:`_auto_correlation_axis` admits, so empirical samples
     need no interpolation.  At least 1000 trials are required for the stderr
-    estimate to be meaningful.  A noise PSD whose moments leave the float
-    range raises ``ResolutionError`` after the run.
+    estimate to be meaningful.  The sample products are squared only after
+    :func:`_moment_scale`'s exact rescale; a noise PSD whose moments still
+    leave the float range raises ``ResolutionError`` after the run.
     """
     _require_sif(spec)
     if spec.order is not StageOrder.FREQUENCY_FIRST:
@@ -594,11 +613,13 @@ def filtered_noise_correlation(
     times_g = axis.start + axis.step * t_idx
     lags_g = axis.step * l_idx
 
+    scale = _moment_scale(noise_psd, axis.step)
+
     def reduce(y: np.ndarray) -> tuple:
         # set in the worker thread, whose error state is its own; refused below
         with np.errstate(over="ignore", invalid="ignore"):
             z = y[:, pair] * np.conj(y[:, t_idx])[:, :, None]
-            return np.sum(z, axis=0), np.sum(np.abs(z) ** 2, axis=0)
+            return np.sum(z, axis=0), np.sum((np.abs(z) * scale) ** 2, axis=0)
 
     s1 = np.zeros((len(times_g), len(lags_g)), dtype=complex)
     s2 = np.zeros((len(times_g), len(lags_g)))
@@ -607,8 +628,8 @@ def filtered_noise_correlation(
             s1 += block_s1
             s2 += block_s2
         emp = s1 / trials
-        var_c = s2 / trials - np.abs(emp) ** 2
-        stderr = np.sqrt(np.maximum(var_c, 0.0) / trials)
+        var_c = s2 / trials - (np.abs(emp) * scale) ** 2  # the variance times scale**2
+        stderr = np.sqrt(np.maximum(var_c, 0.0) / trials) / scale
     if not (np.all(np.isfinite(emp)) and np.all(np.isfinite(stderr))):
         raise ResolutionError(f"N_y = {noise_psd:.3g} gives correlation moments past the float range")
 

@@ -417,25 +417,45 @@ class TestEnsembleStatistics:
             filtered_noise_correlation(gaussian_sif(0.5, 1.0), 1e308, 1000, np.array([0.0]), seed=0)
 
     @pytest.mark.parametrize(
-        "psd, energy",
-        [(0.1, 1e308), (1e200, 1.0), (1e-10, 1e300)],
-        ids=["signal_energy", "noise_stderr", "snr"],
+        "psd, energy", [(0.1, 1e308), (1e-10, 1e300)], ids=["signal_energy", "snr"]
     )
     def test_statistics_past_the_float_range_are_refused(self, psd, energy):
-        # the filtered signal energy overflows; the stderr's squares overflow;
-        # w_signal / w_noise_mean overflows: each is refused, not reported as inf
+        # the filtered signal energy overflows; w_signal / w_noise_mean
+        # overflows: each is refused, not reported as inf
         _, axis, mode, _ = snr_setup("gaussian", 0.5)
         cfg = NoiseEnsembleConfig(noise_psd=psd, signal_energy=energy, signal_mode=mode, trials=3, seed=1)
         with pytest.raises(ResolutionError, match="past the float range"):
             run_ensemble(cfg, gaussian_sif(0.5, 1.0))
 
-    @pytest.mark.parametrize("psd", [1e200, 1e300])
-    def test_correlation_moments_past_the_float_range_are_refused(self, psd):
-        # the samples are finite, but the squares of their products are not
+    @pytest.mark.parametrize("power", [664, -664], ids=lambda p: f"2**{p}")
+    def test_ensemble_statistics_scale_exactly_with_the_psd(self, power):
+        # N_y = 2**664 (1.2e200) scales every noise sample by exactly 2**332,
+        # so the noise energy and its stderr are those at N_y = 1 times N_y to
+        # the bit: the energies are squared only after a power-of-two rescale,
+        # so their squares neither overflow nor, at 2**-664, underflow
+        _, axis, mode, _ = snr_setup("gaussian", 0.5)
+        unit, scaled = (
+            run_ensemble(
+                NoiseEnsembleConfig(noise_psd=psd, signal_energy=1.0, signal_mode=mode, trials=300, seed=1),
+                gaussian_sif(0.5, 1.0),
+            )
+            for psd in (1.0, 2.0**power)
+        )
+        assert scaled.w_noise_mean == unit.w_noise_mean * 2.0**power
+        assert scaled.w_noise_stderr == unit.w_noise_stderr * 2.0**power > 0
+
+    @pytest.mark.parametrize("power", [664, 996, -664], ids=lambda p: f"2**{p}")
+    def test_correlation_moments_scale_exactly_with_the_psd(self, power):
+        # the squares of the sample products (about N_y**2) would leave the
+        # float range; rescaled by a power of two first, every array is the
+        # unit one times N_y
+        spec, lags = gaussian_sif(0.5, 1.0), np.array([0.0, 0.2])
+        unit = filtered_noise_correlation(spec, 1.0, 1000, lags, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ResolutionError, match="past the float range"):
-                filtered_noise_correlation(gaussian_sif(0.5, 1.0), psd, 1000, np.array([0.0, 0.2]), seed=0)
+            scaled = filtered_noise_correlation(spec, 2.0**power, 1000, lags, seed=0)
+        for name in ("empirical", "analytic", "stderr"):
+            assert np.array_equal(getattr(scaled, name), getattr(unit, name) * 2.0**power), name
 
     def test_correlation_just_inside_the_float_range_scales_with_the_psd(self):
         spec, lags = gaussian_sif(0.5, 1.0), np.array([0.0, 0.2])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tffilter.core
@@ -375,25 +375,84 @@ def test_gaussian_parities_alternate(order):
 
 @pytest.mark.parametrize("make", [gaussian_sif, rectangular_sif], ids=["gaussian", "rectangular"])
 def test_split_runs_only_real_half_size_svds(make, monkeypatch):
-    # no complex LAPACK SVD and no full N x N one: each grid level factors
-    # exactly two real blocks, the even one ((N+1)//2 square, with the centre
-    # sample of an odd N such as 91) and the odd one (N//2 square)
+    # no complex LAPACK factorization and no full N x N one: each grid level
+    # factors exactly two real blocks, the even one ((N+1)//2 square, with the
+    # centre sample of an odd N such as 91) and the odd one (N//2 square).
+    # Both families are self-dual, so every block goes to the eigensolver.
     calls = []
-    svd = tffilter.schmidt._svd
+    for name in ("_svd", "_eigh"):
 
-    def recording(a):
-        calls.append((a.shape, a.dtype))
-        return svd(a)
+        def recording(a, name=name, factor=getattr(tffilter.schmidt, name)):
+            calls.append((name, a.shape, a.dtype))
+            return factor(a)
 
-    monkeypatch.setattr(tffilter.schmidt, "_svd", recording)
+        monkeypatch.setattr(tffilter.schmidt, name, recording)
     res = decompose_filter(make(2.0, 1.0), keep=10)
     real = np.dtype(np.float64)
-    assert 91 in res.grid_report.resolutions
+    levels = res.grid_report.resolutions
+    assert 91 in levels
+    assert res.grid_report.factorizations == ("eigh",) * len(levels)
     assert calls == [
-        (shape, real)
-        for n in res.grid_report.resolutions
+        ("_eigh", shape, real)
+        for n in levels
         for shape in (((n + 1) // 2, (n + 1) // 2), (n // 2, n // 2))
     ]
+
+
+@settings(max_examples=24, deadline=None, database=None)
+@given(
+    st.floats(min_value=np.log(0.05), max_value=np.log(100.0)).map(np.exp),
+    st.sampled_from([gaussian_sif, rectangular_sif]),
+    st.sampled_from(list(StageOrder)),
+    st.sampled_from([64, 91, 128]),
+)
+@example(100.0, gaussian_sif, StageOrder.FREQUENCY_FIRST, 128)  # asymmetry 2e-13 of max|A|
+@example(100.0, rectangular_sif, StageOrder.TIME_FIRST, 91)
+def test_self_dual_blocks_take_the_eigensolver(bt, make, order, resolution):
+    # both families are self-dual, so their blocks are symmetric up to the
+    # rounding of cos(x_r x_c), which grows with BT; the eigen route is taken
+    # at every BT, and its values are the SVD's of the same blocks
+    spec = make(bt, 1.0, order)
+    rows, cols = recommended_axes(spec, resolution)
+    sv, _, _, route = tffilter.schmidt._factor_split(spec, rows, cols)
+    assert route == "eigh"
+    blocks = parity_blocks(spec, rows, cols)
+    svd = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in (blocks.even, blocks.odd)])
+    assert np.max(np.abs(sv - np.sort(svd)[::-1])) <= 1e-14
+
+
+def test_eigh_gives_an_svd_of_a_symmetric_matrix():
+    # negative eigenvalues included: s = |lambda|, u = sign(lambda) v
+    a = np.random.default_rng(2).standard_normal((40, 40))
+    a = a + a.T
+    u, s, vh = tffilter.schmidt._eigh(a)
+    assert np.all(s >= 0)
+    assert np.max(np.abs(np.sort(s)[::-1] - np.linalg.svd(a, compute_uv=False))) <= 1e-13
+    assert np.max(np.abs((u * s) @ vh - a)) <= 1e-13
+    for q in (u, vh):
+        assert np.max(np.abs(q.T @ q - np.eye(40))) <= 1e-13
+
+
+@pytest.mark.parametrize("order", list(StageOrder), ids=lambda o: o.name.lower())
+def test_mixed_even_pair_keeps_the_svd(order, monkeypatch):
+    # a Gaussian window with a brick-wall gate is even but not self-dual: its
+    # blocks are far from symmetric, so they go to the SVD, which matches one
+    # SVD of the whole matrix on the same axes
+    def no_eigh(a):
+        raise AssertionError("an asymmetric block reached the eigensolver")
+
+    monkeypatch.setattr(tffilter.schmidt, "_eigh", no_eigh)
+    spec = Sif(GaussianProfile(2.0, Domain.ANGULAR_FREQUENCY), RectangularProfile(1.0, Domain.TIME), order)
+    res = decompose_filter(spec, keep=10)
+    rep = res.grid_report
+    assert rep.factorizations == ("svd",) * len(rep.resolutions)
+    full = schmidt_decompose(build_operator(spec, rep.final_rows, rep.final_cols), keep=11)
+    assert np.max(np.abs(res.singular_values - full.singular_values[:10])) <= 1e-14
+    sv = full.singular_values
+    for n in range(10):
+        if min(abs(sv[n] - sv[m]) for m in (n - 1, n + 1) if m >= 0) > 1e-3 * sv[0]:
+            assert _mode_rel(res.input_modes[n], full.input_modes[n]) <= 1e-10, n
+            assert _mode_rel(res.output_modes[n], full.output_modes[n]) <= 1e-10, n
 
 
 @pytest.mark.parametrize("make", [gaussian_sif, rectangular_sif], ids=["gaussian", "rectangular"])
@@ -417,7 +476,7 @@ def test_odd_axes_rebuild_modes_with_the_centre_sample(make):
     # the same grid
     spec = make(2.0, 1.0)
     rows, cols = recommended_axes(spec, 257)
-    sv, _, modes = tffilter.schmidt._factor_split(spec, rows, cols)
+    sv, _, modes, _ = tffilter.schmidt._factor_split(spec, rows, cols)
     u, vh, parities = modes(8)
     op = build_operator(spec, rows, cols)
     full = schmidt_decompose(op, keep=8)
@@ -560,6 +619,8 @@ def test_default_start_settles_on_pinned_grids(family, bt, keep, grids, order):
     res = decompose_filter(spec, keep=keep)
     assert res.grid_report.resolutions == grids
     assert (res.parities is None) == (family == "shifted-gaussian")
+    route = "svd" if family == "shifted-gaussian" else "eigh"
+    assert res.grid_report.factorizations == (route,) * len(grids)
     if family == "rectangular":
         sol = _prolate(spec, res.kept)
         k = min(res.kept, sol.resolvable_count)
@@ -700,8 +761,8 @@ class TestSvdThreads:
         assert one.endswith(" []")  # NumPy alone: no scipy module loaded
 
     def test_caller_thread_count_is_restored(self):
-        # small blocks see one thread, a 362-row one the caller's two, and
-        # the caller reads two again afterwards
+        # small SVDs see one thread, a 362-row one the caller's two; every
+        # eigensolve sees one; the caller reads two again afterwards
         script = """
 import numpy as np
 from tffilter import core, schmidt
@@ -710,22 +771,27 @@ def count():
     n = setter(1)
     setter(n)
     return n
-seen, svd = [], np.linalg.svd
-def spy(a, **kwargs):
-    seen.append(count())
-    return svd(a, **kwargs)
+seen = {"svd": [], "eigh": []}
+def spy(name):
+    factor = getattr(np.linalg, name)
+    def counted(a, **kwargs):
+        seen[name].append(count())
+        return factor(a, **kwargs)
+    return counted
 if setter is not None:
-    np.linalg.svd = spy
+    np.linalg.svd, np.linalg.eigh = spy("svd"), spy("eigh")
     before = count()
     rng = np.random.default_rng(0)
     for n in (32, 361, 362):
         schmidt._svd(rng.standard_normal((n + 5, n)))
-    print(before, seen, count())
+        a = rng.standard_normal((n, n))
+        schmidt._eigh(a + a.T)
+    print(before, seen["svd"], seen["eigh"], count())
 """
         out = _run_with_blas_threads(script, 2)
         if not out:
             pytest.skip("NumPy's BLAS exports no openblas_set_num_threads_local")
-        assert out == "2 [1, 1, 2] 2"
+        assert out == "2 [1, 1, 2] [1, 1, 1] 2"
 
     def test_numpy_openblas_setter_is_found(self):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

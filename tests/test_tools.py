@@ -1,7 +1,8 @@
-"""The measuring scripts under ``tools/``: line counts and the cold-run comparison.
+"""The measuring scripts under ``tools/``: line counts and the two tree comparisons.
 
-Neither test starts a ``tffilter`` process: ``code_lines`` reads a small
-package written here, and ``cold_cli`` is stopped by its argument checks.
+No test starts a ``tffilter`` process: ``code_lines`` reads a small package
+written here, and ``cold_cli`` and ``ladder_ops`` are stopped by their
+argument checks.
 """
 
 import importlib.util
@@ -141,3 +142,40 @@ def test_cold_cli_refuses_a_tree_without_the_package(tmp_path, capsys):
             cold_cli.main([str(base), str(changed)])
         assert exc.value.code == 2
         assert "holds no src/tffilter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("passes", ["0", "-3"])
+def test_ladder_ops_refuses_fewer_than_one_pass(passes, tmp_path, capsys, monkeypatch):
+    ladder_ops = load_tool("ladder_ops")
+    monkeypatch.setattr(ladder_ops, "start_worker", lambda tree: pytest.fail("a worker was started"))
+    tree = tmp_path / "tree"
+    (tree / "src" / "tffilter").mkdir(parents=True)
+    (tree / "src" / "tffilter" / "__init__.py").write_text("", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        ladder_ops.main([str(tree), str(tree), "--passes", passes])
+    assert exc.value.code == 2
+    assert "--passes must be >= 1" in capsys.readouterr().err
+
+
+def test_ladder_ops_refuses_a_tree_without_the_package(tmp_path, capsys, monkeypatch):
+    ladder_ops = load_tool("ladder_ops")
+    monkeypatch.setattr(ladder_ops, "start_worker", lambda tree: pytest.fail("a worker was started"))
+    good = tmp_path / "good"
+    (good / "src" / "tffilter").mkdir(parents=True)
+    (good / "src" / "tffilter" / "__init__.py").write_text("", encoding="utf-8")
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for base, changed in ((bare, good), (good, bare)):
+        with pytest.raises(SystemExit) as exc:
+            ladder_ops.main([str(base), str(changed)])
+        assert exc.value.code == 2
+        assert "holds no src/tffilter" in capsys.readouterr().err
+
+
+def test_ladder_ops_runs_the_benchmark_ladders():
+    # the 12 ops of perfbench's ladder workload, by the names it reports
+    ladder_ops = load_tool("ladder_ops")
+    names = [name for name, *_ in ladder_ops.OPS]
+    assert len(names) == len(set(names)) == 12
+    assert names[:2] == ["gaussian_bt0.1_frequency_first", "gaussian_bt0.1_time_first"]
+    assert names[-2:] == ["rectangular_bt0.8", "rectangular_bt4"]
