@@ -56,7 +56,7 @@ import enum
 import threading
 import warnings
 from collections.abc import Callable, Iterator
-from contextlib import AbstractContextManager, contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, lru_cache
 import numpy as np
@@ -279,8 +279,7 @@ def frequency_axis_for(time_axis: SampledAxis) -> SampledAxis:
     if _uniform(time_axis).domain is not Domain.TIME:
         raise DomainMismatchError("expected a time axis")
     n = time_axis.count
-    dw = TWO_PI / (n * time_axis.step)
-    return SampledAxis(-dw * (n // 2), dw, n, Domain.ANGULAR_FREQUENCY)
+    return centered_axis(TWO_PI / (n * time_axis.step), n, Domain.ANGULAR_FREQUENCY)
 
 
 @dataclass(frozen=True)
@@ -320,24 +319,20 @@ def inner_product(f: SampledSignal, g: SampledSignal) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# BLAS threads of the dense factorizations
+# dense LAPACK calls
 
-# NumPy ``svd`` of random n x n matrices on 2 shared x86-64 cores (OpenBLAS
-# 0.3.31), median of 3-5 runs: its time on 2 threads over its time on 1 was
-# 1.13 at n = 181, 1.08 at 256, 1.00 at 362, 0.93 at 512, 0.84 at 724 and 0.81
-# at 1024.  A second thread pays only from n = 362 on, so a matrix whose smaller
-# side is below that is factored on one thread.  Parity blocks of 32-181 rows
-# are the typical ladder's, and prolate blocks stay below 362 terms up to
-# c of about 700.  On a busy machine a small ``eigh`` on two threads stalled
-# 184-196 ms per call where one thread took 2.5-3.6 ms.  The symmetric
-# eigensolve of a self-dual Sif's parity blocks (``schmidt._eigh``) takes
-# :func:`_one_blas_thread` at every size instead: on two threads the 362-row
-# blocks of Gaussian BT 20 gave modes that differ in their last bits from one
-# thread's, so a ladder would depend on the pool size.
-_ONE_THREAD_BELOW = 362
-
-# OpenBLAS built on pthreads keeps one thread count for the whole process, so
-# the lowered count is set and restored by one caller at a time.
+# Every dense factorization and solve of the package runs on one BLAS thread,
+# whatever its size.  On two threads the 362-row blocks of Gaussian BT 20, and
+# the full 362- and 512-row matrices of a time-shifted Gaussian gate at BT 10,
+# factor into modes that differ in their last bits from one thread's, so a
+# ladder would depend on the pool size.  Two threads bring little here: NumPy
+# ``svd`` of random n x n matrices on 2 shared x86-64 cores (OpenBLAS 0.3.31)
+# took 1.13 times its one-thread time at n = 181, 1.00 at 362 and 0.81 at 1024,
+# the shifted-gate ladder took 0.20-0.25 s either way, and on a busy machine a
+# small ``eigh`` on two threads stalled 184-196 ms per call where one thread
+# took 2.5-3.6 ms.  OpenBLAS built on pthreads keeps one thread count for the
+# whole process, so the lowered count is set and restored by one caller at a
+# time.
 _blas_threads_lock = threading.Lock()
 
 
@@ -364,31 +359,27 @@ def _blas_thread_setter() -> Callable[[int], int] | None:
 
 
 @contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """One BLAS thread for the block, whatever the process's pool size.
+def _lapack(what: str) -> Iterator[None]:
+    """Run a dense LAPACK call on one BLAS thread; its failure is a ``ConvergenceError``.
 
-    The caller's count is restored afterwards.  A BLAS without the OpenBLAS
-    setter runs the block on the process's pool.
+    The caller's thread count is restored afterwards, and a
+    ``np.linalg.LinAlgError`` raised in the block becomes
+    ``ConvergenceError(f"{what} failed: {err}")``.  A BLAS without the
+    OpenBLAS setter runs the block on the process's pool.
     """
     setter = _blas_thread_setter()
-    if setter is None:
-        yield
-        return
-    with _blas_threads_lock:
-        previous = setter(1)
-        try:
+    try:
+        if setter is None:
             yield
-        finally:
-            setter(previous)
-
-
-def _blas_threads_for(side: int) -> AbstractContextManager[None]:
-    """The BLAS pool for a dense factorization whose matrices' smaller side is ``side``.
-
-    Below ``_ONE_THREAD_BELOW`` the block runs on :func:`_one_blas_thread`;
-    larger matrices run on the process's pool.
-    """
-    return _one_blas_thread() if side < _ONE_THREAD_BELOW else nullcontext()
+            return
+        with _blas_threads_lock:
+            previous = setter(1)
+            try:
+                yield
+            finally:
+                setter(previous)
+    except np.linalg.LinAlgError as err:
+        raise ConvergenceError(f"{what} failed: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +410,7 @@ def _transform(values: np.ndarray, src: SampledAxis, dst: SampledAxis) -> np.nda
 def _reciprocal_time_axis(freq_axis: SampledAxis) -> SampledAxis:
     """The centered time grid with dt = 2 pi / (count * dw)."""
     n = _uniform(freq_axis).count
-    dt = TWO_PI / (n * freq_axis.step)
-    return SampledAxis(-dt * (n // 2), dt, n, Domain.TIME)
+    return centered_axis(TWO_PI / (n * freq_axis.step), n, Domain.TIME)
 
 
 def fourier_forward(signal: SampledSignal) -> SampledSignal:
@@ -807,13 +797,18 @@ def parity_blocks(spec: Sif, rows: Axis, cols: Axis) -> ParityBlocks:
     xr, wr = _even_half(rows)
     xc, wc = _even_half(cols)
     amp, sign = _mixed_kernel(spec, xr, rows.domain, xc, cols.domain)
-    arg = np.outer(xr, xc)
-    even, odd = 2.0 * amp * np.cos(arg), 2.0 * amp * np.sin(arg)
     ratio = _edge_ring_check(spec, rows, cols, _peak(amp))
-    sr, sc = np.sqrt(wr), np.sqrt(wc)
+    amp *= 2.0
+    arg = np.outer(xr, xc)
     r0, c0 = rows.count % 2, cols.count % 2  # the centre sample has no odd part
-    even = sr[:, None] * even * sc[None, :]
-    odd = sr[r0:, None] * odd[r0:, c0:] * sc[None, c0:]
+    odd = np.sin(arg[r0:, c0:]).astype(amp.dtype, copy=False)
+    odd *= amp[r0:, c0:]
+    even = np.multiply(amp, np.cos(arg, out=arg), out=amp)
+    sr, sc = np.sqrt(wr), np.sqrt(wc)
+    even *= sr[:, None]
+    even *= sc
+    odd *= sr[r0:, None]
+    odd *= sc[c0:]
     if not (np.all(np.isfinite(even)) and np.all(np.isfinite(odd))):
         raise ValueError("operator entries must be finite")
     return ParityBlocks(even, odd, sign * 1j, ratio)

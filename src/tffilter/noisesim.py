@@ -230,17 +230,19 @@ def _white_rows(
     return rows
 
 
-def _moment_scale(noise_psd: float, step: float) -> float:
-    """2**-k, with 2**k the power of two just above N_y / ``step``.
+def _unit_exponent(noise_psd: float, step: float) -> int:
+    """An even k that puts a positive N_y 2**-k / ``step`` between 1/2 and 4.
 
-    A product of two filtered noise samples is of order N_y / step and a
-    per-trial energy of order N_y.  Scaled by this factor before they are
-    squared, their second moments stay inside the float range wherever the
-    statistics themselves do.  Scaling by a power of two is exact, so a second
-    moment that neither overflows nor underflows keeps its bits.  The factor
-    stays at most 2**1023 when N_y / step is subnormal.
+    The ensembles draw their noise at N_y 2**-k, so every filtered sample is
+    of order one and its square and sums stay inside the float range; their
+    statistics are scaled back by 2**k, exactly, after the run.  Scaling by a
+    power of two commutes with every rounding of the draw, the filter and the
+    sums, so a statistic that fits the float range keeps the bits it has when
+    formed at N_y itself.  k comes from the exponents alone: N_y / ``step``
+    is never formed, as it may overflow.
     """
-    return ldexp(1.0, min(-frexp(float(noise_psd) / step)[1], 1023))
+    k = frexp(float(noise_psd))[1] - frexp(float(step))[1]
+    return k - k % 2
 
 
 def _worker_count() -> int:
@@ -392,11 +394,12 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: Sif) -> EnergyReport:
     ``einsum`` rather than a BLAS matvec, whose threads would compete with the
     block workers.
 
-    Levels whose noise scale, filtered signal energy or ensemble statistics
-    leave the float range raise ``ResolutionError``: the noise scale before
-    any draw, the others after the run.  The per-trial energies are squared
-    for the stderr only after :func:`_moment_scale`'s exact rescale.
-    ``snr_empirical`` is +inf only for a noiseless run.
+    The noise is drawn, and every sum formed, at N_y 2**-k with
+    :func:`_unit_exponent`'s k; the noise mean and stderr are scaled back by
+    2**k and the cross term by 2**(k/2), exactly.  A filtered signal energy
+    or ensemble statistic that leaves the float range raises
+    ``ResolutionError`` after the run.  ``snr_empirical`` is +inf only for a
+    noiseless run.
     """
     _require_sif(spec)
     axis = cfg.signal_mode.axis
@@ -413,21 +416,22 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: Sif) -> EnergyReport:
         energies = np.einsum("ij,ij->i", y_view, y_view) * axis.measure
         return energies, np.sum(np.einsum("ij,j->i", y_view, sig_view))
 
+    k = _unit_exponent(cfg.noise_psd, _uniform(axis).step)
     w_noise, cross = [], 0.0
     for energies, block_cross in _filtered_noise_blocks(
-        spec, axis, cfg.noise_psd, cfg.seed, cfg.trials, reduce
+        spec, axis, ldexp(cfg.noise_psd, -k), cfg.seed, cfg.trials, reduce
     ):
         w_noise.append(energies)
         cross += block_cross
     w_noise = np.concatenate(w_noise)
-    scale = _moment_scale(cfg.noise_psd, _uniform(axis).step)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic is refused below
-        w_noise_mean = float(np.mean(w_noise))
+        w_noise_mean = float(np.ldexp(np.mean(w_noise), k))
         if cfg.trials > 1:
-            stderr = float(np.std(w_noise * scale, ddof=1) / np.sqrt(cfg.trials) / scale)
+            stderr = float(np.ldexp(np.std(w_noise, ddof=1) / np.sqrt(cfg.trials), k))
         else:
             stderr = 0.0
+        cross = np.ldexp(cross, k // 2)
         w_total_mean = float(w_noise_mean + 2.0 * cross * axis.measure / cfg.trials + w_signal)
     snr = w_signal / w_noise_mean if w_noise_mean > 0 else float("inf")
     # w_total_mean carries w_signal; snr is +inf, and allowed, only when w_noise_mean is 0
@@ -581,9 +585,10 @@ def filtered_noise_correlation(
     duration; they and the lags are snapped to the simulation grid, the
     smallest one :func:`_auto_correlation_axis` admits, so empirical samples
     need no interpolation.  At least 1000 trials are required for the stderr
-    estimate to be meaningful.  The sample products are squared only after
-    :func:`_moment_scale`'s exact rescale; a noise PSD whose moments still
-    leave the float range raises ``ResolutionError`` after the run.
+    estimate to be meaningful.  The noise is drawn, and the moments summed,
+    at N_y 2**-k with :func:`_unit_exponent`'s k, and the mean and stderr are
+    scaled back by 2**k, exactly; a noise PSD whose statistics leave the
+    float range raises ``ResolutionError`` after the run.
     """
     _require_sif(spec)
     if spec.order is not StageOrder.FREQUENCY_FIRST:
@@ -613,23 +618,23 @@ def filtered_noise_correlation(
     times_g = axis.start + axis.step * t_idx
     lags_g = axis.step * l_idx
 
-    scale = _moment_scale(noise_psd, axis.step)
+    k = _unit_exponent(noise_psd, axis.step)
 
     def reduce(y: np.ndarray) -> tuple:
-        # set in the worker thread, whose error state is its own; refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = y[:, pair] * np.conj(y[:, t_idx])[:, :, None]
-            return np.sum(z, axis=0), np.sum((np.abs(z) * scale) ** 2, axis=0)
+        z = y[:, pair] * np.conj(y[:, t_idx])[:, :, None]
+        return np.sum(z, axis=0), np.sum(np.abs(z) ** 2, axis=0)
 
     s1 = np.zeros((len(times_g), len(lags_g)), dtype=complex)
     s2 = np.zeros((len(times_g), len(lags_g)))
-    with np.errstate(over="ignore", invalid="ignore"):  # a moment past the float range is refused below
-        for block_s1, block_s2 in _filtered_noise_blocks(spec, axis, noise_psd, seed, trials, reduce):
-            s1 += block_s1
-            s2 += block_s2
-        emp = s1 / trials
-        var_c = s2 / trials - (np.abs(emp) * scale) ** 2  # the variance times scale**2
-        stderr = np.sqrt(np.maximum(var_c, 0.0) / trials) / scale
+    blocks = _filtered_noise_blocks(spec, axis, ldexp(noise_psd, -k), seed, trials, reduce)
+    for block_s1, block_s2 in blocks:
+        s1 += block_s1
+        s2 += block_s2
+    emp = s1 / trials
+    var_c = s2 / trials - np.abs(emp) ** 2
+    with np.errstate(over="ignore"):  # a statistic past the float range is refused below
+        stderr = np.ldexp(np.sqrt(np.maximum(var_c, 0.0) / trials), k)
+        emp = np.ldexp(emp.view(float), k).view(complex)
     if not (np.all(np.isfinite(emp)) and np.all(np.isfinite(stderr))):
         raise ResolutionError(f"N_y = {noise_psd:.3g} gives correlation moments past the float range")
 

@@ -5,10 +5,10 @@
 it is: a real (``float64``) matrix is factored in real arithmetic, a complex one
 in complex arithmetic.  Un-weighting the singular vectors by 1/sqrt(w), w the
 axes' ``quadrature_weights()``, recovers continuum mode functions normalized
-under the axis measure; they are stored complex either way.  A matrix below 362
-on its smaller side (every parity block of a typical ladder) is factored on one
-BLAS thread, where a second thread costs more than it brings; larger ones use
-the process's BLAS pool.
+under the axis measure; they are stored complex either way.  Every SVD and
+eigensolve runs under :func:`tffilter.core._lapack`: on one BLAS thread at
+every size, so a ladder does not depend on the pool size, and with a LAPACK
+failure raised as ``ConvergenceError``.
 
 :func:`decompose_filter` raises the resolution of a Sif's grids until every
 kept singular value stabilizes: it starts at N = 64 samples per axis and
@@ -42,8 +42,7 @@ from .core import (
     OperatorMatrix,
     SampledSignal,
     Sif,
-    _blas_threads_for,
-    _one_blas_thread,
+    _lapack,
     _require_sif,
     inner_product,
     parity_blocks,
@@ -168,9 +167,9 @@ def schmidt_decompose(
 
 
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin NumPy SVD (LAPACK ``gesdd``) of a grid that is not symmetric, on the
-    BLAS threads :func:`tffilter.core._blas_threads_for` gives its smaller side."""
-    with _blas_threads_for(min(a.shape)):
+    """Thin NumPy SVD (LAPACK ``gesdd``) of a grid that is not symmetric, under
+    :func:`tffilter.core._lapack`."""
+    with _lapack("Schmidt SVD"):
         return np.linalg.svd(a, full_matrices=False)
 
 
@@ -180,9 +179,9 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     With a = sum_n lambda_n v_n v_n^T, s_n = |lambda_n|, vh holds the v_n^T
     and u the sign(lambda_n) v_n, in ``eigh``'s order: the values are not
     sorted, which the caller's merge of the two parity blocks does.  The
-    eigensolve runs on :func:`tffilter.core._one_blas_thread` whatever the size.
+    eigensolve runs under :func:`tffilter.core._lapack`.
     """
-    with _one_blas_thread():
+    with _lapack("Schmidt eigensolve"):
         lam, v = np.linalg.eigh(0.5 * (a + a.T))
     return v * np.where(lam < 0, -1.0, 1.0), np.abs(lam), v.T
 

@@ -17,12 +17,13 @@ and of T / 2 on time.
 
 The solver diagonalizes the commuting prolate differential operator in a
 Legendre basis (spectrally accurate), one dense NumPy ``eigh`` per parity
-block (on one BLAS thread below 362 terms, as ``schmidt`` factors its small
-SVDs), and reads each concentration off the Legendre coefficients of its
-mode, through the finite-Fourier eigenvalue relation (Xiao, Rokhlin & Yarvin
-2001), so a concentration costs no quadrature.  Gauss-Legendre quadrature is
-built only when a mode is extended off the interval, transformed, or checked
-for double orthogonality.  No SciPy routine is called here.
+block (on one BLAS thread under :func:`tffilter.core._lapack`, the rule of
+every dense factorization), and reads each concentration off the Legendre
+coefficients of its mode, through the finite-Fourier eigenvalue relation
+(Xiao, Rokhlin & Yarvin 2001), so a concentration costs no quadrature.
+Gauss-Legendre quadrature is built only when a mode is extended off the
+interval, transformed, or checked for double orthogonality.  No SciPy routine
+is called here.
 
 Near saturation 1 - beta_0 is formed by cancellation, and the few ulp of
 rounding noise in beta_0 become most of it: 1 - beta_0(17) = 4.88e-14 is
@@ -56,7 +57,7 @@ from .core import (
     Sif,
     StageOrder,
     StageProfile,
-    _blas_threads_for,
+    _lapack,
     _legendre_rule,
 )
 
@@ -338,16 +339,13 @@ def _tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, want: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``want`` smallest eigenpairs of the symmetric tridiagonal (d, e), ascending.
 
-    One dense ``np.linalg.eigh`` (LAPACK ``syevd``) of the block, on the BLAS
-    threads :func:`tffilter.core._blas_threads_for` gives its size.  Leading
-    axes of ``d`` and ``e`` stack independent blocks into that one call.  A
-    LAPACK failure raises ``ConvergenceError``.
+    One dense ``np.linalg.eigh`` (LAPACK ``syevd``) of the block, under
+    :func:`tffilter.core._lapack`.  Leading axes of ``d`` and ``e`` stack
+    independent blocks into that one call.  A LAPACK failure raises
+    ``ConvergenceError``.
     """
-    try:
-        with _blas_threads_for(d.shape[-1]):
-            vals, vecs = np.linalg.eigh(_tridiagonal(d, e))
-    except np.linalg.LinAlgError as err:
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {err}") from err
+    with _lapack("tridiagonal eigensolve"):
+        vals, vecs = np.linalg.eigh(_tridiagonal(d, e))
     return vals[..., :want], vecs[..., :want]
 
 
@@ -521,11 +519,8 @@ def _complement_stacked(nodes: np.ndarray, size: int) -> np.ndarray:
     chi, vecs = _lowest_eigenpairs(d, e, 1)
     # one inverse-iteration step: the dense solve now and then returns a vector
     # off by its normwise bound eps ||T|| / gap, which phi_0(1) ~ exp(-c) magnifies
-    try:
-        with _blas_threads_for(d.shape[-1]):
-            vecs = np.linalg.solve(_tridiagonal(d - chi, e), vecs)[..., 0]
-    except np.linalg.LinAlgError as err:
-        raise ConvergenceError(f"inverse iteration failed: {err}") from err
+    with _lapack("inverse iteration"):
+        vecs = np.linalg.solve(_tridiagonal(d - chi, e), vecs)[..., 0]
     coeffs = np.zeros(nodes.shape + (size,))
     coeffs[..., ::2] = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
     if not _basis_captured(coeffs).all():

@@ -327,6 +327,25 @@ class TestSnr:
         assert payload["empirical"]["snr_empirical"] == "inf"
         assert payload["empirical"]["w_noise_mean"] == 0.0
 
+    @pytest.mark.parametrize("psd", ["1e307", "1e308"])
+    def test_noise_psd_near_the_float_limit_writes_finite_json(self, psd, tmp_path):
+        # the mean noise energy, about N_y BT, is representable, so it is
+        # reported, though sqrt(N_y / 2 dt) per sample would not be
+        out = tmp_path / "r.json"
+        rc = run(
+            "snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "20",
+            "--seed", "1", "--noise-psd", psd, "--out", str(out),
+        )
+        assert rc == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        emp = json.loads(out.read_text(), parse_constant=refuse)["empirical"]
+        for key in ("w_total_mean", "w_noise_mean", "w_noise_stderr", "snr_empirical"):
+            assert isinstance(emp[key], float) and np.isfinite(emp[key]), key
+        assert 0.1 * float(psd) < emp["w_noise_mean"] < float(psd)
+
 
 class TestQkd:
     def test_point_noiseless_rate(self, tmp_path):
@@ -630,9 +649,8 @@ def test_bad_numbers_exit_2(argv, tmp_path, capsys):
         ("modes", "--filter", "gaussian", "--bt", "1e200"),
         ("snr", "--filter", "gaussian", "--bt", "1e200", "--trials", "1", "--seed", "0"),
         ("snr", "--filter", "gaussian", "--bt", "1e308", "--trials", "1", "--seed", "0"),
-        # finite levels whose noise scale or filtered signal energy leave the
-        # float range are refused, not written as nan or inf
-        ("snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "3", "--seed", "1", "--noise-psd", "1e308"),
+        # a finite signal energy whose filtered energy leaves the float range
+        # is refused, not written as nan or inf
         ("snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "3", "--seed", "1",
          "--signal-energy", "1e308"),
     ],

@@ -396,25 +396,28 @@ class TestEnsembleStatistics:
             filtered_noise_correlation(gaussian_sif(0.3, 1.0), 0.25, 2**32 + 1, np.array([0.0]), seed=0)
 
 
-    def test_noise_scale_past_the_float_range_is_refused_before_any_draw(self, time_axis, monkeypatch):
-        # sqrt(N_y / 2 dt) overflows at N_y = 1e308 on a finite grid: each path
-        # refuses it without taking a stream, rather than returning NaN
+    def test_noise_scale_past_the_float_range_is_refused_before_any_draw(self, time_axis):
+        # sqrt(N_y / 2 dt) overflows at N_y = 1e308 on a finite grid: one
+        # sample is refused without taking a stream, rather than returned as NaN
         rng = trial_generator(0, 0)
         with pytest.raises(ResolutionError, match="past the float range"):
             sample_white_noise(time_axis, 1e308, rng)
         assert rng.standard_normal() == trial_generator(0, 0).standard_normal()
 
-        def no_stream(keys):
-            raise AssertionError("a stream was taken")
-            yield
-
-        monkeypatch.setattr(noisesim, "_keyed_streams", no_stream)
-        mode = unit_gaussian_mode(time_axis)
+    def test_psd_whose_sample_scale_is_past_the_float_range_gives_finite_statistics(self, time_axis):
+        # the ensembles draw at N_y 2**-k, so N_y = 1e308, whose per-sample
+        # scale sqrt(N_y / 2 dt) is past the float range, still gives its
+        # representable statistics (2**1020 gives them exactly, below)
+        spec, mode = gaussian_sif(0.5, 1.0), unit_gaussian_mode(time_axis)
         cfg = NoiseEnsembleConfig(noise_psd=1e308, signal_energy=1.0, signal_mode=mode, trials=300, seed=0)
-        with pytest.raises(ResolutionError, match="past the float range"):
-            run_ensemble(cfg, gaussian_sif(0.5, 1.0))
-        with pytest.raises(ResolutionError, match="past the float range"):
-            filtered_noise_correlation(gaussian_sif(0.5, 1.0), 1e308, 1000, np.array([0.0]), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_ensemble(cfg, spec)
+            surface = filtered_noise_correlation(spec, 1e308, 1000, np.array([0.0, 0.2]), seed=0)
+        assert all(np.isfinite(v) for v in (rep.w_total_mean, rep.w_noise_mean, rep.w_noise_stderr))
+        assert rep.snr_empirical > 0
+        for name in ("empirical", "stderr"):
+            assert np.all(np.isfinite(getattr(surface, name))), name
 
     @pytest.mark.parametrize(
         "psd, energy", [(0.1, 1e308), (1e-10, 1e300)], ids=["signal_energy", "snr"]
@@ -427,12 +430,12 @@ class TestEnsembleStatistics:
         with pytest.raises(ResolutionError, match="past the float range"):
             run_ensemble(cfg, gaussian_sif(0.5, 1.0))
 
-    @pytest.mark.parametrize("power", [664, -664], ids=lambda p: f"2**{p}")
+    @pytest.mark.parametrize("power", [664, -664, 1020], ids=lambda p: f"2**{p}")
     def test_ensemble_statistics_scale_exactly_with_the_psd(self, power):
         # N_y = 2**664 (1.2e200) scales every noise sample by exactly 2**332,
         # so the noise energy and its stderr are those at N_y = 1 times N_y to
-        # the bit: the energies are squared only after a power-of-two rescale,
-        # so their squares neither overflow nor, at 2**-664, underflow
+        # the bit: the noise is drawn at N_y 2**-k and the statistics scaled
+        # back, so no sum overflows nor, at 2**-664, underflows
         _, axis, mode, _ = snr_setup("gaussian", 0.5)
         unit, scaled = (
             run_ensemble(
@@ -444,11 +447,11 @@ class TestEnsembleStatistics:
         assert scaled.w_noise_mean == unit.w_noise_mean * 2.0**power
         assert scaled.w_noise_stderr == unit.w_noise_stderr * 2.0**power > 0
 
-    @pytest.mark.parametrize("power", [664, 996, -664], ids=lambda p: f"2**{p}")
+    @pytest.mark.parametrize("power", [664, 996, -664, 1020], ids=lambda p: f"2**{p}")
     def test_correlation_moments_scale_exactly_with_the_psd(self, power):
         # the squares of the sample products (about N_y**2) would leave the
-        # float range; rescaled by a power of two first, every array is the
-        # unit one times N_y
+        # float range; drawn at N_y 2**-k and scaled back by 2**k, every array
+        # is the unit one times N_y
         spec, lags = gaussian_sif(0.5, 1.0), np.array([0.0, 0.2])
         unit = filtered_noise_correlation(spec, 1.0, 1000, lags, seed=0)
         with warnings.catch_warnings():

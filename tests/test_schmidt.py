@@ -732,15 +732,35 @@ def _run_with_blas_threads(script: str, threads: int) -> str:
     return proc.stdout.strip()
 
 
-# Gaussian BT 20 ends on 724-point grids, so its 362-row blocks run on the pool
-# and every smaller one on one thread; the brick wall settles on (64, 91).
+# Gaussian BT 20 ends on 724-point grids, whose 362-row blocks take the
+# eigensolver; the brick wall settles on (64, 91); a time-shifted Gaussian gate
+# at BT 10 is not even, so each of its levels up to 512 samples is one complex
+# SVD of the whole matrix, whose modes would move in their last bits on a
+# second BLAS thread.
 LADDER_DIGEST_SCRIPT = """
 import hashlib, sys
+import numpy as np
 import tffilter as tf
+
+class ShiftedGate(tf.GaussianProfile):
+    even = False
+
+    def __init__(self, width, t0):
+        super().__init__(width, tf.Domain.TIME)
+        self.t0 = t0
+
+    def __call__(self, t):
+        return super().__call__(np.asarray(t, dtype=float) - self.t0)
+
+    def support(self, tol):
+        return super().support(tol) + abs(self.t0)
+
+shifted = tf.Sif(tf.GaussianProfile(10.0, tf.Domain.ANGULAR_FREQUENCY), ShiftedGate(1.0, 0.3))
 digest = hashlib.sha256()
 for res in (
     tf.decompose_filter(tf.gaussian_sif(20, 1), keep=10),
     tf.decompose_filter(tf.rectangular_sif(4, 1), keep=None, max_resolution=1024),
+    tf.decompose_filter(shifted, keep=10, max_resolution=1024),
 ):
     digest.update(res.singular_values.tobytes())
     for mode in res.output_modes + res.input_modes:
@@ -761,8 +781,8 @@ class TestSvdThreads:
         assert one.endswith(" []")  # NumPy alone: no scipy module loaded
 
     def test_caller_thread_count_is_restored(self):
-        # small SVDs see one thread, a 362-row one the caller's two; every
-        # eigensolve sees one; the caller reads two again afterwards
+        # every SVD and eigensolve sees one thread, whatever its size, and the
+        # caller reads its two again afterwards
         script = """
 import numpy as np
 from tffilter import core, schmidt
@@ -791,7 +811,29 @@ if setter is not None:
         out = _run_with_blas_threads(script, 2)
         if not out:
             pytest.skip("NumPy's BLAS exports no openblas_set_num_threads_local")
-        assert out == "2 [1, 1, 2] [1, 1, 1] 2"
+        assert out == "2 [1, 1, 1] [1, 1, 1] 2"
+
+    @pytest.mark.parametrize(
+        "name, spec",
+        [
+            ("svd", Sif(GaussianProfile(2.0, Domain.ANGULAR_FREQUENCY), RectangularProfile(1.0, Domain.TIME))),
+            ("eigh", gaussian_sif(2.0, 1.0)),
+        ],
+        ids=["svd-mixed-pair", "eigh-gaussian"],
+    )
+    def test_lapack_failure_is_a_convergence_error(self, name, spec, monkeypatch):
+        # a LAPACK failure in a ladder's factorization is typed, as the
+        # prolate solver's is, and leaves the thread lock free for the next call
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        factor = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, fail)
+        with pytest.raises(ConvergenceError, match="failed: did not converge") as info:
+            decompose_filter(spec, keep=10)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        monkeypatch.setattr(np.linalg, name, factor)
+        assert decompose_filter(spec, keep=10).grid_report.factorizations[-1] == name
 
     def test_numpy_openblas_setter_is_found(self):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
