@@ -832,7 +832,7 @@ def _profile_axis(profile: StageProfile, resolution: int = 1024) -> Axis:
     return SampledAxis(-half, 2.0 * half / (resolution - 1), resolution, profile.domain)
 
 
-def recommended_axes(spec: Sif, resolution: int = 1024) -> tuple[Axis, Axis]:
+def recommended_axes(spec: Sif, resolution: int) -> tuple[Axis, Axis]:
     """(rows, cols) of the Sif's mixed representation, each axis chosen by its own profile.
 
     The rows are :func:`_profile_axis` of the output stage at ``resolution``,

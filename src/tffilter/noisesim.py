@@ -80,7 +80,7 @@ RNG_ALGORITHM = "philox4x64"
 
 _BATCH = 256  # trials per filter_samples block
 _STAGE = 16  # trials per copy of white-noise draws into their complex rows
-SNR_MAX_SAMPLES = 2**17  # largest snr_setup grid: 0.5 GB per complex block of _BATCH trials
+SNR_MAX_SAMPLES = 2**17  # largest noise grid: 0.5 GB per complex block of _BATCH trials
 MAX_TRIALS = 2**32  # per seed: a trial index must fit one spawn-key word
 
 
@@ -554,19 +554,27 @@ def _auto_correlation_axis(spec: Sif, max_reach: float, moments: tuple) -> Sampl
     ``max_reach`` (the farthest probe time plus lag) on each side; and its
     last sample reaches the gate's 1e-12 support, so the grid passes the
     resolution guard of :func:`tffilter.core.apply_filter`.  ``moments`` is
-    :func:`_window_power_moments` of ``spec``.
+    :func:`_window_power_moments` of ``spec``.  A grid above
+    ``SNR_MAX_SAMPLES`` samples raises ``ResolutionError`` before it is built.
     """
     bw, duration = spec.spectral.width, spec.temporal.width
     dt = min(1.0 / (10.0 * bw), duration / 8.0)
     pts, wts = moments
     total = np.sum(wts)
     sigma_w = np.sqrt(np.sum(wts * pts**2) / total)
-    span_needed = max(
-        2.0 * np.pi / (sigma_w / 4.0),
-        2.0 * (spec.temporal.support(1e-10) + max_reach),
-        2.0 * (spec.temporal.support(1e-12) + dt),
-    )
-    count = 1 << int(np.ceil(np.log2(span_needed / dt)))
+    with np.errstate(over="ignore"):  # a span past the float range reads inf, refused below
+        span_needed = max(
+            2.0 * np.pi / (sigma_w / 4.0),
+            2.0 * (spec.temporal.support(1e-10) + max_reach),
+            2.0 * (spec.temporal.support(1e-12) + dt),
+        )
+        ratio = span_needed / dt
+    if not ratio <= SNR_MAX_SAMPLES:  # the count, 2**ceil(log2(ratio)), would be above it
+        raise ResolutionError(
+            f"this filter, with probe times plus lags reaching {max_reach:.3g}, needs a "
+            f"correlation grid above the {SNR_MAX_SAMPLES}-sample limit of the noise ensembles"
+        )
+    count = 1 << int(np.ceil(np.log2(ratio)))
     return centered_axis(dt, count, Domain.TIME)
 
 

@@ -145,16 +145,13 @@ def _fix_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     peak = mags.max(axis=1, keepdims=True)
     n = np.arange(vh.shape[0])
     idx = np.argmax(mags >= (1.0 - _PIVOT_RTOL) * peak, axis=1)
-    pivot, size = vh[n, idx], mags[n, idx]
-    rot = np.ones_like(pivot)
-    nz = size > 0
-    rot[nz] = pivot[nz].conj() / size[nz]
+    rot = vh[n, idx].conj() / mags[n, idx]  # every row is a unit vector: no zero pivot
     return u * rot.conj(), vh * rot[:, None]
 
 
 def schmidt_decompose(
     op: OperatorMatrix,
-    keep: int | float | None = None,
+    keep: int | float | None,
 ) -> SchmidtResult:
     """SVD of a weighted operator matrix, un-weighted back to mode functions.
 
@@ -290,7 +287,7 @@ _TOLERANCE = 1e-8
 
 def decompose_filter(
     spec: Sif,
-    keep: int | float | None = None,
+    keep: int | float | None,
     max_resolution: int = 4096,
 ) -> SchmidtResult:
     """Decompose a sequential filter with automatic grid refinement.

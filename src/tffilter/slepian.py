@@ -357,9 +357,12 @@ def _basis_captured(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _basis_size(c: float, n_max: int) -> int:
-    """First Legendre basis size tried for modes 0 .. n_max at parameter c; at
-    least 4 terms above the smallest that passes the capture test for c <= 80.
-    A c past the float range raises ``ResolutionError``, as ``BASIS_LIMIT`` would."""
+    """The Legendre basis size for modes 0 .. n_max at parameter c: int(c) +
+    2 n_max + 24 terms.  For c from 1e-6 to 3900 and n_max up to 60 it passes
+    the capture test, and its parity blocks' eigenvalues interleave strictly
+    (tests/test_slepian.py checks c up to 1000); c = 4000 at n_max 60 is
+    above ``BASIS_LIMIT``.  A c past the float range raises
+    ``ResolutionError``, as ``BASIS_LIMIT`` would."""
     if not np.isfinite(c):
         raise ResolutionError(
             "a prolate parameter c past the float range needs a basis above the "
@@ -371,54 +374,34 @@ def _basis_size(c: float, n_max: int) -> int:
 def _solve_stacked(cs: np.ndarray, n_max: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Concentrations and Legendre coefficients of modes 0 .. n_max for every c in ``cs``.
 
-    Points that share a basis size are solved as one stack: one dense
-    eigensolve per parity block (``_lowest_eigenpairs``).  A point whose modes
-    the basis does not capture moves on to a basis 1.6 times larger, six sizes
-    at most.  Returns (index into cs, betas, coeffs) per stack captured,
-    betas of shape (k, n_max + 1) and coeffs (k, n_max + 1, size), modes in
-    ascending order, signs making coefficient n of mode n positive.  Every
-    step acts on each point alone, so a point's values do not depend on what
-    else is in ``cs``.
+    Points that share a basis size (``_basis_size``) are solved as one stack:
+    one dense eigensolve per parity block (``_lowest_eigenpairs``), mode n
+    being eigenpair n // 2 of the block of its parity (Sturm-Liouville
+    ordering: the even and odd eigenvalues interleave).  A stack whose modes
+    the basis does not capture raises ``ConvergenceError``.  Returns (index
+    into cs, betas, coeffs) per stack, betas of shape (k, n_max + 1) and
+    coeffs (k, n_max + 1, size), modes in ascending order, signs making
+    coefficient n of mode n positive.  Every step acts on each point alone,
+    so a point's values do not depend on what else is in ``cs``.
     """
-    wants = ((0, (n_max + 2) // 2), (1, (n_max + 1) // 2))
-    sizes = [_basis_size(c, n_max) for c in cs.tolist()]
-    pending = list(range(len(cs)))
-    done = []
-    for _ in range(6):
-        if not pending:
-            break
-        groups: dict[int, list[int]] = {}
-        for i in pending:
-            groups.setdefault(sizes[i], []).append(i)
-        pending = []
-        for size, members in groups.items():
-            idx = np.array(members)
-            diag, off = _legendre_blocks(cs[idx], size)
-            coeffs = np.zeros((len(idx), n_max + 1, size))
-            chis = np.empty((len(idx), n_max + 1))
-            for parity, want in wants:
-                if want == 0:
-                    continue
-                # the k <-> k+2 couplings of a parity block are one fewer than its terms
-                vals, vecs = _lowest_eigenpairs(diag[:, parity::2], off[:, parity::2], want)
-                coeffs[:, parity::2, parity::2] = np.swapaxes(vecs, 1, 2)
-                chis[:, parity::2] = vals
-            captured = _basis_captured(coeffs)
-            if captured.all():
-                done.append((idx, coeffs, chis))
-            elif captured.any():
-                done.append((idx[captured], coeffs[captured], chis[captured]))
-            for i, ok in zip(members, captured.tolist()):
-                if not ok:
-                    sizes[i] = int(size * 1.6) + 16
-                    pending.append(i)
-    if pending:
-        raise ConvergenceError("Legendre basis did not capture the requested prolate modes")
-    out = []
-    odd = np.arange(n_max + 1) % 2 == 1
     modes = np.arange(n_max + 1)
-    for idx, coeffs, chis in done:
-        coeffs = coeffs[np.arange(len(idx))[:, None], np.argsort(chis, axis=1, kind="stable")]
+    odd = modes % 2 == 1
+    groups: dict[int, list[int]] = {}
+    for i, c in enumerate(cs.tolist()):
+        groups.setdefault(_basis_size(c, n_max), []).append(i)
+    out = []
+    for size, members in groups.items():
+        idx = np.array(members)
+        diag, off = _legendre_blocks(cs[idx], size)
+        coeffs = np.zeros((len(idx), n_max + 1, size))
+        for parity in (0, 1):
+            want = (n_max + 2 - parity) // 2
+            if want:
+                # the k <-> k+2 couplings of a parity block are one fewer than its terms
+                _, vecs = _lowest_eigenpairs(diag[:, parity::2], off[:, parity::2], want)
+                coeffs[:, parity::2, parity::2] = np.swapaxes(vecs, 1, 2)
+        if not _basis_captured(coeffs).all():
+            raise ConvergenceError("Legendre basis did not capture the requested prolate modes")
         # sign convention: coefficient of the degree-n Legendre polynomial positive
         coeffs *= np.where(coeffs[:, modes, modes] < 0, -1.0, 1.0)[:, :, None]
         betas = np.clip(_concentrations(cs[idx, None], coeffs, odd), 0.0, 1.0)
@@ -434,9 +417,10 @@ def pswf_solve_legendre(c: float, n_max: int) -> PswfSolution:
     are spectrally accurate.  Concentrations beta_n follow in closed form from
     the Legendre coefficients (see ``_concentrations``); the quadrature is
     built only when first needed.
-    The basis starts at int(c) + 2 n_max + 24 terms and grows automatically
-    until the two trailing Legendre coefficients of every requested mode fall
-    below 1e-12 of the head.  This is ``_solve_stacked`` on a stack of one.
+    The basis has int(c) + 2 n_max + 24 terms (``_basis_size``); the two
+    trailing Legendre coefficients of every requested mode must fall below
+    1e-12 of the head, or ``ConvergenceError`` is raised.  This is
+    ``_solve_stacked`` on a stack of one.
     An ``n_max`` above 60, or a basis above ``BASIS_LIMIT`` terms, raises
     ``ResolutionError``.
     """
@@ -515,7 +499,7 @@ def _complement_stacked(nodes: np.ndarray, size: int) -> np.ndarray:
     ``size``-term basis: one stacked eigensolve and one inverse-iteration solve."""
     diag, off = _legendre_blocks(nodes, size)
     d = diag[..., ::2]
-    e = off[..., ::2][..., : d.shape[-1] - 1]
+    e = off[..., ::2]
     chi, vecs = _lowest_eigenpairs(d, e, 1)
     # one inverse-iteration step: the dense solve now and then returns a vector
     # off by its normwise bound eps ||T|| / gap, which phi_0(1) ~ exp(-c) magnifies

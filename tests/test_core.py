@@ -662,8 +662,8 @@ def test_entry_points_refuse_anything_but_a_sif(entry, stage, monkeypatch):
         "filter_samples": lambda: filter_samples(profile, ax, sig.values),
         "build_operator": lambda: build_operator(profile, t_ax, f_ax),
         "parity_blocks": lambda: parity_blocks(profile, t_ax, f_ax),
-        "recommended_axes": lambda: recommended_axes(profile),
-        "decompose_filter": lambda: decompose_filter(profile),
+        "recommended_axes": lambda: recommended_axes(profile, 64),
+        "decompose_filter": lambda: decompose_filter(profile, 10),
         "run_ensemble": lambda: run_ensemble(NoiseEnsembleConfig(0.1, 1.0, sig, 10, 0), profile),
         "filtered_noise_correlation": lambda: filtered_noise_correlation(
             profile, 0.25, 1000, np.array([0.0]), seed=0

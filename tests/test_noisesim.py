@@ -773,6 +773,31 @@ class TestCorrelation:
         span = max(8.0 * np.pi / sigma_w, 2.0 * (spec.temporal.support(1e-10) + reach))
         assert_minimal_grid(spec, axis, span)
 
+    @pytest.mark.parametrize(
+        "bt, lag", [(1.0, 1e6), (1.0, 1.7e308), (1e-4, 2.0)], ids=["lag-1e6", "lag-1.7e308", "bt-1e-4"]
+    )
+    def test_oversized_grid_is_refused_before_it_is_built(self, monkeypatch, bt, lag):
+        # lag 1e6 asks for 2**25 samples, 137 GB per block of trials, and BT 1e-4
+        # at lag 2 for 2**20 or more; lag 1.7e308 puts the span past the float
+        # range.  Each is refused before the axis or any block, with no warning
+        def refuse(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(noisesim, "centered_axis", refuse)
+        monkeypatch.setattr(noisesim, "_filtered_noise_blocks", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolutionError, match="above the 131072-sample limit"):
+                filtered_noise_correlation(gaussian_sif(bt, 1.0), 0.25, 1000, np.array([0.0, lag]), seed=0)
+
+    def test_grid_at_the_limit_is_kept(self):
+        # BT 1, T 1: dt = 0.1, so reach 6000 spans about 120 000 steps and 7000 about 140 000
+        spec = gaussian_sif(1.0, 1.0)
+        moments = noisesim._window_power_moments(spec)
+        assert noisesim._auto_correlation_axis(spec, 6000.0, moments).count == noisesim.SNR_MAX_SAMPLES
+        with pytest.raises(ResolutionError, match="above the 131072-sample limit"):
+            noisesim._auto_correlation_axis(spec, 7000.0, moments)
+
     def test_window_moments_evaluated_once(self, monkeypatch):
         # the default grid and the analytic surface share one |R~|^2 quadrature
         calls = []

@@ -210,7 +210,7 @@ class TestKernelAlgebra:
         rows, cols = recommended_axes(gaussian_sif(0.5, 1.0), resolution=64)
         op = OperatorMatrix(rows, cols, np.zeros((rows.count, cols.count)), None)
         with pytest.raises(ValueError, match="^total squared singular value mass must be positive$"):
-            schmidt_decompose(op)
+            schmidt_decompose(op, None)
 
     def test_projection_coefficients(self, gaussian_result):
         # feeding mode n back in: the only surviving coefficient is n's

@@ -243,6 +243,29 @@ class TestLegendreSolver:
                 sign = np.sign(vecs[:, j] @ ref_vecs[:, j])
                 assert np.linalg.norm(sign * vecs[:, j] - ref_vecs[:, j]) <= scale / gap
 
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 0.5, 3.0, 17.0, 80.0, 300.0, 1000.0])
+    @pytest.mark.parametrize("n_max", [0, 20, 60])
+    def test_one_basis_captures_the_modes_in_sturm_liouville_order(self, c, n_max):
+        # what the one-pass solver relies on: the basis _basis_size gives captures
+        # modes 0 .. n_max, and the parity blocks' eigenvalues interleave strictly,
+        # chi_even[k] < chi_odd[k] < chi_even[k + 1], so mode n is pair n // 2 of its block
+        from tffilter.slepian import (
+            _basis_captured,
+            _basis_size,
+            _legendre_blocks,
+            _lowest_eigenpairs,
+        )
+
+        diag, off = _legendre_blocks(c, _basis_size(c, n_max))
+        (even, even_vecs), (odd, odd_vecs) = (
+            _lowest_eigenpairs(diag[p::2], off[p::2], n_max + 1) for p in (0, 1)
+        )
+        coeffs = np.zeros((n_max + 1, len(diag)))
+        coeffs[0::2, 0::2] = even_vecs[:, : (n_max + 2) // 2].T
+        coeffs[1::2, 1::2] = odd_vecs[:, : (n_max + 1) // 2].T
+        assert _basis_captured(coeffs)
+        assert np.all(even < odd) and np.all(odd[:-1] < even[1:])
+
     def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
