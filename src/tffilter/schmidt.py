@@ -109,20 +109,14 @@ class SchmidtResult(Ladder):
     parities: tuple[int, ...] | None
 
 
-def _resolve_keep(sv: np.ndarray, keep: int | float | None) -> int:
+def _resolve_keep(sv: np.ndarray, keep: int | None) -> int:
     if keep is None:
-        keep = 1e-6
-    if isinstance(keep, bool):
-        raise TypeError("keep must be an int count, float threshold, or None")
-    if isinstance(keep, (int, np.integer)):
-        if keep < 1:
-            raise ValueError("keep count must be >= 1")
-        return min(int(keep), len(sv))
-    if isinstance(keep, float):
-        if not (0.0 < keep < 1.0):
-            raise ValueError("keep threshold must lie in (0, 1)")
-        return int(np.sum(sv >= keep * sv[0]))  # s_0 counts; a zero ladder is refused as a Ladder
-    raise TypeError("keep must be an int count, float threshold, or None")
+        return int(np.sum(sv >= 1e-6 * sv[0]))  # s_0 counts; a zero ladder is refused as a Ladder
+    if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)):
+        raise TypeError(f"keep must be an int count or None, got {type(keep).__name__}")
+    if keep < 1:
+        raise ValueError("keep count must be >= 1")
+    return min(int(keep), len(sv))
 
 
 _PIVOT_RTOL = 1e-9
@@ -151,13 +145,13 @@ def _fix_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def schmidt_decompose(
     op: OperatorMatrix,
-    keep: int | float | None,
+    keep: int | None,
 ) -> SchmidtResult:
     """SVD of a weighted operator matrix, un-weighted back to mode functions.
 
-    ``keep`` selects how many pairs are retained: an int is an exact count, a
-    float in (0, 1) keeps modes with s_n >= keep * s_0, and None applies the
-    default relative threshold 1e-6.
+    ``keep`` selects how many pairs are retained: an int is an exact count,
+    and None keeps every mode with s_n >= 1e-6 s_0.  Anything else, a float
+    included, raises TypeError.
     """
     u, sv, vh = _svd(op.entries)
     return _result(op.rows_axis, op.cols_axis, sv, _resolve_keep(sv, keep), None, u, vh, None)
@@ -287,7 +281,7 @@ _TOLERANCE = 1e-8
 
 def decompose_filter(
     spec: Sif,
-    keep: int | float | None,
+    keep: int | None,
     max_resolution: int = 4096,
 ) -> SchmidtResult:
     """Decompose a sequential filter with automatic grid refinement.
@@ -300,9 +294,10 @@ def decompose_filter(
     pairs are returned with a :class:`GridReport`, whose ``resolutions`` are
     the levels taken: (64, 91) for Gaussian BT up to 0.5 and the brick wall at
     BT 0.8 and 4, (64, 91, 128) for Gaussian BT 2, up to 256 for BT 5 and up
-    to 362 for BT 10.  One level alone never converges.  ``max_resolution``
-    must be an integer (TypeError) of at least 64, and not between the first
-    two levels, 64 and 91 (ValueError).
+    to 362 for BT 10.  One level alone never converges.  ``keep`` is as in
+    :func:`schmidt_decompose`: an int count, or None for every s_n >= 1e-6 s_0.
+    ``max_resolution`` must be an integer (TypeError) of at least 64, and not
+    between the first two levels, 64 and 91 (ValueError).
     When the window and the gate are both ``even`` each grid is factored as its
     two :func:`tffilter.core.parity_blocks` and the modes carry ``parities``;
     otherwise the whole :func:`tffilter.core.build_operator` matrix is.  Blocks

@@ -470,49 +470,27 @@ def concentration_complement(c: float | np.ndarray) -> float | np.ndarray:
     closed-form slope, integral_c^inf log_slope(c') dc' / c'.  The integrand
     decays like exp(-2 c') (1 - beta_0 ~ 4 sqrt(pi c) exp(-2 c), Slepian
     1965), so a 12-node Gauss-Laguerre rule in u = 2 (c' - c) integrates it.
-    The ground modes at all 12 nodes come from one stacked eigensolve of their
-    even Legendre blocks, c' + 32 terms for the largest node c', then one
-    stacked step of inverse iteration.  Against a 40-digit Nystrom oracle the
-    result holds to 1e-9 relative at c = 6, 10 and 15 and to 1e-8 at c = 17,
-    where the direct 1 - beta_0 is off by 3e-3.  The rule is built for the
-    saturated end: at c = 4 it still agrees with the direct 1 - beta_0 to
-    4e-13, at c = 1 only to 4e-8.
-    An array ``c`` puts the nodes of all points that share a basis size into
-    that one eigensolve and one solve, and sums each point's 12 terms on its
-    own, so every value is bit for bit that of a call on its c alone.
+    The ground modes at the 12 nodes of every point come from one
+    ``_solve_stacked`` call, each node on its own ``_basis_size(c', 0)``
+    basis.  Against a 40-digit Nystrom oracle the result holds to 4.4e-14
+    relative at c = 6, 1.0e-13 at c = 10, 1.1e-10 at c = 15 and 1.4e-9 at
+    c = 17, where the direct 1 - beta_0 is off by 3e-3.  The rule is built
+    for the saturated end: at c = 4 it still agrees with the direct
+    1 - beta_0 to 4e-13, at c = 1 only to 4e-8.  Each point's 12 terms are
+    summed on their own, so every value of an array is bit for bit that of a
+    call on its c alone.  A c whose nodes need a basis above ``BASIS_LIMIT``
+    terms, infinity included, raises ``ResolutionError``.
     """
     cs = np.asarray(c, dtype=float)
     flat = cs.ravel()
     if not np.all(flat > 0):
         raise ValueError("c must be positive")
     nodes = flat[:, None] + 0.5 * _LAGUERRE_NODES
-    sizes = nodes[:, -1].astype(int) + 32
-    out = np.empty(flat.shape)
-    for size in sorted(set(sizes.tolist())):
-        group = sizes == size
-        out[group] = _complement_stacked(nodes[group], size)
-    return float(out[0]) if cs.ndim == 0 else out.reshape(cs.shape)
-
-
-def _complement_stacked(nodes: np.ndarray, size: int) -> np.ndarray:
-    """``concentration_complement`` of each row of Laguerre ``nodes``, all on one
-    ``size``-term basis: one stacked eigensolve and one inverse-iteration solve."""
-    diag, off = _legendre_blocks(nodes, size)
-    d = diag[..., ::2]
-    e = off[..., ::2]
-    chi, vecs = _lowest_eigenpairs(d, e, 1)
-    # one inverse-iteration step: the dense solve now and then returns a vector
-    # off by its normwise bound eps ||T|| / gap, which phi_0(1) ~ exp(-c) magnifies
-    with _lapack("inverse iteration"):
-        vecs = np.linalg.solve(_tridiagonal(d - chi, e), vecs)[..., 0]
-    coeffs = np.zeros(nodes.shape + (size,))
-    coeffs[..., ::2] = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
-    if not _basis_captured(coeffs).all():
-        raise ConvergenceError("Legendre basis did not capture the ground prolate modes")
-    betas = _concentrations(nodes, coeffs, np.zeros(nodes.shape[-1], dtype=bool))
+    slopes = _ground_stacked(nodes.ravel())[1].reshape(nodes.shape)
     # integral e^{-u} g(u) du with g(u) = e^u log_slope(c') / (2 c'), one dot per point
-    g = np.exp(_LAGUERRE_NODES) * _log_slopes(betas, coeffs) / (2.0 * nodes)
-    return np.array([_LAGUERRE_WEIGHTS @ row for row in g])
+    g = np.exp(_LAGUERRE_NODES) * slopes / (2.0 * nodes)
+    out = np.array([_LAGUERRE_WEIGHTS @ row for row in g])
+    return float(out[0]) if cs.ndim == 0 else out.reshape(cs.shape)
 
 
 def ground_concentration(c: float | np.ndarray) -> float | np.ndarray:
@@ -521,11 +499,11 @@ def ground_concentration(c: float | np.ndarray) -> float | np.ndarray:
     Below c = 5.6 (1 - beta_0 = 2.1e-4) this is ``pswf_solve_legendre(c, 0)``'s
     beta_0, every such point of an array solved in one stack per basis size
     (``_solve_stacked``), bit for bit the value of a solve of its own.  From
-    there up it is 1 - ``concentration_complement(c)``, every such point of an
-    array in the complement's one stack per basis size: the direct beta_0
-    carries a few ulp of rounding noise, up to 12, which near saturation is a
-    large share of 1 - beta_0 and fixes c only to that noise over
-    d beta_0 / d ln c (about 4e-14 per ulp at c = 5.6, 9e-14 at c = 6).
+    there up it is 1 - ``concentration_complement(c)``, the Laguerre nodes of
+    every such point of an array in one more ``_solve_stacked`` call: the
+    direct beta_0 carries a few ulp of rounding noise, up to 12, which near
+    saturation is a large share of 1 - beta_0 and fixes c only to that noise
+    over d beta_0 / d ln c (about 4e-14 per ulp at c = 5.6, 9e-14 at c = 6).
     The complement is smooth and decreasing, so this curve rises
     monotonically to its last bit.  At the switch the two readings differ by
     1 ulp.  From c = 21 up 1 - beta_0 < 2^-54 and the curve is exactly 1.
@@ -570,12 +548,12 @@ def ground_parameter(eta: float | np.ndarray) -> float | np.ndarray:
     is nearly linear in c.  A point is done when its miss is within 4 ulp of
     eta, or of 1 - eta on the complement, or when the miss stops shrinking:
     a vanishing step, a step stuck at the clamp, or the complement's own
-    noise.  Every point steps in lockstep, all of them solved in one
-    ``_solve_stacked`` call and one ``concentration_complement`` call per
-    step, and stops on its own, so each value is
-    bit for bit the one it gets alone.  An eta outside (0, 1) raises
-    ``ValueError``, 100 steps without a stop ``ConvergenceError``; an eta
-    outside ``ground_range()`` ends at the clamp.
+    noise.  Every point steps in lockstep and stops on its own: a step solves
+    all of them in one ``_solve_stacked`` call, and the complement of those
+    from c = 5.6 up, one ``concentration_complement`` call, in one more.  So
+    each value is bit for bit the one it gets alone.  An eta outside (0, 1)
+    raises ``ValueError``, 100 steps without a stop ``ConvergenceError``; an
+    eta outside ``ground_range()`` ends at the clamp.
     """
     es = np.asarray(eta, dtype=float)
     flat = es.ravel()

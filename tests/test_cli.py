@@ -723,6 +723,8 @@ class TestTypedErrors:
             betas, slopes = ground(cs)
             return betas, 10.0 * slopes
 
+        # the complement integrates these slopes too, but the first eta that
+        # fails (0.005) lies below the switch, where only the Newton step reads them
         monkeypatch.setattr(slepian, "_ground_stacked", sluggish)
         rc = run(
             "qkd", "--filter", "slepian", "--ny-min", "1e-3", "--ny-max", "1e-3",

@@ -1,5 +1,6 @@
 """Prolate spheroidal solvers and the rectangular filter family."""
 
+import re
 import warnings
 
 import numpy as np
@@ -317,10 +318,8 @@ class TestGroundConcentration:
 
     def test_complement_is_smooth_in_c(self):
         # ln(1 - beta_0) is analytic in c, so a degree-10 fit over a short span
-        # leaves only the complement's noise; the inverse-iteration step keeps
-        # out the rare node whose dense eigenvector is off by eps ||T|| / gap
-        # (without that step one of these 120 points reads 5.1e-12 off, with it
-        # the largest residual is 3.7e-13)
+        # leaves only the complement's noise: the largest residual of these 120
+        # points is 3.2e-13
         cs = np.linspace(8.0, 8.5, 120)
         logq = np.log([concentration_complement(c) for c in cs])
         x = cs - cs.mean()
@@ -378,11 +377,12 @@ class TestGroundConcentration:
         st.lists(
             st.one_of(
                 st.floats(min_value=0.5, max_value=25.0),
-                # either side of a basis-size step: the size follows int of the
-                # largest Laguerre node, c + 0.5 * 37.099...
+                # either side of a basis-size step of one node: the size of
+                # node j follows int(c + 0.5 * L_j)
                 st.builds(
-                    lambda k, eps: k - 0.5 * float(slepian._LAGUERRE_NODES[-1]) + eps,
+                    lambda k, j, eps: k - 0.5 * float(slepian._LAGUERRE_NODES[j]) + eps,
                     st.integers(20, 43),
+                    st.integers(0, 11),
                     st.floats(-1e-9, 1e-9),
                 ),
             ),
@@ -391,45 +391,53 @@ class TestGroundConcentration:
         )
     )
     def test_complement_array_matches_one_point_calls_bit_for_bit(self, cs):
-        # points sharing a basis size share one eigensolve and one solve; each
-        # point's 12 terms are still summed on their own
+        # nodes sharing a basis size share one eigensolve, whichever points they
+        # come from; each point's 12 terms are still summed on their own
         batch = concentration_complement(np.array(cs))
         assert batch.tolist() == [concentration_complement(c) for c in cs]
 
     def test_one_stacked_complement_solve_per_basis_size_per_step(self, monkeypatch):
-        # a Newton step of ground_parameter solves its complement-range points
-        # in one stack per basis size, not one point at a time
+        # the complement solves every node of every point in one _solve_stacked
+        # call, one eigensolve per node basis size, and a Newton step of
+        # ground_parameter makes at most two calls: its points, their complement
         events = []
-        stacked, ground = slepian._complement_stacked, slepian._ground_stacked
+        solve, eigenpairs = slepian._solve_stacked, slepian._lowest_eigenpairs
+        complement = slepian.concentration_complement
 
-        def spy_complement(nodes, size):
-            events.append(("complement", len(nodes), size))
-            return stacked(nodes, size)
+        def spy_solve(cs, n_max):
+            events.append(("solve", cs.copy()))
+            return solve(cs, n_max)
 
-        def spy_ground(cs):
-            events.append(("step", cs.copy()))
-            return ground(cs)
+        def spy_eigenpairs(d, e, want):
+            events.append(("eigh", d.shape[-1]))
+            return eigenpairs(d, e, want)
 
-        monkeypatch.setattr(slepian, "_complement_stacked", spy_complement)
-        monkeypatch.setattr(slepian, "_ground_stacked", spy_ground)
-        eta = 1.0 - np.geomspace(2e-4, 1e-13, 50)
-        ground_parameter(eta)
-        steps = [i for i, ev in enumerate(events) if ev[0] == "step"]
-        assert len(steps) > 1
-        half_top = 0.5 * slepian._LAGUERRE_NODES[-1]
-        for first, last in zip(steps, steps[1:] + [len(events)]):
-            cs = events[first][1]
-            high = cs[cs >= slepian._GROUND_SWITCH]
-            sizes = [int(c + half_top) + 32 for c in high.tolist()]
-            calls = events[first + 1 : last]
-            assert sorted(size for _, _, size in calls) == sorted(set(sizes))
-            assert sum(count for _, count, _ in calls) == len(high)
-        # the curve itself: one stack per basis size over 40 points
-        events.clear()
+        monkeypatch.setattr(slepian, "_solve_stacked", spy_solve)
+        monkeypatch.setattr(slepian, "_lowest_eigenpairs", spy_eigenpairs)
         cs = np.linspace(5.6, 17.0, 40)
-        ground_concentration(cs)
-        sizes = {int(c + half_top) + 32 for c in cs.tolist()}
-        assert sorted(ev[2] for ev in events if ev[0] == "complement") == sorted(sizes)
+        complement(cs)
+        (first, nodes), *solves = events
+        assert first == "solve" and {kind for kind, _ in solves} == {"eigh"}
+        assert nodes.tobytes() == (cs[:, None] + 0.5 * slepian._LAGUERRE_NODES).tobytes()
+        sizes = {slepian._basis_size(c, 0) for c in nodes.tolist()}
+        # the even block of a size-term basis has (size + 1) // 2 terms
+        assert sorted(m for _, m in solves) == sorted((size + 1) // 2 for size in sizes)
+
+        events.clear()
+
+        def spy_complement(c):
+            events.append(("complement", c))
+            return complement(c)
+
+        monkeypatch.setattr(slepian, "concentration_complement", spy_complement)
+        ground_parameter(1.0 - np.geomspace(2e-4, 1e-13, 50))
+        calls = [ev for ev in events if ev[0] != "eigh"]
+        kinds = "".join(kind[0] for kind, _ in calls)
+        # each step solves its points, then complements them in one more solve
+        assert re.fullmatch(r"(scs)+", kinds) and kinds.count("scs") > 1
+        for i in range(1, len(calls), 3):
+            (_, c), (_, nodes) = calls[i], calls[i + 1]
+            assert nodes.tobytes() == (c[:, None] + 0.5 * slepian._LAGUERRE_NODES).tobytes()
 
     def test_inverse_returns_the_parameter_on_the_curve(self):
         cs = np.array([[1e-3, 0.3, 2.0], [5.0, 8.0, 17.0]])
@@ -610,11 +618,25 @@ class TestValidation:
             raise AssertionError("the basis was built")
 
         monkeypatch.setattr(slepian, "_legendre_tables", refuse)
-        # int(c) + 24 terms for the ground mode; the complement's c + 32 at its last node
+        # int(c) + 24 terms for the ground mode, and for each node of the complement
         with pytest.raises(ResolutionError, match=f"{BASIS_LIMIT}-term limit"):
             pswf_solve_legendre(BASIS_LIMIT - 23.0, 0)
         with pytest.raises(ResolutionError, match=f"{BASIS_LIMIT}-term limit"):
             concentration_complement(1.6e5)
+
+    @pytest.mark.parametrize("c", [1e19, 1e300, np.inf])
+    def test_complement_past_the_float_basis_is_a_typed_refusal(self, monkeypatch, c):
+        # a c whose nodes need a basis beyond any int the solver can build is
+        # refused, scalar or in an array, with no cast warning and no table built
+        def refuse(size):
+            raise AssertionError("the basis was built")
+
+        monkeypatch.setattr(slepian, "_legendre_tables", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arg in (c, np.array([c]), np.full((2, 3), c)):
+                with pytest.raises(ResolutionError, match=f"{BASIS_LIMIT}-term limit"):
+                    concentration_complement(arg)
 
     def test_quadrature_above_the_limit_is_refused_before_it_is_built(self, monkeypatch):
         import tffilter.slepian as slepian
@@ -665,8 +687,8 @@ class TestBlasThreads:
         assert one == two
 
     def test_prolate_solves_see_one_blas_thread(self, monkeypatch):
-        # a stand-in setter for a two-thread pool: every tridiagonal eigh and
-        # inverse-iteration solve runs at one, and the pool reads two after
+        # a stand-in setter for a two-thread pool: every tridiagonal eigh runs
+        # at one, and the pool reads two after; no dense solve is made
         threads = [2]
 
         def setter(count):
@@ -678,11 +700,14 @@ class TestBlasThreads:
         def spy(solver):
             return lambda *args: seen.append((solver.__name__, threads[0])) or solver(*args)
 
+        def refuse_solve(*args):
+            raise AssertionError("a dense solve was made")
+
         monkeypatch.setattr(core, "_blas_thread_setter", lambda: setter)
         monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
-        monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "solve", refuse_solve)
         pswf_solve_legendre(12.0, 16)
         concentration_complement(17.0)
-        assert {name for name, _ in seen} == {"eigh", "solve"}
+        assert {name for name, _ in seen} == {"eigh"}
         assert {count for _, count in seen} == {1}
         assert threads == [2]
