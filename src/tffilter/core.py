@@ -576,14 +576,17 @@ def filter_samples(spec: Sif, axis: SampledAxis, values: np.ndarray) -> np.ndarr
     ``axis`` fold into ``pre`` or ``post``, by the order.
     """
     _require_sif(spec)
-    return _filter_samples(spec, axis, values, None)
+    return _transport(spec, axis)(values, None)
 
 
-def _filter_samples(
-    spec: Sif, axis: SampledAxis, values: np.ndarray, out: np.ndarray | None
-) -> np.ndarray:
-    """:func:`filter_samples` written into ``out``: None for a fresh array, or a
-    complex ``values`` itself to filter it in place."""
+def _transport(spec: Sif, axis: SampledAxis) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
+    """:func:`filter_samples` with its factors built once: the returned
+    ``apply(values, out)`` writes the filtered rows into ``out``, None for a
+    fresh array or a complex ``values`` itself to filter it in place.
+
+    The pre, mid and post diagonals and the two FFT directions depend only on
+    ``spec`` and ``axis``, so any number of calls of ``apply`` share them.
+    """
     on_time = _uniform(axis).domain is Domain.TIME
     first, last = spec.stages
     native, other = (first, last) if first.domain is axis.domain else (last, first)
@@ -602,12 +605,16 @@ def _filter_samples(
     # the stage native to the axis acts first or last
     side = pre if native is first else post
     side *= native(axis.points)
-    out = np.multiply(values, pre, out=out)
-    fft_a(out, axis=-1, out=out)
-    out *= mid
-    fft_b(out, axis=-1, out=out)
-    out *= post
-    return out
+
+    def apply(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        out = np.multiply(values, pre, out=out)
+        fft_a(out, axis=-1, out=out)
+        out *= mid
+        fft_b(out, axis=-1, out=out)
+        out *= post
+        return out
+
+    return apply
 
 
 def apply_filter(spec: Sif, signal: SampledSignal) -> SampledSignal:

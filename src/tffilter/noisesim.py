@@ -11,16 +11,23 @@ ensemble statistics after filtering are known in closed form,
 and this module estimates both empirically so the closed forms can be
 certified at Monte Carlo precision.
 
-Each block of 256 trials is drawn into one complex array and filtered in place
-by the numerics of ``core.filter_samples`` (pre-diagonal, FFT, mid-diagonal,
-FFT, post-diagonal), the transport ``apply_filter`` uses for single signals.
+Trials run in blocks of 256.  A block is drawn, filtered and reduced in row
+chunks of at most ``_CHUNK_BYTES`` (512 KiB) of complex samples: 32 rows at
+1024 samples, the whole block at 128, one row at 2**17.  Every chunk of a
+block is drawn into one complex buffer, its normals staged at most 16 rows
+at a time in one float buffer, and filtered in place by the numerics of
+``core.filter_samples`` (pre-diagonal, FFT, mid-diagonal, FFT,
+post-diagonal), the transport ``apply_filter`` uses for single signals, with
+its factors built once per ensemble or correlation.
 
 Blocks run on one pool of worker threads per process, made on the first
 ensemble or correlation and sized by the CPUs in the process's affinity mask
 (``taskset``, ``os.sched_setaffinity``); one worker runs the blocks serially,
-with no thread.  A worker draws, filters and reduces its block (the row
-energies and cross sum of an ensemble, the two moment sums of a correlation)
-and returns only those partial sums, which the caller adds in block order with
+with no thread.  A worker draws, filters and reduces its block: each chunk
+to its per-row terms (the row energies and cross terms of an ensemble, the
+moment terms of a correlation), then the block's terms, concatenated, to its
+partial sums (the cross sum, the two moment sums), so no sum depends on the
+chunk size.  It returns only those, which the caller adds in block order with
 no BLAS call, so every result is independent of the worker count.
 
 Reproducibility: trial t draws from Philox keyed by
@@ -52,9 +59,9 @@ from .core import (
     Sif,
     StageOrder,
     _check_grid,
-    _filter_samples,
     _profile_axis,
     _require_sif,
+    _transport,
     _uniform,
     apply_filter,
     centered_axis,
@@ -78,9 +85,10 @@ __all__ = [
 
 RNG_ALGORITHM = "philox4x64"
 
-_BATCH = 256  # trials per filter_samples block
-_STAGE = 16  # trials per copy of white-noise draws into their complex rows
-SNR_MAX_SAMPLES = 2**17  # largest noise grid: 0.5 GB per complex block of _BATCH trials
+_BATCH = 256  # trials per block: the unit of keys, pool tasks and summation order
+_CHUNK_BYTES = 2**19  # bytes of complex samples per chunk of a block's rows, at least one row
+_STAGE = 16  # rows of normals per copy into their complex rows, at most one chunk
+SNR_MAX_SAMPLES = 2**17  # largest noise grid: its 2 MiB rows, one at a time, need 4 MiB per worker
 MAX_TRIALS = 2**32  # per seed: a trial index must fit one spawn-key word
 
 
@@ -200,28 +208,33 @@ def sample_white_noise(
     if axis.domain is not Domain.TIME:
         raise DomainMismatchError("white noise is sampled on a time axis")
     _check_level("noise_psd", noise_psd)
-    return SampledSignal(axis, _white_rows(axis, noise_psd, 1, [rng])[0])
+    rows, draws = np.empty((1, axis.count), dtype=complex), np.empty((1, 2, axis.count))
+    return SampledSignal(axis, _white_rows(axis, noise_psd, [rng], rows, draws)[0])
 
 
 def _white_rows(
-    axis: SampledAxis, noise_psd: float, count: int, rngs: Iterable[np.random.Generator]
+    axis: SampledAxis,
+    noise_psd: float,
+    rngs: Iterable[np.random.Generator],
+    rows: np.ndarray,
+    draws: np.ndarray,
 ) -> np.ndarray:
-    """``count`` rows of white noise, one per generator, as :func:`sample_white_noise` draws it.
+    """``rows`` filled with white noise, one row per generator taken from ``rngs``,
+    as :func:`sample_white_noise` draws it; returns ``rows``.
 
-    A per-sample scale sqrt(N_y / 2 dt) past the float range raises
-    ``ResolutionError`` before any draw.
+    The rows' normals are drawn in stream order, len(draws) rows at a time,
+    into the float buffer ``draws`` of shape (k, 2, axis.count), whose two
+    quadratures are then copied into their rows at once.  A per-sample scale
+    sqrt(N_y / 2 dt) past the float range raises ``ResolutionError`` before
+    any draw.
     """
     # in Python floats the quotient overflows to inf with no warning
     scale = np.sqrt(float(noise_psd) / (2.0 * _uniform(axis).step))
     if not np.isfinite(scale):
         raise ResolutionError(f"the white-noise scale at N_y = {noise_psd:.3g} is past the float range")
-    rows = np.empty((count, axis.count), dtype=complex)
-    # _STAGE trials are drawn in stream order into one buffer, whose two
-    # quadratures are then copied into their rows at once
-    draws = np.empty((_STAGE, 2, axis.count))
     rngs = iter(rngs)
-    for first in range(0, count, _STAGE):
-        stage = draws[: count - first]
+    for first in range(0, len(rows), len(draws)):
+        stage = draws[: len(rows) - first]
         for draw, rng in zip(stage, rngs):  # stage first, so no stream is taken unused
             rng.standard_normal(out=draw)
         block = rows[first : first + len(stage)]
@@ -287,16 +300,27 @@ def _pool() -> tuple[ThreadPoolExecutor | None, int]:
         return _pool_state[1:]
 
 
-def _filtered_block(
-    spec: Sif, axis: SampledAxis, noise_psd: float, seed: int, trials: range
-) -> np.ndarray:
-    """Filtered white noise of ``trials``, one row each, filtered in the array it is drawn in.
+def _filtered_chunks(
+    transport: Callable, axis: SampledAxis, noise_psd: float, seed: int, trials: range
+) -> Iterator[np.ndarray]:
+    """Filtered white noise of ``trials``, one row each, in chunks of at most
+    ``_CHUNK_BYTES`` (and at least one row).
 
-    Every row equals the one drawn from ``trial_generator(seed, t)``.
+    Every chunk is drawn and filtered in the same complex buffer, so it holds
+    until the next is drawn; its normals pass through one float buffer of at
+    most ``_STAGE`` rows, small enough to stay in the fastest cache.
+    ``transport`` is :func:`tffilter.core._transport` of the filter on
+    ``axis``.  Every row equals ``filter_samples`` of the one drawn from
+    ``trial_generator(seed, t)``.
     """
-    keys = _trial_keys(seed, np.arange(trials.start, trials.stop))
-    rows = _white_rows(axis, noise_psd, len(keys), _keyed_streams(keys))
-    return _filter_samples(spec, axis, rows, rows)
+    size = max(1, min(len(trials), _CHUNK_BYTES // (16 * axis.count)))
+    rows = np.empty((size, axis.count), dtype=complex)
+    draws = np.empty((min(_STAGE, size), 2, axis.count))
+    streams = _keyed_streams(_trial_keys(seed, np.arange(trials.start, trials.stop)))
+    for first in range(0, len(trials), size):
+        count = min(size, len(trials) - first)
+        chunk = _white_rows(axis, noise_psd, streams, rows[:count], draws)
+        yield transport(chunk, chunk)
 
 
 def _filtered_noise_blocks(
@@ -305,19 +329,26 @@ def _filtered_noise_blocks(
     noise_psd: float,
     seed: int,
     trials: int,
-    reduce: Callable[[np.ndarray], tuple],
+    per_row: Callable[[np.ndarray], tuple],
+    per_block: Callable[..., tuple],
 ) -> Iterator[tuple]:
-    """``reduce`` of each block of _BATCH rows of filtered white noise, trials
-    0 .. trials-1, yielded in trial order.
+    """The reductions of each block of _BATCH rows of filtered white noise,
+    trials 0 .. trials-1, yielded in trial order.
 
-    The blocks run on the process's pool, at most one more than it has workers
-    in flight; only their reductions come back, so memory does not grow with
-    ``trials``.
+    ``per_row`` maps a chunk of filtered rows to a tuple of arrays whose last
+    axis runs over the rows; ``per_block`` takes those arrays, concatenated
+    over the block's chunks, and returns the block's reduction, so a block
+    reduces to what ``per_block(*per_row(rows))`` gives on all its rows at
+    once.  The filter's factors are built once per call.  The blocks run on
+    the process's pool, at most one more than it has workers in flight; only
+    their reductions come back, so memory does not grow with ``trials``.
     """
+    transport = _transport(spec, axis)
 
     def work(first: int) -> tuple:
         block = range(first, min(first + _BATCH, trials))
-        return reduce(_filtered_block(spec, axis, noise_psd, seed, block))
+        terms = [per_row(y) for y in _filtered_chunks(transport, axis, noise_psd, seed, block)]
+        return per_block(*(np.concatenate(column, axis=-1) for column in zip(*terms)))
 
     firsts = range(0, trials, _BATCH)
     pool, workers = _pool()
@@ -390,9 +421,10 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: Sif) -> EnergyReport:
     The deterministic signal is filtered once; each trial filters a fresh
     white-noise draw and records the noise energy and the total (signal plus
     noise) energy at the filter output, the latter as w_noise + 2 Re<y_sig, y>
-    + w_signal: both are one pass over the float view of each block, by
-    ``einsum`` rather than a BLAS matvec, whose threads would compete with the
-    block workers.
+    + w_signal: both are one pass over the float view of each chunk of rows,
+    by ``einsum`` rather than a BLAS matvec, whose threads would compete with
+    the block workers.  The cross terms are summed once per block, over all
+    its rows, so the result does not depend on the chunk size.
 
     The noise is drawn, and every sum formed, at N_y 2**-k with
     :func:`_unit_exponent`'s k; the noise mean and stderr are scaled back by
@@ -411,15 +443,21 @@ def run_ensemble(cfg: NoiseEnsembleConfig, spec: Sif) -> EnergyReport:
 
     sig_view = y_sig.values.view(float)
 
-    def reduce(y_noise: np.ndarray) -> tuple:
-        y_view = y_noise.view(float)
-        energies = np.einsum("ij,ij->i", y_view, y_view) * axis.measure
-        return energies, np.sum(np.einsum("ij,j->i", y_view, sig_view))
+    def per_row(y_noise: np.ndarray) -> tuple:
+        # einsum sums a lone row of more than 8192 floats in another order than
+        # each row of a larger array, so a lone row goes in paired with itself
+        rows = len(y_noise)
+        y_view = np.broadcast_to(y_noise.view(float), (max(rows, 2), 2 * axis.count))
+        energies = np.einsum("ij,ij->i", y_view, y_view)[:rows] * axis.measure
+        return energies, np.einsum("ij,j->i", y_view, sig_view)[:rows]
+
+    def per_block(energies: np.ndarray, cross: np.ndarray) -> tuple:
+        return energies, np.sum(cross)
 
     k = _unit_exponent(cfg.noise_psd, _uniform(axis).step)
     w_noise, cross = [], 0.0
     for energies, block_cross in _filtered_noise_blocks(
-        spec, axis, ldexp(cfg.noise_psd, -k), cfg.seed, cfg.trials, reduce
+        spec, axis, ldexp(cfg.noise_psd, -k), cfg.seed, cfg.trials, per_row, per_block
     ):
         w_noise.append(energies)
         cross += block_cross
@@ -544,8 +582,9 @@ def _window_power_moments(spec: Sif) -> tuple[np.ndarray, np.ndarray]:
     return pts, 2.0 * np.pi * axis.quadrature_weights() * np.abs(spec.spectral(pts)) ** 2
 
 
-def _auto_correlation_axis(spec: Sif, max_reach: float, moments: tuple) -> SampledAxis:
-    """Smallest centered power-of-two time grid for faithful correlation statistics.
+def _auto_correlation_axis(spec: Sif, max_reach: float) -> tuple[SampledAxis, tuple]:
+    """(grid, moments): the smallest centered power-of-two time grid for
+    faithful correlation statistics, and :func:`_window_power_moments` of ``spec``.
 
     dt resolves both the window (dt <= 1/(10 B)) and the gate (dt <= T/8).
     The span keeps the FFT frequency spacing below a quarter of the spectral
@@ -553,29 +592,38 @@ def _auto_correlation_axis(spec: Sif, max_reach: float, moments: tuple) -> Sampl
     the Monte Carlo noise floor; it covers the gate's 1e-10 support plus
     ``max_reach`` (the farthest probe time plus lag) on each side; and its
     last sample reaches the gate's 1e-12 support, so the grid passes the
-    resolution guard of :func:`tffilter.core.apply_filter`.  ``moments`` is
-    :func:`_window_power_moments` of ``spec``.  A grid above
+    resolution guard of :func:`tffilter.core.apply_filter`.  A grid above
     ``SNR_MAX_SAMPLES`` samples raises ``ResolutionError`` before it is built.
+    The moments' nodes lie within the window's support radius r, so sigma_w
+    <= r: a window too narrow for the limit even at sigma_w = 2r is refused
+    before it is evaluated, as its moments may leave the float range.
     """
     bw, duration = spec.spectral.width, spec.temporal.width
     dt = min(1.0 / (10.0 * bw), duration / 8.0)
-    pts, wts = moments
+
+    def samples(sigma_w: float) -> float:
+        """The span for an rms frequency ``sigma_w`` in steps of dt, refused above the limit."""
+        with np.errstate(over="ignore", divide="ignore"):  # a span past the float range reads inf
+            span_needed = max(
+                2.0 * np.pi / (sigma_w / 4.0),
+                2.0 * (spec.temporal.support(1e-10) + max_reach),
+                2.0 * (spec.temporal.support(1e-12) + dt),
+            )
+            ratio = span_needed / dt
+        if not ratio <= SNR_MAX_SAMPLES:  # the count, 2**ceil(log2(ratio)), would be above it
+            raise ResolutionError(
+                f"this filter, with probe times plus lags reaching {max_reach:.3g}, needs a "
+                f"correlation grid above the {SNR_MAX_SAMPLES}-sample limit of the noise ensembles"
+            )
+        return ratio
+
+    with np.errstate(over="ignore"):
+        samples(2.0 * spec.spectral.support(1e-13))  # twice the radius of the moments' axis
+    moments = pts, wts = _window_power_moments(spec)
     total = np.sum(wts)
     sigma_w = np.sqrt(np.sum(wts * pts**2) / total)
-    with np.errstate(over="ignore"):  # a span past the float range reads inf, refused below
-        span_needed = max(
-            2.0 * np.pi / (sigma_w / 4.0),
-            2.0 * (spec.temporal.support(1e-10) + max_reach),
-            2.0 * (spec.temporal.support(1e-12) + dt),
-        )
-        ratio = span_needed / dt
-    if not ratio <= SNR_MAX_SAMPLES:  # the count, 2**ceil(log2(ratio)), would be above it
-        raise ResolutionError(
-            f"this filter, with probe times plus lags reaching {max_reach:.3g}, needs a "
-            f"correlation grid above the {SNR_MAX_SAMPLES}-sample limit of the noise ensembles"
-        )
-    count = 1 << int(np.ceil(np.log2(ratio)))
-    return centered_axis(dt, count, Domain.TIME)
+    count = 1 << int(np.ceil(np.log2(samples(sigma_w))))
+    return centered_axis(dt, count, Domain.TIME), moments
 
 
 def filtered_noise_correlation(
@@ -613,8 +661,7 @@ def filtered_noise_correlation(
     half = 0.5 * spec.temporal.width
     times = np.linspace(-half, half, 5)
     reach = half + np.max(np.abs(lags))
-    pts, wts = _window_power_moments(spec)
-    axis = _auto_correlation_axis(spec, reach, (pts, wts))
+    axis, (pts, wts) = _auto_correlation_axis(spec, reach)
     _check_grid(spec, axis)
 
     # snap probes and lags onto the grid
@@ -628,13 +675,16 @@ def filtered_noise_correlation(
 
     k = _unit_exponent(noise_psd, axis.step)
 
-    def reduce(y: np.ndarray) -> tuple:
-        z = y[:, pair] * np.conj(y[:, t_idx])[:, :, None]
-        return np.sum(z, axis=0), np.sum(np.abs(z) ** 2, axis=0)
+    def per_row(y: np.ndarray) -> tuple:
+        # (times, lags, rows): each moment sums one contiguous run over the block's rows
+        return (y.T[pair] * np.conj(y.T[t_idx])[:, None, :],)
+
+    def per_block(z: np.ndarray) -> tuple:
+        return np.sum(z, axis=-1), np.sum(np.abs(z) ** 2, axis=-1)
 
     s1 = np.zeros((len(times_g), len(lags_g)), dtype=complex)
     s2 = np.zeros((len(times_g), len(lags_g)))
-    blocks = _filtered_noise_blocks(spec, axis, ldexp(noise_psd, -k), seed, trials, reduce)
+    blocks = _filtered_noise_blocks(spec, axis, ldexp(noise_psd, -k), seed, trials, per_row, per_block)
     for block_s1, block_s2 in blocks:
         s1 += block_s1
         s2 += block_s2

@@ -109,13 +109,20 @@ class SchmidtResult(Ladder):
     parities: tuple[int, ...] | None
 
 
-def _resolve_keep(sv: np.ndarray, keep: int | None) -> int:
+def _check_keep(keep: int | None) -> None:
+    """Refuse a ``keep`` that is neither None nor an int count of at least 1."""
     if keep is None:
-        return int(np.sum(sv >= 1e-6 * sv[0]))  # s_0 counts; a zero ladder is refused as a Ladder
+        return
     if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)):
         raise TypeError(f"keep must be an int count or None, got {type(keep).__name__}")
     if keep < 1:
         raise ValueError("keep count must be >= 1")
+
+
+def _resolve_keep(sv: np.ndarray, keep: int | None) -> int:
+    """How many of ``sv`` a ``keep`` that passed :func:`_check_keep` retains."""
+    if keep is None:
+        return int(np.sum(sv >= 1e-6 * sv[0]))  # s_0 counts; a zero ladder is refused as a Ladder
     return min(int(keep), len(sv))
 
 
@@ -153,6 +160,7 @@ def schmidt_decompose(
     and None keeps every mode with s_n >= 1e-6 s_0.  Anything else, a float
     included, raises TypeError.
     """
+    _check_keep(keep)
     u, sv, vh = _svd(op.entries)
     return _result(op.rows_axis, op.cols_axis, sv, _resolve_keep(sv, keep), None, u, vh, None)
 
@@ -297,7 +305,8 @@ def decompose_filter(
     to 362 for BT 10.  One level alone never converges.  ``keep`` is as in
     :func:`schmidt_decompose`: an int count, or None for every s_n >= 1e-6 s_0.
     ``max_resolution`` must be an integer (TypeError) of at least 64, and not
-    between the first two levels, 64 and 91 (ValueError).
+    between the first two levels, 64 and 91 (ValueError).  Both arguments are
+    checked before the first level is assembled.
     When the window and the gate are both ``even`` each grid is factored as its
     two :func:`tffilter.core.parity_blocks` and the modes carry ``parities``;
     otherwise the whole :func:`tffilter.core.build_operator` matrix is.  Blocks
@@ -308,6 +317,7 @@ def decompose_filter(
     each level's route.  Anything but a Sif raises TypeError.
     """
     _require_sif(spec)
+    _check_keep(keep)
     if isinstance(max_resolution, bool) or not isinstance(max_resolution, (int, np.integer)):
         raise TypeError(f"max_resolution must be an int, got {type(max_resolution).__name__}")
     max_resolution = int(max_resolution)

@@ -3,6 +3,7 @@
 import os
 import sys
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -110,7 +111,8 @@ class TestDeterminism:
         # the (seed, trial) contract: each batched row is, bit for bit, the
         # trial's own stream drawn as one (2, n) block and scaled once
         seed, psd = 97, 0.37
-        rows = _white_rows(axis, psd, 5, [trial_generator(seed, t) for t in range(5)])
+        rows, draws = np.empty((5, axis.count), complex), np.empty((2, 2, axis.count))
+        assert _white_rows(axis, psd, [trial_generator(seed, t) for t in range(5)], rows, draws) is rows
         scale = np.sqrt(psd / (2.0 * axis.step))
         for t, row in enumerate(rows):
             z = trial_generator(seed, t).standard_normal((2, axis.count))
@@ -118,11 +120,18 @@ class TestDeterminism:
             assert np.array_equal(row.view(np.uint64), ref.view(np.uint64))
 
     def test_staged_rows_replay_bit_for_bit(self):
-        # 37 trials fill two staging buffers of 16 and part of a third; every
-        # row, drawn on the re-keyed stream the ensembles use, is the one
+        # 37 trials fill a buffer of 20 rows and then 17 of them, taking their
+        # streams from one iterator, each staged 8 rows at a time; every row,
+        # drawn on the re-keyed stream the ensembles use, is the one
         # sample_white_noise draws from the trial's own generator
         axis, seed, psd, trials = centered_axis(1.0 / 12.0, 128, Domain.TIME), 2**40 + 3, 0.37, 37
-        rows = _white_rows(axis, psd, trials, _keyed_streams(_trial_keys(seed, np.arange(trials))))
+        streams = _keyed_streams(_trial_keys(seed, np.arange(trials)))
+        buffer, draws = np.empty((20, axis.count), complex), np.empty((8, 2, axis.count))
+        rows = []
+        for first in range(0, trials, 20):
+            count = min(20, trials - first)
+            rows.extend(_white_rows(axis, psd, streams, buffer[:count], draws).copy())
+        assert len(rows) == trials and next(streams, None) is None
         for t, row in enumerate(rows):
             ref = sample_white_noise(axis, psd, trial_generator(seed, t)).values
             assert np.array_equal(row.view(np.uint64), ref.view(np.uint64)), t
@@ -256,8 +265,7 @@ class TestExactLaws:
         # points it must be Q(t + tau) Q(t) rho(tau), rho(tau) = B exp(-pi B^2 tau^2),
         # to the FFTs' rounding (1.9e-14 of the peak on a 512-sample grid)
         spec, times, lags = gaussian_sif(bt, 1.0), np.linspace(-0.5, 0.5, 5), np.array(lags)
-        moments = noisesim._window_power_moments(spec)
-        axis = noisesim._auto_correlation_axis(spec, 0.5 + lags.max(), moments)
+        axis, _ = noisesim._auto_correlation_axis(spec, 0.5 + lags.max())
         t_idx = np.rint((times - axis.start) / axis.step).astype(int)
         l_idx = np.rint(lags / axis.step).astype(int)
         f = transport_matrix(spec, axis)
@@ -521,15 +529,17 @@ seeds = st.one_of(
 
 
 def reference_blocks(spec, axis, noise_psd, seed, trials):
-    """_filtered_noise_blocks rebuilt from one trial_generator per trial."""
+    """The filtered blocks of _filtered_noise_blocks, each drawn whole from one
+    trial_generator per trial and filtered by filter_samples."""
     for first in range(0, trials, noisesim._BATCH):
-        rngs = [trial_generator(seed, t) for t in range(first, min(first + noisesim._BATCH, trials))]
-        yield filter_samples(spec, axis, _white_rows(axis, noise_psd, len(rngs), rngs))
+        block = range(first, min(first + noisesim._BATCH, trials))
+        noise = [sample_white_noise(axis, noise_psd, trial_generator(seed, t)).values for t in block]
+        yield filter_samples(spec, axis, np.stack(noise))
 
 
-def reduced_reference_blocks(spec, axis, noise_psd, seed, trials, reduce):
-    """_filtered_noise_blocks, serially on the reference blocks."""
-    return map(reduce, reference_blocks(spec, axis, noise_psd, seed, trials))
+def reduced_reference_blocks(spec, axis, noise_psd, seed, trials, per_row, per_block):
+    """_filtered_noise_blocks, serially on the reference blocks, each reduced whole."""
+    return (per_block(*per_row(y)) for y in reference_blocks(spec, axis, noise_psd, seed, trials))
 
 
 @pytest.fixture(scope="module")
@@ -574,21 +584,21 @@ class TestWorkerPool:
         monkeypatch.setattr(noisesim, "_pool", lambda: pools[1])
         serial = run_ensemble(cfg, spec)
         monkeypatch.setattr(noisesim, "_pool", lambda: pools[3])
-        block = noisesim._filtered_block
+        chunks = noisesim._filtered_chunks
         started, running = [], set()
 
-        def failing(spec, axis, noise_psd, seed, trials):
+        def failing(transport, axis, noise_psd, seed, trials):
             started.append(trials.start)
             running.add(trials.start)
             try:
                 if trials.start == 3 * noisesim._BATCH:
                     raise ResolutionError("block 3 failed")
                 time.sleep(0.05)  # so later blocks are in flight when block 3 fails
-                return block(spec, axis, noise_psd, seed, trials)
+                yield from chunks(transport, axis, noise_psd, seed, trials)
             finally:
                 running.discard(trials.start)
 
-        monkeypatch.setattr(noisesim, "_filtered_block", failing)
+        monkeypatch.setattr(noisesim, "_filtered_chunks", failing)
         with pytest.raises(ResolutionError, match="block 3 failed"):
             run_ensemble(cfg, spec)
         # the call returns once none of its blocks runs, and none starts after it
@@ -596,7 +606,7 @@ class TestWorkerPool:
         count = len(started)
         time.sleep(0.2)
         assert len(started) == count
-        monkeypatch.setattr(noisesim, "_filtered_block", block)
+        monkeypatch.setattr(noisesim, "_filtered_chunks", chunks)
         assert run_ensemble(cfg, spec) == serial
 
     def test_concurrent_callers_share_one_pool(self, monkeypatch):
@@ -675,6 +685,77 @@ class TestBlockKeys:
         ref = filtered_noise_correlation(spec, 0.25, 1000, lags, seed=41)
         for field in ("times", "lags", "empirical", "analytic", "stderr"):
             assert np.array_equal(getattr(surf, field), getattr(ref, field))
+
+
+# (filter, time grid) pairs whose chunks hold 256 (N = 128), 60 (N = 544) and 32 (N = 1024)
+# rows: the window-first Gaussian and the gate-first brick wall of `tffilter snr`, and N = 1024
+CHUNK_GRIDS = {
+    "gaussian_snr": lambda: snr_setup("gaussian", 0.5)[:2],
+    "brick_wall_snr": lambda: snr_setup("slepian", 2.0)[:2],
+    "n1024": lambda: (gaussian_sif(0.5, 1.0), centered_axis(1.0 / 12.0, 1024, Domain.TIME)),
+}
+
+
+class TestChunks:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("grid", list(CHUNK_GRIDS))
+    def test_rows_are_the_replayed_trials_across_chunk_and_block_edges(self, monkeypatch, pools, grid, workers):
+        spec, axis = CHUNK_GRIDS[grid]()
+        chunk = noisesim._CHUNK_BYTES // (16 * axis.count)
+        trials, seed, psd = 300, 2**40 + 11, 0.3
+        monkeypatch.setattr(noisesim, "_pool", lambda: pools[workers])
+        # every row, copied out of the reused chunk buffer with the rows last
+        blocks = noisesim._filtered_noise_blocks(
+            spec, axis, psd, seed, trials, lambda y: (y.T.copy(),), lambda rows: (rows.T,)
+        )
+        rows = np.ascontiguousarray(np.concatenate([block for block, in blocks]))
+        assert rows.shape == (trials, axis.count)
+        for t in sorted({0, chunk - 1, chunk, 255, 256, trials - 1}):
+            noise = sample_white_noise(axis, psd, trial_generator(seed, t)).values
+            ref = filter_samples(spec, axis, noise)
+            assert np.array_equal(rows[t].view(np.uint64), ref.view(np.uint64)), t
+
+    @pytest.mark.parametrize("rows", [1, 3, None, 256], ids=["rows1", "rows3", "budget", "block"])
+    def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch, rows):
+        # past 8192 floats einsum sums a lone row in another order than each row
+        # of a larger array, and 2**13 samples make 16384.  301 and 1025 trials
+        # end in ragged blocks; every report equals the one reduced from whole blocks
+        spec, axis = gaussian_sif(0.5, 1.0), centered_axis(1.0 / 12.0, 2**13, Domain.TIME)
+        cfg = NoiseEnsembleConfig(0.3, 1.0, unit_gaussian_mode(axis), 301, 2**40 + 5)
+        corr_spec, lags = gaussian_sif(0.3, 1.0), np.array([0.0, 0.5, 2.0])
+        corr_axis, _ = noisesim._auto_correlation_axis(corr_spec, 0.5 + lags.max())
+        monkeypatch.setattr(noisesim, "_pool", lambda: (None, 1))
+
+        def chunks_of(count):
+            if rows is not None:
+                monkeypatch.setattr(noisesim, "_CHUNK_BYTES", 16 * rows * count)
+
+        chunks_of(axis.count)
+        report = run_ensemble(cfg, spec)
+        chunks_of(corr_axis.count)
+        surface = filtered_noise_correlation(corr_spec, 0.25, 1025, lags, seed=41)
+        monkeypatch.setattr(noisesim, "_filtered_noise_blocks", reduced_reference_blocks)
+        assert report == run_ensemble(cfg, spec)
+        ref = filtered_noise_correlation(corr_spec, 0.25, 1025, lags, seed=41)
+        for field in ("empirical", "stderr"):
+            assert np.array_equal(getattr(surface, field), getattr(ref, field))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_working_set_is_bounded(self, monkeypatch, pools, workers):
+        # a whole block of 2**14 samples would take 64 MiB.  Each worker holds
+        # one chunk and its float staging buffer, 2 _CHUNK_BYTES, beside a few
+        # arrays of the grid: the filter's factors, the signal, the FFT's output
+        n = 2**14
+        spec, axis = gaussian_sif(0.5, 1.0), centered_axis(1.0 / 12.0, n, Domain.TIME)
+        cfg = NoiseEnsembleConfig(0.1, 1.0, unit_gaussian_mode(axis), 300, 5)
+        monkeypatch.setattr(noisesim, "_pool", lambda: pools[workers])
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * 2 * noisesim._CHUNK_BYTES + 8 * 16 * n
 
 
 class TestCorrelation:
@@ -768,7 +849,7 @@ class TestCorrelation:
             spec, sigma_w = gaussian_sif(bw, duration), bw * np.sqrt(2.0 * np.pi)
         else:
             spec, sigma_w = rectangular_sif(bw, duration), np.pi * bw / np.sqrt(3.0)
-        axis = noisesim._auto_correlation_axis(spec, reach, noisesim._window_power_moments(spec))
+        axis, _ = noisesim._auto_correlation_axis(spec, reach)
         assert axis.step == min(1.0 / (10.0 * bw), duration / 8.0)
         span = max(8.0 * np.pi / sigma_w, 2.0 * (spec.temporal.support(1e-10) + reach))
         assert_minimal_grid(spec, axis, span)
@@ -790,13 +871,25 @@ class TestCorrelation:
             with pytest.raises(ResolutionError, match="above the 131072-sample limit"):
                 filtered_noise_correlation(gaussian_sif(bt, 1.0), 0.25, 1000, np.array([0.0, lag]), seed=0)
 
+    @pytest.mark.parametrize("bt", [1e-300, 1e-320])
+    def test_window_past_the_float_range_is_refused_before_it_is_evaluated(self, monkeypatch, bt):
+        # the window's 1e-13 radius already asks for more than 2**17 samples,
+        # so its moments, whose squares underflow, are never formed
+        def refuse(spec):
+            raise AssertionError("the window was evaluated")
+
+        monkeypatch.setattr(noisesim, "_window_power_moments", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolutionError, match="above the 131072-sample limit"):
+                filtered_noise_correlation(gaussian_sif(bt, 1.0), 0.25, 1000, np.array([0.0]), seed=0)
+
     def test_grid_at_the_limit_is_kept(self):
         # BT 1, T 1: dt = 0.1, so reach 6000 spans about 120 000 steps and 7000 about 140 000
         spec = gaussian_sif(1.0, 1.0)
-        moments = noisesim._window_power_moments(spec)
-        assert noisesim._auto_correlation_axis(spec, 6000.0, moments).count == noisesim.SNR_MAX_SAMPLES
+        assert noisesim._auto_correlation_axis(spec, 6000.0)[0].count == noisesim.SNR_MAX_SAMPLES
         with pytest.raises(ResolutionError, match="above the 131072-sample limit"):
-            noisesim._auto_correlation_axis(spec, 7000.0, moments)
+            noisesim._auto_correlation_axis(spec, 7000.0)
 
     def test_window_moments_evaluated_once(self, monkeypatch):
         # the default grid and the analytic surface share one |R~|^2 quadrature

@@ -113,6 +113,30 @@ class TestSchmidtDecompose:
             with pytest.raises(TypeError, match="int count or None"):
                 schmidt_decompose(op, keep=keep)
 
+    @pytest.mark.parametrize(
+        "keep, error, message",
+        [
+            (0, ValueError, "keep count must be >= 1"),
+            (0.5, TypeError, "int count or None, got float"),
+            (True, TypeError, "int count or None, got bool"),
+            (np.float64(2.0), TypeError, "int count or None, got float64"),
+        ],
+        ids=["zero", "half", "true", "float64"],
+    )
+    def test_keep_is_refused_before_any_level(self, monkeypatch, keep, error, message):
+        # a bad keep is refused as max_resolution is, before any kernel is
+        # assembled or factored, not at the first convergence check
+        def refuse(*args):
+            raise AssertionError("a grid level was assembled")
+
+        monkeypatch.setattr(tffilter.schmidt, "parity_blocks", refuse)
+        monkeypatch.setattr(tffilter.schmidt, "_svd", refuse)
+        with pytest.raises(error, match=message):
+            decompose_filter(gaussian_sif(2.0, 1.0), keep=keep)
+        op = build_operator(gaussian_sif(0.5, 1.0), *recommended_axes(gaussian_sif(0.5, 1.0), 64))
+        with pytest.raises(error, match=message):
+            schmidt_decompose(op, keep=keep)
+
 
 class TestFixedGrid:
     def test_rectangular_fixed_grid_total_power(self):

@@ -1,11 +1,14 @@
-"""The measuring scripts under ``tools/``: line counts and the two tree comparisons.
+"""The measuring scripts under ``tools/``: line counts and the three tree comparisons.
 
-No test starts a ``tffilter`` process: ``code_lines`` reads a small package
-written here, and ``cold_cli`` and ``ladder_ops`` are stopped by their
-argument checks.
+``code_lines`` reads a small package written here, and ``cold_cli``,
+``ladder_ops`` and ``noise_ops`` are stopped by their argument checks.  One
+short ``noise_ops`` run compares this checkout with itself in two worker
+processes.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -179,3 +182,51 @@ def test_ladder_ops_runs_the_benchmark_ladders():
     assert len(names) == len(set(names)) == 12
     assert names[:2] == ["gaussian_bt0.1_frequency_first", "gaussian_bt0.1_time_first"]
     assert names[-2:] == ["rectangular_bt0.8", "rectangular_bt4"]
+
+
+def package_tree(path: Path) -> Path:
+    """A directory that holds an empty ``src/tffilter`` package."""
+    (path / "src" / "tffilter").mkdir(parents=True)
+    (path / "src" / "tffilter" / "__init__.py").write_text("", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("passes", ["0", "-3"])
+def test_noise_ops_refuses_fewer_than_one_pass(passes, tmp_path, capsys, monkeypatch):
+    noise_ops = load_tool("noise_ops")
+    monkeypatch.setattr(noise_ops, "start_worker", lambda tree: pytest.fail("a worker was started"))
+    tree = package_tree(tmp_path / "tree")
+    with pytest.raises(SystemExit) as exc:
+        noise_ops.main([str(tree), str(tree), "--passes", passes])
+    assert exc.value.code == 2
+    assert "--passes must be >= 1" in capsys.readouterr().err
+
+
+def test_noise_ops_refuses_a_tree_without_the_package(tmp_path, capsys, monkeypatch):
+    noise_ops = load_tool("noise_ops")
+    monkeypatch.setattr(noise_ops, "start_worker", lambda tree: pytest.fail("a worker was started"))
+    good = package_tree(tmp_path / "good")
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for base, changed in ((bare, good), (good, bare)):
+        with pytest.raises(SystemExit) as exc:
+            noise_ops.main([str(base), str(changed)])
+        assert exc.value.code == 2
+        assert "holds no src/tffilter" in capsys.readouterr().err
+
+
+def test_noise_ops_compares_a_checkout_with_itself():
+    # the benchmark's three noise ops, one pass per side: equal reports, exit 0
+    noise_ops = load_tool("noise_ops")
+    assert noise_ops.OPS == ("ensemble_gaussian", "ensemble_rectangular", "correlation_gaussian")
+    checkout = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "noise_ops.py"), str(checkout), str(checkout), "--passes", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "median of 1 passes per op, in ms (seed 1)"
+    assert [line.split()[0] for line in lines[2:5]] == list(noise_ops.OPS)
+    assert lines[5].startswith("peak RSS of each worker: base ")
+    assert [line.split()[-1] for line in lines[7:10]] == ["same"] * 3
