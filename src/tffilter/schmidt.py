@@ -11,11 +11,13 @@ every size, so a ladder does not depend on the pool size, and with a LAPACK
 failure raised as ``ConvergenceError``.
 
 :func:`decompose_filter` raises the resolution of a Sif's grids until every
-kept singular value stabilizes: it starts at N = 64 samples per axis and
-raises N in half-octave steps, round(64 * 2**(k/2)) = 64, 91, 128, 181, 256,
-362, ..., up to ``max_resolution``.  A typical ladder settles on its second
+kept singular value stabilizes: N samples per axis climbs the half-octave
+levels round(64 * 2**(k/2)) = 64, 91, 128, 181, 256, 362, ..., up to
+``max_resolution``, from the largest level within 0.4 of the Shannon number
+2 t_h w_h / pi of the axes' support box (64 at least), and the first level
+is factored for its values only.  A typical ladder settles on its second
 level, (64, 91): Gaussian BT up to 0.5 and the brick wall at BT 0.8 and 4.
-Gaussian BT 2 takes (64, 91, 128), BT 5 stops at 256 and BT 10 at 362.
+Gaussian BT 2 takes (64, 91, 128), BT 5 (128, 181, 256) and BT 10 (256, 362).
 Every Sif is discretized in its mixed time x frequency representation, on the
 axes :func:`~tffilter.core.recommended_axes` picks for each profile.  When the
 window and the gate are both even (every profile that ships), each grid is
@@ -172,6 +174,12 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.linalg.svd(a, full_matrices=False)
 
 
+def _svd_values(a: np.ndarray) -> np.ndarray:
+    """The singular values alone of :func:`_svd`'s grid, descending."""
+    with _lapack("Schmidt SVD"):
+        return np.linalg.svd(a, compute_uv=False)
+
+
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, s, vh) of a symmetric ``a`` from NumPy's ``eigh`` of its symmetric part.
 
@@ -183,6 +191,12 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with _lapack("Schmidt eigensolve"):
         lam, v = np.linalg.eigh(0.5 * (a + a.T))
     return v * np.where(lam < 0, -1.0, 1.0), np.abs(lam), v.T
+
+
+def _eigh_values(a: np.ndarray) -> np.ndarray:
+    """The s of :func:`_eigh` alone, from ``eigvalsh``; unsorted, as there."""
+    with _lapack("Schmidt eigensolve"):
+        return np.abs(np.linalg.eigvalsh(0.5 * (a + a.T)))
 
 
 def _result(
@@ -207,16 +221,19 @@ def _result(
 
 
 # A factored grid level: (all singular values, descending; edge-ring ratio;
-# n -> (u, vh, parities) of the n leading weighted pairs on the full axes;
-# the factorization, "eigh" or "svd").
-_Level = tuple[np.ndarray, float, Callable[[int], tuple], str]
+# n -> (u, vh, parities) of the n leading weighted pairs on the full axes, or
+# None for a level factored for its values only; the factorization, "eigh" or
+# "svd").
+_Level = tuple[np.ndarray, float, Callable[[int], tuple] | None, str]
 
 
-def _factor_full(spec: Sif, rows: Axis, cols: Axis) -> _Level:
-    """One SVD of the whole weighted matrix."""
+def _factor_full(spec: Sif, rows: Axis, cols: Axis, vectors: bool) -> _Level:
+    """One SVD of the whole weighted matrix, with its singular vectors only if ``vectors``."""
     from .core import build_operator  # local import keeps module load order simple
 
     op = build_operator(spec, rows, cols)
+    if not vectors:
+        return _svd_values(op.entries), op.edge_ring_ratio, None, "svd"
     u, sv, vh = _svd(op.entries)
     return sv, op.edge_ring_ratio, lambda n: (u[:, :n], vh[:n], None), "svd"
 
@@ -248,17 +265,24 @@ def _unfold(half: np.ndarray, count: int, parity: int) -> np.ndarray:
 _SYMMETRY_TOL = 64 * float(np.finfo(float).eps)
 
 
-def _factor_split(spec: Sif, rows: Axis, cols: Axis) -> _Level:
+def _factor_split(spec: Sif, rows: Axis, cols: Axis, vectors: bool) -> _Level:
     """Two real half-size factorizations of the parity blocks; full vectors only for kept pairs.
 
     The blocks are square, as both axes of a level have its N samples.  When
     both are symmetric to within the rounding of their assembly, as a
     self-dual Sif's are, they are factored by :func:`_eigh`, otherwise by
-    :func:`_svd`.
+    :func:`_svd`; without ``vectors``, by :func:`_eigh_values` or
+    :func:`_svd_values`.  Only the vectors outlive the call, not the blocks.
     """
     blocks = parity_blocks(spec, rows, cols)
     tol = _SYMMETRY_TOL * (1.0 + np.abs(rows.points).max() * np.abs(cols.points).max())
     symmetric = all(np.abs(b - b.T).max() <= tol * np.abs(b).max() for b in (blocks.even, blocks.odd))
+    route = "eigh" if symmetric else "svd"
+    ring, phase = blocks.edge_ring_ratio, blocks.odd_phase
+    if not vectors:
+        values = _eigh_values if symmetric else _svd_values
+        sv = np.concatenate([values(blocks.even), values(blocks.odd)])
+        return sv[np.argsort(-sv, kind="stable")], ring, None, route
     factor = _eigh if symmetric else _svd
     ue, se, vhe = factor(blocks.even)
     uo, so, vho = factor(blocks.odd)
@@ -269,22 +293,50 @@ def _factor_split(spec: Sif, rows: Axis, cols: Axis) -> _Level:
         pick = order[:n]
         odd = pick >= len(se)
         ie, io = pick[~odd], pick[odd] - len(se)
-        u = np.empty((rows.count, n), dtype=np.result_type(ue, uo, blocks.odd_phase))
+        u = np.empty((rows.count, n), dtype=np.result_type(ue, uo, phase))
         vh = np.empty((n, cols.count), dtype=np.result_type(vhe, vho))
         u[:, ~odd] = _unfold(ue[:, ie].T, rows.count, 1).T
-        u[:, odd] = blocks.odd_phase * _unfold(uo[:, io].T, rows.count, -1).T
+        u[:, odd] = phase * _unfold(uo[:, io].T, rows.count, -1).T
         vh[~odd] = _unfold(vhe[ie], cols.count, 1)
         vh[odd] = _unfold(vho[io], cols.count, -1)
         return u, vh, tuple(np.where(odd, -1, 1).tolist())
 
-    return sv[order], blocks.edge_ring_ratio, modes, "eigh" if symmetric else "svd"
+    return sv[order], ring, modes, route
 
 
 # Grid levels N = round(64 * 2**(k/2)) samples per axis, k = 0, 1, 2, ...; a
 # kept singular value has settled once it moves by less than _TOLERANCE * s_0
-# between two levels.
+# between two levels.  A ladder starts at the largest level within
+# _START_FRACTION of the Shannon number of its axes (see _start_level).
 _FIRST_LEVEL = 64
 _TOLERANCE = 1e-8
+_START_FRACTION = 0.4
+
+
+def _level(k: int) -> int:
+    """Samples per axis of grid level k: round(64 * 2**(k/2))."""
+    return round(_FIRST_LEVEL * 2 ** (k / 2))
+
+
+def _start_level(spec: Sif, max_resolution: int) -> int:
+    """The level k a ladder starts at.
+
+    The Shannon number N_s = 2 t_h w_h / pi of the support box that
+    :func:`~tffilter.core.recommended_axes` samples, t_h and w_h the
+    ``support(1e-13)`` radii of the gate and the window (the 2WT count of
+    Landau and Pollak), is about how many samples a level needs.  The start
+    is the largest level of at most _START_FRACTION * N_s samples, the first
+    level (64) at least, and low enough that the next level fits under
+    ``max_resolution``.  No ladder of the shipped families, nor of their
+    mixed pairs, has stopped below 0.44 N_s, so starting there skips only
+    levels that could not have been the last.
+    """
+    box = float(spec.temporal.support(1e-13)) * float(spec.spectral.support(1e-13))
+    limit = _START_FRACTION * 2.0 * box / np.pi
+    k = 0
+    while _level(k + 1) <= limit and _level(k + 2) <= max_resolution:
+        k += 1
+    return k
 
 
 def decompose_filter(
@@ -296,13 +348,18 @@ def decompose_filter(
 
     Grids from :func:`tffilter.core.recommended_axes` take N = round(64 *
     2**(k/2)) samples per axis at level k = 0, 1, 2, ...: 64, 91, 128, 181,
-    256, 362, ..., 4096, so every power of two stays a level.  Levels are tried
-    up to ``max_resolution`` until every singular value that ``keep`` retains
-    moves by less than 1e-8 times s_0 against the previous level; that grid's
-    pairs are returned with a :class:`GridReport`, whose ``resolutions`` are
-    the levels taken: (64, 91) for Gaussian BT up to 0.5 and the brick wall at
-    BT 0.8 and 4, (64, 91, 128) for Gaussian BT 2, up to 256 for BT 5 and up
-    to 362 for BT 10.  One level alone never converges.  ``keep`` is as in
+    256, 362, ..., 4096, so every power of two stays a level.  The first level
+    tried is the largest within 0.4 of the Shannon number N_s = 2 t_h w_h / pi
+    of the axes, t_h and w_h the gate's and the window's ``support(1e-13)``
+    radii, but 64 at least, and low enough that the next level fits under
+    ``max_resolution``.  Levels are tried up to ``max_resolution`` until every
+    singular value that ``keep`` retains moves by less than 1e-8 times s_0
+    against the previous level; that grid's pairs are returned with a
+    :class:`GridReport`, whose ``resolutions`` are the levels taken: (64, 91)
+    for Gaussian BT up to 0.5 and the brick wall at BT 0.8 and 4, (64, 91,
+    128) for Gaussian BT 2, (128, 181, 256) for BT 5 and (256, 362) for BT
+    10.  One level alone never converges, so the first is factored for its
+    values only; every later one with its vectors.  ``keep`` is as in
     :func:`schmidt_decompose`: an int count, or None for every s_n >= 1e-6 s_0.
     ``max_resolution`` must be an integer (TypeError) of at least 64, and not
     between the first two levels, 64 and 91 (ValueError).  Both arguments are
@@ -323,7 +380,7 @@ def decompose_filter(
     max_resolution = int(max_resolution)
     if max_resolution < _FIRST_LEVEL:
         raise ValueError(f"max_resolution must be >= {_FIRST_LEVEL} samples per axis, got {max_resolution}")
-    second = round(_FIRST_LEVEL * 2 ** (1 / 2))
+    second = _level(1)
     if _FIRST_LEVEL < max_resolution < second:
         raise ValueError(
             f"max_resolution {max_resolution} lies between the first two levels, "
@@ -333,10 +390,11 @@ def decompose_filter(
     resolutions: list[int] = []
     routes: list[str] = []
     prev: np.ndarray | None = None
-    res = _FIRST_LEVEL
-    while res <= max_resolution:
+    k = _start_level(spec, max_resolution)
+    while (res := _level(k)) <= max_resolution:
         rows, cols = recommended_axes(spec, res)
-        sv, ring, modes, route = factor(spec, rows, cols)
+        # one level alone never converges, so the first is factored for its values only
+        sv, ring, modes, route = factor(spec, rows, cols, prev is not None)
         resolutions.append(res)
         routes.append(route)
         if prev is not None:
@@ -352,8 +410,8 @@ def decompose_filter(
                     tuple(resolutions), leading, _TOLERANCE, rows, cols, ladder, ring, tuple(routes)
                 )
                 return _result(rows, cols, sv, n_keep, report, *modes(n_keep))
-        prev = sv
-        res = round(_FIRST_LEVEL * 2 ** (len(resolutions) / 2))
+        prev, modes = sv, None  # only the values are kept while the next level is factored
+        k += 1
     raise ConvergenceError(
         f"kept singular values did not stabilize to {_TOLERANCE:g} below resolution {max_resolution}"
     )

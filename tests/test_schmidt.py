@@ -409,9 +409,10 @@ def test_split_runs_only_real_half_size_svds(make, monkeypatch):
     # no complex LAPACK factorization and no full N x N one: each grid level
     # factors exactly two real blocks, the even one ((N+1)//2 square, with the
     # centre sample of an odd N such as 91) and the odd one (N//2 square).
-    # Both families are self-dual, so every block goes to the eigensolver.
+    # Both families are self-dual, so every block goes to the eigensolver,
+    # the first level's for its values only.
     calls = []
-    for name in ("_svd", "_eigh"):
+    for name in ("_svd", "_eigh", "_svd_values", "_eigh_values"):
 
         def recording(a, name=name, factor=getattr(tffilter.schmidt, name)):
             calls.append((name, a.shape, a.dtype))
@@ -424,8 +425,8 @@ def test_split_runs_only_real_half_size_svds(make, monkeypatch):
     assert 91 in levels
     assert res.grid_report.factorizations == ("eigh",) * len(levels)
     assert calls == [
-        ("_eigh", shape, real)
-        for n in levels
+        ("_eigh" if k else "_eigh_values", shape, real)
+        for k, n in enumerate(levels)
         for shape in (((n + 1) // 2, (n + 1) // 2), (n // 2, n // 2))
     ]
 
@@ -449,7 +450,7 @@ def test_self_dual_blocks_take_the_eigensolver(bt, make, order, resolution):
     # per axis, 6.7e-14 at the most
     spec = make(bt, 1.0, order)
     rows, cols = recommended_axes(spec, resolution)
-    sv, _, _, route = tffilter.schmidt._factor_split(spec, rows, cols)
+    sv, _, _, route = tffilter.schmidt._factor_split(spec, rows, cols, True)
     assert route == "eigh"
     blocks = parity_blocks(spec, rows, cols)
     svd = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in (blocks.even, blocks.odd)])
@@ -512,7 +513,7 @@ def test_odd_axes_rebuild_modes_with_the_centre_sample(make):
     # the same grid
     spec = make(2.0, 1.0)
     rows, cols = recommended_axes(spec, 257)
-    sv, _, modes, _ = tffilter.schmidt._factor_split(spec, rows, cols)
+    sv, _, modes, _ = tffilter.schmidt._factor_split(spec, rows, cols, True)
     u, vh, parities = modes(8)
     op = build_operator(spec, rows, cols)
     full = schmidt_decompose(op, keep=8)
@@ -526,8 +527,8 @@ def test_odd_axes_rebuild_modes_with_the_centre_sample(make):
 @pytest.mark.parametrize("order", list(StageOrder), ids=lambda o: o.name.lower())
 def test_odd_resolution_converges_to_the_same_ladder(order):
     # the half-octave levels 91 and 181 are odd axes, whose centre sample the
-    # even parity block carries at half weight
-    for bt, levels in ((0.5, (64, 91)), (3.0, (64, 91, 128, 181))):
+    # even parity block carries at half weight; BT 3 starts on one
+    for bt, levels in ((0.5, (64, 91)), (3.0, (91, 128, 181))):
         res = decompose_filter(gaussian_sif(bt, 1.0, order), keep=10)
         assert res.grid_report.resolutions == levels
         assert res.grid_report.final_rows.count == res.grid_report.final_cols.count == levels[-1]
@@ -623,14 +624,15 @@ def test_mixed_families_decompose(b, t):
     assert np.max(np.abs(gauss_window - ladders[True, StageOrder.FREQUENCY_FIRST])) <= 1e-12
 
 
-# Every ladder from the default first level N=64, with the grids it takes: a
-# change that quietly adds a level fails here.  The shifted gate is not even,
-# so it covers the full complex factorization.
+# Every ladder from its start level, with the grids it takes: a change that
+# quietly adds a level fails here.  Gaussian BT 5 and 10 start at 0.4 of their
+# Shannon numbers, 152 and 305 samples.  The shifted gate is not even, so it
+# covers the full complex factorization.
 DEFAULT_START_CASES = [
     *(("gaussian", bt, 10, (64, 91)) for bt in (0.01, 0.05, 0.5)),
     ("gaussian", 2.0, 10, (64, 91, 128)),
-    ("gaussian", 5.0, 10, (64, 91, 128, 181, 256)),
-    ("gaussian", 10.0, 10, (64, 91, 128, 181, 256, 362)),
+    ("gaussian", 5.0, 10, (128, 181, 256)),
+    ("gaussian", 10.0, 10, (256, 362)),
     *(("rectangular", bt, None, (64, 91)) for bt in (0.8, 4.0)),
     ("shifted-gaussian", 0.5, 10, (64, 91)),
 ]
@@ -657,6 +659,7 @@ def test_default_start_settles_on_pinned_grids(family, bt, keep, grids, order):
     assert (res.parities is None) == (family == "shifted-gaussian")
     route = "svd" if family == "shifted-gaussian" else "eigh"
     assert res.grid_report.factorizations == (route,) * len(grids)
+    assert grids[0] == _predicted_start(spec, 4096)
     if family == "rectangular":
         sol = _prolate(spec, res.kept)
         k = min(res.kept, sol.resolvable_count)
@@ -672,9 +675,19 @@ def test_default_start_settles_on_pinned_grids(family, bt, keep, grids, order):
 DEFAULT_LEVELS = (64, 91, 128, 181, 256, 362, 512, 724, 1024, 1448, 2048, 2896, 4096)
 
 
-def _assert_default_levels(rep):
+def _predicted_start(spec, max_resolution):
+    """The largest level within 0.4 of the Shannon number 2 t_h w_h / pi of the
+    axes' 1e-13 supports, 64 at least, with the next level under max_resolution."""
+    shannon = 2.0 * spec.temporal.support(1e-13) * spec.spectral.support(1e-13) / np.pi
+    fits = [n for n, m in zip(DEFAULT_LEVELS, DEFAULT_LEVELS[1:]) if n <= 0.4 * shannon and m <= max_resolution]
+    return max([64, *fits])
+
+
+def _assert_default_levels(rep, spec):
+    # consecutive levels from the predicted start
     n = len(rep.resolutions)
-    assert n >= 2 and rep.resolutions == DEFAULT_LEVELS[:n]
+    first = DEFAULT_LEVELS.index(_predicted_start(spec, 4096))
+    assert n >= 2 and rep.resolutions == DEFAULT_LEVELS[first:first + n]
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -685,8 +698,9 @@ def _assert_default_levels(rep):
 def test_half_octave_levels_do_not_stop_early_gaussian(bt, order):
     # closer levels make a smaller drift between them; the ladder they stop
     # on must still be Mehler's, with every value kept
-    res = decompose_filter(gaussian_sif(bt, 1.0, order), keep=10)
-    _assert_default_levels(res.grid_report)
+    spec = gaussian_sif(bt, 1.0, order)
+    res = decompose_filter(spec, keep=10)
+    _assert_default_levels(res.grid_report, spec)
     assert np.max(np.abs(res.singular_values - gaussian_singular_values(bt, 10))) <= 1e-12
     assert abs(res.total_power - bt) / bt <= 1e-13
 
@@ -696,11 +710,149 @@ def test_half_octave_levels_do_not_stop_early_gaussian(bt, order):
 def test_half_octave_levels_do_not_stop_early_rectangular(bt, order):
     spec = rectangular_sif(bt, 1.0, order)
     res = decompose_filter(spec, keep=None)
-    _assert_default_levels(res.grid_report)
+    _assert_default_levels(res.grid_report, spec)
     sol = _prolate(spec, res.kept)
     k = min(res.kept, sol.resolvable_count)
     assert np.max(np.abs(res.singular_values[:k] - np.sqrt(sol.eigenvalues[:k]))) <= 1e-12
     assert abs(res.total_power - bt) / bt <= 1e-13
+
+
+# Sifs whose ladders the start rule may shorten: both families, the two mixed
+# pairs (their blocks take the SVD) and the shifted gate (one complex SVD of
+# the whole matrix per level), with the keep and max_resolution they run at
+START_RULE_CASES = [
+    *(("gaussian", bt, 10, 4096) for bt in (0.5, 2.0, 3.0, 5.0, 10.0, 20.0)),
+    *(("rectangular", bt, None, 1024) for bt in (0.8, 4.0, 30.0)),
+    *(("gaussian-window", bt, 10, 4096) for bt in (2.0, 10.0)),
+    *(("rectangular-window", bt, 10, 4096) for bt in (2.0, 10.0)),
+    ("shifted-gaussian", 0.5, 10, 4096),
+    ("shifted-gaussian", 5.0, 10, 1024),
+]
+
+
+def _start_rule_spec(family, bt, order):
+    if family == "gaussian-window":
+        return Sif(GaussianProfile(bt, Domain.ANGULAR_FREQUENCY), RectangularProfile(1.0, Domain.TIME), order)
+    if family == "rectangular-window":
+        return Sif(RectangularProfile(bt, Domain.ANGULAR_FREQUENCY), GaussianProfile(1.0, Domain.TIME), order)
+    return _default_start_spec(family, bt, order)
+
+
+def _decompose_recording_warnings(spec, keep, max_resolution):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = decompose_filter(spec, keep=keep, max_resolution=max_resolution)
+    return res, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("order", list(StageOrder), ids=lambda o: o.name.lower())
+@pytest.mark.parametrize(
+    "family, bt, keep, max_resolution",
+    START_RULE_CASES,
+    ids=[f"{family}-bt{bt:g}" for family, bt, _, _ in START_RULE_CASES],
+)
+def test_start_rule_keeps_the_ladder_of_a_start_at_64(family, bt, keep, max_resolution, order, monkeypatch):
+    # starting at a level below the last two only drops levels that were
+    # compared and left behind: the last two levels, and all they return, keep
+    # their bits.  The drift against the level before the last may move by a
+    # few eps, as that level can now come from a values-only factorization
+    spec = _start_rule_spec(family, bt, order)
+    res, caught = _decompose_recording_warnings(spec, keep, max_resolution)
+    monkeypatch.setattr(tffilter.schmidt, "_START_FRACTION", 0.0)
+    ref, ref_caught = _decompose_recording_warnings(spec, keep, max_resolution)
+    rep, ref_rep = res.grid_report, ref.grid_report
+    assert ref_rep.resolutions[0] == 64
+    assert len(rep.resolutions) >= 2 and rep.resolutions == ref_rep.resolutions[-len(rep.resolutions):]
+    assert rep.resolutions[0] == _predicted_start(spec, max_resolution)
+    assert rep.factorizations == ref_rep.factorizations[-len(rep.resolutions):]
+    assert caught == ref_caught
+    assert np.array_equal(res.singular_values, ref.singular_values)
+    assert res.total_power == ref.total_power
+    assert rep.edge_ring_ratio == ref_rep.edge_ring_ratio
+    assert res.parities == ref.parities
+    assert rep.final_rows == ref_rep.final_rows and rep.final_cols == ref_rep.final_cols
+    for got, want in zip(res.input_modes + res.output_modes, ref.input_modes + ref.output_modes):
+        assert np.array_equal(got.values, want.values)
+    drift = rep.resolutions[-2] * np.finfo(float).eps
+    assert abs(rep.leading_rel_change - ref_rep.leading_rel_change) <= drift
+    assert abs(rep.ladder_rel_change - ref_rep.ladder_rel_change) <= drift
+
+
+@pytest.mark.parametrize(
+    "family, bt, keep",
+    [("gaussian", 10.0, 10), ("gaussian-window", 2.0, 10), ("shifted-gaussian", 5.0, 10)],
+    ids=["eigh-split", "svd-split", "svd-full"],
+)
+def test_only_the_first_level_is_factored_for_values_alone(family, bt, keep, monkeypatch):
+    # one level alone never converges, so the first one's vectors could never
+    # be returned: it is factored for its values only, and every later level
+    # with its vectors.  The values-only routes agree with the vector routes
+    # to a few eps s_0, as the eigensolver and the SVD do
+    spec = _start_rule_spec(family, bt, StageOrder.FREQUENCY_FIRST)
+    levels, calls = [], []
+    axes = tffilter.schmidt.recommended_axes
+
+    def recording_axes(spec, resolution):
+        levels.append(resolution)
+        return axes(spec, resolution)
+
+    monkeypatch.setattr(tffilter.schmidt, "recommended_axes", recording_axes)
+    for name in ("_svd", "_eigh", "_svd_values", "_eigh_values"):
+
+        def recording(a, name=name, factor=getattr(tffilter.schmidt, name)):
+            calls.append((name, len(levels)))
+            return factor(a)
+
+        monkeypatch.setattr(tffilter.schmidt, name, recording)
+    rep = decompose_filter(spec, keep=keep, max_resolution=1024).grid_report
+    assert tuple(levels) == rep.resolutions and len(levels) >= 2
+    route = rep.factorizations[0]
+    per_level = 1 if family == "shifted-gaussian" else 2
+    assert calls == [
+        (f"_{route}" if k else f"_{route}_values", k + 1) for k in range(len(levels)) for _ in range(per_level)
+    ]
+    factor = tffilter.schmidt._factor_full if family == "shifted-gaussian" else tffilter.schmidt._factor_split
+    rows, cols = axes(spec, levels[0])
+    values, _, none, _ = factor(spec, rows, cols, False)
+    assert none is None
+    sv = factor(spec, rows, cols, True)[0]
+    assert np.max(np.abs(values - sv)) <= levels[0] * np.finfo(float).eps * sv[0]
+
+
+@pytest.mark.parametrize(
+    "max_resolution, levels",
+    [(64, (64,)), (91, (64, 91)), (300, (181, 256)), (362, (256, 362))],
+    ids=["first-level-only", "first-two-levels", "below-the-start", "at-the-second-level"],
+)
+def test_max_resolution_below_the_start_clamps_to_two_levels(max_resolution, levels, monkeypatch):
+    # Gaussian BT 10 would start at 256 and stop at 362.  A lower limit moves
+    # the start down so that two levels still fit, and fails as a start at 64
+    # does: with the same ConvergenceError, after the same last two levels
+    spec = gaussian_sif(10.0, 1.0)
+    seen = []
+    axes = tffilter.schmidt.recommended_axes
+
+    def recording_axes(spec, resolution):
+        seen.append(resolution)
+        return axes(spec, resolution)
+
+    monkeypatch.setattr(tffilter.schmidt, "recommended_axes", recording_axes)
+    outcomes = []
+    for fraction in (tffilter.schmidt._START_FRACTION, 0.0):
+        monkeypatch.setattr(tffilter.schmidt, "_START_FRACTION", fraction)
+        seen.clear()
+        try:
+            res = decompose_filter(spec, keep=10, max_resolution=max_resolution)
+        except ConvergenceError as err:
+            outcomes.append((tuple(seen), str(err)))
+        else:
+            outcomes.append((tuple(seen), res.singular_values.tobytes()))
+    (start_levels, got), (full_levels, want) = outcomes
+    assert start_levels == levels
+    assert full_levels[-len(levels):] == levels and full_levels[0] == 64
+    assert got == want
+    if max_resolution < 362:
+        assert got == f"kept singular values did not stabilize to 1e-08 below resolution {max_resolution}"
 
 
 def _refuse_grids(monkeypatch):

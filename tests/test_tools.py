@@ -1,9 +1,10 @@
 """The measuring scripts under ``tools/``: line counts and the three tree comparisons.
 
 ``code_lines`` reads a small package written here, and ``cold_cli``,
-``ladder_ops`` and ``noise_ops`` are stopped by their argument checks.  One
-short ``noise_ops`` run compares this checkout with itself in two worker
-processes.
+``ladder_ops`` and ``noise_ops`` are stopped by their argument checks.
+``ladder_ops`` compares the grid levels of fake workers' ladders.  One short
+``ladder_ops`` run and one short ``noise_ops`` run each compare this checkout
+with itself in two worker processes.
 """
 
 import importlib.util
@@ -230,3 +231,67 @@ def test_noise_ops_compares_a_checkout_with_itself():
     assert [line.split()[0] for line in lines[2:5]] == list(noise_ops.OPS)
     assert lines[5].startswith("peak RSS of each worker: base ")
     assert [line.split()[-1] for line in lines[7:10]] == ["same"] * 3
+
+
+class FakeWorker:
+    """Stands in for a ladder_ops worker process: every op takes 1 ms, and
+    every op's ladder is [1.0, 0.5] on ``levels``."""
+
+    def __init__(self, levels):
+        self.levels = levels
+        self.stdin = self
+
+    def close(self):
+        pass
+
+    def wait(self, timeout=None):
+        return 0
+
+
+@pytest.mark.parametrize(
+    "base_levels, changed_levels, code",
+    [
+        ([64, 91], [64, 91], 0),
+        ([64, 91, 128], [91, 128], 0),
+        ([64, 91], [91, 128], 1),
+        ([64, 91], [64, 91, 128], 1),
+    ],
+    ids=["same", "shorter-same-last-two", "other-last-two", "one-level-finer"],
+)
+def test_ladder_ops_fails_on_other_last_two_levels(
+    base_levels, changed_levels, code, tmp_path, capsys, monkeypatch
+):
+    # equal digests are not enough: a tree whose ladders stop on other grids exits 1
+    ladder_ops = load_tool("ladder_ops")
+    levels = {"base": base_levels, "changed": changed_levels}
+    trees = {package_tree(tmp_path / side): side for side in levels}
+    monkeypatch.setattr(ladder_ops, "start_worker", lambda tree: FakeWorker(levels[trees[tree]]))
+
+    def ask(worker, request):
+        if request.get("values"):
+            return [[[1.0, 0.5]] * len(ladder_ops.OPS), [worker.levels] * len(ladder_ops.OPS)]
+        return [1e-3] * len(request["order"])
+
+    monkeypatch.setattr(ladder_ops, "ask", ask)
+    assert ladder_ops.main([str(tmp_path / "base"), str(tmp_path / "changed"), "--passes", "2"]) == code
+    out = capsys.readouterr().out
+    assert out.count("same last two" if code == 0 else "DIFFERENT") == len(ladder_ops.OPS)
+    assert f"changed {tuple(changed_levels)}" in out
+
+
+def test_ladder_ops_compares_a_checkout_with_itself():
+    # the benchmark's 12 ladders, one pass per side: equal levels and digests, exit 0
+    ladder_ops = load_tool("ladder_ops")
+    checkout = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "ladder_ops.py"), str(checkout), str(checkout), "--passes", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    ops = len(ladder_ops.OPS)
+    assert lines[2 + ops + 1] == "grid levels of each op:"
+    levels = lines[2 + ops + 2: 2 + 2 * ops + 2]
+    assert [line.split()[0] for line in levels] == [name for name, *_ in ladder_ops.OPS]
+    assert all(line.endswith("same last two") for line in levels)
+    assert lines[-1] == "largest |difference| of a singular value: 0"

@@ -12,9 +12,11 @@ worker first.
 
 The script prints every op's median time on each side, how many passes were
 faster on the changed tree, the sum of the medians (one pass of median ops),
-and then a sha256 of every op's singular values on each side with the largest
-difference between them.  Only the standard library is used here; the
-workers need the trees' own NumPy.
+every op's grid levels (``GridReport.resolutions``) on each side, and then a
+sha256 of every op's singular values on each side with the largest difference
+between them.  It exits 1 if the digests, or any op's last two levels,
+differ.  Only the standard library is used here; the workers need the trees'
+own NumPy.
 
 Run from anywhere, with two checkouts (each holding ``src/tffilter``):
 
@@ -48,7 +50,8 @@ OPS = [
 
 def worker() -> None:
     """Answer one JSON request per stdin line: ``{"cpu": c, "order": [...]}``
-    times those ops on CPU c; ``{"values": true}`` returns every op's ladder."""
+    times those ops on CPU c; ``{"values": true}`` returns every op's ladder
+    and grid levels."""
     import time
 
     import tffilter as tf
@@ -62,7 +65,11 @@ def worker() -> None:
     for line in sys.stdin:
         request = json.loads(line)
         if request.get("values"):
-            reply = [[float(s) for s in run(i).singular_values] for i in range(len(OPS))]
+            results = [run(i) for i in range(len(OPS))]
+            reply = [
+                [[float(s) for s in r.singular_values] for r in results],
+                [list(r.grid_report.resolutions) for r in results],
+            ]
         else:
             os.sched_setaffinity(0, {request["cpu"]})
             reply = []
@@ -132,7 +139,9 @@ def main(argv: list[str] | None = None) -> int:
                 seconds = ask(workers[side], {"cpu": cpus[k % len(cpus)], "order": order})
                 for index, s in zip(order, seconds):
                     times[side][index].append(s)
-        ladders = {side: ask(proc, {"values": True}) for side, proc in workers.items()}
+        ladders, levels = {}, {}
+        for side, proc in workers.items():
+            ladders[side], levels[side] = ask(proc, {"values": True})
     finally:
         for proc in workers.values():
             proc.stdin.close()
@@ -154,10 +163,17 @@ def main(argv: list[str] | None = None) -> int:
               f"{med['changed'] / med['base'] - 1:+8.1%} {lower:>3}/{args.passes}")
     print(f"{'sum':<31} {1e3 * totals['base']:8.3f} {1e3 * totals['changed']:8.3f} "
           f"{totals['changed'] / totals['base'] - 1:+8.1%}")
+    print("grid levels of each op:")
+    same_levels = True
+    for index, (name, *_) in enumerate(OPS):
+        base, changed = levels["base"][index], levels["changed"][index]
+        same = base[-2:] == changed[-2:]
+        same_levels &= same
+        print(f"  {name:<31} base {tuple(base)}  changed {tuple(changed)}  {'same last two' if same else 'DIFFERENT'}")
     print(f"sha256 of the singular values: base {digest(ladders['base'])}")
     print(f"                               changed {digest(ladders['changed'])}")
     print(f"largest |difference| of a singular value: {max_difference(ladders['base'], ladders['changed']):.3g}")
-    return 0
+    return 0 if same_levels and digest(ladders["base"]) == digest(ladders["changed"]) else 1
 
 
 if __name__ == "__main__":
