@@ -202,8 +202,9 @@ def sample_white_noise(
 
     Per-sample variance N_y / dt (split evenly between quadratures), so the
     discrete autocorrelation approaches N_y * delta(t - t') as dt -> 0 and
-    the expected energy on the grid is N_y * span / dt * dt = N_y * count * dt
-    ... i.e. N_y per unit bandwidth across the grid's full Nyquist band.
+    the expected energy on the grid, sum |x_k|^2 dt, is count * (N_y / dt) * dt
+    = N_y * count: N_y per mode, for the count modes of the grid's Nyquist
+    band.
     """
     if axis.domain is not Domain.TIME:
         raise DomainMismatchError("white noise is sampled on a time axis")
