@@ -418,5 +418,10 @@ def decompose_filter(
 
 
 def project_onto_input_mode(result: SchmidtResult, n: int, signal: SampledSignal) -> complex:
-    """Coefficient <phi_n, signal>; transmitted amplitude in pair n is s_n times this."""
+    """Coefficient <phi_n, signal>; transmitted amplitude in pair n is s_n times this.
+
+    An n outside 0 .. len(result.input_modes) - 1 raises ``ValueError``.
+    """
+    if not (0 <= n < len(result.input_modes)):
+        raise ValueError("mode index out of range")
     return inner_product(result.input_modes[n], signal)

@@ -178,6 +178,8 @@ class PswfSolution:
     ``resolvable_count`` reports how many leading eigenvalues sit above the
     1e-14 floor where the eigensolver output is meaningful; entries beyond it
     are kept for shape but are numerical noise.
+
+    A mode index n outside 0 .. n_modes - 1 raises ``ValueError``.
     """
 
     def __init__(self, c: float, eigenvalues: np.ndarray, legendre_coeffs: np.ndarray) -> None:
@@ -207,8 +209,13 @@ class PswfSolution:
     def n_modes(self) -> int:
         return len(self.eigenvalues)
 
+    def _check_mode(self, n: int) -> None:
+        if not (0 <= n < self.n_modes):
+            raise ValueError("mode index out of range")
+
     def evaluate(self, n: int, x: np.ndarray) -> np.ndarray:
         """Interval-normalized mode n at arbitrary real points."""
+        self._check_mode(n)
         pts = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty(pts.shape)
         inside = np.abs(pts) <= 1.0
@@ -228,6 +235,7 @@ class PswfSolution:
 
     def finite_transform(self, n: int, xi: np.ndarray) -> np.ndarray:
         """g_n(xi) = integral_{-1}^{1} exp(i c xi x) phi_n(x) dx."""
+        self._check_mode(n)
         pts = np.atleast_1d(np.asarray(xi, dtype=float))
         qx, qw, qs = self._quadrature
         kern = np.exp(1j * self.c * np.outer(pts, qx))
@@ -237,6 +245,7 @@ class PswfSolution:
     def log_slope(self, n: int) -> float:
         """d beta_n / d ln c = 2 beta_n phi_n(1)^2 for the interval-normalized mode,
         read off the Legendre coefficients (see ``_log_slopes``)."""
+        self._check_mode(n)
         return float(_log_slopes(self.eigenvalues[n], self._coeffs[n]))
 
 
@@ -633,10 +642,10 @@ def slepian_filter_modes(sol: PswfSolution, n: int) -> tuple[SampledSignal, Samp
     unit norm on the gate window; the singular value is sqrt(beta_n).  Both
     are sampled on 2049 uniform points over [-4, 4]; the output mode is zero
     outside the interval with the 1/2 jump convention at the boundary.  A
-    concentration below ``BETA_FLOOR`` raises ``ResolutionError``.
+    concentration below ``BETA_FLOOR`` raises ``ResolutionError``, and an n
+    outside 0 .. n_modes - 1 ``ValueError``.
     """
-    if not (0 <= n < sol.n_modes):
-        raise ValueError("mode index out of range")
+    sol._check_mode(n)
     beta = sol.eigenvalues[n]
     if beta < BETA_FLOOR:
         raise ResolutionError(f"concentration beta_{n} below {BETA_FLOOR:g}; mode unresolvable")

@@ -250,6 +250,13 @@ class TestKernelAlgebra:
             coeff = project_onto_input_mode(gaussian_result, n, sig)
             assert abs(coeff - (1.0 if n == 2 else 0.0)) < 1e-8
 
+    @pytest.mark.parametrize("n", [-1, 12], ids=["minus-one", "count"])
+    def test_projection_refuses_a_mode_index_outside_the_result(self, gaussian_result, n):
+        # n = -1 would project onto the last mode and n = count would raise a bare IndexError
+        assert len(gaussian_result.input_modes) == 12
+        with pytest.raises(ValueError, match="^mode index out of range$"):
+            project_onto_input_mode(gaussian_result, n, gaussian_result.input_modes[3])
+
     def test_filter_action_through_modes(self):
         # energy of filtered mode n equals lambda_n^2; decompose on an
         # FFT-centred time grid and its reciprocal frequency grid so

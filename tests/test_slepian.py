@@ -653,6 +653,25 @@ class TestValidation:
         with pytest.raises(ResolutionError, match=f"{QUADRATURE_LIMIT}-node limit"):
             sol.finite_transform(0, 0.5)
 
+    @pytest.mark.parametrize("n", [-1, 5], ids=["minus-one", "count"])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda sol, n: sol.evaluate(n, 0.3),
+            lambda sol, n: sol.evaluate(n, 1.5),
+            lambda sol, n: sol.finite_transform(n, 0.3),
+            lambda sol, n: sol.log_slope(n),
+            slepian_filter_modes,
+        ],
+        ids=["evaluate", "evaluate-off-interval", "finite_transform", "log_slope", "slepian_filter_modes"],
+    )
+    def test_mode_index_outside_the_solution_is_refused(self, read, n):
+        # n = -1 would read the last mode and n = count would raise a bare IndexError
+        sol = pswf_solve_legendre(3.0, 4)
+        assert sol.n_modes == 5
+        with pytest.raises(ValueError, match="^mode index out of range$"):
+            read(sol, n)
+
     def test_time_first_order(self):
         spec = rectangular_sif(0.8, 1.0, order=StageOrder.TIME_FIRST)
         assert spec.order is StageOrder.TIME_FIRST

@@ -1,14 +1,19 @@
 """The measuring scripts under ``tools/``: line counts and the two-tree comparison.
 
 ``code_lines`` reads a small package written here.  ``compare`` is stopped by
-its argument checks on every workload, and runs on fake workers that stand in
-for two trees: ``ladder`` workers whose ladders stop on other grid levels, and
-``noise`` and ``cli`` workers whose outputs differ.  One short ``ladder`` run
-and one short ``noise`` run each compare this checkout with itself in two
-worker processes.
+its argument checks on every workload, offers exactly the benchmark's
+workloads, and its workers send exactly the op names of
+``perfbench/worker.py``'s workloads.  It runs on fake workers that stand in
+for two trees: workers that name other ops, ``ladder`` workers whose ladders
+stop on other grid levels, ``noise`` and ``cli`` workers whose outputs differ,
+and workers whose results agree but whose accuracy checks do not.  One short
+``ladder`` run and one short ``noise`` run each compare this checkout with
+itself in two worker processes.
 """
 
+import dataclasses
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +22,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+CHECKOUT = Path(__file__).resolve().parents[1]
+TOOLS = CHECKOUT / "tools"
+PERFBENCH = CHECKOUT / "perfbench"
 
 
 def load_tool(name: str):
@@ -136,6 +143,18 @@ def package_tree(path: Path) -> Path:
 WORKLOADS = ["ladder", "noise", "cli"]
 
 
+@pytest.fixture
+def perfbench(tmp_path, monkeypatch):
+    """``perfbench/worker.py``, loaded from a scratch directory, which the
+    ``cli`` workload writes its data files under."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("passes", ["0", "-3"])
 def test_compare_refuses_fewer_than_one_pass(workload, passes, tmp_path, capsys, monkeypatch):
@@ -162,23 +181,52 @@ def test_compare_refuses_a_tree_without_the_package(workload, tmp_path, capsys, 
         assert "holds no src/tffilter" in capsys.readouterr().err
 
 
-def test_compare_runs_the_benchmark_ladders():
-    # the 12 ops of perfbench's ladder workload, by the names it reports
+def test_compare_offers_the_benchmark_workloads(perfbench):
+    assert sorted(load_tool("compare").WORKLOADS) == sorted(perfbench.WORKLOADS)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_compare_times_the_benchmark_ops(workload, perfbench):
+    # a worker of this checkout sends the op names of perfbench's workload at
+    # the run's seed, and the parent times exactly those ops, by index
     compare = load_tool("compare")
-    names = [name for name, *_ in compare.Ladder.OPS]
-    assert len(names) == len(set(names)) == 12
-    assert names[:2] == ["gaussian_bt0.1_frequency_first", "gaussian_bt0.1_time_first"]
-    assert names[-2:] == ["rectangular_bt0.8", "rectangular_bt4"]
+    proc = compare.start_worker(CHECKOUT, workload, 7)
+    names, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert json.loads(names) == [op.name for op in perfbench.WORKLOADS[workload](7).ops]
+
+
+def test_compare_refuses_workers_that_name_other_ops(tmp_path, capsys, monkeypatch):
+    compare = load_tool("compare")
+    ops = {"base": ["a", "b"], "changed": ["a", "c"]}
+    with pytest.raises(SystemExit) as exc:
+        compare_fakes(compare, "ladder", lambda side: fake_workload(ops[side], None), tmp_path, monkeypatch)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "the two trees name other ops" in err
 
 
 class FakeWorker:
-    """Stands in for a worker process of ``workload``, in this process and
-    with no pinning: its ops run as ``workload.run`` and take 1 ms each, and
-    its report is ``workload.report()``."""
+    """Stands in for a worker process, in this process and with no pinning.
+    It sends the op names of ``workload``, answers a timing request with 1 ms
+    per op without running them, and a report request with
+    ``compare.report(workload)``."""
 
-    def __init__(self, workload):
-        self.workload = workload
-        self.stdin = self
+    def __init__(self, compare, workload):
+        self.compare, self.workload = compare, workload
+        self.lines = [json.dumps([op.name for op in workload.ops])]
+        self.stdin = self.stdout = self
+
+    def write(self, line):
+        request = json.loads(line)
+        reply = [1e-3] * len(request["order"]) if request else self.compare.report(self.workload)
+        self.lines.append(json.dumps(reply))
+
+    def readline(self):
+        return self.lines.pop(0) + "\n"
+
+    def flush(self):
+        pass
 
     def close(self):
         pass
@@ -187,11 +235,14 @@ class FakeWorker:
         return 0
 
 
-def fake_workload(workload_class, **attributes):
-    """A ``workload_class`` object that holds only ``attributes``: its
-    ``__init__``, which imports the tree's package, is not run."""
-    workload = workload_class.__new__(workload_class)
-    workload.__dict__.update(attributes)
+def fake_workload(names, run, replays=None):
+    """A workload of ops ``names``: op ``name`` returns ``run(name)`` and
+    passes its check; with ``replays`` it has ``replay_checks``."""
+    ops = [SimpleNamespace(name=name, run=lambda op_id, name=name: run(name), check=lambda result: None)
+           for name in names]
+    workload = SimpleNamespace(ops=ops)
+    if replays is not None:
+        workload.replay_checks = lambda: list(replays)
     return workload
 
 
@@ -199,16 +250,8 @@ def compare_fakes(compare, workload, make_workload, tmp_path, monkeypatch):
     """Exit code of a 2-pass ``compare.main`` of ``workload`` over two fake
     trees, whose workers hold ``make_workload(side)``."""
     sides = {package_tree(tmp_path / side): side for side in ("base", "changed")}
-
-    def ask(worker, request):
-        if not request:
-            return worker.workload.report()
-        for index, seed in zip(request["order"], request["seeds"]):
-            worker.workload.run(index, seed)
-        return [1e-3] * len(request["order"])
-
-    monkeypatch.setattr(compare, "start_worker", lambda tree, name: FakeWorker(make_workload(sides[tree])))
-    monkeypatch.setattr(compare, "ask", ask)
+    monkeypatch.setattr(compare, "start_worker",
+                        lambda tree, name, seed: FakeWorker(compare, make_workload(sides[tree])))
     argv = [str(tmp_path / "base"), str(tmp_path / "changed"), "--workload", workload, "--passes", "2"]
     return compare.main(argv)
 
@@ -221,6 +264,16 @@ def section(out: str, title: str) -> list[str]:
     return lines[start:end]
 
 
+@pytest.fixture(scope="module")
+def ladder():
+    import tffilter as tf
+
+    return tf.decompose_filter(tf.gaussian_sif(0.5, 1.0), keep=2)
+
+
+LADDER_OPS = ["gaussian_bt0.5_frequency_first", "rectangular_bt4"]
+
+
 @pytest.mark.parametrize(
     "base_levels, changed_levels, code",
     [
@@ -231,26 +284,26 @@ def section(out: str, title: str) -> list[str]:
     ],
     ids=["same", "shorter-same-last-two", "other-last-two", "one-level-finer"],
 )
-def test_compare_fails_on_other_last_two_levels(base_levels, changed_levels, code, tmp_path, capsys, monkeypatch):
+def test_compare_fails_on_other_last_two_levels(base_levels, changed_levels, code, ladder, tmp_path, capsys,
+                                                monkeypatch):
     # equal values are not enough: a tree whose ladders stop on other grids exits 1
     compare = load_tool("compare")
     levels = {"base": base_levels, "changed": changed_levels}
 
     def make_workload(side):
-        grid = SimpleNamespace(resolutions=tuple(levels[side]), edge_ring_ratio=1e-20)
-        ladder = SimpleNamespace(
-            singular_values=np.array([1.0, 0.5]), total_power=1.25, parities=(1, -1), grid_report=grid,
-            input_modes=(SimpleNamespace(values=np.ones(4, dtype=complex)),), output_modes=(),
-        )
-        return fake_workload(compare.Ladder, run=lambda index, seed: ladder)
+        grid = dataclasses.replace(ladder.grid_report, resolutions=tuple(levels[side]))
+        return fake_workload(LADDER_OPS, lambda name: dataclasses.replace(ladder, grid_report=grid))
 
     assert compare_fakes(compare, "ladder", make_workload, tmp_path, monkeypatch) == code
     out = capsys.readouterr().out
     rows = section(out, "grid levels of each op (the last two compared)")
-    assert len(rows) == len(compare.Ladder.OPS)
+    assert [row.split()[0] for row in rows] == LADDER_OPS
     assert all(row.endswith("same" if code == 0 else "DIFFERENT") for row in rows)
     assert all(f"changed {tuple(changed_levels)}" in row for row in rows)
     assert section(out, "singular values") == ["  largest |difference| of a singular value: 0"]
+
+
+CLI_OPS = {"decompose": ".csv", "snr": ".json", "qkd": ".csv"}
 
 
 @pytest.mark.parametrize("differ, code", [(False, 0), (True, 1)], ids=["same", "other-bytes"])
@@ -261,51 +314,83 @@ def test_compare_fails_on_other_cli_data_files(differ, code, tmp_path, capsys, m
         out = tmp_path / f"out_{side}"
         out.mkdir()
 
-        def run(index, seed):
+        def run(name):
             # every command writes its data file; with ``differ`` the two sides' snr.json differ
-            name, _, suffix = compare.Cli.OPS[index]
-            text = f"{name} {side if differ and name == 'snr' else 'data'}\n"
-            (out / (name + suffix)).write_text(text, encoding="utf-8")
+            path = out / (name + CLI_OPS[name])
+            path.write_text(f"{name} {side if differ and name == 'snr' else 'data'}\n", encoding="utf-8")
+            return str(path)
 
-        return fake_workload(compare.Cli, out=out, run=run)
+        return fake_workload(CLI_OPS, run)
 
     assert compare_fakes(compare, "cli", make_workload, tmp_path, monkeypatch) == code
-    rows = section(capsys.readouterr().out, "sha256 of the data files")
-    verdicts = [row.split()[-1] for row in rows]
-    assert [row.split()[0] for row in rows] == [name + suffix for name, _, suffix in compare.Cli.OPS]
-    assert verdicts == ["same", "same", "same", "DIFFERENT" if differ else "same", "same", "same"]
+    rows = section(capsys.readouterr().out, "sha256 of each op's result at seed 12345")
+    assert [row.split()[0] for row in rows] == [*CLI_OPS, "every"]
+    other = "DIFFERENT" if differ else "same"
+    assert [row.split()[-1] for row in rows] == ["same", other, "same", other]
+
+
+NOISE_OPS = ["ensemble_gaussian", "ensemble_rectangular", "correlation_gaussian"]
+
+
+def noise_workload(noise: float, replays=(None, None)):
+    """A fake ``noise`` workload whose reports all hold ``noise``."""
+    import tffilter as tf
+
+    def run(name):
+        if name == "correlation_gaussian":
+            arrays = {field: np.full(3, noise) for field in ("times", "lags", "empirical", "analytic", "stderr")}
+            return tf.CorrelationSurface(**arrays, trials=2048)
+        return tf.EnergyReport(1.0 + noise, 1.0, noise, 0.01, 1.0 / noise, 2048, 12345)
+
+    return fake_workload(NOISE_OPS, run, replays=replays)
 
 
 @pytest.mark.parametrize("differ, code", [(False, 0), (True, 1)], ids=["same", "other-report"])
 def test_compare_fails_on_other_noise_reports(differ, code, tmp_path, capsys, monkeypatch):
-    import tffilter as tf
-
     compare = load_tool("compare")
 
     def make_workload(side):
-        noise = 0.25 if differ and side == "changed" else 0.2
-
-        def run(index, seed):
-            if compare.Noise.OPS[index][0] == "correlation_gaussian":
-                fields = ("times", "lags", "empirical", "analytic", "stderr")
-                return SimpleNamespace(**{field: np.full(3, noise) for field in fields})
-            return tf.EnergyReport(1.0 + noise, 1.0, noise, 0.01, 1.0 / noise, 2048, seed)
-
-        return fake_workload(compare.Noise, np=np, tf=tf, run=run)
+        return noise_workload(0.25 if differ and side == "changed" else 0.2)
 
     assert compare_fakes(compare, "noise", make_workload, tmp_path, monkeypatch) == code
     out = capsys.readouterr().out
     assert section(out, "peak resident set of the worker")[0].split()[:2] == ["ru_maxrss", "base"]
-    rows = section(out, f"sha256 of each op's report at seed {compare.Noise.DIGEST_SEED}")
-    assert [row.split()[0] for row in rows] == [name for name, *_ in compare.Noise.OPS]
+    rows = section(out, "sha256 of each op's result at seed 12345")
+    assert [row.split()[0] for row in rows] == [*NOISE_OPS, "every"]
     assert all(row.endswith("DIFFERENT" if differ else "same") for row in rows)
+    checks = section(out, "accuracy checks at seed 12345")
+    assert [row.split()[-1] for row in checks] == ["same"] * 5
+
+
+@pytest.mark.parametrize("where", ["op", "replay"])
+def test_compare_fails_on_another_accuracy_verdict(where, tmp_path, capsys, monkeypatch):
+    # equal results are not enough: a side whose check fails exits 1
+    compare = load_tool("compare")
+    wrong = "noise energy 0.25 vs 0.2"
+
+    def make_workload(side):
+        if side == "base":
+            return noise_workload(0.2)
+        if where == "replay":
+            return noise_workload(0.2, replays=(None, wrong))
+        workload = noise_workload(0.2)
+        workload.ops[1].check = lambda result: wrong
+        return workload
+
+    assert compare_fakes(compare, "noise", make_workload, tmp_path, monkeypatch) == 1
+    out = capsys.readouterr().out
+    assert all(row.endswith("same") for row in section(out, "sha256 of each op's result at seed 12345"))
+    checks = section(out, "accuracy checks at seed 12345")
+    assert [row.split()[0] for row in checks] == [*NOISE_OPS, "replay", "replay"]
+    differs = 4 if where == "replay" else 1
+    assert [row.endswith("DIFFERENT") for row in checks] == [i == differs for i in range(5)]
+    assert checks[differs].split("changed ")[1] == f"{wrong}  DIFFERENT"
 
 
 def compare_checkout_with_itself(workload: str) -> str:
     """The printed lines of a one-pass ``compare`` of this checkout with itself."""
-    checkout = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, str(TOOLS / "compare.py"), str(checkout), str(checkout), "--workload", workload,
+        [sys.executable, str(TOOLS / "compare.py"), str(CHECKOUT), str(CHECKOUT), "--workload", workload,
          "--passes", "1"],
         capture_output=True, text=True, timeout=300,
     )
@@ -313,29 +398,30 @@ def compare_checkout_with_itself(workload: str) -> str:
     return proc.stdout
 
 
+def assert_all_same(out: str, title: str, names: list[str]) -> None:
+    rows = section(out, title)
+    assert [row.split()[0] for row in rows] == names
+    assert all(row.endswith("same") for row in rows)
+
+
 def test_compare_noise_of_a_checkout_with_itself():
-    # the benchmark's three noise ops, one pass per side: equal reports, exit 0
-    compare = load_tool("compare")
+    # the benchmark's three noise ops, one pass per side: passing checks and equal reports, exit 0
     out = compare_checkout_with_itself("noise")
     lines = out.splitlines()
-    names = [name for name, *_ in compare.Noise.OPS]
-    assert names == ["ensemble_gaussian", "ensemble_rectangular", "correlation_gaussian"]
     assert lines[0] == "noise: median of 1 passes per op, in ms (seed 1)"
-    assert [line.split()[0] for line in lines[2:6]] == [*names, "sum"]
+    assert [line.split()[0] for line in lines[2:6]] == [*NOISE_OPS, "sum"]
     assert section(out, "peak resident set of the worker")[0].split()[1] == "base"
-    rows = section(out, "sha256 of each op's report at seed 12345")
-    assert [row.split()[-1] for row in rows] == ["same"] * 3
+    assert_all_same(out, "accuracy checks at seed 12345", [*NOISE_OPS, "replay", "replay"])
+    assert all(row.endswith("base ok  changed ok  same") for row in section(out, "accuracy checks at seed 12345"))
+    assert_all_same(out, "sha256 of each op's result at seed 12345", [*NOISE_OPS, "every"])
 
 
-def test_compare_ladder_of_a_checkout_with_itself():
+def test_compare_ladder_of_a_checkout_with_itself(perfbench):
     # the benchmark's 12 ladders, one pass per side: equal levels and digests, exit 0
-    compare = load_tool("compare")
+    names = [op.name for op in perfbench.WORKLOADS["ladder"](1).ops]
     out = compare_checkout_with_itself("ladder")
-    names = [name for name, *_ in compare.Ladder.OPS]
-    levels = section(out, "grid levels of each op (the last two compared)")
-    assert [line.split()[0] for line in levels] == names
-    assert all(line.endswith("same") for line in levels)
-    digests = section(out, "sha256 of each op's SchmidtResult")
-    assert [line.split()[0] for line in digests] == [*names, "every"]
-    assert all(line.endswith("same") for line in digests)
+    assert_all_same(out, "accuracy checks at seed 12345", names)
+    assert all(row.endswith("base ok  changed ok  same") for row in section(out, "accuracy checks at seed 12345"))
+    assert_all_same(out, "sha256 of each op's result at seed 12345", [*names, "every"])
+    assert_all_same(out, "grid levels of each op (the last two compared)", names)
     assert out.splitlines()[-1] == "  largest |difference| of a singular value: 0"
