@@ -9,10 +9,11 @@ statistics, and entanglement-based key rates.
 
 __version__ = "0.1.0"
 
-# submodule -> the public names the package takes from it, in the order of
-# ``__all__``.  A name or submodule is imported on first access (PEP 562), so
-# ``import tffilter`` loads no NumPy and each command loads only the modules
-# it runs.
+# submodule -> its public names: the one list of them, which each submodule
+# reads as its ``__all__`` (this module imports no submodule, so the table is
+# complete before any of them loads).  A name or submodule is imported on
+# first access (PEP 562), so ``import tffilter`` loads no NumPy and each
+# command loads only the modules it runs.
 _EXPORTS = {
     "core": (
         "Domain",
@@ -34,7 +35,10 @@ _EXPORTS = {
         "fourier_forward",
         "fourier_inverse",
         "apply_filter",
+        "filter_samples",
         "build_operator",
+        "ParityBlocks",
+        "parity_blocks",
         "recommended_axes",
     ),
     "schmidt": (
@@ -67,12 +71,15 @@ _EXPORTS = {
         "slepian_tradeoff",
         "concentration_complement",
         "ground_concentration",
+        "ground_range",
+        "ground_parameter",
     ),
     "metrics": (
         "Ladder",
         "figures_from_singulars",
         "bt_from_profiles",
         "analytic_snr",
+        "QPG_REFERENCE_POINTS",
     ),
     "noisesim": (
         "RNG_ALGORITHM",
@@ -88,7 +95,6 @@ _EXPORTS = {
     "qkd": (
         "QBER_THRESHOLD",
         "ETA_GRID",
-        "QPG_REFERENCE_POINTS",
         "binary_entropy",
         "qber",
         "normalized_key_rate",

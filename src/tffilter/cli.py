@@ -361,13 +361,12 @@ def cmd_qkd(args: argparse.Namespace):
         for label, fc in families:
             etas, xis = fc.grid_points()
             eta_cells, xi_cells = _fmt_all(etas), _fmt_all(xis)
-            for ny in ny_values:
-                rates = np.atleast_1d(normalized_key_rate(etas, xis, float(ny)))
-                logs = np.where(rates > 0, np.log10(np.where(rates > 0, rates, 1.0)), -np.inf)
-                ny_cell = _fmt(float(ny))
+            rates = normalized_key_rate(etas, xis, ny_values[:, None])  # one row per n_y
+            logs = np.where(rates > 0, np.log10(np.where(rates > 0, rates, 1.0)), -np.inf)
+            for ny_cell, rate_row, log_row in zip(_fmt_all(ny_values), rates, logs):
                 rows.extend(
                     [label, ny_cell, *cells]
-                    for cells in zip(eta_cells, xi_cells, _fmt_all(rates), _fmt_all(logs))
+                    for cells in zip(eta_cells, xi_cells, _fmt_all(rate_row), _fmt_all(log_row))
                 )
     return (header, rows), {"ny_spacing": spacing, "eta_grid_points": len(ETA_GRID)}
 

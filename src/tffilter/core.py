@@ -61,35 +61,12 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 import numpy as np
 
+from . import _EXPORTS
+
 TWO_PI = 2.0 * np.pi
 _AXIS_RTOL = 1e-9  # relative slack within which close_to takes two axes for the same grid
 
-__all__ = [
-    "Domain",
-    "SampledAxis",
-    "QuadratureAxis",
-    "SampledSignal",
-    "StageProfile",
-    "StageOrder",
-    "Sif",
-    "OperatorMatrix",
-    "DomainMismatchError",
-    "ResolutionError",
-    "TruncationError",
-    "TruncationWarning",
-    "ConvergenceError",
-    "centered_axis",
-    "frequency_axis_for",
-    "inner_product",
-    "fourier_forward",
-    "fourier_inverse",
-    "apply_filter",
-    "filter_samples",
-    "build_operator",
-    "ParityBlocks",
-    "parity_blocks",
-    "recommended_axes",
-]
+__all__ = _EXPORTS["core"]
 
 
 class Domain(enum.Enum):

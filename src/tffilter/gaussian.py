@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     Axis,
     Domain,
@@ -33,15 +34,9 @@ from .core import (
     StageProfile,
 )
 
-__all__ = [
-    "GaussianProfile",
-    "GaussianSif",
-    "gaussian_sif",
-    "mehler_u",
-    "gaussian_singular_values",
-    "hermite_gaussian_mode_set",
-    "gaussian_tradeoff",
-]
+__all__ = _EXPORTS["gaussian"]
+
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 class GaussianProfile(StageProfile):
@@ -70,6 +65,12 @@ class GaussianProfile(StageProfile):
             )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """A width below ~1e-154, whose ``_b`` is no normal double, raises ``ResolutionError``
+        here and not when built, since the closed-form modes never evaluate the profile."""
+        if self._b < _SMALLEST_NORMAL:
+            raise ResolutionError(
+                f"a Gaussian profile of width {self.width:.3g} is too narrow to evaluate"
+            )
         x = np.asarray(x, dtype=float)
         return np.exp(-(self._a * x**2) / self._b)
 
@@ -214,13 +215,14 @@ def hermite_gaussian_mode_set(
 def gaussian_tradeoff(bt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(efficiency, discriminativity) for the Gaussian pair: (u, 1 - u^2).
 
-    Scalar in, scalars out; array in, arrays out.  The identities
-    discriminativity = 1 - efficiency^2 and discriminativity * BT = efficiency
-    hold exactly.
+    Scalar in, scalars out; array in, arrays out.  The discriminativity is
+    formed as u / BT, which equals 1 - u^2 because u / (1 - u^2) = BT, without
+    the cancellation of 1 - u^2 as u nears 1: it stays within 2 ulp for
+    every positive BT, and discriminativity * BT = efficiency to rounding.
     """
-    u = mehler_u(bt)
-    eta = u
-    xi = 1.0 - u**2
+    bts = np.asarray(bt, dtype=float)
+    eta = mehler_u(bts)
+    xi = eta / bts
     if np.ndim(bt) == 0:
         return float(eta), float(xi)
     return eta, xi

@@ -19,15 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import Sif, _profile_axis
 
-__all__ = [
-    "Ladder",
-    "figures_from_singulars",
-    "bt_from_profiles",
-    "analytic_snr",
-    "QPG_REFERENCE_POINTS",
-]
+__all__ = _EXPORTS["metrics"]
 
 # (eta, xi) of the quantum pulse gates the sequential families are measured against
 QPG_REFERENCE_POINTS = ((0.99, 0.98), (0.9999, 0.9999))

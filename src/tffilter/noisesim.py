@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     Domain,
     DomainMismatchError,
@@ -71,17 +72,7 @@ from .gaussian import gaussian_sif, gaussian_tradeoff, hermite_gaussian_mode_set
 if TYPE_CHECKING:  # imported when a pool is first made, not with the package
     from concurrent.futures import ThreadPoolExecutor
 
-__all__ = [
-    "RNG_ALGORITHM",
-    "NoiseEnsembleConfig",
-    "EnergyReport",
-    "trial_generator",
-    "sample_white_noise",
-    "run_ensemble",
-    "snr_setup",
-    "CorrelationSurface",
-    "filtered_noise_correlation",
-]
+__all__ = _EXPORTS["noisesim"]
 
 RNG_ALGORITHM = "philox4x64"
 

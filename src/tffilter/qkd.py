@@ -33,21 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .metrics import QPG_REFERENCE_POINTS
 from .slepian import GROUND_C_RANGE, ground_parameter, ground_range, slepian_tradeoff
 
-__all__ = [
-    "QBER_THRESHOLD",
-    "ETA_GRID",
-    "QPG_REFERENCE_POINTS",
-    "binary_entropy",
-    "qber",
-    "normalized_key_rate",
-    "FilterCharacteristic",
-    "OptimizationResult",
-    "optimize_over_efficiency",
-    "QkdScenario",
-]
+__all__ = _EXPORTS["qkd"]
 
 
 def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
@@ -135,7 +125,7 @@ class FilterCharacteristic:
         def xi(e):
             if not np.all((e > 0) & (e < 1)):
                 raise ValueError("gaussian characteristic needs eta in (0, 1)")
-            return 1.0 - e**2
+            return (1.0 - e) * (1.0 + e)  # 1 - eta^2 without its cancellation near eta = 1
 
         grid = np.arange(1e-3, 1.0, 1e-3)
         return cls((1e-3, 1.0 - 1e-9), grid, lambda t: (t, xi(t)), lambda: (0.0, 1.0), xi)

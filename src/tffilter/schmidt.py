@@ -38,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     ConvergenceError,
     Axis,
@@ -52,13 +53,7 @@ from .core import (
 )
 from .metrics import Ladder
 
-__all__ = [
-    "GridReport",
-    "SchmidtResult",
-    "schmidt_decompose",
-    "decompose_filter",
-    "project_onto_input_mode",
-]
+__all__ = _EXPORTS["schmidt"]
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     ConvergenceError,
     Domain,
@@ -61,23 +62,7 @@ from .core import (
     _legendre_rule,
 )
 
-__all__ = [
-    "RectangularProfile",
-    "RectangularSif",
-    "rectangular_sif",
-    "PswfSolution",
-    "pswf_solve_legendre",
-    "interval_gram",
-    "full_line_gram",
-    "slepian_singular_values",
-    "slepian_filter_modes",
-    "rectangular_filter_modes",
-    "slepian_tradeoff",
-    "concentration_complement",
-    "ground_concentration",
-    "ground_range",
-    "ground_parameter",
-]
+__all__ = _EXPORTS["slepian"]
 
 BETA_FLOOR = 1e-14  # below this a concentration eigenvalue is numerically unresolvable
 BASIS_LIMIT = 4096  # largest Legendre basis a prolate solve may build (c up to about 4000)
@@ -728,7 +713,9 @@ def slepian_tradeoff(bt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bts = np.asarray(bt, dtype=float)
     if np.any(bts <= 0):
         raise ValueError("all BT values must be positive")
-    eta = ground_concentration(0.5 * np.pi * bts)
+    with np.errstate(over="ignore"):  # past BT ~ 1.1e308 c reads inf, where beta_0 is exactly 1
+        c = 0.5 * np.pi * bts
+    eta = ground_concentration(c)
     xi = eta / bts
     if np.ndim(bt) == 0:
         return float(eta), float(xi)

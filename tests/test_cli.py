@@ -670,11 +670,15 @@ def test_numeric_failures_exit_3_and_write_nothing(argv, tmp_path, capsys):
         ("decompose", "--filter", "gaussian", "--bt", "1e308", "--n-modes", "3"),
         ("decompose", "--filter", "gaussian", "--bt", "1e-320", "--n-modes", "3"),
         ("tradeoff", "--filter", "gaussian", "--bt-min", "1e-320", "--bt-max", "1e308"),
+        ("tradeoff", "--filter", "slepian", "--bt-min", "1.7e308", "--bt-max", "1.7e308"),
+        # its window is too narrow to evaluate, which the closed-form modes never do
+        ("modes", "--filter", "gaussian", "--bt", "1e-200"),
     ],
     ids=" ".join,
 )
 def test_gaussian_ladder_at_the_float_range_ends_warns_nothing(argv, tmp_path):
-    # the Mehler ratio reaches its limits u = 1 and u = 0 there without an overflow warning
+    # the Mehler ratio reaches its limits u = 1 and u = 0 there without an overflow warning,
+    # and the prolate c = (pi/2) BT its limit inf, where beta_0 = 1
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert json.loads((tmp_path / "out.csv.manifest.json").read_text())["warnings"] == []

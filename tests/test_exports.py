@@ -1,5 +1,8 @@
 """Every exported name resolves: a rename cannot leave a stale entry in an ``__all__``.
 
+Each module's ``__all__`` is its entry in the package table, and that entry
+names every public class and function the module defines.
+
 The package loads its submodules on first use, so every name is also checked
 through a package that has not loaded them yet.
 """
@@ -27,6 +30,25 @@ def test_every_name_in_all_resolves(module_name):
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     missing = [name for name in exported if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module_name", sorted(tffilter._EXPORTS))
+def test_package_table_names_every_public_callable(module_name):
+    # a class or function a module defines without a leading underscore is public
+    module = importlib.import_module(f"tffilter.{module_name}")
+    defined = [
+        name
+        for name, value in vars(module).items()
+        if callable(value)
+        and not name.startswith("_")
+        and getattr(value, "__module__", None) == module.__name__
+    ]
+    assert [name for name in defined if name not in tffilter._EXPORTS[module_name]] == []
+
+
+def test_each_module_exports_its_package_table_entry():
+    for module_name, names in tffilter._EXPORTS.items():
+        assert importlib.import_module(f"tffilter.{module_name}").__all__ is names
 
 
 def test_one_version_string():

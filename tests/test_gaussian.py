@@ -21,6 +21,8 @@ from tffilter.gaussian import (
     hermite_gaussian_mode_set,
     mehler_u,
 )
+from tffilter.metrics import bt_from_profiles
+from tffilter.schmidt import decompose_filter
 
 
 def mode_pair(spec, n, axis):
@@ -75,7 +77,7 @@ class TestMehlerLadder:
         assert mehler_u(1e308) == 1.0
         assert mehler_u(1e-320) == 1e-320
         assert np.array_equal(mehler_u(np.array([1e-320, 1e308])), [1e-320, 1.0])
-        assert gaussian_tradeoff(1e308) == (1.0, 0.0)
+        assert gaussian_tradeoff(1e308) == (1.0, 1e-308)
 
     @pytest.mark.parametrize("bt", [5e-324, 1e-320, 2e-309, 4e-309, 5.5e-309, 6e-309, 1e-300])
     def test_tradeoff_identity_holds_at_subnormal_bt(self, bt):
@@ -100,6 +102,18 @@ class TestTradeoff:
     def test_identity_xi_eta(self):
         eta, xi = gaussian_tradeoff(0.7)
         assert xi == pytest.approx(1.0 - eta**2, abs=1e-15)
+
+    def test_xi_is_one_minus_u_squared_to_two_ulp(self):
+        # against 1 - u^2 at 700 digits, which resolves it at BT = 1e300; 1 - u^2 in
+        # doubles was 9e-5 off at BT 1e12 and 0 from BT ~ 5e15
+        mp = pytest.importorskip("mpmath")
+        bts = np.geomspace(1e-300, 1e300, 1201)
+        xis = gaussian_tradeoff(bts)[1]
+        with mp.workdps(700):
+            for bt, xi in zip(bts, xis):
+                m = 1 / (2 * mp.mpf(bt))
+                exact = 1 - (1 / (mp.sqrt(1 + m * m) + m)) ** 2
+                assert abs(mp.mpf(xi) - exact) <= 2 * np.spacing(float(exact)), bt
 
     def test_eta_over_xi_is_bt(self):
         for bt in (0.05, 0.5, 3.0):
@@ -203,6 +217,15 @@ class TestValidation:
             gaussian_sif(0.0, 1.0)
         with pytest.raises(ValueError):
             gaussian_sif(1.0, -2.0)
+
+    @pytest.mark.parametrize("band, duration", [(1e-200, 1.0), (1.0, 1e-200)])
+    def test_profile_too_narrow_to_evaluate_is_a_resolution_error(self, band, duration):
+        # built all the same, since the closed-form ladder never evaluates it
+        spec = gaussian_sif(band, duration)
+        with pytest.raises(ResolutionError, match="too narrow to evaluate"):
+            decompose_filter(spec, keep=2)
+        with pytest.raises(ResolutionError, match="too narrow to evaluate"):
+            bt_from_profiles(spec)
 
     def test_mode_index_above_60_is_a_resolution_error(self):
         spec = gaussian_sif(0.5, 1.0)

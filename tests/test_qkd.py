@@ -267,6 +267,17 @@ class TestCharacteristics:
         xis = fc.xi_of(etas)
         assert np.allclose(xis, 1.0 - etas**2, atol=1e-12)
 
+    def test_gaussian_curve_is_one_minus_eta_squared_to_two_ulp(self):
+        # over the whole t range, up to eta = 1 - 1e-9, where 1 - eta^2 in doubles was 5e-10 off
+        mp = pytest.importorskip("mpmath")
+        fc = FilterCharacteristic.gaussian()
+        lo, hi = fc.t_range
+        etas = np.concatenate([np.linspace(lo, hi, 2001), 1.0 - np.geomspace(1e-9, 1e-1, 801)])
+        with mp.workdps(50):
+            for eta, xi in zip(etas, fc.xi_of(etas)):
+                exact = 1 - mp.mpf(eta) ** 2
+                assert abs(mp.mpf(xi) - exact) <= 2 * np.spacing(float(exact)), eta
+
     def test_slepian_curve_beats_gaussian(self):
         g = FilterCharacteristic.gaussian()
         s = FilterCharacteristic.slepian()
@@ -290,7 +301,7 @@ class TestCharacteristics:
         assert np.array_equal(ETA_GRID, np.linspace(0.005, 0.995, 199))
         etas, xis = FilterCharacteristic.gaussian().grid_points()
         assert np.array_equal(etas, ETA_GRID)
-        assert np.array_equal(xis, 1.0 - ETA_GRID**2)
+        assert np.array_equal(xis, (1.0 - ETA_GRID) * (1.0 + ETA_GRID))
         fp = FilterCharacteristic.fixed_point(*QPG_REFERENCE_POINTS[0])
         etas, xis = fp.grid_points()
         assert (etas.tolist(), xis.tolist()) == ([0.99], [0.98])
