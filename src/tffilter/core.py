@@ -96,6 +96,21 @@ class ConvergenceError(RuntimeError):
     """Grid refinement failed to stabilize the requested quantity."""
 
 
+def _count(value: int, name: str, low: int, high: float = np.inf) -> int:
+    """``value`` as a Python int, the one rule for every count, index, seed and grid size.
+
+    An int (not a bool) or a NumPy integer is accepted; any other type, an
+    integral float included, raises ``TypeError``, and a value outside
+    ``low`` .. ``high`` raises ``ValueError(f"{name} out of range")``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    value = int(value)
+    if not low <= value <= high:
+        raise ValueError(f"{name} out of range")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # axes and signals
 
@@ -106,7 +121,8 @@ class SampledAxis:
 
     The quadrature measure per sample is ``step`` on time axes and
     ``step / (2 pi)`` on angular-frequency axes; every sample weighs that
-    much (the Riemann rule).
+    much (the Riemann rule).  ``count`` is an int of at least 2, stored as a
+    Python int; another type raises ``TypeError``, a smaller count ``ValueError``.
     """
 
     start: float
@@ -119,8 +135,7 @@ class SampledAxis:
             raise ValueError("axis start must be finite")
         if not (self.step > 0 and np.isfinite(self.step)):
             raise ValueError("axis step must be positive and finite")
-        if self.count < 2:
-            raise ValueError("axis needs at least two samples")
+        object.__setattr__(self, "count", _count(self.count, "axis count", 2))
 
     @property
     def points(self) -> np.ndarray:
@@ -203,6 +218,7 @@ class QuadratureAxis:
     """``count`` Gauss-Legendre nodes strictly inside (-a, a), so a jump at +-a is never sampled.
 
     The weights carry the axis measure: they sum to 2a on time axes, 2a / 2pi on frequency axes.
+    ``count`` is checked and stored as :class:`SampledAxis` checks and stores it.
     """
 
     half_width: float
@@ -212,8 +228,7 @@ class QuadratureAxis:
     def __post_init__(self) -> None:
         if not (self.half_width > 0 and np.isfinite(self.half_width)):
             raise ValueError("half_width must be positive and finite")
-        if self.count < 2:
-            raise ValueError("axis needs at least two samples")
+        object.__setattr__(self, "count", _count(self.count, "axis count", 2))
 
     @property
     def points(self) -> np.ndarray:

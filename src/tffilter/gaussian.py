@@ -32,6 +32,7 @@ from .core import (
     Sif,
     StageOrder,
     StageProfile,
+    _count,
 )
 
 __all__ = _EXPORTS["gaussian"]
@@ -134,12 +135,12 @@ def gaussian_sif(
 
 
 def gaussian_singular_values(bt: float, count: int) -> np.ndarray:
-    """s_n = u^(n + 1/2) for n = 0 .. count-1; partial square sums converge to BT."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    u = mehler_u(float(bt))
-    n = np.arange(count)
-    return u ** (n + 0.5)
+    """s_n = u^(n + 1/2) for n = 0 .. count-1; partial square sums converge to BT.
+
+    ``count`` is an int (TypeError otherwise) of at least 1 (ValueError).
+    """
+    n = np.arange(_count(count, "count", 1))
+    return mehler_u(float(bt)) ** (n + 0.5)
 
 
 def _hermite_rows(x: np.ndarray, n_max: int) -> np.ndarray:
@@ -164,13 +165,13 @@ def hermite_gaussian_mode_set(
     unit-norm under the axis measure.  ``axis`` None is the time axis of 4097
     points on +-(sqrt(2 n + 1) + 6) / a, n = count - 1; a width scale a so
     small that this span leaves the float range raises ``ResolutionError``.
+    ``count`` is an int (TypeError otherwise) of at least 1 (ValueError).
     The recurrence is stable to n = 60; a higher mode index raises
     ``ResolutionError``.
     """
     if side not in ("input", "output"):
         raise ValueError("side must be 'input' or 'output'")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _count(count, "count", 1)
     if count - 1 > 60:
         raise ResolutionError("Hermite recurrence overflow guard: mode index above 60")
     scale_w = spec.alpha if side == "input" else spec.beta

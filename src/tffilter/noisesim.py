@@ -60,6 +60,7 @@ from .core import (
     Sif,
     StageOrder,
     _check_grid,
+    _count,
     _profile_axis,
     _require_sif,
     _transport,
@@ -84,22 +85,15 @@ MAX_TRIALS = 2**32  # per seed: a trial index must fit one spawn-key word
 
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
-    """Independent, replayable stream for one trial."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-    return np.random.Generator(np.random.Philox(ss))
+    """Independent, replayable stream for one trial.
 
-
-def _check_stream(seed: int, trials: int) -> None:
-    """Refuse what SeedSequence refuses, with its error types, before any draw.
-
-    Trial indices must fit one spawn-key word, as :func:`_trial_keys` mixes them.
+    It takes the seeds and trial indices that a run takes: ints (TypeError
+    otherwise), a seed of at least 0 and a trial in 0 .. MAX_TRIALS - 1
+    (ValueError otherwise), one spawn-key word as :func:`_trial_keys` mixes it.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError("seed must be an integer")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if trials > MAX_TRIALS:
-        raise ValueError("at most 2**32 trials per seed")
+    trial = _count(trial, "trial", 0, MAX_TRIALS - 1)
+    ss = np.random.SeedSequence(entropy=_count(seed, "seed", 0), spawn_key=(trial,))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def _check_level(name: str, value: float) -> None:
@@ -124,8 +118,8 @@ def _trial_keys(seed: int, indices: np.ndarray) -> np.ndarray:
     words have one element, the trial word one per index t < 2**32, and
     NumPy broadcasting carries them together.  Returns shape (len(indices), 2);
     Philox keyed by a SeedSequence uses exactly that pair with a zero counter.
+    ``seed`` is a Python int, as every run stores it.
     """
-    seed = int(seed)
     words = [
         np.array([(seed >> shift) & _MASK32], np.uint32)
         for shift in range(0, max(seed.bit_length(), 1), 32)
@@ -365,7 +359,12 @@ def _filtered_noise_blocks(
 
 @dataclass(frozen=True)
 class NoiseEnsembleConfig:
-    """Inputs of one signal-plus-noise ensemble run."""
+    """Inputs of one signal-plus-noise ensemble run.
+
+    ``trials`` (1 .. MAX_TRIALS) and ``seed`` (at least 0) are ints, stored as
+    Python ints so that the report serialises; another type raises
+    ``TypeError`` and a value out of range ``ValueError``, before any draw.
+    """
 
     noise_psd: float
     signal_energy: float
@@ -376,9 +375,8 @@ class NoiseEnsembleConfig:
     def __post_init__(self) -> None:
         _check_level("noise_psd", self.noise_psd)
         _check_level("signal_energy", self.signal_energy)
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        _check_stream(self.seed, self.trials)
+        object.__setattr__(self, "trials", _count(self.trials, "trials", 1, MAX_TRIALS))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
         if self.signal_mode.axis.domain is not Domain.TIME:
             raise DomainMismatchError("signal mode must live on a time axis")
         if abs(self.signal_mode.norm() - 1.0) > 1e-10:
@@ -632,18 +630,19 @@ def filtered_noise_correlation(
     transform of |R~|^2.  The probe times are five points across the gate
     duration; they and the lags are snapped to the simulation grid, the
     smallest one :func:`_auto_correlation_axis` admits, so empirical samples
-    need no interpolation.  At least 1000 trials are required for the stderr
-    estimate to be meaningful.  The noise is drawn, and the moments summed,
-    at N_y 2**-k with :func:`_unit_exponent`'s k, and the mean and stderr are
-    scaled back by 2**k, exactly; a noise PSD whose statistics leave the
-    float range raises ``ResolutionError`` after the run.
+    need no interpolation.  At least 1000 trials, and at most MAX_TRIALS, are
+    required for the stderr estimate to be meaningful; ``trials`` and ``seed``
+    (at least 0) are ints, as :class:`NoiseEnsembleConfig` takes them.  The
+    noise is drawn, and the moments summed, at N_y 2**-k with
+    :func:`_unit_exponent`'s k, and the mean and stderr are scaled back by
+    2**k, exactly; a noise PSD whose statistics leave the float range raises
+    ``ResolutionError`` after the run.
     """
     _require_sif(spec)
     if spec.order is not StageOrder.FREQUENCY_FIRST:
         raise ValueError("correlation analysis covers the window-then-gate composition")
-    if trials < 1000:
-        raise ValueError("need at least 1000 trials for stable error bars")
-    _check_stream(seed, trials)
+    trials = _count(trials, "trials", 1000, MAX_TRIALS)
+    seed = _count(seed, "seed", 0)
     _check_level("noise_psd", noise_psd)
     if noise_psd == 0:
         raise ValueError("noise_psd must be positive")

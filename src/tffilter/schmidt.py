@@ -45,6 +45,7 @@ from .core import (
     OperatorMatrix,
     SampledSignal,
     Sif,
+    _count,
     _lapack,
     _require_sif,
     inner_product,
@@ -106,21 +107,11 @@ class SchmidtResult(Ladder):
     parities: tuple[int, ...] | None
 
 
-def _check_keep(keep: int | None) -> None:
-    """Refuse a ``keep`` that is neither None nor an int count of at least 1."""
-    if keep is None:
-        return
-    if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)):
-        raise TypeError(f"keep must be an int count or None, got {type(keep).__name__}")
-    if keep < 1:
-        raise ValueError("keep count must be >= 1")
-
-
 def _resolve_keep(sv: np.ndarray, keep: int | None) -> int:
-    """How many of ``sv`` a ``keep`` that passed :func:`_check_keep` retains."""
+    """How many of ``sv`` a ``keep`` of None or an int count retains."""
     if keep is None:
         return int(np.sum(sv >= 1e-6 * sv[0]))  # s_0 counts; a zero ladder is refused as a Ladder
-    return min(int(keep), len(sv))
+    return min(keep, len(sv))
 
 
 _PIVOT_RTOL = 1e-9
@@ -154,10 +145,10 @@ def schmidt_decompose(
     """SVD of a weighted operator matrix, un-weighted back to mode functions.
 
     ``keep`` selects how many pairs are retained: an int is an exact count,
-    and None keeps every mode with s_n >= 1e-6 s_0.  Anything else, a float
-    included, raises TypeError.
+    and None keeps every mode with s_n >= 1e-6 s_0.  Any other type, a float
+    included, raises TypeError, and a count below 1 ValueError, before the SVD.
     """
-    _check_keep(keep)
+    keep = None if keep is None else _count(keep, "keep", 1)
     u, sv, vh = _svd(op.entries)
     return _result(op.rows_axis, op.cols_axis, sv, _resolve_keep(sv, keep), None, u, vh, None)
 
@@ -356,9 +347,9 @@ def decompose_filter(
     10.  One level alone never converges, so the first is factored for its
     values only; every later one with its vectors.  ``keep`` is as in
     :func:`schmidt_decompose`: an int count, or None for every s_n >= 1e-6 s_0.
-    ``max_resolution`` must be an integer (TypeError) of at least 64, and not
-    between the first two levels, 64 and 91 (ValueError).  Both arguments are
-    checked before the first level is assembled.
+    ``max_resolution`` must be an int (TypeError) of at least the second
+    level, 91 (ValueError), so that two levels can be compared.  Both
+    arguments are checked before the first level is assembled.
     When the window and the gate are both ``even`` each grid is factored as its
     two :func:`tffilter.core.parity_blocks` and the modes carry ``parities``;
     otherwise the whole :func:`tffilter.core.build_operator` matrix is.  Blocks
@@ -369,18 +360,8 @@ def decompose_filter(
     each level's route.  Anything but a Sif raises TypeError.
     """
     _require_sif(spec)
-    _check_keep(keep)
-    if isinstance(max_resolution, bool) or not isinstance(max_resolution, (int, np.integer)):
-        raise TypeError(f"max_resolution must be an int, got {type(max_resolution).__name__}")
-    max_resolution = int(max_resolution)
-    if max_resolution < _FIRST_LEVEL:
-        raise ValueError(f"max_resolution must be >= {_FIRST_LEVEL} samples per axis, got {max_resolution}")
-    second = _level(1)
-    if _FIRST_LEVEL < max_resolution < second:
-        raise ValueError(
-            f"max_resolution {max_resolution} lies between the first two levels, "
-            f"{_FIRST_LEVEL} and {second}, so no level can be checked against another"
-        )
+    keep = None if keep is None else _count(keep, "keep", 1)
+    max_resolution = _count(max_resolution, "max_resolution", _level(1))
     factor = _factor_split if spec.spectral.even and spec.temporal.even else _factor_full
     resolutions: list[int] = []
     routes: list[str] = []
@@ -415,8 +396,8 @@ def decompose_filter(
 def project_onto_input_mode(result: SchmidtResult, n: int, signal: SampledSignal) -> complex:
     """Coefficient <phi_n, signal>; transmitted amplitude in pair n is s_n times this.
 
-    An n outside 0 .. len(result.input_modes) - 1 raises ``ValueError``.
+    ``n`` is an int (TypeError otherwise); one outside 0 ..
+    len(result.input_modes) - 1 raises ``ValueError``.
     """
-    if not (0 <= n < len(result.input_modes)):
-        raise ValueError("mode index out of range")
-    return inner_product(result.input_modes[n], signal)
+    modes = result.input_modes
+    return inner_product(modes[_count(n, "mode index", 0, len(modes) - 1)], signal)

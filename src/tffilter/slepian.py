@@ -58,6 +58,7 @@ from .core import (
     Sif,
     StageOrder,
     StageProfile,
+    _count,
     _lapack,
     _legendre_rule,
 )
@@ -164,7 +165,8 @@ class PswfSolution:
     1e-14 floor where the eigensolver output is meaningful; entries beyond it
     are kept for shape but are numerical noise.
 
-    A mode index n outside 0 .. n_modes - 1 raises ``ValueError``.
+    A mode index n that is not an int raises ``TypeError``, and one outside
+    0 .. n_modes - 1 ``ValueError``.
     """
 
     def __init__(self, c: float, eigenvalues: np.ndarray, legendre_coeffs: np.ndarray) -> None:
@@ -195,8 +197,7 @@ class PswfSolution:
         return len(self.eigenvalues)
 
     def _check_mode(self, n: int) -> None:
-        if not (0 <= n < self.n_modes):
-            raise ValueError("mode index out of range")
+        _count(n, "mode index", 0, self.n_modes - 1)
 
     def evaluate(self, n: int, x: np.ndarray) -> np.ndarray:
         """Interval-normalized mode n at arbitrary real points."""
@@ -415,13 +416,13 @@ def pswf_solve_legendre(c: float, n_max: int) -> PswfSolution:
     trailing Legendre coefficients of every requested mode must fall below
     1e-12 of the head, or ``ConvergenceError`` is raised.  This is
     ``_solve_stacked`` on a stack of one.
+    ``n_max`` is an int (TypeError otherwise) of at least 0 (ValueError).
     An ``n_max`` above 60, or a basis above ``BASIS_LIMIT`` terms, raises
     ``ResolutionError``.
     """
     if not c > 0:  # NaN fails it too
         raise ValueError("c must be positive")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = _count(n_max, "n_max", 0)
     if n_max > 60:
         raise ResolutionError("prolate solver resolves mode indices up to 60 only")
     ((_, betas, coeffs),) = _solve_stacked(np.array([float(c)]), n_max)
@@ -615,7 +616,11 @@ def full_line_gram(sol: PswfSolution) -> np.ndarray:
 
 
 def slepian_singular_values(c: float, count: int) -> np.ndarray:
-    """sqrt(beta_n) for n = 0 .. count-1 at prolate parameter ``c``."""
+    """sqrt(beta_n) for n = 0 .. count-1 at prolate parameter ``c``.
+
+    ``count`` is an int (TypeError otherwise) of at least 1 (ValueError).
+    """
+    count = _count(count, "count", 1)
     return np.sqrt(pswf_solve_legendre(float(c), count - 1).eigenvalues[:count])
 
 
@@ -627,8 +632,8 @@ def slepian_filter_modes(sol: PswfSolution, n: int) -> tuple[SampledSignal, Samp
     unit norm on the gate window; the singular value is sqrt(beta_n).  Both
     are sampled on 2049 uniform points over [-4, 4]; the output mode is zero
     outside the interval with the 1/2 jump convention at the boundary.  A
-    concentration below ``BETA_FLOOR`` raises ``ResolutionError``, and an n
-    outside 0 .. n_modes - 1 ``ValueError``.
+    concentration below ``BETA_FLOOR`` raises ``ResolutionError``, an n that is
+    not an int ``TypeError``, and one outside 0 .. n_modes - 1 ``ValueError``.
     """
     sol._check_mode(n)
     beta = sol.eigenvalues[n]
@@ -667,11 +672,11 @@ def rectangular_filter_modes(
     Samples on the support boundary use the 1/2 jump convention.  The
     prolates are solved here, ``pswf_solve_legendre(spec.c, count - 1)``, and
     a concentration beta_{count-1} below ``BETA_FLOOR`` raises ``ResolutionError``.
+    ``count`` is an int (TypeError otherwise) of at least 1 (ValueError).
     """
     if side not in ("input", "output"):
         raise ValueError("side must be 'input' or 'output'")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _count(count, "count", 1)
     first, last = spec.stages
     want = (last if side == "output" else first).domain
     if axis.domain is not want:

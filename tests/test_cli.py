@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, reproducibility."""
 
 import ast
+import contextlib
 import csv
 import importlib
 import io
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tffilter
 import tffilter.cli
@@ -682,6 +685,83 @@ def test_gaussian_ladder_at_the_float_range_ends_warns_nothing(argv, tmp_path):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert json.loads((tmp_path / "out.csv.manifest.json").read_text())["warnings"] == []
+
+
+# Every numeric flag of every command.  Reals come from the whole double range
+# (Hypothesis floats, inf and nan among them, written as text), from its
+# positive part, which most flags need, and from its edges; counts, --mode,
+# --trials and --seed from small values plus the refused bounds.  Flags are
+# passed as --flag=value, so argparse reads "-1.7e+308" as a value.
+_REAL = st.one_of(
+    st.floats().map(repr),
+    st.floats(min_value=5e-324).map(repr),
+    st.sampled_from(
+        ["0.0", "-0.0", "5e-324", "2.2250738585072014e-308", "1.7e+308", "-1.7e+308", "inf", "-inf", "nan"]
+    ),
+)
+_COUNT = st.sampled_from(["-1", "0", "1", "2", "3", str(tffilter.cli.MAX_COUNT + 1)])
+_MODE = st.sampled_from(["-1", "0", "1", "2", "60", "61"])
+_TRIALS = st.sampled_from(["-1", "0", "1", "2", "3", str(2**32 + 1)])
+_SEED = st.sampled_from(["-1", "0", "7", str(2**64)])
+_FAMILY = st.sampled_from(["gaussian", "slepian"])
+_COMMANDS = st.one_of(
+    st.builds(
+        lambda f, bt, n: ["decompose", f"--filter={f}", f"--bt={bt}", f"--n-modes={n}"], _FAMILY, _REAL, _COUNT
+    ),
+    st.builds(
+        lambda f, lo, hi, n: ["tradeoff", f"--filter={f}", f"--bt-min={lo}", f"--bt-max={hi}", f"--points={n}"],
+        _FAMILY,
+        _REAL,
+        _REAL,
+        _COUNT,
+    ),
+    st.builds(
+        lambda f, flag, x, m, side: ["modes", f"--filter={f}", f"{flag}={x}", f"--mode={m}", f"--which={side}"],
+        _FAMILY,
+        st.sampled_from(["--bt", "--c"]),
+        _REAL,
+        _MODE,
+        st.sampled_from(["input", "output"]),
+    ),
+    st.builds(
+        lambda f, bt, e, n, t, s: [
+            "snr", f"--filter={f}", f"--bt={bt}", f"--signal-energy={e}", f"--noise-psd={n}",
+            f"--trials={t}", f"--seed={s}",
+        ],
+        _FAMILY,
+        _REAL,
+        _REAL,
+        _REAL,
+        _TRIALS,
+        _SEED,
+    ),
+    st.builds(
+        lambda f, lo, hi, n, opt: ["qkd", f"--filter={f}", f"--ny-min={lo}", f"--ny-max={hi}", f"--points={n}"]
+        + ["--optimize"] * opt,
+        st.one_of(
+            st.sampled_from(["gaussian", "slepian", "all"]),
+            st.builds(lambda eta, xi: f"point:{eta},{xi}", _REAL, _REAL),
+        ),
+        _REAL,
+        _REAL,
+        _COUNT,
+        st.booleans(),
+    ),
+)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(_COMMANDS)
+def test_every_command_exits_0_2_or_3_anywhere_in_the_float_range(argv):
+    # in process, on stdout; a RuntimeWarning is an error (pyproject.toml),
+    # and any exception but argparse's SystemExit(2) fails the example
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), argv
 
 
 class TestTypedErrors:

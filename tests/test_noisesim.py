@@ -356,7 +356,7 @@ class TestEnsembleStatistics:
         "seed, error", [(-1, ValueError), (3.0, TypeError), ("3", TypeError), (3.5, TypeError)]
     )
     def test_seed_refused_at_the_boundary(self, time_axis, seed, error):
-        # the errors SeedSequence raises, before any trial is drawn
+        # the errors SeedSequence would raise, refused before any trial is drawn
         mode = unit_gaussian_mode(time_axis)
         with pytest.raises(error):
             NoiseEnsembleConfig(

@@ -108,18 +108,18 @@ class TestSchmidtDecompose:
         assert ratio == pytest.approx(np.sqrt(2.0) - 1.0, rel=1e-10)
         op = build_operator(gaussian_sif(0.5, 1.0), *recommended_axes(gaussian_sif(0.5, 1.0), 64))
         for keep in (0.25, 1.0, np.float64(2.0), True):
-            with pytest.raises(TypeError, match="int count or None"):
+            with pytest.raises(TypeError, match="^keep must be an int, got "):
                 decompose_filter(gaussian_sif(0.5, 1.0), keep=keep)
-            with pytest.raises(TypeError, match="int count or None"):
+            with pytest.raises(TypeError, match="^keep must be an int, got "):
                 schmidt_decompose(op, keep=keep)
 
     @pytest.mark.parametrize(
         "keep, error, message",
         [
-            (0, ValueError, "keep count must be >= 1"),
-            (0.5, TypeError, "int count or None, got float"),
-            (True, TypeError, "int count or None, got bool"),
-            (np.float64(2.0), TypeError, "int count or None, got float64"),
+            (0, ValueError, "^keep out of range$"),
+            (0.5, TypeError, "^keep must be an int, got float$"),
+            (True, TypeError, "^keep must be an int, got bool$"),
+            (np.float64(2.0), TypeError, "^keep must be an int, got float64$"),
         ],
         ids=["zero", "half", "true", "float64"],
     )
@@ -145,9 +145,11 @@ class TestFixedGrid:
         res = schmidt_decompose(build_operator(ff, rows, cols), keep=16)
         assert res.total_power == pytest.approx(0.8, rel=1e-12)
 
-    def test_single_grid_cannot_converge(self):
-        # convergence needs two grids to compare; one level must say so
-        with pytest.raises(ConvergenceError):
+    def test_single_grid_cannot_converge(self, monkeypatch):
+        # convergence needs two grids to compare, so a max_resolution that
+        # allows one level only is refused before any grid is built
+        _refuse_grids(monkeypatch)
+        with pytest.raises(ValueError, match="^max_resolution out of range$"):
             decompose_filter(rectangular_sif(0.8, 1.0), keep=8, max_resolution=64)
 
     def test_mode_axes_follow_operator(self):
@@ -828,8 +830,8 @@ def test_only_the_first_level_is_factored_for_values_alone(family, bt, keep, mon
 
 @pytest.mark.parametrize(
     "max_resolution, levels",
-    [(64, (64,)), (91, (64, 91)), (300, (181, 256)), (362, (256, 362))],
-    ids=["first-level-only", "first-two-levels", "below-the-start", "at-the-second-level"],
+    [(91, (64, 91)), (300, (181, 256)), (362, (256, 362))],
+    ids=["first-two-levels", "below-the-start", "at-the-second-level"],
 )
 def test_max_resolution_below_the_start_clamps_to_two_levels(max_resolution, levels, monkeypatch):
     # Gaussian BT 10 would start at 256 and stop at 362.  A lower limit moves
@@ -896,15 +898,14 @@ def test_numpy_integer_grid_sizes_are_accepted():
 
 @pytest.mark.parametrize(
     "max_resolution",
-    [63, 65, 90],
-    ids=["below-resolution", "between-the-first-two-levels", "just-below-level-91"],
+    [63, 64, 65, 90],
+    ids=["below-resolution", "first-level-only", "between-the-first-two-levels", "just-below-level-91"],
 )
 def test_max_resolution_without_a_second_level_is_refused(max_resolution, monkeypatch):
-    # below the first level, 64, no grid is built; between it and the second,
-    # 91, one level has nothing to be compared with and could only end in
-    # ConvergenceError, as max_resolution=64 still does
+    # below the second level, 91, one level would have nothing to be compared
+    # with and could only end in ConvergenceError, so no grid is built
     _refuse_grids(monkeypatch)
-    with pytest.raises(ValueError, match="^max_resolution "):
+    with pytest.raises(ValueError, match="^max_resolution out of range$"):
         decompose_filter(gaussian_sif(0.5, 1.0), keep=4, max_resolution=max_resolution)
 
 
