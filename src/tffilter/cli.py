@@ -13,10 +13,15 @@ byte-identical; the run metadata (including the only timestamp) lives in the
 manifest, never in the data file.  JSON spells a non-finite float as the CSV
 cells do: "inf", "-inf" or "nan".
 
-Exit codes: 0 success, 2 usage error (a NaN or infinite number, a
-nonpositive BT, a negative seed, a count flag outside 1..MAX_COUNT,
---trials above 2**32), 3 numeric or convergence failure, or a run past the
-library's resolution limits.  A failed run writes no file.
+Exit codes: 0 success, 2 usage error, 3 numeric or convergence failure, or
+a run past the library's resolution limits.  A failed run writes no file.
+argparse only parses text (``type=float``, ``type=int``, ``choices`` and
+required flags) and exits 2 itself only for text that does not parse or an
+unknown or missing flag.  Every parsed value is checked by its command
+before any library call: a refused one (a NaN or infinite number, a
+nonpositive BT, a negative seed or --mode, a count flag outside
+1..MAX_COUNT, --trials outside 1..2**32) raises ``UsageError``, and
+``main`` returns 2 after one ``error:`` line on stderr.
 Each command imports the library functions it calls inside its own branch, so
 a cold process loads only the modules that command runs.
 """
@@ -62,33 +67,11 @@ def parse_bt(text: str) -> float:
     return bt
 
 
-def _check_count(value: int, flag: str) -> None:
-    if value < 1:
-        raise UsageError(f"{flag} must be >= 1")
-    if value > MAX_COUNT:
-        raise UsageError(f"{flag} must be <= {MAX_COUNT}")
-
-
-def _finite(text: str) -> float:
-    """argparse type: a finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """argparse type: a nonnegative integer seed."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+def _check_count(value: int, flag: str, low: int, high: float) -> None:
+    if value < low:
+        raise UsageError(f"{flag} must be >= {low}")
+    if value > high:
+        raise UsageError(f"{flag} must be <= {high}")
 
 
 def _fmt(x: float) -> str:
@@ -155,7 +138,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 def cmd_decompose(args: argparse.Namespace):
     bt = parse_bt(args.bt)
-    _check_count(args.n_modes, "--n-modes")
+    _check_count(args.n_modes, "--n-modes", 1, MAX_COUNT)
     if args.filter == "gaussian":
         from .gaussian import gaussian_singular_values
 
@@ -183,7 +166,7 @@ def cmd_tradeoff(args: argparse.Namespace):
     bt_max = parse_bt(args.bt_max)
     if bt_max < bt_min:
         raise UsageError("need --bt-min <= --bt-max")
-    _check_count(args.points, "--points")
+    _check_count(args.points, "--points", 1, MAX_COUNT)
     bts = np.geomspace(bt_min, bt_max, args.points)
     if args.filter == "gaussian":
         from .gaussian import gaussian_tradeoff
@@ -213,8 +196,9 @@ def cmd_tradeoff(args: argparse.Namespace):
 
 def cmd_modes(args: argparse.Namespace):
     n = args.mode
-    if n < 0:
-        raise UsageError("--mode must be >= 0")
+    _check_count(n, "--mode", 0, math.inf)
+    if args.c is not None and not math.isfinite(args.c):
+        raise UsageError("--c must be a finite number")
     if args.filter == "gaussian":
         if args.c is not None:
             raise UsageError("--c applies to the slepian family; use --bt for gaussian")
@@ -252,10 +236,10 @@ def cmd_snr(args: argparse.Namespace):
     from .noisesim import MAX_TRIALS, NoiseEnsembleConfig, run_ensemble, snr_setup
 
     bt = parse_bt(args.bt)
-    if not 1 <= args.trials <= MAX_TRIALS:
-        raise UsageError("--trials must be 1 to 2**32, the streams of one seed")
-    if args.signal_energy < 0 or args.noise_psd < 0:
-        raise UsageError("energies must be nonnegative")
+    _check_count(args.trials, "--trials", 1, MAX_TRIALS)
+    _check_count(args.seed, "--seed", 0, math.inf)
+    if not (0 <= args.signal_energy < math.inf and 0 <= args.noise_psd < math.inf):
+        raise UsageError("energies must be finite and nonnegative")
 
     spec, axis, mode, xi = snr_setup(args.filter, bt)
     cfg = NoiseEnsembleConfig(
@@ -313,9 +297,9 @@ def _qkd_families(token: str):
 
 
 def cmd_qkd(args: argparse.Namespace):
-    if args.ny_min < 0 or args.ny_max < args.ny_min:
-        raise UsageError("need 0 <= --ny-min <= --ny-max")
-    _check_count(args.points, "--points")
+    if not 0 <= args.ny_min <= args.ny_max < math.inf:
+        raise UsageError("need 0 <= --ny-min <= --ny-max < inf")
+    _check_count(args.points, "--points", 1, MAX_COUNT)
     from .qkd import ETA_GRID, normalized_key_rate, optimize_over_efficiency
 
     families = _qkd_families(args.filter)
@@ -392,52 +376,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Schmidt-mode analysis of time-frequency filters",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    family = argparse.ArgumentParser(add_help=False, parents=[out])
+    family.add_argument("--filter", choices=("gaussian", "slepian"), required=True)
 
-    p = sub.add_parser("decompose", help="singular values of a filter family")
-    p.add_argument("--filter", choices=("gaussian", "slepian"), required=True)
+    p = sub.add_parser("decompose", parents=[family], help="singular values of a filter family")
     p.add_argument("--bt", required=True, help="time-bandwidth product (real or 'X/2pi')")
     p.add_argument("--n-modes", type=int, default=20)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("tradeoff", help="efficiency vs discriminativity sweep")
-    p.add_argument("--filter", choices=("gaussian", "slepian"), required=True)
+    p = sub.add_parser("tradeoff", parents=[family], help="efficiency vs discriminativity sweep")
     p.add_argument("--bt-min", required=True)
     p.add_argument("--bt-max", required=True)
     p.add_argument("--points", type=int, default=60)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_tradeoff)
 
-    p = sub.add_parser("modes", help="sampled Schmidt mode profiles")
-    p.add_argument("--filter", choices=("gaussian", "slepian"), required=True)
+    p = sub.add_parser("modes", parents=[family], help="sampled Schmidt mode profiles")
     p.add_argument("--bt")
-    p.add_argument("--c", type=_finite, help="prolate parameter (slepian only)")
+    p.add_argument("--c", type=float, help="prolate parameter (slepian only)")
     p.add_argument("--mode", type=int, default=0)
     p.add_argument("--which", choices=("input", "output"), default="input")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_modes)
 
-    p = sub.add_parser("snr", help="Monte Carlo signal-to-noise check")
-    p.add_argument("--filter", choices=("gaussian", "slepian"), required=True)
+    p = sub.add_parser("snr", parents=[family], help="Monte Carlo signal-to-noise check")
     p.add_argument("--bt", required=True)
-    p.add_argument("--signal-energy", type=_finite, default=1.0)
-    p.add_argument("--noise-psd", type=_finite, default=0.1)
+    p.add_argument("--signal-energy", type=float, default=1.0)
+    p.add_argument("--noise-psd", type=float, default=0.1)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--out")
+    p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_snr)
 
-    p = sub.add_parser("qkd", help="BBM92 key rates over a noise sweep")
+    p = sub.add_parser("qkd", parents=[out], help="BBM92 key rates over a noise sweep")
     p.add_argument(
         "--filter",
         required=True,
         help="gaussian | slepian | point:ETA,XI | all",
     )
-    p.add_argument("--ny-min", type=_finite, required=True)
-    p.add_argument("--ny-max", type=_finite, required=True)
+    p.add_argument("--ny-min", type=float, required=True)
+    p.add_argument("--ny-max", type=float, required=True)
     p.add_argument("--points", type=int, default=25)
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_qkd)
 
     return parser

@@ -32,10 +32,12 @@ QPG_REFERENCE_POINTS = ((0.99, 0.98), (0.9999, 0.9999))
 class Ladder:
     """A Schmidt ladder: the kept singular values and the sum of every s_n^2.
 
-    ``singular_values`` are nonempty, nonnegative and descending, and read-only
-    once stored.  ``total_power`` is sum_n s_n^2 over the whole ladder, kept
-    or not: positive, and at least s_0^2 (to a relative 1e-12), so that
-    0 < xi <= 1.  Ladders compare by identity, as their values are an array.
+    ``singular_values`` are a nonempty 1-D array of finite, nonnegative,
+    descending values, read-only once stored.  ``total_power`` is sum_n s_n^2
+    over the whole ladder, kept or not: positive, finite, and at least s_0^2
+    (to a relative 1e-12), so that 0 < xi <= 1.  Each refusal is a
+    ``ValueError`` with its own message, a NaN included.  Ladders compare by
+    identity, as their values are an array.
     """
 
     singular_values: np.ndarray
@@ -43,8 +45,12 @@ class Ladder:
 
     def __post_init__(self) -> None:
         s = np.array(self.singular_values, dtype=float)
+        if s.ndim != 1:
+            raise ValueError("singular values must be a 1-D array")
         if s.size == 0:
             raise ValueError("need at least one singular value")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("singular values must be finite")
         if np.any(s < -1e-15):
             raise ValueError("singular values must be nonnegative")
         if np.any(np.diff(s) > 1e-12 * max(s[0], 1.0)):
@@ -52,6 +58,8 @@ class Ladder:
         total = float(self.total_power)
         if not total > 0:  # NaN fails it too
             raise ValueError("total squared singular value mass must be positive")
+        if total == np.inf:
+            raise ValueError("total squared singular value mass must be finite")
         eta = s[0] * s[0]
         if eta == 0.0 or eta > total * (1.0 + 1e-12):
             raise ValueError("discriminativity must lie in (0, 1]")

@@ -630,7 +630,8 @@ def filtered_noise_correlation(
     transform of |R~|^2.  The probe times are five points across the gate
     duration; they and the lags are snapped to the simulation grid, the
     smallest one :func:`_auto_correlation_axis` admits, so empirical samples
-    need no interpolation.  At least 1000 trials, and at most MAX_TRIALS, are
+    need no interpolation.  ``lags`` must be a non-empty 1-D array of finite
+    numbers, refused with ``ValueError`` before any trial is drawn.  At least 1000 trials, and at most MAX_TRIALS, are
     required for the stderr estimate to be meaningful; ``trials`` and ``seed``
     (at least 0) are ints, as :class:`NoiseEnsembleConfig` takes them.  The
     noise is drawn, and the moments summed, at N_y 2**-k with
@@ -647,8 +648,8 @@ def filtered_noise_correlation(
     if noise_psd == 0:
         raise ValueError("noise_psd must be positive")
     lags = np.asarray(lags, dtype=float)
-    if lags.size == 0 or not np.all(np.isfinite(lags)):
-        raise ValueError("lags must be a non-empty array of finite numbers")
+    if lags.ndim != 1 or lags.size == 0 or not np.all(np.isfinite(lags)):
+        raise ValueError("lags must be a non-empty 1-D array of finite numbers")
     half = 0.5 * spec.temporal.width
     times = np.linspace(-half, half, 5)
     reach = half + np.max(np.abs(lags))

@@ -716,7 +716,7 @@ def slepian_tradeoff(bt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Scalar in, scalars out.
     """
     bts = np.asarray(bt, dtype=float)
-    if np.any(bts <= 0):
+    if not np.all(bts > 0):  # NaN fails it too
         raise ValueError("all BT values must be positive")
     with np.errstate(over="ignore"):  # past BT ~ 1.1e308 c reads inf, where beta_0 is exactly 1
         c = 0.5 * np.pi * bts

@@ -616,22 +616,46 @@ _BAD_NUMBER_PROBES = [
     ("snr", "--filter", "gaussian", "--bt", "1e200", "--trials", str(2**32 + 1), "--seed", "1"),
     ("qkd", "--filter", "gaussian", "--ny-min", "nan", "--ny-max", "1"),
     ("qkd", "--filter", "slepian", "--ny-min", "0", "--ny-max", "inf"),
+    # argparse would read a bare -inf as a flag, so it goes in as --c=-inf
+    ("modes", "--filter", "slepian", "--c=-inf"),
+    ("modes", "--filter", "slepian", "--c", "1e400"),
+    ("qkd", "--filter", "gaussian", "--ny-min", "0", "--ny-max", "nan"),
+    ("snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "10", "--seed", "1",
+     "--signal-energy", "-1"),
+    ("modes", "--filter", "gaussian", "--bt", "0.5", "--mode", "-1"),
+    ("snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "0", "--seed", "1"),
+    ("tradeoff", "--filter", "gaussian", "--bt-min", "0.5", "--bt-max", "1", "--points", "0"),
 ]
 
 
 @pytest.mark.parametrize("argv", _BAD_NUMBER_PROBES, ids=" ".join)
 def test_bad_numbers_exit_2(argv, tmp_path, capsys):
-    # non-finite reals, a negative seed and more trials than one seed has
-    # streams are usage errors, refused before any computation (BT 1e200
-    # would exit 3): exit 2, an error line, no data file
+    # non-finite reals, negative values, counts out of range and more trials
+    # than one seed has streams are usage errors, refused by the command
+    # before any computation (BT 1e200 would exit 3): main returns 2 after
+    # one error line, and writes no data file
     out = tmp_path / "out"
-    try:
-        code = main([*argv, "--out", str(out)])
-    except SystemExit as exc:  # argparse refuses a bad --c, --ny-*, energy or seed
-        code = exc.code
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []  # neither a data file nor a manifest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("modes", "--filter", "slepian", "--c", "abc"),
+        ("snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "10", "--seed", "1.5"),
+        ("snr", "--filter", "gaussian", "--bt", "0.5", "--trials", "2.0", "--seed", "1"),
+    ],
+    ids=" ".join,
+)
+def test_text_that_does_not_parse_is_refused_by_argparse(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -475,6 +475,39 @@ class TestFourierOwnership:
         assert users == ["core.py"]
 
 
+class TestLapackOwnership:
+    def test_every_linalg_call_runs_under_lapack(self):
+        # one LAPACK rule (README): every dense np.linalg call sits inside a
+        # `with _lapack(...)` block, so it runs on one BLAS thread and its
+        # failure is a ConvergenceError
+        pkg = Path(tffilter.__file__).parent
+        guarded, unguarded = [], []
+
+        def is_lapack(item):
+            call = item.context_expr
+            return isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_lapack"
+
+        def visit(node, name, inside):
+            if isinstance(node, ast.With) and any(map(is_lapack, node.items)):
+                inside = True
+            func = getattr(node, "func", None)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "linalg"
+                and getattr(func.value.value, "id", None) in ("np", "numpy")
+            ):
+                (guarded if inside else unguarded).append((name, node.lineno, func.attr))
+            for child in ast.iter_child_nodes(node):
+                visit(child, name, inside)
+
+        for path in sorted(pkg.glob("*.py")):
+            visit(ast.parse(path.read_text("utf-8")), path.name, False)
+        assert unguarded == []
+        assert guarded  # the walk sees the calls it checks
+
+
 class TestIntegrationRuleOwnership:
     def test_profile_quadrature_lives_only_in_core(self):
         # one integration rule per profile: B, T and the |R~|^2 moments run on

@@ -51,7 +51,7 @@ class TestFiguresFromSingulars:
         [
             ([], 1.0, "need at least one singular value"),
             ([1.5], 3.0, r"efficiency must lie in \[0, 1\]"),
-            ([np.nan], 1.0, r"efficiency must lie in \[0, 1\]"),
+            ([np.nan], 1.0, "singular values must be finite"),
             ([0.8], 0.5, r"discriminativity must lie in \(0, 1\]"),
             ([0.0], 1.0, r"discriminativity must lie in \(0, 1\]"),
         ],
@@ -60,6 +60,23 @@ class TestFiguresFromSingulars:
     def test_each_refusal_keeps_its_message(self, sv, total, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             figures_from_singulars(np.array(sv, dtype=float), total)
+
+    @pytest.mark.parametrize(
+        "sv, total, message",
+        [
+            ([1.0, np.nan], 2.0, "singular values must be finite"),
+            ([np.nan], 1.0, "singular values must be finite"),
+            ([1.0, np.inf], 2.0, "singular values must be finite"),
+            ([1.0], np.inf, "total squared singular value mass must be finite"),
+            ([[0.5, 0.2]], 1.0, "singular values must be a 1-D array"),
+            (0.5, 1.0, "singular values must be a 1-D array"),
+        ],
+        ids=["nan-in-tail", "nan-only", "inf-in-tail", "inf-total", "2-d", "0-d"],
+    )
+    @pytest.mark.parametrize("build", [Ladder, figures_from_singulars], ids=["ladder", "figures"])
+    def test_refuses_what_a_ladder_cannot_hold(self, build, sv, total, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(np.array(sv, dtype=float), total)
 
     def test_returns_the_ladder(self):
         sv = gaussian_singular_values(0.5, 3)

@@ -832,6 +832,15 @@ class TestCorrelation:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             filtered_noise_correlation(gaussian_sif(0.3, 1.0), 0.25, 1000, np.array(bad), seed=0)
 
+    @pytest.mark.parametrize("lags", [[[0.0, 0.5]], 0.5], ids=["2-d", "0-d"])
+    def test_lags_that_are_not_1d_are_refused_before_any_draw(self, monkeypatch, lags):
+        def refuse(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(noisesim, "_filtered_noise_blocks", refuse)
+        with pytest.raises(ValueError, match="^lags must be a non-empty 1-D array of finite numbers$"):
+            filtered_noise_correlation(gaussian_sif(0.3, 1.0), 0.25, 1000, np.array(lags), seed=0)
+
     @pytest.mark.parametrize(
         "family, bw, duration, reach",
         [

@@ -463,6 +463,11 @@ class TestGroundConcentration:
         assert np.array_equal(eta, ground_concentration(0.5 * np.pi * bts))
         assert np.array_equal(xi, eta / bts)
 
+    @pytest.mark.parametrize("bt", [np.nan, [0.5, np.nan]], ids=str)
+    def test_tradeoff_refuses_a_nan_bt_as_not_positive(self, bt):
+        with pytest.raises(ValueError, match="^all BT values must be positive$"):
+            slepian_tradeoff(bt)
+
 
 class TestCrossMethod:
     @pytest.mark.parametrize("c", [0.5, 1.25, 3.0, 5.0])
